@@ -1,10 +1,11 @@
 """Command-line entry point: compute, cross-check, and report.
 
-Every subcommand derives parameters, builds the field, runs the requested
-brute-force measurement next to its closed-form prediction, and writes a
-deterministic report.json (no timings, no worker counts) into the output
-directory. Exit codes: 0 all checks match, 1 usage error, 2 mismatch,
-3 matches except for flagged tabulation errata.
+Every subcommand derives parameters, builds the field, runs its checks from
+one registry (each a brute-force measurement next to its closed-form
+prediction), and writes a deterministic report.json (no timings, no worker
+counts) into the output directory. Exit codes: 0 all checks match, 1 usage
+error, 2 mismatch or a check raised, 3 matches except for flagged tabulation
+errata.
 """
 
 from __future__ import annotations
@@ -14,8 +15,11 @@ import json
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+from typing import Callable
 
 from .codes import (CODES, check_cyclicity, check_parity, code_dimension,
                     codeword_c1, codeword_c2, codeword_dump_lines,
@@ -39,6 +43,7 @@ MATCH = "match"
 MISMATCH = "mismatch"
 FLAGGED = "flagged-erratum"
 SKIPPED = "skipped"
+ERROR = "error"
 
 DEFAULT_BUDGETS = {
     "t_spectrum": 12,
@@ -50,6 +55,14 @@ DEFAULT_BUDGETS = {
     "artin_schreier": 8,
     "gamma_sweep": 6,
     "inequivalence": 6,
+}
+
+# What a subcommand names when it refuses an over-budget request.
+_SWEEP_NAMES = {
+    "t_spectrum": "the T sweep",
+    "s_spectrum": "the S sweep",
+    "code_weights": "codeword enumeration",
+    "correlation": "the correlation sweep",
 }
 
 OUT_ENV = "KASAMILAB_OUT"
@@ -89,7 +102,7 @@ class VerificationReport:
     @property
     def exit_code(self):
         statuses = {r.status for r in self.records}
-        if MISMATCH in statuses:
+        if MISMATCH in statuses or ERROR in statuses:
             return 2
         if FLAGGED in statuses:
             return 3
@@ -109,6 +122,22 @@ class VerificationReport:
         }
 
 
+@dataclass(frozen=True)
+class Check:
+    """One named cross-check of the registry; Comparison is the other kind.
+
+    run(run) returns the record's (status, detail) or (status, detail,
+    notes). budget_key names its cap in DEFAULT_BUDGETS, or is None for a
+    check that always runs. not_applicable(params), when given, says why the
+    check does not apply to these parameters, or returns None.
+    """
+
+    name: str
+    budget_key: str | None
+    run: Callable
+    not_applicable: Callable | None = None
+
+
 def _dumps(obj):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -119,16 +148,8 @@ def _resolve_outdir(arg):
     return path
 
 
-def _timed(label, fn, *args, **kwargs):
-    start = time.perf_counter()
-    result = fn(*args, **kwargs)
-    print(f"[time] {label}: {time.perf_counter() - start:.3f}s",
-          file=sys.stderr)
-    return result
-
-
-def _compare(name, brute, formula):
-    """Record equality of two distributions; formula-side notes mark errata."""
+def _compare(brute, formula):
+    """(status, detail, notes) for brute against formula; notes mark errata."""
     delta = brute.diff(formula)
     notes = tuple(formula.notes)
     if delta:
@@ -136,31 +157,9 @@ def _compare(name, brute, formula):
                           for v, a, b in delta[:6])
         if len(delta) > 6:
             shown += f"; +{len(delta) - 6} more"
-        return CheckRecord(name, MISMATCH, shown, notes)
+        return MISMATCH, shown, notes
     status = FLAGGED if notes else MATCH
-    return CheckRecord(name, status,
-                       f"{len(brute.entries)} values, total {brute.total}",
-                       notes)
-
-
-def _emit_comparison(outdir, stem, brute, formula, fmt):
-    if fmt == "json":
-        doc = {
-            "brute": brute.to_json_dict(),
-            "formula": formula.to_json_dict(),
-            "diff": [{"v": v, "brute": a, "formula": b}
-                     for v, a, b in brute.diff(formula)],
-            "notes": list(formula.notes),
-        }
-        (outdir / f"{stem}.json").write_text(_dumps(doc))
-    elif fmt == "csv":
-        (outdir / f"{stem}.csv").write_text(brute.to_csv())
-        (outdir / f"{stem}_formula.csv").write_text(formula.to_csv())
-        delta = brute.diff(formula)
-        if delta:
-            lines = ["value,brute,formula"]
-            lines += [f"{v},{a},{b}" for v, a, b in delta]
-            (outdir / f"{stem}_diff.csv").write_text("\n".join(lines) + "\n")
+    return status, f"{len(brute.entries)} values, total {brute.total}", notes
 
 
 def _print_dist(title, dist):
@@ -173,345 +172,326 @@ def _print_dist(title, dist):
         print(f"  note: {note}")
 
 
-def _print_records(records):
-    for rec in records:
-        print(f"{rec.name}: {rec.status} ({rec.detail})")
-        for note in rec.notes:
-            print(f"  note: {note}")
-
-
-def _finish(args, command, ctx, params, records, outdir):
-    report = VerificationReport(
-        command=command, n=params.n, k=params.k, modulus=ctx.modulus,
-        case=params.case, d=params.d, d_prime=params.d_prime,
-        records=tuple(records))
-    (outdir / "report.json").write_text(_dumps(report.to_json_dict()))
-    _print_records(records)
-    return report.exit_code
-
-
-def _budget(args, key):
-    if args.budget_override:
+def _over_budget(args, check):
+    """The cap of check's budget when args.n exceeds it, else None."""
+    if check.budget_key is None or args.budget_override:
         return None
-    return DEFAULT_BUDGETS[key]
+    cap = DEFAULT_BUDGETS[check.budget_key]
+    return cap if args.n > cap else None
 
 
-def _require_budget(args, key, what):
-    cap = _budget(args, key)
-    if cap is not None and args.n > cap:
-        raise UsageError(
-            f"{what} at n={args.n} exceeds the default budget (n <= {cap}); "
-            f"pass --budget-override to run it anyway")
+class _Run:
+    """One command: its field, parameters, flags and the sweeps checks share.
+
+    `verify` skips a check that is over budget and writes only report.json;
+    the other subcommands refuse one with a UsageError and also write each
+    comparison's artifacts.
+    """
+
+    def __init__(self, args, command):
+        self.args = args
+        self.command = command
+        self.params = derive_params(args.n, args.k)
+        modulus = int(args.modulus, 0) if args.modulus else None
+        self.ctx = build_field(args.n, modulus)
+        self.outdir = None
+
+    # Sweeps that more than one check reads, done once per run. A sweep that
+    # raises is not cached, so each check that reads it reports the failure.
+    @cached_property
+    def t_distribution(self):
+        return t_spectrum(self.ctx, self.params, workers=self.args.workers)
+
+    @cached_property
+    def family(self):
+        return build_family(self.ctx, self.params)
+
+    def execute(self, names):
+        """Run the named checks; write, print and grade the report."""
+        checks = [_REGISTRY[name] for name in names]
+        if self.command != "verify":
+            for check in checks:
+                cap = _over_budget(self.args, check)
+                if cap is not None:
+                    raise UsageError(
+                        f"{_SWEEP_NAMES[check.budget_key]} at n={self.args.n} "
+                        f"exceeds the default budget (n <= {cap}); "
+                        f"pass --budget-override to run it anyway")
+        self.outdir = _resolve_outdir(self.args.out)
+        records = tuple(self._record(check) for check in checks)
+        params = self.params
+        report = VerificationReport(
+            command=self.command, n=params.n, k=params.k,
+            modulus=self.ctx.modulus, case=params.case, d=params.d,
+            d_prime=params.d_prime, records=records)
+        (self.outdir / "report.json").write_text(
+            _dumps(report.to_json_dict()))
+        for rec in records:
+            print(f"{rec.name}: {rec.status} ({rec.detail})")
+            for note in rec.notes:
+                print(f"  note: {note}")
+        return report.exit_code
+
+    def _record(self, check):
+        why = check.not_applicable and check.not_applicable(self.params)
+        cap = _over_budget(self.args, check)
+        if not why and cap is not None:
+            why = f"n={self.params.n} exceeds budget {cap}"
+        if why:
+            print(f"[skip] {check.name}: {why}", file=sys.stderr)
+            return CheckRecord(check.name, SKIPPED, why)
+        start = time.perf_counter()
+        try:
+            record = CheckRecord(check.name, *check.run(self))
+        except VerificationError as exc:
+            record = CheckRecord(check.name, MISMATCH, str(exc))
+        except Exception as exc:  # one broken check must not lose the report
+            traceback.print_exc()
+            record = CheckRecord(check.name, ERROR,
+                                 f"{type(exc).__name__}: {exc}")
+        print(f"[time] {check.name}: {time.perf_counter() - start:.3f}s",
+              file=sys.stderr)
+        return record
 
 
-def _setup(args):
-    params = derive_params(args.n, args.k)
-    modulus = int(args.modulus, 0) if args.modulus else None
-    ctx = build_field(args.n, modulus)
-    return ctx, params
+@dataclass(frozen=True)
+class Comparison:
+    """A check comparing measure(run) with predict(params) value for value.
+
+    Subcommands also write both sides as artifacts named after `stem`, and
+    print them under `title` with --format table.
+    """
+
+    name: str
+    budget_key: str
+    stem: str
+    title: str
+    measure: Callable
+    predict: Callable
+    predicted_as: str = "closed form"
+    not_applicable = None
+
+    def run(self, run):
+        brute, formula = self.measure(run), self.predict(run.params)
+        if run.command != "verify":
+            self._emit(run.outdir, run.args.format, brute, formula)
+        return _compare(brute, formula)
+
+    def _emit(self, outdir, fmt, brute, formula):
+        stem = self.stem
+        if fmt == "json":
+            doc = {
+                "brute": brute.to_json_dict(),
+                "formula": formula.to_json_dict(),
+                "diff": [{"v": v, "brute": a, "formula": b}
+                         for v, a, b in brute.diff(formula)],
+                "notes": list(formula.notes),
+            }
+            (outdir / f"{stem}.json").write_text(_dumps(doc))
+        elif fmt == "csv":
+            (outdir / f"{stem}.csv").write_text(brute.to_csv())
+            (outdir / f"{stem}_formula.csv").write_text(formula.to_csv())
+            delta = brute.diff(formula)
+            if delta:
+                lines = ["value,brute,formula"]
+                lines += [f"{v},{a},{b}" for v, a, b in delta]
+                (outdir / f"{stem}_diff.csv").write_text(
+                    "\n".join(lines) + "\n")
+        else:
+            _print_dist(f"{self.title} (brute force)", brute)
+            _print_dist(f"{self.title} ({self.predicted_as})", formula)
+
+
+def _check_parameters(run):
+    params = run.params
+    return MATCH, (f"case={params.case}, d={params.d}, d'={params.d_prime}, "
+                   f"s={params.s}, modulus={run.ctx.modulus:#x}")
+
+
+def _check_bluher(run):
+    n = run.params.n
+    bad = []
+    for h in range(1, n):
+        got = bluher_counts(run.ctx, h).as_tuple()
+        want = bluher_counts_formula(n, h).as_tuple()
+        if got != want:
+            bad.append(f"h={h}: counted {got}, predicted {want}")
+    if bad:
+        return MISMATCH, "; ".join(bad)
+    return MATCH, f"root-count quadruples match for h=1..{n - 1}"
+
+
+def _check_rank(run):
+    got = rank_profile(run.ctx, run.params)
+    want = rank_profile_formula(run.params)
+    trip = (got.n0, got.n2, got.n4)
+    pred = (want.n0, want.n2, want.n4)
+    if trip != pred:
+        return MISMATCH, f"counted {trip}, predicted {pred}"
+    return MATCH, f"(n0, n2, n4) = {trip}"
+
+
+def _check_moments(run):
+    rep = moments(run.t_distribution, run.params)
+    return MATCH, f"m1={rep.m1}, m2={rep.m2}, m3={rep.m3}"
+
+
+def _check_gamma(run):
+    ctx, params = run.ctx, run.params
+    pairs = 0
+    for alpha in subfield_elements(ctx, params.m):
+        for beta in range(ctx.q):
+            if alpha == 0 and beta == 0:
+                continue
+            _, rank = rank_of(ctx, params, alpha, beta)
+            got = gamma_sweep(ctx, params, alpha, beta)
+            want = gamma_sweep_formula(params, rank)
+            if got.diff(want):
+                return MISMATCH, (f"pair ({alpha:#x}, {beta:#x}) deviates "
+                                  f"from the rank-{rank} law")
+            pairs += 1
+    return MATCH, f"all {pairs} pairs follow the rank law"
+
+
+def _check_artin_schreier(run):
+    ctx, params = run.ctx, run.params
+    scale = (1 << params.d) - 1
+    pairs = 0
+    for aprime in range(ctx.q):
+        alpha = ctx.trace_rel(aprime, params.m, params.n)
+        for beta in range(ctx.q):
+            if aprime == 0 and beta == 0:
+                continue
+            got = artin_schreier_points(ctx, params, aprime, beta)
+            want = (1 << params.n) + scale * t_sum(ctx, params, alpha, beta)
+            if got != want:
+                return MISMATCH, (f"({aprime:#x}, {beta:#x}): {got} points, "
+                                  f"identity gives {want}")
+            pairs += 1
+    return MATCH, (f"point counts match the sum identity on all {pairs} "
+                   f"curves")
+
+
+def _check_minimal_polynomials(run):
+    ctx, params = run.ctx, run.params
+    h1, h2, h3 = h_polynomials(ctx, params)
+    bad = []
+    for label, poly, want_deg in (("h1", h1, params.n), ("h2", h2, params.n),
+                                  ("h3", h3, params.m)):
+        if poly.degree != want_deg:
+            bad.append(f"{label} has degree {poly.degree}, "
+                       f"expected {want_deg}")
+        if not is_irreducible(poly.coeffs, poly.degree):
+            bad.append(f"{label} is reducible")
+        if _gf2_polymod((1 << ctx.order) | 1, poly.coeffs):
+            bad.append(f"{label} does not divide x^{ctx.order} + 1")
+    for code in CODES:
+        mask = parity_check_mask(ctx, params, code)
+        if mask.bit_length() - 1 != code_dimension(params, code):
+            bad.append(f"{code} parity-check degree "
+                       f"{mask.bit_length() - 1} != dimension "
+                       f"{code_dimension(params, code)}")
+    sub = subfield_elements(ctx, params.m)
+    alpha = sub[1] if len(sub) > 1 else sub[0]
+    if not check_parity(ctx, params, "c1",
+                        codeword_c1(ctx, params, alpha, 1)):
+        bad.append("a c1 word fails its parity-check product")
+    if not check_parity(ctx, params, "c2",
+                        codeword_c2(ctx, params, alpha, 1, 1)):
+        bad.append("a c2 word fails its parity-check product")
+    if bad:
+        return MISMATCH, "; ".join(bad)
+    return MATCH, (f"h1={h1.coeffs:#x}, h2={h2.coeffs:#x}, h3={h3.coeffs:#x}; "
+                   f"degrees ({params.n}, {params.n}, {params.m})")
+
+
+def _check_cyclicity(run):
+    for code in CODES:
+        if not check_cyclicity(run.ctx, run.params, code):
+            return MISMATCH, f"{code} is not closed under cyclic shift"
+    how = "exhaustive" if run.params.n <= 6 else "sampled"
+    return MATCH, f"shift closure holds for c1 and c2 ({how})"
+
+
+def _check_family(run):
+    size = run.family.size
+    if run.params.n > DEFAULT_BUDGETS["inequivalence"]:
+        return MATCH, f"size={size} (rotation-distinctness check needs n <= 6)"
+    if not check_inequivalence(run.family):
+        return MISMATCH, "members are not full-period rotation-distinct"
+    return MATCH, (f"size={size}; members full-period and pairwise "
+                   f"rotation-distinct")
+
+
+# In verify order. The lambdas look module functions up when they run, so a
+# function replaced in this module's namespace is the one called.
+_CHECKS = (
+    Check("parameters", None, _check_parameters),
+    Check("bluher-counts", "bluher", _check_bluher),
+    Check("rank-profile", "rank_profile", _check_rank),
+    Check("moments", "t_spectrum", _check_moments),
+    Comparison("t-spectrum", "t_spectrum", "t_spectrum", "T spectrum",
+               lambda run: run.t_distribution,
+               lambda params: t_spectrum_formula(params)),
+    Comparison("s-spectrum", "s_spectrum", "s_spectrum", "S spectrum",
+               lambda run: s_spectrum(run.ctx, run.params,
+                                      workers=run.args.workers),
+               lambda params: s_spectrum_formula(params)),
+    Check("gamma-sweep", "gamma_sweep", _check_gamma),
+    Check("artin-schreier", "artin_schreier", _check_artin_schreier,
+          lambda params: None if params.d_prime == 2 * params.d else
+          "point-count identity applies to the d' = 2d case only"),
+    Check("minimal-polynomials", None, _check_minimal_polynomials),
+    *(Comparison(f"code-weights-{code}", "code_weights", f"{code}_weights",
+                 f"{code} weight distribution",
+                 lambda run, code=code: weight_distribution(
+                     run.ctx, run.params, code, workers=run.args.workers),
+                 lambda params, code=code: weight_distribution_formula(
+                     params, code))
+      for code in CODES),
+    Check("cyclicity", "code_weights", _check_cyclicity),
+    Check("family", "correlation", _check_family),
+    Comparison("correlation", "correlation", "correlation",
+               "correlation distribution",
+               lambda run: correlation_distribution(
+                   run.family, workers=run.args.workers),
+               lambda params: correlation_distribution_formula(params),
+               predicted_as="composed"),
+)
+_REGISTRY = {check.name: check for check in _CHECKS}
 
 
 def cmd_spectrum(args):
-    ctx, params = _setup(args)
-    outdir = _resolve_outdir(args.out)
-    records = []
-    if args.only in ("t", "both"):
-        _require_budget(args, "t_spectrum", "the T sweep")
-        brute = _timed("t-spectrum sweep", t_spectrum, ctx, params,
-                       workers=args.workers)
-        formula = t_spectrum_formula(params)
-        _emit_comparison(outdir, "t_spectrum", brute, formula, args.format)
-        if args.format == "table":
-            _print_dist("T spectrum (brute force)", brute)
-            _print_dist("T spectrum (closed form)", formula)
-        records.append(_compare("t-spectrum", brute, formula))
-    if args.only in ("s", "both"):
-        _require_budget(args, "s_spectrum", "the S sweep")
-        brute = _timed("s-spectrum sweep", s_spectrum, ctx, params,
-                       workers=args.workers)
-        formula = s_spectrum_formula(params)
-        _emit_comparison(outdir, "s_spectrum", brute, formula, args.format)
-        if args.format == "table":
-            _print_dist("S spectrum (brute force)", brute)
-            _print_dist("S spectrum (closed form)", formula)
-        records.append(_compare("s-spectrum", brute, formula))
-    return _finish(args, "spectrum", ctx, params, records, outdir)
+    names = {"t": ["t-spectrum"], "s": ["s-spectrum"],
+             "both": ["t-spectrum", "s-spectrum"]}[args.only]
+    return _Run(args, "spectrum").execute(names)
 
 
 def cmd_code_weights(args):
-    ctx, params = _setup(args)
-    _require_budget(args, "code_weights", "codeword enumeration")
-    outdir = _resolve_outdir(args.out)
-    wanted = CODES if args.code == "both" else (args.code,)
-    records = []
-    for code in wanted:
-        brute = _timed(f"{code} weight sweep", weight_distribution, ctx,
-                       params, code, workers=args.workers)
-        formula = weight_distribution_formula(params, code)
-        _emit_comparison(outdir, f"{code}_weights", brute, formula,
-                         args.format)
-        if args.format == "table":
-            _print_dist(f"{code} weight distribution (brute force)", brute)
-            _print_dist(f"{code} weight distribution (closed form)", formula)
-        records.append(_compare(f"code-weights-{code}", brute, formula))
-        if args.dump_words:
-            if params.n > 6:
-                raise UsageError("codeword dumps are limited to n <= 6")
-            lines = codeword_dump_lines(ctx, params, code)
-            (outdir / f"{code}_words.txt").write_text("\n".join(lines) + "\n")
-    return _finish(args, "code-weights", ctx, params, records, outdir)
+    codes = CODES if args.code == "both" else (args.code,)
+    run = _Run(args, "code-weights")
+    if args.dump_words and run.params.n > 6:
+        raise UsageError("codeword dumps are limited to n <= 6")
+    exit_code = run.execute([f"code-weights-{code}" for code in codes])
+    if args.dump_words:
+        for code in codes:
+            lines = codeword_dump_lines(run.ctx, run.params, code)
+            (run.outdir / f"{code}_words.txt").write_text(
+                "\n".join(lines) + "\n")
+    return exit_code
 
 
 def cmd_correlation(args):
-    ctx, params = _setup(args)
-    _require_budget(args, "correlation", "the correlation sweep")
-    outdir = _resolve_outdir(args.out)
-    family = _timed("family build", build_family, ctx, params)
+    run = _Run(args, "correlation")
+    exit_code = run.execute(["correlation"])
     if args.dump_family:
-        lines = family_dump_lines(family)
-        (outdir / "family.txt").write_text("\n".join(lines) + "\n")
-    brute = _timed("correlation sweep", correlation_distribution, family,
-                   workers=args.workers)
-    composed = correlation_distribution_formula(params)
-    _emit_comparison(outdir, "correlation", brute, composed, args.format)
-    if args.format == "table":
-        _print_dist("correlation distribution (brute force)", brute)
-        _print_dist("correlation distribution (composed)", composed)
-    records = [_compare("correlation", brute, composed)]
-    return _finish(args, "correlation", ctx, params, records, outdir)
-
-
-def _within(args, key):
-    cap = _budget(args, key)
-    return cap is None or args.n <= cap
-
-
-def _skip(name, records, why):
-    records.append(CheckRecord(name, SKIPPED, why))
-    print(f"[skip] {name}: {why}", file=sys.stderr)
-
-
-def _guarded(name, records, fn):
-    try:
-        records.append(_timed(name, fn))
-    except VerificationError as exc:
-        records.append(CheckRecord(name, MISMATCH, str(exc)))
+        lines = family_dump_lines(run.family)
+        (run.outdir / "family.txt").write_text("\n".join(lines) + "\n")
+    return exit_code
 
 
 def cmd_verify(args):
-    ctx, params = _setup(args)
-    outdir = _resolve_outdir(args.out)
-    q = ctx.q
-    records = []
-
-    records.append(CheckRecord(
-        "parameters", MATCH,
-        f"case={params.case}, d={params.d}, d'={params.d_prime}, "
-        f"s={params.s}, modulus={ctx.modulus:#x}"))
-
-    if _within(args, "bluher"):
-        def check_bluher():
-            bad = []
-            for h in range(1, params.n):
-                got = bluher_counts(ctx, h).as_tuple()
-                want = bluher_counts_formula(params.n, h).as_tuple()
-                if got != want:
-                    bad.append(f"h={h}: counted {got}, predicted {want}")
-            if bad:
-                return CheckRecord("bluher-counts", MISMATCH, "; ".join(bad))
-            return CheckRecord("bluher-counts", MATCH,
-                               f"root-count quadruples match for "
-                               f"h=1..{params.n - 1}")
-        _guarded("bluher-counts", records, check_bluher)
-    else:
-        _skip("bluher-counts", records,
-              f"n={params.n} exceeds budget {DEFAULT_BUDGETS['bluher']}")
-
-    if _within(args, "rank_profile"):
-        def check_rank():
-            got = rank_profile(ctx, params)
-            want = rank_profile_formula(params)
-            trip = (got.n0, got.n2, got.n4)
-            pred = (want.n0, want.n2, want.n4)
-            if trip != pred:
-                return CheckRecord("rank-profile", MISMATCH,
-                                   f"counted {trip}, predicted {pred}")
-            return CheckRecord("rank-profile", MATCH,
-                               f"(n0, n2, n4) = {trip}")
-        _guarded("rank-profile", records, check_rank)
-    else:
-        _skip("rank-profile", records,
-              f"n={params.n} exceeds budget {DEFAULT_BUDGETS['rank_profile']}")
-
-    if _within(args, "t_spectrum"):
-        def check_moments():
-            rep = moments(ctx, params, workers=args.workers)
-            return CheckRecord("moments", MATCH,
-                               f"m1={rep.m1}, m2={rep.m2}, m3={rep.m3}")
-        _guarded("moments", records, check_moments)
-
-        def check_t():
-            return _compare("t-spectrum",
-                            t_spectrum(ctx, params, workers=args.workers),
-                            t_spectrum_formula(params))
-        _guarded("t-spectrum", records, check_t)
-    else:
-        why = f"n={params.n} exceeds budget {DEFAULT_BUDGETS['t_spectrum']}"
-        _skip("moments", records, why)
-        _skip("t-spectrum", records, why)
-
-    if _within(args, "s_spectrum"):
-        def check_s():
-            return _compare("s-spectrum",
-                            s_spectrum(ctx, params, workers=args.workers),
-                            s_spectrum_formula(params))
-        _guarded("s-spectrum", records, check_s)
-    else:
-        _skip("s-spectrum", records,
-              f"n={params.n} exceeds budget {DEFAULT_BUDGETS['s_spectrum']}")
-
-    if _within(args, "gamma_sweep"):
-        def check_gamma():
-            pairs = 0
-            for alpha in subfield_elements(ctx, params.m):
-                for beta in range(q):
-                    if alpha == 0 and beta == 0:
-                        continue
-                    _, rank = rank_of(ctx, params, alpha, beta)
-                    got = gamma_sweep(ctx, params, alpha, beta)
-                    want = gamma_sweep_formula(params, rank)
-                    if got.diff(want):
-                        return CheckRecord(
-                            "gamma-sweep", MISMATCH,
-                            f"pair ({alpha:#x}, {beta:#x}) deviates from the "
-                            f"rank-{rank} law")
-                    pairs += 1
-            return CheckRecord("gamma-sweep", MATCH,
-                               f"all {pairs} pairs follow the rank law")
-        _guarded("gamma-sweep", records, check_gamma)
-    else:
-        _skip("gamma-sweep", records,
-              f"n={params.n} exceeds budget {DEFAULT_BUDGETS['gamma_sweep']}")
-
-    if params.d_prime != 2 * params.d:
-        _skip("artin-schreier", records,
-              "point-count identity applies to the d' = 2d case only")
-    elif _within(args, "artin_schreier"):
-        def check_as():
-            scale = (1 << params.d) - 1
-            pairs = 0
-            for aprime in range(q):
-                alpha = ctx.trace_rel(aprime, params.m, params.n)
-                for beta in range(q):
-                    if aprime == 0 and beta == 0:
-                        continue
-                    got = artin_schreier_points(ctx, params, aprime, beta)
-                    want = (1 << params.n) + scale * t_sum(ctx, params,
-                                                           alpha, beta)
-                    if got != want:
-                        return CheckRecord(
-                            "artin-schreier", MISMATCH,
-                            f"({aprime:#x}, {beta:#x}): {got} points, "
-                            f"identity gives {want}")
-                    pairs += 1
-            return CheckRecord("artin-schreier", MATCH,
-                               f"point counts match the sum identity on all "
-                               f"{pairs} curves")
-        _guarded("artin-schreier", records, check_as)
-    else:
-        _skip("artin-schreier", records,
-              f"n={params.n} exceeds budget "
-              f"{DEFAULT_BUDGETS['artin_schreier']}")
-
-    def check_minpolys():
-        h1, h2, h3 = h_polynomials(ctx, params)
-        bad = []
-        for label, poly, want_deg in (("h1", h1, params.n), ("h2", h2,
-                                      params.n), ("h3", h3, params.m)):
-            if poly.degree != want_deg:
-                bad.append(f"{label} has degree {poly.degree}, "
-                           f"expected {want_deg}")
-            if not is_irreducible(poly.coeffs, poly.degree):
-                bad.append(f"{label} is reducible")
-            if _gf2_polymod((1 << ctx.order) | 1, poly.coeffs):
-                bad.append(f"{label} does not divide x^{ctx.order} + 1")
-        for code in CODES:
-            mask = parity_check_mask(ctx, params, code)
-            if mask.bit_length() - 1 != code_dimension(params, code):
-                bad.append(f"{code} parity-check degree "
-                           f"{mask.bit_length() - 1} != dimension "
-                           f"{code_dimension(params, code)}")
-        sub = subfield_elements(ctx, params.m)
-        alpha = sub[1] if len(sub) > 1 else sub[0]
-        if not check_parity(ctx, params, "c1",
-                            codeword_c1(ctx, params, alpha, 1)):
-            bad.append("a c1 word fails its parity-check product")
-        if not check_parity(ctx, params, "c2",
-                            codeword_c2(ctx, params, alpha, 1, 1)):
-            bad.append("a c2 word fails its parity-check product")
-        if bad:
-            return CheckRecord("minimal-polynomials", MISMATCH, "; ".join(bad))
-        return CheckRecord(
-            "minimal-polynomials", MATCH,
-            f"h1={h1.coeffs:#x}, h2={h2.coeffs:#x}, h3={h3.coeffs:#x}; "
-            f"degrees ({params.n}, {params.n}, {params.m})")
-    _guarded("minimal-polynomials", records, check_minpolys)
-
-    if _within(args, "code_weights"):
-        for code in CODES:
-            def check_code(code=code):
-                return _compare(f"code-weights-{code}",
-                                weight_distribution(ctx, params, code,
-                                                    workers=args.workers),
-                                weight_distribution_formula(params, code))
-            _guarded(f"code-weights-{code}", records, check_code)
-
-        def check_cyclic():
-            for code in CODES:
-                if not check_cyclicity(ctx, params, code):
-                    return CheckRecord("cyclicity", MISMATCH,
-                                       f"{code} is not closed under cyclic "
-                                       f"shift")
-            how = "exhaustive" if params.n <= 6 else "sampled"
-            return CheckRecord("cyclicity", MATCH,
-                               f"shift closure holds for c1 and c2 ({how})")
-        _guarded("cyclicity", records, check_cyclic)
-    else:
-        why = (f"n={params.n} exceeds budget "
-               f"{DEFAULT_BUDGETS['code_weights']}")
-        _skip("code-weights-c1", records, why)
-        _skip("code-weights-c2", records, why)
-        _skip("cyclicity", records, why)
-
-    if _within(args, "correlation"):
-        family = _timed("family build", build_family, ctx, params)
-
-        def check_family():
-            if params.n <= DEFAULT_BUDGETS["inequivalence"]:
-                if not check_inequivalence(family):
-                    return CheckRecord(
-                        "family", MISMATCH,
-                        "members are not full-period rotation-distinct")
-                return CheckRecord("family", MATCH,
-                                   f"size={family.size}; members full-period "
-                                   f"and pairwise rotation-distinct")
-            return CheckRecord("family", MATCH,
-                               f"size={family.size} (rotation-distinctness "
-                               f"check needs n <= 6)")
-        _guarded("family", records, check_family)
-
-        def check_corr():
-            return _compare("correlation",
-                            correlation_distribution(family,
-                                                     workers=args.workers),
-                            correlation_distribution_formula(params))
-        _guarded("correlation", records, check_corr)
-    else:
-        why = f"n={params.n} exceeds budget {DEFAULT_BUDGETS['correlation']}"
-        _skip("family", records, why)
-        _skip("correlation", records, why)
-
-    return _finish(args, "verify", ctx, params, records, outdir)
+    return _Run(args, "verify").execute([check.name for check in _CHECKS])
 
 
 def _build_parser():
@@ -567,10 +547,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except VerificationError as exc:

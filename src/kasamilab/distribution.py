@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 __all__ = ["VerificationError", "ValueDistribution", "pack_bits_hex"]
 
@@ -20,6 +20,18 @@ def pack_bits_hex(bits):
 
 class VerificationError(Exception):
     """A measured quantity disagrees with its closed-form prediction."""
+
+
+def _exact(frac):
+    """Fraction -> int, insisting on exact divisibility and non-negativity."""
+    if frac.denominator != 1 or frac < 0:
+        raise VerificationError(f"count expression is not a natural number: {frac}")
+    return int(frac)
+
+
+def _p2(e):
+    """2^e as a Fraction, tolerating negative exponents."""
+    return Fraction(1 << e) if e >= 0 else Fraction(1, 1 << -e)
 
 
 @dataclass(frozen=True)
@@ -76,10 +88,3 @@ class ValueDistribution:
 
     def to_csv(self):
         return "\n".join(["value,count"] + [f"{v},{c}" for v, c in self.entries]) + "\n"
-
-    def digest(self):
-        """Short deterministic fingerprint for report records."""
-        body = ",".join(f"{v}:{c}" for v, c in self.entries) + f"|total={self.total}"
-        if len(body) <= 96:
-            return body
-        return "sha256:" + hashlib.sha256(body.encode()).hexdigest()[:16]

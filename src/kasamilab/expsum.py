@@ -17,29 +17,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from .distribution import ValueDistribution, VerificationError
+from .distribution import ValueDistribution, VerificationError, _exact, _p2
 from .field import (power_table, rel_trace_table, scale_table,
                     subfield_elements, trace_bit_matrix)
 
 __all__ = [
     "MomentReport", "t_sum", "s_sum", "t_spectrum", "t_spectrum_formula",
     "s_spectrum", "s_spectrum_formula", "gamma_sweep", "gamma_sweep_formula",
-    "moments", "moment_targets", "artin_schreier_points", "dual_mask_table",
+    "moments", "moment_targets", "artin_schreier_points",
 ]
 
 _LAST_ROW_NOTE = ("tabulated distribution lists the single all-zero row with "
                   "value 2^m; its weight-0 row forces value 2^n, which is "
                   "emitted here (misprint flagged, not silently adopted)")
-
-
-def _exact(frac):
-    if frac.denominator != 1 or frac < 0:
-        raise VerificationError(f"count expression is not a natural number: {frac}")
-    return int(frac)
-
-
-def _p2(e):
-    return Fraction(1 << e) if e >= 0 else Fraction(1, 1 << -e)
 
 
 def _require_subfield(ctx, params, alpha):
@@ -197,19 +187,6 @@ def gamma_sweep_formula(params, rank):
     return ValueDistribution.from_counts(counts)
 
 
-def dual_mask_table(ctx):
-    """gamma -> mask u with Tr(gamma*x) = parity(u & x); a bijection on [0, q)."""
-    key = ("dual",)
-    if key not in ctx._cache:
-        out = np.zeros(ctx.q, dtype=np.int64)
-        for j in range(ctx.n):
-            col = ctx.trace_table[scale_table(ctx, 1 << j)].astype(np.int64)
-            out |= col << j
-        out.setflags(write=False)
-        ctx._cache[key] = out
-    return ctx._cache[key]
-
-
 def t_spectrum_formula(params):
     """Closed-form T distribution; exact integer multiplicities enforced."""
     n, m, d = params.n, params.m, params.d
@@ -316,9 +293,8 @@ def moment_targets(params):
     return m1, m2, m3
 
 
-def moments(ctx, params, workers=1):
-    """Measure moments from the T sweep and insist they match the closed forms."""
-    dist = t_spectrum(ctx, params, workers=workers)
+def moments(dist, params):
+    """Moments of a measured T distribution; insist they match the closed forms."""
     got = tuple(sum(v ** p * c for v, c in dist.entries) for p in (1, 2, 3))
     want = moment_targets(params)
     report = MomentReport(n=params.n, k=params.k, m1=got[0], m2=got[1], m3=got[2],

@@ -15,7 +15,7 @@ import numpy as np
 
 __all__ = [
     "FieldElement", "FieldContext", "Params", "build_field", "derive_params",
-    "add", "mul", "pow_", "inv", "trace_abs", "trace_rel", "subfield_elements",
+    "subfield_elements",
     "find_primitive_polynomial", "is_irreducible", "is_primitive",
     "power_table", "scale_table", "rel_trace_table", "canonical_index",
     "trace_bit_matrix", "bit_count",
@@ -268,32 +268,6 @@ def build_field(n, modulus=None):
 
     return FieldContext(n=n, modulus=modulus, pi=2, exp_table=exp,
                         log_table=log, trace_table=trace)
-
-
-# Thin functional aliases over the context methods.
-
-def add(ctx, a, b):
-    return ctx.add(a, b)
-
-
-def mul(ctx, a, b):
-    return ctx.mul(a, b)
-
-
-def pow_(ctx, a, e):
-    return ctx.pow(a, e)
-
-
-def inv(ctx, a):
-    return ctx.inv(a)
-
-
-def trace_abs(ctx, x):
-    return ctx.trace_abs(x)
-
-
-def trace_rel(ctx, x, i, j):
-    return ctx.trace_rel(x, i, j)
 
 
 def subfield_elements(ctx, m):

@@ -12,12 +12,11 @@ problem whose distribution over c is known exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 import numpy as np
 
-from .distribution import VerificationError
+from .distribution import VerificationError, _exact, _p2
 from .field import (FieldContext, Params, power_table, scale_table,
                     subfield_elements, canonical_index)
 
@@ -26,18 +25,6 @@ __all__ = [
     "rank_profile", "rank_profile_formula", "psi_root_count",
     "bluher_counts", "bluher_counts_formula",
 ]
-
-
-def _exact(frac):
-    """Fraction -> int, insisting on exact divisibility and non-negativity."""
-    if frac.denominator != 1 or frac < 0:
-        raise VerificationError(f"count expression is not a natural number: {frac}")
-    return int(frac)
-
-
-def _p2(e):
-    """2^e as a Fraction, tolerating negative exponents."""
-    return Fraction(1 << e) if e >= 0 else Fraction(1, 1 << -e)
 
 
 @dataclass(frozen=True)

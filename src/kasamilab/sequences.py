@@ -19,7 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .distribution import ValueDistribution, VerificationError, pack_bits_hex
+from .distribution import (ValueDistribution, VerificationError, _exact,
+                           _p2, pack_bits_hex)
 from .expsum import s_spectrum_formula, t_spectrum_formula
 from .field import (_factorize, rel_trace_table, scale_table,
                     subfield_elements)
@@ -30,16 +31,6 @@ __all__ = [
     "correlation_distribution_formula", "correlation_table_printed",
     "check_inequivalence", "family_dump_lines",
 ]
-
-
-def _exact(frac):
-    if frac.denominator != 1 or frac < 0:
-        raise VerificationError(f"count expression is not a natural number: {frac}")
-    return int(frac)
-
-
-def _p2(e):
-    return Fraction(1 << e) if e >= 0 else Fraction(1, 1 << -e)
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,10 +2,13 @@
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
 from kasamilab.cli import DEFAULT_BUDGETS, main
+
+GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "expected"
 
 
 def run(tmp_path, *args):
@@ -154,13 +157,36 @@ def test_verify_small_fast(tmp_path):
 
 
 def test_verify_erratum_only(tmp_path):
-    code, report, _ = run(tmp_path, "verify", "--n", "6", "--k", "1")
+    code, report, out = run(tmp_path, "verify", "--n", "6", "--k", "1")
     assert code == 3
     st = statuses(report)
     assert st["artin-schreier"] == "match"
     assert st["correlation"] == "flagged-erratum"
     assert st["t-spectrum"] == "flagged-erratum"
     assert "mismatch" not in set(st.values())
+    assert (out / "report.json").read_bytes() == \
+        (GOLDEN / "n6k1.json").read_bytes()
+
+
+def test_verify_reports_a_check_that_raises(tmp_path, monkeypatch):
+    def broken(ctx, params):
+        raise RuntimeError("rank sweep broke")
+
+    monkeypatch.setattr("kasamilab.cli.rank_profile", broken)
+    code, report, _ = run(tmp_path, "verify", "--n", "4", "--k", "1")
+    assert code == 2 and report["exit_code"] == 2
+    names = [r["name"] for r in report["records"]]
+    rank = report["records"][names.index("rank-profile")]
+    assert rank["status"] == "error"
+    assert "RuntimeError" in rank["detail"]
+    later = {r["name"]: r["status"]
+             for r in report["records"][names.index("rank-profile") + 1:]}
+    assert list(later) == ["moments", "t-spectrum", "s-spectrum",
+                           "gamma-sweep", "artin-schreier",
+                           "minimal-polynomials", "code-weights-c1",
+                           "code-weights-c2", "cyclicity", "family",
+                           "correlation"]
+    assert set(later.values()) == {"match", "skipped"}
 
 
 @pytest.mark.slow

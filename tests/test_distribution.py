@@ -43,14 +43,6 @@ def test_json_and_csv_round_trip():
     assert dist.to_csv() == "value,count\n-2,3\n2,1\n"
 
 
-def test_digest_short_and_hashed():
-    small = ValueDistribution.from_counts({1: 1})
-    assert small.digest() == "1:1|total=1"
-    big = ValueDistribution.from_counts({v: 1 for v in range(50)})
-    assert big.digest().startswith("sha256:")
-    assert len(big.digest()) == len("sha256:") + 16
-
-
 @given(st.dictionaries(st.integers(-100, 100), st.integers(1, 50), max_size=12))
 @settings(max_examples=100)
 def test_total_is_count_sum(counts):
