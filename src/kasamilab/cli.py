@@ -21,10 +21,10 @@ from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
-from .codes import (CODES, check_cyclicity, check_parity, code_dimension,
-                    codeword_c1, codeword_c2, codeword_dump_lines,
-                    h_polynomials, parity_check_mask, weight_distribution,
-                    weight_distribution_formula)
+from .codes import (CODES, CYCLICITY_EXHAUSTIVE_MAX_N, check_cyclicity,
+                    check_parity, code_dimension, codeword_c1, codeword_c2,
+                    codeword_dump_lines, h_polynomials, parity_check_mask,
+                    weight_distribution, weight_distribution_formula)
 from .distribution import VerificationError
 from .expsum import (artin_schreier_points, gamma_sweep, gamma_sweep_formula,
                      moments, s_spectrum, s_spectrum_formula, t_spectrum,
@@ -189,6 +189,9 @@ class _Run:
     """
 
     def __init__(self, args, command):
+        if args.workers < 1:
+            raise UsageError(
+                f"--workers must be at least 1, got {args.workers}")
         self.args = args
         self.command = command
         self.params = derive_params(args.n, args.k)
@@ -409,7 +412,8 @@ def _check_cyclicity(run):
     for code in CODES:
         if not check_cyclicity(run.ctx, run.params, code):
             return MISMATCH, f"{code} is not closed under cyclic shift"
-    how = "exhaustive" if run.params.n <= 6 else "sampled"
+    how = ("exhaustive" if run.params.n <= CYCLICITY_EXHAUSTIVE_MAX_N
+           else "sampled")
     return MATCH, f"shift closure holds for c1 and c2 ({how})"
 
 
@@ -513,7 +517,8 @@ def _build_parser():
     common.add_argument("--out", default=None,
                         help=f"output directory (default: ${OUT_ENV} or cwd)")
     common.add_argument("--workers", type=int, default=1,
-                        help="thread count for sweeps")
+                        help="thread count for sweeps (at least 1; capped "
+                             "at the CPU count)")
     common.add_argument("--budget-override", action="store_true",
                         help="run sweeps beyond the default size budgets")
     sub = parser.add_subparsers(dest="command", required=True)

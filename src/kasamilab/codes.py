@@ -11,22 +11,21 @@ pi^-(2^m+1).
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import ValueDistribution, VerificationError, pack_bits_hex
+from .distribution import (ValueDistribution, VerificationError, _summed,
+                           pack_bits_hex)
 from .expsum import s_spectrum_formula, t_spectrum_formula
-from .field import (_gf2_polymul, _gf2_polymod, is_irreducible, power_table,
-                    rel_trace_table, scale_table, subfield_elements,
-                    trace_bit_matrix)
+from .field import (_gf2_polymul, _gf2_polymod, rel_trace_table, scale_table,
+                    subfield_elements, trace_bit_matrix)
 
 __all__ = [
     "MinimalPolynomial", "minimal_poly", "h_polynomials", "parity_check_mask",
     "code_dimension", "codeword_c1", "codeword_c2", "weight_distribution",
     "weight_distribution_formula", "spectrum_pushforward", "check_cyclicity",
-    "codeword_dump_lines",
+    "codeword_dump_lines", "CYCLICITY_EXHAUSTIVE_MAX_N",
 ]
 
 CODES = ("c1", "c2")
@@ -94,30 +93,52 @@ def code_dimension(params, code):
     raise ValueError(f"code must be one of {CODES}, got {code!r}")
 
 
+# Above this n, check_cyclicity checks a fixed sample of parameter tuples.
+CYCLICITY_EXHAUSTIVE_MAX_N = 6
+
+
 def _lam_powers(ctx, e):
     """pi^(lam*e) for lam in [0, 2^n - 1)."""
     lam = np.arange(ctx.order, dtype=np.int64)
     return ctx.exp_table[(lam * (e % ctx.order)) % ctx.order]
 
 
-def codeword_c1(ctx, params, alpha, beta):
-    """uint8 coordinates Tr_m(alpha pi^(lam e1)) + Tr_n(beta pi^(lam e2))."""
-    if ctx.pow(alpha, 1 << params.m) != alpha:
-        raise ValueError(f"alpha {alpha:#x} is not in the GF(2^{params.m}) subfield")
+def _word_rows(ctx, params, alphas, betas, gammas):
+    """uint8 rows over lam of Tr_m(a pi^(lam e1)), Tr_n(b pi^(lam e2)) and
+    Tr_n(g pi^lam), one row per coefficient; a codeword XORs one of each."""
+    for alpha in alphas:
+        if ctx.pow(alpha, 1 << params.m) != alpha:
+            raise ValueError(
+                f"alpha {alpha:#x} is not in the GF(2^{params.m}) subfield")
     tr1m = rel_trace_table(ctx, 1, params.m)
     p1 = _lam_powers(ctx, params.e_norm)
-    p2 = _lam_powers(ctx, params.e_quad)
-    w1 = tr1m[scale_table(ctx, alpha)[p1]]
-    w2 = ctx.trace_table[scale_table(ctx, beta)[p2]].astype(np.int64)
-    return (w1 ^ w2).astype(np.uint8)
+    arows = np.array([tr1m[scale_table(ctx, a)[p1]] for a in alphas],
+                     dtype=np.uint8).reshape(-1, ctx.order)
+    brows = trace_bit_matrix(ctx, _lam_powers(ctx, params.e_quad), betas)
+    grows = trace_bit_matrix(ctx, _lam_powers(ctx, 1), gammas)
+    return arows, brows, grows
+
+
+def _words(rows):
+    """Every XOR of an alpha, a beta and a gamma row, in (alpha, beta, gamma)
+    order."""
+    arows, brows, grows = rows
+    words = (arows[:, None, None, :] ^ brows[None, :, None, :]
+             ^ grows[None, None, :, :])
+    return words.reshape(-1, arows.shape[1])
+
+
+def codeword_c1(ctx, params, alpha, beta):
+    """uint8 coordinates Tr_m(alpha pi^(lam e1)) + Tr_n(beta pi^(lam e2))."""
+    arows, brows, _ = _word_rows(ctx, params, [alpha], [beta], [])
+    return arows[0] ^ brows[0]
 
 
 def codeword_c2(ctx, params, alpha, beta, gamma):
     """codeword_c1 plus the linear coordinate Tr_n(gamma pi^lam)."""
     base = codeword_c1(ctx, params, alpha, beta)
-    pl = _lam_powers(ctx, 1)
-    w3 = ctx.trace_table[scale_table(ctx, gamma)[pl]]
-    return base ^ w3
+    _, _, grows = _word_rows(ctx, params, [], [], [gamma])
+    return base ^ grows[0]
 
 
 def weight_distribution(ctx, params, code, workers=1):
@@ -130,52 +151,29 @@ def weight_distribution(ctx, params, code, workers=1):
     if code not in CODES:
         raise ValueError(f"code must be one of {CODES}, got {code!r}")
     q = ctx.q
-    length = ctx.order
     sub = subfield_elements(ctx, params.m)
-    tr1m = rel_trace_table(ctx, 1, params.m)
-    p1 = _lam_powers(ctx, params.e_norm)
-    p2 = _lam_powers(ctx, params.e_quad)
-
-    arows = np.empty((len(sub), length), dtype=np.uint8)
-    for i, a in enumerate(sub):
-        arows[i] = tr1m[scale_table(ctx, a)[p1]]
-    brows = trace_bit_matrix(ctx, p2, np.arange(q, dtype=np.int64))
+    arows, brows, grows = _word_rows(ctx, params, sub, range(q),
+                                     range(q) if code == "c2" else [])
     bw = brows.sum(axis=1, dtype=np.int64)
     bf = brows.astype(np.float32)
-
-    if code == "c2":
-        grows = trace_bit_matrix(ctx, _lam_powers(ctx, 1),
-                                 np.arange(q, dtype=np.int64))
-        gw = grows.sum(axis=1, dtype=np.int64)
-        gf = grows.astype(np.float32)
+    gw = grows.sum(axis=1, dtype=np.int64)
+    gf = grows.astype(np.float32)
 
     def work(ai):
         arow = arows[ai]
-        counts = Counter()
         if code == "c1":
             dots = bf @ arow.astype(np.float32)
             w = int(arow.sum()) + bw - 2 * dots.astype(np.int64)
-            vals, cts = np.unique(w, return_counts=True)
-            counts.update(dict(zip(vals.tolist(), cts.tolist())))
         else:
             base = arow[None, :] ^ brows
             basew = base.sum(axis=1, dtype=np.int64)
             dots = base.astype(np.float32) @ gf.T
             w = basew[:, None] + gw[None, :] - 2 * dots.astype(np.int64)
-            vals, cts = np.unique(w, return_counts=True)
-            counts.update(dict(zip(vals.tolist(), cts.tolist())))
-        return counts
+        vals, cts = np.unique(w, return_counts=True)
+        return Counter(dict(zip(vals.tolist(), cts.tolist())))
 
-    idxs = range(len(sub))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(work, idxs))
-    else:
-        parts = [work(i) for i in idxs]
-    merged = Counter()
-    for c in parts:
-        merged.update(c)
-    dist = ValueDistribution.from_counts(merged)
+    dist = ValueDistribution.from_counts(
+        _summed(work, range(len(sub)), workers))
     if dist.total != 1 << code_dimension(params, code):
         raise VerificationError(
             f"{code} sweep covered {dist.total} words, "
@@ -201,62 +199,41 @@ def weight_distribution_formula(params, code):
     raise ValueError(f"code must be one of {CODES}, got {code!r}")
 
 
-def check_cyclicity(ctx, params, code, exhaustive=None):
+def check_cyclicity(ctx, params, code):
     """Shift-closure: rotating any codeword lands on another codeword.
 
-    Rotation by one maps the word of (alpha, beta[, gamma]) to the word of
-    (alpha pi^e1, beta pi^e2[, gamma pi]). Exhaustive for n <= 6 by default,
-    else a deterministic sample of parameter tuples.
+    Rotation by one maps the word of (alpha, beta, gamma) to the word of
+    (alpha pi^e1, beta pi^e2, gamma pi); c1 is the case gamma = 0. Every
+    tuple is checked for n <= CYCLICITY_EXHAUSTIVE_MAX_N, else a fixed
+    sample of tuples.
     """
     if code not in CODES:
         raise ValueError(f"code must be one of {CODES}, got {code!r}")
-    if exhaustive is None:
-        exhaustive = ctx.n <= 6
     q = ctx.q
     sub = subfield_elements(ctx, params.m)
-    pe1 = ctx.pow(ctx.pi, params.e_norm)
-    pe2 = ctx.pow(ctx.pi, params.e_quad)
-    if exhaustive:
-        alphas = sub
-        betas = range(q)
+    if ctx.n <= CYCLICITY_EXHAUSTIVE_MAX_N:
+        alphas, betas = sub, range(q)
         gammas = range(q) if code == "c2" else [0]
     else:
         alphas = sub[:3] + sub[-1:]
-        step = max(1, q // 7)
-        betas = list(range(0, q, step)) + [q - 1]
-        gammas = ([0, 1, q - 1] if code == "c2" else [0])
-    for alpha in alphas:
-        for beta in betas:
-            for gamma in gammas:
-                if code == "c1":
-                    w = codeword_c1(ctx, params, alpha, beta)
-                    w2 = codeword_c1(ctx, params, ctx.mul(alpha, pe1),
-                                     ctx.mul(beta, pe2))
-                else:
-                    w = codeword_c2(ctx, params, alpha, beta, gamma)
-                    w2 = codeword_c2(ctx, params, ctx.mul(alpha, pe1),
-                                     ctx.mul(beta, pe2), ctx.mul(gamma, ctx.pi))
-                if not np.array_equal(np.roll(w, -1), w2):
-                    return False
-    return True
+        betas = list(range(0, q, max(1, q // 7))) + [q - 1]
+        gammas = [0, 1, q - 1] if code == "c2" else [0]
+    words = _words(_word_rows(ctx, params, alphas, betas, gammas))
+    pe1 = ctx.pow(ctx.pi, params.e_norm)
+    pe2 = ctx.pow(ctx.pi, params.e_quad)
+    images = _words(_word_rows(ctx, params,
+                               [ctx.mul(a, pe1) for a in alphas],
+                               [ctx.mul(b, pe2) for b in betas],
+                               [ctx.mul(g, ctx.pi) for g in gammas]))
+    return np.array_equal(np.roll(words, -1, axis=1), images)
 
 
-def codeword_dump_lines(ctx, params, code, limit=None):
+def codeword_dump_lines(ctx, params, code):
     """Hex-packed codeword rows, one per parameter tuple, deterministic order."""
-    sub = subfield_elements(ctx, params.m)
     q = ctx.q
-    lines = []
-    for alpha in sub:
-        for beta in range(q):
-            if code == "c1":
-                lines.append(pack_bits_hex(codeword_c1(ctx, params, alpha, beta)))
-            else:
-                for gamma in range(q):
-                    lines.append(pack_bits_hex(
-                        codeword_c2(ctx, params, alpha, beta, gamma)))
-            if limit and len(lines) >= limit:
-                return lines[:limit]
-    return lines
+    rows = _word_rows(ctx, params, subfield_elements(ctx, params.m), range(q),
+                      range(q) if code == "c2" else [0])
+    return [pack_bits_hex(word) for word in _words(rows)]
 
 
 def check_parity(ctx, params, code, word):

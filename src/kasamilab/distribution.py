@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 __all__ = ["VerificationError", "ValueDistribution", "pack_bits_hex"]
 
@@ -32,6 +36,21 @@ def _exact(frac):
 def _p2(e):
     """2^e as a Fraction, tolerating negative exponents."""
     return Fraction(1 << e) if e >= 0 else Fraction(1, 1 << -e)
+
+
+def _thread_count(workers, tasks):
+    """Threads for `tasks` independent tasks: never more than the CPUs."""
+    return max(1, min(workers, os.cpu_count() or 1, tasks))
+
+
+def _summed(work, items, workers):
+    """Sum of work(item) over items, on at most _thread_count threads."""
+    items = list(items)
+    threads = _thread_count(workers, len(items))
+    if threads == 1:
+        return reduce(add, map(work, items))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return reduce(add, pool.map(work, items))
 
 
 @dataclass(frozen=True)

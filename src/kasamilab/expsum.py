@@ -11,13 +11,13 @@ are never papered over.
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .distribution import ValueDistribution, VerificationError, _exact, _p2
+from .distribution import (ValueDistribution, VerificationError, _exact, _p2,
+                           _summed)
 from .field import (power_table, rel_trace_table, scale_table,
                     subfield_elements, trace_bit_matrix)
 
@@ -99,13 +99,6 @@ def s_sum(ctx, params, alpha, beta, gamma):
     return int(ctx.q - 2 * int(bits.sum()))
 
 
-def _merge_counters(parts):
-    out = Counter()
-    for c in parts:
-        out.update(c)
-    return out
-
-
 def t_spectrum(ctx, params, workers=1):
     """Measured distribution of T over all (alpha, beta) pairs."""
     q = ctx.q
@@ -122,12 +115,7 @@ def t_spectrum(ctx, params, workers=1):
         vals, cts = np.unique(prod.astype(np.int64), return_counts=True)
         return Counter(dict(zip(vals.tolist(), cts.tolist())))
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(work, spans))
-    else:
-        parts = [work(s) for s in spans]
-    dist = ValueDistribution.from_counts(_merge_counters(parts))
+    dist = ValueDistribution.from_counts(_summed(work, spans, workers))
     if dist.total != 1 << (3 * params.m):
         raise VerificationError(f"T sweep covered {dist.total} pairs")
     return dist
@@ -152,13 +140,8 @@ def s_spectrum(ctx, params, workers=1):
         vals, cts = np.unique(f, return_counts=True)
         return Counter(dict(zip(vals.tolist(), cts.tolist())))
 
-    idxs = range(sign_a.shape[0])
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(work, idxs))
-    else:
-        parts = [work(i) for i in idxs]
-    dist = ValueDistribution.from_counts(_merge_counters(parts))
+    dist = ValueDistribution.from_counts(
+        _summed(work, range(sign_a.shape[0]), workers))
     if dist.total != (1 << (3 * params.m)) * q:
         raise VerificationError(f"S sweep covered {dist.total} triples")
     return dist

@@ -12,18 +12,17 @@ discrepancy is reported as a flag, never silently repaired.
 
 from __future__ import annotations
 
-from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
+from .codes import _word_rows, _words
 from .distribution import (ValueDistribution, VerificationError, _exact,
-                           _p2, pack_bits_hex)
+                           _p2, _summed, _thread_count, pack_bits_hex)
 from .expsum import s_spectrum_formula, t_spectrum_formula
-from .field import (_factorize, rel_trace_table, scale_table,
-                    subfield_elements)
+from .field import _factorize, subfield_elements
 
 __all__ = [
     "BinarySequence", "SequenceFamily", "family_size", "build_family",
@@ -69,34 +68,25 @@ def family_size(params):
 
 
 def build_family(ctx, params):
-    """Construct every member sequence; bit lam is the term at pi^lam."""
-    q = ctx.q
-    L = q - 1
-    lam = np.arange(L, dtype=np.int64)
-    p1 = ctx.exp_table[(lam * (params.e_norm % L)) % L]
-    p2 = ctx.exp_table[(lam * (params.e_quad % L)) % L]
-    pl = ctx.exp_table[lam]
-    tr1m = rel_trace_table(ctx, 1, params.m)
-    trn = ctx.trace_table
-    sub = subfield_elements(ctx, params.m)
+    """Construct every member sequence; bit lam is the term at pi^lam.
 
-    members = []
-    for alpha in sub:
-        a1 = tr1m[scale_table(ctx, alpha)[p1]]
-        for beta in range(q):
-            bits = (a1 ^ trn[scale_table(ctx, beta)[p2] ^ pl].astype(np.int64))
-            members.append(BinarySequence(label=f"F1({alpha},{beta})",
-                                          bits=bits.astype(np.uint8)))
+    Members are code words: F1(alpha, beta) is the c2 word of (alpha, beta,
+    1), F2(beta) the c1 word of (1, beta) and F3 the c1 word of (0, 1).
+    """
+    q = ctx.q
+    sub = subfield_elements(ctx, params.m)
+    rows = _word_rows(ctx, params, sub, range(q), [1])
+    members = [BinarySequence(label=f"F1({alpha},{beta})", bits=bits)
+               for (alpha, beta), bits in zip(product(sub, range(q)),
+                                              _words(rows))]
+    arows, brows, _ = rows
     if params.case in ("EvenM", "EvenK"):
-        a1 = tr1m[p1]
-        for i in range((1 << params.m) - 1):
-            beta = int(ctx.exp_table[i])
-            bits = a1 ^ trn[scale_table(ctx, beta)[p2]].astype(np.int64)
-            members.append(BinarySequence(label=f"F2({beta})",
-                                          bits=bits.astype(np.uint8)))
+        norm_row = arows[sub.index(1)]
+        members += [BinarySequence(label=f"F2({beta})",
+                                   bits=norm_row ^ brows[beta])
+                    for beta in ctx.exp_table[:(1 << params.m) - 1].tolist()]
     if params.case == "EvenK":
-        members.append(BinarySequence(label="F3",
-                                      bits=trn[p2].astype(np.uint8)))
+        members.append(BinarySequence(label="F3", bits=brows[1]))
     fam = SequenceFamily(params=params, members=tuple(members),
                          expected_size=family_size(params))
     if fam.size != fam.expected_size:
@@ -119,7 +109,7 @@ def correlation_distribution(family, workers=1):
     L = mats.shape[1]
     # C[i,j](L - tau) = C[j,i](tau), so the all-pairs histogram at shift
     # L - tau duplicates the one at tau; L is odd, leaving tau = 0 unpaired.
-    taus = range((L - 1) // 2 + 1)
+    taus = np.arange((L - 1) // 2 + 1)
 
     def work(tau_span):
         # Buffers are reused across shifts; the products are exact integers
@@ -139,13 +129,8 @@ def correlation_distribution(family, workers=1):
             acc += hist if tau == 0 else 2 * hist
         return acc
 
-    if workers > 1:
-        spans = np.array_split(np.arange(len(taus)), workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(work, [s.tolist() for s in spans]))
-        acc = sum(parts)
-    else:
-        acc = work(taus)
+    spans = np.array_split(taus, _thread_count(workers, len(taus)))
+    acc = _summed(work, [span.tolist() for span in spans], workers)
     counts = {int(v - L): int(c) for v, c in enumerate(acc) if c}
     dist = ValueDistribution.from_counts(counts)
     if dist.total != count * count * L:

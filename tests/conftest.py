@@ -1,8 +1,10 @@
 """Shared fixtures: field contexts and parameter sets reused across the suite."""
 
+import os
+
 import pytest
 
-from kasamilab import build_field, derive_params
+from kasamilab import build_field, derive_params, distribution
 
 
 @pytest.fixture(scope="session")
@@ -38,3 +40,32 @@ def p62():
 @pytest.fixture(scope="session")
 def p82():
     return derive_params(8, 2)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Four CPUs, and a thread pool that only records its size and tasks.
+
+    Returns the list of (max_workers, task count) of every pool opened; the
+    tasks run in the calling thread, so no thread is started.
+    """
+    opened = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            items = list(items)
+            opened.append((self.max_workers, len(items)))
+            return map(fn, items)
+
+    monkeypatch.setattr(distribution, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    return opened

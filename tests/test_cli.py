@@ -60,6 +60,14 @@ def test_usage_errors():
     assert main(["code-weights", "--n", "3", "--k", "1"]) == 1
 
 
+def test_workers_below_one_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["spectrum", "--n", "4", "--k", "1", "--workers", "0",
+                 "--out", str(out)]) == 1
+    assert "--workers must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_budget_guard(capsys):
     assert main(["correlation", "--n", "10", "--k", "1"]) == 1
     err = capsys.readouterr().err

@@ -5,7 +5,7 @@ import pytest
 
 import reference as ref
 from kasamilab import (build_field, check_cyclicity, check_parity,
-                       code_dimension, codeword_c1, codeword_c2,
+                       code_dimension, codes, codeword_c1, codeword_c2,
                        derive_params, h_polynomials, minimal_poly,
                        parity_check_mask, s_spectrum, subfield_elements,
                        t_spectrum, weight_distribution,
@@ -131,7 +131,39 @@ def test_codewords_injective(ctx4, p41):
 
 @pytest.mark.parametrize("code", ["c1", "c2"])
 def test_cyclicity_exhaustive(ctx4, p41, code):
-    assert check_cyclicity(ctx4, p41, code, exhaustive=True)
+    # Oracle: for every tuple, the reference word rotated by one position is
+    # the reference word of (alpha pi^e1, beta pi^e2, gamma pi).
+    mod, n, k = 0x13, 4, 1
+    pe1 = ref.gf2_pow(2, p41.e_norm, mod, n)
+    pe2 = ref.gf2_pow(2, p41.e_quad, mod, n)
+    for alpha in ref.subfield(2, mod, n):
+        for beta in range(16):
+            for gamma in (range(16) if code == "c2" else [0]):
+                image = (ref.gf2_mul(alpha, pe1, mod, n),
+                         ref.gf2_mul(beta, pe2, mod, n),
+                         ref.gf2_mul(gamma, 2, mod, n))
+                if code == "c1":
+                    word = ref.codeword_bits_c1(alpha, beta, k, mod, n)
+                    want = ref.codeword_bits_c1(*image[:2], k, mod, n)
+                else:
+                    word = ref.codeword_bits_c2(alpha, beta, gamma, k, mod, n)
+                    want = ref.codeword_bits_c2(*image, k, mod, n)
+                assert word[1:] + word[:1] == want
+    assert check_cyclicity(ctx4, p41, code)
+
+
+@pytest.mark.parametrize("code", ["c1", "c2"])
+def test_cyclicity_detects_a_flipped_bit(ctx4, p41, code, monkeypatch):
+    build = codes._word_rows
+
+    def flipped(*args):
+        arows, brows, grows = build(*args)
+        brows = brows.copy()
+        brows[-1, 3] ^= 1
+        return arows, brows, grows
+
+    monkeypatch.setattr(codes, "_word_rows", flipped)
+    assert not check_cyclicity(ctx4, p41, code)
 
 
 @pytest.mark.slow
@@ -156,8 +188,7 @@ def test_parity_check_rejects_corrupted_word(ctx4, p41):
 
 
 def test_codeword_dump(ctx4, p41):
-    lines = codeword_dump_lines(ctx4, p41, "c1", limit=3)
-    assert lines == ["0000", "de7b", "9452"]
-    full = codeword_dump_lines(ctx4, p41, "c1")
-    assert len(full) == 1 << 6
-    assert len(set(full)) == 1 << 6
+    lines = codeword_dump_lines(ctx4, p41, "c1")
+    assert lines[:3] == ["0000", "de7b", "9452"]
+    assert len(lines) == 1 << 6
+    assert len(set(lines)) == 1 << 6

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kasamilab import ValueDistribution, pack_bits_hex
+from kasamilab.distribution import _summed
 
 
 def test_from_counts_sorts_and_drops_zeros():
@@ -55,3 +56,10 @@ def test_pack_bits_hex():
     assert pack_bits_hex([1, 0, 1, 1]) == "0d"
     assert pack_bits_hex([0] * 15) == "0000"
     assert pack_bits_hex([1] + [0] * 14) == "0100"
+
+
+def test_threads_capped_by_cpus_and_tasks(recording_pool):
+    assert _summed(lambda x: x, range(10), 10 ** 6) == 45
+    assert _summed(lambda x: x, range(3), 10 ** 6) == 3
+    assert _summed(lambda x: x, range(10), 1) == 45  # no pool for one thread
+    assert recording_pool == [(4, 10), (3, 3)]

@@ -53,9 +53,12 @@ def test_family_build(nk):
     assert all(m.period == (1 << n) - 1 for m in fam.members)
 
 
-def test_family_matches_oracle(ctx4, p41):
-    fam = build_family(ctx4, p41)
-    naive = ref.family_naive(1, 0x13, 4)
+@pytest.mark.parametrize("n,k,mod", [(4, 1, 0x13), (6, 1, 0x43),
+                                      (6, 2, 0x43)])
+def test_family_matches_oracle(n, k, mod):
+    # One point per parity case: EvenM, BothOdd, EvenK.
+    fam = build_family(build_field(n, mod), derive_params(n, k))
+    naive = ref.family_naive(k, mod, n)
     assert [m.label for m in fam.members] == [label for label, _ in naive]
     for member, (_, bits) in zip(fam.members, naive):
         assert tuple(int(b) for b in member.bits) == bits
@@ -116,6 +119,14 @@ def test_correlation_workers_equivalent(ctx4, p41):
     fam = build_family(ctx4, p41)
     assert correlation_distribution(fam, workers=3).as_dict() == \
         correlation_distribution(fam, workers=1).as_dict()
+
+
+def test_correlation_shift_spans_capped(ctx4, p41, recording_pool):
+    # One span of shifts, with its own buffers, per thread actually started.
+    fam = build_family(ctx4, p41)
+    assert correlation_distribution(fam, workers=10 ** 6).as_dict() == \
+        correlation_distribution(fam, workers=1).as_dict()
+    assert recording_pool == [(4, 4)]
 
 
 def test_printed_table_clean_cases(p41, p62):
