@@ -10,16 +10,14 @@ pi^-(2^m+1).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import (ValueDistribution, VerificationError, _summed,
-                           pack_bits_hex)
-from .expsum import s_spectrum_formula, t_spectrum_formula
-from .field import (_gf2_polymul, _gf2_polymod, rel_trace_table, scale_table,
-                    subfield_elements, trace_bit_matrix)
+from .distribution import (ValueDistribution, VerificationError, _histogram,
+                           _summed, pack_bits_hex)
+from .expsum import _trace_rows, s_spectrum_formula, t_spectrum_formula
+from .field import _gf2_polymul, _gf2_polymod, subfield_elements
 
 __all__ = [
     "MinimalPolynomial", "minimal_poly", "h_polynomials", "parity_check_mask",
@@ -97,26 +95,12 @@ def code_dimension(params, code):
 CYCLICITY_EXHAUSTIVE_MAX_N = 6
 
 
-def _lam_powers(ctx, e):
-    """pi^(lam*e) for lam in [0, 2^n - 1)."""
-    lam = np.arange(ctx.order, dtype=np.int64)
-    return ctx.exp_table[(lam * (e % ctx.order)) % ctx.order]
-
-
 def _word_rows(ctx, params, alphas, betas, gammas):
-    """uint8 rows over lam of Tr_m(a pi^(lam e1)), Tr_n(b pi^(lam e2)) and
-    Tr_n(g pi^lam), one row per coefficient; a codeword XORs one of each."""
-    for alpha in alphas:
-        if ctx.pow(alpha, 1 << params.m) != alpha:
-            raise ValueError(
-                f"alpha {alpha:#x} is not in the GF(2^{params.m}) subfield")
-    tr1m = rel_trace_table(ctx, 1, params.m)
-    p1 = _lam_powers(ctx, params.e_norm)
-    arows = np.array([tr1m[scale_table(ctx, a)[p1]] for a in alphas],
-                     dtype=np.uint8).reshape(-1, ctx.order)
-    brows = trace_bit_matrix(ctx, _lam_powers(ctx, params.e_quad), betas)
-    grows = trace_bit_matrix(ctx, _lam_powers(ctx, 1), gammas)
-    return arows, brows, grows
+    """The trace rows of expsum at x = pi^lam, lam in [0, 2^n - 1): uint8 rows
+    of Tr_m(a pi^(lam e1)), Tr_n(b pi^(lam e2)) and Tr_n(g pi^lam), one row
+    per coefficient; a codeword XORs one of each."""
+    return tuple(rows[:, ctx.exp_table]
+                 for rows in _trace_rows(ctx, params, alphas, betas, gammas))
 
 
 def _words(rows):
@@ -169,8 +153,7 @@ def weight_distribution(ctx, params, code, workers=1):
             basew = base.sum(axis=1, dtype=np.int64)
             dots = base.astype(np.float32) @ gf.T
             w = basew[:, None] + gw[None, :] - 2 * dots.astype(np.int64)
-        vals, cts = np.unique(w, return_counts=True)
-        return Counter(dict(zip(vals.tolist(), cts.tolist())))
+        return _histogram(w)
 
     dist = ValueDistribution.from_counts(
         _summed(work, range(len(sub)), workers))

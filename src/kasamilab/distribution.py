@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from operator import add
+
+import numpy as np
 
 __all__ = ["VerificationError", "ValueDistribution", "pack_bits_hex"]
 
@@ -36,6 +39,12 @@ def _exact(frac):
 def _p2(e):
     """2^e as a Fraction, tolerating negative exponents."""
     return Fraction(1 << e) if e >= 0 else Fraction(1, 1 << -e)
+
+
+def _histogram(values):
+    """Counter of the entries of an integer array."""
+    vals, cts = np.unique(values, return_counts=True)
+    return Counter(dict(zip(vals.tolist(), cts.tolist())))
 
 
 def _thread_count(workers, tasks):

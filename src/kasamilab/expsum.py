@@ -10,16 +10,15 @@ are never papered over.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .distribution import (ValueDistribution, VerificationError, _exact, _p2,
-                           _summed)
-from .field import (power_table, rel_trace_table, scale_table,
-                    subfield_elements, trace_bit_matrix)
+from .distribution import (ValueDistribution, VerificationError, _exact,
+                           _histogram, _p2, _summed)
+from .field import (_mul, power_table, rel_trace_table, subfield_elements,
+                    trace_bit_matrix)
 
 __all__ = [
     "MomentReport", "t_sum", "s_sum", "t_spectrum", "t_spectrum_formula",
@@ -32,42 +31,20 @@ _LAST_ROW_NOTE = ("tabulated distribution lists the single all-zero row with "
                   "emitted here (misprint flagged, not silently adopted)")
 
 
-def _require_subfield(ctx, params, alpha):
-    if ctx.pow(alpha, 1 << params.m) != alpha:
-        raise ValueError(f"alpha {alpha:#x} is not in the GF(2^{params.m}) subfield")
-
-
-def _norm_bits(ctx, params, alpha):
-    """0/1 vector of Tr_m(alpha * x^(2^m+1)) over all x."""
-    u = power_table(ctx, params.e_norm)
-    tr1m = rel_trace_table(ctx, 1, params.m)
-    return tr1m[scale_table(ctx, alpha)[u]]
-
-
-def _quad_bits(ctx, params, beta):
-    """0/1 vector of Tr_n(beta * x^(2^k+1)) over all x."""
-    v = power_table(ctx, params.e_quad)
-    return ctx.trace_table[scale_table(ctx, beta)[v]].astype(np.int64)
-
-
-def _trace_sign_rows(ctx, base, coeffs):
-    """int8 rows of (-1)^Tr(c * base[x]) for each coefficient c."""
-    return 1 - 2 * trace_bit_matrix(ctx, base, coeffs).astype(np.int8)
-
-
-def _norm_sign_rows(ctx, params):
-    """int8 matrix over subfield alphas (subfield_elements order) by x."""
-    key = ("norm_sign", params.m)
-    if key not in ctx._cache:
-        u = power_table(ctx, params.e_norm)
-        tr1m = rel_trace_table(ctx, 1, params.m)
-        sub = subfield_elements(ctx, params.m)
-        rows = np.empty((len(sub), ctx.q), dtype=np.int8)
-        for i, a in enumerate(sub):
-            rows[i] = 1 - 2 * tr1m[scale_table(ctx, a)[u]].astype(np.int8)
-        rows.setflags(write=False)
-        ctx._cache[key] = rows
-    return ctx._cache[key]
+def _trace_rows(ctx, params, alphas, betas, gammas):
+    """uint8 rows over x in GF(2^n), in mask order, of Tr_m(a x^e1),
+    Tr_n(b x^e2) and Tr_n(g x), one row per coefficient; every a must lie in
+    GF(2^m)."""
+    alphas = np.asarray(alphas, dtype=np.int64)
+    outside = alphas[power_table(ctx, 1 << params.m)[alphas] != alphas]
+    if len(outside):
+        raise ValueError(f"alpha {int(outside[0]):#x} is not in the "
+                         f"GF(2^{params.m}) subfield")
+    norm = _mul(ctx, alphas[:, None], power_table(ctx, params.e_norm))
+    arows = rel_trace_table(ctx, 1, params.m)[norm].astype(np.uint8)
+    brows = trace_bit_matrix(ctx, power_table(ctx, params.e_quad), betas)
+    grows = trace_bit_matrix(ctx, np.arange(ctx.q), gammas)
+    return arows, brows, grows
 
 
 def _fwht(mat):
@@ -85,35 +62,34 @@ def _fwht(mat):
 
 
 def t_sum(ctx, params, alpha, beta):
-    """Direct T(alpha, beta)."""
-    _require_subfield(ctx, params, alpha)
-    bits = _norm_bits(ctx, params, alpha) ^ _quad_bits(ctx, params, beta)
-    return int(ctx.q - 2 * int(bits.sum()))
+    """Direct T(alpha, beta) = S(alpha, beta, 0)."""
+    return s_sum(ctx, params, alpha, beta, 0)
 
 
 def s_sum(ctx, params, alpha, beta, gamma):
-    """Direct S(alpha, beta, gamma); S(alpha, beta, 0) = T(alpha, beta)."""
-    _require_subfield(ctx, params, alpha)
-    lin = ctx.trace_table[scale_table(ctx, gamma)].astype(np.int64)
-    bits = _norm_bits(ctx, params, alpha) ^ _quad_bits(ctx, params, beta) ^ lin
-    return int(ctx.q - 2 * int(bits.sum()))
+    """Direct S(alpha, beta, gamma)."""
+    arows, brows, grows = _trace_rows(ctx, params, [alpha], [beta], [gamma])
+    return ctx.q - 2 * int(np.count_nonzero(arows ^ brows ^ grows))
+
+
+def _signs(rows):
+    """(-1)^bit of a uint8 row matrix, as int8."""
+    return 1 - 2 * rows.astype(np.int8)
 
 
 def t_spectrum(ctx, params, workers=1):
     """Measured distribution of T over all (alpha, beta) pairs."""
     q = ctx.q
-    sign_a = _norm_sign_rows(ctx, params).astype(np.float32)
-    base = power_table(ctx, params.e_quad)
-    betas = np.arange(q, dtype=np.int64)
+    arows, _, _ = _trace_rows(ctx, params, subfield_elements(ctx, params.m),
+                              [], [])
+    sign_a = _signs(arows).astype(np.float32)
     chunk = max(64, (1 << 21) // q)
-    spans = [(i, min(i + chunk, q)) for i in range(0, q, chunk)]
+    spans = [range(i, min(i + chunk, q)) for i in range(0, q, chunk)]
 
-    def work(span):
-        lo, hi = span
-        sgn_b = _trace_sign_rows(ctx, base, betas[lo:hi]).astype(np.float32)
-        prod = sign_a @ sgn_b.T
-        vals, cts = np.unique(prod.astype(np.int64), return_counts=True)
-        return Counter(dict(zip(vals.tolist(), cts.tolist())))
+    def work(betas):
+        _, brows, _ = _trace_rows(ctx, params, [], betas, [])
+        prod = sign_a @ _signs(brows).astype(np.float32).T
+        return _histogram(prod.astype(np.int64))
 
     dist = ValueDistribution.from_counts(_summed(work, spans, workers))
     if dist.total != 1 << (3 * params.m):
@@ -129,16 +105,12 @@ def s_spectrum(ctx, params, workers=1):
     group), so each pair contributes one transform's multiset of values.
     """
     q = ctx.q
-    sign_a = _norm_sign_rows(ctx, params)
-    base = power_table(ctx, params.e_quad)
-    betas = np.arange(q, dtype=np.int64)
-    sign_b = _trace_sign_rows(ctx, base, betas)
+    arows, brows, _ = _trace_rows(ctx, params, subfield_elements(ctx, params.m),
+                                  range(q), [])
+    sign_a, sign_b = _signs(arows), _signs(brows)
 
     def work(ai):
-        w = (sign_a[ai][None, :] * sign_b).astype(np.int32)
-        f = _fwht(w)
-        vals, cts = np.unique(f, return_counts=True)
-        return Counter(dict(zip(vals.tolist(), cts.tolist())))
+        return _histogram(_fwht((sign_a[ai][None, :] * sign_b).astype(np.int32)))
 
     dist = ValueDistribution.from_counts(
         _summed(work, range(sign_a.shape[0]), workers))
@@ -149,11 +121,9 @@ def s_spectrum(ctx, params, workers=1):
 
 def gamma_sweep(ctx, params, alpha, beta):
     """Distribution of S(alpha, beta, gamma) over gamma for one fixed pair."""
-    _require_subfield(ctx, params, alpha)
-    bits = _norm_bits(ctx, params, alpha) ^ _quad_bits(ctx, params, beta)
-    w = (1 - 2 * bits.astype(np.int32))[None, :]
-    f = _fwht(w.copy())[0]
-    return ValueDistribution.from_counts(Counter(f.tolist()))
+    arows, brows, _ = _trace_rows(ctx, params, [alpha], [beta], [])
+    f = _fwht(1 - 2 * (arows ^ brows).astype(np.int32))
+    return ValueDistribution.from_counts(_histogram(f))
 
 
 def gamma_sweep_formula(params, rank):
@@ -302,7 +272,9 @@ def artin_schreier_points(ctx, params, alpha_prime, beta):
         hist.setflags(write=False)
         ctx._cache[key] = hist
     hist = ctx._cache[key]
-    u = power_table(ctx, params.e_norm)
-    v = power_table(ctx, params.e_quad)
-    f = scale_table(ctx, alpha_prime)[u] ^ scale_table(ctx, beta)[v]
+    x = np.arange(ctx.q, dtype=np.int64)
+    # a' x^(2^m+1) + b x^(2^k+1) = x (a' x^(2^m) + b x^(2^k)), so the count
+    # shares no power table with the trace rows T(a, b) is measured from.
+    f = _mul(ctx, x, _mul(ctx, alpha_prime, power_table(ctx, 1 << params.m))
+             ^ _mul(ctx, beta, power_table(ctx, 1 << params.k)))
     return int(hist[f].sum())

@@ -2,8 +2,9 @@
 
 Elements are ints whose bit j is the coefficient of x^j in the polynomial
 basis. A FieldContext holds the exp/log/trace tables for one modulus; the
-heavier derived tables (power maps, relative traces, sign matrices) are built
-on demand and cached on the context.
+heavier derived tables (power maps, relative traces, and the zero-safe log/exp
+pair behind the elementwise product `_mul`) are built on demand and cached on
+the context. Trace rows and sign matrices are not cached.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ __all__ = [
     "FieldElement", "FieldContext", "Params", "build_field", "derive_params",
     "subfield_elements",
     "find_primitive_polynomial", "is_irreducible", "is_primitive",
-    "power_table", "scale_table", "rel_trace_table", "canonical_index",
-    "trace_bit_matrix", "bit_count",
+    "power_table", "scale_table", "rel_trace_table", "trace_bit_matrix",
+    "bit_count",
 ]
 
 FieldElement = int
@@ -193,9 +194,6 @@ class FieldContext:
     def order(self):
         return (1 << self.n) - 1
 
-    def add(self, a, b):
-        return a ^ b
-
     def mul(self, a, b):
         if a == 0 or b == 0:
             return 0
@@ -279,6 +277,26 @@ def subfield_elements(ctx, m):
                   for j in range((1 << m) - 1)]
 
 
+def _mul(ctx, a, b):
+    """Elementwise a*b of integer arrays or scalars, numpy-broadcast; 0 is safe.
+
+    The cached log table sends 0 to 2*order, past any sum of two true logs,
+    and the cached exp table is the cycle twice followed by zeros, so the
+    product is one gather with no modulus and no mask.
+    """
+    if "mul" not in ctx._cache:
+        order = ctx.order
+        log = ctx.log_table.copy()
+        log[0] = 2 * order
+        exp = np.concatenate([ctx.exp_table, ctx.exp_table,
+                              np.zeros(2 * order + 1, dtype=np.int64)])
+        log.setflags(write=False)
+        exp.setflags(write=False)
+        ctx._cache["mul"] = log, exp
+    log, exp = ctx._cache["mul"]
+    return exp[log[a] + log[b]]
+
+
 def power_table(ctx, e):
     """Vector of x^e over all field elements x; out[0] = 0 (e >= 1 intended)."""
     key = ("pow", e % ctx.order)
@@ -293,12 +311,7 @@ def power_table(ctx, e):
 
 def scale_table(ctx, c):
     """Vector of c*x over all field elements x."""
-    out = np.zeros(ctx.q, dtype=np.int64)
-    if c:
-        lc = int(ctx.log_table[c])
-        idx = (np.arange(ctx.order, dtype=np.int64) + lc) % ctx.order
-        out[ctx.exp_table] = ctx.exp_table[idx]
-    return out
+    return _mul(ctx, c, np.arange(ctx.q, dtype=np.int64))
 
 
 def rel_trace_table(ctx, i, j):
@@ -318,32 +331,13 @@ def rel_trace_table(ctx, i, j):
     return ctx._cache[key]
 
 
-def canonical_index(ctx):
-    """Element -> 0 for 0, else 1 + discrete log; fixes record ordering."""
-    key = ("canon",)
-    if key not in ctx._cache:
-        out = np.zeros(ctx.q, dtype=np.int64)
-        out[ctx.exp_table] = np.arange(1, ctx.q, dtype=np.int64)
-        out.setflags(write=False)
-        ctx._cache[key] = out
-    return ctx._cache[key]
-
-
 def trace_bit_matrix(ctx, base, coeffs):
     """uint8 rows of Tr(c * base[j]) for each coefficient c, built in chunks."""
-    order = ctx.order
     base = np.asarray(base, dtype=np.int64)
     coeffs = np.asarray(coeffs, dtype=np.int64)
-    lbase = ctx.log_table[base]
-    base_zero = base == 0
     out = np.empty((len(coeffs), len(base)), dtype=np.uint8)
-    lc = ctx.log_table[coeffs]
     chunk = max(1, (1 << 22) // max(1, len(base)))
     for i0 in range(0, len(coeffs), chunk):
-        cs = coeffs[i0:i0 + chunk]
-        idx = (lc[i0:i0 + chunk, None] + lbase[None, :]) % order
-        vals = ctx.exp_table[idx]
-        vals[:, base_zero] = 0
-        vals[cs == 0, :] = 0
-        out[i0:i0 + chunk] = ctx.trace_table[vals]
+        cs = coeffs[i0:i0 + chunk, None]
+        out[i0:i0 + chunk] = ctx.trace_table[_mul(ctx, cs, base)]
     return out

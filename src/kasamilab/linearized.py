@@ -16,9 +16,8 @@ from math import gcd
 
 import numpy as np
 
-from .distribution import VerificationError, _exact, _p2
-from .field import (FieldContext, Params, power_table, scale_table,
-                    subfield_elements, canonical_index)
+from .distribution import VerificationError, _exact, _histogram, _p2
+from .field import _mul, power_table, scale_table, subfield_elements
 
 __all__ = [
     "RankProfile", "BluherCounts", "phi_eval", "kernel_size", "rank_of",
@@ -29,19 +28,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RankProfile:
-    """Counts of quadratic-form ranks s, s-2, s-4 over all pairs != (0, 0).
-
-    records, when kept, holds (alpha_index, beta_index, kernel_dim, rank)
-    tuples; alpha_index is the position in subfield_elements order and
-    beta_index is 0 for 0 else 1 + discrete log.
-    """
+    """Counts of quadratic-form ranks s, s-2, s-4 over all pairs != (0, 0)."""
 
     n: int
     k: int
     n0: int
     n2: int
     n4: int
-    records: tuple = None
 
     def to_json_dict(self):
         return {"n": self.n, "k": self.k,
@@ -84,34 +77,44 @@ def phi_eval(ctx, params, alpha, beta, x):
             ^ ctx.mul(bnk, ctx.pow(x, 1 << (n - k))))
 
 
-def _phi_vector(ctx, params, alpha, beta):
-    """phi values over all x at once."""
-    pm = power_table(ctx, 1 << params.m)
-    pk = power_table(ctx, 1 << params.k)
+def _phi_rows(ctx, params, alpha, betas):
+    """phi_{alpha,beta}(x) over all x, one row per beta."""
+    betas = np.asarray(betas, dtype=np.int64)[:, None]
     pnk = power_table(ctx, 1 << (params.n - params.k))
-    bnk = ctx.pow(beta, 1 << (params.n - params.k))
-    return (scale_table(ctx, alpha)[pm]
-            ^ scale_table(ctx, beta)[pk]
-            ^ scale_table(ctx, bnk)[pnk])
+    return (_mul(ctx, alpha, power_table(ctx, 1 << params.m))
+            ^ _mul(ctx, betas, power_table(ctx, 1 << params.k))
+            ^ _mul(ctx, pnk[betas], pnk))
+
+
+def _kernel_dim(params, size):
+    """The dimension over GF(q0) of a kernel with `size` elements."""
+    dim = 0
+    while params.q0 ** dim < size:
+        dim += 1
+    if params.q0 ** dim != size:
+        raise VerificationError(
+            f"kernel size {size} is not a power of q0={params.q0}")
+    return dim
 
 
 def kernel_size(ctx, params, alpha, beta):
     """Number of zeros of phi_{alpha,beta}; a power of q0 = 2^d."""
-    return int(np.count_nonzero(_phi_vector(ctx, params, alpha, beta) == 0))
+    size = int(np.count_nonzero(_phi_rows(ctx, params, alpha, [beta]) == 0))
+    _kernel_dim(params, size)
+    return size
 
 
 def rank_of(ctx, params, alpha, beta):
     """(kernel_dim_over_q0, rank) for one pair, with the subspace law verified.
 
-    The zero set is checked to be closed under addition and under scaling by
-    GF(2^d)*, so its size is a clean q0 power and rank = s - dim is sound.
+    The zero set is checked to be a q0 power in size, closed under addition
+    and stable under scaling by GF(2^d)*, so rank = s - dim is sound.
     """
     if alpha == 0 and beta == 0:
         raise ValueError("(0, 0) has no associated quadratic form")
-    vec = _phi_vector(ctx, params, alpha, beta)
-    kernel = np.flatnonzero(vec == 0)
-    size = len(kernel)
-    kset = set(int(v) for v in kernel)
+    kernel = np.flatnonzero(_phi_rows(ctx, params, alpha, [beta])[0] == 0)
+    dim = _kernel_dim(params, len(kernel))
+    kset = set(kernel.tolist())
     for u in kset:
         for v in kset:
             if u ^ v not in kset:
@@ -119,70 +122,26 @@ def rank_of(ctx, params, alpha, beta):
     for lam in subfield_elements(ctx, params.d)[1:]:
         if any(ctx.mul(lam, u) not in kset for u in kset):
             raise VerificationError("kernel is not GF(q0)-stable")
-    dim = 0
-    while params.q0 ** dim < size:
-        dim += 1
-    if params.q0 ** dim != size:
-        raise VerificationError(f"kernel size {size} is not a power of q0={params.q0}")
     return dim, params.s - dim
 
 
-def rank_profile(ctx, params, keep_records=False):
+def rank_profile(ctx, params):
     """Measured rank counts over all (alpha, beta) != (0, 0)."""
     q = ctx.q
-    sub = subfield_elements(ctx, params.m)
-    pm = power_table(ctx, 1 << params.m)
-    pk = power_table(ctx, 1 << params.k)
-    pnk = power_table(ctx, 1 << (params.n - params.k))
-    log = ctx.log_table
-    exp = ctx.exp_table
-    order = ctx.order
-
-    lk = log[pk]        # -1 at x = 0
-    lnk = log[pnk]
-    nz = np.arange(1, q, dtype=np.int64)  # x != 0 column indices
-
-    betas = np.arange(q, dtype=np.int64)
-    bnks = pnk[betas]
     counts = {0: 0, 2: 0, 4: 0}
-    records = [] if keep_records else None
-    canon = canonical_index(ctx) if keep_records else None
-
     chunk = max(1, (1 << 22) // q)
-    for ai, alpha in enumerate(sub):
-        acol = scale_table(ctx, alpha)[pm][nz]  # alpha * x^(2^m), x != 0
-        for b0 in range(0, q, chunk):
-            bs = betas[b0:b0 + chunk]
-            lbs = log[bs][:, None]
-            lbnk = log[bnks[b0:b0 + chunk]][:, None]
-            term_k = exp[(lbs + lk[None, nz]) % order]
-            term_k[bs == 0] = 0
-            term_nk = exp[(lbnk + lnk[None, nz]) % order]
-            term_nk[bs == 0] = 0
-            vals = acol[None, :] ^ term_k ^ term_nk
-            # kernel size = 1 + zeros among x != 0 (phi(0) = 0 always)
-            ksz = 1 + np.count_nonzero(vals == 0, axis=1)
-            for i, b in enumerate(bs):
-                if alpha == 0 and b == 0:
-                    continue
-                size = int(ksz[i])
-                dim = 0
-                while params.q0 ** dim < size:
-                    dim += 1
-                if params.q0 ** dim != size:
-                    raise VerificationError(
-                        f"kernel size {size} at ({alpha},{int(b)}) is not a q0 power")
-                if dim not in counts:
-                    counts[dim] = 0
-                counts[dim] += 1
-                if keep_records:
-                    records.append((ai, int(canon[b]), dim, params.s - dim))
+    for alpha in subfield_elements(ctx, params.m):
+        for b0 in range(1 if alpha == 0 else 0, q, chunk):
+            phi = _phi_rows(ctx, params, alpha, range(b0, min(b0 + chunk, q)))
+            sizes = np.count_nonzero(phi == 0, axis=1)
+            for size, pairs in _histogram(sizes).items():
+                dim = _kernel_dim(params, size)
+                counts[dim] = counts.get(dim, 0) + pairs
     unexpected = {key: c for key, c in counts.items() if key not in (0, 2, 4) and c}
     if unexpected:
         raise VerificationError(f"kernel dimensions outside 0/2/4 observed: {unexpected}")
     return RankProfile(n=params.n, k=params.k, n0=counts[0], n2=counts[2],
-                       n4=counts[4],
-                       records=tuple(records) if keep_records else None)
+                       n4=counts[4])
 
 
 def rank_profile_formula(params):
@@ -220,11 +179,9 @@ def psi_root_count(ctx, params, alpha, beta):
     if alpha == 0 or beta == 0:
         raise ValueError("psi root counting needs alpha != 0 and beta != 0")
     j = (params.m - params.k) % params.n
-    pj = power_table(ctx, (1 << j) + 1)
     bnk = ctx.pow(beta, 1 << (params.n - params.k))
-    vals = (scale_table(ctx, bnk)[pj]
-            ^ scale_table(ctx, alpha)[np.arange(ctx.q, dtype=np.int64)]
-            ^ beta)
+    vals = (_mul(ctx, bnk, power_table(ctx, (1 << j) + 1))
+            ^ scale_table(ctx, alpha) ^ beta)
     count = int(np.count_nonzero(vals == 0))
     allowed = {0, 1, 2, (1 << params.d_prime) + 1}
     if count not in allowed:
@@ -238,16 +195,11 @@ def bluher_counts(ctx, h):
     if not 1 <= h <= l - 1:
         raise ValueError(f"h must satisfy 1 <= h <= {l - 1}, got {h}")
     e = gcd(h, l)
-    q = ctx.q
-    pz = power_table(ctx, (1 << h) + 1)[1:]          # z^(2^h+1), z != 0
-    log = ctx.log_table
-    exp = ctx.exp_table
-    lz = log[np.arange(1, q, dtype=np.int64)]
+    z = np.arange(1, ctx.q, dtype=np.int64)
+    pz = power_table(ctx, (1 << h) + 1)[z]
     hist = {0: 0, 1: 0, 2: 0, (1 << e) + 1: 0}
-    for b in range(1, q):
-        lb = int(log[b])
-        bz = exp[(lb + lz) % ctx.order]
-        roots = int(np.count_nonzero((pz ^ bz ^ b) == 0))
+    for b in range(1, ctx.q):
+        roots = int(np.count_nonzero((pz ^ _mul(ctx, b, z) ^ b) == 0))
         if roots not in hist:
             raise VerificationError(
                 f"b={b}: {roots} roots, outside {{0, 1, 2, 2^{e}+1}}")

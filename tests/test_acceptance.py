@@ -9,11 +9,10 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from kasamilab import (artin_schreier_points, bluher_counts,
                        bluher_counts_formula, build_family, build_field,
-                       check_inequivalence, codeword_c1, codeword_c2,
+                       check_inequivalence, codeword_c2,
                        correlation_distribution,
                        correlation_distribution_formula,
                        correlation_table_printed, derive_params, gamma_sweep,

@@ -2,7 +2,6 @@
 
 import json
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -1,5 +1,6 @@
 """Field arithmetic, parameter derivation, and table construction."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 import reference as ref
 from kasamilab import (build_field, derive_params, find_primitive_polynomial,
                        is_irreducible, is_primitive, subfield_elements)
-from kasamilab.field import (canonical_index, power_table, rel_trace_table,
-                             scale_table, trace_bit_matrix)
+from kasamilab.field import (_mul, power_table, rel_trace_table, scale_table,
+                             trace_bit_matrix)
 
 # Lexicographically smallest primitive moduli, frozen from the naive oracle.
 MODULI = {4: 0x13, 6: 0x43, 8: 0x11D, 10: 0x409, 12: 0x1053}
@@ -168,6 +169,17 @@ def test_power_table(ctx4):
         assert tab[x] == ref.gf2_pow(x, 5, 0x13, 4)
 
 
+def test_mul_matches_oracle_on_every_pair(ctx4):
+    elems = np.arange(16)
+    table = _mul(ctx4, elems[:, None], elems[None, :])
+    assert table.shape == (16, 16)
+    for a in range(16):
+        assert _mul(ctx4, a, elems).tolist() == table[a].tolist()
+        for b in range(16):
+            assert table[a, b] == ref.gf2_mul(a, b, 0x13, 4)
+    assert ctx4.log_table[0] == -1
+
+
 def test_scale_table(ctx4):
     tab = scale_table(ctx4, 7)
     for x in range(16):
@@ -178,11 +190,6 @@ def test_rel_trace_table(ctx8):
     tab = rel_trace_table(ctx8, 1, 8)
     for x in range(256):
         assert tab[x] == ctx8.trace_abs(x)
-
-
-def test_canonical_index_is_permutation(ctx6):
-    idx = canonical_index(ctx6)
-    assert sorted(idx) == list(range(len(idx)))
 
 
 def test_trace_bit_matrix(ctx4):

@@ -1,14 +1,15 @@
 """Kernel sizes, rank profiles, auxiliary root counts, and their closed forms."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as ref
-from kasamilab import (bluher_counts, bluher_counts_formula, build_field,
-                       derive_params, kernel_size, phi_eval, psi_root_count,
-                       rank_of, rank_profile, rank_profile_formula,
-                       subfield_elements)
+from kasamilab import (VerificationError, bluher_counts, bluher_counts_formula,
+                       build_field, derive_params, kernel_size, linearized,
+                       phi_eval, psi_root_count, rank_of, rank_profile,
+                       rank_profile_formula, subfield_elements)
 
 # (n, k) -> (n0, n2, n4), frozen from the naive kernel enumeration.
 PROFILES = {
@@ -157,7 +158,21 @@ def test_bluher_formula_n8():
         assert (bc.n0, bc.n1, bc.n2, bc.n_top) == (bf.n0, bf.n1, bf.n2, bf.n_top)
 
 
-def test_rank_profile_records(ctx4, p41):
-    prof = rank_profile(ctx4, p41, keep_records=True)
-    assert prof.records is not None
-    assert len(prof.records) == prof.n0 + prof.n2 + prof.n4
+def test_kernel_size_off_a_q0_power_is_rejected(ctx4, p41, monkeypatch):
+    # (1, 2) has a 4-element kernel at (4, 1); one extra zero makes 5.
+    assert kernel_size(ctx4, p41, 1, 2) == 4
+    build = linearized._phi_rows
+
+    def one_more_zero(*args):
+        rows = build(*args)
+        for row in rows:
+            nonzero = np.flatnonzero(row)
+            if len(nonzero):
+                row[nonzero[0]] = 0
+        return rows
+
+    monkeypatch.setattr(linearized, "_phi_rows", one_more_zero)
+    with pytest.raises(VerificationError, match="not a power of q0"):
+        rank_of(ctx4, p41, 1, 2)
+    with pytest.raises(VerificationError, match="not a power of q0"):
+        rank_profile(ctx4, p41)
