@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import (ValueDistribution, VerificationError, _histogram,
-                           _summed, pack_bits_hex)
+                           _pack_bits, _summed, pack_bits_hex)
 from .expsum import _trace_rows, s_spectrum_formula, t_spectrum_formula
 from .field import _gf2_polymul, _gf2_polymod, subfield_elements
 
@@ -222,9 +222,6 @@ def codeword_dump_lines(ctx, params, code):
 def check_parity(ctx, params, code, word):
     """word(x) * h(x) == 0 mod x^(2^n - 1) + 1; the parity-check relation."""
     h = parity_check_mask(ctx, params, code)
-    wmask = 0
-    for i, b in enumerate(word):
-        wmask |= int(b) << i
-    prod = _gf2_polymul(wmask, h)
+    prod = _gf2_polymul(int.from_bytes(_pack_bits(word), "little"), h)
     ring = (1 << ctx.order) | 1
     return _gf2_polymod(prod, ring) == 0

@@ -16,13 +16,14 @@ import numpy as np
 __all__ = ["VerificationError", "ValueDistribution", "pack_bits_hex"]
 
 
+def _pack_bits(bits):
+    """Bytes of a 0/1 sequence, bit i of the word at byte i//8 bit i%8."""
+    return np.packbits(bits, bitorder="little").tobytes()
+
+
 def pack_bits_hex(bits):
     """Pack a 0/1 sequence into hex, bit i of the word at byte i//8 bit i%8."""
-    val = 0
-    for i, b in enumerate(bits):
-        val |= int(b) << i
-    nbytes = (len(bits) + 7) // 8
-    return val.to_bytes(nbytes, "little").hex()
+    return _pack_bits(bits).hex()
 
 
 class VerificationError(Exception):

@@ -8,6 +8,12 @@ bijectively by the relative shift, so the full correlation histogram is
 predicted exactly by compositions of the closed-form sum distributions. The
 literally tabulated histogram rows are also evaluated and compared, and any
 discrepancy is reported as a flag, never silently repaired.
+
+The measured histogram reads only the members' bits. Decimation by 2
+permutes the family up to rotation, which every sweep re-checks. The sweep
+then takes one representative per decimation orbit, weighted by the orbit's
+size, against its own orbit and, weighted twice for the swapped pairs, every
+later orbit; every pair at every shift is still counted.
 """
 
 from __future__ import annotations
@@ -17,10 +23,12 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .codes import _word_rows, _words
 from .distribution import (ValueDistribution, VerificationError, _exact,
-                           _p2, _summed, _thread_count, pack_bits_hex)
+                           _p2, _pack_bits, _summed, _thread_count,
+                           pack_bits_hex)
 from .expsum import s_spectrum_formula, t_spectrum_formula
 from .field import _factorize, subfield_elements
 
@@ -101,36 +109,90 @@ def correlation(a, b, tau):
     return int(len(a.bits) - 2 * int(np.count_nonzero(a.bits ^ shifted)))
 
 
-def correlation_distribution(family, workers=1):
-    """Histogram of correlations over all member pairs and all shifts."""
-    mats = np.stack([m.bits for m in family.members])
-    signs = (1 - 2 * mats.astype(np.float32))
-    count = len(family.members)
-    L = mats.shape[1]
-    # C[i,j](L - tau) = C[j,i](tau), so the all-pairs histogram at shift
-    # L - tau duplicates the one at tau; L is odd, leaving tau = 0 unpaired.
-    taus = np.arange((L - 1) // 2 + 1)
+def _decimation_orbits(mats):
+    """Orbits of the member rows under decimation by 2, checked from the bits.
 
-    def work(tau_span):
-        # Buffers are reused across shifts; the products are exact integers
-        # in float32 (partial sums stay far below 2^24).
+    The decimation s[2 lam mod L] of every row must equal some row up to
+    rotation, and the image map must permute the rows. Returns each row's
+    orbit id (cycles numbered in order of their first row) and the size of
+    every orbit.
+    """
+    count, L = mats.shape
+    index = {row.tobytes(): i for i, row in enumerate(mats)}
+    image = []
+    for i, row in enumerate(mats[:, 2 * np.arange(L) % L]):
+        # Rotation 0 first: it finds the F1 images, which are exact.
+        twice = np.concatenate([row, row])
+        for r in range(L):
+            j = index.get(twice[r:r + L].tobytes())
+            if j is not None:
+                image.append(j)
+                break
+        else:
+            raise VerificationError(
+                f"the decimation of member {i} is no member up to rotation")
+    if len(set(image)) != count:
+        raise VerificationError("decimation does not permute the family")
+    orbit = [-1] * count
+    sizes = []
+    for start in range(count):
+        j, size = start, 0
+        while orbit[j] < 0:
+            orbit[j] = len(sizes)
+            j, size = image[j], size + 1
+        if size:
+            sizes.append(size)
+    if sum(sizes) != count:
+        raise VerificationError(f"decimation orbits cover {sum(sizes)} rows")
+    return orbit, sizes
+
+
+def correlation_distribution(family, workers=1):
+    """Histogram of correlations over all member pairs and all shifts.
+
+    Decimation by 2 maps every member onto a member up to rotation, and
+    the map permutes the family; both are checked from the bits on every
+    call. Since Corr(a', b', tau) = Corr(a, b, 2 tau) for decimated members,
+    a pair has the same histogram over all shifts as its image pair, so an
+    orbit of w members contributes w times the pairs its representative
+    leads. Swapping a pair only reverses the shifts, so the representative
+    is swept against its own orbit with weight w and against every later
+    orbit with weight 2w, all shifts in one circulant product per orbit.
+    """
+    mats = np.stack([m.bits for m in family.members])
+    count, L = mats.shape
+    orbit, sizes = _decimation_orbits(mats)
+    starts = np.cumsum([0] + sizes)
+    # Signs in orbit order, plus a column of ones that meets the circulant's
+    # row of L: every product is Corr + L, a bincount index in [0, 2L].
+    signs = np.ones((count, L + 1), dtype=np.float32)
+    signs[:, :L] -= 2 * mats[np.argsort(orbit, kind="stable")]
+
+    def work(orbit_span):
+        # O(count L) buffers, reused across orbits; the products are exact
+        # integers in float32 (partial sums stay far below 2^24).
         acc = np.zeros(2 * L + 1, dtype=np.int64)
-        prod = np.empty((count, count), dtype=np.float32)
-        flat = prod.reshape(-1)
-        idx = np.empty(count * count, dtype=np.intp)
-        rolled = np.empty_like(signs)
-        for tau in tau_span:
-            rolled[:, :L - tau] = signs[:, tau:]
-            rolled[:, L - tau:] = signs[:, :tau]
-            np.matmul(signs, rolled.T, out=prod)
-            np.copyto(idx, flat, casting="unsafe")
-            idx += L
-            hist = np.bincount(idx, minlength=2 * L + 1)
-            acc += hist if tau == 0 else 2 * hist
+        circ = np.full((L + 1, L), L, dtype=np.float32)
+        prod = np.empty((count, L), dtype=np.float32)
+        idx = np.empty((count, L), dtype=np.intp)
+        for a in orbit_span:
+            first, w = starts[a], sizes[a]
+            rep = signs[first, :L]
+            # circ[mu, tau] = rep[(mu + tau) % L]: row j of the product holds
+            # Corr(member j, rep, tau) + L for every tau.
+            circ[:L] = sliding_window_view(np.concatenate([rep, rep[:-1]]), L)
+            cols = count - first
+            np.matmul(signs[first:], circ, out=prod[:cols])
+            np.copyto(idx[:cols], prod[:cols], casting="unsafe")
+            acc += w * np.bincount(idx[:w].ravel(), minlength=2 * L + 1)
+            acc += 2 * w * np.bincount(idx[w:cols].ravel(),
+                                       minlength=2 * L + 1)
         return acc
 
-    spans = np.array_split(taus, _thread_count(workers, len(taus)))
-    acc = _summed(work, [span.tolist() for span in spans], workers)
+    # Orbits are dealt out in turn: the earlier ones sweep more columns.
+    threads = _thread_count(workers, len(sizes))
+    spans = [range(t, len(sizes), threads) for t in range(threads)]
+    acc = _summed(work, spans, workers)
     counts = {int(v - L): int(c) for v, c in enumerate(acc) if c}
     dist = ValueDistribution.from_counts(counts)
     if dist.total != count * count * L:
@@ -374,12 +436,8 @@ def check_inequivalence(family):
         raise ValueError("exhaustive inequivalence check is limited to n <= 6")
     L = params.q - 1
     mask = (1 << L) - 1
-    packed = []
-    for member in family.members:
-        v = 0
-        for i, b in enumerate(member.bits):
-            v |= int(b) << i
-        packed.append(v)
+    packed = [int.from_bytes(_pack_bits(member.bits), "little")
+              for member in family.members]
 
     def rot(v, r):
         return ((v >> r) | (v << (L - r))) & mask

@@ -1,15 +1,23 @@
 """Sequence family construction and correlation distributions."""
 
+import json
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import reference as ref
-from kasamilab import (build_family, build_field, check_inequivalence,
+from kasamilab import (BinarySequence, SequenceFamily, VerificationError,
+                       build_family, build_field, check_inequivalence,
                        correlation, correlation_distribution,
                        correlation_distribution_formula,
                        correlation_table_printed, derive_params,
                        family_dump_lines, family_size)
+from kasamilab.cli import main
+from kasamilab.distribution import _thread_count
+from kasamilab.sequences import _decimation_orbits
 
 # Frozen from the brute-force all-pairs-all-shifts sweep.
 CORRELATIONS = {
@@ -38,6 +46,29 @@ NOTES_82 = (
     "vanishes only at d = 1",
     "tabulated multiplicities total 12928745533/3, expected 4309581855",
 )
+
+
+def all_pairs_sweep(family):
+    """Correlation histogram of every pair at every shift, shift by shift."""
+    signs = 1 - 2 * np.stack([m.bits for m in family.members]).astype(
+        np.float32)
+    L = signs.shape[1]
+    hist = np.zeros(2 * L + 1, dtype=np.int64)
+    for tau in range(L):
+        prod = signs @ np.roll(signs, -tau, axis=1).T
+        hist += np.bincount((prod + L).astype(np.intp).ravel(),
+                            minlength=2 * L + 1)
+    return {v - L: int(c) for v, c in enumerate(hist) if c}
+
+
+def flipped_family(family, index=5, bit=1):
+    """The family with one bit of one member flipped."""
+    members = list(family.members)
+    member = members[index]
+    bits = member.bits.copy()
+    bits[bit] ^= 1
+    members[index] = BinarySequence(member.label, bits)
+    return SequenceFamily(family.params, tuple(members), family.expected_size)
 
 
 @pytest.mark.parametrize("nk,size", sorted(SIZES.items()))
@@ -121,12 +152,70 @@ def test_correlation_workers_equivalent(ctx4, p41):
         correlation_distribution(fam, workers=1).as_dict()
 
 
-def test_correlation_shift_spans_capped(ctx4, p41, recording_pool):
-    # One span of shifts, with its own buffers, per thread actually started.
+def test_correlation_orbit_spans_capped(ctx4, p41, recording_pool):
+    # One span of orbits, with its own buffers, per thread actually started.
     fam = build_family(ctx4, p41)
+    _, sizes = _decimation_orbits(np.stack([m.bits for m in fam.members]))
+    threads = _thread_count(10 ** 6, len(sizes))
     assert correlation_distribution(fam, workers=10 ** 6).as_dict() == \
-        correlation_distribution(fam, workers=1).as_dict()
+        CORRELATIONS[(4, 1)]
+    assert recording_pool == [(threads, threads)] == [(4, 4)]
+    # F1(0,0) is the m-sequence Tr(x), its own orbit: one span, no pool.
+    alone = SequenceFamily(p41, fam.members[:1], 1)
+    assert correlation_distribution(alone, workers=10 ** 6).as_dict() == \
+        {-1: 14, 15: 1}
     assert recording_pool == [(4, 4)]
+
+
+@pytest.mark.parametrize("n,k,mod", [(4, 1, 0x13), (6, 1, 0x43),
+                                      (6, 2, 0x43), (6, 2, 0x61)])
+def test_orbit_sweep_matches_all_pairs_oracle(n, k, mod):
+    # EvenM, BothOdd and EvenK, and EvenK again under another modulus.
+    fam = build_family(build_field(n, mod), derive_params(n, k))
+    assert correlation_distribution(fam).as_dict() == all_pairs_sweep(fam)
+
+
+@pytest.mark.parametrize("nk", [(4, 1), (6, 1), (6, 2)])
+def test_decimation_orbits_cover_the_family(nk):
+    n, k = nk
+    fam = build_family(build_field(n), derive_params(n, k))
+    orbit, sizes = _decimation_orbits(np.stack([m.bits for m in fam.members]))
+    assert sum(sizes) == fam.size
+    assert Counter(orbit) == dict(enumerate(sizes))
+    # Decimation by 2 has order n on the shifts, so every orbit size divides n.
+    assert all(n % size == 0 for size in sizes)
+
+
+def test_flipped_bit_breaks_the_decimation_closure(ctx4, p41):
+    fam = flipped_family(build_family(ctx4, p41))
+    with pytest.raises(VerificationError, match="decimation"):
+        correlation_distribution(fam)
+
+
+def test_verify_records_a_broken_closure_as_mismatch(tmp_path, monkeypatch,
+                                                     ctx4, p41):
+    fam = flipped_family(build_family(ctx4, p41))
+    monkeypatch.setattr("kasamilab.cli.build_family", lambda ctx, p: fam)
+    assert main(["verify", "--n", "4", "--k", "1",
+                 "--out", str(tmp_path)]) == 2
+    report = json.loads((tmp_path / "report.json").read_text())
+    record = next(r for r in report["records"] if r["name"] == "correlation")
+    assert record["status"] == "mismatch"
+    assert "decimation" in record["detail"]
+
+
+def test_correlation_memory_linear_in_family(ctx6, p61):
+    # No |F|^2 buffer: one all-pairs float32 product per shift and its intp
+    # copy alone would take 12 |F|^2 bytes, about 3 MB here.
+    fam = build_family(ctx6, p61)
+    count, L = fam.size, fam.members[0].period
+    tracemalloc.start()
+    try:
+        correlation_distribution(fam)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * count * L < 12 * count * count
 
 
 def test_printed_table_clean_cases(p41, p62):
