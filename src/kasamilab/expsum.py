@@ -6,6 +6,11 @@ Tr_n(g x). Both are measured directly (sign-matrix matmuls, Walsh transform
 over the linear-term axis) and predicted by closed-form value distributions
 split on the parity case. The two sides are compared by callers; mismatches
 are never papered over.
+
+Squaring x permutes GF(2^n) linearly and keeps every trace, so S takes the
+same values at (a, b, g) and (a^2, b^2, g^2). The S sweep checks this closure
+from the bits of the trace rows on every call, then runs the Walsh transform
+for one b per Frobenius orbit only, weighted by the orbit's size.
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ import numpy as np
 
 from .distribution import (ValueDistribution, VerificationError, _exact,
                            _histogram, _p2, _summed)
-from .field import (_mul, power_table, rel_trace_table, subfield_elements,
-                    trace_bit_matrix)
+from .field import (_mul, frobenius_orbits, power_table, rel_trace_table,
+                    subfield_elements, trace_bit_matrix)
 
 __all__ = [
     "MomentReport", "t_sum", "s_sum", "t_spectrum", "t_spectrum_formula",
@@ -47,18 +52,32 @@ def _trace_rows(ctx, params, alphas, betas, gammas):
     return arows, brows, grows
 
 
-def _fwht(mat):
-    """Walsh-Hadamard transform along the last axis, in place, power-of-2 length."""
+def _butterflies(mat, h):
+    """Walsh-Hadamard butterflies of each row at strides h, 2h, ... < length."""
     rows, length = mat.shape
-    h = 1
+    out = np.empty_like(mat)
     while h < length:
-        mat = mat.reshape(rows, length // (2 * h), 2, h)
-        top = mat[:, :, 0, :].copy()
-        mat[:, :, 0, :] = top + mat[:, :, 1, :]
-        mat[:, :, 1, :] = top - mat[:, :, 1, :]
-        mat = mat.reshape(rows, length)
+        pairs, into = mat.reshape(rows, -1, 2, h), out.reshape(rows, -1, 2, h)
+        np.add(pairs[:, :, 0], pairs[:, :, 1], out=into[:, :, 0])
+        np.subtract(pairs[:, :, 0], pairs[:, :, 1], out=into[:, :, 1])
+        mat, out = out, mat
         h *= 2
     return mat
+
+
+def _fwht(mat):
+    """Walsh-Hadamard transform of each row, power-of-2 length.
+
+    A butterfly over a short stride adds blocks too small to stream, so the
+    strides over the low half of the index bits run after a transpose that
+    makes those bits high, and a second transpose restores the order.
+    """
+    rows, length = mat.shape
+    low = 1 << (length.bit_length() - 1) // 2
+    mat = _butterflies(mat, low)
+    mat = mat.reshape(rows, -1, low).transpose(0, 2, 1).reshape(rows, length)
+    mat = _butterflies(mat, length // low)
+    return mat.reshape(rows, low, -1).transpose(0, 2, 1).reshape(rows, length)
 
 
 def t_sum(ctx, params, alpha, beta):
@@ -97,23 +116,73 @@ def t_spectrum(ctx, params, workers=1):
     return dist
 
 
+def _frobenius_closure(ctx, alphas, arows, brows):
+    """Frobenius orbits of beta, once x -> x^2 is checked to fix every row.
+
+    sigma, squaring in mask order, must be a GF(2)-linear bijection, and the
+    rows must satisfy arows[a^2][sigma] = arows[a] and brows[b^2][sigma] =
+    brows[b], all read from the bits. Then sigma permutes the Walsh transform
+    of each row pair onto that of its image pair, and every beta in a
+    Frobenius orbit gives the multiset of its representative over all alpha.
+    """
+    q, n = ctx.q, ctx.n
+    sigma = power_table(ctx, 2)
+    x = np.arange(q, dtype=np.int64)
+    span = np.zeros(q, dtype=np.int64)
+    for i in range(n):
+        span ^= ((x >> i) & 1) * sigma[1 << i]
+    if (span != sigma).any() or (np.bincount(sigma, minlength=q) != 1).any():
+        raise VerificationError("squaring is not a GF(2)-linear bijection "
+                                "of the field")
+    index = np.full(q, -1, dtype=np.int64)
+    index[alphas] = np.arange(len(alphas))
+    squares = index[sigma[alphas]]
+    if (squares < 0).any() or (arows[squares][:, sigma] != arows).any():
+        raise VerificationError(
+            "the alpha rows are not closed under Frobenius")
+    if (brows[sigma][:, sigma] != brows).any():
+        raise VerificationError("the beta rows are not closed under Frobenius")
+    reps, sizes = frobenius_orbits(ctx)
+    if sizes.sum() != q or (n % sizes).any():
+        raise VerificationError(
+            f"Frobenius orbit sizes {sorted(set(sizes.tolist()))} do not "
+            f"divide n={n} or cover the field")
+    return reps, sizes
+
+
 def s_spectrum(ctx, params, workers=1):
     """Measured distribution of S over all (alpha, beta, gamma) triples.
 
     For fixed (alpha, beta) the map gamma -> S is a Walsh transform of the
     sign vector (the trace pairing identifies the gamma axis with the dual
     group), so each pair contributes one transform's multiset of values.
+    Frobenius closure of the trace rows is checked from the bits on every
+    call; then only one beta per Frobenius orbit is transformed, against
+    every alpha, and its histogram counts once per member of the orbit.
     """
     q = ctx.q
-    arows, brows, _ = _trace_rows(ctx, params, subfield_elements(ctx, params.m),
-                                  range(q), [])
-    sign_a, sign_b = _signs(arows), _signs(brows)
+    alphas = np.asarray(subfield_elements(ctx, params.m), dtype=np.int64)
+    arows, brows, _ = _trace_rows(ctx, params, alphas, range(q), [])
+    reps, sizes = _frobenius_closure(ctx, alphas, arows, brows)
+    # Spans of at most 2^19 transformed entries, each within one orbit size,
+    # so that a span's histogram is weighted by a single integer.
+    per_span = max(1, (1 << 19) // (len(alphas) * q))
+    spans = []
+    for size in sorted(set(sizes.tolist())):
+        group = reps[sizes == size]
+        spans += [(size, group[i:i + per_span])
+                  for i in range(0, len(group), per_span)]
 
-    def work(ai):
-        return _histogram(_fwht((sign_a[ai][None, :] * sign_b).astype(np.int32)))
+    def work(span):
+        size, betas = span
+        rows = (brows[betas][:, None, :] ^ arows[None, :, :]).reshape(-1, q)
+        f = _fwht(1 - 2 * rows.astype(np.int32))
+        f += q
+        return size * np.bincount(f.ravel(), minlength=2 * q + 1)
 
+    acc = _summed(work, spans, workers)
     dist = ValueDistribution.from_counts(
-        _summed(work, range(sign_a.shape[0]), workers))
+        {v - q: c for v, c in enumerate(acc.tolist()) if c})
     if dist.total != (1 << (3 * params.m)) * q:
         raise VerificationError(f"S sweep covered {dist.total} triples")
     return dist

@@ -19,7 +19,7 @@ __all__ = [
     "subfield_elements",
     "find_primitive_polynomial", "is_irreducible", "is_primitive",
     "power_table", "scale_table", "rel_trace_table", "trace_bit_matrix",
-    "bit_count",
+    "frobenius_orbits", "bit_count",
 ]
 
 FieldElement = int
@@ -307,6 +307,25 @@ def power_table(ctx, e):
         out.setflags(write=False)
         ctx._cache[key] = out
     return ctx._cache[key]
+
+
+def frobenius_orbits(ctx):
+    """Orbits of GF(2^n) under x -> x^2, as (representatives, sizes).
+
+    Each orbit is represented by its least mask, and the orbits come in
+    increasing order of it; an element is sent to the least of its first n
+    images, so every element of an orbit lies a power of squaring away from
+    its representative.
+    """
+    frob = power_table(ctx, 2)
+    image = np.arange(ctx.q, dtype=np.int64)
+    least = image
+    for _ in range(ctx.n - 1):
+        image = frob[image]
+        least = np.minimum(least, image)
+    sizes = np.bincount(least, minlength=ctx.q)
+    reps = np.flatnonzero(sizes)
+    return reps, sizes[reps]
 
 
 def scale_table(ctx, c):

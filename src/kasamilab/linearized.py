@@ -190,20 +190,31 @@ def psi_root_count(ctx, params, alpha, beta):
 
 
 def bluher_counts(ctx, h):
-    """Measured root-count distribution of z^(2^h+1) + b*z + b over b != 0."""
+    """Measured root-count distribution of z^(2^h+1) + b*z + b over b != 0.
+
+    For b != 0 neither 0 nor 1 is a root, and any other z is a root for
+    exactly one b, z^(2^h+1) / (z + 1). One bincount of that b over z thus
+    counts the roots of every b; each counted pair is evaluated to check
+    that it is a root.
+    """
     l = ctx.n
     if not 1 <= h <= l - 1:
         raise ValueError(f"h must satisfy 1 <= h <= {l - 1}, got {h}")
     e = gcd(h, l)
-    z = np.arange(1, ctx.q, dtype=np.int64)
+    z = np.arange(2, ctx.q, dtype=np.int64)
     pz = power_table(ctx, (1 << h) + 1)[z]
+    b = _mul(ctx, pz, power_table(ctx, ctx.order - 1)[z ^ 1])
+    if (pz ^ _mul(ctx, b, z) ^ b).any():
+        raise VerificationError("a counted z is not a root of its b")
+    roots = np.bincount(b, minlength=ctx.q)[1:]
     hist = {0: 0, 1: 0, 2: 0, (1 << e) + 1: 0}
-    for b in range(1, ctx.q):
-        roots = int(np.count_nonzero((pz ^ _mul(ctx, b, z) ^ b) == 0))
-        if roots not in hist:
-            raise VerificationError(
-                f"b={b}: {roots} roots, outside {{0, 1, 2, 2^{e}+1}}")
-        hist[roots] += 1
+    counts = _histogram(roots)
+    if not counts.keys() <= hist.keys():
+        b, count = next((b, c) for b, c in enumerate(roots.tolist(), 1)
+                        if c not in hist)
+        raise VerificationError(
+            f"b={b}: {count} roots, outside {{0, 1, 2, 2^{e}+1}}")
+    hist.update(counts)
     return BluherCounts(l=l, h=h, e=e, n0=hist[0], n1=hist[1], n2=hist[2],
                         n_top=hist[(1 << e) + 1])
 

@@ -176,6 +176,16 @@ def test_verify_erratum_only(tmp_path):
         (GOLDEN / "n6k1.json").read_bytes()
 
 
+@pytest.mark.parametrize("n,k", [(4, 1), (4, 3), (6, 1), (6, 2), (6, 4),
+                                 (6, 5)])
+def test_verify_battery(tmp_path, n, k):
+    # Every valid k, n - k kept as a symmetry check: a match or only
+    # flagged errata, never a mismatch or an error.
+    code, report, _ = run(tmp_path, "verify", "--n", str(n), "--k", str(k))
+    assert code in (0, 3) and report["exit_code"] == code
+    assert {"mismatch", "error"}.isdisjoint(statuses(report).values())
+
+
 def test_verify_reports_a_check_that_raises(tmp_path, monkeypatch):
     def broken(ctx, params):
         raise RuntimeError("rank sweep broke")

@@ -1,15 +1,22 @@
 """Exponential sums: brute-force spectra against closed-form tables."""
 
+import json
+from collections import Counter
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as ref
-from kasamilab import (artin_schreier_points, build_field, derive_params,
-                       gamma_sweep, gamma_sweep_formula, moment_targets,
-                       moments, rank_of, s_spectrum, s_spectrum_formula,
-                       s_sum, subfield_elements, t_spectrum,
-                       t_spectrum_formula, t_sum)
+from kasamilab import (VerificationError, artin_schreier_points, build_field,
+                       derive_params, expsum, gamma_sweep,
+                       gamma_sweep_formula, moment_targets, moments, rank_of,
+                       s_spectrum, s_spectrum_formula, s_sum,
+                       subfield_elements, t_spectrum, t_spectrum_formula,
+                       t_sum)
+from kasamilab.cli import main
+from kasamilab.field import bit_count, frobenius_orbits
 
 # Frozen from the schoolbook double/triple loops in reference.py.
 T_SPECTRA = {
@@ -57,6 +64,102 @@ def test_s_spectrum_small_matches_oracle():
     naive = ref.s_spectrum_naive(1, 0x13, 4)
     dist = s_spectrum(build_field(4), derive_params(4, 1))
     assert dist.as_dict() == dict(naive)
+
+
+def hadamard(q):
+    """The q x q Walsh-Hadamard matrix, entry (u, x) = (-1)^(u . x)."""
+    x = np.arange(q, dtype=np.int64)
+    return 1 - 2 * (bit_count(x[:, None] & x) & 1)
+
+
+def all_beta_sweep(ctx, params):
+    """S histogram with one Walsh transform for every (alpha, beta) pair."""
+    q = ctx.q
+    arows, brows, _ = expsum._trace_rows(
+        ctx, params, subfield_elements(ctx, params.m), range(q), [])
+    rows = (arows[:, None, :] ^ brows[None, :, :]).reshape(-1, q)
+    values = (1 - 2 * rows.astype(np.int64)) @ hadamard(q)
+    return dict(Counter(values.ravel().tolist()))
+
+
+@pytest.mark.parametrize("n,k,mod", [(4, 1, 0x13), (6, 1, 0x43),
+                                      (6, 2, 0x43), (6, 2, 0x61)])
+def test_orbit_sweep_matches_all_beta_oracle(n, k, mod):
+    # EvenM, BothOdd and EvenK, and EvenK again under another modulus.
+    ctx, p = build_field(n, mod), derive_params(n, k)
+    dist = s_spectrum(ctx, p).as_dict()
+    assert dist == all_beta_sweep(ctx, p)
+    assert dist == dict(ref.s_spectrum_naive(k, mod, n))
+
+
+@pytest.mark.parametrize("length", [16, 64, 256, 1024])
+def test_fwht_is_the_hadamard_product(length):
+    rows = np.random.default_rng(length).integers(-3, 4, size=(5, length))
+    want = rows @ hadamard(length)
+    assert (expsum._fwht(rows.astype(np.int32)) == want).all()
+
+
+@pytest.mark.parametrize("n,orbits", [(4, 6), (6, 14), (8, 36), (10, 108)])
+def test_frobenius_orbits(n, orbits):
+    ctx = build_field(n)
+    reps, sizes = frobenius_orbits(ctx)
+    assert len(reps) == orbits and sizes.sum() == ctx.q
+    assert all(n % size == 0 for size in sizes.tolist())
+    if n <= 6:
+        seen = {}
+        for x in range(ctx.q):
+            orbit = {ctx.pow(x, 1 << i) for i in range(n)}
+            seen[min(orbit)] = len(orbit)
+        assert dict(zip(reps.tolist(), sizes.tolist())) == seen
+
+
+def test_s_spectrum_transforms_orbit_representatives_only(ctx6, p61,
+                                                          monkeypatch):
+    transformed = []
+    fwht = expsum._fwht
+
+    def recording(mat):
+        transformed.append(mat.shape[0])
+        return fwht(mat)
+
+    monkeypatch.setattr(expsum, "_fwht", recording)
+    assert s_spectrum(ctx6, p61).as_dict() == S_SPECTRA[(6, 1)]
+    reps, _ = frobenius_orbits(ctx6)
+    assert sum(transformed) == (1 << p61.m) * len(reps) == 8 * 14
+
+
+def flip_row_bit(monkeypatch, axis, coeff, x=3):
+    """Patch the trace rows: flip bit x of coeff's alpha (axis 0) or beta
+    (axis 1) row."""
+    build = expsum._trace_rows
+
+    def flipped(ctx, params, *coeffs):
+        rows = build(ctx, params, *coeffs)
+        rows[axis][np.asarray(coeffs[axis], dtype=np.int64) == coeff, x] ^= 1
+        return rows
+
+    monkeypatch.setattr(expsum, "_trace_rows", flipped)
+
+
+@pytest.mark.parametrize("axis,name", [(0, "alpha"), (1, "beta")])
+def test_flipped_bit_breaks_the_frobenius_closure(ctx6, p61, monkeypatch,
+                                                  axis, name):
+    # Neither coefficient nor x = 3 is fixed by squaring.
+    coeff = subfield_elements(ctx6, 3)[2] if axis == 0 else 5
+    flip_row_bit(monkeypatch, axis, coeff)
+    with pytest.raises(VerificationError,
+                       match=f"{name} rows are not closed under Frobenius"):
+        s_spectrum(ctx6, p61)
+
+
+def test_verify_records_a_broken_frobenius_closure(tmp_path, monkeypatch):
+    flip_row_bit(monkeypatch, 1, 5)
+    assert main(["verify", "--n", "6", "--k", "1",
+                 "--out", str(tmp_path)]) == 2
+    report = json.loads((tmp_path / "report.json").read_text())
+    record = next(r for r in report["records"] if r["name"] == "s-spectrum")
+    assert record["status"] == "mismatch"
+    assert "Frobenius" in record["detail"]
 
 
 def test_t_sum_matches_oracle(ctx6, p62):

@@ -1,5 +1,7 @@
 """Kernel sizes, rank profiles, auxiliary root counts, and their closed forms."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from kasamilab import (VerificationError, bluher_counts, bluher_counts_formula,
                        build_field, derive_params, kernel_size, linearized,
                        phi_eval, psi_root_count, rank_of, rank_profile,
                        rank_profile_formula, subfield_elements)
+from kasamilab.field import _mul, power_table
 
 # (n, k) -> (n0, n2, n4), frozen from the naive kernel enumeration.
 PROFILES = {
@@ -147,6 +150,55 @@ def test_bluher_matches_oracle_histogram(l):
         assert bc.n1 == hist.get(1, 0)
         assert bc.n2 == hist.get(2, 0)
         assert bc.n_top == hist.get(top, 0)
+
+
+def bluher_per_b(ctx, h):
+    """Root-count histogram over b != 0, one evaluation at every z per b."""
+    z = np.arange(1, ctx.q, dtype=np.int64)
+    pz = power_table(ctx, (1 << h) + 1)[z]
+    return Counter(int(np.count_nonzero((pz ^ _mul(ctx, b, z) ^ b) == 0))
+                   for b in range(1, ctx.q))
+
+
+def test_bluher_matches_per_b_loop_n8(ctx8):
+    for h in range(1, 8):
+        bc = bluher_counts(ctx8, h)
+        hist = bluher_per_b(ctx8, h)
+        assert set(hist) <= {0, 1, 2, (1 << bc.e) + 1}
+        assert bc.as_tuple() == (hist[0], hist[1], hist[2],
+                                 hist[(1 << bc.e) + 1])
+
+
+def test_bluher_rejects_a_pair_that_is_no_root(ctx4, monkeypatch):
+    # Two swapped inverses send z = 2 and z = 3 to the wrong b.
+    table = linearized.power_table
+
+    def swapped(ctx, e):
+        out = table(ctx, e)
+        if e == ctx.order - 1:
+            out = out.copy()
+            out[[2, 3]] = out[[3, 2]]
+        return out
+
+    monkeypatch.setattr(linearized, "power_table", swapped)
+    with pytest.raises(VerificationError, match="not a root"):
+        bluher_counts(ctx4, 1)
+
+
+def test_bluher_rejects_a_root_count_outside_the_four(ctx4, monkeypatch):
+    # z^3 = 7 (z + 1) at z = 2..5 makes b = 7 one b with at least 4 roots.
+    table = linearized.power_table
+
+    def forced(ctx, e):
+        out = table(ctx, e)
+        if e == 3:
+            out = out.copy()
+            out[2:6] = [ctx.mul(7, z ^ 1) for z in range(2, 6)]
+        return out
+
+    monkeypatch.setattr(linearized, "power_table", forced)
+    with pytest.raises(VerificationError, match=r"b=7: \d+ roots, outside"):
+        bluher_counts(ctx4, 1)
 
 
 @pytest.mark.slow
