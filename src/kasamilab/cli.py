@@ -21,20 +21,22 @@ from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from .codes import (CODES, CYCLICITY_EXHAUSTIVE_MAX_N, check_cyclicity,
                     check_parity, code_dimension, codeword_c1, codeword_c2,
                     codeword_dump_lines, h_polynomials, parity_check_mask,
                     weight_distribution, weight_distribution_formula)
 from .distribution import VerificationError
-from .expsum import (artin_schreier_points, gamma_sweep, gamma_sweep_formula,
-                     moments, s_spectrum, s_spectrum_formula, t_spectrum,
-                     t_spectrum_formula, t_sum)
+from .expsum import (_fwht, _t_table, _trace_rows, artin_schreier_points,
+                     gamma_sweep_formula, moments, s_spectrum,
+                     s_spectrum_formula, t_spectrum, t_spectrum_formula)
 from .field import (_gf2_polymod, build_field, derive_params, is_irreducible,
                     subfield_elements)
-from .linearized import (bluher_counts, bluher_counts_formula, rank_of,
+from .linearized import (_kernel_dims, bluher_counts, bluher_counts_formula,
                          rank_profile, rank_profile_formula)
-from .sequences import (build_family, check_inequivalence,
-                        correlation_distribution,
+from .sequences import (INEQUIVALENCE_MAX_N, build_family,
+                        check_inequivalence, correlation_distribution,
                         correlation_distribution_formula, family_dump_lines)
 
 __all__ = ["main", "CheckRecord", "VerificationReport", "DEFAULT_BUDGETS"]
@@ -54,7 +56,6 @@ DEFAULT_BUDGETS = {
     "bluher": 10,
     "artin_schreier": 8,
     "gamma_sweep": 6,
-    "inequivalence": 6,
 }
 
 # What a subcommand names when it refuses an over-budget request.
@@ -340,39 +341,47 @@ def _check_moments(run):
 
 
 def _check_gamma(run):
+    # Each pair's row of S over gamma must hold its rank law's counts of 0,
+    # +peak and -peak. They sum to q, so the row holds no other value.
     ctx, params = run.ctx, run.params
-    pairs = 0
-    for alpha in subfield_elements(ctx, params.m):
-        for beta in range(ctx.q):
-            if alpha == 0 and beta == 0:
-                continue
-            _, rank = rank_of(ctx, params, alpha, beta)
-            got = gamma_sweep(ctx, params, alpha, beta)
-            want = gamma_sweep_formula(params, rank)
-            if got.diff(want):
-                return MISMATCH, (f"pair ({alpha:#x}, {beta:#x}) deviates "
-                                  f"from the rank-{rank} law")
-            pairs += 1
-    return MATCH, f"all {pairs} pairs follow the rank law"
+    law = np.zeros((params.s + 1, 4), dtype=np.int64)
+    for rank in range(0, params.s + 1, 2):
+        want = gamma_sweep_formula(params, rank)
+        peak = max(want.values)
+        law[rank] = peak, want.count(0), want.count(peak), want.count(-peak)
+    alphas = subfield_elements(ctx, params.m)
+    arows, brows, _ = _trace_rows(ctx, params, alphas, range(ctx.q), [])
+    for alpha, arow in zip(alphas, arows):
+        betas = np.arange(1 if alpha == 0 else 0, ctx.q)
+        ranks = params.s - _kernel_dims(ctx, params, alpha, betas)
+        walsh = _fwht(1 - 2 * (arow ^ brows[betas]).astype(np.int32))
+        peak = law[ranks, :1]
+        got = [(walsh == v).sum(axis=1) for v in (0, peak, -peak)]
+        bad = (np.stack(got, axis=1) != law[ranks, 1:]).any(axis=1)
+        if bad.any():
+            i = np.argmax(bad)
+            return MISMATCH, (f"pair ({alpha:#x}, {betas[i]:#x}) deviates "
+                              f"from the rank-{ranks[i]} law")
+    return MATCH, f"all {len(alphas) * ctx.q - 1} pairs follow the rank law"
 
 
 def _check_artin_schreier(run):
     ctx, params = run.ctx, run.params
-    scale = (1 << params.d) - 1
-    pairs = 0
+    alphas = subfield_elements(ctx, params.m)
+    t_rows = _t_table(*_trace_rows(ctx, params, alphas, range(ctx.q), [])[:2])
+    row = {a: i for i, a in enumerate(alphas)}
     for aprime in range(ctx.q):
         alpha = ctx.trace_rel(aprime, params.m, params.n)
-        for beta in range(ctx.q):
-            if aprime == 0 and beta == 0:
-                continue
-            got = artin_schreier_points(ctx, params, aprime, beta)
-            want = (1 << params.n) + scale * t_sum(ctx, params, alpha, beta)
-            if got != want:
-                return MISMATCH, (f"({aprime:#x}, {beta:#x}): {got} points, "
-                                  f"identity gives {want}")
-            pairs += 1
-    return MATCH, (f"point counts match the sum identity on all {pairs} "
-                   f"curves")
+        got = artin_schreier_points(ctx, params, aprime, np.arange(ctx.q))
+        want = ctx.q + ((1 << params.d) - 1) * t_rows[row[alpha]]
+        bad = got != want
+        bad[0] &= aprime != 0  # the curves are the pairs other than (0, 0)
+        if bad.any():
+            beta = np.argmax(bad)
+            return MISMATCH, (f"({aprime:#x}, {beta:#x}): {got[beta]} points, "
+                              f"identity gives {want[beta]}")
+    return MATCH, (f"point counts match the sum identity on all "
+                   f"{ctx.q * ctx.q - 1} curves")
 
 
 def _check_minimal_polynomials(run):
@@ -419,8 +428,9 @@ def _check_cyclicity(run):
 
 def _check_family(run):
     size = run.family.size
-    if run.params.n > DEFAULT_BUDGETS["inequivalence"]:
-        return MATCH, f"size={size} (rotation-distinctness check needs n <= 6)"
+    if run.params.n > INEQUIVALENCE_MAX_N:
+        return MATCH, (f"size={size} (rotation-distinctness check needs "
+                       f"n <= {INEQUIVALENCE_MAX_N})")
     if not check_inequivalence(run.family):
         return MISMATCH, "members are not full-period rotation-distinct"
     return MATCH, (f"size={size}; members full-period and pairwise "

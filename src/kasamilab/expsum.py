@@ -22,8 +22,8 @@ import numpy as np
 
 from .distribution import (ValueDistribution, VerificationError, _exact,
                            _histogram, _p2, _summed)
-from .field import (_mul, frobenius_orbits, power_table, rel_trace_table,
-                    subfield_elements, trace_bit_matrix)
+from .field import (_gf2_linear, _mul, frobenius_orbits, power_table,
+                    rel_trace_table, subfield_elements, trace_bit_matrix)
 
 __all__ = [
     "MomentReport", "t_sum", "s_sum", "t_spectrum", "t_spectrum_formula",
@@ -91,24 +91,24 @@ def s_sum(ctx, params, alpha, beta, gamma):
     return ctx.q - 2 * int(np.count_nonzero(arows ^ brows ^ grows))
 
 
-def _signs(rows):
-    """(-1)^bit of a uint8 row matrix, as int8."""
-    return 1 - 2 * rows.astype(np.int8)
+def _t_table(arows, brows):
+    """T(alpha, beta) for each alpha and beta row of trace bits (one row and
+    one column of the result each), as one sign product."""
+    return (np.subtract(1, 2 * arows, dtype=np.float32)
+            @ np.subtract(1, 2 * brows, dtype=np.float32).T).astype(np.int64)
 
 
 def t_spectrum(ctx, params, workers=1):
     """Measured distribution of T over all (alpha, beta) pairs."""
     q = ctx.q
-    arows, _, _ = _trace_rows(ctx, params, subfield_elements(ctx, params.m),
-                              [], [])
-    sign_a = _signs(arows).astype(np.float32)
     chunk = max(64, (1 << 21) // q)
     spans = [range(i, min(i + chunk, q)) for i in range(0, q, chunk)]
+    arows, _, _ = _trace_rows(ctx, params, subfield_elements(ctx, params.m),
+                              [], [])
 
     def work(betas):
         _, brows, _ = _trace_rows(ctx, params, [], betas, [])
-        prod = sign_a @ _signs(brows).astype(np.float32).T
-        return _histogram(prod.astype(np.int64))
+        return _histogram(_t_table(arows, brows))
 
     dist = ValueDistribution.from_counts(_summed(work, spans, workers))
     if dist.total != 1 << (3 * params.m):
@@ -119,22 +119,17 @@ def t_spectrum(ctx, params, workers=1):
 def _frobenius_closure(ctx, alphas, arows, brows):
     """Frobenius orbits of beta, once x -> x^2 is checked to fix every row.
 
-    sigma, squaring in mask order, must be a GF(2)-linear bijection, and the
-    rows must satisfy arows[a^2][sigma] = arows[a] and brows[b^2][sigma] =
-    brows[b], all read from the bits. Then sigma permutes the Walsh transform
-    of each row pair onto that of its image pair, and every beta in a
-    Frobenius orbit gives the multiset of its representative over all alpha.
+    sigma (squaring in mask order) must be GF(2)-linear and restore every x
+    in n steps, and arows[a^2][sigma] = arows[a], brows[b^2][sigma] = brows[b]
+    must hold, all read from the bits. Then sigma permutes the Walsh
+    transform of each row pair onto that of its image pair, so every beta
+    in a Frobenius orbit gives its representative's multiset over all alpha.
     """
-    q, n = ctx.q, ctx.n
+    reps, sizes = frobenius_orbits(ctx)
     sigma = power_table(ctx, 2)
-    x = np.arange(q, dtype=np.int64)
-    span = np.zeros(q, dtype=np.int64)
-    for i in range(n):
-        span ^= ((x >> i) & 1) * sigma[1 << i]
-    if (span != sigma).any() or (np.bincount(sigma, minlength=q) != 1).any():
-        raise VerificationError("squaring is not a GF(2)-linear bijection "
-                                "of the field")
-    index = np.full(q, -1, dtype=np.int64)
+    if not _gf2_linear(sigma):
+        raise VerificationError("squaring is not GF(2)-linear on the field")
+    index = np.full(ctx.q, -1, dtype=np.int64)
     index[alphas] = np.arange(len(alphas))
     squares = index[sigma[alphas]]
     if (squares < 0).any() or (arows[squares][:, sigma] != arows).any():
@@ -142,11 +137,6 @@ def _frobenius_closure(ctx, alphas, arows, brows):
             "the alpha rows are not closed under Frobenius")
     if (brows[sigma][:, sigma] != brows).any():
         raise VerificationError("the beta rows are not closed under Frobenius")
-    reps, sizes = frobenius_orbits(ctx)
-    if sizes.sum() != q or (n % sizes).any():
-        raise VerificationError(
-            f"Frobenius orbit sizes {sorted(set(sizes.tolist()))} do not "
-            f"divide n={n} or cover the field")
     return reps, sizes
 
 
@@ -329,21 +319,18 @@ def moments(dist, params):
 def artin_schreier_points(ctx, params, alpha_prime, beta):
     """Exact count of (x, y) with a' x^(2^m+1) + b x^(2^k+1) = y^(2^d) + y.
 
-    Pure point counting: the y side is histogrammed once per field, the x side
-    is a table sweep. Defined for the d' = 2d parameter case.
+    Pure point counting: the y side is histogrammed, the x side is a table
+    sweep. Defined for the d' = 2d parameter case. An array of b gives an
+    array of counts, one per b.
     """
     if params.d_prime != 2 * params.d:
         raise ValueError("point-count identity applies to the d' = 2d case only")
-    key = ("as_hist", params.d)
-    if key not in ctx._cache:
-        img = power_table(ctx, 1 << params.d) ^ np.arange(ctx.q, dtype=np.int64)
-        hist = np.bincount(img, minlength=ctx.q).astype(np.int64)
-        hist.setflags(write=False)
-        ctx._cache[key] = hist
-    hist = ctx._cache[key]
     x = np.arange(ctx.q, dtype=np.int64)
+    hist = np.bincount(power_table(ctx, 1 << params.d) ^ x, minlength=ctx.q)
+    b = np.asarray(beta, dtype=np.int64)[..., None]
     # a' x^(2^m+1) + b x^(2^k+1) = x (a' x^(2^m) + b x^(2^k)), so the count
     # shares no power table with the trace rows T(a, b) is measured from.
     f = _mul(ctx, x, _mul(ctx, alpha_prime, power_table(ctx, 1 << params.m))
-             ^ _mul(ctx, beta, power_table(ctx, 1 << params.k)))
-    return int(hist[f].sum())
+             ^ _mul(ctx, b, power_table(ctx, 1 << params.k)))
+    points = hist[f].sum(axis=-1)
+    return int(points) if points.ndim == 0 else points

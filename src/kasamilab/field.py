@@ -14,6 +14,8 @@ from math import gcd
 
 import numpy as np
 
+from .distribution import VerificationError
+
 __all__ = [
     "FieldElement", "FieldContext", "Params", "build_field", "derive_params",
     "subfield_elements",
@@ -218,16 +220,10 @@ class FieldContext:
 
     def trace_rel(self, x, i, j):
         """Relative trace from GF(2^j) down to GF(2^i); x must lie in GF(2^j)."""
-        if j % i or self.n % j:
-            raise ValueError(f"need i | j | n, got i={i}, j={j}, n={self.n}")
+        table = rel_trace_table(self, i, j)
         if self.pow(x, 1 << j) != x:
             raise ValueError(f"element {x:#x} is not in the subfield GF(2^{j})")
-        acc = 0
-        y = x
-        for _ in range(j // i):
-            acc ^= y
-            y = self.pow(y, 1 << i)
-        return acc
+        return int(table[x])
 
 
 def build_field(n, modulus=None):
@@ -309,23 +305,40 @@ def power_table(ctx, e):
     return ctx._cache[key]
 
 
+def _cycles(perm, n):
+    """Cycle of each index, and least index and size of each cycle, of perm,
+    numbered by least index; n steps of perm must restore every index."""
+    start = np.arange(len(perm), dtype=np.int64)
+    image, least = start, start
+    for _ in range(n):
+        image = perm[image]
+        least = np.minimum(least, image)
+    if (image != start).any():
+        raise VerificationError(
+            f"{n} steps of the map do not return every index to itself")
+    sizes = np.bincount(least, minlength=len(perm))
+    reps = np.flatnonzero(sizes)
+    return np.searchsorted(reps, least), reps, sizes[reps]
+
+
 def frobenius_orbits(ctx):
     """Orbits of GF(2^n) under x -> x^2, as (representatives, sizes).
 
-    Each orbit is represented by its least mask, and the orbits come in
-    increasing order of it; an element is sent to the least of its first n
-    images, so every element of an orbit lies a power of squaring away from
-    its representative.
+    Each orbit is represented by its least mask, in increasing order; n
+    squarings must return every element to itself.
     """
-    frob = power_table(ctx, 2)
-    image = np.arange(ctx.q, dtype=np.int64)
-    least = image
-    for _ in range(ctx.n - 1):
-        image = frob[image]
-        least = np.minimum(least, image)
-    sizes = np.bincount(least, minlength=ctx.q)
-    reps = np.flatnonzero(sizes)
-    return reps, sizes[reps]
+    return _cycles(power_table(ctx, 2), ctx.n)[1:]
+
+
+def _gf2_linear(table):
+    """Whether each row of table, a map of GF(2^n) in mask order along the
+    last axis, is GF(2)-linear: row[0] = 0 and row[x + 2^i] = row[x] +
+    row[2^i] for every x < 2^i, so row[x] sums row[2^i] over x's bits."""
+    linear = table[..., 0] == 0
+    for i in range(table.shape[-1].bit_length() - 1):
+        low, high = table[..., :1 << i], table[..., 1 << i:2 << i]
+        linear &= (high == low ^ high[..., :1]).all(axis=-1)
+    return linear
 
 
 def scale_table(ctx, c):

@@ -7,6 +7,9 @@ substitution z = x^(2^k (2^(m-k)-1)) links kernel elements to roots of
 psi_{a,b}(z) = b^(2^(n-k)) * z^(2^j+1) + a*z + b with j = (m-k) mod n, which
 in turn is a scaled instance of the classical z^(2^h+1) + c*z + c root-count
 problem whose distribution over c is known exactly.
+
+The kernel law is checked in one place, `_kernel_dims`, from the phi rows'
+bits; kernel_size, rank_of, rank_profile and the gamma-sweep check read it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from math import gcd
 import numpy as np
 
 from .distribution import VerificationError, _exact, _histogram, _p2
-from .field import _mul, power_table, scale_table, subfield_elements
+from .field import (_gf2_linear, _mul, power_table, scale_table,
+                    subfield_elements)
 
 __all__ = [
     "RankProfile", "BluherCounts", "phi_eval", "kernel_size", "rank_of",
@@ -35,10 +39,6 @@ class RankProfile:
     n0: int
     n2: int
     n4: int
-
-    def to_json_dict(self):
-        return {"n": self.n, "k": self.k,
-                "n0": self.n0, "n2": self.n2, "n4": self.n4}
 
     @property
     def total(self):
@@ -86,58 +86,56 @@ def _phi_rows(ctx, params, alpha, betas):
             ^ _mul(ctx, pnk[betas], pnk))
 
 
-def _kernel_dim(params, size):
-    """The dimension over GF(q0) of a kernel with `size` elements."""
-    dim = 0
-    while params.q0 ** dim < size:
-        dim += 1
-    if params.q0 ** dim != size:
-        raise VerificationError(
-            f"kernel size {size} is not a power of q0={params.q0}")
-    return dim
+def _kernel_dims(ctx, params, alpha, betas):
+    """Kernel dimension over GF(q0) of phi_{alpha,beta}, one per beta.
+
+    Checked from the bits of the phi rows, built 2^22 entries at a time:
+    each kernel size is a power of q0, and each phi is GF(2)-linear and
+    commutes with a generator g of GF(q0)* (on the basis x = 2^i, enough once
+    phi is linear). So phi is GF(q0)-linear and its kernel a GF(q0)-subspace.
+    """
+    dim_of = np.full(ctx.q + 1, -1, dtype=np.int64)
+    dim_of[params.q0 ** np.arange(params.s + 1)] = np.arange(params.s + 1)
+    g = ctx.pow(ctx.pi, ctx.order // (params.q0 - 1))
+    basis = 1 << np.arange(ctx.n, dtype=np.int64)
+    betas = np.asarray(betas, dtype=np.int64)
+    dims = np.empty(len(betas), dtype=np.int64)
+    chunk = max(1, (1 << 22) // ctx.q)
+    for i in range(0, len(betas), chunk):
+        span = betas[i:i + chunk]
+        phi = _phi_rows(ctx, params, alpha, span)
+        sizes = np.count_nonzero(phi == 0, axis=1)
+        dims[i:i + chunk] = found = dim_of[sizes]
+        if (found < 0).any():
+            raise VerificationError(f"kernel size {sizes[found < 0][0]} is "
+                                    f"not a power of q0={params.q0}")
+        linear = _gf2_linear(phi) & (
+            phi[:, _mul(ctx, g, basis)] == _mul(ctx, g, phi[:, basis])).all(1)
+        if not linear.all():
+            raise VerificationError(f"phi_({alpha:#x}, {span[~linear][0]:#x}) "
+                                    f"is not GF({params.q0})-linear")
+    return dims
 
 
 def kernel_size(ctx, params, alpha, beta):
     """Number of zeros of phi_{alpha,beta}; a power of q0 = 2^d."""
-    size = int(np.count_nonzero(_phi_rows(ctx, params, alpha, [beta]) == 0))
-    _kernel_dim(params, size)
-    return size
+    return params.q0 ** int(_kernel_dims(ctx, params, alpha, [beta])[0])
 
 
 def rank_of(ctx, params, alpha, beta):
-    """(kernel_dim_over_q0, rank) for one pair, with the subspace law verified.
-
-    The zero set is checked to be a q0 power in size, closed under addition
-    and stable under scaling by GF(2^d)*, so rank = s - dim is sound.
-    """
+    """(kernel_dim_over_q0, rank) for one pair, the kernel law checked."""
     if alpha == 0 and beta == 0:
         raise ValueError("(0, 0) has no associated quadratic form")
-    kernel = np.flatnonzero(_phi_rows(ctx, params, alpha, [beta])[0] == 0)
-    dim = _kernel_dim(params, len(kernel))
-    kset = set(kernel.tolist())
-    for u in kset:
-        for v in kset:
-            if u ^ v not in kset:
-                raise VerificationError("kernel is not closed under addition")
-    for lam in subfield_elements(ctx, params.d)[1:]:
-        if any(ctx.mul(lam, u) not in kset for u in kset):
-            raise VerificationError("kernel is not GF(q0)-stable")
+    dim = int(_kernel_dims(ctx, params, alpha, [beta])[0])
     return dim, params.s - dim
 
 
 def rank_profile(ctx, params):
     """Measured rank counts over all (alpha, beta) != (0, 0)."""
-    q = ctx.q
-    counts = {0: 0, 2: 0, 4: 0}
-    chunk = max(1, (1 << 22) // q)
-    for alpha in subfield_elements(ctx, params.m):
-        for b0 in range(1 if alpha == 0 else 0, q, chunk):
-            phi = _phi_rows(ctx, params, alpha, range(b0, min(b0 + chunk, q)))
-            sizes = np.count_nonzero(phi == 0, axis=1)
-            for size, pairs in _histogram(sizes).items():
-                dim = _kernel_dim(params, size)
-                counts[dim] = counts.get(dim, 0) + pairs
-    unexpected = {key: c for key, c in counts.items() if key not in (0, 2, 4) and c}
+    dims = np.concatenate([_kernel_dims(ctx, params, alpha, range(ctx.q))
+                           for alpha in subfield_elements(ctx, params.m)])
+    counts = _histogram(dims[1:])  # (0, 0), the first pair, has no form
+    unexpected = {key: c for key, c in counts.items() if key not in (0, 2, 4)}
     if unexpected:
         raise VerificationError(f"kernel dimensions outside 0/2/4 observed: {unexpected}")
     return RankProfile(n=params.n, k=params.k, n0=counts[0], n2=counts[2],

@@ -30,14 +30,17 @@ from .distribution import (ValueDistribution, VerificationError, _exact,
                            _p2, _pack_bits, _summed, _thread_count,
                            pack_bits_hex)
 from .expsum import s_spectrum_formula, t_spectrum_formula
-from .field import _factorize, subfield_elements
+from .field import _cycles, _factorize, subfield_elements
 
 __all__ = [
     "BinarySequence", "SequenceFamily", "family_size", "build_family",
     "correlation", "correlation_distribution",
     "correlation_distribution_formula", "correlation_table_printed",
-    "check_inequivalence", "family_dump_lines",
+    "check_inequivalence", "family_dump_lines", "INEQUIVALENCE_MAX_N",
 ]
+
+# check_inequivalence compares every rotation of every member as a big int.
+INEQUIVALENCE_MAX_N = 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,11 +116,11 @@ def _decimation_orbits(mats):
     """Orbits of the member rows under decimation by 2, checked from the bits.
 
     The decimation s[2 lam mod L] of every row must equal some row up to
-    rotation, and the image map must permute the rows. Returns each row's
-    orbit id (cycles numbered in order of their first row) and the size of
-    every orbit.
+    rotation, and n steps of the image map must return every row to itself
+    (so it permutes the rows). Returns each row's orbit id (cycles
+    numbered in order of their first row) and the size of every orbit.
     """
-    count, L = mats.shape
+    L = mats.shape[1]
     index = {row.tobytes(): i for i, row in enumerate(mats)}
     image = []
     for i, row in enumerate(mats[:, 2 * np.arange(L) % L]):
@@ -131,20 +134,8 @@ def _decimation_orbits(mats):
         else:
             raise VerificationError(
                 f"the decimation of member {i} is no member up to rotation")
-    if len(set(image)) != count:
-        raise VerificationError("decimation does not permute the family")
-    orbit = [-1] * count
-    sizes = []
-    for start in range(count):
-        j, size = start, 0
-        while orbit[j] < 0:
-            orbit[j] = len(sizes)
-            j, size = image[j], size + 1
-        if size:
-            sizes.append(size)
-    if sum(sizes) != count:
-        raise VerificationError(f"decimation orbits cover {sum(sizes)} rows")
-    return orbit, sizes
+    orbit, _, sizes = _cycles(np.array(image), L.bit_length())
+    return orbit.tolist(), sizes.tolist()
 
 
 def correlation_distribution(family, workers=1):
@@ -432,8 +423,9 @@ def _reconcile_printed(params, composed):
 def check_inequivalence(family):
     """True iff every member has full period and no two are cyclic shifts."""
     params = family.params
-    if params.n > 6:
-        raise ValueError("exhaustive inequivalence check is limited to n <= 6")
+    if params.n > INEQUIVALENCE_MAX_N:
+        raise ValueError(f"exhaustive inequivalence check is limited to "
+                         f"n <= {INEQUIVALENCE_MAX_N}")
     L = params.q - 1
     mask = (1 << L) - 1
     packed = [int.from_bytes(_pack_bits(member.bits), "little")

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from kasamilab.cli import DEFAULT_BUDGETS, main
+from kasamilab.cli import _CHECKS, DEFAULT_BUDGETS, main
 
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "expected"
 
@@ -218,3 +218,8 @@ def test_verify_n8(tmp_path):
     corr = next(r for r in report["records"] if r["name"] == "correlation")
     assert any("vanishes only at d = 1" in note for note in corr["notes"])
     assert "mismatch" not in set(st.values())
+
+
+def test_every_budget_caps_a_registered_check():
+    keys = {check.budget_key for check in _CHECKS} - {None}
+    assert keys == set(DEFAULT_BUDGETS)

@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as ref
-from kasamilab import (VerificationError, artin_schreier_points, build_field,
-                       derive_params, expsum, gamma_sweep,
-                       gamma_sweep_formula, moment_targets, moments, rank_of,
-                       s_spectrum, s_spectrum_formula, s_sum,
-                       subfield_elements, t_spectrum, t_spectrum_formula,
-                       t_sum)
+from kasamilab import (ValueDistribution, VerificationError,
+                       artin_schreier_points, build_field, derive_params,
+                       expsum, gamma_sweep, gamma_sweep_formula,
+                       moment_targets, moments, rank_of, s_spectrum,
+                       s_spectrum_formula, s_sum, subfield_elements,
+                       t_spectrum, t_spectrum_formula, t_sum)
 from kasamilab.cli import main
 from kasamilab.field import bit_count, frobenius_orbits
 
@@ -334,3 +334,58 @@ def test_scaling_invariance_large_field():
     for alpha, beta in [(sub[5], 99), (sub[60], 4000)]:
         assert t_sum(ctx, p, ctx.mul(alpha, ue1), ctx.mul(beta, ue2)) == \
             t_sum(ctx, p, alpha, beta)
+
+
+def test_point_counts_over_a_beta_array(ctx6, p61):
+    assert type(artin_schreier_points(ctx6, p61, 1, 2)) is int
+    betas = np.arange(ctx6.q)
+    for alpha_prime in range(ctx6.q):
+        counts = artin_schreier_points(ctx6, p61, alpha_prime, betas)
+        assert counts.tolist() == [
+            artin_schreier_points(ctx6, p61, alpha_prime, beta)
+            for beta in range(ctx6.q)]
+
+
+def verify_record(tmp_path, name, n=6, k=1):
+    code = main(["verify", "--n", str(n), "--k", str(k),
+                 "--out", str(tmp_path)])
+    report = json.loads((tmp_path / "report.json").read_text())
+    return code, next(r for r in report["records"] if r["name"] == name)
+
+
+def test_verify_names_the_curve_off_the_identity(tmp_path, monkeypatch,
+                                                 ctx6, p61):
+    def one_point_more(ctx, params, alpha_prime, betas):
+        counts = artin_schreier_points(ctx, params, alpha_prime, betas)
+        if alpha_prime == 0x3:
+            counts[0x5] += 1
+        return counts
+
+    monkeypatch.setattr("kasamilab.cli.artin_schreier_points", one_point_more)
+    code, record = verify_record(tmp_path, "artin-schreier")
+    want = (1 << 6) + ((1 << p61.d) - 1) * t_sum(
+        ctx6, p61, ctx6.trace_rel(0x3, 3, 6), 0x5)
+    assert code == 2 and record["status"] == "mismatch"
+    assert record["detail"] == (f"(0x3, 0x5): {want + 1} points, identity "
+                                f"gives {want}")
+
+
+def test_verify_names_the_first_pair_off_the_rank_law(tmp_path, monkeypatch,
+                                                      ctx6, p61):
+    # A rank-4 law with one zero turned into a +peak: the first pair of rank
+    # 4, alpha in subfield order and then beta, is the one named.
+    def moved(params, rank):
+        counts = gamma_sweep_formula(params, rank).as_dict()
+        if rank == 4:
+            counts[0] -= 1
+            counts[max(counts)] += 1
+        return ValueDistribution.from_counts(counts)
+
+    monkeypatch.setattr("kasamilab.cli.gamma_sweep_formula", moved)
+    code, record = verify_record(tmp_path, "gamma-sweep")
+    alpha, beta = next(
+        (a, b) for a in subfield_elements(ctx6, 3) for b in range(ctx6.q)
+        if (a, b) != (0, 0) and rank_of(ctx6, p61, a, b)[1] == 4)
+    assert code == 2 and record["status"] == "mismatch"
+    assert record["detail"] == (f"pair ({alpha:#x}, {beta:#x}) deviates from "
+                                f"the rank-4 law")

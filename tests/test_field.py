@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as ref
-from kasamilab import (build_field, derive_params, find_primitive_polynomial,
-                       is_irreducible, is_primitive, subfield_elements)
-from kasamilab.field import (_mul, power_table, rel_trace_table, scale_table,
-                             trace_bit_matrix)
+from kasamilab import (VerificationError, build_field, derive_params,
+                       find_primitive_polynomial, is_irreducible, is_primitive,
+                       subfield_elements)
+from kasamilab.field import (_cycles, _gf2_linear, _mul, power_table,
+                             rel_trace_table, scale_table, trace_bit_matrix)
 
 # Lexicographically smallest primitive moduli, frozen from the naive oracle.
 MODULI = {4: 0x13, 6: 0x43, 8: 0x11D, 10: 0x409, 12: 0x1053}
@@ -199,3 +200,24 @@ def test_trace_bit_matrix(ctx4):
     for r, c in enumerate(coeffs):
         for j in range(4):
             assert mat[r, j] == ctx4.trace_abs(ctx4.mul(c, ctx4.exp_table[j]))
+
+
+def test_cycles_numbered_by_least_index():
+    # Cycles (0 3), (1), (2 4) and (5).
+    orbit, reps, sizes = _cycles(np.array([3, 1, 4, 0, 2, 5]), 2)
+    assert orbit.tolist() == [0, 1, 2, 0, 2, 3]
+    assert reps.tolist() == [0, 1, 2, 5]
+    assert sizes.tolist() == [2, 1, 2, 1]
+
+
+@pytest.mark.parametrize("perm", [[1, 2, 0], [1, 1, 2]])
+def test_cycles_reject_a_map_not_returning_in_n_steps(perm):
+    # A 3-cycle, and a map that is no bijection.
+    with pytest.raises(VerificationError, match="2 steps of the map"):
+        _cycles(np.array(perm), 2)
+
+
+def test_gf2_linear_row_by_row(ctx4):
+    rows = np.stack([power_table(ctx4, 2), scale_table(ctx4, 7),
+                     power_table(ctx4, 3), np.arange(16) ^ 1])
+    assert _gf2_linear(rows).tolist() == [True, True, False, False]

@@ -1,5 +1,6 @@
 """Kernel sizes, rank profiles, auxiliary root counts, and their closed forms."""
 
+import json
 from collections import Counter
 
 import numpy as np
@@ -12,6 +13,7 @@ from kasamilab import (VerificationError, bluher_counts, bluher_counts_formula,
                        build_field, derive_params, kernel_size, linearized,
                        phi_eval, psi_root_count, rank_of, rank_profile,
                        rank_profile_formula, subfield_elements)
+from kasamilab.cli import main
 from kasamilab.field import _mul, power_table
 
 # (n, k) -> (n0, n2, n4), frozen from the naive kernel enumeration.
@@ -228,3 +230,74 @@ def test_kernel_size_off_a_q0_power_is_rejected(ctx4, p41, monkeypatch):
         rank_of(ctx4, p41, 1, 2)
     with pytest.raises(VerificationError, match="not a power of q0"):
         rank_profile(ctx4, p41)
+
+
+def patch_phi_row(monkeypatch, alpha, beta, edit):
+    """Patch the phi rows: apply edit(row) in place to (alpha, beta)'s row."""
+    build = linearized._phi_rows
+
+    def edited(ctx, params, a, betas):
+        rows = build(ctx, params, a, betas)
+        if a == alpha:
+            for i in np.flatnonzero(np.asarray(betas) == beta):
+                edit(rows[i])
+        return rows
+
+    monkeypatch.setattr(linearized, "_phi_rows", edited)
+
+
+def swap_a_kernel_element(row):
+    """Swap phi at the least nonzero kernel element with phi at the least
+    element outside the kernel: the zero set keeps its size but loses 0's
+    sums."""
+    u, v = np.flatnonzero(row == 0)[1], np.flatnonzero(row)[0]
+    row[[u, v]] = row[[v, u]]
+
+
+def four_element_kernel(ctx6, p61):
+    beta = next(b for b in range(ctx6.q) if kernel_size(ctx6, p61, 1, b) == 4)
+    return 1, beta
+
+
+def test_rank_profile_rejects_a_kernel_not_closed(ctx6, p61, monkeypatch):
+    alpha, beta = four_element_kernel(ctx6, p61)
+    patch_phi_row(monkeypatch, alpha, beta, swap_a_kernel_element)
+    zeros = set(np.flatnonzero(
+        linearized._phi_rows(ctx6, p61, alpha, [beta])[0] == 0).tolist())
+    assert len(zeros) == 4
+    assert any(u ^ v not in zeros for u in zeros for v in zeros)
+    with pytest.raises(VerificationError,
+                       match=rf"phi_\({alpha:#x}, {beta:#x}\) is not "
+                             r"GF\(2\)-linear"):
+        rank_profile(ctx6, p61)
+    with pytest.raises(VerificationError, match="not GF"):
+        rank_of(ctx6, p61, alpha, beta)
+
+
+def test_rank_profile_rejects_a_kernel_not_gf_q0_stable(ctx8, p82,
+                                                        monkeypatch):
+    # x -> x with its four low bits cleared is GF(2)-linear, and its kernel,
+    # the masks below 16, has q0^2 = 16 elements, but it is no GF(4)-subspace.
+    assert any(ctx8.mul(lam, u) >= 16 for lam in subfield_elements(ctx8, 2)
+               for u in range(16))
+
+    def clear_low_bits(row):
+        row[:] = np.arange(len(row)) & ~15
+
+    patch_phi_row(monkeypatch, 1, 1, clear_low_bits)
+    with pytest.raises(VerificationError,
+                       match=r"phi_\(0x1, 0x1\) is not GF\(4\)-linear"):
+        rank_profile(ctx8, p82)
+
+
+def test_verify_records_a_kernel_not_closed(tmp_path, monkeypatch, ctx6,
+                                            p61):
+    patch_phi_row(monkeypatch, *four_element_kernel(ctx6, p61),
+                  swap_a_kernel_element)
+    assert main(["verify", "--n", "6", "--k", "1",
+                 "--out", str(tmp_path)]) == 2
+    report = json.loads((tmp_path / "report.json").read_text())
+    status = {r["name"]: r["status"] for r in report["records"]}
+    assert status["rank-profile"] == status["gamma-sweep"] == "mismatch"
+    assert [name for name, s in status.items() if s == "mismatch"] == [
+        "rank-profile", "gamma-sweep"]
