@@ -94,13 +94,13 @@ class ValueDistribution:
     def with_notes(self, notes):
         return ValueDistribution(self.entries, self.total, tuple(notes))
 
-    def map_values(self, fn, notes=()):
+    def map_values(self, fn):
         """Pushforward under fn, merging counts that land on the same value."""
         out = {}
         for v, c in self.entries:
             w = fn(v)
             out[w] = out.get(w, 0) + c
-        return ValueDistribution.from_counts(out, notes=notes or self.notes)
+        return ValueDistribution.from_counts(out, notes=self.notes)
 
     def diff(self, other):
         """(value, count_self, count_other) for every value where they differ."""

@@ -199,11 +199,51 @@ def gamma_sweep_formula(params, rank):
     return ValueDistribution.from_counts(counts)
 
 
+# Terms shared by the closed-form tables: eps1 for d' = d; eps2, xi2, the sum
+# b and the denominator (2^d + 1)(2^(2d) - 1) for d' = 2d.
+
+def _eps1(p):
+    return (_p2(p.n + 2 * p.d) - _p2(p.n + p.d) - _p2(p.n) + _p2(p.m + 2 * p.d)
+            - _p2(p.m + p.d) + _p2(2 * p.d))
+
+
+def _eps2(p):
+    return (_p2(p.n) - _p2(p.n - 2 * p.d) - _p2(p.n - 3 * p.d) + _p2(p.m)
+            - _p2(p.m - p.d) + 1)
+
+
+def _xi2(p):
+    n, m, d = p.n, p.m, p.d
+    return (_p2(3 * m - d) - _p2(3 * m - 2 * d) + _p2(3 * m - 3 * d)
+            - _p2(3 * m - 4 * d) + _p2(3 * m - 5 * d) + _p2(n - d)
+            - 2 * _p2(n - 2 * d) + _p2(n - 3 * d) - _p2(n - 4 * d) + 1)
+
+
+def _b_sum(p):
+    return _p2(p.m) + _p2(p.m - p.d) + _p2(p.m - 2 * p.d) + 1
+
+
+def _den2(p):
+    return (_p2(p.d) + 1) * (_p2(2 * p.d) - 1)
+
+
+def _exact_table(params, name, rows, total):
+    """A closed-form table as exact integer counts, with the (0, 0) row at 2^n
+    and, for d' = 2d, the last-row misprint note; its total must be `total`."""
+    rows[1 << params.n] = Fraction(1)
+    notes = (_LAST_ROW_NOTE,) if params.d_prime != params.d else ()
+    dist = ValueDistribution.from_counts({v: _exact(c) for v, c in rows.items()},
+                                         notes=notes)
+    if dist.total != total:
+        raise VerificationError(
+            f"{name} table multiplicities sum to {dist.total}")
+    return dist
+
+
 def t_spectrum_formula(params):
     """Closed-form T distribution; exact integer multiplicities enforced."""
     n, m, d = params.n, params.m, params.d
     rows = {}
-    notes = ()
     if params.d_prime == params.d:
         rows[1 << m] = (_p2(d - 1) * (_p2(m) - 1) * (_p2(n) + _p2(m + 1) + 1)
                         / (_p2(d) + 1))
@@ -211,32 +251,21 @@ def t_spectrum_formula(params):
                            * (_p2(n) - _p2(n - d + 1) + 1) / (_p2(d) - 1))
         rows[-(1 << (m + d))] = (_p2(m - d) - 1) * (_p2(n) - 1) / (_p2(2 * d) - 1)
         rows[0] = _p2(m - d) * (_p2(n) - 1)
-        rows[1 << n] = Fraction(1)
     else:
-        e2 = _p2(n) - _p2(n - 2 * d) - _p2(n - 3 * d) + _p2(m) - _p2(m - d) + 1
-        den = (_p2(d) + 1) * (_p2(2 * d) - 1)
-        rows[-(1 << m)] = _p2(3 * d) * (_p2(m) - 1) * e2 / den
-        rows[1 << (m + d)] = (_p2(d) * (_p2(n) - 1)
-                              * (_p2(m) + _p2(m - d) + _p2(m - 2 * d) + 1)
+        den = _den2(params)
+        rows[-(1 << m)] = _p2(3 * d) * (_p2(m) - 1) * _eps2(params) / den
+        rows[1 << (m + d)] = (_p2(d) * (_p2(n) - 1) * _b_sum(params)
                               / (_p2(d) + 1) ** 2)
         rows[-(1 << (m + 2 * d))] = (_p2(m - d) - 1) * (_p2(n) - 1) / den
-        rows[1 << n] = Fraction(1)
-        notes = (_LAST_ROW_NOTE,)
-    dist = ValueDistribution.from_counts({v: _exact(c) for v, c in rows.items()},
-                                         notes=notes)
-    if dist.total != 1 << (3 * m):
-        raise VerificationError(f"T table multiplicities sum to {dist.total}")
-    return dist
+    return _exact_table(params, "T", rows, 1 << (3 * m))
 
 
 def s_spectrum_formula(params):
     """Closed-form S distribution; exact integer multiplicities enforced."""
     n, m, d = params.n, params.m, params.d
     rows = {}
-    notes = ()
     if params.d_prime == params.d:
-        e1 = (_p2(n + 2 * d) - _p2(n + d) - _p2(n) + _p2(m + 2 * d)
-              - _p2(m + d) + _p2(2 * d))
+        e1 = _eps1(params)
         den = _p2(2 * d) - 1
         rows[1 << m] = _p2(m - 1) * (_p2(n) - 1) * e1 / den
         rows[-(1 << m)] = _p2(m - 1) * (_p2(m) - 1) ** 2 * e1 / den
@@ -245,14 +274,8 @@ def s_spectrum_formula(params):
         rows[-(1 << (m + d))] = (_p2(m - d - 1) * (_p2(m - d) - 1)
                                  * (_p2(m + d) - 1) * (_p2(n) - 1) / den)
         rows[0] = (_p2(3 * m - d) - _p2(n - 2 * d) + 1) * (_p2(n) - 1)
-        rows[1 << n] = Fraction(1)
     else:
-        e2 = _p2(n) - _p2(n - 2 * d) - _p2(n - 3 * d) + _p2(m) - _p2(m - d) + 1
-        den = (_p2(d) + 1) * (_p2(2 * d) - 1)
-        bsum = _p2(m) + _p2(m - d) + _p2(m - 2 * d) + 1
-        xi2 = (_p2(3 * m - d) - _p2(3 * m - 2 * d) + _p2(3 * m - 3 * d)
-               - _p2(3 * m - 4 * d) + _p2(3 * m - 5 * d) + _p2(n - d)
-               - 2 * _p2(n - 2 * d) + _p2(n - 3 * d) - _p2(n - 4 * d) + 1)
+        e2, den, bsum = _eps2(params), _den2(params), _b_sum(params)
         rows[1 << m] = _p2(m + 3 * d - 1) * (_p2(n) - 1) * e2 / den
         rows[-(1 << m)] = _p2(m + 3 * d - 1) * (_p2(m) - 1) ** 2 * e2 / den
         rows[1 << (m + d)] = (_p2(m - 1) * (_p2(m - d) + 1) * (_p2(n) - 1)
@@ -263,14 +286,8 @@ def s_spectrum_formula(params):
                                   * (_p2(m - d) - 1) * (_p2(n) - 1) / den)
         rows[-(1 << (m + 2 * d))] = (_p2(m - 2 * d - 1) * (_p2(m - 2 * d) - 1)
                                      * (_p2(m - d) - 1) * (_p2(n) - 1) / den)
-        rows[0] = (_p2(n) - 1) * xi2
-        rows[1 << n] = Fraction(1)
-        notes = (_LAST_ROW_NOTE,)
-    dist = ValueDistribution.from_counts({v: _exact(c) for v, c in rows.items()},
-                                         notes=notes)
-    if dist.total != 1 << (3 * m + n):
-        raise VerificationError(f"S table multiplicities sum to {dist.total}")
-    return dist
+        rows[0] = (_p2(n) - 1) * _xi2(params)
+    return _exact_table(params, "S", rows, 1 << (3 * m + n))
 
 
 @dataclass(frozen=True)
@@ -295,14 +312,14 @@ class MomentReport:
 def moment_targets(params):
     """Closed-form (m1, m2, m3)."""
     n, m, d = params.n, params.m, params.d
-    m1 = 1 << (3 * m)
+    pairs = 1 << (3 * m)
+
+    def law(e):
+        return pairs * ((1 << (n + e)) + (1 << n) - (1 << e))
+
     if params.d_prime == params.d:
-        m2 = 1 << (5 * m)
-        m3 = (1 << (3 * m)) * ((1 << (n + d)) + (1 << n) - (1 << d))
-    else:
-        m2 = (1 << (3 * m)) * ((1 << (n + d)) + (1 << n) - (1 << d))
-        m3 = (1 << (3 * m)) * ((1 << (n + 3 * d)) + (1 << n) - (1 << (3 * d)))
-    return m1, m2, m3
+        return pairs, 1 << (5 * m), law(d)
+    return pairs, law(d), law(3 * d)
 
 
 def moments(dist, params):

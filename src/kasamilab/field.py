@@ -26,18 +26,10 @@ __all__ = [
 
 FieldElement = int
 
-CASES = ("EvenM", "EvenK", "BothOdd")
-
 
 def bit_count(a):
     """Per-element popcount of an integer ndarray."""
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(a.astype(np.uint64)).astype(np.int64)
-    a = a.astype(np.uint64, copy=True)
-    a = a - ((a >> np.uint64(1)) & np.uint64(0x5555555555555555))
-    a = (a & np.uint64(0x3333333333333333)) + ((a >> np.uint64(2)) & np.uint64(0x3333333333333333))
-    a = (a + (a >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    return ((a * np.uint64(0x0101010101010101)) >> np.uint64(56)).astype(np.int64)
+    return np.bitwise_count(a.astype(np.uint64)).astype(np.int64)
 
 
 def _factorize(x):
@@ -197,11 +189,7 @@ class FieldContext:
         return (1 << self.n) - 1
 
     def mul(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        la = int(self.log_table[a])
-        lb = int(self.log_table[b])
-        return int(self.exp_table[(la + lb) % self.order])
+        return int(_mul(self, a, b))
 
     def pow(self, a, e):
         if a == 0:

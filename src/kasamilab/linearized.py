@@ -20,6 +20,7 @@ from math import gcd
 import numpy as np
 
 from .distribution import VerificationError, _exact, _histogram, _p2
+from .expsum import _eps1, t_spectrum_formula
 from .field import (_gf2_linear, _mul, power_table, scale_table,
                     subfield_elements)
 
@@ -145,26 +146,21 @@ def rank_profile(ctx, params):
 def rank_profile_formula(params):
     """Closed-form rank counts.
 
-    For d' = d these are the direct kernel-count expressions. For d' = 2d the
-    per-rank counts are forced by the value distribution (each rank class maps
-    to exactly one sum value), so the value-table multiplicities are used.
+    For d' = d these are the direct kernel-count expressions. For d' = 2d each
+    rank class takes exactly one T value, so the counts are the T table's
+    multiplicities at -2^m (rank s), 2^(m+d) (rank s - 2) and -2^(m+2d)
+    (rank s - 4).
     """
     n, m, d = params.n, params.m, params.d
     if params.d_prime == params.d:
-        e1 = (_p2(n + 2 * d) - _p2(n + d) - _p2(n) + _p2(m + 2 * d)
-              - _p2(m + d) + _p2(2 * d))
-        n0 = _exact(e1 * (_p2(m) - 1) / (_p2(2 * d) - 1))
-        n2 = _exact((_p2(m + d) - 1) * (_p2(n) - 1) / (_p2(2 * d) - 1))
+        den = _p2(2 * d) - 1
+        n0 = _exact(_eps1(params) * (_p2(m) - 1) / den)
+        n2 = _exact((_p2(m + d) - 1) * (_p2(n) - 1) / den)
         n4 = 0
     else:
-        e2 = (_p2(n) - _p2(n - 2 * d) - _p2(n - 3 * d) + _p2(m)
-              - _p2(m - d) + 1)
-        n0 = _exact(_p2(3 * d) * (_p2(m) - 1) * e2
-                    / ((_p2(d) + 1) * (_p2(2 * d) - 1)))
-        n2 = _exact(_p2(d) * (_p2(n) - 1) * (_p2(m) + _p2(m - d) + _p2(m - 2 * d) + 1)
-                    / (_p2(d) + 1) ** 2)
-        n4 = _exact((_p2(m - d) - 1) * (_p2(n) - 1)
-                    / ((_p2(d) + 1) * (_p2(2 * d) - 1)))
+        t = t_spectrum_formula(params)
+        n0, n2, n4 = (t.count(v) for v in
+                      (-(1 << m), 1 << (m + d), -(1 << (m + 2 * d))))
     prof = RankProfile(n=params.n, k=params.k, n0=n0, n2=n2, n4=n4)
     if prof.total != (1 << (3 * m)) - 1:
         raise VerificationError(

@@ -29,7 +29,8 @@ from .codes import _word_rows, _words
 from .distribution import (ValueDistribution, VerificationError, _exact,
                            _p2, _pack_bits, _summed, _thread_count,
                            pack_bits_hex)
-from .expsum import s_spectrum_formula, t_spectrum_formula
+from .expsum import (_b_sum, _den2, _eps2, _xi2, s_spectrum_formula,
+                     t_spectrum_formula)
 from .field import _cycles, _factorize, subfield_elements
 
 __all__ = [
@@ -326,12 +327,8 @@ def correlation_table_printed(params):
             ((1 << n) - 1, p(3 * m) + p(m)),
         ]
     else:
-        e2 = p(n) - p(n - 2 * d) - p(n - 3 * d) + p(m) - p(m - d) + 1
-        xi2 = (p(3 * m - d) - p(3 * m - 2 * d) + p(3 * m - 3 * d)
-               - p(3 * m - 4 * d) + p(3 * m - 5 * d) + p(n - d)
-               - 2 * p(n - 2 * d) + p(n - 3 * d) - p(n - 4 * d) + 1)
-        bsum = p(m) + p(m - d) + p(m - 2 * d) + 1
-        den = (p(d) + 1) * (p(2 * d) - 1)
+        e2, xi2 = _eps2(params), _xi2(params)
+        bsum, den = _b_sum(params), _den2(params)
         rows = [
             (1 << m, p(2 * n + 3 * d - 1) * (p(n) - 2) * e2 / den),
             (-(1 << m),

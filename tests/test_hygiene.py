@@ -1,9 +1,13 @@
-"""Source hygiene: every imported name is used.
+"""Source hygiene: every imported name is used, and so is every module-level
+name of the package.
 
-A guard for unused imports that needs no linter. Each module of the package
-and of the test suite is parsed with `ast`; a name bound by an import must be
-read somewhere in the file or be listed in the module's `__all__`.
-`from __future__` imports are exempt.
+Two guards that need no linter. Each module of the package and of the test
+suite is parsed with `ast`; a name bound by an import must be read somewhere
+in the file or be listed in the module's `__all__`. `from __future__` imports
+are exempt. A name bound at the top level of a package module (an assignment,
+function or class) must be read by some package, test or benchmark source, as
+a name, an attribute or an imported name, or be listed in its module's
+`__all__`. Dunder names are exempt.
 """
 
 import ast
@@ -12,14 +16,24 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = (sorted((ROOT / "src" / "kasamilab").glob("*.py"))
-         + sorted((ROOT / "tests").glob("*.py")))
+PACKAGE = sorted((ROOT / "src" / "kasamilab").glob("*.py"))
+FILES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+READERS = FILES + sorted((ROOT / "bench").glob("*.py"))
+
+
+def _exported(tree):
+    """Names listed in a module's `__all__`."""
+    return {name for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets)
+            for name in ast.literal_eval(node.value)}
 
 
 def unused_imports(source):
     """(line, name) of every imported name the source never reads."""
-    imported, read, exported = {}, set(), set()
-    for node in ast.walk(ast.parse(source)):
+    tree = ast.parse(source)
+    imported, read = {}, set()
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
@@ -28,12 +42,46 @@ def unused_imports(source):
                 imported[alias.asname or alias.name] = node.lineno
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__"
-                for t in node.targets):
-            exported.update(ast.literal_eval(node.value))
+    kept = read | _exported(tree)
     return sorted((line, name) for name, line in imported.items()
-                  if name not in read | exported)
+                  if name not in kept)
+
+
+def _names_read(source):
+    """Names a source reads: loaded names, attributes and imported names."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def dead_names(modules, readers):
+    """(module, line, name) of every name bound at the top level of a source
+    in `modules` (module -> source) that no source in `readers` reads and
+    its module's `__all__` does not list; dunder names are exempt."""
+    read = set().union(*map(_names_read, readers))
+    dead = []
+    for module, source in modules.items():
+        tree = ast.parse(source)
+        bound = []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound.append((node.lineno, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                bound += [(t.lineno, t.id) for target in targets
+                          for t in ast.walk(target) if isinstance(t, ast.Name)]
+        kept = read | _exported(tree)
+        dead += [(module, line, name) for line, name in bound
+                 if name not in kept
+                 and not (name.startswith("__") and name.endswith("__"))]
+    return dead
 
 
 def test_guard_flags_only_unused_names():
@@ -48,3 +96,21 @@ def test_guard_flags_only_unused_names():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_dead_name_guard_flags_only_unread_names():
+    lib = ("__all__ = ['public']\n"
+           "__version__ = '1'\n"
+           "CASES = ('a', 'b')\n"
+           "LIMIT, _SPARE = 3, 4\n"
+           "def public(): return LIMIT\n"
+           "def _helper(): pass\n"
+           "class _Shape: pass\n")
+    test = "import lib\nfrom lib import _helper\nlib._Shape\n"
+    assert dead_names({"lib": lib}, [lib, test]) == [
+        ("lib", 3, "CASES"), ("lib", 4, "_SPARE")]
+
+
+def test_no_dead_module_level_names():
+    modules = {path.name: path.read_text() for path in PACKAGE}
+    assert dead_names(modules, [path.read_text() for path in READERS]) == []
