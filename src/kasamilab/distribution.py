@@ -49,8 +49,11 @@ def _histogram(values):
 
 
 def _thread_count(workers, tasks):
-    """Threads for `tasks` independent tasks: never more than the CPUs."""
-    return max(1, min(workers, os.cpu_count() or 1, tasks))
+    """Threads for `tasks` independent tasks: never more than the CPUs this
+    process may run on (its affinity mask, where the platform has one)."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return max(1, min(workers, cpus, tasks))
 
 
 def _summed(work, items, workers):

@@ -13,7 +13,10 @@ The measured histogram reads only the members' bits. Decimation by 2
 permutes the family up to rotation, which every sweep re-checks. The sweep
 then takes one representative per decimation orbit, weighted by the orbit's
 size, against its own orbit and, weighted twice for the swapped pairs, every
-later orbit; every pair at every shift is still counted.
+later orbit; every pair at every shift is still counted. Each column of that
+circulant product packs two shifts: the agreement counts a, a' in [0, L] of
+shifts tau and tau + 1 read as the one index a + (L + 1) a'. The product is
+float32 only while every partial sum is exact in it (n <= 10), else float64.
 """
 
 from __future__ import annotations
@@ -139,6 +142,19 @@ def _decimation_orbits(mats):
     return orbit.tolist(), sizes.tolist()
 
 
+def _product_dtype(L):
+    """float32 while the packed product of period L is exact in it, else float64.
+
+    Every term of the packed product is a multiple of 1/2, so every partial
+    sum is k/2 with |k| at most twice the largest absolute column sum of the
+    packed circulant against signs of +-1: L (L + 2) for a column of two
+    shifts, L + (L + 1)^2 for the sentinel column. float32 holds each such
+    k/2 exactly while 2 (L^2 + 3L + 1) < 2^24 (n <= 10), float64 while it
+    is below 2^53 (n <= 26).
+    """
+    return np.float32 if 2 * (L * L + 3 * L + 1) < 1 << 24 else np.float64
+
+
 def correlation_distribution(family, workers=1):
     """Histogram of correlations over all member pairs and all shifts.
 
@@ -150,35 +166,55 @@ def correlation_distribution(family, workers=1):
     leads. Swapping a pair only reverses the shifts, so the representative
     is swept against its own orbit with weight w and against every later
     orbit with weight 2w, all shifts in one circulant product per orbit.
+
+    Each product column holds two shifts. Against the halved circulant, an
+    entry is the agreement count (Corr + L)/2, an integer in [0, L]; with
+    M = L + 1, the column of shifts tau and tau + 1 reads a_tau + M a_tau+1,
+    one exact bincount index. L is odd, so the last column pairs shift
+    L - 1 with a sentinel slot that reads M, outside [0, L], and folding
+    the (M + 1) x M histogram drops it. The product dtype comes from L
+    (`_product_dtype`), so the indices are exact at every n.
     """
     mats = np.stack([m.bits for m in family.members])
     count, L = mats.shape
     orbit, sizes = _decimation_orbits(mats)
     starts = np.cumsum([0] + sizes)
+    M, dtype = L + 1, _product_dtype(L)
+    bins = M * (M + 1)
     # Signs in orbit order, plus a column of ones that meets the circulant's
-    # row of L: every product is Corr + L, a bincount index in [0, 2L].
-    signs = np.ones((count, L + 1), dtype=np.float32)
+    # last row.
+    signs = np.ones((count, L + 1), dtype=dtype)
     signs[:, :L] -= 2 * mats[np.argsort(orbit, kind="stable")]
 
     def work(orbit_span):
-        # O(count L) buffers, reused across orbits; the products are exact
-        # integers in float32 (partial sums stay far below 2^24).
-        acc = np.zeros(2 * L + 1, dtype=np.int64)
-        circ = np.full((L + 1, L), L, dtype=np.float32)
-        prod = np.empty((count, L), dtype=np.float32)
-        idx = np.empty((count, L), dtype=np.intp)
+        # O(count L / 2) buffers, reused across orbits. circ[mu, tau] is
+        # rep[(mu + tau) % L] / 2 over a last row of L/2, so row j of
+        # signs @ circ holds a_tau = (Corr(member j, rep, tau) + L) / 2.
+        # Column L is the sentinel: its only entry, M, meets the ones.
+        hist = np.zeros(bins, dtype=np.int64)
+        circ = np.zeros((L + 1, L + 1), dtype=dtype)
+        circ[L] = L / 2
+        circ[L, L] = M
+        packed = np.empty((L + 1, M // 2), dtype=dtype)
+        prod = np.empty((count, M // 2), dtype=dtype)
+        idx = np.empty((count, M // 2), dtype=np.intp)
         for a in orbit_span:
             first, w = starts[a], sizes[a]
-            rep = signs[first, :L]
-            # circ[mu, tau] = rep[(mu + tau) % L]: row j of the product holds
-            # Corr(member j, rep, tau) + L for every tau.
-            circ[:L] = sliding_window_view(np.concatenate([rep, rep[:-1]]), L)
+            rep = signs[first, :L] / 2
+            circ[:L, :L] = sliding_window_view(
+                np.concatenate([rep, rep[:-1]]), L)
+            np.multiply(circ[:, 1::2], M, out=packed)
+            packed += circ[:, ::2]
             cols = count - first
-            np.matmul(signs[first:], circ, out=prod[:cols])
+            np.matmul(signs[first:], packed, out=prod[:cols])
             np.copyto(idx[:cols], prod[:cols], casting="unsafe")
-            acc += w * np.bincount(idx[:w].ravel(), minlength=2 * L + 1)
-            acc += 2 * w * np.bincount(idx[w:cols].ravel(),
-                                       minlength=2 * L + 1)
+            hist += w * np.bincount(idx[:w].ravel(), minlength=bins)
+            hist += 2 * w * np.bincount(idx[w:cols].ravel(), minlength=bins)
+        # hist[b, a] counts columns reading a_tau = a, a_tau+1 = b; each
+        # agreement count a lands at Corr + L = 2a.
+        hist = hist.reshape(M + 1, M)
+        acc = np.zeros(2 * L + 1, dtype=np.int64)
+        acc[::2] = hist.sum(0) + hist[:M].sum(1)
         return acc
 
     # Orbits are dealt out in turn: the earlier ones sweep more columns.

@@ -68,4 +68,6 @@ def recording_pool(monkeypatch):
 
     monkeypatch.setattr(distribution, "ThreadPoolExecutor", Pool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)),
+                        raising=False)
     return opened

@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -8,7 +11,8 @@ import pytest
 
 from kasamilab.cli import _CHECKS, DEFAULT_BUDGETS, main
 
-GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "expected"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "bench" / "expected"
 
 
 def run(tmp_path, *args):
@@ -52,6 +56,21 @@ def test_spectrum_erratum_exit(tmp_path):
                                 "s-spectrum": "flagged-erratum"}
     notes = report["records"][0]["notes"]
     assert any("2^n" in note for note in notes)
+
+
+def test_python_dash_m_runs_verify(tmp_path):
+    # From a checkout, with only src/ on the path and no install.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, "-m", "kasamilab", "verify", "--n", "4", "--k", "1",
+         "--out", str(out)], cwd=tmp_path, env=env, capture_output=True,
+        text=True)
+    assert done.returncode == 0, done.stderr
+    report = json.loads((out / "report.json").read_text())
+    assert report["exit_code"] == 0
+    assert statuses(report)["correlation"] == "match"
 
 
 def test_usage_errors():

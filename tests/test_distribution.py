@@ -1,12 +1,13 @@
 """ValueDistribution container semantics."""
 
 import json
+import os
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kasamilab import ValueDistribution, pack_bits_hex
-from kasamilab.distribution import _summed
+from kasamilab.distribution import _summed, _thread_count
 
 
 def test_from_counts_sorts_and_drops_zeros():
@@ -62,3 +63,20 @@ def test_threads_capped_by_cpus_and_tasks(recording_pool):
     assert _summed(lambda x: x, range(3), 10 ** 6) == 3
     assert _summed(lambda x: x, range(10), 1) == 45  # no pool for one thread
     assert recording_pool == [(4, 10), (3, 3)]
+
+
+def test_threads_capped_by_the_affinity_mask(recording_pool, monkeypatch):
+    # Pinned to one of the four CPUs: one thread, and no pool.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert _thread_count(10 ** 6, 10) == 1
+    assert _summed(lambda x: x, range(10), 10 ** 6) == 45
+    assert recording_pool == []
+
+
+def test_threads_capped_by_cpu_count_without_affinity(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert _thread_count(10 ** 6, 10) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _thread_count(10 ** 6, 10) == 1

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 import reference as ref
 from kasamilab import (BinarySequence, SequenceFamily, VerificationError,
@@ -17,7 +18,7 @@ from kasamilab import (BinarySequence, SequenceFamily, VerificationError,
                        family_dump_lines, family_size)
 from kasamilab.cli import main
 from kasamilab.distribution import _thread_count
-from kasamilab.sequences import _decimation_orbits
+from kasamilab.sequences import _decimation_orbits, _product_dtype
 
 # Frozen from the brute-force all-pairs-all-shifts sweep.
 CORRELATIONS = {
@@ -58,6 +59,30 @@ def all_pairs_sweep(family):
         prod = signs @ np.roll(signs, -tau, axis=1).T
         hist += np.bincount((prod + L).astype(np.intp).ravel(),
                             minlength=2 * L + 1)
+    return {v - L: int(c) for v, c in enumerate(hist) if c}
+
+
+def one_shift_orbit_sweep(family):
+    """The decimation-orbit sweep with one shift per product column.
+
+    Every entry of signs @ circ is Corr + L, read off a bincount over
+    [0, 2L]; products in float64.
+    """
+    mats = np.stack([m.bits for m in family.members])
+    count, L = mats.shape
+    orbit, sizes = _decimation_orbits(mats)
+    signs = np.ones((count, L + 1))
+    signs[:, :L] -= 2 * mats[np.argsort(orbit, kind="stable")]
+    hist = np.zeros(2 * L + 1, dtype=np.int64)
+    first = 0
+    for w in sizes:
+        rep = signs[first, :L]
+        circ = np.full((L + 1, L), float(L))
+        circ[:L] = sliding_window_view(np.concatenate([rep, rep[:-1]]), L)
+        idx = (signs[first:] @ circ).astype(np.intp)
+        hist += w * np.bincount(idx[:w].ravel(), minlength=2 * L + 1)
+        hist += 2 * w * np.bincount(idx[w:].ravel(), minlength=2 * L + 1)
+        first += w
     return {v - L: int(c) for v, c in enumerate(hist) if c}
 
 
@@ -146,6 +171,14 @@ def test_brute_matches_composition_n8(ctx8, p82):
     assert brute.as_dict() == correlation_distribution_formula(p82).as_dict()
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("k", [1, 3])
+def test_brute_matches_composition_n8_other_k(ctx8, k):
+    params = derive_params(8, k)
+    brute = correlation_distribution(build_family(ctx8, params))
+    assert brute.as_dict() == correlation_distribution_formula(params).as_dict()
+
+
 def test_correlation_workers_equivalent(ctx4, p41):
     fam = build_family(ctx4, p41)
     assert correlation_distribution(fam, workers=3).as_dict() == \
@@ -168,11 +201,51 @@ def test_correlation_orbit_spans_capped(ctx4, p41, recording_pool):
 
 
 @pytest.mark.parametrize("n,k,mod", [(4, 1, 0x13), (6, 1, 0x43),
-                                      (6, 2, 0x43), (6, 2, 0x61)])
+                                      (6, 2, 0x43), (6, 2, 0x61),
+                                      (4, 1, 0x19), (6, 1, 0x61)])
 def test_orbit_sweep_matches_all_pairs_oracle(n, k, mod):
-    # EvenM, BothOdd and EvenK, and EvenK again under another modulus.
+    # EvenM, BothOdd and EvenK, each under two moduli.
     fam = build_family(build_field(n, mod), derive_params(n, k))
-    assert correlation_distribution(fam).as_dict() == all_pairs_sweep(fam)
+    brute = all_pairs_sweep(fam)
+    assert correlation_distribution(fam).as_dict() == brute
+    assert one_shift_orbit_sweep(fam) == brute
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n", [4, 6])
+def test_constant_members_fill_both_end_bins(p41, n, workers):
+    # Both members are fixed by decimation. Their agreement counts are 0
+    # and L only: the first bin, the top bin, and the odd-L sentinel column.
+    L = (1 << n) - 1
+    fam = SequenceFamily(p41, tuple(
+        BinarySequence(label, np.full(L, bit, dtype=np.uint8))
+        for label, bit in (("zero", 0), ("one", 1))), 2)
+    assert correlation_distribution(fam, workers=workers).as_dict() == \
+        {L: 2 * L, -L: 2 * L}
+
+
+@pytest.mark.parametrize("n", range(4, 25, 2))
+def test_packed_product_exact_in_its_dtype(n):
+    # Twice the largest absolute column sum of the packed circulant against
+    # signs of +-1 bounds every partial sum, in units of 1/2. A column of
+    # two shifts has L entries of (1 + M)/2 and a last-row entry of
+    # (1 + M) L/2; the sentinel column has L entries of 1/2 and L/2 + M^2.
+    L = (1 << n) - 1
+    M = L + 1
+    twice = max(2 * L * (1 + M), 2 * L + 2 * M * M)
+    dtype = _product_dtype(L)
+    assert twice < 2 ** (np.finfo(dtype).nmant + 1)
+    # float32 wherever it is exact, so n <= 10 keeps the faster product.
+    assert (dtype == np.float32) == (twice < 2 ** 24) == (n <= 10)
+
+
+def test_float64_product_gives_the_same_histogram(monkeypatch, ctx4, p41):
+    # The float64 branch runs only from n = 12 on; check it at n = 4.
+    monkeypatch.setattr("kasamilab.sequences._product_dtype",
+                        lambda L: np.float64)
+    fam = build_family(ctx4, p41)
+    assert correlation_distribution(fam, workers=2).as_dict() == \
+        CORRELATIONS[(4, 1)]
 
 
 @pytest.mark.parametrize("nk", [(4, 1), (6, 1), (6, 2)])
