@@ -28,7 +28,7 @@ from .codes import (CODES, CYCLICITY_EXHAUSTIVE_MAX_N, check_cyclicity,
                     codeword_dump_lines, h_polynomials, parity_check_mask,
                     weight_distribution, weight_distribution_formula)
 from .distribution import VerificationError
-from .expsum import (_fwht, _t_table, _trace_rows, artin_schreier_points,
+from .expsum import (_t_table, _trace_rows, _walsh, artin_schreier_points,
                      gamma_sweep_formula, moments, s_spectrum,
                      s_spectrum_formula, t_spectrum, t_spectrum_formula)
 from .field import (_gf2_polymod, build_field, derive_params, is_irreducible,
@@ -354,7 +354,7 @@ def _check_gamma(run):
     for alpha, arow in zip(alphas, arows):
         betas = np.arange(1 if alpha == 0 else 0, ctx.q)
         ranks = params.s - _kernel_dims(ctx, params, alpha, betas)
-        walsh = _fwht(1 - 2 * (arow ^ brows[betas]).astype(np.int32))
+        walsh = _walsh(arow ^ brows[betas])
         peak = law[ranks, :1]
         got = [(walsh == v).sum(axis=1) for v in (0, peak, -peak)]
         bad = (np.stack(got, axis=1) != law[ranks, 1:]).any(axis=1)
@@ -368,7 +368,8 @@ def _check_gamma(run):
 def _check_artin_schreier(run):
     ctx, params = run.ctx, run.params
     alphas = subfield_elements(ctx, params.m)
-    t_rows = _t_table(*_trace_rows(ctx, params, alphas, range(ctx.q), [])[:2])
+    arows, _, _ = _trace_rows(ctx, params, alphas, [], [])
+    t_rows = _t_table(ctx, params, arows, range(ctx.q))
     row = {a: i for i, a in enumerate(alphas)}
     for aprime in range(ctx.q):
         alpha = ctx.trace_rel(aprime, params.m, params.n)

@@ -11,6 +11,11 @@ Squaring x permutes GF(2^n) linearly and keeps every trace, so S takes the
 same values at (a, b, g) and (a^2, b^2, g^2). The S sweep checks this closure
 from the bits of the trace rows on every call, then runs the Walsh transform
 for one b per Frobenius orbit only, weighted by the orbit's size.
+
+The Walsh transforms run on int16 signs while every value S + q <= 2^(n+1)
+fits in int16 (n <= 13), else on int32 (`_walsh_dtype`); the T product is
+float32 on sign rows gathered straight from the sign window of the
+m-sequence, exact while q < 2^24.
 """
 
 from __future__ import annotations
@@ -22,8 +27,9 @@ import numpy as np
 
 from .distribution import (ValueDistribution, VerificationError, _exact,
                            _histogram, _p2, _summed)
-from .field import (_gf2_linear, _mul, frobenius_orbits, power_table,
-                    rel_trace_table, subfield_elements, trace_bit_matrix)
+from .field import (_gf2_linear, _mul, _trace_matrix, frobenius_orbits,
+                    power_table, rel_trace_table, subfield_elements,
+                    trace_bit_matrix)
 
 __all__ = [
     "MomentReport", "t_sum", "s_sum", "t_spectrum", "t_spectrum_formula",
@@ -80,6 +86,19 @@ def _fwht(mat):
     return mat.reshape(rows, low, -1).transpose(0, 2, 1).reshape(rows, length)
 
 
+def _walsh_dtype(n):
+    """int16 while every S + q <= 2^(n+1) of a length-2^n transform fits in
+    it (n <= 13), else int32."""
+    return np.int16 if 1 << (n + 1) <= np.iinfo(np.int16).max else np.int32
+
+
+def _walsh(bits):
+    """Walsh transform of the signs (-1)^bit of each row of trace bits, in
+    the narrowest exact integer dtype."""
+    n = bits.shape[-1].bit_length() - 1
+    return _fwht(np.subtract(1, 2 * bits, dtype=_walsh_dtype(n)))
+
+
 def t_sum(ctx, params, alpha, beta):
     """Direct T(alpha, beta) = S(alpha, beta, 0)."""
     return s_sum(ctx, params, alpha, beta, 0)
@@ -91,11 +110,15 @@ def s_sum(ctx, params, alpha, beta, gamma):
     return ctx.q - 2 * int(np.count_nonzero(arows ^ brows ^ grows))
 
 
-def _t_table(arows, brows):
-    """T(alpha, beta) for each alpha and beta row of trace bits (one row and
-    one column of the result each), as one sign product."""
+def _t_table(ctx, params, arows, betas):
+    """T(alpha, beta) for each alpha row of trace bits (one row of the result
+    each) and each beta (one column each), as one exact float32 sign product.
+    The beta signs (-1)^Tr_n(b x^e2) are gathered straight from the sign
+    window of the m-sequence."""
+    bsigns = _trace_matrix(ctx, power_table(ctx, params.e_quad), betas,
+                           signs=True)
     return (np.subtract(1, 2 * arows, dtype=np.float32)
-            @ np.subtract(1, 2 * brows, dtype=np.float32).T).astype(np.int64)
+            @ bsigns.T).astype(np.int64)
 
 
 def t_spectrum(ctx, params, workers=1):
@@ -107,8 +130,7 @@ def t_spectrum(ctx, params, workers=1):
                               [], [])
 
     def work(betas):
-        _, brows, _ = _trace_rows(ctx, params, [], betas, [])
-        return _histogram(_t_table(arows, brows))
+        return _histogram(_t_table(ctx, params, arows, betas))
 
     dist = ValueDistribution.from_counts(_summed(work, spans, workers))
     if dist.total != 1 << (3 * params.m):
@@ -166,7 +188,7 @@ def s_spectrum(ctx, params, workers=1):
     def work(span):
         size, betas = span
         rows = (brows[betas][:, None, :] ^ arows[None, :, :]).reshape(-1, q)
-        f = _fwht(1 - 2 * rows.astype(np.int32))
+        f = _walsh(rows)
         f += q
         return size * np.bincount(f.ravel(), minlength=2 * q + 1)
 
@@ -181,7 +203,7 @@ def s_spectrum(ctx, params, workers=1):
 def gamma_sweep(ctx, params, alpha, beta):
     """Distribution of S(alpha, beta, gamma) over gamma for one fixed pair."""
     arows, brows, _ = _trace_rows(ctx, params, [alpha], [beta], [])
-    f = _fwht(1 - 2 * (arows ^ brows).astype(np.int32))
+    f = _walsh(arows ^ brows)
     return ValueDistribution.from_counts(_histogram(f))
 
 

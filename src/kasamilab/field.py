@@ -2,9 +2,11 @@
 
 Elements are ints whose bit j is the coefficient of x^j in the polynomial
 basis. A FieldContext holds the exp/log/trace tables for one modulus; the
-heavier derived tables (power maps, relative traces, and the zero-safe log/exp
-pair behind the elementwise product `_mul`) are built on demand and cached on
-the context. Trace rows and sign matrices are not cached.
+heavier derived tables (power maps, relative traces, the zero-safe log/exp
+pair behind the elementwise product `_mul`, and the window of rotations of the
+m-sequence Tr(pi^t) that every trace row is gathered from) are built on demand
+and cached on the context. The trace rows and sign rows themselves are not
+cached.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .distribution import VerificationError
 
@@ -351,13 +354,42 @@ def rel_trace_table(ctx, i, j):
     return ctx._cache[key]
 
 
-def trace_bit_matrix(ctx, base, coeffs):
-    """uint8 rows of Tr(c * base[j]) for each coefficient c, built in chunks."""
+def _rotations(ctx, signs):
+    """Every rotation of the m-sequence seq[t] = Tr(pi^t), t in [0, L): row i
+    is seq rotated left by i, as uint8 bits or, with signs, float32 signs
+    (-1)^bit. A read-only window on seq doubled, cached on the context."""
+    key = ("rotations", signs)
+    if key not in ctx._cache:
+        seq = ctx.trace_table[ctx.exp_table]
+        if signs:
+            seq = np.subtract(1, 2 * seq, dtype=np.float32)
+        ctx._cache[key] = sliding_window_view(np.concatenate([seq, seq]),
+                                              ctx.order)
+    return ctx._cache[key]
+
+
+def _trace_matrix(ctx, base, coeffs, signs=False):
+    """Rows of Tr(c * base[j]), one per coefficient c, as uint8 bits or, with
+    signs, float32 signs (-1)^Tr.
+
+    For nonzero c and b, Tr(c b) = seq[(log c + log b) mod L], so row c is one
+    gather, at the logs of base, from the rotation of seq by log c. The log of
+    0 reads as -1, a valid index; an entry with c = 0 or b = 0 is then set to
+    Tr(0) = 0.
+    """
+    window = _rotations(ctx, signs)
     base = np.asarray(base, dtype=np.int64)
     coeffs = np.asarray(coeffs, dtype=np.int64)
-    out = np.empty((len(coeffs), len(base)), dtype=np.uint8)
-    chunk = max(1, (1 << 22) // max(1, len(base)))
-    for i0 in range(0, len(coeffs), chunk):
-        cs = coeffs[i0:i0 + chunk, None]
-        out[i0:i0 + chunk] = ctx.trace_table[_mul(ctx, cs, base)]
+    logs = ctx.log_table[base]
+    out = np.empty((len(coeffs), len(base)), dtype=window.dtype)
+    for row, shift in zip(out, ctx.log_table[coeffs].tolist()):
+        np.take(window[shift], logs, out=row)
+    # Tr(0) = 0 is bit 0 and sign +1.
+    out[:, base == 0] = out[coeffs == 0] = 1 if signs else 0
     return out
+
+
+def trace_bit_matrix(ctx, base, coeffs):
+    """uint8 rows of Tr(c * base[j]) for each coefficient c, each one gather
+    from a rotation of the m-sequence Tr(pi^t) (see `_trace_matrix`)."""
+    return _trace_matrix(ctx, base, coeffs)

@@ -1,6 +1,7 @@
 """Exponential sums: brute-force spectra against closed-form tables."""
 
 import json
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -72,13 +73,17 @@ def hadamard(q):
     return 1 - 2 * (bit_count(x[:, None] & x) & 1)
 
 
+def pair_rows(ctx, params):
+    """The trace bits of every (alpha, beta) pair, one row each."""
+    arows, brows, _ = expsum._trace_rows(
+        ctx, params, subfield_elements(ctx, params.m), range(ctx.q), [])
+    return (arows[:, None, :] ^ brows[None, :, :]).reshape(-1, ctx.q)
+
+
 def all_beta_sweep(ctx, params):
     """S histogram with one Walsh transform for every (alpha, beta) pair."""
-    q = ctx.q
-    arows, brows, _ = expsum._trace_rows(
-        ctx, params, subfield_elements(ctx, params.m), range(q), [])
-    rows = (arows[:, None, :] ^ brows[None, :, :]).reshape(-1, q)
-    values = (1 - 2 * rows.astype(np.int64)) @ hadamard(q)
+    rows = pair_rows(ctx, params)
+    values = (1 - 2 * rows.astype(np.int64)) @ hadamard(ctx.q)
     return dict(Counter(values.ravel().tolist()))
 
 
@@ -97,6 +102,49 @@ def test_fwht_is_the_hadamard_product(length):
     rows = np.random.default_rng(length).integers(-3, 4, size=(5, length))
     want = rows @ hadamard(length)
     assert (expsum._fwht(rows.astype(np.int32)) == want).all()
+
+
+@pytest.mark.parametrize("n", range(2, 25))
+def test_walsh_dtype_holds_every_shifted_value(n):
+    # The S sweep shifts each transform by q, so its values reach 2^(n+1).
+    dtype = expsum._walsh_dtype(n)
+    assert 1 << (n + 1) <= np.iinfo(dtype).max
+    assert dtype == (np.int16 if n <= 13 else np.int32)
+
+
+def test_int16_and_int32_walsh_agree(ctx6, p61, monkeypatch):
+    rows = pair_rows(ctx6, p61)
+    ctx10, p10 = build_field(10), derive_params(10, 1)
+    narrow = expsum._walsh(rows), s_spectrum(ctx10, p10)
+    monkeypatch.setattr(expsum, "_walsh_dtype", lambda n: np.int32)
+    wide = expsum._walsh(rows), s_spectrum(ctx10, p10)
+    assert (narrow[0].dtype, wide[0].dtype) == (np.int16, np.int32)
+    assert (narrow[0] == wide[0]).all()
+    assert narrow[1].as_dict() == wide[1].as_dict()
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Peak bytes traced by tracemalloc during fn(*args, **kwargs)."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_t_sweep_memory_bounded_by_its_chunk():
+    # A chunk holds 2^21 float32 sign entries, 8 MB. Neither an int64 product
+    # of element logs nor a uint8 copy of the sign rows may come on top.
+    ctx, p = build_field(12), derive_params(12, 1)
+    assert traced_peak(t_spectrum, ctx, p, workers=1) < 2 * 4 * (1 << 21)
+
+
+def test_s_sweep_memory_bounded_by_its_span():
+    # A span transforms 2^19 entries; the q x q beta rows take 1 MB. The
+    # beta rows are built without an int64 product of element logs.
+    ctx, p = build_field(10), derive_params(10, 1)
+    assert traced_peak(s_spectrum, ctx, p, workers=1) < 20 * (1 << 19)
 
 
 @pytest.mark.parametrize("n,orbits", [(4, 6), (6, 14), (8, 36), (10, 108)])

@@ -9,8 +9,9 @@ import reference as ref
 from kasamilab import (VerificationError, build_field, derive_params,
                        find_primitive_polynomial, is_irreducible, is_primitive,
                        subfield_elements)
-from kasamilab.field import (_cycles, _gf2_linear, _mul, power_table,
-                             rel_trace_table, scale_table, trace_bit_matrix)
+from kasamilab.field import (_cycles, _gf2_linear, _mul, _trace_matrix,
+                             power_table, rel_trace_table, scale_table,
+                             trace_bit_matrix)
 
 # Lexicographically smallest primitive moduli, frozen from the naive oracle.
 MODULI = {4: 0x13, 6: 0x43, 8: 0x11D, 10: 0x409, 12: 0x1053}
@@ -200,6 +201,46 @@ def test_trace_bit_matrix(ctx4):
     for r, c in enumerate(coeffs):
         for j in range(4):
             assert mat[r, j] == ctx4.trace_abs(ctx4.mul(c, ctx4.exp_table[j]))
+
+
+def product_path(ctx, base, coeffs):
+    """Tr(c * b) entry by entry through the field product."""
+    return ctx.trace_table[_mul(ctx, np.asarray(coeffs)[:, None], base)]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_rotation_rows_equal_the_product_path(n):
+    # Every c against every b, c = 0 and b = 0 included.
+    ctx = build_field(n)
+    elems = np.arange(ctx.q)
+    bits = trace_bit_matrix(ctx, elems, elems)
+    assert bits.dtype == np.uint8
+    assert (bits == product_path(ctx, elems, elems)).all()
+    signs = _trace_matrix(ctx, elems, elems, signs=True)
+    assert signs.dtype == np.float32
+    assert (signs == 1 - 2 * bits.astype(np.float32)).all()
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_rotation_rows_equal_the_product_path_sampled(n):
+    ctx = build_field(n)
+    rng = np.random.default_rng(n)
+    coeffs = np.concatenate([[0], rng.choice(np.arange(1, ctx.q), 63,
+                                             replace=False)])
+    elems = np.arange(ctx.q)
+    for base in (elems, power_table(ctx, 3)):
+        assert (trace_bit_matrix(ctx, base, coeffs)
+                == product_path(ctx, base, coeffs)).all()
+
+
+@pytest.mark.parametrize("n,mod", [(4, 0x13), (6, 0x43), (6, 0x61)])
+def test_rotation_rows_match_oracle(n, mod):
+    ctx = build_field(n, mod)
+    q = 1 << n
+    bits = trace_bit_matrix(ctx, np.arange(q), np.arange(q))
+    want = [[ref.trace_rel(ref.gf2_mul(c, b, mod, n), 1, n, mod, n)
+             for b in range(q)] for c in range(q)]
+    assert bits.tolist() == want
 
 
 def test_cycles_numbered_by_least_index():

@@ -7,7 +7,9 @@ in the file or be listed in the module's `__all__`. `from __future__` imports
 are exempt. A name bound at the top level of a package module (an assignment,
 function or class) must be read by some package, test or benchmark source, as
 a name, an attribute or an imported name, or be listed in its module's
-`__all__`. Dunder names are exempt.
+`__all__`. Dunder names are exempt. Only `field.py` reads a field context's
+`log_table` and `trace_table`, so the element products and the trace rows
+are built in one place.
 """
 
 import ast
@@ -114,3 +116,25 @@ def test_dead_name_guard_flags_only_unread_names():
 def test_no_dead_module_level_names():
     modules = {path.name: path.read_text() for path in PACKAGE}
     assert dead_names(modules, [path.read_text() for path in READERS]) == []
+
+
+FIELD_TABLES = ("log_table", "trace_table")
+
+
+def table_reads(source):
+    """(line, name) of every read of a context's log or trace table."""
+    return sorted((node.lineno, node.attr)
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in FIELD_TABLES)
+
+
+def test_table_guard_flags_only_the_field_tables():
+    source = "row = ctx.trace_table[x]\nctx.exp_table\nlog = c.log_table\n"
+    assert table_reads(source) == [(1, "trace_table"), (3, "log_table")]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "field.py"],
+                         ids=lambda p: p.name)
+def test_only_field_reads_the_log_and_trace_tables(path):
+    assert table_reads(path.read_text()) == []
