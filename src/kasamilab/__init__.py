@@ -13,21 +13,19 @@ from .field import (FieldContext, Params, build_field, derive_params,
                     find_primitive_polynomial, is_irreducible, is_primitive,
                     subfield_elements)
 from .linearized import (BluherCounts, RankProfile, bluher_counts,
-                         bluher_counts_formula, kernel_size, phi_eval,
-                         psi_root_count, rank_of, rank_profile,
+                         bluher_counts_formula, kernel_dims, rank_profile,
                          rank_profile_formula)
-from .expsum import (MomentReport, artin_schreier_points, gamma_sweep,
+from .expsum import (MomentReport, artin_schreier_points,
                      gamma_sweep_formula, moment_targets, moments,
-                     s_spectrum, s_spectrum_formula, s_sum, t_spectrum,
-                     t_spectrum_formula, t_sum)
+                     s_spectrum, s_spectrum_formula, t_spectrum,
+                     t_spectrum_formula)
 from .codes import (MinimalPolynomial, check_cyclicity, check_parity,
                     code_dimension, codeword_c1, codeword_c2,
                     codeword_dump_lines, h_polynomials, minimal_poly,
                     parity_check_mask, weight_distribution,
                     weight_distribution_formula)
 from .sequences import (BinarySequence, SequenceFamily, build_family,
-                        check_inequivalence, correlation,
-                        correlation_distribution,
+                        check_inequivalence, correlation_distribution,
                         correlation_distribution_formula,
                         correlation_table_printed, family_dump_lines,
                         family_size)
@@ -40,18 +38,16 @@ __all__ = [
     "find_primitive_polynomial", "is_irreducible", "is_primitive",
     "subfield_elements",
     "BluherCounts", "RankProfile", "bluher_counts", "bluher_counts_formula",
-    "kernel_size", "phi_eval", "psi_root_count", "rank_of", "rank_profile",
-    "rank_profile_formula",
-    "MomentReport", "artin_schreier_points", "gamma_sweep",
-    "gamma_sweep_formula", "moment_targets", "moments", "s_spectrum",
-    "s_spectrum_formula", "s_sum", "t_spectrum", "t_spectrum_formula",
-    "t_sum",
+    "kernel_dims", "rank_profile", "rank_profile_formula",
+    "MomentReport", "artin_schreier_points", "gamma_sweep_formula",
+    "moment_targets", "moments", "s_spectrum", "s_spectrum_formula",
+    "t_spectrum", "t_spectrum_formula",
     "MinimalPolynomial", "check_cyclicity", "check_parity", "code_dimension",
     "codeword_c1", "codeword_c2", "codeword_dump_lines", "h_polynomials",
     "minimal_poly", "parity_check_mask", "weight_distribution",
     "weight_distribution_formula",
     "BinarySequence", "SequenceFamily", "build_family", "check_inequivalence",
-    "correlation", "correlation_distribution",
+    "correlation_distribution",
     "correlation_distribution_formula", "correlation_table_printed",
     "family_dump_lines", "family_size",
 ]

@@ -33,7 +33,7 @@ from .expsum import (_t_table, _trace_rows, _walsh, artin_schreier_points,
                      s_spectrum_formula, t_spectrum, t_spectrum_formula)
 from .field import (_gf2_polymod, build_field, derive_params, is_irreducible,
                     subfield_elements)
-from .linearized import (_kernel_dims, bluher_counts, bluher_counts_formula,
+from .linearized import (bluher_counts, bluher_counts_formula, kernel_dims,
                          rank_profile, rank_profile_formula)
 from .sequences import (INEQUIVALENCE_MAX_N, build_family,
                         check_inequivalence, correlation_distribution,
@@ -207,6 +207,10 @@ class _Run:
         return t_spectrum(self.ctx, self.params, workers=self.args.workers)
 
     @cached_property
+    def kernel_dims(self):
+        return kernel_dims(self.ctx, self.params)
+
+    @cached_property
     def family(self):
         return build_family(self.ctx, self.params)
 
@@ -326,7 +330,7 @@ def _check_bluher(run):
 
 
 def _check_rank(run):
-    got = rank_profile(run.ctx, run.params)
+    got = rank_profile(run.kernel_dims, run.params)
     want = rank_profile_formula(run.params)
     trip = (got.n0, got.n2, got.n4)
     pred = (want.n0, want.n2, want.n4)
@@ -351,9 +355,9 @@ def _check_gamma(run):
         law[rank] = peak, want.count(0), want.count(peak), want.count(-peak)
     alphas = subfield_elements(ctx, params.m)
     arows, brows, _ = _trace_rows(ctx, params, alphas, range(ctx.q), [])
-    for alpha, arow in zip(alphas, arows):
+    for alpha, arow, dims in zip(alphas, arows, run.kernel_dims):
         betas = np.arange(1 if alpha == 0 else 0, ctx.q)
-        ranks = params.s - _kernel_dims(ctx, params, alpha, betas)
+        ranks = params.s - dims[betas]
         walsh = _walsh(arow ^ brows[betas])
         peak = law[ranks, :1]
         got = [(walsh == v).sum(axis=1) for v in (0, peak, -peak)]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -114,9 +113,6 @@ class ValueDistribution:
     def to_json_dict(self):
         return {"values": [{"v": v, "count": c} for v, c in self.entries],
                 "total": self.total}
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     def to_csv(self):
         return "\n".join(["value,count"] + [f"{v},{c}" for v, c in self.entries]) + "\n"

@@ -32,9 +32,9 @@ from .field import (_gf2_linear, _mul, _trace_matrix, frobenius_orbits,
                     trace_bit_matrix)
 
 __all__ = [
-    "MomentReport", "t_sum", "s_sum", "t_spectrum", "t_spectrum_formula",
-    "s_spectrum", "s_spectrum_formula", "gamma_sweep", "gamma_sweep_formula",
-    "moments", "moment_targets", "artin_schreier_points",
+    "MomentReport", "t_spectrum", "t_spectrum_formula", "s_spectrum",
+    "s_spectrum_formula", "gamma_sweep_formula", "moments", "moment_targets",
+    "artin_schreier_points",
 ]
 
 _LAST_ROW_NOTE = ("tabulated distribution lists the single all-zero row with "
@@ -97,17 +97,6 @@ def _walsh(bits):
     the narrowest exact integer dtype."""
     n = bits.shape[-1].bit_length() - 1
     return _fwht(np.subtract(1, 2 * bits, dtype=_walsh_dtype(n)))
-
-
-def t_sum(ctx, params, alpha, beta):
-    """Direct T(alpha, beta) = S(alpha, beta, 0)."""
-    return s_sum(ctx, params, alpha, beta, 0)
-
-
-def s_sum(ctx, params, alpha, beta, gamma):
-    """Direct S(alpha, beta, gamma)."""
-    arows, brows, grows = _trace_rows(ctx, params, [alpha], [beta], [gamma])
-    return ctx.q - 2 * int(np.count_nonzero(arows ^ brows ^ grows))
 
 
 def _t_table(ctx, params, arows, betas):
@@ -198,13 +187,6 @@ def s_spectrum(ctx, params, workers=1):
     if dist.total != (1 << (3 * params.m)) * q:
         raise VerificationError(f"S sweep covered {dist.total} triples")
     return dist
-
-
-def gamma_sweep(ctx, params, alpha, beta):
-    """Distribution of S(alpha, beta, gamma) over gamma for one fixed pair."""
-    arows, brows, _ = _trace_rows(ctx, params, [alpha], [beta], [])
-    f = _walsh(arows ^ brows)
-    return ValueDistribution.from_counts(_histogram(f))
 
 
 def gamma_sweep_formula(params, rank):

@@ -23,7 +23,7 @@ __all__ = [
     "FieldElement", "FieldContext", "Params", "build_field", "derive_params",
     "subfield_elements",
     "find_primitive_polynomial", "is_irreducible", "is_primitive",
-    "power_table", "scale_table", "rel_trace_table", "trace_bit_matrix",
+    "power_table", "rel_trace_table", "trace_bit_matrix",
     "frobenius_orbits", "bit_count",
 ]
 
@@ -167,7 +167,9 @@ def derive_params(n, k):
     else:
         case = "BothOdd"
     # exactly one case holds; BothOdd is equivalent to d_prime == 2d
-    assert d_prime == (2 * d if case == "BothOdd" else d)
+    if d_prime != (2 * d if case == "BothOdd" else d):
+        raise VerificationError(f"d'={d_prime} does not fit case {case} "
+                                f"with d={d}")
     return Params(n=n, m=m, k=k, d=d, d_prime=d_prime, q0=1 << d, s=n // d, case=case)
 
 
@@ -201,14 +203,6 @@ class FieldContext:
             return 1 if e == 0 else 0
         return int(self.exp_table[(int(self.log_table[a]) * e) % self.order])
 
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return int(self.exp_table[(-int(self.log_table[a])) % self.order])
-
-    def trace_abs(self, x):
-        return int(self.trace_table[x])
-
     def trace_rel(self, x, i, j):
         """Relative trace from GF(2^j) down to GF(2^i); x must lie in GF(2^j)."""
         table = rel_trace_table(self, i, j)
@@ -238,7 +232,8 @@ def build_field(n, modulus=None):
         x <<= 1
         if (x >> n) & 1:
             x ^= modulus
-    assert x == 1, "exp table walk did not return to 1"
+    if x != 1:
+        raise VerificationError("exp table walk did not return to 1")
 
     tr_mask = 0
     for j in range(n):
@@ -247,7 +242,8 @@ def build_field(n, modulus=None):
         for _ in range(n):
             acc ^= y
             y = _gf2_mulmod(y, y, modulus)
-        assert acc in (0, 1)
+        if acc not in (0, 1):
+            raise VerificationError(f"trace of x^{j} is {acc:#x}, not a bit")
         tr_mask |= acc << j
     trace = (bit_count(np.arange(q, dtype=np.int64) & tr_mask) & 1).astype(np.uint8)
 
@@ -330,11 +326,6 @@ def _gf2_linear(table):
         low, high = table[..., :1 << i], table[..., 1 << i:2 << i]
         linear &= (high == low ^ high[..., :1]).all(axis=-1)
     return linear
-
-
-def scale_table(ctx, c):
-    """Vector of c*x over all field elements x."""
-    return _mul(ctx, c, np.arange(ctx.q, dtype=np.int64))
 
 
 def rel_trace_table(ctx, i, j):

@@ -6,10 +6,13 @@ quadratic form over GF(2^d) and hence the exponential-sum value. The
 substitution z = x^(2^k (2^(m-k)-1)) links kernel elements to roots of
 psi_{a,b}(z) = b^(2^(n-k)) * z^(2^j+1) + a*z + b with j = (m-k) mod n, which
 in turn is a scaled instance of the classical z^(2^h+1) + c*z + c root-count
-problem whose distribution over c is known exactly.
+problem whose distribution over c is known exactly. No verify record reads
+psi: the tests check the root-count/kernel link at (4,1), pairing the
+schoolbook `reference.psi_roots_naive` with the `kernel_dims` table.
 
 The kernel law is checked in one place, `_kernel_dims`, from the phi rows'
-bits; kernel_size, rank_of, rank_profile and the gamma-sweep check read it.
+bits. `kernel_dims` runs it once over every pair; the rank profile is that
+table's histogram, and the gamma-sweep check reads each pair's rank from it.
 """
 
 from __future__ import annotations
@@ -21,13 +24,11 @@ import numpy as np
 
 from .distribution import VerificationError, _exact, _histogram, _p2
 from .expsum import _eps1, t_spectrum_formula
-from .field import (_gf2_linear, _mul, power_table, scale_table,
-                    subfield_elements)
+from .field import _gf2_linear, _mul, power_table, subfield_elements
 
 __all__ = [
-    "RankProfile", "BluherCounts", "phi_eval", "kernel_size", "rank_of",
-    "rank_profile", "rank_profile_formula", "psi_root_count",
-    "bluher_counts", "bluher_counts_formula",
+    "RankProfile", "BluherCounts", "kernel_dims", "rank_profile",
+    "rank_profile_formula", "bluher_counts", "bluher_counts_formula",
 ]
 
 
@@ -67,15 +68,6 @@ class BluherCounts:
     @property
     def total(self):
         return self.n0 + self.n1 + self.n2 + self.n_top
-
-
-def phi_eval(ctx, params, alpha, beta, x):
-    """phi_{alpha,beta}(x) for scalars."""
-    m, k, n = params.m, params.k, params.n
-    bnk = ctx.pow(beta, 1 << (n - k))
-    return (ctx.mul(alpha, ctx.pow(x, 1 << m))
-            ^ ctx.mul(beta, ctx.pow(x, 1 << k))
-            ^ ctx.mul(bnk, ctx.pow(x, 1 << (n - k))))
 
 
 def _phi_rows(ctx, params, alpha, betas):
@@ -118,24 +110,18 @@ def _kernel_dims(ctx, params, alpha, betas):
     return dims
 
 
-def kernel_size(ctx, params, alpha, beta):
-    """Number of zeros of phi_{alpha,beta}; a power of q0 = 2^d."""
-    return params.q0 ** int(_kernel_dims(ctx, params, alpha, [beta])[0])
+def kernel_dims(ctx, params):
+    """Kernel dimension over GF(q0) of every phi_{alpha,beta}: one row per
+    alpha in `subfield_elements` order, one column per beta."""
+    return np.stack([_kernel_dims(ctx, params, alpha, range(ctx.q))
+                     for alpha in subfield_elements(ctx, params.m)])
 
 
-def rank_of(ctx, params, alpha, beta):
-    """(kernel_dim_over_q0, rank) for one pair, the kernel law checked."""
-    if alpha == 0 and beta == 0:
-        raise ValueError("(0, 0) has no associated quadratic form")
-    dim = int(_kernel_dims(ctx, params, alpha, [beta])[0])
-    return dim, params.s - dim
-
-
-def rank_profile(ctx, params):
-    """Measured rank counts over all (alpha, beta) != (0, 0)."""
-    dims = np.concatenate([_kernel_dims(ctx, params, alpha, range(ctx.q))
-                           for alpha in subfield_elements(ctx, params.m)])
-    counts = _histogram(dims[1:])  # (0, 0), the first pair, has no form
+def rank_profile(dims, params):
+    """Rank counts over all (alpha, beta) != (0, 0) from the `kernel_dims`
+    table."""
+    # (0, 0), the first pair, has no form.
+    counts = _histogram(dims.ravel()[1:])
     unexpected = {key: c for key, c in counts.items() if key not in (0, 2, 4)}
     if unexpected:
         raise VerificationError(f"kernel dimensions outside 0/2/4 observed: {unexpected}")
@@ -166,21 +152,6 @@ def rank_profile_formula(params):
         raise VerificationError(
             f"rank counts sum to {prof.total}, expected {(1 << (3 * m)) - 1}")
     return prof
-
-
-def psi_root_count(ctx, params, alpha, beta):
-    """Roots in GF(2^n) of b^(2^(n-k)) z^(2^j+1) + a z + b, j = (m-k) mod n."""
-    if alpha == 0 or beta == 0:
-        raise ValueError("psi root counting needs alpha != 0 and beta != 0")
-    j = (params.m - params.k) % params.n
-    bnk = ctx.pow(beta, 1 << (params.n - params.k))
-    vals = (_mul(ctx, bnk, power_table(ctx, (1 << j) + 1))
-            ^ scale_table(ctx, alpha) ^ beta)
-    count = int(np.count_nonzero(vals == 0))
-    allowed = {0, 1, 2, (1 << params.d_prime) + 1}
-    if count not in allowed:
-        raise VerificationError(f"unexpected root count {count}, allowed {allowed}")
-    return count
 
 
 def bluher_counts(ctx, h):

@@ -38,7 +38,7 @@ from .field import _cycles, _factorize, subfield_elements
 
 __all__ = [
     "BinarySequence", "SequenceFamily", "family_size", "build_family",
-    "correlation", "correlation_distribution",
+    "correlation_distribution",
     "correlation_distribution_formula", "correlation_table_printed",
     "check_inequivalence", "family_dump_lines", "INEQUIVALENCE_MAX_N",
 ]
@@ -53,10 +53,6 @@ class BinarySequence:
 
     label: str
     bits: np.ndarray
-
-    @property
-    def period(self):
-        return len(self.bits)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,12 +104,6 @@ def build_family(ctx, params):
         raise VerificationError(
             f"family has {fam.size} members, expected {fam.expected_size}")
     return fam
-
-
-def correlation(a, b, tau):
-    """Periodic cross-correlation of two members at shift tau."""
-    shifted = np.roll(b.bits, -tau)
-    return int(len(a.bits) - 2 * int(np.count_nonzero(a.bits ^ shifted)))
 
 
 def _decimation_orbits(mats):

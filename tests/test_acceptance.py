@@ -7,6 +7,7 @@ exact frozen values, tolerance zero.
 
 import json
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -15,14 +16,15 @@ from kasamilab import (artin_schreier_points, bluher_counts,
                        check_inequivalence, codeword_c2,
                        correlation_distribution,
                        correlation_distribution_formula,
-                       correlation_table_printed, derive_params, gamma_sweep,
-                       gamma_sweep_formula, moment_targets, moments, rank_of,
-                       rank_profile, rank_profile_formula, s_spectrum,
-                       s_spectrum_formula, subfield_elements, t_spectrum,
-                       t_spectrum_formula, t_sum, weight_distribution,
+                       correlation_table_printed, derive_params,
+                       gamma_sweep_formula, kernel_dims, moment_targets,
+                       moments, rank_profile, rank_profile_formula,
+                       s_spectrum, s_spectrum_formula, subfield_elements,
+                       t_spectrum, t_spectrum_formula, weight_distribution,
                        weight_distribution_formula)
 from kasamilab.cli import main as cli_main
 from kasamilab.codes import spectrum_pushforward
+from kasamilab.expsum import _t_table, _trace_rows, _walsh
 
 
 def _verdict(tag, ok, detail=""):
@@ -81,10 +83,11 @@ def test_03_moment_identities():
 
 
 def test_04_rank_profile():
-    prof41 = rank_profile(build_field(4), derive_params(4, 1))
-    prof62 = rank_profile(build_field(6), derive_params(6, 2))
-    form41 = rank_profile_formula(derive_params(4, 1))
-    form62 = rank_profile_formula(derive_params(6, 2))
+    p41, p62 = derive_params(4, 1), derive_params(6, 2)
+    prof41 = rank_profile(kernel_dims(build_field(4), p41), p41)
+    prof62 = rank_profile(kernel_dims(build_field(6), p62), p62)
+    form41 = rank_profile_formula(p41)
+    form62 = rank_profile_formula(p62)
     ok = ((prof41.n0, prof41.n2) == (28, 35)
           and prof62.n2 == 315
           and (prof41.n0, prof41.n2, prof41.n4) ==
@@ -111,6 +114,8 @@ def test_06_point_count_identity():
     ctx, p = build_field(6), derive_params(6, 1)
     t0 = time.perf_counter()
     factor = (1 << p.d) - 1
+    sub = subfield_elements(ctx, p.m)
+    t = _t_table(ctx, p, _trace_rows(ctx, p, sub, [], [])[0], range(64))
     ok = True
     for alpha_prime in range(64):
         trp = ctx.trace_rel(alpha_prime, p.m, p.n)
@@ -118,7 +123,7 @@ def test_06_point_count_identity():
             if alpha_prime == 0 and beta == 0:
                 continue
             lhs = artin_schreier_points(ctx, p, alpha_prime, beta)
-            ok &= lhs == (1 << p.n) + factor * t_sum(ctx, p, trp, beta)
+            ok &= lhs == (1 << p.n) + factor * t[sub.index(trp), beta]
     elapsed = time.perf_counter() - t0
     _verdict("06 point counts (6,1), 4095 pairs",
              ok and elapsed < 30.0, f"{elapsed:.1f} s")
@@ -164,7 +169,7 @@ def test_09_sequence_family():
     elapsed = time.perf_counter() - t0
     printed = {v: int(c) for v, c in correlation_table_printed(p)}
     ok = (fam.size == 67
-          and all(m.period == 15 for m in fam.members)
+          and all(len(m.bits) == 15 for m in fam.members)
           and check_inequivalence(fam)
           and hist.total == 67335
           and hist.count(15) == 67
@@ -176,13 +181,18 @@ def test_09_sequence_family():
 def test_10_gamma_sweep_per_pair():
     ctx, p = build_field(4), derive_params(4, 1)
     q0, s = p.q0, p.s
+    arows, brows, _ = _trace_rows(ctx, p, subfield_elements(ctx, 2),
+                                  range(16), [])
+    walsh = _walsh((arows[:, None, :] ^ brows[None, :, :]).reshape(-1, 16))
+    walsh = walsh.reshape(4, 16, 16)
+    ranks = s - kernel_dims(ctx, p)
     ok = True
-    for alpha in subfield_elements(ctx, 2):
+    for ai in range(4):
         for beta in range(16):
-            if alpha == 0 and beta == 0:
+            if ai == 0 and beta == 0:
                 continue
-            _, rank = rank_of(ctx, p, alpha, beta)
-            dist = gamma_sweep(ctx, p, alpha, beta).as_dict()
+            rank = int(ranks[ai, beta])
+            dist = dict(Counter(walsh[ai, beta].tolist()))
             mag = q0 ** (s - rank // 2)
             ok &= dist == gamma_sweep_formula(p, rank).as_dict()
             ok &= dist.get(0, 0) == q0 ** s - q0 ** rank

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from kasamilab import linearized
 from kasamilab.cli import _CHECKS, DEFAULT_BUDGETS, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -195,6 +196,36 @@ def test_verify_erratum_only(tmp_path):
         (GOLDEN / "n6k1.json").read_bytes()
 
 
+@pytest.mark.parametrize("n,k,code", [(6, 2, 0), (10, 1, 3), (10, 2, 0),
+                                      (12, 1, 0)])
+def test_verify_report_is_golden(tmp_path, n, k, code):
+    # The frozen reports of the benchmark grid, (6,1) and (8,2) aside.
+    got, _, out = run(tmp_path, "verify", "--n", str(n), "--k", str(k))
+    assert got == code
+    assert (out / "report.json").read_bytes() == \
+        (GOLDEN / f"n{n}k{k}.json").read_bytes()
+
+
+def test_verify_sweeps_each_kernel_once(tmp_path, monkeypatch):
+    # rank-profile and gamma-sweep read one kernel table: the validator runs
+    # once per alpha, through whichever module it is called from.
+    sweep, calls = linearized._kernel_dims, []
+
+    def counted(*args):
+        calls.append(args[2])
+        return sweep(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("kasamilab"):
+            for attr, value in list(vars(module).items()):
+                if value is sweep:
+                    monkeypatch.setattr(module, attr, counted)
+    code, report, _ = run(tmp_path, "verify", "--n", "6", "--k", "1")
+    assert code == 3
+    assert statuses(report)["gamma-sweep"] == "match"
+    assert len(calls) == len(set(calls)) == 8  # each alpha of GF(2^3) once
+
+
 @pytest.mark.parametrize("n,k", [(4, 1), (4, 3), (6, 1), (6, 2), (6, 4),
                                  (6, 5)])
 def test_verify_battery(tmp_path, n, k):
@@ -206,7 +237,7 @@ def test_verify_battery(tmp_path, n, k):
 
 
 def test_verify_reports_a_check_that_raises(tmp_path, monkeypatch):
-    def broken(ctx, params):
+    def broken(dims, params):
         raise RuntimeError("rank sweep broke")
 
     monkeypatch.setattr("kasamilab.cli.rank_profile", broken)
@@ -228,8 +259,10 @@ def test_verify_reports_a_check_that_raises(tmp_path, monkeypatch):
 
 @pytest.mark.slow
 def test_verify_n8(tmp_path):
-    code, report, _ = run(tmp_path, "verify", "--n", "8", "--k", "2")
+    code, report, out = run(tmp_path, "verify", "--n", "8", "--k", "2")
     assert code == 3
+    assert (out / "report.json").read_bytes() == \
+        (GOLDEN / "n8k2.json").read_bytes()
     st = statuses(report)
     assert st["correlation"] == "flagged-erratum"
     assert st["gamma-sweep"] == "skipped"

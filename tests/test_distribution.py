@@ -39,7 +39,7 @@ def test_diff():
 
 def test_json_and_csv_round_trip():
     dist = ValueDistribution.from_counts({2: 1, -2: 3})
-    assert json.loads(dist.to_json()) == {
+    assert json.loads(json.dumps(dist.to_json_dict())) == {
         "values": [{"v": -2, "count": 3}, {"v": 2, "count": 1}], "total": 4}
     assert dist.to_csv() == "value,count\n-2,3\n2,1\n"
 

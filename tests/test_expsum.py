@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 import reference as ref
 from kasamilab import (ValueDistribution, VerificationError,
                        artin_schreier_points, build_field, derive_params,
-                       expsum, gamma_sweep, gamma_sweep_formula,
-                       moment_targets, moments, rank_of, s_spectrum,
-                       s_spectrum_formula, s_sum, subfield_elements,
-                       t_spectrum, t_spectrum_formula, t_sum)
+                       expsum, gamma_sweep_formula, kernel_dims,
+                       moment_targets, moments, s_spectrum,
+                       s_spectrum_formula, subfield_elements, t_spectrum,
+                       t_spectrum_formula)
 from kasamilab.cli import main
 from kasamilab.field import bit_count, frobenius_orbits
 
@@ -210,20 +210,29 @@ def test_verify_records_a_broken_frobenius_closure(tmp_path, monkeypatch):
     assert "Frobenius" in record["detail"]
 
 
+def t_table(ctx, params, alphas, betas):
+    """T(alpha, beta) through the sweep's sign product, one row per alpha."""
+    arows, _, _ = expsum._trace_rows(ctx, params, alphas, [], [])
+    return expsum._t_table(ctx, params, arows, betas)
+
+
 def test_t_sum_matches_oracle(ctx6, p62):
     sub = subfield_elements(ctx6, 3)
-    for alpha in (0, 1, sub[3]):
-        for beta in (0, 1, 17, 62):
-            assert t_sum(ctx6, p62, alpha, beta) == \
-                ref.t_value(alpha, beta, 2, 0x43, 6)
+    alphas, betas = (0, 1, sub[3]), (0, 1, 17, 62)
+    got = t_table(ctx6, p62, alphas, betas)
+    assert got.tolist() == [[ref.t_value(alpha, beta, 2, 0x43, 6)
+                             for beta in betas] for alpha in alphas]
 
 
 def test_s_sum_matches_oracle(ctx6, p61):
+    # S(alpha, beta, gamma) is the sign sum of the three trace rows.
     sub = subfield_elements(ctx6, 3)
-    for alpha in (0, sub[2]):
-        for beta in (3, 44):
-            for gamma in (0, 29):
-                assert s_sum(ctx6, p61, alpha, beta, gamma) == \
+    alphas, betas, gammas = (0, sub[2]), (3, 44), (0, 29)
+    arows, brows, grows = expsum._trace_rows(ctx6, p61, alphas, betas, gammas)
+    for arow, alpha in zip(arows, alphas):
+        for brow, beta in zip(brows, betas):
+            for grow, gamma in zip(grows, gammas):
+                assert ctx6.q - 2 * np.count_nonzero(arow ^ brow ^ grow) == \
                     ref.s_value(alpha, beta, gamma, 1, 0x43, 6)
 
 
@@ -231,7 +240,7 @@ def test_t_sum_rejects_nonsubfield_alpha(ctx6, p61):
     outside = next(x for x in range(64)
                    if x not in set(subfield_elements(ctx6, 3)))
     with pytest.raises(ValueError):
-        t_sum(ctx6, p61, outside, 1)
+        t_table(ctx6, p61, [outside], [1])
 
 
 @pytest.mark.parametrize("n,ks", [(4, (1, 3)), (6, (1, 2, 4, 5))])
@@ -296,25 +305,33 @@ def test_moments_all_k_n8(ctx8):
             (rep.expected1, rep.expected2, rep.expected3)
 
 
+def gamma_rows(ctx, params):
+    """S over gamma of every (alpha, beta), as the sweep transforms it: one
+    row per pair, alpha in subfield order and then beta."""
+    return expsum._walsh(pair_rows(ctx, params))
+
+
 def test_gamma_sweep_frozen(ctx4, p41):
-    assert gamma_sweep(ctx4, p41, 1, 1).as_dict() == {-4: 6, 4: 10}
-    assert gamma_sweep(ctx4, p41, 0, 1).as_dict() == {-8: 1, 0: 12, 8: 3}
+    rows, row = gamma_rows(ctx4, p41), subfield_elements(ctx4, 2).index(1)
+    assert Counter(rows[16 * row + 1].tolist()) == {-4: 6, 4: 10}
+    assert Counter(rows[1].tolist()) == {-8: 1, 0: 12, 8: 3}
 
 
 def test_gamma_sweep_matches_oracle(ctx4, p41):
+    rows, sub = gamma_rows(ctx4, p41), subfield_elements(ctx4, 2)
     for alpha, beta in [(1, 1), (0, 1), (1, 0), (6, 9)]:
         naive = ref.gamma_sweep_naive(alpha, beta, 1, 0x13, 4)
-        assert gamma_sweep(ctx4, p41, alpha, beta).as_dict() == dict(naive)
+        assert Counter(rows[16 * sub.index(alpha) + beta].tolist()) == \
+            dict(naive)
 
 
 def test_gamma_sweep_formula_exhaustive(ctx4, p41):
-    for alpha in subfield_elements(ctx4, 2):
-        for beta in range(16):
-            if alpha == 0 and beta == 0:
-                continue
-            _, rank = rank_of(ctx4, p41, alpha, beta)
-            brute = gamma_sweep(ctx4, p41, alpha, beta)
-            assert brute.as_dict() == gamma_sweep_formula(p41, rank).as_dict()
+    rows = gamma_rows(ctx4, p41)
+    ranks = p41.s - kernel_dims(ctx4, p41).ravel()
+    # Row 0 is the pair (0, 0), which has no form.
+    for row, rank in zip(rows[1:], ranks[1:].tolist()):
+        assert Counter(row.tolist()) == \
+            gamma_sweep_formula(p41, rank).as_dict()
 
 
 def test_gamma_sweep_formula_shape(p41):
@@ -332,12 +349,14 @@ def test_gamma_sweep_formula_shape(p41):
 def test_point_count_identity_exhaustive(ctx6, p61):
     q = 64
     factor = (1 << p61.d) - 1
+    sub = subfield_elements(ctx6, 3)
+    t = t_table(ctx6, p61, sub, range(q))
     for alpha_prime in range(q):
         trp = ctx6.trace_rel(alpha_prime, p61.m, p61.n)
         for beta in range(q):
             if alpha_prime == 0 and beta == 0:
                 continue
-            expected = (1 << p61.n) + factor * t_sum(ctx6, p61, trp, beta)
+            expected = (1 << p61.n) + factor * t[sub.index(trp), beta]
             assert artin_schreier_points(ctx6, p61, alpha_prime, beta) == expected
 
 
@@ -357,7 +376,9 @@ def test_point_count_rejects_single_regime(ctx4, p41):
 def test_s_at_zero_gamma_is_t(ai, beta):
     ctx, p = build_field(6), derive_params(6, 1)
     alpha = subfield_elements(ctx, 3)[ai]
-    assert s_sum(ctx, p, alpha, beta, 0) == t_sum(ctx, p, alpha, beta)
+    arows, brows, grows = expsum._trace_rows(ctx, p, [alpha], [beta], [0])
+    s = ctx.q - 2 * np.count_nonzero(arows ^ brows ^ grows)
+    assert s == t_table(ctx, p, [alpha], [beta])[0, 0]
 
 
 def test_scaling_invariance(ctx8):
@@ -368,8 +389,9 @@ def test_scaling_invariance(ctx8):
         ue1 = ctx8.pow(u, p.e_norm)
         ue2 = ctx8.pow(u, p.e_quad)
         for alpha, beta in [(sub[1], 5), (sub[7], 133), (0, 17)]:
-            assert t_sum(ctx8, p, ctx8.mul(alpha, ue1), ctx8.mul(beta, ue2)) == \
-                t_sum(ctx8, p, alpha, beta)
+            t = t_table(ctx8, p, [ctx8.mul(alpha, ue1), alpha],
+                        [ctx8.mul(beta, ue2), beta])
+            assert t[0, 0] == t[1, 1]
 
 
 @pytest.mark.slow
@@ -380,8 +402,9 @@ def test_scaling_invariance_large_field():
     u = 1234
     ue1, ue2 = ctx.pow(u, p.e_norm), ctx.pow(u, p.e_quad)
     for alpha, beta in [(sub[5], 99), (sub[60], 4000)]:
-        assert t_sum(ctx, p, ctx.mul(alpha, ue1), ctx.mul(beta, ue2)) == \
-            t_sum(ctx, p, alpha, beta)
+        t = t_table(ctx, p, [ctx.mul(alpha, ue1), alpha],
+                    [ctx.mul(beta, ue2), beta])
+        assert t[0, 0] == t[1, 1]
 
 
 def test_point_counts_over_a_beta_array(ctx6, p61):
@@ -411,8 +434,8 @@ def test_verify_names_the_curve_off_the_identity(tmp_path, monkeypatch,
 
     monkeypatch.setattr("kasamilab.cli.artin_schreier_points", one_point_more)
     code, record = verify_record(tmp_path, "artin-schreier")
-    want = (1 << 6) + ((1 << p61.d) - 1) * t_sum(
-        ctx6, p61, ctx6.trace_rel(0x3, 3, 6), 0x5)
+    want = (1 << 6) + ((1 << p61.d) - 1) * int(t_table(
+        ctx6, p61, [ctx6.trace_rel(0x3, 3, 6)], [0x5])[0, 0])
     assert code == 2 and record["status"] == "mismatch"
     assert record["detail"] == (f"(0x3, 0x5): {want + 1} points, identity "
                                 f"gives {want}")
@@ -431,9 +454,10 @@ def test_verify_names_the_first_pair_off_the_rank_law(tmp_path, monkeypatch,
 
     monkeypatch.setattr("kasamilab.cli.gamma_sweep_formula", moved)
     code, record = verify_record(tmp_path, "gamma-sweep")
-    alpha, beta = next(
-        (a, b) for a in subfield_elements(ctx6, 3) for b in range(ctx6.q)
-        if (a, b) != (0, 0) and rank_of(ctx6, p61, a, b)[1] == 4)
+    ranks = p61.s - kernel_dims(ctx6, p61)
+    first = np.flatnonzero(ranks.ravel() == 4)[0]  # (0, 0) has rank 0
+    alpha = subfield_elements(ctx6, 3)[first // ctx6.q]
+    beta = first % ctx6.q
     assert code == 2 and record["status"] == "mismatch"
     assert record["detail"] == (f"pair ({alpha:#x}, {beta:#x}) deviates from "
                                 f"the rank-4 law")

@@ -1,15 +1,18 @@
 """Source hygiene: every imported name is used, and so is every module-level
 name of the package.
 
-Two guards that need no linter. Each module of the package and of the test
+Guards that need no linter. Each module of the package and of the test
 suite is parsed with `ast`; a name bound by an import must be read somewhere
 in the file or be listed in the module's `__all__`. `from __future__` imports
 are exempt. A name bound at the top level of a package module (an assignment,
-function or class) must be read by some package, test or benchmark source, as
-a name, an attribute or an imported name, or be listed in its module's
-`__all__`. Dunder names are exempt. Only `field.py` reads a field context's
-`log_table` and `trace_table`, so the element products and the trace rows
-are built in one place.
+function or class) must be read, as a name, an attribute or an imported name,
+by the program: a package module other than `__init__.py`, or a benchmark
+source. Tests, re-exports and `__all__` do not keep a name alive, so the
+public API is what the program reads. Dunder names are exempt. Only
+`field.py` reads a field context's `log_table` and `trace_table`, so the
+element products and the trace rows are built in one place. The package
+holds no `assert` statement, since `python -O` strips them: each fact it
+checks raises an error of its own.
 """
 
 import ast
@@ -20,7 +23,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "kasamilab").glob("*.py"))
 FILES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
-READERS = FILES + sorted((ROOT / "bench").glob("*.py"))
+READERS = ([p for p in PACKAGE if p.name != "__init__.py"]
+           + sorted((ROOT / "bench").glob("*.py")))
 
 
 def _exported(tree):
@@ -64,8 +68,8 @@ def _names_read(source):
 
 def dead_names(modules, readers):
     """(module, line, name) of every name bound at the top level of a source
-    in `modules` (module -> source) that no source in `readers` reads and
-    its module's `__all__` does not list; dunder names are exempt."""
+    in `modules` (module -> source) that no source in `readers` reads;
+    dunder names are exempt."""
     read = set().union(*map(_names_read, readers))
     dead = []
     for module, source in modules.items():
@@ -79,9 +83,8 @@ def dead_names(modules, readers):
                            else [node.target])
                 bound += [(t.lineno, t.id) for target in targets
                           for t in ast.walk(target) if isinstance(t, ast.Name)]
-        kept = read | _exported(tree)
         dead += [(module, line, name) for line, name in bound
-                 if name not in kept
+                 if name not in read
                  and not (name.startswith("__") and name.endswith("__"))]
     return dead
 
@@ -101,16 +104,18 @@ def test_no_unused_imports(path):
 
 
 def test_dead_name_guard_flags_only_unread_names():
-    lib = ("__all__ = ['public']\n"
+    # `exported` is listed in `__all__` but read by no reader.
+    lib = ("__all__ = ['public', 'exported']\n"
            "__version__ = '1'\n"
            "CASES = ('a', 'b')\n"
            "LIMIT, _SPARE = 3, 4\n"
            "def public(): return LIMIT\n"
+           "def exported(): pass\n"
            "def _helper(): pass\n"
            "class _Shape: pass\n")
-    test = "import lib\nfrom lib import _helper\nlib._Shape\n"
-    assert dead_names({"lib": lib}, [lib, test]) == [
-        ("lib", 3, "CASES"), ("lib", 4, "_SPARE")]
+    user = "import lib\nfrom lib import _helper, public\nlib._Shape\n"
+    assert dead_names({"lib": lib}, [lib, user]) == [
+        ("lib", 3, "CASES"), ("lib", 4, "_SPARE"), ("lib", 6, "exported")]
 
 
 def test_no_dead_module_level_names():
@@ -138,3 +143,19 @@ def test_table_guard_flags_only_the_field_tables():
                          ids=lambda p: p.name)
 def test_only_field_reads_the_log_and_trace_tables(path):
     assert table_reads(path.read_text()) == []
+
+
+def asserts(source):
+    """Lines of every `assert` statement in a source."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)]
+
+
+def test_assert_guard_flags_every_assert():
+    source = "assert x\nif y:\n    assert y, 'why'\nz = 'assert'\n"
+    assert asserts(source) == [1, 3]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_assert_in_the_package(path):
+    assert asserts(path.read_text()) == []

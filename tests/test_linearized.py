@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 import reference as ref
 from kasamilab import (VerificationError, bluher_counts, bluher_counts_formula,
-                       build_field, derive_params, kernel_size, linearized,
-                       phi_eval, psi_root_count, rank_of, rank_profile,
-                       rank_profile_formula, subfield_elements)
+                       build_field, derive_params, kernel_dims, linearized,
+                       rank_profile, rank_profile_formula, subfield_elements)
 from kasamilab.cli import main
 from kasamilab.field import _mul, power_table
 
@@ -28,7 +27,7 @@ PROFILES = {
 def test_rank_profile_frozen(nk, expected):
     n, k = nk
     ctx, p = build_field(n), derive_params(n, k)
-    prof = rank_profile(ctx, p)
+    prof = rank_profile(kernel_dims(ctx, p), p)
     assert (prof.n0, prof.n2, prof.n4) == expected
     total = (1 << p.m) * (1 << n) - 1
     assert prof.n0 + prof.n2 + prof.n4 == total
@@ -37,30 +36,34 @@ def test_rank_profile_frozen(nk, expected):
 @pytest.mark.parametrize("nk", sorted(PROFILES))
 def test_rank_profile_matches_formula(nk):
     n, k = nk
-    prof = rank_profile(build_field(n), derive_params(n, k))
-    form = rank_profile_formula(derive_params(n, k))
+    p = derive_params(n, k)
+    prof = rank_profile(kernel_dims(build_field(n), p), p)
+    form = rank_profile_formula(p)
     assert (prof.n0, prof.n2, prof.n4) == (form.n0, form.n2, form.n4)
 
 
 @pytest.mark.slow
 def test_rank_profile_frozen_n8():
-    prof = rank_profile(build_field(8), derive_params(8, 2))
+    p = derive_params(8, 2)
+    prof = rank_profile(kernel_dims(build_field(8), p), p)
     assert (prof.n0, prof.n2, prof.n4) == (3024, 1071, 0)
     form = rank_profile_formula(derive_params(8, 2))
     assert (form.n0, form.n2, form.n4) == (3024, 1071, 0)
 
 
 def test_kernel_size_matches_oracle(ctx4, p41):
-    for alpha in subfield_elements(ctx4, 2):
+    dims = kernel_dims(ctx4, p41)
+    assert dims.shape == (4, 16)
+    for alpha, row in zip(subfield_elements(ctx4, 2), dims.tolist()):
         for beta in range(16):
             if alpha == 0 and beta == 0:
                 continue
-            assert kernel_size(ctx4, p41, alpha, beta) == \
+            assert p41.q0 ** row[beta] == \
                 ref.kernel_count_naive(alpha, beta, 1, 0x13, 4)
 
 
-def test_kernel_profile_matches_oracle(ctx6):
-    prof = rank_profile(build_field(6), derive_params(6, 1))
+def test_kernel_profile_matches_oracle(ctx6, p61):
+    prof = rank_profile(kernel_dims(ctx6, p61), p61)
     naive = ref.kernel_profile_naive(1, 0x43, 6)
     # q0-dimension 0/2/4 <-> kernel size q0^0/q0^2/q0^4.
     assert prof.n0 == naive[1]
@@ -70,29 +73,30 @@ def test_kernel_profile_matches_oracle(ctx6):
 
 def test_rank_of_consistent_with_kernel(ctx6, p61):
     sub = subfield_elements(ctx6, 3)
+    dims = kernel_dims(ctx6, p61)
     for alpha, beta in [(0, 1), (1, 0), (sub[2], 5), (sub[3], 40), (1, 63)]:
-        dim, rank = rank_of(ctx6, p61, alpha, beta)
+        dim = int(dims[sub.index(alpha), beta])
         assert dim in (0, 2, 4)
-        assert rank == p61.s - dim
-        assert kernel_size(ctx6, p61, alpha, beta) == p61.q0 ** dim
+        phi = linearized._phi_rows(ctx6, p61, alpha, [beta])[0]
+        assert np.count_nonzero(phi == 0) == p61.q0 ** dim
 
 
 @given(st.integers(0, 15), st.integers(0, 15), st.integers(0, 15))
 @settings(max_examples=60)
 def test_phi_is_additive(beta, x, y):
     ctx, p = build_field(4), derive_params(4, 1)
-    assert phi_eval(ctx, p, 1, beta, x) ^ phi_eval(ctx, p, 1, beta, y) == \
-        phi_eval(ctx, p, 1, beta, x ^ y)
+    phi = linearized._phi_rows(ctx, p, 1, [beta])[0]
+    assert phi[x] ^ phi[y] == phi[x ^ y]
 
 
 def test_kernel_is_q0_subspace(ctx4, p41):
     sub = subfield_elements(ctx4, 2)
     for alpha in sub:
+        phi = linearized._phi_rows(ctx4, p41, alpha, range(16))
         for beta in range(16):
             if alpha == 0 and beta == 0:
                 continue
-            roots = [x for x in range(16)
-                     if phi_eval(ctx4, p41, alpha, beta, x) == 0]
+            roots = np.flatnonzero(phi[beta] == 0).tolist()
             elems = set(roots)
             assert 0 in elems
             for x in roots:  # closed under addition => GF(q0)-subspace here
@@ -102,13 +106,13 @@ def test_kernel_is_q0_subspace(ctx4, p41):
 
 def test_psi_roots_match_oracle(ctx4, p41):
     joint = {}
-    for alpha in subfield_elements(ctx4, 2):
+    dims = kernel_dims(ctx4, p41)
+    for alpha, row in zip(subfield_elements(ctx4, 2), dims.tolist()):
         for beta in range(1, 16):
             if alpha == 0:
                 continue
-            cnt = psi_root_count(ctx4, p41, alpha, beta)
-            assert cnt == ref.psi_roots_naive(alpha, beta, 1, 0x13, 4)
-            key = (cnt, kernel_size(ctx4, p41, alpha, beta))
+            cnt = ref.psi_roots_naive(alpha, beta, 1, 0x13, 4)
+            key = (cnt, p41.q0 ** row[beta])
             joint[key] = joint.get(key, 0) + 1
     # Root count 0 pairs with trivial kernel, 2^d+1 with the 4-element kernel.
     assert joint == {(0, 1): 15, (3, 4): 30}
@@ -214,7 +218,7 @@ def test_bluher_formula_n8():
 
 def test_kernel_size_off_a_q0_power_is_rejected(ctx4, p41, monkeypatch):
     # (1, 2) has a 4-element kernel at (4, 1); one extra zero makes 5.
-    assert kernel_size(ctx4, p41, 1, 2) == 4
+    assert p41.q0 ** linearized._kernel_dims(ctx4, p41, 1, [2])[0] == 4
     build = linearized._phi_rows
 
     def one_more_zero(*args):
@@ -227,9 +231,9 @@ def test_kernel_size_off_a_q0_power_is_rejected(ctx4, p41, monkeypatch):
 
     monkeypatch.setattr(linearized, "_phi_rows", one_more_zero)
     with pytest.raises(VerificationError, match="not a power of q0"):
-        rank_of(ctx4, p41, 1, 2)
+        linearized._kernel_dims(ctx4, p41, 1, [2])
     with pytest.raises(VerificationError, match="not a power of q0"):
-        rank_profile(ctx4, p41)
+        kernel_dims(ctx4, p41)
 
 
 def patch_phi_row(monkeypatch, alpha, beta, edit):
@@ -255,8 +259,8 @@ def swap_a_kernel_element(row):
 
 
 def four_element_kernel(ctx6, p61):
-    beta = next(b for b in range(ctx6.q) if kernel_size(ctx6, p61, 1, b) == 4)
-    return 1, beta
+    dims = linearized._kernel_dims(ctx6, p61, 1, range(ctx6.q))
+    return 1, int(np.flatnonzero(p61.q0 ** dims == 4)[0])
 
 
 def test_rank_profile_rejects_a_kernel_not_closed(ctx6, p61, monkeypatch):
@@ -269,9 +273,9 @@ def test_rank_profile_rejects_a_kernel_not_closed(ctx6, p61, monkeypatch):
     with pytest.raises(VerificationError,
                        match=rf"phi_\({alpha:#x}, {beta:#x}\) is not "
                              r"GF\(2\)-linear"):
-        rank_profile(ctx6, p61)
+        kernel_dims(ctx6, p61)
     with pytest.raises(VerificationError, match="not GF"):
-        rank_of(ctx6, p61, alpha, beta)
+        linearized._kernel_dims(ctx6, p61, alpha, [beta])
 
 
 def test_rank_profile_rejects_a_kernel_not_gf_q0_stable(ctx8, p82,
@@ -287,7 +291,7 @@ def test_rank_profile_rejects_a_kernel_not_gf_q0_stable(ctx8, p82,
     patch_phi_row(monkeypatch, 1, 1, clear_low_bits)
     with pytest.raises(VerificationError,
                        match=r"phi_\(0x1, 0x1\) is not GF\(4\)-linear"):
-        rank_profile(ctx8, p82)
+        kernel_dims(ctx8, p82)
 
 
 def test_verify_records_a_kernel_not_closed(tmp_path, monkeypatch, ctx6,
