@@ -28,11 +28,12 @@ from .codes import (CODES, CYCLICITY_EXHAUSTIVE_MAX_N, check_cyclicity,
                     codeword_dump_lines, h_polynomials, parity_check_mask,
                     weight_distribution, weight_distribution_formula)
 from .distribution import VerificationError
-from .expsum import (_t_table, _trace_rows, _walsh, artin_schreier_points,
-                     gamma_sweep_formula, moments, s_spectrum,
-                     s_spectrum_formula, t_spectrum, t_spectrum_formula)
+from .expsum import (_gamma_axis, _t_table, _trace_rows, _walsh,
+                     artin_schreier_points, gamma_sweep_formula, moments,
+                     s_spectrum, s_spectrum_formula, t_spectrum,
+                     t_spectrum_formula)
 from .field import (_gf2_polymod, build_field, derive_params, is_irreducible,
-                    subfield_elements)
+                    rel_trace_table, subfield_elements)
 from .linearized import (bluher_counts, bluher_counts_formula, kernel_dims,
                          rank_profile, rank_profile_formula)
 from .sequences import (INEQUIVALENCE_MAX_N, build_family,
@@ -204,7 +205,7 @@ class _Run:
     # raises is not cached, so each check that reads it reports the failure.
     @cached_property
     def t_distribution(self):
-        return t_spectrum(self.ctx, self.params, workers=self.args.workers)
+        return t_spectrum(self.ctx, self.params)
 
     @cached_property
     def kernel_dims(self):
@@ -345,9 +346,10 @@ def _check_moments(run):
 
 
 def _check_gamma(run):
-    # Each pair's row of S over gamma must hold its rank law's counts of 0,
-    # +peak and -peak. They sum to q, so the row holds no other value.
+    # Each pair's Walsh row (its S over gamma, by `_gamma_axis`) must hold its
+    # rank law's counts of 0, +peak and -peak; they sum to q, so nothing else.
     ctx, params = run.ctx, run.params
+    _gamma_axis(ctx)
     law = np.zeros((params.s + 1, 4), dtype=np.int64)
     for rank in range(0, params.s + 1, 2):
         want = gamma_sweep_formula(params, rank)
@@ -375,8 +377,8 @@ def _check_artin_schreier(run):
     arows, _, _ = _trace_rows(ctx, params, alphas, [], [])
     t_rows = _t_table(ctx, params, arows, range(ctx.q))
     row = {a: i for i, a in enumerate(alphas)}
-    for aprime in range(ctx.q):
-        alpha = ctx.trace_rel(aprime, params.m, params.n)
+    traces = rel_trace_table(ctx, params.m, params.n).tolist()
+    for aprime, alpha in enumerate(traces):
         got = artin_schreier_points(ctx, params, aprime, np.arange(ctx.q))
         want = ctx.q + ((1 << params.d) - 1) * t_rows[row[alpha]]
         bad = got != want

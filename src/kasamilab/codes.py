@@ -5,7 +5,8 @@ expressions the exponential sums integrate, so every weight is tied to a sum
 value by w = 2^(n-1) - value/2. The narrow code (dimension 3m over GF(2)) is
 cut out by the parity-check product h2*h3; the wide code (dimension 5m) by
 h1*h2*h3, where the h_i are minimal polynomials of pi^-1, pi^-(2^k+1) and
-pi^-(2^m+1).
+pi^-(2^m+1). Weights are counted from the bits: popcounts of the c1 rows, and
+the c2 weights of a c1 row over every gamma read off its Walsh transform.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import (ValueDistribution, VerificationError, _histogram,
-                           _pack_bits, _summed, pack_bits_hex)
-from .expsum import _trace_rows, s_spectrum_formula, t_spectrum_formula
+from .distribution import (ValueDistribution, VerificationError, _pack_bits,
+                           _summed, pack_bits_hex)
+from .expsum import (_gamma_axis, _trace_rows, _walsh, s_spectrum_formula,
+                     t_spectrum_formula)
 from .field import _gf2_polymul, _gf2_polymod, subfield_elements
 
 __all__ = [
@@ -128,35 +130,30 @@ def codeword_c2(ctx, params, alpha, beta, gamma):
 def weight_distribution(ctx, params, code, workers=1):
     """Direct Hamming-weight histogram over every codeword.
 
-    c1 enumerates all (alpha, beta); c2 all (alpha, beta, gamma). Weights are
-    computed with inner products (|a| + |b| - 2 a.b) so whole coefficient
-    blocks reduce to one matrix product per subfield row.
+    Every word is 0 at x = 0, so it weighs the popcount of its row over x in
+    mask order. The c2 words of one c1 row over every gamma weigh (q - W)/2
+    for W over the row's Walsh transform, whose axis `_gamma_axis` proves.
     """
     if code not in CODES:
         raise ValueError(f"code must be one of {CODES}, got {code!r}")
     q = ctx.q
-    sub = subfield_elements(ctx, params.m)
-    arows, brows, grows = _word_rows(ctx, params, sub, range(q),
-                                     range(q) if code == "c2" else [])
-    bw = brows.sum(axis=1, dtype=np.int64)
-    bf = brows.astype(np.float32)
-    gw = grows.sum(axis=1, dtype=np.int64)
-    gf = grows.astype(np.float32)
+    arows, brows, _ = _trace_rows(ctx, params, subfield_elements(ctx, params.m),
+                                  range(q), [])
+    if code == "c2":
+        _gamma_axis(ctx)
 
-    def work(ai):
-        arow = arows[ai]
+    def work(arow):
+        rows = arow ^ brows
         if code == "c1":
-            dots = bf @ arow.astype(np.float32)
-            w = int(arow.sum()) + bw - 2 * dots.astype(np.int64)
+            weights = rows.sum(axis=1, dtype=np.intp)
         else:
-            base = arow[None, :] ^ brows
-            basew = base.sum(axis=1, dtype=np.int64)
-            dots = base.astype(np.float32) @ gf.T
-            w = basew[:, None] + gw[None, :] - 2 * dots.astype(np.int64)
-        return _histogram(w)
+            weights = _walsh(rows)
+            np.subtract(q, weights, out=weights)
+            weights >>= 1
+        return np.bincount(weights.ravel(), minlength=q + 1)
 
-    dist = ValueDistribution.from_counts(
-        _summed(work, range(len(sub)), workers))
+    counts = _summed(work, arows, workers)
+    dist = ValueDistribution.from_counts(enumerate(counts.tolist()))
     if dist.total != 1 << code_dimension(params, code):
         raise VerificationError(
             f"{code} sweep covered {dist.total} words, "

@@ -2,20 +2,21 @@
 
 T(a, b) sums (-1)^(Tr_m(a x^(2^m+1)) + Tr_n(b x^(2^k+1))) over GF(2^n) with a
 drawn from the subfield copy of GF(2^m); S(a, b, g) adds a linear term
-Tr_n(g x). Both are measured directly (sign-matrix matmuls, Walsh transform
-over the linear-term axis) and predicted by closed-form value distributions
-split on the parity case. The two sides are compared by callers; mismatches
-are never papered over.
+Tr_n(g x). T is measured as a float32 sign product (exact while q < 2^24), S
+by a Walsh transform over the linear-term axis; both are predicted by
+closed-form value distributions split on the parity case. The two sides are
+compared by callers; mismatches are never papered over.
+
+Three sweeps share that Walsh transform, `_walsh`: S, the gamma-sweep and the
+c2 code weights. It runs on int16 signs while every S + q <= 2^(n+1) fits
+(n <= 13), else on int32. Its index u is the functional x -> u.x, and
+`_gamma_axis` proves from the bits, once per field, that the rows Tr_n(g x)
+are every linear functional exactly once.
 
 Squaring x permutes GF(2^n) linearly and keeps every trace, so S takes the
 same values at (a, b, g) and (a^2, b^2, g^2). The S sweep checks this closure
 from the bits of the trace rows on every call, then runs the Walsh transform
 for one b per Frobenius orbit only, weighted by the orbit's size.
-
-The Walsh transforms run on int16 signs while every value S + q <= 2^(n+1)
-fits in int16 (n <= 13), else on int32 (`_walsh_dtype`); the T product is
-float32 on sign rows gathered straight from the sign window of the
-m-sequence, exact while q < 2^24.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ import numpy as np
 
 from .distribution import (ValueDistribution, VerificationError, _exact,
                            _histogram, _p2, _summed)
-from .field import (_gf2_linear, _mul, _trace_matrix, frobenius_orbits,
-                    power_table, rel_trace_table, subfield_elements,
-                    trace_bit_matrix)
+from .field import (_cycles, _gf2_linear, _mul, _trace_matrix, power_table,
+                    rel_trace_table, subfield_elements, trace_bit_matrix)
 
 __all__ = [
     "MomentReport", "t_spectrum", "t_spectrum_formula", "s_spectrum",
@@ -99,6 +99,20 @@ def _walsh(bits):
     return _fwht(np.subtract(1, 2 * bits, dtype=_walsh_dtype(n)))
 
 
+def _gamma_axis(ctx):
+    """Prove once per field, from the bits, that each row Tr_n(g x) is linear
+    and that the rows' bits at x = 2^j, read as n bits u, give each u once."""
+    if "gamma_axis" not in ctx._cache:
+        rows = trace_bit_matrix(ctx, np.arange(ctx.q), np.arange(ctx.q))
+        if not _gf2_linear(rows).all():
+            raise VerificationError("a row Tr_n(g x) is not GF(2)-linear")
+        index = sum(rows[:, 1 << j].astype(np.int64) << j
+                    for j in range(ctx.n))
+        if (np.bincount(index, minlength=ctx.q) != 1).any():
+            raise VerificationError("the rows Tr_n(g x) repeat a functional")
+        ctx._cache["gamma_axis"] = True
+
+
 def _t_table(ctx, params, arows, betas):
     """T(alpha, beta) for each alpha row of trace bits (one row of the result
     each) and each beta (one column each), as one exact float32 sign product.
@@ -110,8 +124,8 @@ def _t_table(ctx, params, arows, betas):
             @ bsigns.T).astype(np.int64)
 
 
-def t_spectrum(ctx, params, workers=1):
-    """Measured distribution of T over all (alpha, beta) pairs."""
+def t_spectrum(ctx, params):
+    """Measured distribution of T over all (alpha, beta) pairs, one thread."""
     q = ctx.q
     chunk = max(64, (1 << 21) // q)
     spans = [range(i, min(i + chunk, q)) for i in range(0, q, chunk)]
@@ -121,7 +135,7 @@ def t_spectrum(ctx, params, workers=1):
     def work(betas):
         return _histogram(_t_table(ctx, params, arows, betas))
 
-    dist = ValueDistribution.from_counts(_summed(work, spans, workers))
+    dist = ValueDistribution.from_counts(_summed(work, spans, 1))
     if dist.total != 1 << (3 * params.m):
         raise VerificationError(f"T sweep covered {dist.total} pairs")
     return dist
@@ -136,10 +150,10 @@ def _frobenius_closure(ctx, alphas, arows, brows):
     transform of each row pair onto that of its image pair, so every beta
     in a Frobenius orbit gives its representative's multiset over all alpha.
     """
-    reps, sizes = frobenius_orbits(ctx)
     sigma = power_table(ctx, 2)
     if not _gf2_linear(sigma):
         raise VerificationError("squaring is not GF(2)-linear on the field")
+    _, reps, sizes = _cycles(sigma, ctx.n)
     index = np.full(ctx.q, -1, dtype=np.int64)
     index[alphas] = np.arange(len(alphas))
     squares = index[sigma[alphas]]
@@ -155,8 +169,8 @@ def s_spectrum(ctx, params, workers=1):
     """Measured distribution of S over all (alpha, beta, gamma) triples.
 
     For fixed (alpha, beta) the map gamma -> S is a Walsh transform of the
-    sign vector (the trace pairing identifies the gamma axis with the dual
-    group), so each pair contributes one transform's multiset of values.
+    sign vector, its index axis the gamma axis as `_gamma_axis` proves, so
+    each pair contributes one transform's multiset of values.
     Frobenius closure of the trace rows is checked from the bits on every
     call; then only one beta per Frobenius orbit is transformed, against
     every alpha, and its histogram counts once per member of the orbit.
@@ -164,6 +178,7 @@ def s_spectrum(ctx, params, workers=1):
     q = ctx.q
     alphas = np.asarray(subfield_elements(ctx, params.m), dtype=np.int64)
     arows, brows, _ = _trace_rows(ctx, params, alphas, range(q), [])
+    _gamma_axis(ctx)
     reps, sizes = _frobenius_closure(ctx, alphas, arows, brows)
     # Spans of at most 2^19 transformed entries, each within one orbit size,
     # so that a span's histogram is weighted by a single integer.

@@ -23,8 +23,7 @@ __all__ = [
     "FieldElement", "FieldContext", "Params", "build_field", "derive_params",
     "subfield_elements",
     "find_primitive_polynomial", "is_irreducible", "is_primitive",
-    "power_table", "rel_trace_table", "trace_bit_matrix",
-    "frobenius_orbits", "bit_count",
+    "power_table", "rel_trace_table", "trace_bit_matrix", "bit_count",
 ]
 
 FieldElement = int
@@ -203,13 +202,6 @@ class FieldContext:
             return 1 if e == 0 else 0
         return int(self.exp_table[(int(self.log_table[a]) * e) % self.order])
 
-    def trace_rel(self, x, i, j):
-        """Relative trace from GF(2^j) down to GF(2^i); x must lie in GF(2^j)."""
-        table = rel_trace_table(self, i, j)
-        if self.pow(x, 1 << j) != x:
-            raise ValueError(f"element {x:#x} is not in the subfield GF(2^{j})")
-        return int(table[x])
-
 
 def build_field(n, modulus=None):
     """Construct GF(2^n) tables; modulus defaults to the smallest primitive mask."""
@@ -306,15 +298,6 @@ def _cycles(perm, n):
     sizes = np.bincount(least, minlength=len(perm))
     reps = np.flatnonzero(sizes)
     return np.searchsorted(reps, least), reps, sizes[reps]
-
-
-def frobenius_orbits(ctx):
-    """Orbits of GF(2^n) under x -> x^2, as (representatives, sizes).
-
-    Each orbit is represented by its least mask, in increasing order; n
-    squarings must return every element to itself.
-    """
-    return _cycles(power_table(ctx, 2), ctx.n)[1:]
 
 
 def _gf2_linear(table):

@@ -25,6 +25,7 @@ from kasamilab import (artin_schreier_points, bluher_counts,
 from kasamilab.cli import main as cli_main
 from kasamilab.codes import spectrum_pushforward
 from kasamilab.expsum import _t_table, _trace_rows, _walsh
+from kasamilab.field import rel_trace_table
 
 
 def _verdict(tag, ok, detail=""):
@@ -118,7 +119,7 @@ def test_06_point_count_identity():
     t = _t_table(ctx, p, _trace_rows(ctx, p, sub, [], [])[0], range(64))
     ok = True
     for alpha_prime in range(64):
-        trp = ctx.trace_rel(alpha_prime, p.m, p.n)
+        trp = rel_trace_table(ctx, p.m, p.n)[alpha_prime]
         for beta in range(64):
             if alpha_prime == 0 and beta == 0:
                 continue

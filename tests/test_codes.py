@@ -1,15 +1,19 @@
 """Cyclic code machinery: minimal polynomials, codewords, weight counts."""
 
+import json
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import reference as ref
-from kasamilab import (build_field, check_cyclicity, check_parity,
-                       code_dimension, codes, codeword_c1, codeword_c2,
-                       derive_params, h_polynomials, minimal_poly,
-                       parity_check_mask, s_spectrum, subfield_elements,
-                       t_spectrum, weight_distribution,
+from kasamilab import (VerificationError, build_field, check_cyclicity,
+                       check_parity, code_dimension, codes, codeword_c1,
+                       codeword_c2, derive_params, expsum, h_polynomials,
+                       minimal_poly, parity_check_mask, s_spectrum,
+                       subfield_elements, t_spectrum, weight_distribution,
                        weight_distribution_formula)
+from kasamilab.cli import main
 from kasamilab.codes import codeword_dump_lines, spectrum_pushforward
 from kasamilab.field import _gf2_polymod, is_irreducible
 
@@ -192,3 +196,100 @@ def test_codeword_dump(ctx4, p41):
     assert lines[:3] == ["0000", "de7b", "9452"]
     assert len(lines) == 1 << 6
     assert len(set(lines)) == 1 << 6
+
+
+def matmul_weights(ctx, params, code):
+    """Oracle: every weight as |a| + |b| - 2 a.b, one float32 product per
+    alpha row, from the rows in lambda order."""
+    q = ctx.q
+    sub = subfield_elements(ctx, params.m)
+    arows, brows, grows = codes._word_rows(ctx, params, sub, range(q),
+                                           range(q) if code == "c2" else [])
+    bw = brows.sum(axis=1, dtype=np.int64)
+    gw = grows.sum(axis=1, dtype=np.int64)
+    counts = Counter()
+    for arow in arows:
+        if code == "c1":
+            dots = brows.astype(np.float32) @ arow.astype(np.float32)
+            w = int(arow.sum()) + bw - 2 * dots.astype(np.int64)
+        else:
+            base = arow[None, :] ^ brows
+            dots = base.astype(np.float32) @ grows.astype(np.float32).T
+            w = (base.sum(axis=1, dtype=np.int64)[:, None] + gw[None, :]
+                 - 2 * dots.astype(np.int64))
+        counts.update(w.ravel().tolist())
+    return dict(counts)
+
+
+@pytest.mark.parametrize("nk", [(6, 1), (6, 2), (8, 1), (8, 2), (8, 3)])
+def test_weights_match_the_matmul_oracle(nk):
+    ctx, p = build_field(nk[0]), derive_params(*nk)
+    for code in ("c1", "c2"):
+        assert weight_distribution(ctx, p, code).as_dict() == \
+            matmul_weights(ctx, p, code)
+
+
+@pytest.mark.parametrize("nk", [(4, 1), (6, 2)])
+def test_weights_are_popcounts_of_every_word(nk):
+    ctx, p = build_field(nk[0]), derive_params(*nk)
+    sub = subfield_elements(ctx, p.m)
+    for code, gammas in (("c1", [0]), ("c2", range(ctx.q))):
+        words = codes._words(codes._word_rows(ctx, p, sub, range(ctx.q),
+                                              gammas))
+        popcounts = Counter(words.sum(axis=1).tolist())
+        assert weight_distribution(ctx, p, code).as_dict() == popcounts
+
+
+def break_gamma_row(monkeypatch, flip=False):
+    """Patch the rows Tr_n(g x) over every gamma, which only the gamma-axis
+    proof builds: row 2 repeats row 1, or with flip, row 2 gets one bit
+    flipped, so it is no linear functional at all."""
+    build = expsum.trace_bit_matrix
+
+    def broken(ctx, base, coeffs):
+        rows = build(ctx, base, coeffs)
+        if np.array_equal(base, np.arange(ctx.q)) and len(rows) == ctx.q:
+            if flip:
+                rows[2, 3] ^= 1
+            else:
+                rows[2] = rows[1]
+        return rows
+
+    monkeypatch.setattr(expsum, "trace_bit_matrix", broken)
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["repeated", "nonlinear"])
+def test_a_broken_gamma_axis_fails_every_walsh_sweep(tmp_path, monkeypatch,
+                                                     flip):
+    break_gamma_row(monkeypatch, flip)
+    ctx, p = build_field(4), derive_params(4, 1)
+    with pytest.raises(VerificationError, match="Tr_n"):
+        weight_distribution(ctx, p, "c2")
+    with pytest.raises(VerificationError, match="Tr_n"):
+        s_spectrum(ctx, p)
+    assert weight_distribution(ctx, p, "c1").total == 1 << 6
+    assert main(["verify", "--n", "4", "--k", "1",
+                 "--out", str(tmp_path)]) == 2
+    report = json.loads((tmp_path / "report.json").read_text())
+    status = {r["name"]: r["status"] for r in report["records"]}
+    assert status["gamma-sweep"] == "mismatch"
+    assert status["s-spectrum"] == "mismatch"
+    assert status["code-weights-c2"] == "mismatch"
+    assert status["code-weights-c1"] == "match"
+
+
+def test_gamma_axis_is_proved_once_per_field(monkeypatch):
+    built = []
+    build = expsum.trace_bit_matrix
+
+    def counted(ctx, base, coeffs):
+        if np.array_equal(base, np.arange(ctx.q)) and len(coeffs) == ctx.q:
+            built.append(ctx)
+        return build(ctx, base, coeffs)
+
+    monkeypatch.setattr(expsum, "trace_bit_matrix", counted)
+    ctx, p = build_field(6), derive_params(6, 1)
+    weight_distribution(ctx, p, "c2")
+    weight_distribution(ctx, p, "c2")
+    s_spectrum(ctx, p)
+    assert built == [ctx]

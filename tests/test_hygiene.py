@@ -12,7 +12,10 @@ public API is what the program reads. Dunder names are exempt. Only
 `field.py` reads a field context's `log_table` and `trace_table`, so the
 element products and the trace rows are built in one place. The package
 holds no `assert` statement, since `python -O` strips them: each fact it
-checks raises an error of its own.
+checks raises an error of its own. Only the two BLAS-bound sweeps,
+`expsum._t_table` and `sequences.correlation_distribution`, hold a matrix
+product (`@`, `np.matmul` or `np.dot`); every other sweep counts bits or runs
+the Walsh transform.
 """
 
 import ast
@@ -159,3 +162,44 @@ def test_assert_guard_flags_every_assert():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_assert_in_the_package(path):
     assert asserts(path.read_text()) == []
+
+
+# (module, top-level function) allowed to hold a matrix product.
+PRODUCT_SWEEPS = {("expsum.py", "_t_table"),
+                  ("sequences.py", "correlation_distribution")}
+
+
+def products(source):
+    """(line, top-level function or None) of every matrix product: `@`,
+    `@=`, and any call of a `matmul` or `dot` name or attribute."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            product = (isinstance(node, (ast.BinOp, ast.AugAssign))
+                       and isinstance(node.op, ast.MatMult))
+            if isinstance(node, ast.Call):
+                fn = node.func
+                product = getattr(fn, "attr", getattr(fn, "id", None)) in (
+                    "matmul", "dot")
+            if product:
+                found.append((node.lineno, owner))
+    return sorted(found)
+
+
+def test_product_guard_flags_every_product():
+    source = ("@dataclass\n"
+              "class A: pass\n"
+              "def f(a, b):\n"
+              "    def g(): return a @ b\n"
+              "    a @= b\n"
+              "    return np.matmul(a, b), a.dot(b), dot(a, b), a.dot\n"
+              "c = x @ y\n")
+    assert products(source) == [(4, "f"), (5, "f"), (6, "f"), (6, "f"),
+                                (6, "f"), (7, None)]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_only_the_blas_sweeps_hold_a_matrix_product(path):
+    assert [(line, owner) for line, owner in products(path.read_text())
+            if (path.name, owner) not in PRODUCT_SWEEPS] == []
