@@ -5,8 +5,8 @@ expressions the exponential sums integrate, so every weight is tied to a sum
 value by w = 2^(n-1) - value/2. The narrow code (dimension 3m over GF(2)) is
 cut out by the parity-check product h2*h3; the wide code (dimension 5m) by
 h1*h2*h3, where the h_i are minimal polynomials of pi^-1, pi^-(2^k+1) and
-pi^-(2^m+1). Weights are counted from the bits: popcounts of the c1 rows, and
-the c2 weights of a c1 row over every gamma read off its Walsh transform.
+pi^-(2^m+1). Weights are counted from the bits: c1 by the popcount kernel of
+the T sweep, and the c2 words of a c1 row off its Walsh transform.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import numpy as np
 
 from .distribution import (ValueDistribution, VerificationError, _pack_bits,
                            _summed, pack_bits_hex)
-from .expsum import (_gamma_axis, _trace_rows, _walsh, s_spectrum_formula,
-                     t_spectrum_formula)
+from .expsum import (_gamma_axis, _popcounts, _trace_rows, _walsh,
+                     s_spectrum_formula, t_spectrum_formula)
 from .field import _gf2_polymul, _gf2_polymod, subfield_elements
 
 __all__ = [
@@ -131,28 +131,30 @@ def weight_distribution(ctx, params, code, workers=1):
     """Direct Hamming-weight histogram over every codeword.
 
     Every word is 0 at x = 0, so it weighs the popcount of its row over x in
-    mask order. The c2 words of one c1 row over every gamma weigh (q - W)/2
-    for W over the row's Walsh transform, whose axis `_gamma_axis` proves.
+    mask order (`_popcounts`, one thread, for c1). The c2 words of one c1 row
+    over every gamma weigh (q - W)/2 for W over the row's Walsh transform,
+    whose axis `_gamma_axis` proves, taken 2^19 // q betas at a time.
     """
     if code not in CODES:
         raise ValueError(f"code must be one of {CODES}, got {code!r}")
     q = ctx.q
     arows, brows, _ = _trace_rows(ctx, params, subfield_elements(ctx, params.m),
                                   range(q), [])
-    if code == "c2":
+    if code == "c1":
+        counts = np.bincount(_popcounts(arows, brows).ravel(), minlength=q + 1)
+    else:
         _gamma_axis(ctx)
+        span = max(1, (1 << 19) // q)
 
-    def work(arow):
-        rows = arow ^ brows
-        if code == "c1":
-            weights = rows.sum(axis=1, dtype=np.intp)
-        else:
-            weights = _walsh(rows)
+        def work(item):
+            arow, start = item
+            weights = _walsh(arow ^ brows[start:start + span])
             np.subtract(q, weights, out=weights)
             weights >>= 1
-        return np.bincount(weights.ravel(), minlength=q + 1)
+            return np.bincount(weights.ravel(), minlength=q + 1)
 
-    counts = _summed(work, arows, workers)
+        counts = _summed(work, [(arow, start) for arow in arows
+                                for start in range(0, q, span)], workers)
     dist = ValueDistribution.from_counts(enumerate(counts.tolist()))
     if dist.total != 1 << code_dimension(params, code):
         raise VerificationError(

@@ -2,10 +2,10 @@
 
 T(a, b) sums (-1)^(Tr_m(a x^(2^m+1)) + Tr_n(b x^(2^k+1))) over GF(2^n) with a
 drawn from the subfield copy of GF(2^m); S(a, b, g) adds a linear term
-Tr_n(g x). T is measured as a float32 sign product (exact while q < 2^24), S
-by a Walsh transform over the linear-term axis; both are predicted by
-closed-form value distributions split on the parity case. The two sides are
-compared by callers; mismatches are never papered over.
+Tr_n(g x). T(a, b) = q - 2 wt(row), for the trace bits of the exponent, is
+counted by `_popcounts` as the c1 code weights are, and S by a Walsh transform
+over the linear-term axis; both are predicted by closed-form distributions
+split on the parity case. Callers compare them, never papering over a mismatch.
 
 Three sweeps share that Walsh transform, `_walsh`: S, the gamma-sweep and the
 c2 code weights. It runs on int16 signs while every S + q <= 2^(n+1) fits
@@ -28,8 +28,8 @@ import numpy as np
 
 from .distribution import (ValueDistribution, VerificationError, _exact,
                            _histogram, _p2, _summed)
-from .field import (_cycles, _gf2_linear, _mul, _trace_matrix, power_table,
-                    rel_trace_table, subfield_elements, trace_bit_matrix)
+from .field import (_cycles, _gf2_linear, _mul, power_table, rel_trace_table,
+                    subfield_elements, trace_bit_matrix)
 
 __all__ = [
     "MomentReport", "t_spectrum", "t_spectrum_formula", "s_spectrum",
@@ -113,19 +113,28 @@ def _gamma_axis(ctx):
         ctx._cache["gamma_axis"] = True
 
 
+def _popcounts(arows, brows):
+    """wt(a ^ b) for each bit row a of arows (a row of the result) and b of
+    brows (a column), the rows packed into u2 (n = 4) or u8 words."""
+    words = f"u{min(8, brows.shape[-1] // 8)}"
+    b = np.packbits(brows, axis=-1).view(words)
+    out = np.empty((len(arows), len(b)), dtype=np.intp)
+    for row, a in zip(out, np.packbits(arows, axis=-1).view(words)):
+        np.bitwise_count(a ^ b).sum(axis=1, out=row)
+    return out
+
+
 def _t_table(ctx, params, arows, betas):
-    """T(alpha, beta) for each alpha row of trace bits (one row of the result
-    each) and each beta (one column each), as one exact float32 sign product.
-    The beta signs (-1)^Tr_n(b x^e2) are gathered straight from the sign
-    window of the m-sequence."""
-    bsigns = _trace_matrix(ctx, power_table(ctx, params.e_quad), betas,
-                           signs=True)
-    return (np.subtract(1, 2 * arows, dtype=np.float32)
-            @ bsigns.T).astype(np.int64)
+    """T(alpha, beta) = q - 2 wt(row) for each alpha row of trace bits (one
+    row of the result each) and each beta (one column each), the row being
+    the alpha row XOR the bits Tr_n(b x^e2)."""
+    brows = trace_bit_matrix(ctx, power_table(ctx, params.e_quad), betas)
+    return ctx.q - 2 * _popcounts(arows, brows)
 
 
 def t_spectrum(ctx, params):
-    """Measured distribution of T over all (alpha, beta) pairs, one thread."""
+    """Measured distribution of T = q - 2 wt over all (alpha, beta) pairs,
+    one thread, in spans of max(64, 2^21 // q) betas."""
     q = ctx.q
     chunk = max(64, (1 << 21) // q)
     spans = [range(i, min(i + chunk, q)) for i in range(0, q, chunk)]

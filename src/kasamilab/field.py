@@ -4,8 +4,8 @@ Elements are ints whose bit j is the coefficient of x^j in the polynomial
 basis. A FieldContext holds the exp/log/trace tables for one modulus; the
 heavier derived tables (power maps, relative traces, the zero-safe log/exp
 pair behind the elementwise product `_mul`, and the window of rotations of the
-m-sequence Tr(pi^t) that every trace row is gathered from) are built on demand
-and cached on the context. The trace rows and sign rows themselves are not
+m-sequence Tr(pi^t) that every trace row is gathered from, as uint8 bits) are
+built on demand and cached on the context. The trace rows themselves are not
 cached.
 """
 
@@ -328,42 +328,30 @@ def rel_trace_table(ctx, i, j):
     return ctx._cache[key]
 
 
-def _rotations(ctx, signs):
-    """Every rotation of the m-sequence seq[t] = Tr(pi^t), t in [0, L): row i
-    is seq rotated left by i, as uint8 bits or, with signs, float32 signs
-    (-1)^bit. A read-only window on seq doubled, cached on the context."""
-    key = ("rotations", signs)
-    if key not in ctx._cache:
+def _rotations(ctx):
+    """Every rotation of the m-sequence seq[t] = Tr(pi^t) as uint8 bits, row
+    i rotated left by i: a read-only window on seq doubled, cached."""
+    if "rotations" not in ctx._cache:
         seq = ctx.trace_table[ctx.exp_table]
-        if signs:
-            seq = np.subtract(1, 2 * seq, dtype=np.float32)
-        ctx._cache[key] = sliding_window_view(np.concatenate([seq, seq]),
-                                              ctx.order)
-    return ctx._cache[key]
+        ctx._cache["rotations"] = sliding_window_view(
+            np.concatenate([seq, seq]), ctx.order)
+    return ctx._cache["rotations"]
 
 
-def _trace_matrix(ctx, base, coeffs, signs=False):
-    """Rows of Tr(c * base[j]), one per coefficient c, as uint8 bits or, with
-    signs, float32 signs (-1)^Tr.
+def trace_bit_matrix(ctx, base, coeffs):
+    """uint8 rows of Tr(c * base[j]), one per coefficient c.
 
     For nonzero c and b, Tr(c b) = seq[(log c + log b) mod L], so row c is one
     gather, at the logs of base, from the rotation of seq by log c. The log of
     0 reads as -1, a valid index; an entry with c = 0 or b = 0 is then set to
     Tr(0) = 0.
     """
-    window = _rotations(ctx, signs)
+    window = _rotations(ctx)
     base = np.asarray(base, dtype=np.int64)
     coeffs = np.asarray(coeffs, dtype=np.int64)
     logs = ctx.log_table[base]
-    out = np.empty((len(coeffs), len(base)), dtype=window.dtype)
+    out = np.empty((len(coeffs), len(base)), dtype=np.uint8)
     for row, shift in zip(out, ctx.log_table[coeffs].tolist()):
         np.take(window[shift], logs, out=row)
-    # Tr(0) = 0 is bit 0 and sign +1.
-    out[:, base == 0] = out[coeffs == 0] = 1 if signs else 0
+    out[:, base == 0] = out[coeffs == 0] = 0
     return out
-
-
-def trace_bit_matrix(ctx, base, coeffs):
-    """uint8 rows of Tr(c * base[j]) for each coefficient c, each one gather
-    from a rotation of the m-sequence Tr(pi^t) (see `_trace_matrix`)."""
-    return _trace_matrix(ctx, base, coeffs)

@@ -16,6 +16,7 @@ from kasamilab import (VerificationError, build_field, check_cyclicity,
 from kasamilab.cli import main
 from kasamilab.codes import codeword_dump_lines, spectrum_pushforward
 from kasamilab.field import _gf2_polymod, is_irreducible
+from test_expsum import traced_peak
 
 # (n, k) -> coefficient masks of (h1, h2, h3), frozen from the naive coset product.
 H_POLYS = {
@@ -238,6 +239,15 @@ def test_weights_are_popcounts_of_every_word(nk):
                                               gammas))
         popcounts = Counter(words.sum(axis=1).tolist())
         assert weight_distribution(ctx, p, code).as_dict() == popcounts
+
+
+def test_c2_sweep_memory_bounded_by_its_span():
+    # A span transforms 512 beta rows of 1024 entries: 0.5 MB of uint8 bits,
+    # 2 MB for the int16 transform and its butterfly buffer, and 4 MB for the
+    # intp copy `np.bincount` makes. A q x q block per alpha takes twice that.
+    ctx, p = build_field(10), derive_params(10, 1)
+    assert traced_peak(weight_distribution, ctx, p, "c2", workers=1) \
+        < 8 * (1 << 20)
 
 
 def break_gamma_row(monkeypatch, flip=False):

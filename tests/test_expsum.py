@@ -135,10 +135,11 @@ def traced_peak(fn, *args, **kwargs):
 
 
 def test_t_sweep_memory_bounded_by_its_chunk():
-    # A chunk holds 2^21 float32 sign entries, 8 MB. Neither an int64 product
-    # of element logs nor a uint8 copy of the sign rows may come on top.
+    # A chunk holds 512 beta rows of 4096 uint8 bits, 2 MB; packed, XORed and
+    # popcounted per alpha row they take 256 kB at a time. Neither an int64
+    # product of element logs nor a float copy of the rows may come on top.
     ctx, p = build_field(12), derive_params(12, 1)
-    assert traced_peak(t_spectrum, ctx, p) < 2 * 4 * (1 << 21)
+    assert traced_peak(t_spectrum, ctx, p) < 8 * (1 << 20)
 
 
 def test_s_sweep_memory_bounded_by_its_span():
@@ -211,8 +212,18 @@ def test_verify_records_a_broken_frobenius_closure(tmp_path, monkeypatch):
     assert "Frobenius" in record["detail"]
 
 
+@pytest.mark.parametrize("n", range(4, 13, 2))
+def test_popcounts_count_the_xor_of_every_row_pair(n):
+    # u2 words at n = 4, u8 words from n = 6.
+    rng = np.random.default_rng(n)
+    a = rng.integers(0, 2, (5, 1 << n), dtype=np.uint8)
+    b = rng.integers(0, 2, (7, 1 << n), dtype=np.uint8)
+    assert (expsum._popcounts(a, b) == (a[:, None] ^ b[None]).sum(-1)).all()
+
+
 def t_table(ctx, params, alphas, betas):
-    """T(alpha, beta) through the sweep's sign product, one row per alpha."""
+    """T(alpha, beta) through the sweep's popcount kernel, one row per
+    alpha."""
     arows, _, _ = expsum._trace_rows(ctx, params, alphas, [], [])
     return expsum._t_table(ctx, params, arows, betas)
 

@@ -9,8 +9,8 @@ import reference as ref
 from kasamilab import (VerificationError, build_field, derive_params,
                        find_primitive_polynomial, is_irreducible, is_primitive,
                        subfield_elements)
-from kasamilab.field import (_cycles, _gf2_linear, _mul, _trace_matrix,
-                             power_table, rel_trace_table, trace_bit_matrix)
+from kasamilab.field import (_cycles, _gf2_linear, _mul, power_table,
+                             rel_trace_table, trace_bit_matrix)
 
 # Lexicographically smallest primitive moduli, frozen from the naive oracle.
 MODULI = {4: 0x13, 6: 0x43, 8: 0x11D, 10: 0x409, 12: 0x1053}
@@ -217,9 +217,6 @@ def test_rotation_rows_equal_the_product_path(n):
     bits = trace_bit_matrix(ctx, elems, elems)
     assert bits.dtype == np.uint8
     assert (bits == product_path(ctx, elems, elems)).all()
-    signs = _trace_matrix(ctx, elems, elems, signs=True)
-    assert signs.dtype == np.float32
-    assert (signs == 1 - 2 * bits.astype(np.float32)).all()
 
 
 @pytest.mark.parametrize("n", [10, 12])

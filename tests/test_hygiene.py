@@ -12,10 +12,10 @@ public API is what the program reads. Dunder names are exempt. Only
 `field.py` reads a field context's `log_table` and `trace_table`, so the
 element products and the trace rows are built in one place. The package
 holds no `assert` statement, since `python -O` strips them: each fact it
-checks raises an error of its own. Only the two BLAS-bound sweeps,
-`expsum._t_table` and `sequences.correlation_distribution`, hold a matrix
-product (`@`, `np.matmul` or `np.dot`); every other sweep counts bits or runs
-the Walsh transform.
+checks raises an error of its own. Only the correlation sweep,
+`sequences.correlation_distribution`, holds a matrix product (`@`,
+`np.matmul` or `np.dot`), and only `sequences.py` names a float dtype; every
+other sweep counts bits or runs the Walsh transform.
 """
 
 import ast
@@ -165,8 +165,7 @@ def test_no_assert_in_the_package(path):
 
 
 # (module, top-level function) allowed to hold a matrix product.
-PRODUCT_SWEEPS = {("expsum.py", "_t_table"),
-                  ("sequences.py", "correlation_distribution")}
+PRODUCT_SWEEPS = {("sequences.py", "correlation_distribution")}
 
 
 def products(source):
@@ -203,3 +202,29 @@ def test_product_guard_flags_every_product():
 def test_only_the_blas_sweeps_hold_a_matrix_product(path):
     assert [(line, owner) for line, owner in products(path.read_text())
             if (path.name, owner) not in PRODUCT_SWEEPS] == []
+
+
+FLOAT_DTYPES = ("float16", "float32", "float64")
+
+
+def float_dtypes(source):
+    """(line, name) of every float16, float32 or float64 name or attribute."""
+    return sorted((node.lineno, name) for node in ast.walk(ast.parse(source))
+                  if (name := getattr(node, "id", getattr(node, "attr", None)))
+                  in FLOAT_DTYPES)
+
+
+def test_float_guard_flags_every_float_dtype():
+    source = ("import numpy as np\n"
+              "x = np.float32(1)\n"
+              "y = float64\n"
+              "z = np.zeros(2, dtype=np.float16), 'float32', np.floating\n")
+    assert float_dtypes(source) == [(2, "float32"), (3, "float64"),
+                                    (4, "float16")]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE
+                                  if p.name != "sequences.py"],
+                         ids=lambda p: p.name)
+def test_only_the_correlation_sweep_names_a_float_dtype(path):
+    assert float_dtypes(path.read_text()) == []
