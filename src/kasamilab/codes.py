@@ -5,8 +5,8 @@ expressions the exponential sums integrate, so every weight is tied to a sum
 value by w = 2^(n-1) - value/2. The narrow code (dimension 3m over GF(2)) is
 cut out by the parity-check product h2*h3; the wide code (dimension 5m) by
 h1*h2*h3, where the h_i are minimal polynomials of pi^-1, pi^-(2^k+1) and
-pi^-(2^m+1). Weights are counted from the bits: c1 by the popcount kernel of
-the T sweep, and the c2 words of a c1 row off its Walsh transform.
+pi^-(2^m+1). Weights are counted from the bits: c1 by the popcount sweep T
+reads, c2 off the Walsh transforms of the Walsh sweep S reads.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import (ValueDistribution, VerificationError, _pack_bits,
-                           _summed, pack_bits_hex)
-from .expsum import (_gamma_axis, _popcounts, _trace_rows, _walsh,
+                           pack_bits_hex)
+from .expsum import (_popcount_sweep, _trace_rows, _walsh_sweep,
                      s_spectrum_formula, t_spectrum_formula)
 from .field import _gf2_polymul, _gf2_polymod, subfield_elements
 
@@ -131,35 +131,24 @@ def weight_distribution(ctx, params, code, workers=1):
     """Direct Hamming-weight histogram over every codeword.
 
     Every word is 0 at x = 0, so it weighs the popcount of its row over x in
-    mask order (`_popcounts`, one thread, for c1). The c2 words of one c1 row
-    over every gamma weigh (q - W)/2 for W over the row's Walsh transform,
-    whose axis `_gamma_axis` proves, taken 2^19 // q betas at a time.
+    mask order: c1 reads the popcount sweep's counts as they are. The c2
+    words of one c1 row over every gamma weigh (q - W)/2 for W over the
+    row's Walsh transform, a histogram of each block of the Walsh sweep.
     """
-    if code not in CODES:
-        raise ValueError(f"code must be one of {CODES}, got {code!r}")
-    q = ctx.q
-    arows, brows, _ = _trace_rows(ctx, params, subfield_elements(ctx, params.m),
-                                  range(q), [])
+    words, q = 1 << code_dimension(params, code), ctx.q
     if code == "c1":
-        counts = np.bincount(_popcounts(arows, brows).ravel(), minlength=q + 1)
+        counts = _popcount_sweep(ctx, params)
     else:
-        _gamma_axis(ctx)
-        span = max(1, (1 << 19) // q)
-
-        def work(item):
-            arow, start = item
-            weights = _walsh(arow ^ brows[start:start + span])
+        def histogram(i, betas, sizes, weights):
             np.subtract(q, weights, out=weights)
             weights >>= 1
             return np.bincount(weights.ravel(), minlength=q + 1)
 
-        counts = _summed(work, [(arow, start) for arow in arows
-                                for start in range(0, q, span)], workers)
+        counts = _walsh_sweep(ctx, params, histogram, workers)
     dist = ValueDistribution.from_counts(enumerate(counts.tolist()))
-    if dist.total != 1 << code_dimension(params, code):
+    if dist.total != words:
         raise VerificationError(
-            f"{code} sweep covered {dist.total} words, "
-            f"expected {1 << code_dimension(params, code)}")
+            f"{code} sweep covered {dist.total} words, expected {words}")
     return dist
 
 

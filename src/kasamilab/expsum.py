@@ -2,21 +2,19 @@
 
 T(a, b) sums (-1)^(Tr_m(a x^(2^m+1)) + Tr_n(b x^(2^k+1))) over GF(2^n) with a
 drawn from the subfield copy of GF(2^m); S(a, b, g) adds a linear term
-Tr_n(g x). T(a, b) = q - 2 wt(row), for the trace bits of the exponent, is
-counted by `_popcounts` as the c1 code weights are, and S by a Walsh transform
-over the linear-term axis; both are predicted by closed-form distributions
-split on the parity case. Callers compare them, never papering over a mismatch.
-
-Three sweeps share that Walsh transform, `_walsh`: S, the gamma-sweep and the
-c2 code weights. It runs on int16 signs while every S + q <= 2^(n+1) fits
-(n <= 13), else on int32. Its index u is the functional x -> u.x, and
+Tr_n(g x). Two sweeps tile the (a, b) plane, and every brute-force histogram
+over it reduces one of them. The popcount sweep counts wt(row) of the trace
+bits: T = q - 2 wt, and the c1 code weights are wt. The Walsh sweep
+transforms each row's signs, on int16 while every S + q <= 2^(n+1) fits
+(n <= 13), else on int32; its index u is the functional x -> u.x, and
 `_gamma_axis` proves from the bits, once per field, that the rows Tr_n(g x)
-are every linear functional exactly once.
-
-Squaring x permutes GF(2^n) linearly and keeps every trace, so S takes the
-same values at (a, b, g) and (a^2, b^2, g^2). The S sweep checks this closure
-from the bits of the trace rows on every call, then runs the Walsh transform
-for one b per Frobenius orbit only, weighted by the orbit's size.
+are every such functional once, so the index axis is the gamma axis. S, the
+c2 code weights and the gamma-sweep reduce its blocks. Squaring x permutes
+GF(2^n) linearly and keeps every trace, so S takes the same values at
+(a, b, g) and (a^2, b^2, g^2): S checks this closure from the bits on every
+call and sweeps one b per Frobenius orbit, weighted by the orbit's size.
+Closed-form distributions, split on the parity case, predict each sweep;
+callers compare the two, never papering over a mismatch.
 """
 
 from __future__ import annotations
@@ -27,14 +25,14 @@ from fractions import Fraction
 import numpy as np
 
 from .distribution import (ValueDistribution, VerificationError, _exact,
-                           _histogram, _p2, _summed)
+                           _p2, _summed)
 from .field import (_cycles, _gf2_linear, _mul, power_table, rel_trace_table,
                     subfield_elements, trace_bit_matrix)
 
 __all__ = [
     "MomentReport", "t_spectrum", "t_spectrum_formula", "s_spectrum",
-    "s_spectrum_formula", "gamma_sweep_formula", "moments", "moment_targets",
-    "artin_schreier_points",
+    "s_spectrum_formula", "gamma_sweep", "gamma_sweep_formula", "moments",
+    "moment_targets", "artin_schreier_points",
 ]
 
 _LAST_ROW_NOTE = ("tabulated distribution lists the single all-zero row with "
@@ -132,19 +130,29 @@ def _t_table(ctx, params, arows, betas):
     return ctx.q - 2 * _popcounts(arows, brows)
 
 
-def t_spectrum(ctx, params):
-    """Measured distribution of T = q - 2 wt over all (alpha, beta) pairs,
-    one thread, in spans of max(64, 2^21 // q) betas."""
+def _popcount_sweep(ctx, params):
+    """The popcount sweep: bincount of wt(row), the row Tr_m(a x^e1) +
+    Tr_n(b x^e2), over all 2^(3m) pairs (a, b), on one thread, every alpha
+    row against max(64, 2^21 // q) beta rows at a time."""
     q = ctx.q
     chunk = max(64, (1 << 21) // q)
-    spans = [range(i, min(i + chunk, q)) for i in range(0, q, chunk)]
     arows, _, _ = _trace_rows(ctx, params, subfield_elements(ctx, params.m),
                               [], [])
+    base = power_table(ctx, params.e_quad)
+    counts = np.zeros(q + 1, dtype=np.int64)
+    for i in range(0, q, chunk):
+        brows = trace_bit_matrix(ctx, base, range(i, min(i + chunk, q)))
+        counts += np.bincount(_popcounts(arows, brows).ravel(),
+                              minlength=q + 1)
+    return counts
 
-    def work(betas):
-        return _histogram(_t_table(ctx, params, arows, betas))
 
-    dist = ValueDistribution.from_counts(_summed(work, spans, 1))
+def t_spectrum(ctx, params):
+    """Measured distribution of T = q - 2 wt over all (alpha, beta) pairs,
+    read off the popcount sweep."""
+    counts = _popcount_sweep(ctx, params).tolist()
+    dist = ValueDistribution.from_counts(
+        (ctx.q - 2 * w, c) for w, c in enumerate(counts))
     if dist.total != 1 << (3 * params.m):
         raise VerificationError(f"T sweep covered {dist.total} pairs")
     return dist
@@ -174,43 +182,84 @@ def _frobenius_closure(ctx, alphas, arows, brows):
     return reps, sizes
 
 
-def s_spectrum(ctx, params, workers=1):
-    """Measured distribution of S over all (alpha, beta, gamma) triples.
+def _walsh_sweep(ctx, params, reduce, workers, orbits=False):
+    """The Walsh sweep: the sum of reduce(i, betas, sizes, W) over its blocks,
+    on up to `workers` threads.
 
-    For fixed (alpha, beta) the map gamma -> S is a Walsh transform of the
-    sign vector, its index axis the gamma axis as `_gamma_axis` proves, so
-    each pair contributes one transform's multiset of values.
-    Frobenius closure of the trace rows is checked from the bits on every
-    call; then only one beta per Frobenius orbit is transformed, against
-    every alpha, and its histogram counts once per member of the orbit.
+    A block is the alpha of index i (in subfield order) against at most
+    2^19 // q betas, so 2^19 transformed entries; blocks run alpha by alpha,
+    betas ascending. W holds the Walsh transform, over the gamma axis, of
+    each row Tr_m(a x^e1) + Tr_n(b x^e2), and the row of betas[j] stands for
+    sizes[j] pairs. Without `orbits` each beta is swept and stands for one
+    pair; with it, the rows' Frobenius closure is checked and one beta per
+    orbit is swept, standing for every member of its orbit.
     """
     q = ctx.q
     alphas = np.asarray(subfield_elements(ctx, params.m), dtype=np.int64)
     arows, brows, _ = _trace_rows(ctx, params, alphas, range(q), [])
     _gamma_axis(ctx)
-    reps, sizes = _frobenius_closure(ctx, alphas, arows, brows)
-    # Spans of at most 2^19 transformed entries, each within one orbit size,
-    # so that a span's histogram is weighted by a single integer.
-    per_span = max(1, (1 << 19) // (len(alphas) * q))
-    spans = []
-    for size in sorted(set(sizes.tolist())):
-        group = reps[sizes == size]
-        spans += [(size, group[i:i + per_span])
-                  for i in range(0, len(group), per_span)]
+    betas, sizes = np.arange(q), np.ones(q, dtype=np.int64)
+    if orbits:
+        betas, sizes = _frobenius_closure(ctx, alphas, arows, brows)
+    span = max(1, (1 << 19) // q)
 
-    def work(span):
-        size, betas = span
-        rows = (brows[betas][:, None, :] ^ arows[None, :, :]).reshape(-1, q)
-        f = _walsh(rows)
-        f += q
-        return size * np.bincount(f.ravel(), minlength=2 * q + 1)
+    def work(item):
+        i, block = item
+        return reduce(i, betas[block], sizes[block],
+                      _walsh(arows[i] ^ brows[betas[block]]))
 
-    acc = _summed(work, spans, workers)
+    return _summed(work, [(i, slice(start, start + span))
+                          for i in range(len(alphas))
+                          for start in range(0, len(betas), span)], workers)
+
+
+def s_spectrum(ctx, params, workers=1):
+    """Measured distribution of S over all (alpha, beta, gamma) triples: for
+    fixed (alpha, beta), gamma -> S is a Walsh row, so S is the histogram of
+    the Walsh sweep over Frobenius orbits of beta, each row counted once per
+    member of its orbit."""
+    q = ctx.q
+
+    def histogram(i, betas, sizes, walsh):
+        walsh += q
+        return sum(size * np.bincount(walsh[sizes == size].ravel(),
+                                      minlength=2 * q + 1)
+                   for size in set(sizes.tolist()))
+
+    counts = _walsh_sweep(ctx, params, histogram, workers, orbits=True)
     dist = ValueDistribution.from_counts(
-        {v - q: c for v, c in enumerate(acc.tolist()) if c})
+        (v - q, c) for v, c in enumerate(counts.tolist()))
     if dist.total != (1 << (3 * params.m)) * q:
         raise VerificationError(f"S sweep covered {dist.total} triples")
     return dist
+
+
+def gamma_sweep(ctx, params, dims, law, workers=1):
+    """(alpha, beta, rank) of the first pair in each block of the Walsh sweep
+    whose S over every gamma departs from law(params, rank), in sweep order.
+
+    A pair's rank is s minus its entry of the `kernel_dims` table dims, and
+    its Walsh row must hold the law's counts of 0, +peak and -peak; they sum
+    to q, so nothing else. The pair (0, 0) has no form and is left out.
+    """
+    table = np.zeros((params.s + 1, 4), dtype=np.int64)
+    for rank in range(0, params.s + 1, 2):
+        want = law(params, rank)
+        peak = max(want.values)
+        table[rank] = peak, want.count(0), want.count(peak), want.count(-peak)
+    alphas = subfield_elements(ctx, params.m)
+
+    def first_off(i, betas, sizes, walsh):
+        ranks = params.s - dims[i, betas]
+        peak = table[ranks, :1].astype(walsh.dtype)
+        got = np.stack([(walsh == v).sum(axis=1) for v in (0, peak, -peak)],
+                       axis=1)
+        bad = ((got != table[ranks, 1:]).any(axis=1)
+               & ((betas != 0) | (alphas[i] != 0)))
+        return [(alphas[i], int(betas[j]), int(ranks[j]))
+                for j in np.flatnonzero(bad)[:1]]
+
+    return _walsh_sweep(ctx, params, first_off, workers)
 
 
 def gamma_sweep_formula(params, rank):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from kasamilab import linearized
+from kasamilab import cli, linearized
 from kasamilab.cli import _CHECKS, DEFAULT_BUDGETS, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -224,6 +225,28 @@ def test_verify_sweeps_each_kernel_once(tmp_path, monkeypatch):
     assert code == 3
     assert statuses(report)["gamma-sweep"] == "match"
     assert len(calls) == len(set(calls)) == 8  # each alpha of GF(2^3) once
+
+
+def test_shared_sweeps_are_timed_on_their_own_lines(tmp_path, monkeypatch,
+                                                    capsys):
+    # A T sweep made 0.3 s slower is charged to its own [time] line, not to
+    # moments, the first check that reads it, nor to t-spectrum.
+    sweep = cli.t_spectrum
+
+    def slow(ctx, params):
+        time.sleep(0.3)
+        return sweep(ctx, params)
+
+    monkeypatch.setattr(cli, "t_spectrum", slow)
+    code, _, _ = run(tmp_path, "verify", "--n", "4", "--k", "1")
+    err = capsys.readouterr().err
+    checks = dict(re.findall(r"\[time\] (\S+): ([\d.]+)s", err))
+    shared = dict(re.findall(r"\[time\] shared sweep (\S+): ([\d.]+)s", err))
+    assert code == 0 and set(shared) == {"t_distribution", "kernel_dims",
+                                         "family"}
+    assert float(shared["t_distribution"]) >= 0.3
+    assert float(checks["moments"]) < 0.3
+    assert float(checks["t-spectrum"]) < 0.3
 
 
 @pytest.mark.parametrize("n,k", [(4, 1), (4, 3), (6, 1), (6, 2), (6, 4),

@@ -250,6 +250,37 @@ def test_c2_sweep_memory_bounded_by_its_span():
         < 8 * (1 << 20)
 
 
+def test_c1_sweep_memory_bounded_by_its_chunk():
+    # The popcount sweep T reads: 512 beta rows of 4096 uint8 bits, 2 MB, at
+    # a time. A (2^m, q) table of weights, or the q x q beta rows, takes more.
+    ctx, p = build_field(12), derive_params(12, 1)
+    assert traced_peak(weight_distribution, ctx, p, "c1") < 8 * (1 << 20)
+
+
+@pytest.mark.parametrize("kernel", ["_walsh", "_popcounts"])
+def test_a_broken_kernel_fails_the_checks_that_read_it(tmp_path, monkeypatch,
+                                                       kernel):
+    # One entry of every block is moved by 2, which keeps each histogram's
+    # total and the parity of every value.
+    build = getattr(expsum, kernel)
+
+    def broken(*args):
+        out = build(*args)
+        out[0, 1] += 2
+        return out
+
+    monkeypatch.setattr(expsum, kernel, broken)
+    assert main(["verify", "--n", "6", "--k", "1",
+                 "--out", str(tmp_path)]) == 2
+    report = json.loads((tmp_path / "report.json").read_text())
+    failed = {r["name"] for r in report["records"]
+              if r["status"] == "mismatch"}
+    assert failed == ({"s-spectrum", "gamma-sweep", "code-weights-c2"}
+                      if kernel == "_walsh" else
+                      {"moments", "t-spectrum", "artin-schreier",
+                       "code-weights-c1"})
+
+
 def break_gamma_row(monkeypatch, flip=False):
     """Patch the rows Tr_n(g x) over every gamma, which only the gamma-axis
     proof builds: row 2 repeats row 1, or with flip, row 2 gets one bit

@@ -149,6 +149,29 @@ def test_s_sweep_memory_bounded_by_its_span():
     assert traced_peak(s_spectrum, ctx, p, workers=1) < 20 * (1 << 19)
 
 
+def test_gamma_sweep_memory_bounded_by_its_span():
+    # A span transforms 512 beta rows of 1024 entries, 2^19: their uint8 bits
+    # gathered and XORed (2 x 0.5 MB), the int16 transform and its butterfly
+    # buffer (2 MB) and one bool comparison (0.5 MB), next to the q x q beta
+    # rows (1 MB). A q x q block per alpha needs 8 MB.
+    ctx, p = build_field(10), derive_params(10, 1)
+    dims = kernel_dims(ctx, p)
+    assert traced_peak(expsum.gamma_sweep, ctx, p, dims, gamma_sweep_formula,
+                       workers=1) < 12 * (1 << 19)
+
+
+def test_gamma_sweep_reads_every_pair_of_every_block():
+    # At n = 10 a block holds 512 betas. Moving the rank of the last pair of
+    # the first block and of the last block names exactly those two pairs.
+    ctx, p = build_field(10), derive_params(10, 1)
+    dims = kernel_dims(ctx, p)
+    dims[0, 511] += 2
+    dims[-1, -1] += 2
+    alphas = subfield_elements(ctx, p.m)
+    assert expsum.gamma_sweep(ctx, p, dims, gamma_sweep_formula, 2) == [
+        (0, 511, p.s - dims[0, 511]), (alphas[-1], 1023, p.s - dims[-1, -1])]
+
+
 @pytest.mark.parametrize("n,orbits", [(4, 6), (6, 14), (8, 36), (10, 108)])
 def test_frobenius_orbits(n, orbits):
     ctx = build_field(n)

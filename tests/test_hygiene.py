@@ -15,7 +15,10 @@ holds no `assert` statement, since `python -O` strips them: each fact it
 checks raises an error of its own. Only the correlation sweep,
 `sequences.correlation_distribution`, holds a matrix product (`@`,
 `np.matmul` or `np.dot`), and only `sequences.py` names a float dtype; every
-other sweep counts bits or runs the Walsh transform.
+other sweep counts bits or runs the Walsh transform. Only the Walsh sweep,
+`expsum._walsh_sweep`, calls `_walsh` and `_gamma_axis`, and only the
+popcount sweep and the T table call `_popcounts`, so the (alpha, beta) plane
+is tiled in two places.
 """
 
 import ast
@@ -228,3 +231,49 @@ def test_float_guard_flags_every_float_dtype():
                          ids=lambda p: p.name)
 def test_only_the_correlation_sweep_names_a_float_dtype(path):
     assert float_dtypes(path.read_text()) == []
+
+
+# kernel -> the (module, top-level function)s allowed to call it: the two
+# sweeps that tile the (alpha, beta) plane, and the T table the point-count
+# check reads.
+KERNEL_CALLERS = {
+    "_walsh": {("expsum.py", "_walsh_sweep")},
+    "_gamma_axis": {("expsum.py", "_walsh_sweep")},
+    "_popcounts": {("expsum.py", "_popcount_sweep"), ("expsum.py", "_t_table")},
+}
+
+
+def kernel_calls(source):
+    """(line, kernel, top-level function or None) of every call of a kernel
+    of KERNEL_CALLERS, by name or attribute."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = getattr(fn, "attr", getattr(fn, "id", None))
+                if name in KERNEL_CALLERS:
+                    found.append((node.lineno, name, owner))
+    return sorted(found)
+
+
+def test_kernel_guard_flags_every_kernel_call():
+    source = ("def _walsh_sweep(rows):\n"
+              "    return _walsh(rows), expsum._gamma_axis(ctx)\n"
+              "def s_spectrum(rows):\n"
+              "    f = _walsh\n"
+              "    return _popcounts(rows, rows), expsum._walsh(rows)\n"
+              "_gamma_axis(ctx)\n")
+    assert kernel_calls(source) == [(2, "_gamma_axis", "_walsh_sweep"),
+                                    (2, "_walsh", "_walsh_sweep"),
+                                    (5, "_popcounts", "s_spectrum"),
+                                    (5, "_walsh", "s_spectrum"),
+                                    (6, "_gamma_axis", None)]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_only_the_two_sweeps_call_the_kernels(path):
+    assert [(line, name, owner) for line, name, owner
+            in kernel_calls(path.read_text())
+            if (path.name, owner) not in KERNEL_CALLERS[name]] == []
