@@ -29,8 +29,8 @@ from .codes import (CODES, CYCLICITY_EXHAUSTIVE_MAX_N, check_cyclicity,
                     weight_distribution, weight_distribution_formula)
 from .distribution import VerificationError
 from .expsum import (_t_table, _trace_rows, artin_schreier_points,
-                     gamma_sweep, gamma_sweep_formula, moments, s_spectrum,
-                     s_spectrum_formula, t_spectrum, t_spectrum_formula)
+                     gamma_sweep, moments, s_spectrum, s_spectrum_formula,
+                     t_spectrum, t_spectrum_formula)
 from .field import (_gf2_polymod, build_field, derive_params, is_irreducible,
                     rel_trace_table, subfield_elements)
 from .linearized import (bluher_counts, bluher_counts_formula, kernel_dims,
@@ -220,8 +220,7 @@ class _Run:
         leaves that time out of the check that reads it first."""
         start = time.perf_counter()
         result = sweep(self.ctx, self.params)
-        elapsed = time.perf_counter() - start
-        self._shared_s += elapsed
+        self._shared_s += (elapsed := time.perf_counter() - start)
         print(f"[time] shared sweep {name}: {elapsed:.3f}s", file=sys.stderr)
         return result
 
@@ -356,8 +355,7 @@ def _check_moments(run):
 
 
 def _check_gamma(run):
-    off = gamma_sweep(run.ctx, run.params, run.kernel_dims,
-                      gamma_sweep_formula, run.args.workers)
+    off = gamma_sweep(run.ctx, run.params, run.kernel_dims, run.args.workers)
     if off:
         alpha, beta, rank = off[0]
         return MISMATCH, (f"pair ({alpha:#x}, {beta:#x}) deviates "

@@ -44,12 +44,9 @@ class MinimalPolynomial:
 def minimal_poly(ctx, e):
     """Minimal polynomial of pi^e, via the 2-cyclotomic coset of e."""
     order = ctx.order
-    e %= order
-    coset = []
-    c = e
-    while c not in coset:
+    coset = [e % order]
+    while (c := 2 * coset[-1] % order) != coset[0]:
         coset.append(c)
-        c = (c * 2) % order
     poly = [1]
     for c in coset:
         root = ctx.pow(ctx.pi, c)
@@ -60,11 +57,9 @@ def minimal_poly(ctx, e):
         poly = new
     if any(co not in (0, 1) for co in poly):
         raise VerificationError("coset product has coefficients outside GF(2)")
-    mask = 0
-    for i, co in enumerate(poly):
-        mask |= co << i
-    return MinimalPolynomial(exponent=e, coset=tuple(coset), coeffs=mask,
-                             degree=len(coset))
+    mask = sum(co << i for i, co in enumerate(poly))
+    return MinimalPolynomial(exponent=coset[0], coset=tuple(coset),
+                             coeffs=mask, degree=len(coset))
 
 
 def h_polynomials(ctx, params):
@@ -86,11 +81,9 @@ def parity_check_mask(ctx, params, code):
 
 
 def code_dimension(params, code):
-    if code == "c1":
-        return 3 * params.m
-    if code == "c2":
-        return 5 * params.m
-    raise ValueError(f"code must be one of {CODES}, got {code!r}")
+    if code not in CODES:
+        raise ValueError(f"code must be one of {CODES}, got {code!r}")
+    return (3 if code == "c1" else 5) * params.m
 
 
 # Above this n, check_cyclicity checks a fixed sample of parameter tuples.
@@ -128,13 +121,11 @@ def codeword_c2(ctx, params, alpha, beta, gamma):
 
 
 def weight_distribution(ctx, params, code, workers=1):
-    """Direct Hamming-weight histogram over every codeword.
-
-    Every word is 0 at x = 0, so it weighs the popcount of its row over x in
-    mask order: c1 reads the popcount sweep's counts as they are. The c2
-    words of one c1 row over every gamma weigh (q - W)/2 for W over the
-    row's Walsh transform, a histogram of each block of the Walsh sweep.
-    """
+    """Direct Hamming-weight histogram over every codeword. Every word is 0
+    at x = 0, so it weighs the popcount of its row over x in mask order: c1
+    reads the popcount sweep's counts as they are, and the c2 words of a c1
+    row over every gamma weigh (q - W)/2 over its Walsh row, a histogram of
+    each block of the Walsh sweep."""
     words, q = 1 << code_dimension(params, code), ctx.q
     if code == "c1":
         counts = _popcount_sweep(ctx, params)
@@ -163,11 +154,10 @@ def spectrum_pushforward(dist, n):
 
 def weight_distribution_formula(params, code):
     """Closed-form weight table: pushforward of the matching sum distribution."""
-    if code == "c1":
-        return spectrum_pushforward(t_spectrum_formula(params), params.n)
-    if code == "c2":
-        return spectrum_pushforward(s_spectrum_formula(params), params.n)
-    raise ValueError(f"code must be one of {CODES}, got {code!r}")
+    if code not in CODES:
+        raise ValueError(f"code must be one of {CODES}, got {code!r}")
+    sums = t_spectrum_formula if code == "c1" else s_spectrum_formula
+    return spectrum_pushforward(sums(params), params.n)
 
 
 def check_cyclicity(ctx, params, code):

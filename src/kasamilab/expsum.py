@@ -2,19 +2,15 @@
 
 T(a, b) sums (-1)^(Tr_m(a x^(2^m+1)) + Tr_n(b x^(2^k+1))) over GF(2^n) with a
 drawn from the subfield copy of GF(2^m); S(a, b, g) adds a linear term
-Tr_n(g x). Two sweeps tile the (a, b) plane, and every brute-force histogram
-over it reduces one of them. The popcount sweep counts wt(row) of the trace
-bits: T = q - 2 wt, and the c1 code weights are wt. The Walsh sweep
-transforms each row's signs, on int16 while every S + q <= 2^(n+1) fits
-(n <= 13), else on int32; its index u is the functional x -> u.x, and
-`_gamma_axis` proves from the bits, once per field, that the rows Tr_n(g x)
-are every such functional once, so the index axis is the gamma axis. S, the
-c2 code weights and the gamma-sweep reduce its blocks. Squaring x permutes
-GF(2^n) linearly and keeps every trace, so S takes the same values at
-(a, b, g) and (a^2, b^2, g^2): S checks this closure from the bits on every
-call and sweeps one b per Frobenius orbit, weighted by the orbit's size.
-Closed-form distributions, split on the parity case, predict each sweep;
-callers compare the two, never papering over a mismatch.
+Tr_n(g x). Two sweeps tile the (a, b) plane. The popcount sweep counts
+wt(row) of the trace bits: T = q - 2 wt, and the c1 code weights are wt. The
+Walsh sweep transforms each row's signs (int16 while S + q <= 2^(n+1) fits,
+else int32) over an index axis that `_gamma_axis` proves, once per field, to
+be the gamma axis; S, the c2 weights and the gamma-sweep reduce its blocks.
+Squaring x keeps every trace, so S, once that closure is checked from the
+bits, sweeps one b per Frobenius orbit, weighted by the orbit's size.
+Closed-form tables, split on the parity case, predict each sweep; callers
+compare the two, never papering over a mismatch.
 """
 
 from __future__ import annotations
@@ -131,42 +127,33 @@ def _t_table(ctx, params, arows, betas):
 
 
 def _popcount_sweep(ctx, params):
-    """The popcount sweep: bincount of wt(row), the row Tr_m(a x^e1) +
-    Tr_n(b x^e2), over all 2^(3m) pairs (a, b), on one thread, every alpha
-    row against max(64, 2^21 // q) beta rows at a time."""
-    q = ctx.q
+    """The popcount sweep: bincount of wt(row) = (q - T) / 2 over all 2^(3m)
+    pairs, `_t_table` taking every alpha row against max(64, 2^21 // q)
+    betas at a time, on one thread."""
+    q, alphas = ctx.q, subfield_elements(ctx, params.m)
+    arows, _, _ = _trace_rows(ctx, params, alphas, [], [])
     chunk = max(64, (1 << 21) // q)
-    arows, _, _ = _trace_rows(ctx, params, subfield_elements(ctx, params.m),
-                              [], [])
-    base = power_table(ctx, params.e_quad)
-    counts = np.zeros(q + 1, dtype=np.int64)
-    for i in range(0, q, chunk):
-        brows = trace_bit_matrix(ctx, base, range(i, min(i + chunk, q)))
-        counts += np.bincount(_popcounts(arows, brows).ravel(),
-                              minlength=q + 1)
-    return counts
+    spans = [range(i, min(i + chunk, q)) for i in range(0, q, chunk)]
+    return sum(np.bincount((q - _t_table(ctx, params, arows, betas)).ravel()
+                           >> 1, minlength=q + 1) for betas in spans)
 
 
 def t_spectrum(ctx, params):
     """Measured distribution of T = q - 2 wt over all (alpha, beta) pairs,
     read off the popcount sweep."""
-    counts = _popcount_sweep(ctx, params).tolist()
-    dist = ValueDistribution.from_counts(
-        (ctx.q - 2 * w, c) for w, c in enumerate(counts))
+    counts = enumerate(_popcount_sweep(ctx, params).tolist())
+    dist = ValueDistribution.from_counts((ctx.q - 2 * w, c) for w, c in counts)
     if dist.total != 1 << (3 * params.m):
         raise VerificationError(f"T sweep covered {dist.total} pairs")
     return dist
 
 
 def _frobenius_closure(ctx, alphas, arows, brows):
-    """Frobenius orbits of beta, once x -> x^2 is checked to fix every row.
-
-    sigma (squaring in mask order) must be GF(2)-linear and restore every x
-    in n steps, and arows[a^2][sigma] = arows[a], brows[b^2][sigma] = brows[b]
-    must hold, all read from the bits. Then sigma permutes the Walsh
-    transform of each row pair onto that of its image pair, so every beta
-    in a Frobenius orbit gives its representative's multiset over all alpha.
-    """
+    """Frobenius orbits of beta, once squaring x fixes every row: sigma
+    (x -> x^2 in mask order) must be GF(2)-linear and restore every x in n
+    steps, and arows[a^2][sigma] = arows[a], brows[b^2][sigma] = brows[b],
+    all read from the bits. Then sigma maps the Walsh row of each pair onto
+    its image pair's, so the betas of an orbit share one multiset."""
     sigma = power_table(ctx, 2)
     if not _gf2_linear(sigma):
         raise VerificationError("squaring is not GF(2)-linear on the field")
@@ -183,17 +170,12 @@ def _frobenius_closure(ctx, alphas, arows, brows):
 
 
 def _walsh_sweep(ctx, params, reduce, workers, orbits=False):
-    """The Walsh sweep: the sum of reduce(i, betas, sizes, W) over its blocks,
-    on up to `workers` threads.
-
-    A block is the alpha of index i (in subfield order) against at most
-    2^19 // q betas, so 2^19 transformed entries; blocks run alpha by alpha,
-    betas ascending. W holds the Walsh transform, over the gamma axis, of
-    each row Tr_m(a x^e1) + Tr_n(b x^e2), and the row of betas[j] stands for
-    sizes[j] pairs. Without `orbits` each beta is swept and stands for one
-    pair; with it, the rows' Frobenius closure is checked and one beta per
-    orbit is swept, standing for every member of its orbit.
-    """
+    """The Walsh sweep: the sum, on up to `workers` threads, of
+    reduce(i, betas, sizes, W) over its blocks, alpha by alpha, each the
+    alpha of index i against at most 2^19 // q betas in ascending order. W
+    holds each row's Walsh transform over the gamma axis; the row of
+    betas[j] stands for sizes[j] pairs: one, or with `orbits` (once
+    `_frobenius_closure` holds, one beta per orbit) its orbit's size."""
     q = ctx.q
     alphas = np.asarray(subfield_elements(ctx, params.m), dtype=np.int64)
     arows, brows, _ = _trace_rows(ctx, params, alphas, range(q), [])
@@ -234,17 +216,14 @@ def s_spectrum(ctx, params, workers=1):
     return dist
 
 
-def gamma_sweep(ctx, params, dims, law, workers=1):
-    """(alpha, beta, rank) of the first pair in each block of the Walsh sweep
-    whose S over every gamma departs from law(params, rank), in sweep order.
-
-    A pair's rank is s minus its entry of the `kernel_dims` table dims, and
-    its Walsh row must hold the law's counts of 0, +peak and -peak; they sum
-    to q, so nothing else. The pair (0, 0) has no form and is left out.
-    """
+def gamma_sweep(ctx, params, dims, workers=1):
+    """(alpha, beta, rank) of the first pair in each Walsh-sweep block whose
+    S over gamma misses the counts of 0 and +-peak (they sum to q) that
+    `gamma_sweep_formula` gives its rank, s - dims[i, beta]; (0, 0) is left
+    out, having no form."""
     table = np.zeros((params.s + 1, 4), dtype=np.int64)
     for rank in range(0, params.s + 1, 2):
-        want = law(params, rank)
+        want = gamma_sweep_formula(params, rank)
         peak = max(want.values)
         table[rank] = peak, want.count(0), want.count(peak), want.count(-peak)
     alphas = subfield_elements(ctx, params.m)

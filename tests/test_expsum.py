@@ -156,7 +156,7 @@ def test_gamma_sweep_memory_bounded_by_its_span():
     # rows (1 MB). A q x q block per alpha needs 8 MB.
     ctx, p = build_field(10), derive_params(10, 1)
     dims = kernel_dims(ctx, p)
-    assert traced_peak(expsum.gamma_sweep, ctx, p, dims, gamma_sweep_formula,
+    assert traced_peak(expsum.gamma_sweep, ctx, p, dims,
                        workers=1) < 12 * (1 << 19)
 
 
@@ -168,7 +168,7 @@ def test_gamma_sweep_reads_every_pair_of_every_block():
     dims[0, 511] += 2
     dims[-1, -1] += 2
     alphas = subfield_elements(ctx, p.m)
-    assert expsum.gamma_sweep(ctx, p, dims, gamma_sweep_formula, 2) == [
+    assert expsum.gamma_sweep(ctx, p, dims, 2) == [
         (0, 511, p.s - dims[0, 511]), (alphas[-1], 1023, p.s - dims[-1, -1])]
 
 
@@ -485,7 +485,7 @@ def test_verify_names_the_first_pair_off_the_rank_law(tmp_path, monkeypatch,
             counts[max(counts)] += 1
         return ValueDistribution.from_counts(counts)
 
-    monkeypatch.setattr("kasamilab.cli.gamma_sweep_formula", moved)
+    monkeypatch.setattr("kasamilab.expsum.gamma_sweep_formula", moved)
     code, record = verify_record(tmp_path, "gamma-sweep")
     ranks = p61.s - kernel_dims(ctx6, p61)
     first = np.flatnonzero(ranks.ravel() == 4)[0]  # (0, 0) has rank 0

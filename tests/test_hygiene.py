@@ -16,9 +16,9 @@ checks raises an error of its own. Only the correlation sweep,
 `sequences.correlation_distribution`, holds a matrix product (`@`,
 `np.matmul` or `np.dot`), and only `sequences.py` names a float dtype; every
 other sweep counts bits or runs the Walsh transform. Only the Walsh sweep,
-`expsum._walsh_sweep`, calls `_walsh` and `_gamma_axis`, and only the
-popcount sweep and the T table call `_popcounts`, so the (alpha, beta) plane
-is tiled in two places.
+`expsum._walsh_sweep`, calls `_walsh` and `_gamma_axis`, and only the T
+table, whose spans the popcount sweep bincounts, calls `_popcounts`, so the
+(alpha, beta) plane is tiled in two places.
 """
 
 import ast
@@ -233,13 +233,12 @@ def test_only_the_correlation_sweep_names_a_float_dtype(path):
     assert float_dtypes(path.read_text()) == []
 
 
-# kernel -> the (module, top-level function)s allowed to call it: the two
-# sweeps that tile the (alpha, beta) plane, and the T table the point-count
-# check reads.
+# kernel -> the (module, top-level function)s allowed to call it: the Walsh
+# sweep, and the T table that the popcount sweep reads span by span.
 KERNEL_CALLERS = {
     "_walsh": {("expsum.py", "_walsh_sweep")},
     "_gamma_axis": {("expsum.py", "_walsh_sweep")},
-    "_popcounts": {("expsum.py", "_popcount_sweep"), ("expsum.py", "_t_table")},
+    "_popcounts": {("expsum.py", "_t_table")},
 }
 
 
