@@ -21,18 +21,15 @@ from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
 from .codes import (CODES, CYCLICITY_EXHAUSTIVE_MAX_N, check_cyclicity,
                     check_parity, code_dimension, codeword_c1, codeword_c2,
                     codeword_dump_lines, h_polynomials, parity_check_mask,
                     weight_distribution, weight_distribution_formula)
 from .distribution import VerificationError
-from .expsum import (_t_table, _trace_rows, artin_schreier_points,
-                     gamma_sweep, moments, s_spectrum, s_spectrum_formula,
-                     t_spectrum, t_spectrum_formula)
+from .expsum import (artin_schreier_sweep, gamma_sweep, moments, s_spectrum,
+                     s_spectrum_formula, t_spectrum, t_spectrum_formula)
 from .field import (_gf2_polymod, build_field, derive_params, is_irreducible,
-                    rel_trace_table, subfield_elements)
+                    subfield_elements)
 from .linearized import (bluher_counts, bluher_counts_formula, kernel_dims,
                          rank_profile, rank_profile_formula)
 from .sequences import (INEQUIVALENCE_MAX_N, build_family,
@@ -328,12 +325,10 @@ def _check_parameters(run):
 
 def _check_bluher(run):
     n = run.params.n
-    bad = []
-    for h in range(1, n):
-        got = bluher_counts(run.ctx, h).as_tuple()
-        want = bluher_counts_formula(n, h).as_tuple()
-        if got != want:
-            bad.append(f"h={h}: counted {got}, predicted {want}")
+    pairs = [(h, bluher_counts(run.ctx, h).as_tuple(),
+              bluher_counts_formula(n, h).as_tuple()) for h in range(1, n)]
+    bad = [f"h={h}: counted {got}, predicted {want}"
+           for h, got, want in pairs if got != want]
     if bad:
         return MISMATCH, "; ".join(bad)
     return MATCH, f"root-count quadruples match for h=1..{n - 1}"
@@ -364,23 +359,13 @@ def _check_gamma(run):
 
 
 def _check_artin_schreier(run):
-    ctx, params = run.ctx, run.params
-    alphas = subfield_elements(ctx, params.m)
-    arows, _, _ = _trace_rows(ctx, params, alphas, [], [])
-    t_rows = _t_table(ctx, params, arows, range(ctx.q))
-    row = {a: i for i, a in enumerate(alphas)}
-    traces = rel_trace_table(ctx, params.m, params.n).tolist()
-    for aprime, alpha in enumerate(traces):
-        got = artin_schreier_points(ctx, params, aprime, np.arange(ctx.q))
-        want = ctx.q + ((1 << params.d) - 1) * t_rows[row[alpha]]
-        bad = got != want
-        bad[0] &= aprime != 0  # the curves are the pairs other than (0, 0)
-        if bad.any():
-            beta = np.argmax(bad)
-            return MISMATCH, (f"({aprime:#x}, {beta:#x}): {got[beta]} points, "
-                              f"identity gives {want[beta]}")
+    off = artin_schreier_sweep(run.ctx, run.params, run.args.workers)
+    if off:
+        aprime, beta, got, want = off[0]
+        return MISMATCH, (f"({aprime:#x}, {beta:#x}): {got} points, "
+                          f"identity gives {want}")
     return MATCH, (f"point counts match the sum identity on all "
-                   f"{ctx.q * ctx.q - 1} curves")
+                   f"{run.ctx.q ** 2 - 1} curves")
 
 
 def _check_minimal_polynomials(run):
@@ -402,14 +387,12 @@ def _check_minimal_polynomials(run):
             bad.append(f"{code} parity-check degree "
                        f"{mask.bit_length() - 1} != dimension "
                        f"{code_dimension(params, code)}")
-    sub = subfield_elements(ctx, params.m)
-    alpha = sub[1] if len(sub) > 1 else sub[0]
-    if not check_parity(ctx, params, "c1",
-                        codeword_c1(ctx, params, alpha, 1)):
-        bad.append("a c1 word fails its parity-check product")
-    if not check_parity(ctx, params, "c2",
-                        codeword_c2(ctx, params, alpha, 1, 1)):
-        bad.append("a c2 word fails its parity-check product")
+    alpha = subfield_elements(ctx, params.m)[1]
+    words = (codeword_c1(ctx, params, alpha, 1),
+             codeword_c2(ctx, params, alpha, 1, 1))
+    bad += [f"a {code} word fails its parity-check product"
+            for code, word in zip(CODES, words)
+            if not check_parity(ctx, params, code, word)]
     if bad:
         return MISMATCH, "; ".join(bad)
     return MATCH, (f"h1={h1.coeffs:#x}, h2={h2.coeffs:#x}, h3={h3.coeffs:#x}; "

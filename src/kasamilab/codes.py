@@ -64,9 +64,8 @@ def minimal_poly(ctx, e):
 
 def h_polynomials(ctx, params):
     """(h1, h2, h3): minimal polynomials of pi^-1, pi^-(2^k+1), pi^-(2^m+1)."""
-    return (minimal_poly(ctx, -1),
-            minimal_poly(ctx, -params.e_quad),
-            minimal_poly(ctx, -params.e_norm))
+    return tuple(minimal_poly(ctx, -e)
+                 for e in (1, params.e_quad, params.e_norm))
 
 
 def parity_check_mask(ctx, params, code):

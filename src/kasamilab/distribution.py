@@ -98,10 +98,9 @@ class ValueDistribution:
 
     def map_values(self, fn):
         """Pushforward under fn, merging counts that land on the same value."""
-        out = {}
+        out = Counter()
         for v, c in self.entries:
-            w = fn(v)
-            out[w] = out.get(w, 0) + c
+            out[fn(v)] += c
         return ValueDistribution.from_counts(out, notes=self.notes)
 
     def diff(self, other):

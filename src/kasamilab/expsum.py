@@ -6,7 +6,8 @@ Tr_n(g x). Two sweeps tile the (a, b) plane. The popcount sweep counts
 wt(row) of the trace bits: T = q - 2 wt, and the c1 code weights are wt. The
 Walsh sweep transforms each row's signs (int16 while S + q <= 2^(n+1) fits,
 else int32) over an index axis that `_gamma_axis` proves, once per field, to
-be the gamma axis; S, the c2 weights and the gamma-sweep reduce its blocks.
+be the gamma axis; S, the c2 weights, the gamma-sweep and the Artin-Schreier
+point counts, read against T at gamma = 0, reduce its blocks of `_span` rows.
 Squaring x keeps every trace, so S, once that closure is checked from the
 bits, sweeps one b per Frobenius orbit, weighted by the orbit's size.
 Closed-form tables, split on the parity case, predict each sweep; callers
@@ -28,7 +29,7 @@ from .field import (_cycles, _gf2_linear, _mul, power_table, rel_trace_table,
 __all__ = [
     "MomentReport", "t_spectrum", "t_spectrum_formula", "s_spectrum",
     "s_spectrum_formula", "gamma_sweep", "gamma_sweep_formula", "moments",
-    "moment_targets", "artin_schreier_points",
+    "moment_targets", "artin_schreier_points", "artin_schreier_sweep",
 ]
 
 _LAST_ROW_NOTE = ("tabulated distribution lists the single all-zero row with "
@@ -169,10 +170,15 @@ def _frobenius_closure(ctx, alphas, arows, brows):
     return reps, sizes
 
 
+def _span(q):
+    """Rows of q entries in a block of at most 2^19 entries (at least one)."""
+    return max(1, (1 << 19) // q)
+
+
 def _walsh_sweep(ctx, params, reduce, workers, orbits=False):
     """The Walsh sweep: the sum, on up to `workers` threads, of
     reduce(i, betas, sizes, W) over its blocks, alpha by alpha, each the
-    alpha of index i against at most 2^19 // q betas in ascending order. W
+    alpha of index i against at most `_span(q)` betas in ascending order. W
     holds each row's Walsh transform over the gamma axis; the row of
     betas[j] stands for sizes[j] pairs: one, or with `orbits` (once
     `_frobenius_closure` holds, one beta per orbit) its orbit's size."""
@@ -183,7 +189,7 @@ def _walsh_sweep(ctx, params, reduce, workers, orbits=False):
     betas, sizes = np.arange(q), np.ones(q, dtype=np.int64)
     if orbits:
         betas, sizes = _frobenius_closure(ctx, alphas, arows, brows)
-    span = max(1, (1 << 19) // q)
+    span = _span(q)
 
     def work(item):
         i, block = item
@@ -407,3 +413,21 @@ def artin_schreier_points(ctx, params, alpha_prime, beta):
              ^ _mul(ctx, b, power_table(ctx, 1 << params.k)))
     points = hist[f].sum(axis=-1)
     return int(points) if points.ndim == 0 else points
+
+
+def artin_schreier_sweep(ctx, params, workers=1):
+    """(a', beta, points, identity) of the first curve in each Walsh-sweep
+    block, a' over Tr^n_m(a') = alpha, whose count misses q + (2^d - 1) T,
+    T the transform at gamma = 0 widened to int64; (0, 0) is left out."""
+    aprimes = [np.flatnonzero(rel_trace_table(ctx, params.m, params.n) == a)
+               for a in subfield_elements(ctx, params.m)]
+
+    def first_off(i, betas, sizes, walsh):
+        want = ctx.q + ((1 << params.d) - 1) * walsh[:, 0].astype(np.int64)
+        got = np.stack([artin_schreier_points(ctx, params, a, betas)
+                        for a in aprimes[i].tolist()])
+        bad = (got != want) & ((aprimes[i][:, None] != 0) | (betas != 0))
+        return [(int(aprimes[i][r]), int(betas[c]), int(got[r, c]),
+                 int(want[c])) for r, c in np.argwhere(bad)[:1]]
+
+    return _walsh_sweep(ctx, params, first_off, workers)

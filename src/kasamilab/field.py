@@ -209,11 +209,10 @@ def build_field(n, modulus=None):
         raise ValueError(f"n must satisfy 2 <= n <= 24, got {n}")
     if modulus is None:
         modulus = find_primitive_polynomial(n)
-    else:
-        if not is_irreducible(modulus, n):
-            raise ValueError(f"modulus {modulus:#x} is reducible over GF(2)")
-        if not is_primitive(modulus, n):
-            raise ValueError(f"modulus {modulus:#x} is irreducible but not primitive")
+    elif not is_irreducible(modulus, n):
+        raise ValueError(f"modulus {modulus:#x} is reducible over GF(2)")
+    elif not is_primitive(modulus, n):
+        raise ValueError(f"modulus {modulus:#x} is irreducible but not primitive")
     q = 1 << n
     exp = np.zeros(q - 1, dtype=np.int64)
     log = np.full(q, -1, dtype=np.int64)

@@ -11,8 +11,8 @@ psi: the tests check the root-count/kernel link at (4,1), pairing the
 schoolbook `reference.psi_roots_naive` with the `kernel_dims` table.
 
 The kernel law is checked in one place, `_kernel_dims`, from the phi rows'
-bits. `kernel_dims` runs it once over every pair; the rank profile is that
-table's histogram, and the gamma-sweep check reads each pair's rank from it.
+bits, over every pair by `kernel_dims` in the Walsh sweep's `_span` blocks.
+The rank profile is that table's histogram; the gamma-sweep reads its ranks.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from math import gcd
 import numpy as np
 
 from .distribution import VerificationError, _exact, _histogram, _p2
-from .expsum import _eps1, t_spectrum_formula
+from .expsum import _eps1, _span, t_spectrum_formula
 from .field import _gf2_linear, _mul, power_table, subfield_elements
 
 __all__ = [
@@ -82,39 +82,39 @@ def _phi_rows(ctx, params, alpha, betas):
 def _kernel_dims(ctx, params, alpha, betas):
     """Kernel dimension over GF(q0) of phi_{alpha,beta}, one per beta.
 
-    Checked from the bits of the phi rows, built 2^22 entries at a time:
-    each kernel size is a power of q0, and each phi is GF(2)-linear and
-    commutes with a generator g of GF(q0)* (on the basis x = 2^i, enough once
-    phi is linear). So phi is GF(q0)-linear and its kernel a GF(q0)-subspace.
+    Checked from the bits of the phi rows: each kernel size is a power of
+    q0, and each phi is GF(2)-linear and commutes with a generator g of
+    GF(q0)* (on the basis x = 2^i, enough once phi is linear). So phi is
+    GF(q0)-linear and its kernel a GF(q0)-subspace.
     """
     dim_of = np.full(ctx.q + 1, -1, dtype=np.int64)
     dim_of[params.q0 ** np.arange(params.s + 1)] = np.arange(params.s + 1)
     g = ctx.pow(ctx.pi, ctx.order // (params.q0 - 1))
     basis = 1 << np.arange(ctx.n, dtype=np.int64)
     betas = np.asarray(betas, dtype=np.int64)
-    dims = np.empty(len(betas), dtype=np.int64)
-    chunk = max(1, (1 << 22) // ctx.q)
-    for i in range(0, len(betas), chunk):
-        span = betas[i:i + chunk]
-        phi = _phi_rows(ctx, params, alpha, span)
-        sizes = np.count_nonzero(phi == 0, axis=1)
-        dims[i:i + chunk] = found = dim_of[sizes]
-        if (found < 0).any():
-            raise VerificationError(f"kernel size {sizes[found < 0][0]} is "
-                                    f"not a power of q0={params.q0}")
-        linear = _gf2_linear(phi) & (
-            phi[:, _mul(ctx, g, basis)] == _mul(ctx, g, phi[:, basis])).all(1)
-        if not linear.all():
-            raise VerificationError(f"phi_({alpha:#x}, {span[~linear][0]:#x}) "
-                                    f"is not GF({params.q0})-linear")
+    phi = _phi_rows(ctx, params, alpha, betas)
+    sizes = np.count_nonzero(phi == 0, axis=1)
+    dims = dim_of[sizes]
+    if (dims < 0).any():
+        raise VerificationError(f"kernel size {sizes[dims < 0][0]} is "
+                                f"not a power of q0={params.q0}")
+    linear = _gf2_linear(phi) & (
+        phi[:, _mul(ctx, g, basis)] == _mul(ctx, g, phi[:, basis])).all(1)
+    if not linear.all():
+        raise VerificationError(f"phi_({alpha:#x}, {betas[~linear][0]:#x}) "
+                                f"is not GF({params.q0})-linear")
     return dims
 
 
 def kernel_dims(ctx, params):
     """Kernel dimension over GF(q0) of every phi_{alpha,beta}: one row per
-    alpha in `subfield_elements` order, one column per beta."""
-    return np.stack([_kernel_dims(ctx, params, alpha, range(ctx.q))
-                     for alpha in subfield_elements(ctx, params.m)])
+    alpha in `subfield_elements` order, one column per beta, `_kernel_dims`
+    taking the betas `_span(q)` at a time, on one thread."""
+    q, span = ctx.q, _span(ctx.q)
+    return np.stack([np.concatenate([
+        _kernel_dims(ctx, params, alpha, range(q)[start:start + span])
+        for start in range(0, q, span)])
+        for alpha in subfield_elements(ctx, params.m)])
 
 
 def rank_profile(dims, params):

@@ -220,8 +220,7 @@ def correlation_distribution(family, workers=1):
 
 def _t_zero_alpha_count(params, kappa):
     """Number of beta with T(0, beta) = kappa + 1, as a Fraction."""
-    q = params.q
-    m, d = params.m, params.d
+    q, m, d = params.q, params.m, params.d
     if kappa == q - 1:
         return Fraction(1)
     if params.case == "EvenK" and kappa == -1:
@@ -252,12 +251,9 @@ def correlation_distribution_formula(params):
     integer combination of the closed-form multiplicities. Notes carry the
     comparison against the literally tabulated rows.
     """
-    t_dist = t_spectrum_formula(params)
-    s_dist = s_spectrum_formula(params)
-    q = params.q
-    m = params.m
+    t_dist, s_dist = t_spectrum_formula(params), s_spectrum_formula(params)
+    q, m, case = params.q, params.m, params.case
     L = q - 1
-    case = params.case
     kappas = sorted({v - 1 for v in s_dist.values})
     counts = {}
     for kappa in kappas:

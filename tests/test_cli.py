@@ -185,8 +185,9 @@ def test_verify_small_fast(tmp_path):
     assert st["artin-schreier"] == "skipped"  # identity needs d' = 2d
 
 
-def test_verify_erratum_only(tmp_path):
-    code, report, out = run(tmp_path, "verify", "--n", "6", "--k", "1")
+def test_verify_erratum_only(tmp_path, workers="1"):
+    code, report, out = run(tmp_path, "verify", "--n", "6", "--k", "1",
+                            "--workers", workers)
     assert code == 3
     st = statuses(report)
     assert st["artin-schreier"] == "match"
@@ -195,6 +196,11 @@ def test_verify_erratum_only(tmp_path):
     assert "mismatch" not in set(st.values())
     assert (out / "report.json").read_bytes() == \
         (GOLDEN / "n6k1.json").read_bytes()
+
+
+def test_verify_erratum_only_on_two_threads(tmp_path):
+    # The one frozen report in which artin-schreier runs, now threaded.
+    test_verify_erratum_only(tmp_path, workers="2")
 
 
 @pytest.mark.parametrize("n,k,code", [(6, 2, 0), (10, 1, 3), (10, 2, 0),

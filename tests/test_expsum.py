@@ -172,6 +172,46 @@ def test_gamma_sweep_reads_every_pair_of_every_block():
         (0, 511, p.s - dims[0, 511]), (alphas[-1], 1023, p.s - dims[-1, -1])]
 
 
+def test_artin_schreier_sweep_counts_every_curve_once_per_block(
+        monkeypatch):
+    # Each call counts the curves of one a' over at most one block of betas;
+    # together the calls count all q^2 curves, each once.
+    ctx, p = build_field(10), derive_params(10, 1)
+    calls, counted = [], np.zeros((ctx.q, ctx.q), dtype=np.int64)
+
+    def recording(ctx, params, alpha_prime, betas):
+        calls.append(len(betas))
+        np.add.at(counted[alpha_prime], betas, 1)
+        return np.zeros(len(betas), dtype=np.int64)
+
+    monkeypatch.setattr(expsum, "artin_schreier_points", recording)
+    expsum.artin_schreier_sweep(ctx, p, workers=2)
+    assert max(calls) <= (1 << 19) // ctx.q
+    assert (counted == 1).all()
+
+
+def test_artin_schreier_sweep_names_the_curve_in_the_last_block(
+        monkeypatch):
+    # Counts read off the identity, through the popcount kernel, with one
+    # point more on the last curve of the last block: only it is named.
+    ctx, p = build_field(10), derive_params(10, 1)
+    sub = subfield_elements(ctx, p.m)
+    t = t_table(ctx, p, sub, range(ctx.q))
+    traces = rel_trace_table(ctx, p.m, p.n)
+    last = int(np.flatnonzero(traces == sub[-1])[-1])
+
+    def identity(ctx, params, alpha_prime, betas):
+        counts = ctx.q + ((1 << params.d) - 1) * t[
+            sub.index(traces[alpha_prime]), betas]
+        counts[betas == ctx.q - 1] += alpha_prime == last
+        return counts
+
+    monkeypatch.setattr(expsum, "artin_schreier_points", identity)
+    want = ctx.q + ((1 << p.d) - 1) * int(t[-1, -1])
+    assert expsum.artin_schreier_sweep(ctx, p, workers=2) == [
+        (last, ctx.q - 1, want + 1, want)]
+
+
 @pytest.mark.parametrize("n,orbits", [(4, 6), (6, 14), (8, 36), (10, 108)])
 def test_frobenius_orbits(n, orbits):
     ctx = build_field(n)
@@ -465,7 +505,8 @@ def test_verify_names_the_curve_off_the_identity(tmp_path, monkeypatch,
             counts[0x5] += 1
         return counts
 
-    monkeypatch.setattr("kasamilab.cli.artin_schreier_points", one_point_more)
+    monkeypatch.setattr("kasamilab.expsum.artin_schreier_points",
+                        one_point_more)
     code, record = verify_record(tmp_path, "artin-schreier")
     want = (1 << 6) + ((1 << p61.d) - 1) * int(t_table(
         ctx6, p61, [rel_trace_table(ctx6, 3, 6)[0x3]], [0x5])[0, 0])

@@ -16,9 +16,11 @@ checks raises an error of its own. Only the correlation sweep,
 `sequences.correlation_distribution`, holds a matrix product (`@`,
 `np.matmul` or `np.dot`), and only `sequences.py` names a float dtype; every
 other sweep counts bits or runs the Walsh transform. Only the Walsh sweep,
-`expsum._walsh_sweep`, calls `_walsh` and `_gamma_axis`, and only the T
-table, whose spans the popcount sweep bincounts, calls `_popcounts`, so the
-(alpha, beta) plane is tiled in two places.
+`expsum._walsh_sweep`, calls `_walsh` and `_gamma_axis`; only the T table,
+whose spans the popcount sweep bincounts, calls `_popcounts`, and only that
+sweep calls the T table; only the two sweeps and the codewords build trace
+rows, and only the Walsh sweep's Artin-Schreier reduction counts points. So
+the (alpha, beta) plane is tiled in two places.
 """
 
 import ast
@@ -234,11 +236,17 @@ def test_only_the_correlation_sweep_names_a_float_dtype(path):
 
 
 # kernel -> the (module, top-level function)s allowed to call it: the Walsh
-# sweep, and the T table that the popcount sweep reads span by span.
+# sweep, the T table that the popcount sweep reads span by span, the trace
+# rows both sweeps and the codewords are built from, and the point counts
+# the Walsh sweep's Artin-Schreier reduction reads.
 KERNEL_CALLERS = {
     "_walsh": {("expsum.py", "_walsh_sweep")},
     "_gamma_axis": {("expsum.py", "_walsh_sweep")},
     "_popcounts": {("expsum.py", "_t_table")},
+    "_t_table": {("expsum.py", "_popcount_sweep")},
+    "_trace_rows": {("expsum.py", "_popcount_sweep"),
+                    ("expsum.py", "_walsh_sweep"), ("codes.py", "_word_rows")},
+    "artin_schreier_points": {("expsum.py", "artin_schreier_sweep")},
 }
 
 
@@ -263,12 +271,18 @@ def test_kernel_guard_flags_every_kernel_call():
               "def s_spectrum(rows):\n"
               "    f = _walsh\n"
               "    return _popcounts(rows, rows), expsum._walsh(rows)\n"
-              "_gamma_axis(ctx)\n")
-    assert kernel_calls(source) == [(2, "_gamma_axis", "_walsh_sweep"),
-                                    (2, "_walsh", "_walsh_sweep"),
-                                    (5, "_popcounts", "s_spectrum"),
-                                    (5, "_walsh", "s_spectrum"),
-                                    (6, "_gamma_axis", None)]
+              "_gamma_axis(ctx)\n"
+              "def _check_artin_schreier(run):\n"
+              "    rows = _trace_rows(ctx, params, alphas, [], [])\n"
+              "    t = expsum._t_table(ctx, params, rows, betas)\n"
+              "    return artin_schreier_points(ctx, params, 1, betas)\n")
+    assert kernel_calls(source) == [
+        (2, "_gamma_axis", "_walsh_sweep"), (2, "_walsh", "_walsh_sweep"),
+        (5, "_popcounts", "s_spectrum"), (5, "_walsh", "s_spectrum"),
+        (6, "_gamma_axis", None),
+        (8, "_trace_rows", "_check_artin_schreier"),
+        (9, "_t_table", "_check_artin_schreier"),
+        (10, "artin_schreier_points", "_check_artin_schreier")]
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)

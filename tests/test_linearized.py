@@ -14,6 +14,7 @@ from kasamilab import (VerificationError, bluher_counts, bluher_counts_formula,
                        rank_profile, rank_profile_formula, subfield_elements)
 from kasamilab.cli import main
 from kasamilab.field import _mul, power_table
+from test_expsum import traced_peak
 
 # (n, k) -> (n0, n2, n4), frozen from the naive kernel enumeration.
 PROFILES = {
@@ -248,6 +249,15 @@ def patch_phi_row(monkeypatch, alpha, beta, edit):
         return rows
 
     monkeypatch.setattr(linearized, "_phi_rows", edited)
+
+
+def test_kernel_table_memory_bounded_by_its_span():
+    # A block holds 512 beta rows of 1024 int64 phi values, 4 MB; the
+    # products and the XOR that build it and the linearity check's gathers
+    # stay within four such blocks. Blocks of every beta, as a 2^22-entry
+    # rule gives at n = 10, peak at 24 MB.
+    ctx, p = build_field(10), derive_params(10, 1)
+    assert traced_peak(kernel_dims, ctx, p) < 4 * (1 << 19) * 8
 
 
 def swap_a_kernel_element(row):
