@@ -13,10 +13,13 @@ The measured histogram reads only the members' bits. Decimation by 2
 permutes the family up to rotation, which every sweep re-checks. The sweep
 then takes one representative per decimation orbit, weighted by the orbit's
 size, against its own orbit and, weighted twice for the swapped pairs, every
-later orbit; every pair at every shift is still counted. Each column of that
-circulant product packs two shifts: the agreement counts a, a' in [0, L] of
-shifts tau and tau + 1 read as the one index a + (L + 1) a'. The product is
-float32 only while every partial sum is exact in it (n <= 10), else float64.
+later orbit; every pair at every shift is still counted. The largest orbits
+come first, and the later members are swept in tiles whose size comes from
+L, so each thread's buffers are bounded by L, not by the family size. Each
+column of that circulant product packs two shifts: the agreement counts a,
+a' in [0, L] of shifts tau and tau + 1 read as the one index a + (L + 1) a'.
+The product is float32 only while every partial sum is exact in it
+(n <= 10), else float64.
 """
 
 from __future__ import annotations
@@ -111,15 +114,17 @@ def _decimation_orbits(mats):
 
     The decimation s[2 lam mod L] of every row must equal some row up to
     rotation, and n steps of the image map must return every row to itself
-    (so it permutes the rows). Returns each row's orbit id (cycles
-    numbered in order of their first row) and the size of every orbit.
+    (so it permutes the rows). Returns each row's orbit id and the size of
+    every orbit, the orbits numbered largest first and, within one size, in
+    order of their first row.
     """
     L = mats.shape[1]
     index = {row.tobytes(): i for i, row in enumerate(mats)}
+    decimation = 2 * np.arange(L) % L
     image = []
-    for i, row in enumerate(mats[:, 2 * np.arange(L) % L]):
+    for i, row in enumerate(mats):
         # Rotation 0 first: it finds the F1 images, which are exact.
-        twice = np.concatenate([row, row])
+        twice = np.tile(row[decimation], 2)
         for r in range(L):
             j = index.get(twice[r:r + L].tobytes())
             if j is not None:
@@ -129,7 +134,9 @@ def _decimation_orbits(mats):
             raise VerificationError(
                 f"the decimation of member {i} is no member up to rotation")
     orbit, _, sizes = _cycles(np.array(image), L.bit_length())
-    return orbit.tolist(), sizes.tolist()
+    by_size = np.argsort(-sizes, kind="stable")
+    renumber = np.argsort(by_size)
+    return renumber[orbit].tolist(), sizes[by_size].tolist()
 
 
 def _product_dtype(L):
@@ -145,6 +152,14 @@ def _product_dtype(L):
     return np.float32 if 2 * (L * L + 3 * L + 1) < 1 << 24 else np.float64
 
 
+def _tile_rows(L, largest):
+    """Members per tile of the correlation product of period L: the largest
+    decimation orbit, or 8 (L + 2) if more, so that each tile puts at least
+    four entries per bin (8 (L + 2) rows of M/2 entries, M = L + 1) into its
+    M (M + 1) bin histogram."""
+    return max(largest, 8 * (L + 2))
+
+
 def correlation_distribution(family, workers=1):
     """Histogram of correlations over all member pairs and all shifts.
 
@@ -156,6 +171,7 @@ def correlation_distribution(family, workers=1):
     leads. Swapping a pair only reverses the shifts, so the representative
     is swept against its own orbit with weight w and against every later
     orbit with weight 2w, all shifts in one circulant product per orbit.
+    The largest orbits come first, which leaves the fewest later rows.
 
     Each product column holds two shifts. Against the halved circulant, an
     entry is the agreement count (Corr + L)/2, an integer in [0, L]; with
@@ -164,6 +180,12 @@ def correlation_distribution(family, workers=1):
     L - 1 with a sentinel slot that reads M, outside [0, L], and folding
     the (M + 1) x M histogram drops it. The product dtype comes from L
     (`_product_dtype`), so the indices are exact at every n.
+
+    A representative's rows, its own orbit's and every later one, are
+    swept in tiles of at most `_tile_rows` members, never fewer than the
+    largest orbit, so its own orbit lies in its first tile. Each thread
+    holds one tile's product and its intp copy, 12 bytes per entry in
+    float32: bounded by L, not by the family size.
     """
     mats = np.stack([m.bits for m in family.members])
     count, L = mats.shape
@@ -171,35 +193,43 @@ def correlation_distribution(family, workers=1):
     starts = np.cumsum([0] + sizes)
     M, dtype = L + 1, _product_dtype(L)
     bins = M * (M + 1)
-    # Signs in orbit order, plus a column of ones that meets the circulant's
-    # last row.
-    signs = np.ones((count, L + 1), dtype=dtype)
-    signs[:, :L] -= 2 * mats[np.argsort(orbit, kind="stable")]
+    rows = min(count, _tile_rows(L, max(sizes)))
+    # Members in orbit order, each bit b as the sign 1 - 2b, over a column
+    # of ones (zeros before the map) that meets the packed last row.
+    signs = np.zeros((count, L + 1), dtype=dtype)
+    signs[:, :L] = mats[np.argsort(orbit, kind="stable")]
+    del mats
+    signs *= -2
+    signs += 1
 
     def work(orbit_span):
-        # O(count L / 2) buffers, reused across orbits. circ[mu, tau] is
-        # rep[(mu + tau) % L] / 2 over a last row of L/2, so row j of
-        # signs @ circ holds a_tau = (Corr(member j, rep, tau) + L) / 2.
-        # Column L is the sentinel: its only entry, M, meets the ones.
+        # Buffers reused across orbits. With r the representative's signs
+        # taken mod L, packed[mu, j] = c[mu + 2 j] for c[i] = (r[i] +
+        # M r[i + 1]) / 2 over a last row of L (M + 1) / 2 that meets the
+        # ones: entry (i, j) of signs @ packed reads a_tau + M a_tau+1 at
+        # tau = 2 j, with a_tau = (Corr(member i, rep, tau) + L) / 2. The
+        # last column is r[mu + L - 1] / 2 over the sentinel's L / 2 + M^2.
         hist = np.zeros(bins, dtype=np.int64)
-        circ = np.zeros((L + 1, L + 1), dtype=dtype)
-        circ[L] = L / 2
-        circ[L, L] = M
         packed = np.empty((L + 1, M // 2), dtype=dtype)
-        prod = np.empty((count, M // 2), dtype=dtype)
-        idx = np.empty((count, M // 2), dtype=np.intp)
+        packed[L] = L * (M + 1) / 2
+        packed[L, -1] = L / 2 + M * M
+        prod = np.empty((rows, M // 2), dtype=dtype)
+        idx = np.empty((rows, M // 2), dtype=np.intp)
         for a in orbit_span:
             first, w = starts[a], sizes[a]
-            rep = signs[first, :L] / 2
-            circ[:L, :L] = sliding_window_view(
-                np.concatenate([rep, rep[:-1]]), L)
-            np.multiply(circ[:, 1::2], M, out=packed)
-            packed += circ[:, ::2]
-            cols = count - first
-            np.matmul(signs[first:], packed, out=prod[:cols])
-            np.copyto(idx[:cols], prod[:cols], casting="unsafe")
-            hist += w * np.bincount(idx[:w].ravel(), minlength=bins)
-            hist += 2 * w * np.bincount(idx[w:cols].ravel(), minlength=bins)
+            twice = np.tile(signs[first, :L], 2)
+            c = (twice[:-1] + M * twice[1:]) / 2
+            packed[:L] = sliding_window_view(c, L)[::2].T
+            packed[:L, -1] = twice[L - 1:-1] / 2
+            for lo in range(first, count, rows):
+                hi = min(lo + rows, count)
+                np.matmul(signs[lo:hi], packed, out=prod[:hi - lo])
+                tile = idx[:hi - lo]
+                np.copyto(tile, prod[:hi - lo], casting="unsafe")
+                if lo == first:
+                    hist += w * np.bincount(tile[:w].ravel(), minlength=bins)
+                    tile = tile[w:]
+                hist += 2 * w * np.bincount(tile.ravel(), minlength=bins)
         # hist[b, a] counts columns reading a_tau = a, a_tau+1 = b; each
         # agreement count a lands at Corr + L = 2a.
         hist = hist.reshape(M + 1, M)
@@ -207,7 +237,7 @@ def correlation_distribution(family, workers=1):
         acc[::2] = hist.sum(0) + hist[:M].sum(1)
         return acc
 
-    # Orbits are dealt out in turn: the earlier ones sweep more columns.
+    # Orbits are dealt out in turn: the earlier ones sweep more rows.
     threads = _thread_count(workers, len(sizes))
     spans = [range(t, len(sizes), threads) for t in range(threads)]
     acc = _summed(work, spans, workers)

@@ -192,15 +192,51 @@ def test_correlation_orbit_spans_capped(ctx4, p41, recording_pool):
     assert recording_pool == [(4, 4)]
 
 
-@pytest.mark.parametrize("n,k,mod", [(4, 1, 0x13), (6, 1, 0x43),
-                                      (6, 2, 0x43), (6, 2, 0x61),
-                                      (4, 1, 0x19), (6, 1, 0x61)])
+# EvenM, BothOdd and EvenK, each under two moduli.
+ORACLE_CASES = [(4, 1, 0x13), (6, 1, 0x43), (6, 2, 0x43), (6, 2, 0x61),
+                (4, 1, 0x19), (6, 1, 0x61)]
+
+
+@pytest.fixture
+def one_orbit_tiles(monkeypatch):
+    """Tiles of the largest orbit's size, so that most representatives sweep
+    their later rows in several tiles; records every size asked for."""
+    largest = []
+
+    def tile_rows(L, size):
+        largest.append(size)
+        return size
+
+    monkeypatch.setattr("kasamilab.sequences._tile_rows", tile_rows)
+    return largest
+
+
+def constant_family(params, n):
+    """The all-zero and the all-one sequence of period 2^n - 1."""
+    L = (1 << n) - 1
+    return SequenceFamily(params, tuple(
+        BinarySequence(label, np.full(L, bit, dtype=np.uint8))
+        for label, bit in (("zero", 0), ("one", 1))), 2)
+
+
+@pytest.mark.parametrize("n,k,mod", ORACLE_CASES)
 def test_orbit_sweep_matches_all_pairs_oracle(n, k, mod):
-    # EvenM, BothOdd and EvenK, each under two moduli.
     fam = build_family(build_field(n, mod), derive_params(n, k))
     brute = all_pairs_sweep(fam)
     assert correlation_distribution(fam).as_dict() == brute
     assert one_shift_orbit_sweep(fam) == brute
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n,k,mod", ORACLE_CASES)
+def test_orbit_sweep_in_many_tiles_matches_all_pairs_oracle(
+        one_orbit_tiles, n, k, mod, workers):
+    fam = build_family(build_field(n, mod), derive_params(n, k))
+    assert correlation_distribution(fam, workers=workers).as_dict() == \
+        all_pairs_sweep(fam)
+    # The sweep read the tile size once, from the largest orbit (n
+    # members), far below the family size.
+    assert one_orbit_tiles == [n] and 10 * n < fam.size
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -209,11 +245,21 @@ def test_constant_members_fill_both_end_bins(p41, n, workers):
     # Both members are fixed by decimation. Their agreement counts are 0
     # and L only: the first bin, the top bin, and the odd-L sentinel column.
     L = (1 << n) - 1
-    fam = SequenceFamily(p41, tuple(
-        BinarySequence(label, np.full(L, bit, dtype=np.uint8))
-        for label, bit in (("zero", 0), ("one", 1))), 2)
-    assert correlation_distribution(fam, workers=workers).as_dict() == \
+    assert correlation_distribution(constant_family(p41, n),
+                                    workers=workers).as_dict() == \
         {L: 2 * L, -L: 2 * L}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n", [4, 6])
+def test_constant_members_fill_both_end_bins_in_tiles_of_one(
+        one_orbit_tiles, p41, n, workers):
+    # One member per tile: the first orbit's later member is its own tile.
+    L = (1 << n) - 1
+    assert correlation_distribution(constant_family(p41, n),
+                                    workers=workers).as_dict() == \
+        {L: 2 * L, -L: 2 * L}
+    assert one_orbit_tiles == [1]
 
 
 @pytest.mark.parametrize("n", range(4, 25, 2))
@@ -281,6 +327,27 @@ def test_correlation_memory_linear_in_family(ctx6, p61):
     finally:
         tracemalloc.stop()
     assert peak < 40 * count * L < 12 * count * count
+
+
+def test_correlation_memory_bounded_by_its_tile(ctx8, p82):
+    # Per member entry, the float32 signs and the stacked bits: 5 bytes.
+    # Per thread, one tile of rows members: a float32 product and its intp
+    # copy, 12 bytes for each of M/2 columns. Then a few int64 histograms
+    # of M (M + 1) bins. 10.04 MiB here; a sweep whose buffers hold all |F|
+    # members instead of one tile peaks at 12.56 MiB.
+    fam = build_family(ctx8, p82)
+    count, L = fam.size, len(fam.members[0].bits)
+    M = L + 1
+    _, sizes = _decimation_orbits(np.stack([m.bits for m in fam.members]))
+    rows = min(count, max(max(sizes), 8 * (L + 2)))
+    tracemalloc.start()
+    try:
+        correlation_distribution(fam)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows < count
+    assert peak < 5 * count * (L + 1) + 12 * rows * M // 2 + 32 * M * (M + 1)
 
 
 def test_printed_table_clean_cases(p41, p62):
