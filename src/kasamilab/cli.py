@@ -441,7 +441,7 @@ _CHECKS = (
     *(Comparison(f"code-weights-{code}", "code_weights", f"{code}_weights",
                  f"{code} weight distribution",
                  lambda run, code=code: weight_distribution(
-                     run.ctx, run.params, code, workers=run.args.workers),
+                     run.ctx, run.params, code),
                  lambda params, code=code: weight_distribution_formula(
                      params, code))
       for code in CODES),

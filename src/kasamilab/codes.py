@@ -5,8 +5,11 @@ expressions the exponential sums integrate, so every weight is tied to a sum
 value by w = 2^(n-1) - value/2. The narrow code (dimension 3m over GF(2)) is
 cut out by the parity-check product h2*h3; the wide code (dimension 5m) by
 h1*h2*h3, where the h_i are minimal polynomials of pi^-1, pi^-(2^k+1) and
-pi^-(2^m+1). Weights are counted from the bits: c1 by the popcount sweep T
-reads, c2 off the Walsh transforms of the Walsh sweep S reads.
+pi^-(2^m+1). Weights are counted from the bits by the popcount sweep: c1 is
+the sweep T reads, relabelled; c2 is the gamma = 0 sweep plus q - 1 times
+the gamma = 1 sweep, once x -> pi x is proved to carry every row of each
+table onto a row, so its count reads no Walsh transform and stands apart
+from S.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ import numpy as np
 
 from .distribution import (ValueDistribution, VerificationError, _pack_bits,
                            pack_bits_hex)
-from .expsum import (_popcount_sweep, _trace_rows, _walsh_sweep,
-                     s_spectrum_formula, t_spectrum_formula)
+from .expsum import (_popcount_sweep, _trace_rows, s_spectrum_formula,
+                     t_spectrum_formula)
 from .field import _gf2_polymul, _gf2_polymod, subfield_elements
 
 __all__ = [
@@ -119,22 +122,13 @@ def codeword_c2(ctx, params, alpha, beta, gamma):
     return base ^ grows[0]
 
 
-def weight_distribution(ctx, params, code, workers=1):
-    """Direct Hamming-weight histogram over every codeword. Every word is 0
-    at x = 0, so it weighs the popcount of its row over x in mask order: c1
-    reads the popcount sweep's counts as they are, and the c2 words of a c1
-    row over every gamma weigh (q - W)/2 over its Walsh row, a histogram of
-    each block of the Walsh sweep."""
-    words, q = 1 << code_dimension(params, code), ctx.q
-    if code == "c1":
-        counts = _popcount_sweep(ctx, params)
-    else:
-        def histogram(i, betas, sizes, weights):
-            np.subtract(q, weights, out=weights)
-            weights >>= 1
-            return np.bincount(weights.ravel(), minlength=q + 1)
-
-        counts = _walsh_sweep(ctx, params, histogram, workers)
+def weight_distribution(ctx, params, code):
+    """Direct Hamming-weight histogram over every codeword: every word is 0
+    at x = 0, so it weighs the popcount of its row over x in mask order, as
+    the popcount sweep counts it; c2 adds the gamma axis, once x -> pi x is
+    proved to carry every row onto a row."""
+    words = 1 << code_dimension(params, code)
+    counts = _popcount_sweep(ctx, params, linear=code == "c2")
     dist = ValueDistribution.from_counts(enumerate(counts.tolist()))
     if dist.total != words:
         raise VerificationError(

@@ -3,13 +3,16 @@
 T(a, b) sums (-1)^(Tr_m(a x^(2^m+1)) + Tr_n(b x^(2^k+1))) over GF(2^n) with a
 drawn from the subfield copy of GF(2^m); S(a, b, g) adds a linear term
 Tr_n(g x). Two sweeps tile the (a, b) plane. The popcount sweep counts
-wt(row) of the trace bits: T = q - 2 wt, and the c1 code weights are wt. The
-Walsh sweep transforms each row's signs (int16 while S + q <= 2^(n+1) fits,
-else int32) over an index axis that `_gamma_axis` proves, once per field, to
-be the gamma axis; S, the c2 weights, the gamma-sweep and the Artin-Schreier
-point counts, read against T at gamma = 0, reduce its blocks of `_span` rows.
-Squaring x keeps every trace, so S, once that closure is checked from the
-bits, sweeps one b per Frobenius orbit, weighted by the orbit's size.
+wt(row) of the trace bits: T = q - 2 wt, the c1 code weights are wt, and
+the c2 weights are wt at g = 0 plus q - 1 copies of wt at g = 1. The Walsh
+sweep transforms each row's signs (int16 while S + q <= 2^(n+1) fits, else
+int32) over an index axis that `_gamma_axis` proves, once per field, to be
+the gamma axis; S, the gamma-sweep and the Artin-Schreier point counts, read
+against T at gamma = 0, reduce its blocks of `_span` rows. Both sweeps lean
+on one row-closure proof from the bits, `_row_closure`: squaring x keeps
+every trace, so S sweeps one b per Frobenius orbit, weighted by the orbit's
+size; x -> pi x scales every coefficient, so the c2 words of every g != 0
+weigh as those of g = 1.
 Closed-form tables, split on the parity case, predict each sweep; callers
 compare the two, never papering over a mismatch.
 """
@@ -35,6 +38,7 @@ __all__ = [
 _LAST_ROW_NOTE = ("tabulated distribution lists the single all-zero row with "
                   "value 2^m; its weight-0 row forces value 2^n, which is "
                   "emitted here (misprint flagged, not silently adopted)")
+_TIMES_PI = "x -> pi x"
 
 
 def _trace_rows(ctx, params, alphas, betas, gammas):
@@ -95,16 +99,20 @@ def _walsh(bits):
 
 
 def _gamma_axis(ctx):
-    """Prove once per field, from the bits, that each row Tr_n(g x) is linear
-    and that the rows' bits at x = 2^j, read as n bits u, give each u once."""
+    """Prove once per field, from the bits, that each row Tr_n(g x) is
+    linear, that the rows' bits at x = 2^j, read as n bits u, give each u
+    once, and that row g read at pi x is row g pi (`_row_closure`)."""
     if "gamma_axis" not in ctx._cache:
-        rows = trace_bit_matrix(ctx, np.arange(ctx.q), np.arange(ctx.q))
+        gammas = np.arange(ctx.q)
+        rows = trace_bit_matrix(ctx, gammas, gammas)
         if not _gf2_linear(rows).all():
             raise VerificationError("a row Tr_n(g x) is not GF(2)-linear")
         index = sum(rows[:, 1 << j].astype(np.int64) << j
                     for j in range(ctx.n))
         if (np.bincount(index, minlength=ctx.q) != 1).any():
             raise VerificationError("the rows Tr_n(g x) repeat a functional")
+        times_pi = _mul(ctx, gammas, ctx.pi)
+        _row_closure(rows, gammas, times_pi, times_pi, "gamma", _TIMES_PI)
         ctx._cache["gamma_axis"] = True
 
 
@@ -127,16 +135,40 @@ def _t_table(ctx, params, arows, betas):
     return ctx.q - 2 * _popcounts(arows, brows)
 
 
-def _popcount_sweep(ctx, params):
+def _popcount_sweep(ctx, params, linear=False):
     """The popcount sweep: bincount of wt(row) = (q - T) / 2 over all 2^(3m)
     pairs, `_t_table` taking every alpha row against max(64, 2^21 // q)
-    betas at a time, on one thread."""
+    betas at a time, on one thread.
+
+    With `linear`, over all 2^(5m) triples, the row adding Tr_n(gamma x).
+    For c != 0, x -> c x permutes the field and keeps each weight, and reads
+    the row of (alpha, beta, gamma) as that of (alpha c^e1, beta c^e2,
+    gamma c). `_row_closure` proves this of c = pi from the bits, on the
+    alpha and beta rows here and on the gamma rows in `_gamma_axis`, so it
+    holds for every c = pi^t, that is every c != 0. With c = 1/gamma, the
+    count is the gamma = 0 sweep plus q - 1 times the sweep of the alpha
+    rows XOR Tr_n(x).
+    """
     q, alphas = ctx.q, subfield_elements(ctx, params.m)
     arows, _, _ = _trace_rows(ctx, params, alphas, [], [])
     chunk = max(64, (1 << 21) // q)
     spans = [range(i, min(i + chunk, q)) for i in range(0, q, chunk)]
-    return sum(np.bincount((q - _t_table(ctx, params, arows, betas)).ravel()
-                           >> 1, minlength=q + 1) for betas in spans)
+
+    def counts(rows):
+        return sum(np.bincount((q - _t_table(ctx, params, rows, betas)).ravel()
+                               >> 1, minlength=q + 1) for betas in spans)
+
+    if not linear:
+        return counts(arows)
+    _gamma_axis(ctx)
+    betas = np.arange(q)
+    _, brows, grows = _trace_rows(ctx, params, [], betas, [1])
+    times_pi = _mul(ctx, betas, ctx.pi)
+    for name, rows, coeffs, e in (("alpha", arows, alphas, params.e_norm),
+                                  ("beta", brows, betas, params.e_quad)):
+        _row_closure(rows, coeffs, _mul(ctx, coeffs, ctx.pow(ctx.pi, e)),
+                     times_pi, name, _TIMES_PI)
+    return counts(arows) + (q - 1) * counts(arows ^ grows)
 
 
 def t_spectrum(ctx, params):
@@ -149,24 +181,41 @@ def t_spectrum(ctx, params):
     return dist
 
 
+def _row_closure(rows, coeffs, images, perm, name, law):
+    """Prove from the bits that reading at perm (x -> perm[x] in mask order)
+    carries a table onto itself: the row of coeffs[i] read at perm is the
+    row of images[i], and perm and the map of each row onto its image's are
+    permutations, the rows compared `_span(q)` at a time. Reading every row
+    at perm then permutes the XORs of one row from each such table."""
+    q = len(perm)
+    index = np.full(q, -1, dtype=np.int64)
+    index[coeffs] = np.arange(len(coeffs))
+    image = index[images]
+    if ((np.sort(perm) != np.arange(q)).any()
+            or (np.sort(image) != np.arange(len(rows))).any()):
+        raise VerificationError(f"{law} does not permute the {name} rows")
+    span = _span(q)
+    for start in range(0, len(rows), span):
+        block = slice(start, start + span)
+        if (rows[block][:, perm] != rows[image[block]]).any():
+            raise VerificationError(
+                f"the {name} rows are not closed under {law}")
+
+
 def _frobenius_closure(ctx, alphas, arows, brows):
     """Frobenius orbits of beta, once squaring x fixes every row: sigma
     (x -> x^2 in mask order) must be GF(2)-linear and restore every x in n
-    steps, and arows[a^2][sigma] = arows[a], brows[b^2][sigma] = brows[b],
-    all read from the bits. Then sigma maps the Walsh row of each pair onto
-    its image pair's, so the betas of an orbit share one multiset."""
+    steps, and `_row_closure` must read the row of each alpha and beta at
+    sigma as the row of its square root. Then sigma maps the Walsh row of
+    each pair onto its image pair's, so the betas of an orbit share one
+    multiset."""
     sigma = power_table(ctx, 2)
     if not _gf2_linear(sigma):
         raise VerificationError("squaring is not GF(2)-linear on the field")
     _, reps, sizes = _cycles(sigma, ctx.n)
-    index = np.full(ctx.q, -1, dtype=np.int64)
-    index[alphas] = np.arange(len(alphas))
-    squares = index[sigma[alphas]]
-    if (squares < 0).any() or (arows[squares][:, sigma] != arows).any():
-        raise VerificationError(
-            "the alpha rows are not closed under Frobenius")
-    if (brows[sigma][:, sigma] != brows).any():
-        raise VerificationError("the beta rows are not closed under Frobenius")
+    root = power_table(ctx, ctx.q >> 1)
+    _row_closure(arows, alphas, root[alphas], sigma, "alpha", "Frobenius")
+    _row_closure(brows, np.arange(ctx.q), root, sigma, "beta", "Frobenius")
     return reps, sizes
 
 
@@ -185,10 +234,12 @@ def _walsh_sweep(ctx, params, reduce, workers, orbits=False):
     q = ctx.q
     alphas = np.asarray(subfield_elements(ctx, params.m), dtype=np.int64)
     arows, brows, _ = _trace_rows(ctx, params, alphas, range(q), [])
-    _gamma_axis(ctx)
     betas, sizes = np.arange(q), np.ones(q, dtype=np.int64)
     if orbits:
         betas, sizes = _frobenius_closure(ctx, alphas, arows, brows)
+    # After the closure, whose freed blocks the gamma table then reuses: the
+    # other order leaves ~1 MB more resident at n = 10 once threads start.
+    _gamma_axis(ctx)
     span = _span(q)
 
     def work(item):

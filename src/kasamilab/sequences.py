@@ -114,19 +114,21 @@ def _decimation_orbits(mats):
 
     The decimation s[2 lam mod L] of every row must equal some row up to
     rotation, and n steps of the image map must return every row to itself
-    (so it permutes the rows). Returns each row's orbit id and the size of
-    every orbit, the orbits numbered largest first and, within one size, in
-    order of their first row.
+    (so it permutes the rows). Rows are looked up by their bits packed
+    eight to a byte. Returns each row's orbit id and the size of every orbit,
+    the orbits numbered largest first and, within one size, in order of
+    their first row.
     """
     L = mats.shape[1]
-    index = {row.tobytes(): i for i, row in enumerate(mats)}
+    index = {row.tobytes(): i
+             for i, row in enumerate(np.packbits(mats, axis=1))}
     decimation = 2 * np.arange(L) % L
     image = []
     for i, row in enumerate(mats):
         # Rotation 0 first: it finds the F1 images, which are exact.
         twice = np.tile(row[decimation], 2)
         for r in range(L):
-            j = index.get(twice[r:r + L].tobytes())
+            j = index.get(np.packbits(twice[r:r + L]).tobytes())
             if j is not None:
                 image.append(j)
                 break

@@ -242,12 +242,12 @@ def test_weights_are_popcounts_of_every_word(nk):
 
 
 def test_c2_sweep_memory_bounded_by_its_span():
-    # A span transforms 512 beta rows of 1024 entries: 0.5 MB of uint8 bits,
-    # 2 MB for the int16 transform and its butterfly buffer, and 4 MB for the
-    # intp copy `np.bincount` makes. A q x q block per alpha takes twice that.
+    # Two popcount sweeps, gamma = 0 and gamma = 1, over spans of 1024 beta
+    # rows of 1024 uint8 bits, 1 MB, and the closure proofs over the q x q
+    # beta and gamma tables, 1 MB each, in blocks of 512 rows. Walsh
+    # transforms of every (alpha, beta) pair over the gamma axis take more.
     ctx, p = build_field(10), derive_params(10, 1)
-    assert traced_peak(weight_distribution, ctx, p, "c2", workers=1) \
-        < 8 * (1 << 20)
+    assert traced_peak(weight_distribution, ctx, p, "c2") < 8 * (1 << 20)
 
 
 def test_c1_sweep_memory_bounded_by_its_chunk():
@@ -255,6 +255,78 @@ def test_c1_sweep_memory_bounded_by_its_chunk():
     # a time. A (2^m, q) table of weights, or the q x q beta rows, takes more.
     ctx, p = build_field(12), derive_params(12, 1)
     assert traced_peak(weight_distribution, ctx, p, "c1") < 8 * (1 << 20)
+
+
+@pytest.mark.parametrize("nk", [(10, 1), (10, 2), (12, 1), (12, 2)])
+def test_c2_weights_match_the_formula_exhaustively(nk):
+    ctx, p = build_field(nk[0]), derive_params(*nk)
+    assert weight_distribution(ctx, p, "c2").as_dict() == \
+        weight_distribution_formula(p, "c2").as_dict()
+
+
+def test_c2_memory_at_n12_bounded_by_the_gamma_table():
+    # The gamma-axis proof holds the q x q gamma table, 16 MB of uint8 bits,
+    # and 16 MB of temporaries for its linearity check, as it does for the
+    # Walsh sweeps; the beta table the closure proof reads, another 16 MB,
+    # is built after the gamma table is dropped. Walsh transforms of every
+    # pair over the gamma axis took 48.6 MB.
+    ctx, p = build_field(12), derive_params(12, 1)
+    assert traced_peak(weight_distribution, ctx, p, "c2") < 40 * (1 << 20)
+
+
+def replace_row(monkeypatch, table, coeff, by):
+    """Patch one row table of (6,1) wherever the package builds it: the row
+    of coeff becomes the row of by. The alpha rows come from the trace rows;
+    the beta rows Tr_n(b x^3) (e2 = 3 at k = 1) and the gamma table, the
+    rows Tr_n(g x) over every g, from the trace bit matrix."""
+    if table == "alpha":
+        build = expsum._trace_rows
+
+        def broken(ctx, params, alphas, *coeffs):
+            rows = build(ctx, params, alphas, *coeffs)
+            alphas = np.asarray(alphas, dtype=np.int64)
+            if (alphas == by).any():
+                rows[0][alphas == coeff] = rows[0][alphas == by][0]
+            return rows
+
+        monkeypatch.setattr(expsum, "_trace_rows", broken)
+        return
+    build = expsum.trace_bit_matrix
+
+    def broken(ctx, base, coeffs):
+        rows = build(ctx, base, coeffs)
+        if table == "beta":
+            ours = np.array_equal(base, expsum.power_table(ctx, 3))
+        else:
+            ours = (np.array_equal(base, np.arange(ctx.q))
+                    and len(coeffs) == ctx.q)
+        if ours:
+            rows[np.asarray(coeffs) == coeff] = build(ctx, base, [by])[0]
+        return rows
+
+    monkeypatch.setattr(expsum, "trace_bit_matrix", broken)
+
+
+@pytest.mark.parametrize("table", ["alpha", "beta", "gamma"])
+def test_c2_count_needs_every_row_closed_under_pi(monkeypatch, table):
+    # The gamma != 0 words are counted at gamma = 1 only, on the licence that
+    # x -> pi x carries every row onto a row. The zero alpha row, or one
+    # beta row, replaced by another row moves the c1 count, which reads the
+    # same rows and needs no licence; the c2 count must refuse them. Two
+    # rows of the gamma table exchanged leave each row linear and each
+    # functional once, so only the closure of the gamma axis tells.
+    ctx, p = build_field(6), derive_params(6, 1)
+    c1 = weight_distribution(ctx, p, "c1").as_dict()
+    sub = subfield_elements(ctx, p.m)
+    coeff, by = (sub[0], sub[2]) if table == "alpha" else (5, 6)
+    replace_row(monkeypatch, table, coeff, by)
+    if table == "gamma":
+        replace_row(monkeypatch, table, by, coeff)
+    else:
+        assert weight_distribution(ctx, p, "c1").as_dict() != c1
+    with pytest.raises(VerificationError,
+                       match=f"{table} rows are not closed under x -> pi x"):
+        weight_distribution(ctx, p, "c2")
 
 
 @pytest.mark.parametrize("kernel", ["_walsh", "_popcounts"])
@@ -276,10 +348,10 @@ def test_a_broken_kernel_fails_the_checks_that_read_it(tmp_path, monkeypatch,
     report = json.loads((tmp_path / "report.json").read_text())
     failed = {r["name"] for r in report["records"]
               if r["status"] == "mismatch"}
-    assert failed == ({"s-spectrum", "gamma-sweep", "artin-schreier",
-                       "code-weights-c2"}
+    assert failed == ({"s-spectrum", "gamma-sweep", "artin-schreier"}
                       if kernel == "_walsh" else
-                      {"moments", "t-spectrum", "code-weights-c1"})
+                      {"moments", "t-spectrum", "code-weights-c1",
+                       "code-weights-c2"})
 
 
 def break_gamma_row(monkeypatch, flip=False):

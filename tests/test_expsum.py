@@ -265,6 +265,24 @@ def test_flipped_bit_breaks_the_frobenius_closure(ctx6, p61, monkeypatch,
         s_spectrum(ctx6, p61)
 
 
+def test_row_closure_needs_both_maps_to_permute():
+    # Row i of the identity read at the swap of 0 and 1 is the row of the
+    # swap of i; a map that sends two rows, or two entries, to one is no
+    # licence, whatever the rows read.
+    rows, ids, swap = np.eye(4, dtype=np.uint8), np.arange(4), [1, 0, 2, 3]
+    expsum._row_closure(rows, ids, ids, ids, "unit", "the identity")
+    expsum._row_closure(rows, ids, np.array(swap), np.array(swap), "unit",
+                        "the swap")
+    with pytest.raises(VerificationError, match="the swap of rows"):
+        expsum._row_closure(rows, ids, ids, np.array(swap), "unit",
+                            "the swap of rows")
+    for images, perm in (([0, 0, 2, 3], ids), (ids, [0, 0, 2, 3])):
+        with pytest.raises(VerificationError,
+                           match="does not permute the unit rows"):
+            expsum._row_closure(rows, ids, np.array(images), np.array(perm),
+                                "unit", "a merge")
+
+
 def test_verify_records_a_broken_frobenius_closure(tmp_path, monkeypatch):
     flip_row_bit(monkeypatch, 1, 5)
     assert main(["verify", "--n", "6", "--k", "1",
