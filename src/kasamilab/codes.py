@@ -159,7 +159,7 @@ def check_cyclicity(ctx, params, code):
     Rotation by one maps the word of (alpha, beta, gamma) to the word of
     (alpha pi^e1, beta pi^e2, gamma pi); c1 is the case gamma = 0. Every
     tuple is checked for n <= CYCLICITY_EXHAUSTIVE_MAX_N, else a fixed
-    sample of tuples.
+    sample of tuples, one alpha's words at a time.
     """
     if code not in CODES:
         raise ValueError(f"code must be one of {CODES}, got {code!r}")
@@ -172,14 +172,17 @@ def check_cyclicity(ctx, params, code):
         alphas = sub[:3] + sub[-1:]
         betas = list(range(0, q, max(1, q // 7))) + [q - 1]
         gammas = [0, 1, q - 1] if code == "c2" else [0]
-    words = _words(_word_rows(ctx, params, alphas, betas, gammas))
+    arows, brows, grows = _word_rows(ctx, params, alphas, betas, gammas)
     pe1 = ctx.pow(ctx.pi, params.e_norm)
     pe2 = ctx.pow(ctx.pi, params.e_quad)
-    images = _words(_word_rows(ctx, params,
-                               [ctx.mul(a, pe1) for a in alphas],
-                               [ctx.mul(b, pe2) for b in betas],
-                               [ctx.mul(g, ctx.pi) for g in gammas]))
-    return np.array_equal(np.roll(words, -1, axis=1), images)
+    iarows, ibrows, igrows = _word_rows(ctx, params,
+                                        [ctx.mul(a, pe1) for a in alphas],
+                                        [ctx.mul(b, pe2) for b in betas],
+                                        [ctx.mul(g, ctx.pi) for g in gammas])
+    return all(np.array_equal(np.roll(_words((arows[i:i + 1], brows, grows)),
+                                      -1, axis=1),
+                              _words((iarows[i:i + 1], ibrows, igrows)))
+               for i in range(len(alphas)))
 
 
 def codeword_dump_lines(ctx, params, code):

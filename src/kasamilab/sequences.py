@@ -9,17 +9,20 @@ predicted exactly by compositions of the closed-form sum distributions. The
 literally tabulated histogram rows are also evaluated and compared, and any
 discrepancy is reported as a flag, never silently repaired.
 
-The measured histogram reads only the members' bits. Decimation by 2
-permutes the family up to rotation, which every sweep re-checks. The sweep
-then takes one representative per decimation orbit, weighted by the orbit's
-size, against its own orbit and, weighted twice for the swapped pairs, every
-later orbit; every pair at every shift is still counted. The largest orbits
-come first, and the later members are swept in tiles whose size comes from
-L, so each thread's buffers are bounded by L, not by the family size. Each
-column of that circulant product packs two shifts: the agreement counts a,
-a' in [0, L] of shifts tau and tau + 1 read as the one index a + (L + 1) a'.
-The product is float32 only while every partial sum is exact in it
-(n <= 10), else float64.
+The measured histogram reads only the members' bits, packed eight to a
+byte. Decimation by 2 permutes the family up to rotation, which every sweep
+re-checks. The sweep then takes one representative per decimation orbit,
+weighted by the orbit's size, against its own orbit and, weighted twice for
+the swapped pairs, every later orbit; every pair at every shift is still
+counted. The largest orbits come first. The members are unpacked to signs
+one tile at a time, a tile whose size comes from L, which the threads share;
+each thread adds its products into its histogram a chunk of fixed size at a
+time, so no buffer holds floats for the whole family and each thread's
+are bounded by L, not by the family size. Each column of that circulant
+product packs two shifts: the agreement counts a, a' in [0, L] of shifts
+tau and tau + 1 read as the one index a + (L + 1) a'. The product is
+float32 only while every partial sum is exact in it (n <= 10), else
+float64.
 """
 
 from __future__ import annotations
@@ -109,24 +112,23 @@ def build_family(ctx, params):
     return fam
 
 
-def _decimation_orbits(mats):
+def _decimation_orbits(packed, L):
     """Orbits of the member rows under decimation by 2, checked from the bits.
 
-    The decimation s[2 lam mod L] of every row must equal some row up to
-    rotation, and n steps of the image map must return every row to itself
-    (so it permutes the rows). Rows are looked up by their bits packed
-    eight to a byte. Returns each row's orbit id and the size of every orbit,
-    the orbits numbered largest first and, within one size, in order of
-    their first row.
+    The rows are the members' L bits packed eight to a byte, and each is
+    unpacked on its own, one at a time. The decimation s[2 lam mod L] of
+    every row must equal some row up to rotation, and n steps of the image
+    map must return every row to itself (so it permutes the rows). Rows are
+    looked up by their packed bits. Returns each row's orbit id and the
+    size of every orbit, the orbits numbered largest first and, within one
+    size, in order of their first row.
     """
-    L = mats.shape[1]
-    index = {row.tobytes(): i
-             for i, row in enumerate(np.packbits(mats, axis=1))}
+    index = {row.tobytes(): i for i, row in enumerate(packed)}
     decimation = 2 * np.arange(L) % L
     image = []
-    for i, row in enumerate(mats):
+    for i, row in enumerate(packed):
         # Rotation 0 first: it finds the F1 images, which are exact.
-        twice = np.tile(row[decimation], 2)
+        twice = np.tile(np.unpackbits(row, count=L)[decimation], 2)
         for r in range(L):
             j = index.get(np.packbits(twice[r:r + L]).tobytes())
             if j is not None:
@@ -155,11 +157,16 @@ def _product_dtype(L):
 
 
 def _tile_rows(L, largest):
-    """Members per tile of the correlation product of period L: the largest
-    decimation orbit, or 8 (L + 2) if more, so that each tile puts at least
-    four entries per bin (8 (L + 2) rows of M/2 entries, M = L + 1) into its
-    M (M + 1) bin histogram."""
+    """Members per tile of the correlation product of period L: 8 (L + 2),
+    so that each representative's product over a tile outweighs its
+    circulant of L (L + 1)/2 entries, rebuilt for every tile, 8 (L + 2)
+    times; or the largest decimation orbit if more, so that an own orbit
+    spans at most two tiles."""
     return max(largest, 8 * (L + 2))
+
+
+# Product entries cast to intp and added into the histogram at a time.
+_CHUNK = 1 << 16
 
 
 def correlation_distribution(family, workers=1):
@@ -178,60 +185,68 @@ def correlation_distribution(family, workers=1):
     Each product column holds two shifts. Against the halved circulant, an
     entry is the agreement count (Corr + L)/2, an integer in [0, L]; with
     M = L + 1, the column of shifts tau and tau + 1 reads a_tau + M a_tau+1,
-    one exact bincount index. L is odd, so the last column pairs shift
+    one exact histogram index. L is odd, so the last column pairs shift
     L - 1 with a sentinel slot that reads M, outside [0, L], and folding
     the (M + 1) x M histogram drops it. The product dtype comes from L
     (`_product_dtype`), so the indices are exact at every n.
 
-    A representative's rows, its own orbit's and every later one, are
-    swept in tiles of at most `_tile_rows` members, never fewer than the
-    largest orbit, so its own orbit lies in its first tile. Each thread
-    holds one tile's product and its intp copy, 12 bytes per entry in
-    float32: bounded by L, not by the family size.
+    The members are held packed eight to a byte, in orbit order, and swept
+    tile by tile, `_tile_rows` members each. A tile is unpacked to signs
+    once and read, never written, by the threads, which share out the
+    representatives whose first row lies before the tile's end; each
+    sweeps the tile's rows from its first row on, weighting the rows
+    [first, first + w) of its own orbit by w, wherever tile and chunk
+    edges fall, and every later row by 2w. Per thread there is one
+    circulant, one tile's product, one chunk of `_CHUNK` entries cast to
+    intp at a time and one histogram of M (M + 1) int64 bins, which
+    `np.add.at` adds each chunk into in place: bounded by L, not by the
+    family size, and no histogram-sized temporary per product.
     """
-    mats = np.stack([m.bits for m in family.members])
-    count, L = mats.shape
-    orbit, sizes = _decimation_orbits(mats)
+    count, L = family.size, len(family.members[0].bits)
+    packed = np.empty((count, -(-L // 8)), dtype=np.uint8)
+    for i, member in enumerate(family.members):
+        packed[i] = np.packbits(member.bits)
+    orbit, sizes = _decimation_orbits(packed, L)
+    packed = packed[np.argsort(orbit, kind="stable")]
     starts = np.cumsum([0] + sizes)
     M, dtype = L + 1, _product_dtype(L)
     bins = M * (M + 1)
     rows = min(count, _tile_rows(L, max(sizes)))
-    # Members in orbit order, each bit b as the sign 1 - 2b, over a column
-    # of ones (zeros before the map) that meets the packed last row.
-    signs = np.zeros((count, L + 1), dtype=dtype)
-    signs[:, :L] = mats[np.argsort(orbit, kind="stable")]
-    del mats
-    signs *= -2
-    signs += 1
+    chunk = max(1, _CHUNK // (M // 2))
+    # One tile of members, each bit b as the sign 1 - 2b, over a column of
+    # ones (zeros before the map) that meets the packed last row.
+    signs = np.ones((rows, L + 1), dtype=dtype)
 
-    def work(orbit_span):
-        # Buffers reused across orbits. With r the representative's signs
-        # taken mod L, packed[mu, j] = c[mu + 2 j] for c[i] = (r[i] +
-        # M r[i + 1]) / 2 over a last row of L (M + 1) / 2 that meets the
-        # ones: entry (i, j) of signs @ packed reads a_tau + M a_tau+1 at
-        # tau = 2 j, with a_tau = (Corr(member i, rep, tau) + L) / 2. The
-        # last column is r[mu + L - 1] / 2 over the sentinel's L / 2 + M^2.
+    def work(item):
+        # With r the representative's signs taken mod L, circ[mu, j] =
+        # c[mu + 2 j] for c[i] = (r[i] + M r[i + 1]) / 2 over a last row of
+        # L (M + 1) / 2 that meets the ones: entry (i, j) of signs @ circ
+        # reads a_tau + M a_tau+1 at tau = 2 j, with a_tau = (Corr(member i,
+        # rep, tau) + L) / 2. The last column is r[mu + L - 1] / 2 over the
+        # sentinel's L / 2 + M^2.
+        lo, hi, reps = item
         hist = np.zeros(bins, dtype=np.int64)
-        packed = np.empty((L + 1, M // 2), dtype=dtype)
-        packed[L] = L * (M + 1) / 2
-        packed[L, -1] = L / 2 + M * M
-        prod = np.empty((rows, M // 2), dtype=dtype)
-        idx = np.empty((rows, M // 2), dtype=np.intp)
-        for a in orbit_span:
+        circ = np.empty((L + 1, M // 2), dtype=dtype)
+        circ[L] = L * (M + 1) / 2
+        circ[L, -1] = L / 2 + M * M
+        prod = np.empty((hi - lo, M // 2), dtype=dtype)
+        idx = np.empty((chunk, M // 2), dtype=np.intp)
+        for a in reps:
             first, w = starts[a], sizes[a]
-            twice = np.tile(signs[first, :L], 2)
+            r = 1 - 2 * np.unpackbits(packed[first], count=L).astype(dtype)
+            twice = np.tile(r, 2)
             c = (twice[:-1] + M * twice[1:]) / 2
-            packed[:L] = sliding_window_view(c, L)[::2].T
-            packed[:L, -1] = twice[L - 1:-1] / 2
-            for lo in range(first, count, rows):
-                hi = min(lo + rows, count)
-                np.matmul(signs[lo:hi], packed, out=prod[:hi - lo])
-                tile = idx[:hi - lo]
-                np.copyto(tile, prod[:hi - lo], casting="unsafe")
-                if lo == first:
-                    hist += w * np.bincount(tile[:w].ravel(), minlength=bins)
-                    tile = tile[w:]
-                hist += 2 * w * np.bincount(tile.ravel(), minlength=bins)
+            circ[:L] = sliding_window_view(c, L)[::2].T
+            circ[:L, -1] = twice[L - 1:-1] / 2
+            top = max(lo, first)
+            np.matmul(signs[top - lo:hi - lo], circ, out=prod[:hi - top])
+            for start in range(top, hi, chunk):
+                end = min(start + chunk, hi)
+                cast = idx[:end - start]
+                np.copyto(cast, prod[start - top:end - top], casting="unsafe")
+                own = min(max(first + w - start, 0), end - start)
+                np.add.at(hist, cast[:own].ravel(), w)
+                np.add.at(hist, cast[own:].ravel(), 2 * w)
         # hist[b, a] counts columns reading a_tau = a, a_tau+1 = b; each
         # agreement count a lands at Corr + L = 2a.
         hist = hist.reshape(M + 1, M)
@@ -239,10 +254,19 @@ def correlation_distribution(family, workers=1):
         acc[::2] = hist.sum(0) + hist[:M].sum(1)
         return acc
 
-    # Orbits are dealt out in turn: the earlier ones sweep more rows.
-    threads = _thread_count(workers, len(sizes))
-    spans = [range(t, len(sizes), threads) for t in range(threads)]
-    acc = _summed(work, spans, workers)
+    acc = 0
+    for lo in range(0, count, rows):
+        hi = min(lo + rows, count)
+        tile = signs[:hi - lo, :L]
+        tile[...] = np.unpackbits(packed[lo:hi], axis=1, count=L)
+        tile *= -2
+        tile += 1
+        # The orbits whose first row lies before hi, dealt out in turn: the
+        # earlier ones sweep more rows.
+        reps = int(np.searchsorted(starts, hi))
+        threads = _thread_count(workers, reps)
+        acc = acc + _summed(work, [(lo, hi, range(t, reps, threads))
+                                   for t in range(threads)], workers)
     counts = {int(v - L): int(c) for v, c in enumerate(acc) if c}
     dist = ValueDistribution.from_counts(counts)
     if dist.total != count * count * L:

@@ -1,13 +1,20 @@
 """Schoolbook reference implementations used to freeze golden test values.
 
-Everything here is deliberately naive: carry-less polynomial arithmetic on int
-bit masks, repeated-squaring powers, power-sum traces, direct summation. No
-exp/log tables, no numpy, no imports from the package under test. Slow but
-obvious; the test suite trusts this file over everything else.
+Everything here but the last function is deliberately naive: carry-less
+polynomial arithmetic on int bit masks, repeated-squaring powers, power-sum
+traces, direct summation. No exp/log tables, no numpy, no imports from the
+package under test. Slow but obvious; the test suite trusts this file over
+everything else. The last, `correlation_rep_major`, keeps the decimation-orbit
+correlation kernel in the representative-major form the package once ran, in
+numpy, as an oracle at sizes the naive sweeps cannot reach; it too
+imports nothing from the package, and takes the orbits as given.
 """
 
 from collections import Counter
 from math import gcd
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "gf2_mul", "gf2_pow", "trace_rel", "smallest_primitive", "subfield",
@@ -15,6 +22,7 @@ __all__ = [
     "gamma_sweep_naive", "kernel_count_naive", "kernel_profile_naive",
     "psi_roots_naive", "bluher_naive", "as_points_naive", "min_poly_naive",
     "codeword_bits_c1", "codeword_bits_c2", "family_naive", "correlation_naive",
+    "correlation_rep_major",
 ]
 
 
@@ -312,3 +320,43 @@ def correlation_naive(a_bits, b_bits, tau):
     """Periodic cross-correlation of two equal-length bit tuples at shift tau."""
     L = len(a_bits)
     return sum(1 - 2 * (a_bits[lam] ^ b_bits[(lam + tau) % L]) for lam in range(L))
+
+
+def correlation_rep_major(bits, orbit, sizes, rows, dtype=np.float64):
+    """Correlation histogram {value: count} of the members' bits (one row
+    each) over all pairs and shifts, one representative per decimation orbit
+    (orbit[i] is row i's orbit, numbered as sizes) at a time, the product
+    in dtype.
+
+    The representative of an orbit of w members is swept against its own
+    orbit with weight w and every later orbit with weight 2w, in tiles of
+    rows members, its own orbit in its first tile (rows >= max(sizes)).
+    Each column of the product against the halved circulant packs the
+    agreement counts a, a' in [0, L] of shifts tau and tau + 1 as the
+    bincount index a + (L + 1) a'; the last column pairs shift L - 1 with a
+    sentinel that reads L + 1 and is dropped.
+    """
+    count, L = bits.shape
+    M = L + 1
+    starts = np.cumsum([0] + list(sizes))
+    bins = M * (M + 1)
+    signs = np.ones((count, L + 1), dtype=dtype)
+    signs[:, :L] -= 2 * bits[np.argsort(orbit, kind="stable")]
+    hist = np.zeros(bins, dtype=np.int64)
+    packed = np.empty((L + 1, M // 2), dtype=dtype)
+    packed[L] = L * (M + 1) / 2
+    packed[L, -1] = L / 2 + M * M
+    for first, w in zip(starts.tolist(), sizes):
+        twice = np.tile(signs[first, :L], 2)
+        c = (twice[:-1] + M * twice[1:]) / 2
+        packed[:L] = sliding_window_view(c, L)[::2].T
+        packed[:L, -1] = twice[L - 1:-1] / 2
+        for lo in range(first, count, rows):
+            tile = (signs[lo:lo + rows] @ packed).astype(np.intp)
+            if lo == first:
+                hist += w * np.bincount(tile[:w].ravel(), minlength=bins)
+                tile = tile[w:]
+            hist += 2 * w * np.bincount(tile.ravel(), minlength=bins)
+    hist = hist.reshape(M + 1, M)
+    acc = hist.sum(0) + hist[:M].sum(1)
+    return {2 * a - L: int(c) for a, c in enumerate(acc) if c}

@@ -171,6 +171,29 @@ def test_cyclicity_detects_a_flipped_bit(ctx4, p41, code, monkeypatch):
     assert not check_cyclicity(ctx4, p41, code)
 
 
+@pytest.mark.parametrize("code", ["c1", "c2"])
+def test_cyclicity_checks_every_alpha(ctx4, p41, code, monkeypatch):
+    # The words are compared one alpha at a time; a bit flipped in the last
+    # alpha row leaves every other alpha's words closed.
+    build = codes._word_rows
+
+    def flipped(*args):
+        arows, brows, grows = build(*args)
+        arows = arows.copy()
+        arows[-1, 3] ^= 1
+        return arows, brows, grows
+
+    monkeypatch.setattr(codes, "_word_rows", flipped)
+    assert not check_cyclicity(ctx4, p41, code)
+
+
+def test_cyclicity_memory_bounded_by_one_alpha(ctx6, p61):
+    # One alpha's c2 words at a time: 64 x 64 words of 63 uint8 bits, their
+    # rotation and their images, 258 kB each. All 2^15 words at once, with
+    # their images and rotation, take 5.9 MB.
+    assert traced_peak(check_cyclicity, ctx6, p61, "c2") < 2 * (1 << 20)
+
+
 @pytest.mark.slow
 def test_cyclicity_sampled_n8(ctx8, p82):
     assert check_cyclicity(ctx8, p82, "c1")
@@ -265,11 +288,11 @@ def test_c2_weights_match_the_formula_exhaustively(nk):
 
 
 def test_c2_memory_at_n12_bounded_by_the_gamma_table():
-    # The gamma-axis proof holds the q x q gamma table, 16 MB of uint8 bits,
-    # and 16 MB of temporaries for its linearity check, as it does for the
-    # Walsh sweeps; the beta table the closure proof reads, another 16 MB,
-    # is built after the gamma table is dropped. Walsh transforms of every
-    # pair over the gamma axis took 48.6 MB.
+    # The beta table the closure proof reads, 16 MB of uint8 bits; the
+    # gamma-axis proof before it builds the gamma rows a block at a time,
+    # where the q x q gamma table with the temporaries of its linearity
+    # check took 32 MB. Walsh transforms of every pair over the gamma axis
+    # took 48.6 MB.
     ctx, p = build_field(12), derive_params(12, 1)
     assert traced_peak(weight_distribution, ctx, p, "c2") < 40 * (1 << 20)
 
@@ -407,3 +430,26 @@ def test_gamma_axis_is_proved_once_per_field(monkeypatch):
     weight_distribution(ctx, p, "c2")
     s_spectrum(ctx, p)
     assert built == [ctx]
+
+
+def test_gamma_axis_memory_bounded_by_its_span():
+    # Blocks of 128 gamma rows of 4096 uint8 bits, 512 kB, and the bits of
+    # every row at x = 2^j and x = pi 2^j read as two int64 vectors. The
+    # q x q gamma table alone takes 16 MB.
+    assert traced_peak(expsum._gamma_axis, build_field(12)) < 8 * (1 << 20)
+
+
+def test_gamma_axis_needs_pi_to_permute_the_field_linearly(monkeypatch):
+    # x -> pi x with two images exchanged is still a permutation, but no
+    # longer linear, so the bits of row g at pi 2^j no longer fix row g
+    # read at pi x.
+    mul = expsum._mul
+
+    def swapped(ctx, x, y):
+        out = mul(ctx, x, y)
+        out[[1, 2]] = out[[2, 1]]
+        return out
+
+    monkeypatch.setattr(expsum, "_mul", swapped)
+    with pytest.raises(VerificationError, match="permute the field linearly"):
+        expsum._gamma_axis(build_field(4))

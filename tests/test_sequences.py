@@ -18,7 +18,8 @@ from kasamilab import (BinarySequence, SequenceFamily, VerificationError,
                        family_dump_lines, family_size)
 from kasamilab.cli import main
 from kasamilab.distribution import _thread_count
-from kasamilab.sequences import _decimation_orbits, _product_dtype
+from kasamilab.sequences import _CHUNK, _decimation_orbits, _product_dtype
+from test_expsum import traced_peak
 
 # Frozen from the brute-force all-pairs-all-shifts sweep.
 CORRELATIONS = {
@@ -62,6 +63,12 @@ def all_pairs_sweep(family):
     return {v - L: int(c) for v, c in enumerate(hist) if c}
 
 
+def orbits_of(family):
+    """_decimation_orbits of the family's bits packed eight to a byte."""
+    bits = np.stack([m.bits for m in family.members])
+    return _decimation_orbits(np.packbits(bits, axis=1), bits.shape[1])
+
+
 def one_shift_orbit_sweep(family):
     """The decimation-orbit sweep with one shift per product column.
 
@@ -70,7 +77,7 @@ def one_shift_orbit_sweep(family):
     """
     mats = np.stack([m.bits for m in family.members])
     count, L = mats.shape
-    orbit, sizes = _decimation_orbits(mats)
+    orbit, sizes = orbits_of(family)
     signs = np.ones((count, L + 1))
     signs[:, :L] -= 2 * mats[np.argsort(orbit, kind="stable")]
     hist = np.zeros(2 * L + 1, dtype=np.int64)
@@ -180,7 +187,7 @@ def test_correlation_workers_equivalent(ctx4, p41):
 def test_correlation_orbit_spans_capped(ctx4, p41, recording_pool):
     # One span of orbits, with its own buffers, per thread actually started.
     fam = build_family(ctx4, p41)
-    _, sizes = _decimation_orbits(np.stack([m.bits for m in fam.members]))
+    _, sizes = orbits_of(fam)
     threads = _thread_count(10 ** 6, len(sizes))
     assert correlation_distribution(fam, workers=10 ** 6).as_dict() == \
         CORRELATIONS[(4, 1)]
@@ -240,6 +247,27 @@ def test_orbit_sweep_in_many_tiles_matches_all_pairs_oracle(
 
 
 @pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n,k,mod", ORACLE_CASES)
+def test_orbit_sweep_across_tile_and_chunk_edges_matches_all_pairs_oracle(
+        monkeypatch, n, k, mod, workers):
+    # Tiles one member short of the largest orbit, so that orbits straddle
+    # tile edges, and chunks of two product rows, so that chunk edges fall
+    # inside a representative's own orbit.
+    largest = []
+
+    def tile_rows(L, size):
+        largest.append(size)
+        return size - 1
+
+    monkeypatch.setattr("kasamilab.sequences._tile_rows", tile_rows)
+    monkeypatch.setattr("kasamilab.sequences._CHUNK", 2 << (n - 1))
+    fam = build_family(build_field(n, mod), derive_params(n, k))
+    assert correlation_distribution(fam, workers=workers).as_dict() == \
+        all_pairs_sweep(fam)
+    assert largest == [n]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("n", [4, 6])
 def test_constant_members_fill_both_end_bins(p41, n, workers):
     # Both members are fixed by decimation. Their agreement counts are 0
@@ -290,7 +318,7 @@ def test_float64_product_gives_the_same_histogram(monkeypatch, ctx4, p41):
 def test_decimation_orbits_cover_the_family(nk):
     n, k = nk
     fam = build_family(build_field(n), derive_params(n, k))
-    orbit, sizes = _decimation_orbits(np.stack([m.bits for m in fam.members]))
+    orbit, sizes = orbits_of(fam)
     assert sum(sizes) == fam.size
     assert Counter(orbit) == dict(enumerate(sizes))
     # Decimation by 2 has order n on the shifts, so every orbit size divides n.
@@ -338,7 +366,7 @@ def test_correlation_memory_bounded_by_its_tile(ctx8, p82):
     fam = build_family(ctx8, p82)
     count, L = fam.size, len(fam.members[0].bits)
     M = L + 1
-    _, sizes = _decimation_orbits(np.stack([m.bits for m in fam.members]))
+    _, sizes = orbits_of(fam)
     rows = min(count, max(max(sizes), 8 * (L + 2)))
     tracemalloc.start()
     try:
@@ -348,6 +376,46 @@ def test_correlation_memory_bounded_by_its_tile(ctx8, p82):
         tracemalloc.stop()
     assert rows < count
     assert peak < 5 * count * (L + 1) + 12 * rows * M // 2 + 32 * M * (M + 1)
+
+
+def test_correlation_memory_has_no_family_sized_float_term(ctx8, p82):
+    # Shared: the packed bits with their orbit bookkeeping, under L/8 + 128
+    # bytes a member, and one tile of rows members as float32 signs. On
+    # the one thread: the float32 circulant and one tile's float32 product,
+    # one chunk of _CHUNK intp entries and one int64 histogram of M (M + 1)
+    # bins. No |F| L float term: 4.77 MiB here, where float32 signs of
+    # every member alone take 4.0 MiB.
+    fam = build_family(ctx8, p82)
+    count, L = fam.size, len(fam.members[0].bits)
+    M = L + 1
+    _, sizes = orbits_of(fam)
+    rows = min(count, max(max(sizes), 8 * (L + 2)))
+    bound = (count * (L // 8 + 129) + 4 * rows * (L + 1)
+             + 4 * (L + 1 + rows) * M // 2 + 8 * _CHUNK + 8 * M * (M + 1))
+    assert rows < count and bound < 6 * 2 ** 20
+    assert traced_peak(correlation_distribution, fam, workers=1) < bound
+
+
+@pytest.mark.slow
+def test_tiled_sweep_matches_rep_major_kernel_on_n10_orbits(monkeypatch):
+    # The n = 10 path: a float32 product, a histogram of 1,051,650 bins and
+    # many chunks per tile, here in tiles of 400 members. A union of
+    # decimation orbits is closed under decimation, so the 150 largest
+    # orbits of (10,1) form a family of their own.
+    params = derive_params(10, 1)
+    fam = build_family(build_field(10), params)
+    orbit, sizes = orbits_of(fam)
+    members = tuple(m for m, o in zip(fam.members, orbit) if o < 150)
+    sub = SequenceFamily(params, members, len(members))
+    monkeypatch.setattr("kasamilab.sequences._tile_rows", lambda L, size: 400)
+    bits = np.stack([m.bits for m in members])
+    # float32 holds that kernel's product exactly at n = 10, as it does the
+    # sweep's (test_packed_product_exact_in_its_dtype).
+    want = ref.correlation_rep_major(bits, *orbits_of(sub), len(members),
+                                     np.float32)
+    assert correlation_distribution(sub, workers=2).as_dict() == want
+    assert len(members) == sum(sizes[:150]) == 1500
+    assert _product_dtype(1023) == np.float32 and _CHUNK < 400 * 512
 
 
 def test_printed_table_clean_cases(p41, p62):
