@@ -55,14 +55,6 @@ DEFAULT_BUDGETS = {
     "gamma_sweep": 6,
 }
 
-# What a subcommand names when it refuses an over-budget request.
-_SWEEP_NAMES = {
-    "t_spectrum": "the T sweep",
-    "s_spectrum": "the S sweep",
-    "code_weights": "codeword enumeration",
-    "correlation": "the correlation sweep",
-}
-
 OUT_ENV = "KASAMILAB_OUT"
 
 
@@ -122,7 +114,9 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class Check:
-    """One named cross-check of the registry; Comparison is the other kind.
+    """One named cross-check of the registry, and the only kind there is;
+    _comparison builds those that compare a measured distribution with its
+    prediction.
 
     run(run) returns the record's (status, detail) or (status, detail,
     notes). budget_key names its cap in DEFAULT_BUDGETS, or is None for a
@@ -229,7 +223,7 @@ class _Run:
                 cap = _over_budget(self.args, check)
                 if cap is not None:
                     raise UsageError(
-                        f"{_SWEEP_NAMES[check.budget_key]} at n={self.args.n} "
+                        f"{check.name} at n={self.args.n} "
                         f"exceeds the default budget (n <= {cap}); "
                         f"pass --budget-override to run it anyway")
         self.outdir = _resolve_outdir(self.args.out)
@@ -269,52 +263,40 @@ class _Run:
         return record
 
 
-@dataclass(frozen=True)
-class Comparison:
-    """A check comparing measure(run) with predict(params) value for value.
+def _comparison(name, budget_key, stem, title, measure, predict,
+                predicted_as="closed form"):
+    """A Check comparing measure(run) with predict(params) value for value.
 
-    Subcommands also write both sides as artifacts named after `stem`, and
-    print them under `title` with --format table.
+    Subcommands other than verify also write both sides as artifacts named
+    after `stem`, and print them under `title` with --format table.
     """
-
-    name: str
-    budget_key: str
-    stem: str
-    title: str
-    measure: Callable
-    predict: Callable
-    predicted_as: str = "closed form"
-    not_applicable = None
-
-    def run(self, run):
-        brute, formula = self.measure(run), self.predict(run.params)
+    def compare(run):
+        brute, formula = measure(run), predict(run.params)
         if run.command != "verify":
-            self._emit(run.outdir, run.args.format, brute, formula)
+            outdir, fmt = run.outdir, run.args.format
+            if fmt == "json":
+                doc = {
+                    "brute": brute.to_json_dict(),
+                    "formula": formula.to_json_dict(),
+                    "diff": [{"v": v, "brute": a, "formula": b}
+                             for v, a, b in brute.diff(formula)],
+                    "notes": list(formula.notes),
+                }
+                (outdir / f"{stem}.json").write_text(_dumps(doc))
+            elif fmt == "csv":
+                (outdir / f"{stem}.csv").write_text(brute.to_csv())
+                (outdir / f"{stem}_formula.csv").write_text(formula.to_csv())
+                delta = brute.diff(formula)
+                if delta:
+                    lines = ["value,brute,formula"]
+                    lines += [f"{v},{a},{b}" for v, a, b in delta]
+                    (outdir / f"{stem}_diff.csv").write_text(
+                        "\n".join(lines) + "\n")
+            else:
+                _print_dist(f"{title} (brute force)", brute)
+                _print_dist(f"{title} ({predicted_as})", formula)
         return _compare(brute, formula)
-
-    def _emit(self, outdir, fmt, brute, formula):
-        stem = self.stem
-        if fmt == "json":
-            doc = {
-                "brute": brute.to_json_dict(),
-                "formula": formula.to_json_dict(),
-                "diff": [{"v": v, "brute": a, "formula": b}
-                         for v, a, b in brute.diff(formula)],
-                "notes": list(formula.notes),
-            }
-            (outdir / f"{stem}.json").write_text(_dumps(doc))
-        elif fmt == "csv":
-            (outdir / f"{stem}.csv").write_text(brute.to_csv())
-            (outdir / f"{stem}_formula.csv").write_text(formula.to_csv())
-            delta = brute.diff(formula)
-            if delta:
-                lines = ["value,brute,formula"]
-                lines += [f"{v},{a},{b}" for v, a, b in delta]
-                (outdir / f"{stem}_diff.csv").write_text(
-                    "\n".join(lines) + "\n")
-        else:
-            _print_dist(f"{self.title} (brute force)", brute)
-            _print_dist(f"{self.title} ({self.predicted_as})", formula)
+    return Check(name, budget_key, compare)
 
 
 def _check_parameters(run):
@@ -426,33 +408,33 @@ _CHECKS = (
     Check("bluher-counts", "bluher", _check_bluher),
     Check("rank-profile", "rank_profile", _check_rank),
     Check("moments", "t_spectrum", _check_moments),
-    Comparison("t-spectrum", "t_spectrum", "t_spectrum", "T spectrum",
-               lambda run: run.t_distribution,
-               lambda params: t_spectrum_formula(params)),
-    Comparison("s-spectrum", "s_spectrum", "s_spectrum", "S spectrum",
-               lambda run: s_spectrum(run.ctx, run.params,
-                                      workers=run.args.workers),
-               lambda params: s_spectrum_formula(params)),
+    _comparison("t-spectrum", "t_spectrum", "t_spectrum", "T spectrum",
+                lambda run: run.t_distribution,
+                lambda params: t_spectrum_formula(params)),
+    _comparison("s-spectrum", "s_spectrum", "s_spectrum", "S spectrum",
+                lambda run: s_spectrum(run.ctx, run.params,
+                                       workers=run.args.workers),
+                lambda params: s_spectrum_formula(params)),
     Check("gamma-sweep", "gamma_sweep", _check_gamma),
     Check("artin-schreier", "artin_schreier", _check_artin_schreier,
           lambda params: None if params.d_prime == 2 * params.d else
           "point-count identity applies to the d' = 2d case only"),
     Check("minimal-polynomials", None, _check_minimal_polynomials),
-    *(Comparison(f"code-weights-{code}", "code_weights", f"{code}_weights",
-                 f"{code} weight distribution",
-                 lambda run, code=code: weight_distribution(
-                     run.ctx, run.params, code),
-                 lambda params, code=code: weight_distribution_formula(
-                     params, code))
+    *(_comparison(f"code-weights-{code}", "code_weights", f"{code}_weights",
+                  f"{code} weight distribution",
+                  lambda run, code=code: weight_distribution(
+                      run.ctx, run.params, code),
+                  lambda params, code=code: weight_distribution_formula(
+                      params, code))
       for code in CODES),
     Check("cyclicity", "code_weights", _check_cyclicity),
     Check("family", "correlation", _check_family),
-    Comparison("correlation", "correlation", "correlation",
-               "correlation distribution",
-               lambda run: correlation_distribution(
-                   run.family, workers=run.args.workers),
-               lambda params: correlation_distribution_formula(params),
-               predicted_as="composed"),
+    _comparison("correlation", "correlation", "correlation",
+                "correlation distribution",
+                lambda run: correlation_distribution(
+                    run.family, workers=run.args.workers),
+                lambda params: correlation_distribution_formula(params),
+                predicted_as="composed"),
 )
 _REGISTRY = {check.name: check for check in _CHECKS}
 

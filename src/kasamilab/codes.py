@@ -9,7 +9,8 @@ pi^-(2^m+1). Weights are counted from the bits by the popcount sweep: c1 is
 the sweep T reads, relabelled; c2 is the gamma = 0 sweep plus q - 1 times
 the gamma = 1 sweep, once x -> pi x is proved to carry every row of each
 table onto a row, so its count reads no Walsh transform and stands apart
-from S.
+from S. Cyclicity is checked on the same three row tables, rotated, rather
+than on the words they XOR to.
 """
 
 from __future__ import annotations
@@ -157,9 +158,12 @@ def check_cyclicity(ctx, params, code):
     """Shift-closure: rotating any codeword lands on another codeword.
 
     Rotation by one maps the word of (alpha, beta, gamma) to the word of
-    (alpha pi^e1, beta pi^e2, gamma pi); c1 is the case gamma = 0. Every
-    tuple is checked for n <= CYCLICITY_EXHAUSTIVE_MAX_N, else a fixed
-    sample of tuples, one alpha's words at a time.
+    (alpha pi^e1, beta pi^e2, gamma pi); c1 is the case gamma = 0. A word is
+    the XOR of one alpha, one beta and one gamma row, and rotation commutes
+    with XOR, so it suffices that each row rotated by one is the row of its
+    image. Each coefficient list holds 0, whose rows are 0, so that is also
+    necessary: closed words give closed rows. Every coefficient is checked
+    for n <= CYCLICITY_EXHAUSTIVE_MAX_N, else a fixed sample of them.
     """
     if code not in CODES:
         raise ValueError(f"code must be one of {CODES}, got {code!r}")
@@ -172,17 +176,14 @@ def check_cyclicity(ctx, params, code):
         alphas = sub[:3] + sub[-1:]
         betas = list(range(0, q, max(1, q // 7))) + [q - 1]
         gammas = [0, 1, q - 1] if code == "c2" else [0]
-    arows, brows, grows = _word_rows(ctx, params, alphas, betas, gammas)
     pe1 = ctx.pow(ctx.pi, params.e_norm)
     pe2 = ctx.pow(ctx.pi, params.e_quad)
-    iarows, ibrows, igrows = _word_rows(ctx, params,
-                                        [ctx.mul(a, pe1) for a in alphas],
-                                        [ctx.mul(b, pe2) for b in betas],
-                                        [ctx.mul(g, ctx.pi) for g in gammas])
-    return all(np.array_equal(np.roll(_words((arows[i:i + 1], brows, grows)),
-                                      -1, axis=1),
-                              _words((iarows[i:i + 1], ibrows, igrows)))
-               for i in range(len(alphas)))
+    rows = _word_rows(ctx, params, alphas, betas, gammas)
+    images = _word_rows(ctx, params, [ctx.mul(a, pe1) for a in alphas],
+                        [ctx.mul(b, pe2) for b in betas],
+                        [ctx.mul(g, ctx.pi) for g in gammas])
+    return all(np.array_equal(np.roll(table, -1, axis=1), image)
+               for table, image in zip(rows, images))
 
 
 def codeword_dump_lines(ctx, params, code):

@@ -90,7 +90,7 @@ def _gf2_gcd(a, b):
 
 def is_irreducible(mask, n):
     """mask encodes a degree-n polynomial irreducible over GF(2)."""
-    if mask.bit_length() - 1 != n or not mask & 1:
+    if mask < 0 or mask.bit_length() - 1 != n or not mask & 1:
         return False
     if _gf2_powmod(2, 1 << n, mask) != 2:
         return False
@@ -209,6 +209,11 @@ def build_field(n, modulus=None):
         raise ValueError(f"n must satisfy 2 <= n <= 24, got {n}")
     if modulus is None:
         modulus = find_primitive_polynomial(n)
+    elif modulus < 0:
+        raise ValueError(f"modulus {modulus:#x} is negative")
+    elif modulus.bit_length() - 1 != n:
+        raise ValueError(f"modulus {modulus:#x} has degree "
+                         f"{modulus.bit_length() - 1}, not {n}")
     elif not is_irreducible(modulus, n):
         raise ValueError(f"modulus {modulus:#x} is reducible over GF(2)")
     elif not is_primitive(modulus, n):

@@ -93,6 +93,8 @@ def test_budget_guard(capsys):
     assert main(["correlation", "--n", "10", "--k", "1"]) == 1
     err = capsys.readouterr().err
     assert "--budget-override" in err
+    assert ("correlation at n=10 exceeds the default budget (n <= 8)"
+            in err)
     assert DEFAULT_BUDGETS["correlation"] == 8
 
 
@@ -157,6 +159,21 @@ def test_explicit_modulus(tmp_path):
     # Non-primitive modulus is a usage error.
     assert main(["spectrum", "--n", "4", "--k", "1", "--modulus", "0x1f",
                  "--out", str(tmp_path / "y")]) == 1
+
+
+@pytest.mark.parametrize("args, message", [
+    (["spectrum", "--n", "4", "--k", "1", "--modulus=-0x13"],
+     "modulus -0x13 is negative"),
+    (["verify", "--n", "6", "--k", "1", "--modulus", "0x13"],
+     "modulus 0x13 has degree 4, not 6"),
+])
+def test_modulus_of_the_wrong_shape(tmp_path, capsys, args, message):
+    # A negative mask never reduces in the irreducibility test, and 0x13
+    # (x^4 + x + 1) is irreducible: what is wrong with it is its degree.
+    out = tmp_path / "out"
+    assert main([*args, "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_deterministic_across_workers(tmp_path):

@@ -173,8 +173,8 @@ def test_cyclicity_detects_a_flipped_bit(ctx4, p41, code, monkeypatch):
 
 @pytest.mark.parametrize("code", ["c1", "c2"])
 def test_cyclicity_checks_every_alpha(ctx4, p41, code, monkeypatch):
-    # The words are compared one alpha at a time; a bit flipped in the last
-    # alpha row leaves every other alpha's words closed.
+    # The rows are compared one coefficient at a time; a bit flipped in the
+    # last alpha row leaves every other row closed.
     build = codes._word_rows
 
     def flipped(*args):
@@ -188,10 +188,20 @@ def test_cyclicity_checks_every_alpha(ctx4, p41, code, monkeypatch):
 
 
 def test_cyclicity_memory_bounded_by_one_alpha(ctx6, p61):
-    # One alpha's c2 words at a time: 64 x 64 words of 63 uint8 bits, their
-    # rotation and their images, 258 kB each. All 2^15 words at once, with
+    # Only the row tables are built: 8 + 64 + 64 rows of 63 uint8 bits, their
+    # images and one rotated table at a time. All 2^15 words at once, with
     # their images and rotation, take 5.9 MB.
     assert traced_peak(check_cyclicity, ctx6, p61, "c2") < 2 * (1 << 20)
+
+
+def test_cyclicity_reads_only_the_row_tables(ctx6, p61, monkeypatch):
+    # No word is built: the three row tables, their images and the arrays
+    # they are gathered from trace 32 KiB; one alpha's c2 words trace 778 KiB.
+    def no_words(rows):
+        raise AssertionError("check_cyclicity built codewords")
+
+    monkeypatch.setattr(codes, "_words", no_words)
+    assert traced_peak(check_cyclicity, ctx6, p61, "c2") < 128 * (1 << 10)
 
 
 @pytest.mark.slow

@@ -37,6 +37,7 @@ def test_irreducible_but_not_primitive():
 
 def test_reducible_rejected():
     assert not is_irreducible(0x11, 4)  # x^4+1 = (x+1)^4
+    assert not is_irreducible(-0x13, 4)  # bit_length 5, but no polynomial
     with pytest.raises(ValueError):
         build_field(4, modulus=0x11)
 

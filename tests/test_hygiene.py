@@ -22,13 +22,16 @@ popcount sweep bincounts, calls `_popcounts`, only that sweep calls the T
 table, and only T and the code weights call that sweep; only the two sweeps
 prove the gamma axis; only the two sweeps and the codewords build trace
 rows, and only the Walsh sweep's Artin-Schreier reduction counts points. So
-the (alpha, beta) plane is tiled in two places.
+the (alpha, beta) plane is tiled in two places. Every entry of the check
+registry is a `cli.Check`, so `verify` runs one kind of check.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from kasamilab import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "kasamilab").glob("*.py"))
@@ -298,3 +301,7 @@ def test_only_the_two_sweeps_call_the_kernels(path):
     assert [(line, name, owner) for line, name, owner
             in kernel_calls(path.read_text())
             if (path.name, owner) not in KERNEL_CALLERS[name]] == []
+
+
+def test_every_registered_check_is_a_check():
+    assert all(type(check) is cli.Check for check in cli._CHECKS)
