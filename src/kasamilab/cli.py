@@ -136,7 +136,11 @@ def _dumps(obj):
 
 def _resolve_outdir(arg):
     path = Path(arg or os.environ.get(OUT_ENV) or ".")
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise UsageError(
+            f"output directory {path} is, or lies under, a file") from exc
     return path
 
 
@@ -412,8 +416,7 @@ _CHECKS = (
                 lambda run: run.t_distribution,
                 lambda params: t_spectrum_formula(params)),
     _comparison("s-spectrum", "s_spectrum", "s_spectrum", "S spectrum",
-                lambda run: s_spectrum(run.ctx, run.params,
-                                       workers=run.args.workers),
+                lambda run: s_spectrum(run.ctx, run.params),
                 lambda params: s_spectrum_formula(params)),
     Check("gamma-sweep", "gamma_sweep", _check_gamma),
     Check("artin-schreier", "artin_schreier", _check_artin_schreier,

@@ -8,9 +8,9 @@ h1*h2*h3, where the h_i are minimal polynomials of pi^-1, pi^-(2^k+1) and
 pi^-(2^m+1). Weights are counted from the bits by the popcount sweep: c1 is
 the sweep T reads, relabelled; c2 is the gamma = 0 sweep plus q - 1 times
 the gamma = 1 sweep, once x -> pi x is proved to carry every row of each
-table onto a row, so its count reads no Walsh transform and stands apart
-from S. Cyclicity is checked on the same three row tables, rotated, rather
-than on the words they XOR to.
+table onto a row: the histogram that S reads as q - 2 wt. Cyclicity is
+checked on the same three row tables, rotated, rather than on the words they
+XOR to.
 """
 
 from __future__ import annotations

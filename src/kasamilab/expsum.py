@@ -3,16 +3,15 @@
 T(a, b) sums (-1)^(Tr_m(a x^(2^m+1)) + Tr_n(b x^(2^k+1))) over GF(2^n) with a
 drawn from the subfield copy of GF(2^m); S(a, b, g) adds a linear term
 Tr_n(g x). Two sweeps tile the (a, b) plane. The popcount sweep counts
-wt(row) of the trace bits: T = q - 2 wt, the c1 code weights are wt, and
-the c2 weights are wt at g = 0 plus q - 1 copies of wt at g = 1. The Walsh
-sweep transforms each row's signs (int16 while S + q <= 2^(n+1) fits, else
-int32) over an index axis that `_gamma_axis` proves, once per field, to be
-the gamma axis; S, the gamma-sweep and the Artin-Schreier point counts, read
-against T at gamma = 0, reduce its blocks of `_span` rows. Both sweeps lean
-on one row-closure proof from the bits, `_row_closure`: squaring x keeps
-every trace, so S sweeps one b per Frobenius orbit, weighted by the orbit's
-size; x -> pi x scales every coefficient, so the c2 words of every g != 0
-weigh as those of g = 1.
+wt(row) of the trace bits: T = q - 2 wt and the c1 code weights are wt;
+over the gamma axis, S = q - 2 wt and the c2 weights are wt, each counted
+as wt at g = 0 plus q - 1 copies of wt at g = 1. That leans on one
+row-closure proof from the bits, `_row_closure`: x -> pi x scales every
+coefficient, so the rows of every g != 0 weigh as those of g = 1. The Walsh
+sweep transforms each row's signs (int16 while q fits, else int32) over an
+index axis that `_gamma_axis` proves, once per field, to be the gamma axis;
+the gamma-sweep and the Artin-Schreier point counts, read against T at
+gamma = 0, need each pair's transform and reduce its blocks of `_span` rows.
 Closed-form tables, split on the parity case, predict each sweep; callers
 compare the two, never papering over a mismatch.
 """
@@ -26,7 +25,7 @@ import numpy as np
 
 from .distribution import (ValueDistribution, VerificationError, _exact,
                            _p2, _summed)
-from .field import (_cycles, _gf2_linear, _mul, power_table, rel_trace_table,
+from .field import (_gf2_linear, _mul, power_table, rel_trace_table,
                     subfield_elements, trace_bit_matrix)
 
 __all__ = [
@@ -86,9 +85,10 @@ def _fwht(mat):
 
 
 def _walsh_dtype(n):
-    """int16 while every S + q <= 2^(n+1) of a length-2^n transform fits in
-    it (n <= 13), else int32."""
-    return np.int16 if 1 << (n + 1) <= np.iinfo(np.int16).max else np.int32
+    """int16 while every value of a length-2^n transform of signs, and of
+    each butterfly stage before it, within +-q = 2^n, fits in it (n <= 14),
+    else int32."""
+    return np.int16 if 1 << n <= np.iinfo(np.int16).max else np.int32
 
 
 def _walsh(bits):
@@ -156,7 +156,8 @@ def _popcount_sweep(ctx, params, linear=False):
     pairs, `_t_table` taking every alpha row against max(64, 2^21 // q)
     betas at a time, on one thread.
 
-    With `linear`, over all 2^(5m) triples, the row adding Tr_n(gamma x).
+    With `linear`, over all 2^(5m) triples, the row adding Tr_n(gamma x), so
+    that wt = (q - S) / 2.
     For c != 0, x -> c x permutes the field and keeps each weight, and reads
     the row of (alpha, beta, gamma) as that of (alpha c^e1, beta c^e2,
     gamma c). This is proved of c = pi from the bits, on the alpha and beta
@@ -183,7 +184,7 @@ def _popcount_sweep(ctx, params, linear=False):
     for name, rows, coeffs, e in (("alpha", arows, alphas, params.e_norm),
                                   ("beta", brows, betas, params.e_quad)):
         _row_closure(rows, coeffs, _mul(ctx, coeffs, ctx.pow(ctx.pi, e)),
-                     times_pi, name, _TIMES_PI)
+                     times_pi, name)
     return counts(arows) + (q - 1) * counts(arows ^ grows)
 
 
@@ -197,9 +198,9 @@ def t_spectrum(ctx, params):
     return dist
 
 
-def _row_closure(rows, coeffs, images, perm, name, law):
-    """Prove from the bits that reading at perm (x -> perm[x] in mask order)
-    carries a table onto itself: the row of coeffs[i] read at perm is the
+def _row_closure(rows, coeffs, images, perm, name):
+    """Prove from the bits that reading at perm (x -> pi x, as x -> perm[x]
+    in mask order) carries a table onto itself: the row of coeffs[i] read at perm is the
     row of images[i], and perm and the map of each row onto its image's are
     permutations, the rows compared `_span(q)` at a time. Reading every row
     at perm then permutes the XORs of one row from each such table."""
@@ -209,30 +210,14 @@ def _row_closure(rows, coeffs, images, perm, name, law):
     image = index[images]
     if ((np.sort(perm) != np.arange(q)).any()
             or (np.sort(image) != np.arange(len(rows))).any()):
-        raise VerificationError(f"{law} does not permute the {name} rows")
+        raise VerificationError(
+            f"{_TIMES_PI} does not permute the {name} rows")
     span = _span(q)
     for start in range(0, len(rows), span):
         block = slice(start, start + span)
         if (rows[block][:, perm] != rows[image[block]]).any():
             raise VerificationError(
-                f"the {name} rows are not closed under {law}")
-
-
-def _frobenius_closure(ctx, alphas, arows, brows):
-    """Frobenius orbits of beta, once squaring x fixes every row: sigma
-    (x -> x^2 in mask order) must be GF(2)-linear and restore every x in n
-    steps, and `_row_closure` must read the row of each alpha and beta at
-    sigma as the row of its square root. Then sigma maps the Walsh row of
-    each pair onto its image pair's, so the betas of an orbit share one
-    multiset."""
-    sigma = power_table(ctx, 2)
-    if not _gf2_linear(sigma):
-        raise VerificationError("squaring is not GF(2)-linear on the field")
-    _, reps, sizes = _cycles(sigma, ctx.n)
-    root = power_table(ctx, ctx.q >> 1)
-    _row_closure(arows, alphas, root[alphas], sigma, "alpha", "Frobenius")
-    _row_closure(brows, np.arange(ctx.q), root, sigma, "beta", "Frobenius")
-    return reps, sizes
+                f"the {name} rows are not closed under {_TIMES_PI}")
 
 
 def _span(q):
@@ -240,51 +225,32 @@ def _span(q):
     return max(1, (1 << 19) // q)
 
 
-def _walsh_sweep(ctx, params, reduce, workers, orbits=False):
+def _walsh_sweep(ctx, params, reduce, workers):
     """The Walsh sweep: the sum, on up to `workers` threads, of
-    reduce(i, betas, sizes, W) over its blocks, alpha by alpha, each the
-    alpha of index i against at most `_span(q)` betas in ascending order. W
-    holds each row's Walsh transform over the gamma axis; the row of
-    betas[j] stands for sizes[j] pairs: one, or with `orbits` (once
-    `_frobenius_closure` holds, one beta per orbit) its orbit's size."""
+    reduce(i, betas, W) over its blocks, alpha by alpha, each the alpha of
+    index i against at most `_span(q)` betas in ascending order. W holds
+    each row's Walsh transform over the gamma axis, one row per pair."""
     q = ctx.q
-    # Before the tables: after the Frobenius closure, its blocks leave
-    # ~0.2 MB more resident at n = 10 once threads start.
     _gamma_axis(ctx)
-    alphas = np.asarray(subfield_elements(ctx, params.m), dtype=np.int64)
+    alphas = subfield_elements(ctx, params.m)
     arows, brows, _ = _trace_rows(ctx, params, alphas, range(q), [])
-    betas, sizes = np.arange(q), np.ones(q, dtype=np.int64)
-    if orbits:
-        betas, sizes = _frobenius_closure(ctx, alphas, arows, brows)
-    span = _span(q)
+    betas, span = np.arange(q), _span(q)
 
     def work(item):
         i, block = item
-        return reduce(i, betas[block], sizes[block],
-                      _walsh(arows[i] ^ brows[betas[block]]))
+        return reduce(i, betas[block], _walsh(arows[i] ^ brows[block]))
 
     return _summed(work, [(i, slice(start, start + span))
                           for i in range(len(alphas))
-                          for start in range(0, len(betas), span)], workers)
+                          for start in range(0, q, span)], workers)
 
 
-def s_spectrum(ctx, params, workers=1):
-    """Measured distribution of S over all (alpha, beta, gamma) triples: for
-    fixed (alpha, beta), gamma -> S is a Walsh row, so S is the histogram of
-    the Walsh sweep over Frobenius orbits of beta, each row counted once per
-    member of its orbit."""
-    q = ctx.q
-
-    def histogram(i, betas, sizes, walsh):
-        walsh += q
-        return sum(size * np.bincount(walsh[sizes == size].ravel(),
-                                      minlength=2 * q + 1)
-                   for size in set(sizes.tolist()))
-
-    counts = _walsh_sweep(ctx, params, histogram, workers, orbits=True)
-    dist = ValueDistribution.from_counts(
-        (v - q, c) for v, c in enumerate(counts.tolist()))
-    if dist.total != (1 << (3 * params.m)) * q:
+def s_spectrum(ctx, params):
+    """Measured distribution of S = q - 2 wt over all (alpha, beta, gamma)
+    triples, read off the popcount sweep over the gamma axis."""
+    counts = enumerate(_popcount_sweep(ctx, params, linear=True).tolist())
+    dist = ValueDistribution.from_counts((ctx.q - 2 * w, c) for w, c in counts)
+    if dist.total != (1 << (3 * params.m)) * ctx.q:
         raise VerificationError(f"S sweep covered {dist.total} triples")
     return dist
 
@@ -301,7 +267,7 @@ def gamma_sweep(ctx, params, dims, workers=1):
         table[rank] = peak, want.count(0), want.count(peak), want.count(-peak)
     alphas = subfield_elements(ctx, params.m)
 
-    def first_off(i, betas, sizes, walsh):
+    def first_off(i, betas, walsh):
         ranks = params.s - dims[i, betas]
         peak = table[ranks, :1].astype(walsh.dtype)
         got = np.stack([(walsh == v).sum(axis=1) for v in (0, peak, -peak)],
@@ -489,7 +455,7 @@ def artin_schreier_sweep(ctx, params, workers=1):
     aprimes = [np.flatnonzero(rel_trace_table(ctx, params.m, params.n) == a)
                for a in subfield_elements(ctx, params.m)]
 
-    def first_off(i, betas, sizes, walsh):
+    def first_off(i, betas, walsh):
         want = ctx.q + ((1 << params.d) - 1) * walsh[:, 0].astype(np.int64)
         got = np.stack([artin_schreier_points(ctx, params, a, betas)
                         for a in aprimes[i].tolist()])

@@ -89,6 +89,22 @@ def test_workers_below_one_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-file"])
+def test_out_naming_a_file_is_a_usage_error(tmp_path, below):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken / below
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "kasamilab", "spectrum", "--n", "4", "--k", "1",
+         "--out", str(out)], env=env, capture_output=True, text=True)
+    assert done.returncode == 1
+    assert done.stderr == (f"error: output directory {out} is, or lies "
+                           f"under, a file\n")
+    assert taken.read_text() == "kept\n"
+
+
 def test_budget_guard(capsys):
     assert main(["correlation", "--n", "10", "--k", "1"]) == 1
     err = capsys.readouterr().err

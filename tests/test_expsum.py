@@ -91,7 +91,9 @@ def all_beta_sweep(ctx, params):
 @pytest.mark.parametrize("n,k,mod", [(4, 1, 0x13), (6, 1, 0x43),
                                       (6, 2, 0x43), (6, 2, 0x61)])
 def test_orbit_sweep_matches_all_beta_oracle(n, k, mod):
-    # EvenM, BothOdd and EvenK, and EvenK again under another modulus.
+    # EvenM, BothOdd and EvenK, and EvenK again under another modulus. S
+    # sweeps gamma = 0 and one gamma of the x -> pi x orbit of the rest; the
+    # oracle transforms every pair over every gamma.
     ctx, p = build_field(n, mod), derive_params(n, k)
     dist = s_spectrum(ctx, p).as_dict()
     assert dist == all_beta_sweep(ctx, p)
@@ -107,21 +109,27 @@ def test_fwht_is_the_hadamard_product(length):
 
 @pytest.mark.parametrize("n", range(2, 25))
 def test_walsh_dtype_holds_every_shifted_value(n):
-    # The S sweep shifts each transform by q, so its values reach 2^(n+1).
+    # No reader shifts a transform: its values, and those of every butterfly
+    # stage, stay within +-q = 2^n, and the gamma-sweep's peaks reach q.
     dtype = expsum._walsh_dtype(n)
-    assert 1 << (n + 1) <= np.iinfo(dtype).max
-    assert dtype == (np.int16 if n <= 13 else np.int32)
+    assert 1 << n <= np.iinfo(dtype).max
+    assert dtype == (np.int16 if n <= 14 else np.int32)
 
 
 def test_int16_and_int32_walsh_agree(ctx6, p61, monkeypatch):
+    # Moving the rank of two pairs makes the gamma-sweep name them, on
+    # either dtype.
     rows = pair_rows(ctx6, p61)
-    ctx10, p10 = build_field(10), derive_params(10, 1)
-    narrow = expsum._walsh(rows), s_spectrum(ctx10, p10)
+    ctx8, p8 = build_field(8), derive_params(8, 2)
+    dims = kernel_dims(ctx8, p8)
+    dims[1, 3] += 2
+    dims[-1, -1] += 2
+    narrow = expsum._walsh(rows), expsum.gamma_sweep(ctx8, p8, dims)
     monkeypatch.setattr(expsum, "_walsh_dtype", lambda n: np.int32)
-    wide = expsum._walsh(rows), s_spectrum(ctx10, p10)
+    wide = expsum._walsh(rows), expsum.gamma_sweep(ctx8, p8, dims)
     assert (narrow[0].dtype, wide[0].dtype) == (np.int16, np.int32)
     assert (narrow[0] == wide[0]).all()
-    assert narrow[1].as_dict() == wide[1].as_dict()
+    assert len(narrow[1]) == 2 and narrow[1] == wide[1]
 
 
 def traced_peak(fn, *args, **kwargs):
@@ -143,10 +151,11 @@ def test_t_sweep_memory_bounded_by_its_chunk():
 
 
 def test_s_sweep_memory_bounded_by_its_span():
-    # A span transforms 2^19 entries; the q x q beta rows take 1 MB. The
-    # beta rows are built without an int64 product of element logs.
+    # The q x q beta rows take 1 MB, and the closure proof compares them in
+    # spans of 2^19 entries. The beta rows are built without an int64
+    # product of element logs.
     ctx, p = build_field(10), derive_params(10, 1)
-    assert traced_peak(s_spectrum, ctx, p, workers=1) < 20 * (1 << 19)
+    assert traced_peak(s_spectrum, ctx, p) < 20 * (1 << 19)
 
 
 def test_gamma_sweep_memory_bounded_by_its_span():
@@ -226,19 +235,12 @@ def test_frobenius_orbits(n, orbits):
         assert dict(zip(reps.tolist(), sizes.tolist())) == seen
 
 
-def test_s_spectrum_transforms_orbit_representatives_only(ctx6, p61,
-                                                          monkeypatch):
-    transformed = []
-    fwht = expsum._fwht
+def test_s_spectrum_reads_no_walsh_transform(ctx6, p61, monkeypatch):
+    def refused(bits):
+        raise AssertionError("S transformed a row")
 
-    def recording(mat):
-        transformed.append(mat.shape[0])
-        return fwht(mat)
-
-    monkeypatch.setattr(expsum, "_fwht", recording)
+    monkeypatch.setattr(expsum, "_walsh", refused)
     assert s_spectrum(ctx6, p61).as_dict() == S_SPECTRA[(6, 1)]
-    _, reps, _ = _cycles(power_table(ctx6, 2), ctx6.n)
-    assert sum(transformed) == (1 << p61.m) * len(reps) == 8 * 14
 
 
 def flip_row_bit(monkeypatch, axis, coeff, x=3):
@@ -255,13 +257,12 @@ def flip_row_bit(monkeypatch, axis, coeff, x=3):
 
 
 @pytest.mark.parametrize("axis,name", [(0, "alpha"), (1, "beta")])
-def test_flipped_bit_breaks_the_frobenius_closure(ctx6, p61, monkeypatch,
-                                                  axis, name):
-    # Neither coefficient nor x = 3 is fixed by squaring.
+def test_flipped_bit_breaks_the_times_pi_closure(ctx6, p61, monkeypatch,
+                                                 axis, name):
     coeff = subfield_elements(ctx6, 3)[2] if axis == 0 else 5
     flip_row_bit(monkeypatch, axis, coeff)
     with pytest.raises(VerificationError,
-                       match=f"{name} rows are not closed under Frobenius"):
+                       match=f"{name} rows are not closed under x -> pi x"):
         s_spectrum(ctx6, p61)
 
 
@@ -270,27 +271,26 @@ def test_row_closure_needs_both_maps_to_permute():
     # swap of i; a map that sends two rows, or two entries, to one is no
     # licence, whatever the rows read.
     rows, ids, swap = np.eye(4, dtype=np.uint8), np.arange(4), [1, 0, 2, 3]
-    expsum._row_closure(rows, ids, ids, ids, "unit", "the identity")
-    expsum._row_closure(rows, ids, np.array(swap), np.array(swap), "unit",
-                        "the swap")
-    with pytest.raises(VerificationError, match="the swap of rows"):
-        expsum._row_closure(rows, ids, ids, np.array(swap), "unit",
-                            "the swap of rows")
+    expsum._row_closure(rows, ids, ids, ids, "unit")
+    expsum._row_closure(rows, ids, np.array(swap), np.array(swap), "unit")
+    with pytest.raises(VerificationError,
+                       match="unit rows are not closed under x -> pi x"):
+        expsum._row_closure(rows, ids, ids, np.array(swap), "unit")
     for images, perm in (([0, 0, 2, 3], ids), (ids, [0, 0, 2, 3])):
         with pytest.raises(VerificationError,
-                           match="does not permute the unit rows"):
+                           match="x -> pi x does not permute the unit rows"):
             expsum._row_closure(rows, ids, np.array(images), np.array(perm),
-                                "unit", "a merge")
+                                "unit")
 
 
-def test_verify_records_a_broken_frobenius_closure(tmp_path, monkeypatch):
+def test_verify_records_a_broken_times_pi_closure(tmp_path, monkeypatch):
     flip_row_bit(monkeypatch, 1, 5)
     assert main(["verify", "--n", "6", "--k", "1",
                  "--out", str(tmp_path)]) == 2
     report = json.loads((tmp_path / "report.json").read_text())
     record = next(r for r in report["records"] if r["name"] == "s-spectrum")
     assert record["status"] == "mismatch"
-    assert "Frobenius" in record["detail"]
+    assert "not closed under x -> pi x" in record["detail"]
 
 
 @pytest.mark.parametrize("n", range(4, 13, 2))
@@ -364,8 +364,13 @@ def test_last_row_note_only_in_two_regime_case():
 
 
 def test_spectrum_workers_equivalent(ctx6, p61):
-    assert s_spectrum(ctx6, p61, workers=3).as_dict() == \
-        s_spectrum(ctx6, p61, workers=1).as_dict()
+    # The gamma-sweep is the threaded reduction of each pair's spectrum over
+    # gamma; one moved rank is the first off pair on any thread count.
+    dims = kernel_dims(ctx6, p61)
+    dims[5, 17] += 2
+    want = [(subfield_elements(ctx6, 3)[5], 17, p61.s - dims[5, 17])]
+    assert expsum.gamma_sweep(ctx6, p61, dims, workers=1) == want
+    assert expsum.gamma_sweep(ctx6, p61, dims, workers=3) == want
 
 
 @pytest.mark.parametrize("nk", sorted(MOMENTS))

@@ -16,10 +16,11 @@ checks raises an error of its own. Only the correlation sweep,
 `sequences.correlation_distribution`, holds a matrix product (`@`,
 `np.matmul` or `np.dot`), and only `sequences.py` names a float dtype; every
 other sweep counts bits or runs the Walsh transform. Only the Walsh sweep,
-`expsum._walsh_sweep`, calls `_walsh`, and only S, the gamma-sweep and
-Artin-Schreier call the Walsh sweep; only the T table, whose spans the
-popcount sweep bincounts, calls `_popcounts`, only that sweep calls the T
-table, and only T and the code weights call that sweep; only the two sweeps
+`expsum._walsh_sweep`, calls `_walsh`, and only the gamma-sweep and
+Artin-Schreier, which need each pair's transform, call the Walsh sweep; only
+the T table, whose spans the popcount sweep bincounts, calls `_popcounts`,
+only that sweep calls the T table, and only T, S and the code weights call
+that sweep; only the two sweeps
 prove the gamma axis; only the two sweeps and the codewords build trace
 rows, and only the Walsh sweep's Artin-Schreier reduction counts points. So
 the (alpha, beta) plane is tiled in two places. Every entry of the check
@@ -241,14 +242,17 @@ def test_only_the_correlation_sweep_names_a_float_dtype(path):
 
 
 # kernel -> the (module, top-level function)s allowed to call it: the two
-# sweeps and the checks that reduce them, the Walsh kernel, the gamma-axis
-# proof both sweeps read, the T table that the popcount sweep reads span by
-# span, the trace rows both sweeps and the codewords are built from, and the
-# point counts the Walsh sweep's Artin-Schreier reduction reads.
+# sweeps and the checks that reduce them (the Walsh sweep only the two that
+# read each pair's transform, the popcount sweep T, S and the code weights),
+# the Walsh kernel, the gamma-axis proof both sweeps read, the T table that
+# the popcount sweep reads span by span, the trace rows both sweeps and the
+# codewords are built from, and the point counts the Walsh sweep's
+# Artin-Schreier reduction reads.
 KERNEL_CALLERS = {
-    "_walsh_sweep": {("expsum.py", "s_spectrum"), ("expsum.py", "gamma_sweep"),
+    "_walsh_sweep": {("expsum.py", "gamma_sweep"),
                      ("expsum.py", "artin_schreier_sweep")},
     "_popcount_sweep": {("expsum.py", "t_spectrum"),
+                        ("expsum.py", "s_spectrum"),
                         ("codes.py", "weight_distribution")},
     "_walsh": {("expsum.py", "_walsh_sweep")},
     "_gamma_axis": {("expsum.py", "_walsh_sweep"),
