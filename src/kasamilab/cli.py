@@ -336,16 +336,16 @@ def _check_moments(run):
 
 
 def _check_gamma(run):
-    off = gamma_sweep(run.ctx, run.params, run.kernel_dims, run.args.workers)
+    off = gamma_sweep(run.ctx, run.params, run.kernel_dims)
     if off:
         alpha, beta, rank = off[0]
         return MISMATCH, (f"pair ({alpha:#x}, {beta:#x}) deviates "
                           f"from the rank-{rank} law")
-    return MATCH, f"all {run.kernel_dims.size - 1} pairs follow the rank law"
+    return MATCH, f"all {8 ** run.params.m - 1} pairs follow the rank law"
 
 
 def _check_artin_schreier(run):
-    off = artin_schreier_sweep(run.ctx, run.params, run.args.workers)
+    off = artin_schreier_sweep(run.ctx, run.params)
     if off:
         aprime, beta, got, want = off[0]
         return MISMATCH, (f"({aprime:#x}, {beta:#x}): {got} points, "
@@ -494,8 +494,8 @@ def _build_parser():
     common.add_argument("--out", default=None,
                         help=f"output directory (default: ${OUT_ENV} or cwd)")
     common.add_argument("--workers", type=int, default=1,
-                        help="thread count for sweeps (at least 1; capped "
-                             "at the CPU count)")
+                        help="thread count for the correlation sweep (at "
+                             "least 1; capped at the CPU count)")
     common.add_argument("--budget-override", action="store_true",
                         help="run sweeps beyond the default size budgets")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -2,16 +2,13 @@
 
 T(a, b) sums (-1)^(Tr_m(a x^(2^m+1)) + Tr_n(b x^(2^k+1))) over GF(2^n) with a
 drawn from the subfield copy of GF(2^m); S(a, b, g) adds a linear term
-Tr_n(g x). Two sweeps tile the (a, b) plane. The popcount sweep counts
-wt(row) of the trace bits: T = q - 2 wt and the c1 code weights are wt;
-over the gamma axis, S = q - 2 wt and the c2 weights are wt, each counted
-as wt at g = 0 plus q - 1 copies of wt at g = 1. That leans on one
-row-closure proof from the bits, `_row_closure`: x -> pi x scales every
-coefficient, so the rows of every g != 0 weigh as those of g = 1. The Walsh
-sweep transforms each row's signs (int16 while q fits, else int32) over an
-index axis that `_gamma_axis` proves, once per field, to be the gamma axis;
-the gamma-sweep and the Artin-Schreier point counts, read against T at
-gamma = 0, need each pair's transform and reduce its blocks of `_span` rows.
+Tr_n(g x). The popcount sweep counts wt(row) of the trace bits: T = q - 2 wt
+and the c1 code weights are wt; over the gamma axis, S = q - 2 wt and the c2
+weights are wt, each counted as wt at g = 0 plus q - 1 copies of wt at g = 1.
+That leans on `_row_closure`: x -> pi x scales every coefficient, so g = 1
+stands for every g != 0, and alpha = 1 for every alpha != 0 in the per-pair
+checks. The gamma-sweep transforms those rows' signs (int16 while q fits,
+else int32) over an axis `_gamma_axis` proves to be the gamma axis.
 Closed-form tables, split on the parity case, predict each sweep; callers
 compare the two, never papering over a mismatch.
 """
@@ -23,8 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .distribution import (ValueDistribution, VerificationError, _exact,
-                           _p2, _summed)
+from .distribution import ValueDistribution, VerificationError, _exact, _p2
 from .field import (_gf2_linear, _mul, power_table, rel_trace_table,
                     subfield_elements, trace_bit_matrix)
 
@@ -54,6 +50,13 @@ def _trace_rows(ctx, params, alphas, betas, gammas):
     brows = trace_bit_matrix(ctx, power_table(ctx, params.e_quad), betas)
     grows = trace_bit_matrix(ctx, np.arange(ctx.q), gammas)
     return arows, brows, grows
+
+
+def _monomial_rows(ctx, coeffs, h):
+    """Rows of c x^(2^h+1) over x in mask order, one per coefficient c, as
+    c (x x^(2^h)), sharing no power table with the trace rows."""
+    powers = _mul(ctx, np.arange(ctx.q), power_table(ctx, 1 << h))
+    return _mul(ctx, np.asarray(coeffs)[..., None], powers)
 
 
 def _butterflies(mat, h):
@@ -101,11 +104,10 @@ def _walsh(bits):
 def _gamma_axis(ctx):
     """Prove once per field, from the bits, that each row Tr_n(g x) is
     linear, that the rows' bits at x = 2^j, read as n bits u, give each u
-    once, and that row g read at pi x is row g pi. The rows are built
-    `_span(q)` at a time, each once, and only their bits at x = 2^j and
-    x = pi 2^j are kept: x -> pi x is a linear permutation, so row g read
-    at pi x is linear as well, and it is row g pi once the two agree on
-    that basis."""
+    once, and that row g read at pi x is row g pi: x -> pi x is a linear
+    permutation, so that holds once the two agree on the basis. The rows
+    are built in `_blocks` and only their bits at x = 2^j and x = pi 2^j
+    are kept."""
     if "gamma_axis" not in ctx._cache:
         q, gammas = ctx.q, np.arange(ctx.q)
         times_pi = _mul(ctx, gammas, ctx.pi)
@@ -115,10 +117,8 @@ def _gamma_axis(ctx):
                 f"{_TIMES_PI} does not permute the field linearly")
         basis = 1 << np.arange(ctx.n)
         index, shifted = np.empty((2, q), dtype=np.int64)
-        span = _span(q)
-        for start in range(0, q, span):
-            block = slice(start, start + span)
-            rows = trace_bit_matrix(ctx, gammas, gammas[block])
+        for block in _blocks(gammas, q):
+            rows = trace_bit_matrix(ctx, gammas, block)
             if not _gf2_linear(rows).all():
                 raise VerificationError("a row Tr_n(g x) is not GF(2)-linear")
             for out, xs in ((index, basis), (shifted, times_pi[basis])):
@@ -154,17 +154,14 @@ def _t_table(ctx, params, arows, betas):
 def _popcount_sweep(ctx, params, linear=False):
     """The popcount sweep: bincount of wt(row) = (q - T) / 2 over all 2^(3m)
     pairs, `_t_table` taking every alpha row against max(64, 2^21 // q)
-    betas at a time, on one thread.
+    betas at a time, on one thread. With `linear`, over all 2^(5m) triples,
+    the row adding Tr_n(gamma x), so that wt = (q - S) / 2.
 
-    With `linear`, over all 2^(5m) triples, the row adding Tr_n(gamma x), so
-    that wt = (q - S) / 2.
-    For c != 0, x -> c x permutes the field and keeps each weight, and reads
-    the row of (alpha, beta, gamma) as that of (alpha c^e1, beta c^e2,
-    gamma c). This is proved of c = pi from the bits, on the alpha and beta
-    rows here by `_row_closure` and on the gamma rows by `_gamma_axis`, so
-    it holds for every c = pi^t, that is every c != 0. With c = 1/gamma, the
-    count is the gamma = 0 sweep plus q - 1 times the sweep of the alpha
-    rows XOR Tr_n(x).
+    For c != 0, x -> c x keeps each weight and reads the row of (alpha,
+    beta, gamma) as that of (alpha c^e1, beta c^e2, gamma c): proved of
+    c = pi by `_orbit_closure` and `_gamma_axis`, so of every c = pi^t. With
+    c = 1/gamma, the count is the gamma = 0 sweep plus q - 1 times the sweep
+    of the alpha rows XOR Tr_n(x).
     """
     q, alphas = ctx.q, subfield_elements(ctx, params.m)
     arows, _, _ = _trace_rows(ctx, params, alphas, [], [])
@@ -178,13 +175,8 @@ def _popcount_sweep(ctx, params, linear=False):
     if not linear:
         return counts(arows)
     _gamma_axis(ctx)
-    betas = np.arange(q)
-    _, brows, grows = _trace_rows(ctx, params, [], betas, [1])
-    times_pi = _mul(ctx, betas, ctx.pi)
-    for name, rows, coeffs, e in (("alpha", arows, alphas, params.e_norm),
-                                  ("beta", brows, betas, params.e_quad)):
-        _row_closure(rows, coeffs, _mul(ctx, coeffs, ctx.pow(ctx.pi, e)),
-                     times_pi, name)
+    _orbit_closure(ctx, params)
+    _, _, grows = _trace_rows(ctx, params, [], [], [1])
     return counts(arows) + (q - 1) * counts(arows ^ grows)
 
 
@@ -198,51 +190,50 @@ def t_spectrum(ctx, params):
     return dist
 
 
-def _row_closure(rows, coeffs, images, perm, name):
-    """Prove from the bits that reading at perm (x -> pi x, as x -> perm[x]
-    in mask order) carries a table onto itself: the row of coeffs[i] read at perm is the
-    row of images[i], and perm and the map of each row onto its image's are
-    permutations, the rows compared `_span(q)` at a time. Reading every row
+def _row_closure(build, coeffs, images, perm, name):
+    """Prove from the values that reading at perm (x -> pi x, as x ->
+    perm[x] in mask order) carries a table onto itself: the row build(c) of
+    coeffs[i] read at perm is that of images[i], and perm and coeffs ->
+    images permute, the rows built in `_blocks`. Reading every row
     at perm then permutes the XORs of one row from each such table."""
     q = len(perm)
-    index = np.full(q, -1, dtype=np.int64)
-    index[coeffs] = np.arange(len(coeffs))
-    image = index[images]
+    coeffs, images = np.asarray(coeffs), np.asarray(images)
     if ((np.sort(perm) != np.arange(q)).any()
-            or (np.sort(image) != np.arange(len(rows))).any()):
+            or (np.sort(images) != np.sort(coeffs)).any()):
         raise VerificationError(
             f"{_TIMES_PI} does not permute the {name} rows")
-    span = _span(q)
-    for start in range(0, len(rows), span):
-        block = slice(start, start + span)
-        if (rows[block][:, perm] != rows[image[block]]).any():
+    for block, image in zip(_blocks(coeffs, q), _blocks(images, q)):
+        if (build(block)[:, perm] != build(image)).any():
             raise VerificationError(
                 f"the {name} rows are not closed under {_TIMES_PI}")
 
 
-def _span(q):
-    """Rows of q entries in a block of at most 2^19 entries (at least one)."""
-    return max(1, (1 << 19) // q)
+def _orbit_closure(ctx, params, curves=False):
+    """Prove by `_row_closure` that x -> pi x reads the row of each alpha as
+    that of alpha pi^e1, and of each beta as that of beta pi^e2: on the
+    trace rows (T, S, the gamma-sweep), or with `curves` on the values
+    a' x^e1, a' in GF(2^n), and beta x^e2 (kernel sizes, point counts). As
+    pi^e1 generates GF(2^m)*, alpha = 1 then stands for every alpha != 0."""
+    q, m, k = ctx.q, params.m, params.k
+    if curves:
+        tables = (("a' x^e1", range(q), lambda c: _monomial_rows(ctx, c, m)),
+                  ("beta x^e2", range(q), lambda c: _monomial_rows(ctx, c, k)))
+    else:
+        tables = (("alpha", subfield_elements(ctx, m),
+                   lambda c: _trace_rows(ctx, params, c, [], [])[0]),
+                  ("beta", range(q),
+                   lambda c: _trace_rows(ctx, params, [], c, [])[1]))
+    times_pi = _mul(ctx, np.arange(q), ctx.pi)
+    for (name, coeffs, rows), e in zip(tables, (params.e_norm, params.e_quad)):
+        _row_closure(rows, coeffs, _mul(ctx, coeffs, ctx.pow(ctx.pi, e)),
+                     times_pi, name)
 
 
-def _walsh_sweep(ctx, params, reduce, workers):
-    """The Walsh sweep: the sum, on up to `workers` threads, of
-    reduce(i, betas, W) over its blocks, alpha by alpha, each the alpha of
-    index i against at most `_span(q)` betas in ascending order. W holds
-    each row's Walsh transform over the gamma axis, one row per pair."""
-    q = ctx.q
-    _gamma_axis(ctx)
-    alphas = subfield_elements(ctx, params.m)
-    arows, brows, _ = _trace_rows(ctx, params, alphas, range(q), [])
-    betas, span = np.arange(q), _span(q)
-
-    def work(item):
-        i, block = item
-        return reduce(i, betas[block], _walsh(arows[i] ^ brows[block]))
-
-    return _summed(work, [(i, slice(start, start + span))
-                          for i in range(len(alphas))
-                          for start in range(0, q, span)], workers)
+def _blocks(values, q):
+    """values in consecutive blocks of at most 2^19 // q (at least one), so
+    that a block of rows of q entries holds at most 2^19 entries."""
+    span = max(1, (1 << 19) // q)
+    return [values[i:i + span] for i in range(0, len(values), span)]
 
 
 def s_spectrum(ctx, params):
@@ -255,29 +246,33 @@ def s_spectrum(ctx, params):
     return dist
 
 
-def gamma_sweep(ctx, params, dims, workers=1):
-    """(alpha, beta, rank) of the first pair in each Walsh-sweep block whose
-    S over gamma misses the counts of 0 and +-peak (they sum to q) that
-    `gamma_sweep_formula` gives its rank, s - dims[i, beta]; (0, 0) is left
-    out, having no form."""
+def gamma_sweep(ctx, params, dims):
+    """(alpha, beta, rank) of the first pair in each of the `_blocks` of
+    betas, alpha in {0, 1}, whose S over gamma misses the counts of 0 and
+    +-peak (they sum to q) that `gamma_sweep_formula` gives its rank,
+    s - dims[alpha, beta] of the two `kernel_dims` rows; (0, 0) has no form.
+    `_orbit_closure` and `_gamma_axis` let alpha = 1 stand for alpha != 0."""
     table = np.zeros((params.s + 1, 4), dtype=np.int64)
     for rank in range(0, params.s + 1, 2):
         want = gamma_sweep_formula(params, rank)
         peak = max(want.values)
         table[rank] = peak, want.count(0), want.count(peak), want.count(-peak)
-    alphas = subfield_elements(ctx, params.m)
-
-    def first_off(i, betas, walsh):
-        ranks = params.s - dims[i, betas]
-        peak = table[ranks, :1].astype(walsh.dtype)
-        got = np.stack([(walsh == v).sum(axis=1) for v in (0, peak, -peak)],
-                       axis=1)
-        bad = ((got != table[ranks, 1:]).any(axis=1)
-               & ((betas != 0) | (alphas[i] != 0)))
-        return [(alphas[i], int(betas[j]), int(ranks[j]))
-                for j in np.flatnonzero(bad)[:1]]
-
-    return _walsh_sweep(ctx, params, first_off, workers)
+    _gamma_axis(ctx)
+    _orbit_closure(ctx, params)
+    off = []
+    for alpha in (0, 1):
+        for betas in _blocks(np.arange(ctx.q), ctx.q):
+            arow, brows, _ = _trace_rows(ctx, params, [alpha], betas, [])
+            walsh = _walsh(arow ^ brows)
+            ranks = params.s - dims[alpha, betas]
+            peak = table[ranks, :1].astype(walsh.dtype)
+            got = np.stack([(walsh == v).sum(axis=1)
+                            for v in (0, peak, -peak)], axis=1)
+            bad = ((got != table[ranks, 1:]).any(axis=1)
+                   & ((betas != 0) | (alpha != 0)))
+            off += [(alpha, int(betas[j]), int(ranks[j]))
+                    for j in np.flatnonzero(bad)[:1]]
+    return off
 
 
 def gamma_sweep_formula(params, rank):
@@ -431,36 +426,38 @@ def moments(dist, params):
 def artin_schreier_points(ctx, params, alpha_prime, beta):
     """Exact count of (x, y) with a' x^(2^m+1) + b x^(2^k+1) = y^(2^d) + y.
 
-    Pure point counting: the y side is histogrammed, the x side is a table
-    sweep. Defined for the d' = 2d parameter case. An array of b gives an
-    array of counts, one per b.
+    Pure point counting: the y side is histogrammed, the x side reads the
+    value rows of a' x^e1 and b x^e2. Defined for the d' = 2d parameter
+    case. An array of b gives an array of counts, one per b.
     """
     if params.d_prime != 2 * params.d:
         raise ValueError("point-count identity applies to the d' = 2d case only")
-    x = np.arange(ctx.q, dtype=np.int64)
-    hist = np.bincount(power_table(ctx, 1 << params.d) ^ x, minlength=ctx.q)
-    b = np.asarray(beta, dtype=np.int64)[..., None]
-    # a' x^(2^m+1) + b x^(2^k+1) = x (a' x^(2^m) + b x^(2^k)), so the count
-    # shares no power table with the trace rows T(a, b) is measured from.
-    f = _mul(ctx, x, _mul(ctx, alpha_prime, power_table(ctx, 1 << params.m))
-             ^ _mul(ctx, b, power_table(ctx, 1 << params.k)))
+    y = np.arange(ctx.q)
+    hist = np.bincount(power_table(ctx, 1 << params.d) ^ y, minlength=ctx.q)
+    f = (_monomial_rows(ctx, alpha_prime, params.m)
+         ^ _monomial_rows(ctx, beta, params.k))
     points = hist[f].sum(axis=-1)
     return int(points) if points.ndim == 0 else points
 
 
-def artin_schreier_sweep(ctx, params, workers=1):
-    """(a', beta, points, identity) of the first curve in each Walsh-sweep
-    block, a' over Tr^n_m(a') = alpha, whose count misses q + (2^d - 1) T,
-    T the transform at gamma = 0 widened to int64; (0, 0) is left out."""
-    aprimes = [np.flatnonzero(rel_trace_table(ctx, params.m, params.n) == a)
-               for a in subfield_elements(ctx, params.m)]
-
-    def first_off(i, betas, walsh):
-        want = ctx.q + ((1 << params.d) - 1) * walsh[:, 0].astype(np.int64)
+def artin_schreier_sweep(ctx, params):
+    """(a', beta, points, identity) of the first curve in each of the
+    `_blocks` of betas whose count misses q + (2^d - 1) T(Tr^n_m(a'), beta),
+    a' over 0 and the 2^m + 1 cosets pi^j of the powers of pi^e1; (0, 0) is
+    left out. `_orbit_closure`, on the values and on the trace rows, lets
+    each a' stand for its coset (Tr^n_m is GF(2^m)-linear)."""
+    _orbit_closure(ctx, params, curves=True)
+    _orbit_closure(ctx, params)
+    aprimes = np.append(0, ctx.exp_table[:(1 << params.m) + 1])
+    arows, _, _ = _trace_rows(
+        ctx, params, rel_trace_table(ctx, params.m, params.n)[aprimes], [], [])
+    off = []
+    for betas in _blocks(np.arange(ctx.q), ctx.q):
+        want = ctx.q + ((1 << params.d) - 1) * _t_table(ctx, params, arows,
+                                                          betas)
         got = np.stack([artin_schreier_points(ctx, params, a, betas)
-                        for a in aprimes[i].tolist()])
-        bad = (got != want) & ((aprimes[i][:, None] != 0) | (betas != 0))
-        return [(int(aprimes[i][r]), int(betas[c]), int(got[r, c]),
-                 int(want[c])) for r, c in np.argwhere(bad)[:1]]
-
-    return _walsh_sweep(ctx, params, first_off, workers)
+                        for a in aprimes.tolist()])
+        bad = (got != want) & ((aprimes[:, None] != 0) | (betas != 0))
+        off += [(int(aprimes[r]), int(betas[c]), int(got[r, c]),
+                 int(want[r, c])) for r, c in np.argwhere(bad)[:1]]
+    return off

@@ -8,11 +8,11 @@ psi_{a,b}(z) = b^(2^(n-k)) * z^(2^j+1) + a*z + b with j = (m-k) mod n, which
 in turn is a scaled instance of the classical z^(2^h+1) + c*z + c root-count
 problem whose distribution over c is known exactly. No verify record reads
 psi: the tests check the root-count/kernel link at (4,1), pairing the
-schoolbook `reference.psi_roots_naive` with the `kernel_dims` table.
+schoolbook `reference.psi_roots_naive` with the full kernel table.
 
 The kernel law is checked in one place, `_kernel_dims`, from the phi rows'
-bits, over every pair by `kernel_dims` in the Walsh sweep's `_span` blocks.
-The rank profile is that table's histogram; the gamma-sweep reads its ranks.
+bits, on the rows alpha = 0 and 1 that the rank profile and the gamma-sweep
+read; x -> pi x lets alpha = 1 stand for every alpha != 0.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ from math import gcd
 import numpy as np
 
 from .distribution import VerificationError, _exact, _histogram, _p2
-from .expsum import _eps1, _span, t_spectrum_formula
-from .field import _gf2_linear, _mul, power_table, subfield_elements
+from .expsum import (_blocks, _eps1, _monomial_rows, _orbit_closure,
+                     t_spectrum_formula)
+from .field import _gf2_linear, _mul, power_table
 
 __all__ = [
     "RankProfile", "BluherCounts", "kernel_dims", "rank_profile",
@@ -71,12 +72,12 @@ class BluherCounts:
 
 
 def _phi_rows(ctx, params, alpha, betas):
-    """phi_{alpha,beta}(x) over all x, one row per beta."""
-    betas = np.asarray(betas, dtype=np.int64)[:, None]
-    pnk = power_table(ctx, 1 << (params.n - params.k))
-    return (_mul(ctx, alpha, power_table(ctx, 1 << params.m))
-            ^ _mul(ctx, betas, power_table(ctx, 1 << params.k))
-            ^ _mul(ctx, pnk[betas], pnk))
+    """phi_{alpha,beta}(x) over all x, one row per beta: x phi(x) = alpha x^e1
+    + beta x^e2 + (beta x^e2)^(2^(n-k)), read off the value rows."""
+    x_phi = _monomial_rows(ctx, betas, params.k)
+    x_phi ^= power_table(ctx, 1 << (params.n - params.k))[x_phi]
+    x_phi ^= _monomial_rows(ctx, alpha, params.m)
+    return _mul(ctx, power_table(ctx, ctx.order - 1), x_phi)
 
 
 def _kernel_dims(ctx, params, alpha, betas):
@@ -107,21 +108,23 @@ def _kernel_dims(ctx, params, alpha, betas):
 
 
 def kernel_dims(ctx, params):
-    """Kernel dimension over GF(q0) of every phi_{alpha,beta}: one row per
-    alpha in `subfield_elements` order, one column per beta, `_kernel_dims`
-    taking the betas `_span(q)` at a time, on one thread."""
-    q, span = ctx.q, _span(ctx.q)
-    return np.stack([np.concatenate([
-        _kernel_dims(ctx, params, alpha, range(q)[start:start + span])
-        for start in range(0, q, span)])
-        for alpha in subfield_elements(ctx, params.m)])
+    """Kernel dimensions over GF(q0) of phi_{alpha,beta} for alpha = 0 and
+    1, one row each, the betas in `_blocks`: `_orbit_closure` on the value
+    rows lets alpha = 1 stand for every alpha != 0."""
+    _orbit_closure(ctx, params, curves=True)
+    blocks = _blocks(range(ctx.q), ctx.q)
+    return np.stack([np.concatenate([_kernel_dims(ctx, params, alpha, betas)
+                                     for betas in blocks])
+                     for alpha in (0, 1)])
 
 
 def rank_profile(dims, params):
-    """Rank counts over all (alpha, beta) != (0, 0) from the `kernel_dims`
-    table."""
+    """Rank counts over all (alpha, beta) != (0, 0): the alpha = 0 row of
+    `kernel_dims` plus 2^m - 1 times its alpha = 1 row."""
     # (0, 0), the first pair, has no form.
-    counts = _histogram(dims.ravel()[1:])
+    counts = _histogram(dims[0, 1:])
+    counts.update({dim: c * ((1 << params.m) - 1)
+                   for dim, c in _histogram(dims[1]).items()})
     unexpected = {key: c for key, c in counts.items() if key not in (0, 2, 4)}
     if unexpected:
         raise VerificationError(f"kernel dimensions outside 0/2/4 observed: {unexpected}")

@@ -1,13 +1,18 @@
 """Schoolbook reference implementations used to freeze golden test values.
 
-Everything here but the last function is deliberately naive: carry-less
+Everything here up to `correlation_naive` is deliberately naive: carry-less
 polynomial arithmetic on int bit masks, repeated-squaring powers, power-sum
 traces, direct summation. No exp/log tables, no numpy, no imports from the
 package under test. Slow but obvious; the test suite trusts this file over
-everything else. The last, `correlation_rep_major`, keeps the decimation-orbit
-correlation kernel in the representative-major form the package once ran, in
-numpy, as an oracle at sizes the naive sweeps cannot reach; it too
-imports nothing from the package, and takes the orbits as given.
+everything else. The rest keep, in numpy, sweeps the package once ran, as
+oracles at sizes the naive sweeps cannot reach.
+`correlation_rep_major` keeps the decimation-orbit correlation kernel in
+its representative-major form; it imports nothing from the package, and
+takes the orbits as given. `kernel_dims`, `gamma_sweep` and
+`artin_schreier_sweep` run over every pair, or every curve, without the
+x -> pi x orbit rule the package applies: they read the package's field
+tables, per-pair kernel validator, trace rows and Walsh transform, each
+checked against the naive functions above by the tests.
 """
 
 from collections import Counter
@@ -16,13 +21,18 @@ from math import gcd
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from kasamilab import expsum, linearized
+from kasamilab.field import (_mul, power_table, rel_trace_table,
+                             subfield_elements)
+
 __all__ = [
     "gf2_mul", "gf2_pow", "trace_rel", "smallest_primitive", "subfield",
     "t_value", "s_value", "t_spectrum_naive", "s_spectrum_naive",
     "gamma_sweep_naive", "kernel_count_naive", "kernel_profile_naive",
     "psi_roots_naive", "bluher_naive", "as_points_naive", "min_poly_naive",
     "codeword_bits_c1", "codeword_bits_c2", "family_naive", "correlation_naive",
-    "correlation_rep_major",
+    "correlation_rep_major", "kernel_dims", "gamma_sweep",
+    "artin_schreier_sweep",
 ]
 
 
@@ -360,3 +370,52 @@ def correlation_rep_major(bits, orbit, sizes, rows, dtype=np.float64):
     hist = hist.reshape(M + 1, M)
     acc = hist.sum(0) + hist[:M].sum(1)
     return {2 * a - L: int(c) for a, c in enumerate(acc) if c}
+
+
+def kernel_dims(ctx, params):
+    """Kernel dimension over GF(q0) of every phi_{alpha,beta}: the full
+    table, one row per alpha in `subfield_elements` order, one column per
+    beta."""
+    return np.stack([linearized._kernel_dims(ctx, params, alpha, range(ctx.q))
+                     for alpha in subfield_elements(ctx, params.m)])
+
+
+def gamma_sweep(ctx, params, dims):
+    """(alpha, beta, rank) of the first pair of each alpha whose S over
+    gamma, its Walsh transform, is not the gamma-sweep law of its rank
+    s - dims[i, beta] in the full `kernel_dims` table; (0, 0) is left out."""
+    alphas = subfield_elements(ctx, params.m)
+    arows, brows, _ = expsum._trace_rows(ctx, params, alphas, range(ctx.q), [])
+    off = []
+    for i, alpha in enumerate(alphas):
+        for beta, row in enumerate(expsum._walsh(arows[i] ^ brows)):
+            rank = params.s - int(dims[i, beta])
+            if (alpha or beta) and Counter(row.tolist()) != \
+                    expsum.gamma_sweep_formula(params, rank).as_dict():
+                off.append((alpha, beta, rank))
+                break
+    return off
+
+
+def artin_schreier_sweep(ctx, params):
+    """(a', beta, points, identity) of every curve off q + (2^d - 1) T, T
+    the Walsh transform at gamma = 0 of the pair (Tr^n_m(a'), beta), alpha
+    by alpha: every a' of trace alpha against every beta, (0, 0) left out.
+    The x side is x (a' x^(2^m)) + x (beta x^(2^k)) over every x."""
+    q, x = ctx.q, np.arange(ctx.q)
+    hist = np.bincount(power_table(ctx, 1 << params.d) ^ x, minlength=q)
+    bvals = _mul(ctx, x, _mul(ctx, x[:, None],
+                              power_table(ctx, 1 << params.k)))
+    traces = rel_trace_table(ctx, params.m, params.n)
+    alphas = subfield_elements(ctx, params.m)
+    arows, brows, _ = expsum._trace_rows(ctx, params, alphas, x, [])
+    off = []
+    for i, alpha in enumerate(alphas):
+        t = expsum._walsh(arows[i] ^ brows)[:, 0].astype(np.int64)
+        want = q + ((1 << params.d) - 1) * t
+        for a in np.flatnonzero(traces == alpha).tolist():
+            avals = _mul(ctx, x, _mul(ctx, a, power_table(ctx, 1 << params.m)))
+            got = hist[avals ^ bvals].sum(axis=1)
+            off += [(a, b, int(got[b]), int(want[b]))
+                    for b in np.flatnonzero(got != want).tolist() if a or b]
+    return off

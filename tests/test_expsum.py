@@ -1,6 +1,7 @@
 """Exponential sums: brute-force spectra against closed-form tables."""
 
 import json
+import re
 import tracemalloc
 from collections import Counter
 
@@ -13,7 +14,7 @@ import reference as ref
 from kasamilab import (ValueDistribution, VerificationError,
                        artin_schreier_points, build_field, derive_params,
                        expsum, gamma_sweep_formula, kernel_dims,
-                       moment_targets, moments, s_spectrum,
+                       moment_targets, moments, rank_profile, s_spectrum,
                        s_spectrum_formula, subfield_elements, t_spectrum,
                        t_spectrum_formula)
 from kasamilab.cli import main
@@ -117,12 +118,12 @@ def test_walsh_dtype_holds_every_shifted_value(n):
 
 
 def test_int16_and_int32_walsh_agree(ctx6, p61, monkeypatch):
-    # Moving the rank of two pairs makes the gamma-sweep name them, on
-    # either dtype.
+    # Moving the rank of a pair in each of the two rows makes the
+    # gamma-sweep name them, on either dtype.
     rows = pair_rows(ctx6, p61)
     ctx8, p8 = build_field(8), derive_params(8, 2)
     dims = kernel_dims(ctx8, p8)
-    dims[1, 3] += 2
+    dims[0, 3] += 2
     dims[-1, -1] += 2
     narrow = expsum._walsh(rows), expsum.gamma_sweep(ctx8, p8, dims)
     monkeypatch.setattr(expsum, "_walsh_dtype", lambda n: np.int32)
@@ -161,30 +162,36 @@ def test_s_sweep_memory_bounded_by_its_span():
 def test_gamma_sweep_memory_bounded_by_its_span():
     # A span transforms 512 beta rows of 1024 entries, 2^19: their uint8 bits
     # gathered and XORed (2 x 0.5 MB), the int16 transform and its butterfly
-    # buffer (2 MB) and one bool comparison (0.5 MB), next to the q x q beta
-    # rows (1 MB). A q x q block per alpha needs 8 MB.
+    # buffer (2 MB) and one bool comparison (0.5 MB); the closure proof
+    # builds the beta rows a span at a time. A q x q block per alpha needs
+    # 8 MB.
     ctx, p = build_field(10), derive_params(10, 1)
     dims = kernel_dims(ctx, p)
-    assert traced_peak(expsum.gamma_sweep, ctx, p, dims,
-                       workers=1) < 12 * (1 << 19)
+    assert traced_peak(expsum.gamma_sweep, ctx, p, dims) < 12 * (1 << 19)
 
 
 def test_gamma_sweep_reads_every_pair_of_every_block():
-    # At n = 10 a block holds 512 betas. Moving the rank of the last pair of
-    # the first block and of the last block names exactly those two pairs.
+    # At n = 10 a block holds 512 betas, so each of the rows alpha = 0 and
+    # alpha = 1 has two. Moving the rank of the last pair of every block
+    # names exactly those four pairs, row by row.
     ctx, p = build_field(10), derive_params(10, 1)
     dims = kernel_dims(ctx, p)
-    dims[0, 511] += 2
-    dims[-1, -1] += 2
-    alphas = subfield_elements(ctx, p.m)
-    assert expsum.gamma_sweep(ctx, p, dims, 2) == [
-        (0, 511, p.s - dims[0, 511]), (alphas[-1], 1023, p.s - dims[-1, -1])]
+    dims[:, 511::512] += 2
+    assert expsum.gamma_sweep(ctx, p, dims) == [
+        (alpha, beta, p.s - dims[alpha, beta])
+        for alpha in (0, 1) for beta in (511, 1023)]
+
+
+def orbit_representatives(ctx, params):
+    """a' = 0 and pi^j for 0 <= j <= 2^m, one per orbit of a' -> a' pi^e1."""
+    return [0] + [ctx.pow(ctx.pi, j) for j in range((1 << params.m) + 1)]
 
 
 def test_artin_schreier_sweep_counts_every_curve_once_per_block(
         monkeypatch):
     # Each call counts the curves of one a' over at most one block of betas;
-    # together the calls count all q^2 curves, each once.
+    # together the calls count the curves of every orbit representative
+    # a', against every beta, each once, and no other curve.
     ctx, p = build_field(10), derive_params(10, 1)
     calls, counted = [], np.zeros((ctx.q, ctx.q), dtype=np.int64)
 
@@ -194,20 +201,24 @@ def test_artin_schreier_sweep_counts_every_curve_once_per_block(
         return np.zeros(len(betas), dtype=np.int64)
 
     monkeypatch.setattr(expsum, "artin_schreier_points", recording)
-    expsum.artin_schreier_sweep(ctx, p, workers=2)
+    expsum.artin_schreier_sweep(ctx, p)
+    reps = orbit_representatives(ctx, p)
+    assert len(set(reps)) == (1 << p.m) + 2
     assert max(calls) <= (1 << 19) // ctx.q
-    assert (counted == 1).all()
+    assert (counted[reps] == 1).all()
+    assert counted.sum() == len(reps) * ctx.q
 
 
 def test_artin_schreier_sweep_names_the_curve_in_the_last_block(
         monkeypatch):
     # Counts read off the identity, through the popcount kernel, with one
-    # point more on the last curve of the last block: only it is named.
+    # point more on the last curve of the last block, that of the last
+    # orbit representative: only it is named.
     ctx, p = build_field(10), derive_params(10, 1)
     sub = subfield_elements(ctx, p.m)
     t = t_table(ctx, p, sub, range(ctx.q))
     traces = rel_trace_table(ctx, p.m, p.n)
-    last = int(np.flatnonzero(traces == sub[-1])[-1])
+    last = orbit_representatives(ctx, p)[-1]
 
     def identity(ctx, params, alpha_prime, betas):
         counts = ctx.q + ((1 << params.d) - 1) * t[
@@ -216,8 +227,9 @@ def test_artin_schreier_sweep_names_the_curve_in_the_last_block(
         return counts
 
     monkeypatch.setattr(expsum, "artin_schreier_points", identity)
-    want = ctx.q + ((1 << p.d) - 1) * int(t[-1, -1])
-    assert expsum.artin_schreier_sweep(ctx, p, workers=2) == [
+    want = ctx.q + ((1 << p.d) - 1) * int(
+        t[sub.index(traces[last]), -1])
+    assert expsum.artin_schreier_sweep(ctx, p) == [
         (last, ctx.q - 1, want + 1, want)]
 
 
@@ -266,20 +278,36 @@ def test_flipped_bit_breaks_the_times_pi_closure(ctx6, p61, monkeypatch,
         s_spectrum(ctx6, p61)
 
 
+@pytest.mark.parametrize("sweep", ["gamma_sweep", "artin_schreier_sweep"])
+@pytest.mark.parametrize("axis,name", [(0, "alpha"), (1, "beta")])
+def test_per_pair_checks_need_the_trace_rows_closed_under_pi(
+        ctx6, p61, monkeypatch, sweep, axis, name):
+    # alpha = 1 stands for every alpha != 0 only on that licence.
+    args = (kernel_dims(ctx6, p61),) if sweep == "gamma_sweep" else ()
+    coeff = subfield_elements(ctx6, 3)[2] if axis == 0 else 5
+    flip_row_bit(monkeypatch, axis, coeff)
+    with pytest.raises(VerificationError,
+                       match=f"{name} rows are not closed under x -> pi x"):
+        getattr(expsum, sweep)(ctx6, p61, *args)
+
+
 def test_row_closure_needs_both_maps_to_permute():
     # Row i of the identity read at the swap of 0 and 1 is the row of the
     # swap of i; a map that sends two rows, or two entries, to one is no
     # licence, whatever the rows read.
     rows, ids, swap = np.eye(4, dtype=np.uint8), np.arange(4), [1, 0, 2, 3]
-    expsum._row_closure(rows, ids, ids, ids, "unit")
-    expsum._row_closure(rows, ids, np.array(swap), np.array(swap), "unit")
+    def build(coeffs):
+        return rows[coeffs]
+
+    expsum._row_closure(build, ids, ids, ids, "unit")
+    expsum._row_closure(build, ids, np.array(swap), np.array(swap), "unit")
     with pytest.raises(VerificationError,
                        match="unit rows are not closed under x -> pi x"):
-        expsum._row_closure(rows, ids, ids, np.array(swap), "unit")
+        expsum._row_closure(build, ids, ids, np.array(swap), "unit")
     for images, perm in (([0, 0, 2, 3], ids), (ids, [0, 0, 2, 3])):
         with pytest.raises(VerificationError,
                            match="x -> pi x does not permute the unit rows"):
-            expsum._row_closure(rows, ids, np.array(images), np.array(perm),
+            expsum._row_closure(build, ids, np.array(images), np.array(perm),
                                 "unit")
 
 
@@ -291,6 +319,85 @@ def test_verify_records_a_broken_times_pi_closure(tmp_path, monkeypatch):
     record = next(r for r in report["records"] if r["name"] == "s-spectrum")
     assert record["status"] == "mismatch"
     assert "not closed under x -> pi x" in record["detail"]
+
+
+def flip_value_bit(monkeypatch, h, coeff, x=3):
+    """Patch the value rows c x^(2^h+1) where the orbit proof builds them
+    as a table: flip bit 0 of coeff's row at x."""
+    build = expsum._monomial_rows
+
+    def flipped(ctx, coeffs, hh):
+        rows = build(ctx, coeffs, hh)
+        if hh == h and np.ndim(coeffs) == 1:
+            rows[np.asarray(coeffs) == coeff, x] ^= 1
+        return rows
+
+    monkeypatch.setattr(expsum, "_monomial_rows", flipped)
+
+
+@pytest.mark.parametrize("h,coeff,name", [(3, 7, "a' x^e1"),
+                                          (1, 5, "beta x^e2")],
+                         ids=["a-prime", "beta"])
+def test_kernel_dims_needs_the_value_rows_closed_under_pi(
+        ctx6, p61, monkeypatch, h, coeff, name):
+    # The kernel sizes read the phi rows off the unpatched value rows: only
+    # the orbit proof sees the flipped entry.
+    flip_value_bit(monkeypatch, h, coeff)
+    with pytest.raises(VerificationError,
+                       match=re.escape(f"{name} rows are not closed")):
+        kernel_dims(ctx6, p61)
+
+
+@pytest.mark.parametrize("h,coeff,name", [(3, 7, "a' x^e1"),
+                                          (1, 5, "beta x^e2")],
+                         ids=["a-prime", "beta"])
+def test_artin_schreier_needs_the_value_rows_closed_under_pi(
+        ctx6, p61, monkeypatch, h, coeff, name):
+    flip_value_bit(monkeypatch, h, coeff)
+    with pytest.raises(VerificationError,
+                       match=re.escape(f"{name} rows are not closed")):
+        expsum.artin_schreier_sweep(ctx6, p61)
+
+
+def test_verify_records_a_broken_value_row(tmp_path, monkeypatch):
+    # Only the kernel sizes and the point counts read the value rows.
+    flip_value_bit(monkeypatch, 1, 5)
+    assert main(["verify", "--n", "6", "--k", "1",
+                 "--out", str(tmp_path)]) == 2
+    report = json.loads((tmp_path / "report.json").read_text())
+    failed = {r["name"]: r["detail"] for r in report["records"]
+              if r["status"] == "mismatch"}
+    assert list(failed) == ["rank-profile", "gamma-sweep", "artin-schreier"]
+    assert all("beta x^e2 rows are not closed under x -> pi x" in detail
+               for detail in failed.values())
+
+
+VALID_NK = [(n, k) for n in (4, 6, 8) for k in range(1, n) if k != n // 2]
+
+
+@pytest.mark.parametrize("n,k", VALID_NK)
+def test_orbit_rule_matches_the_full_tables(n, k):
+    # The two kernel rows give the rank profile of the full table, and the
+    # gamma-sweep and Artin-Schreier, on orbit representatives, find no
+    # pair or curve off its law, as the sweeps over every pair do.
+    ctx, p = build_field(n), derive_params(n, k)
+    dims, full = kernel_dims(ctx, p), ref.kernel_dims(ctx, p)
+    profile = Counter(full.ravel()[1:].tolist())
+    prof = rank_profile(dims, p)
+    assert (prof.n0, prof.n2, prof.n4) == (profile[0], profile[2],
+                                          profile[4])
+    assert expsum.gamma_sweep(ctx, p, dims) == \
+        ref.gamma_sweep(ctx, p, full) == []
+    if p.d_prime == 2 * p.d:
+        assert expsum.artin_schreier_sweep(ctx, p) == \
+            ref.artin_schreier_sweep(ctx, p) == []
+
+
+@pytest.mark.slow
+def test_artin_schreier_orbit_rule_matches_the_full_sweep_n10():
+    ctx, p = build_field(10), derive_params(10, 1)
+    assert expsum.artin_schreier_sweep(ctx, p) == \
+        ref.artin_schreier_sweep(ctx, p) == []
 
 
 @pytest.mark.parametrize("n", range(4, 13, 2))
@@ -363,16 +470,6 @@ def test_last_row_note_only_in_two_regime_case():
     assert not t_spectrum_formula(derive_params(8, 2)).notes
 
 
-def test_spectrum_workers_equivalent(ctx6, p61):
-    # The gamma-sweep is the threaded reduction of each pair's spectrum over
-    # gamma; one moved rank is the first off pair on any thread count.
-    dims = kernel_dims(ctx6, p61)
-    dims[5, 17] += 2
-    want = [(subfield_elements(ctx6, 3)[5], 17, p61.s - dims[5, 17])]
-    assert expsum.gamma_sweep(ctx6, p61, dims, workers=1) == want
-    assert expsum.gamma_sweep(ctx6, p61, dims, workers=3) == want
-
-
 @pytest.mark.parametrize("nk", sorted(MOMENTS))
 def test_moment_targets_frozen(nk):
     assert moment_targets(derive_params(*nk)) == MOMENTS[nk]
@@ -423,7 +520,7 @@ def test_gamma_sweep_matches_oracle(ctx4, p41):
 
 def test_gamma_sweep_formula_exhaustive(ctx4, p41):
     rows = gamma_rows(ctx4, p41)
-    ranks = p41.s - kernel_dims(ctx4, p41).ravel()
+    ranks = p41.s - ref.kernel_dims(ctx4, p41).ravel()
     # Row 0 is the pair (0, 0), which has no form.
     for row, rank in zip(rows[1:], ranks[1:].tolist()):
         assert Counter(row.tolist()) == \

@@ -15,16 +15,17 @@ holds no `assert` statement, since `python -O` strips them: each fact it
 checks raises an error of its own. Only the correlation sweep,
 `sequences.correlation_distribution`, holds a matrix product (`@`,
 `np.matmul` or `np.dot`), and only `sequences.py` names a float dtype; every
-other sweep counts bits or runs the Walsh transform. Only the Walsh sweep,
-`expsum._walsh_sweep`, calls `_walsh`, and only the gamma-sweep and
-Artin-Schreier, which need each pair's transform, call the Walsh sweep; only
-the T table, whose spans the popcount sweep bincounts, calls `_popcounts`,
-only that sweep calls the T table, and only T, S and the code weights call
-that sweep; only the two sweeps
-prove the gamma axis; only the two sweeps and the codewords build trace
-rows, and only the Walsh sweep's Artin-Schreier reduction counts points. So
-the (alpha, beta) plane is tiled in two places. Every entry of the check
-registry is a `cli.Check`, so `verify` runs one kind of check.
+other sweep counts bits or runs the Walsh transform. Only the gamma-sweep
+calls `_walsh`; only the T table, whose spans the popcount sweep bincounts,
+calls `_popcounts`; only that sweep and Artin-Schreier call the T table, and
+only T, S and the code weights call that sweep; only the popcount sweep and
+the gamma-sweep prove the gamma axis; only the popcount sweep, the
+gamma-sweep, Artin-Schreier, the orbit-closure proof and the codewords build
+trace rows, and only Artin-Schreier counts points. Only the correlation
+sweep, `sequences.correlation_distribution`, sums its work over threads
+(`_summed`, `_thread_count`), and only `distribution._summed` opens a thread
+pool, so no per-pair check is threaded. Every entry of the check registry is
+a `cli.Check`, so `verify` runs one kind of check.
 """
 
 import ast
@@ -241,27 +242,32 @@ def test_only_the_correlation_sweep_names_a_float_dtype(path):
     assert float_dtypes(path.read_text()) == []
 
 
-# kernel -> the (module, top-level function)s allowed to call it: the two
-# sweeps and the checks that reduce them (the Walsh sweep only the two that
-# read each pair's transform, the popcount sweep T, S and the code weights),
-# the Walsh kernel, the gamma-axis proof both sweeps read, the T table that
-# the popcount sweep reads span by span, the trace rows both sweeps and the
-# codewords are built from, and the point counts the Walsh sweep's
-# Artin-Schreier reduction reads.
+# kernel -> the (module, top-level function)s allowed to call it: the
+# popcount sweep (T, S and the code weights) and the T table it reads span
+# by span, which Artin-Schreier also reads; the Walsh kernel, which only the
+# gamma-sweep reads; the gamma-axis proof; the trace rows, which the orbit
+# closure proves; the point counts; and the thread pool, which only the
+# correlation sweep sums its work over.
 KERNEL_CALLERS = {
-    "_walsh_sweep": {("expsum.py", "gamma_sweep"),
-                     ("expsum.py", "artin_schreier_sweep")},
     "_popcount_sweep": {("expsum.py", "t_spectrum"),
                         ("expsum.py", "s_spectrum"),
                         ("codes.py", "weight_distribution")},
-    "_walsh": {("expsum.py", "_walsh_sweep")},
-    "_gamma_axis": {("expsum.py", "_walsh_sweep"),
+    "_walsh": {("expsum.py", "gamma_sweep")},
+    "_gamma_axis": {("expsum.py", "gamma_sweep"),
                     ("expsum.py", "_popcount_sweep")},
     "_popcounts": {("expsum.py", "_t_table")},
-    "_t_table": {("expsum.py", "_popcount_sweep")},
+    "_t_table": {("expsum.py", "_popcount_sweep"),
+                 ("expsum.py", "artin_schreier_sweep")},
     "_trace_rows": {("expsum.py", "_popcount_sweep"),
-                    ("expsum.py", "_walsh_sweep"), ("codes.py", "_word_rows")},
+                    ("expsum.py", "gamma_sweep"),
+                    ("expsum.py", "artin_schreier_sweep"),
+                    ("expsum.py", "_orbit_closure"),
+                    ("codes.py", "_word_rows")},
     "artin_schreier_points": {("expsum.py", "artin_schreier_sweep")},
+    "_summed": {("sequences.py", "correlation_distribution")},
+    "_thread_count": {("sequences.py", "correlation_distribution"),
+                      ("distribution.py", "_summed")},
+    "ThreadPoolExecutor": {("distribution.py", "_summed")},
 }
 
 
@@ -290,14 +296,17 @@ def test_kernel_guard_flags_every_kernel_call():
               "def _check_artin_schreier(run):\n"
               "    rows = _trace_rows(ctx, params, alphas, [], [])\n"
               "    t = expsum._t_table(ctx, params, rows, betas)\n"
-              "    return artin_schreier_points(ctx, params, 1, betas)\n")
+              "    return artin_schreier_points(ctx, params, 1, betas)\n"
+              "def gamma_sweep(ctx, params, dims):\n"
+              "    return _summed(work, items, _thread_count(2, 4))\n")
     assert kernel_calls(source) == [
         (2, "_gamma_axis", "_walsh_sweep"), (2, "_walsh", "_walsh_sweep"),
         (5, "_popcounts", "s_spectrum"), (5, "_walsh", "s_spectrum"),
         (6, "_gamma_axis", None),
         (8, "_trace_rows", "_check_artin_schreier"),
         (9, "_t_table", "_check_artin_schreier"),
-        (10, "artin_schreier_points", "_check_artin_schreier")]
+        (10, "artin_schreier_points", "_check_artin_schreier"),
+        (12, "_summed", "gamma_sweep"), (12, "_thread_count", "gamma_sweep")]
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
