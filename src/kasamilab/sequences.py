@@ -9,41 +9,42 @@ predicted exactly by compositions of the closed-form sum distributions. The
 literally tabulated histogram rows are also evaluated and compared, and any
 discrepancy is reported as a flag, never silently repaired.
 
-The measured histogram reads only the members' bits, packed eight to a
-byte. Decimation by 2 permutes the family up to rotation, which every sweep
-re-checks. The sweep then takes one representative per decimation orbit,
-weighted by the orbit's size, against its own orbit and, weighted twice for
-the swapped pairs, every later orbit; every pair at every shift is still
-counted. The largest orbits come first. The members are unpacked to signs
-one tile at a time, a tile whose size comes from L, which the threads share;
-each thread adds its products into its histogram a chunk of fixed size at a
-time, so no buffer holds floats for the whole family and each thread's
-are bounded by L, not by the family size. Each column of that circulant
-product packs two shifts: the agreement counts a, a' in [0, L] of shifts
-tau and tau + 1 read as the one index a + (L + 1) a'. The product is
-float32 only while every partial sum is exact in it (n <= 10), else
-float64.
+The family is one uint8 matrix, a row per member holding its bits packed
+eight to a byte, XORed from packed trace rows; every reader takes its rows
+from there. Decimation by 2 permutes the family up to rotation, which
+every sweep re-checks. The sweep then takes one representative per
+decimation orbit, weighted by the orbit's size, against its own orbit and,
+weighted twice for the swapped pairs, every later orbit; every pair at
+every shift is still counted. The largest orbits come first. The members
+are unpacked to signs one tile of 4 (L + 2) members at a time (or the
+largest orbit, if more), which the threads share; each thread adds its
+products into its histogram a chunk of fixed size at a time, so no buffer
+holds floats for the whole family and each thread's are bounded by L, not
+by the family size. Each column of that circulant product packs two
+shifts: the agreement counts a, a' in [0, L] of shifts tau and tau + 1
+read as the one index a + (L + 1) a'. The product is float32 only while
+every partial sum is exact in it (n <= 10), else float64.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .codes import _word_rows, _words
+from .codes import _word_rows
 from .distribution import (ValueDistribution, VerificationError, _exact,
-                           _p2, _pack_bits, _summed, _thread_count,
-                           pack_bits_hex)
+                           _p2, _summed, _thread_count)
 from .expsum import (_b_sum, _den2, _eps2, _xi2, s_spectrum_formula,
                      t_spectrum_formula)
 from .field import _cycles, _factorize, subfield_elements
 
 __all__ = [
-    "BinarySequence", "SequenceFamily", "family_size", "build_family",
+    "SequenceFamily", "family_size", "build_family",
     "correlation_distribution",
     "correlation_distribution_formula", "correlation_table_printed",
     "check_inequivalence", "family_dump_lines", "INEQUIVALENCE_MAX_N",
@@ -53,25 +54,68 @@ __all__ = [
 INEQUIVALENCE_MAX_N = 6
 
 
-@dataclass(frozen=True, eq=False)
-class BinarySequence:
-    """One period of a binary sequence plus its family label."""
-
-    label: str
-    bits: np.ndarray
+def _unpacked(rows, L):
+    """The L bits of each packed row (or of the one row given), as uint8."""
+    return np.unpackbits(rows, axis=-1, count=L, bitorder="little")
 
 
 @dataclass(frozen=True, eq=False)
 class SequenceFamily:
-    """All members for one parameter set, in deterministic build order."""
+    """All members for one parameter set, in deterministic build order.
+
+    Member i is row i of `rows`: its L = 2^n - 1 bits packed eight to a
+    byte, bit lam at bit lam % 8 of byte lam // 8 (numpy's bitorder
+    "little", the order of `pack_bits_hex`). Labels are made when read,
+    from the subfield elements `alphas` of the F1 members and the
+    coefficients `norm_betas` of the F2 members.
+    """
 
     params: object
-    members: tuple
-    expected_size: int
+    rows: np.ndarray
+    alphas: tuple = ()
+    norm_betas: tuple = ()
 
     @property
     def size(self):
-        return len(self.members)
+        return len(self.rows)
+
+    @property
+    def expected_size(self):
+        return family_size(self.params)
+
+    def label(self, i):
+        """F1(alpha,beta), F2(beta) or F3: the label of member i."""
+        q = self.params.q
+        f1 = len(self.alphas) * q
+        if i < f1:
+            return f"F1({self.alphas[i // q]},{i % q})"
+        if i < f1 + len(self.norm_betas):
+            return f"F2({self.norm_betas[i - f1]})"
+        return "F3"
+
+    @property
+    def members(self):
+        """Each member as a record of its label and its unpacked bits, made
+        when read and never stored; `bench/layers.py` counts the
+        correlation work from it."""
+        return _Members(self)
+
+
+class _Members(Sequence):
+    """The members of a family, unpacked one at a time as they are read."""
+
+    def __init__(self, family):
+        self._family = family
+
+    def __len__(self):
+        return self._family.size
+
+    def __getitem__(self, i):
+        fam = self._family
+        i = range(fam.size)[i]
+        return SimpleNamespace(
+            label=fam.label(i),
+            bits=_unpacked(fam.rows[i], fam.params.q - 1))
 
 
 def family_size(params):
@@ -89,23 +133,24 @@ def build_family(ctx, params):
 
     Members are code words: F1(alpha, beta) is the c2 word of (alpha, beta,
     1), F2(beta) the c1 word of (1, beta) and F3 the c1 word of (0, 1).
+    Packing commutes with XOR, so the words are XORed from the packed
+    rows, and no unpacked word matrix of the family is ever held.
     """
-    q = ctx.q
     sub = subfield_elements(ctx, params.m)
-    rows = _word_rows(ctx, params, sub, range(q), [1])
-    members = [BinarySequence(label=f"F1({alpha},{beta})", bits=bits)
-               for (alpha, beta), bits in zip(product(sub, range(q)),
-                                              _words(rows))]
-    arows, brows, _ = rows
+    # Packed in C order (the rows come in Fortran order), so that the XOR
+    # and the concatenation stream.
+    arows, brows, grows = (
+        np.ascontiguousarray(np.packbits(rows, axis=1, bitorder="little"))
+        for rows in _word_rows(ctx, params, sub, range(ctx.q), [1]))
+    blocks = [(arows[:, None] ^ (brows ^ grows)).reshape(-1, arows.shape[1])]
+    norm_betas = []
     if params.case in ("EvenM", "EvenK"):
-        norm_row = arows[sub.index(1)]
-        members += [BinarySequence(label=f"F2({beta})",
-                                   bits=norm_row ^ brows[beta])
-                    for beta in ctx.exp_table[:(1 << params.m) - 1].tolist()]
+        norm_betas = ctx.exp_table[:(1 << params.m) - 1].tolist()
+        blocks.append(arows[sub.index(1)] ^ brows[norm_betas])
     if params.case == "EvenK":
-        members.append(BinarySequence(label="F3", bits=brows[1]))
-    fam = SequenceFamily(params=params, members=tuple(members),
-                         expected_size=family_size(params))
+        blocks.append(brows[1:2])
+    fam = SequenceFamily(params=params, rows=np.concatenate(blocks),
+                         alphas=tuple(sub), norm_betas=tuple(norm_betas))
     if fam.size != fam.expected_size:
         raise VerificationError(
             f"family has {fam.size} members, expected {fam.expected_size}")
@@ -115,32 +160,40 @@ def build_family(ctx, params):
 def _decimation_orbits(packed, L):
     """Orbits of the member rows under decimation by 2, checked from the bits.
 
-    The rows are the members' L bits packed eight to a byte, and each is
-    unpacked on its own, one at a time. The decimation s[2 lam mod L] of
-    every row must equal some row up to rotation, and n steps of the image
-    map must return every row to itself (so it permutes the rows). Rows are
-    looked up by their packed bits. Returns each row's orbit id and the
-    size of every orbit, the orbits numbered largest first and, within one
-    size, in order of their first row.
+    The rows are the members' L bits packed eight to a byte. They are
+    unpacked, decimated and packed again in blocks of rows; the decimation
+    s[2 lam mod L] of every row must equal some row up to rotation, and n
+    steps of the image map must return every row to itself (so it permutes
+    the rows). Rows are looked up by their packed bits, at rotation 0
+    first, which finds the F1 images, as they are exact; only a row missed
+    there is looked up at every rotation. Returns each row's orbit id and
+    the size of every orbit, the orbits numbered largest first and, within
+    one size, in order of their first row.
     """
     index = {row.tobytes(): i for i, row in enumerate(packed)}
     decimation = 2 * np.arange(L) % L
-    image = []
-    for i, row in enumerate(packed):
-        # Rotation 0 first: it finds the F1 images, which are exact.
-        twice = np.tile(np.unpackbits(row, count=L)[decimation], 2)
-        for r in range(L):
-            j = index.get(np.packbits(twice[r:r + L]).tobytes())
-            if j is not None:
-                image.append(j)
-                break
-        else:
-            raise VerificationError(
-                f"the decimation of member {i} is no member up to rotation")
-    orbit, _, sizes = _cycles(np.array(image), L.bit_length())
+    image = np.empty(len(packed), dtype=np.int64)
+    block = max(1, _CHUNK // L)
+    for lo in range(0, len(packed), block):
+        bits = _unpacked(packed[lo:lo + block], L)[:, decimation]
+        images = np.packbits(bits, axis=1, bitorder="little")
+        for i, row in enumerate(images):
+            j = index.get(row.tobytes())
+            if j is None:
+                # Row r of the windows is the decimation rotated by r.
+                turned = np.packbits(
+                    sliding_window_view(np.tile(bits[i], 2)[:-1], L),
+                    axis=1, bitorder="little")
+                j = next((index[t.tobytes()] for t in turned
+                          if t.tobytes() in index), None)
+            if j is None:
+                raise VerificationError(f"the decimation of member {lo + i} "
+                                        f"is no member up to rotation")
+            image[lo + i] = j
+    orbit, _, sizes = _cycles(image, L.bit_length())
     by_size = np.argsort(-sizes, kind="stable")
     renumber = np.argsort(by_size)
-    return renumber[orbit].tolist(), sizes[by_size].tolist()
+    return renumber[orbit], sizes[by_size].tolist()
 
 
 def _product_dtype(L):
@@ -157,15 +210,18 @@ def _product_dtype(L):
 
 
 def _tile_rows(L, largest):
-    """Members per tile of the correlation product of period L: 8 (L + 2),
+    """Members per tile of the correlation product of period L: 4 (L + 2),
     so that each representative's product over a tile outweighs its
-    circulant of L (L + 1)/2 entries, rebuilt for every tile, 8 (L + 2)
+    circulant of L (L + 1)/2 entries, rebuilt for every tile, 4 (L + 2)
     times; or the largest decimation orbit if more, so that an own orbit
-    spans at most two tiles."""
-    return max(largest, 8 * (L + 2))
+    spans at most two tiles. The tile bounds the shared signs, 4 (L + 2)
+    rows of L + 1 floats, and each thread's product, 4 (L + 2) rows of
+    (L + 1)/2."""
+    return max(largest, 4 * (L + 2))
 
 
-# Product entries cast to intp and added into the histogram at a time.
+# Entries handled at a time: product entries cast to intp and added into
+# the histogram, or member bits unpacked to find their decimation images.
 _CHUNK = 1 << 16
 
 
@@ -190,56 +246,56 @@ def correlation_distribution(family, workers=1):
     the (M + 1) x M histogram drops it. The product dtype comes from L
     (`_product_dtype`), so the indices are exact at every n.
 
-    The members are held packed eight to a byte, in orbit order, and swept
-    tile by tile, `_tile_rows` members each. A tile is unpacked to signs
-    once and read, never written, by the threads, which share out the
-    representatives whose first row lies before the tile's end; each
-    sweeps the tile's rows from its first row on, weighting the rows
-    [first, first + w) of its own orbit by w, wherever tile and chunk
-    edges fall, and every later row by 2w. Per thread there is one
-    circulant, one tile's product, one chunk of `_CHUNK` entries cast to
-    intp at a time and one histogram of M (M + 1) int64 bins, which
-    `np.add.at` adds each chunk into in place: bounded by L, not by the
-    family size, and no histogram-sized temporary per product.
+    The family's packed rows are taken in orbit order and swept tile by
+    tile, `_tile_rows` members each: 4 (L + 2), or the largest orbit if
+    more. A tile is unpacked to signs once and read, never written, by the
+    threads, which share out the representatives whose first row lies
+    before the tile's end; each sweeps the tile's rows from its first row
+    on, weighting the rows [first, first + w) of its own orbit by w,
+    wherever tile and chunk edges fall, and every later row by 2w. Per
+    thread there is one circulant, built transposed from contiguous
+    windows of the representative's signs, one tile's product, one chunk
+    of `_CHUNK` entries cast to intp at a time and one histogram of
+    M (M + 1) int64 bins, which `np.add.at` adds each chunk into in place:
+    bounded by L, not by the family size, and no histogram-sized temporary
+    per product.
     """
-    count, L = family.size, len(family.members[0].bits)
-    packed = np.empty((count, -(-L // 8)), dtype=np.uint8)
-    for i, member in enumerate(family.members):
-        packed[i] = np.packbits(member.bits)
-    orbit, sizes = _decimation_orbits(packed, L)
-    packed = packed[np.argsort(orbit, kind="stable")]
+    count, L = family.size, family.params.q - 1
+    orbit, sizes = _decimation_orbits(family.rows, L)
+    packed = family.rows[np.argsort(orbit, kind="stable")]
     starts = np.cumsum([0] + sizes)
     M, dtype = L + 1, _product_dtype(L)
     bins = M * (M + 1)
     rows = min(count, _tile_rows(L, max(sizes)))
     chunk = max(1, _CHUNK // (M // 2))
+    # A representative's bits twice over, read through one index.
+    wrap = np.arange(2 * L) % L
     # One tile of members, each bit b as the sign 1 - 2b, over a column of
     # ones (zeros before the map) that meets the packed last row.
     signs = np.ones((rows, L + 1), dtype=dtype)
 
     def work(item):
-        # With r the representative's signs taken mod L, circ[mu, j] =
-        # c[mu + 2 j] for c[i] = (r[i] + M r[i + 1]) / 2 over a last row of
-        # L (M + 1) / 2 that meets the ones: entry (i, j) of signs @ circ
-        # reads a_tau + M a_tau+1 at tau = 2 j, with a_tau = (Corr(member i,
-        # rep, tau) + L) / 2. The last column is r[mu + L - 1] / 2 over the
-        # sentinel's L / 2 + M^2.
+        # With r the representative's signs taken mod L, circ[j, mu] =
+        # c[mu + 2 j] for c[i] = (r[i] + M r[i + 1]) / 2 over a last column
+        # of L (M + 1) / 2 that meets the ones: entry (i, j) of signs @
+        # circ.T reads a_tau + M a_tau+1 at tau = 2 j, with a_tau =
+        # (Corr(member i, rep, tau) + L) / 2. The last row is r[mu + L - 1]
+        # / 2 over the sentinel's L / 2 + M^2.
         lo, hi, reps = item
         hist = np.zeros(bins, dtype=np.int64)
-        circ = np.empty((L + 1, M // 2), dtype=dtype)
-        circ[L] = L * (M + 1) / 2
-        circ[L, -1] = L / 2 + M * M
+        circ = np.empty((M // 2, L + 1), dtype=dtype)
+        circ[:, L] = L * (M + 1) / 2
+        circ[-1, L] = L / 2 + M * M
         prod = np.empty((hi - lo, M // 2), dtype=dtype)
         idx = np.empty((chunk, M // 2), dtype=np.intp)
         for a in reps:
             first, w = starts[a], sizes[a]
-            r = 1 - 2 * np.unpackbits(packed[first], count=L).astype(dtype)
-            twice = np.tile(r, 2)
+            twice = 1 - 2 * _unpacked(packed[first], L)[wrap].astype(dtype)
             c = (twice[:-1] + M * twice[1:]) / 2
-            circ[:L] = sliding_window_view(c, L)[::2].T
-            circ[:L, -1] = twice[L - 1:-1] / 2
+            circ[:, :L] = sliding_window_view(c, L)[::2]
+            circ[-1, :L] = twice[L - 1:-1] / 2
             top = max(lo, first)
-            np.matmul(signs[top - lo:hi - lo], circ, out=prod[:hi - top])
+            np.matmul(signs[top - lo:hi - lo], circ.T, out=prod[:hi - top])
             for start in range(top, hi, chunk):
                 end = min(start + chunk, hi)
                 cast = idx[:end - start]
@@ -258,7 +314,7 @@ def correlation_distribution(family, workers=1):
     for lo in range(0, count, rows):
         hi = min(lo + rows, count)
         tile = signs[:hi - lo, :L]
-        tile[...] = np.unpackbits(packed[lo:hi], axis=1, count=L)
+        tile[...] = _unpacked(packed[lo:hi], L)
         tile *= -2
         tile += 1
         # The orbits whose first row lies before hi, dealt out in turn: the
@@ -503,8 +559,7 @@ def check_inequivalence(family):
                          f"n <= {INEQUIVALENCE_MAX_N}")
     L = params.q - 1
     mask = (1 << L) - 1
-    packed = [int.from_bytes(_pack_bits(member.bits), "little")
-              for member in family.members]
+    packed = [int.from_bytes(row, "little") for row in family.rows]
 
     def rot(v, r):
         return ((v >> r) | (v << (L - r))) & mask
@@ -519,4 +574,5 @@ def check_inequivalence(family):
 
 def family_dump_lines(family):
     """label,hex rows in build order."""
-    return [f"{m.label},{pack_bits_hex(m.bits)}" for m in family.members]
+    return [f"{family.label(i)},{row.tobytes().hex()}"
+            for i, row in enumerate(family.rows)]

@@ -8,7 +8,9 @@ everything else. The rest keep, in numpy, sweeps the package once ran, as
 oracles at sizes the naive sweeps cannot reach.
 `correlation_rep_major` keeps the decimation-orbit correlation kernel in
 its representative-major form; it imports nothing from the package, and
-takes the orbits as given. `kernel_dims`, `gamma_sweep` and
+takes the orbits as given. `decimation_orbits_per_row` finds those orbits
+one packed row at a time, as the package once did, and imports nothing
+from it either. `kernel_dims`, `gamma_sweep` and
 `artin_schreier_sweep` run over every pair, or every curve, without the
 x -> pi x orbit rule the package applies: they read the package's field
 tables, per-pair kernel validator, trace rows and Walsh transform, each
@@ -31,8 +33,8 @@ __all__ = [
     "gamma_sweep_naive", "kernel_count_naive", "kernel_profile_naive",
     "psi_roots_naive", "bluher_naive", "as_points_naive", "min_poly_naive",
     "codeword_bits_c1", "codeword_bits_c2", "family_naive", "correlation_naive",
-    "correlation_rep_major", "kernel_dims", "gamma_sweep",
-    "artin_schreier_sweep",
+    "correlation_rep_major", "decimation_orbits_per_row", "kernel_dims",
+    "gamma_sweep", "artin_schreier_sweep",
 ]
 
 
@@ -370,6 +372,46 @@ def correlation_rep_major(bits, orbit, sizes, rows, dtype=np.float64):
     hist = hist.reshape(M + 1, M)
     acc = hist.sum(0) + hist[:M].sum(1)
     return {2 * a - L: int(c) for a, c in enumerate(acc) if c}
+
+
+def decimation_orbits_per_row(packed, L):
+    """Orbit id of each row and size of each orbit under decimation by 2 up
+    to rotation, the orbits numbered largest first, then by least row.
+
+    The rows hold L bits packed eight to a byte in numpy's bitorder
+    "little". Each row is unpacked, decimated and looked up on its own, at
+    rotation 0 first; each image must be a row, and following the images
+    from any row must come back to it.
+    """
+    index = {row.tobytes(): i for i, row in enumerate(packed)}
+    decimation = 2 * np.arange(L) % L
+    image = []
+    for i, row in enumerate(packed):
+        bits = np.unpackbits(row, count=L, bitorder="little")[decimation]
+        twice = np.tile(bits, 2)
+        for r in range(L):
+            j = index.get(np.packbits(twice[r:r + L], bitorder="little")
+                          .tobytes())
+            if j is not None:
+                image.append(j)
+                break
+        else:
+            raise ValueError(f"the decimation of row {i} is no row up to "
+                             f"rotation")
+    least = []
+    for i, j in enumerate(image):
+        low = i
+        for _ in image:
+            if j == i:
+                break
+            low, j = min(low, j), image[j]
+        else:
+            raise ValueError(f"row {i} lies on no cycle of the images")
+        least.append(low)
+    sizes = Counter(least)
+    order = sorted(sizes, key=lambda low: (-sizes[low], low))
+    ids = {low: o for o, low in enumerate(order)}
+    return [ids[low] for low in least], [sizes[low] for low in order]
 
 
 def kernel_dims(ctx, params):

@@ -171,7 +171,8 @@ def test_09_sequence_family():
     elapsed = time.perf_counter() - t0
     printed = {v: int(c) for v, c in correlation_table_printed(p)}
     ok = (fam.size == 67
-          and all(len(m.bits) == 15 for m in fam.members)
+          and np.unpackbits(fam.rows, axis=1, count=15,
+                            bitorder="little").shape == (67, 15)
           and check_inequivalence(fam)
           and hist.total == 67335
           and hist.count(15) == 67

@@ -3,6 +3,7 @@
 import json
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -10,12 +11,12 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 import reference as ref
-from kasamilab import (BinarySequence, SequenceFamily, VerificationError,
-                       build_family, build_field, check_inequivalence,
+from kasamilab import (SequenceFamily, VerificationError, build_family,
+                       build_field, check_inequivalence,
                        correlation_distribution,
                        correlation_distribution_formula,
                        correlation_table_printed, derive_params,
-                       family_dump_lines, family_size)
+                       family_dump_lines, family_size, pack_bits_hex)
 from kasamilab.cli import main
 from kasamilab.distribution import _thread_count
 from kasamilab.sequences import _CHUNK, _decimation_orbits, _product_dtype
@@ -50,10 +51,15 @@ NOTES_82 = (
 )
 
 
+def bits_of(family):
+    """The members' bits, one uint8 row of 2^n - 1 per member."""
+    return np.unpackbits(family.rows, axis=1, count=family.params.q - 1,
+                         bitorder="little")
+
+
 def all_pairs_sweep(family):
     """Correlation histogram of every pair at every shift, shift by shift."""
-    signs = 1 - 2 * np.stack([m.bits for m in family.members]).astype(
-        np.float32)
+    signs = 1 - 2 * bits_of(family).astype(np.float32)
     L = signs.shape[1]
     hist = np.zeros(2 * L + 1, dtype=np.int64)
     for tau in range(L):
@@ -64,9 +70,8 @@ def all_pairs_sweep(family):
 
 
 def orbits_of(family):
-    """_decimation_orbits of the family's bits packed eight to a byte."""
-    bits = np.stack([m.bits for m in family.members])
-    return _decimation_orbits(np.packbits(bits, axis=1), bits.shape[1])
+    """_decimation_orbits of the family's packed rows."""
+    return _decimation_orbits(family.rows, family.params.q - 1)
 
 
 def one_shift_orbit_sweep(family):
@@ -75,7 +80,7 @@ def one_shift_orbit_sweep(family):
     Every entry of signs @ circ is Corr + L, read off a bincount over
     [0, 2L]; products in float64.
     """
-    mats = np.stack([m.bits for m in family.members])
+    mats = bits_of(family)
     count, L = mats.shape
     orbit, sizes = orbits_of(family)
     signs = np.ones((count, L + 1))
@@ -95,12 +100,9 @@ def one_shift_orbit_sweep(family):
 
 def flipped_family(family, index=5, bit=1):
     """The family with one bit of one member flipped."""
-    members = list(family.members)
-    member = members[index]
-    bits = member.bits.copy()
-    bits[bit] ^= 1
-    members[index] = BinarySequence(member.label, bits)
-    return SequenceFamily(family.params, tuple(members), family.expected_size)
+    rows = family.rows.copy()
+    rows[index, bit // 8] ^= 1 << bit % 8
+    return replace(family, rows=rows)
 
 
 @pytest.mark.parametrize("nk,size", sorted(SIZES.items()))
@@ -113,7 +115,10 @@ def test_family_build(nk):
     n, k = nk
     fam = build_family(build_field(n), derive_params(n, k))
     assert fam.size == fam.expected_size == SIZES[nk]
-    assert all(len(m.bits) == (1 << n) - 1 for m in fam.members)
+    assert bits_of(fam).shape == (fam.size, (1 << n) - 1)
+    # Packed eight to a byte, the one bit past the period left 0.
+    assert fam.rows.shape == (fam.size, 1 << (n - 3))
+    assert not (fam.rows[:, -1] >> 7).any()
 
 
 @pytest.mark.parametrize("n,k,mod", [(4, 1, 0x13), (6, 1, 0x43),
@@ -122,14 +127,15 @@ def test_family_matches_oracle(n, k, mod):
     # One point per parity case: EvenM, BothOdd, EvenK.
     fam = build_family(build_field(n, mod), derive_params(n, k))
     naive = ref.family_naive(k, mod, n)
-    assert [m.label for m in fam.members] == [label for label, _ in naive]
-    for member, (_, bits) in zip(fam.members, naive):
-        assert tuple(int(b) for b in member.bits) == bits
+    assert [fam.label(i) for i in range(fam.size)] == \
+        [label for label, _ in naive]
+    for row, (_, bits) in zip(bits_of(fam), naive):
+        assert tuple(int(b) for b in row) == bits
 
 
 def test_correlation_shift_symmetry(ctx4, p41):
     fam = build_family(ctx4, p41)
-    a, b = (fam.members[i].bits.tolist() for i in (3, 64))
+    a, b = bits_of(fam)[[3, 64]].tolist()
     L = len(a)
     for tau in range(L):
         assert ref.correlation_naive(a, b, L - tau) == \
@@ -193,7 +199,7 @@ def test_correlation_orbit_spans_capped(ctx4, p41, recording_pool):
         CORRELATIONS[(4, 1)]
     assert recording_pool == [(threads, threads)] == [(4, 4)]
     # F1(0,0) is the m-sequence Tr(x), its own orbit: one span, no pool.
-    alone = SequenceFamily(p41, fam.members[:1], 1)
+    alone = SequenceFamily(p41, fam.rows[:1])
     assert correlation_distribution(alone, workers=10 ** 6).as_dict() == \
         {-1: 14, 15: 1}
     assert recording_pool == [(4, 4)]
@@ -218,12 +224,11 @@ def one_orbit_tiles(monkeypatch):
     return largest
 
 
-def constant_family(params, n):
+def constant_family(n):
     """The all-zero and the all-one sequence of period 2^n - 1."""
-    L = (1 << n) - 1
-    return SequenceFamily(params, tuple(
-        BinarySequence(label, np.full(L, bit, dtype=np.uint8))
-        for label, bit in (("zero", 0), ("one", 1))), 2)
+    bits = np.repeat(np.uint8([[0], [1]]), (1 << n) - 1, axis=1)
+    return SequenceFamily(derive_params(n, 1),
+                          np.packbits(bits, axis=1, bitorder="little"))
 
 
 @pytest.mark.parametrize("n,k,mod", ORACLE_CASES)
@@ -269,11 +274,11 @@ def test_orbit_sweep_across_tile_and_chunk_edges_matches_all_pairs_oracle(
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("n", [4, 6])
-def test_constant_members_fill_both_end_bins(p41, n, workers):
+def test_constant_members_fill_both_end_bins(n, workers):
     # Both members are fixed by decimation. Their agreement counts are 0
     # and L only: the first bin, the top bin, and the odd-L sentinel column.
     L = (1 << n) - 1
-    assert correlation_distribution(constant_family(p41, n),
+    assert correlation_distribution(constant_family(n),
                                     workers=workers).as_dict() == \
         {L: 2 * L, -L: 2 * L}
 
@@ -281,10 +286,10 @@ def test_constant_members_fill_both_end_bins(p41, n, workers):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("n", [4, 6])
 def test_constant_members_fill_both_end_bins_in_tiles_of_one(
-        one_orbit_tiles, p41, n, workers):
+        one_orbit_tiles, n, workers):
     # One member per tile: the first orbit's later member is its own tile.
     L = (1 << n) - 1
-    assert correlation_distribution(constant_family(p41, n),
+    assert correlation_distribution(constant_family(n),
                                     workers=workers).as_dict() == \
         {L: 2 * L, -L: 2 * L}
     assert one_orbit_tiles == [1]
@@ -347,7 +352,7 @@ def test_correlation_memory_linear_in_family(ctx6, p61):
     # No |F|^2 buffer: one all-pairs float32 product per shift and its intp
     # copy alone would take 12 |F|^2 bytes, about 3 MB here.
     fam = build_family(ctx6, p61)
-    count, L = fam.size, len(fam.members[0].bits)
+    count, L = fam.size, fam.params.q - 1
     tracemalloc.start()
     try:
         correlation_distribution(fam)
@@ -358,16 +363,17 @@ def test_correlation_memory_linear_in_family(ctx6, p61):
 
 
 def test_correlation_memory_bounded_by_its_tile(ctx8, p82):
-    # Per member entry, the float32 signs and the stacked bits: 5 bytes.
-    # Per thread, one tile of rows members: a float32 product and its intp
-    # copy, 12 bytes for each of M/2 columns. Then a few int64 histograms
-    # of M (M + 1) bins. 10.04 MiB here; a sweep whose buffers hold all |F|
-    # members instead of one tile peaks at 12.56 MiB.
+    # Per member, the packed bits with their orbit bookkeeping: under
+    # L/8 + 129 bytes. One tile of rows members as float32 signs, and per
+    # thread one tile's float32 product and its intp copy, 12 bytes for
+    # each of M/2 columns. Then a few int64 histograms of M (M + 1) bins.
+    # 5.14 MiB here; a sweep whose buffers hold all |F| members instead of
+    # one tile peaks at 7.34 MiB.
     fam = build_family(ctx8, p82)
-    count, L = fam.size, len(fam.members[0].bits)
+    count, L = fam.size, fam.params.q - 1
     M = L + 1
     _, sizes = orbits_of(fam)
-    rows = min(count, max(max(sizes), 8 * (L + 2)))
+    rows = min(count, max(max(sizes), 4 * (L + 2)))
     tracemalloc.start()
     try:
         correlation_distribution(fam)
@@ -375,25 +381,43 @@ def test_correlation_memory_bounded_by_its_tile(ctx8, p82):
     finally:
         tracemalloc.stop()
     assert rows < count
-    assert peak < 5 * count * (L + 1) + 12 * rows * M // 2 + 32 * M * (M + 1)
+    assert peak < (count * (L // 8 + 129) + 4 * rows * (L + 1)
+                   + 12 * rows * M // 2 + 32 * M * (M + 1))
 
 
 def test_correlation_memory_has_no_family_sized_float_term(ctx8, p82):
-    # Shared: the packed bits with their orbit bookkeeping, under L/8 + 128
+    # Shared: the packed bits with their orbit bookkeeping, under L/8 + 129
     # bytes a member, and one tile of rows members as float32 signs. On
     # the one thread: the float32 circulant and one tile's float32 product,
     # one chunk of _CHUNK intp entries and one int64 histogram of M (M + 1)
-    # bins. No |F| L float term: 4.77 MiB here, where float32 signs of
-    # every member alone take 4.0 MiB.
+    # bins. No |F| L float term: 3.26 MiB here, where float32 signs of
+    # every member alone take 4.0 MiB, and a tile of 8 (L + 2) members
+    # peaks at 4.36 MiB. The sweep itself stays under 3 MiB.
     fam = build_family(ctx8, p82)
-    count, L = fam.size, len(fam.members[0].bits)
+    count, L = fam.size, fam.params.q - 1
     M = L + 1
     _, sizes = orbits_of(fam)
-    rows = min(count, max(max(sizes), 8 * (L + 2)))
+    rows = min(count, max(max(sizes), 4 * (L + 2)))
     bound = (count * (L // 8 + 129) + 4 * rows * (L + 1)
              + 4 * (L + 1 + rows) * M // 2 + 8 * _CHUNK + 8 * M * (M + 1))
-    assert rows < count and bound < 6 * 2 ** 20
-    assert traced_peak(correlation_distribution, fam, workers=1) < bound
+    assert rows < count and bound < 7 * 2 ** 19
+    assert traced_peak(correlation_distribution, fam, workers=1) < \
+        min(bound, 3 * 2 ** 20)
+
+
+def test_family_holds_its_packed_rows(ctx8, p82):
+    # ceil(L/8) bytes a member and a few hundred bytes besides: 0.13 MiB,
+    # where one uint8 array per member took 2.07 MiB. A first build fills
+    # the field's cached tables, which the family does not hold.
+    build_family(ctx8, p82)
+    tracemalloc.start()
+    try:
+        fam = build_family(ctx8, p82)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fam.rows.nbytes == fam.size * -(-(fam.params.q - 1) // 8)
+    assert held < fam.size * (fam.rows.shape[1] + 8) < 2 ** 20 // 5
 
 
 @pytest.mark.slow
@@ -405,16 +429,14 @@ def test_tiled_sweep_matches_rep_major_kernel_on_n10_orbits(monkeypatch):
     params = derive_params(10, 1)
     fam = build_family(build_field(10), params)
     orbit, sizes = orbits_of(fam)
-    members = tuple(m for m, o in zip(fam.members, orbit) if o < 150)
-    sub = SequenceFamily(params, members, len(members))
+    sub = SequenceFamily(params, fam.rows[orbit < 150])
     monkeypatch.setattr("kasamilab.sequences._tile_rows", lambda L, size: 400)
-    bits = np.stack([m.bits for m in members])
     # float32 holds that kernel's product exactly at n = 10, as it does the
     # sweep's (test_packed_product_exact_in_its_dtype).
-    want = ref.correlation_rep_major(bits, *orbits_of(sub), len(members),
+    want = ref.correlation_rep_major(bits_of(sub), *orbits_of(sub), sub.size,
                                      np.float32)
     assert correlation_distribution(sub, workers=2).as_dict() == want
-    assert len(members) == sum(sizes[:150]) == 1500
+    assert sub.size == sum(sizes[:150]) == 1500
     assert _product_dtype(1023) == np.float32 and _CHUNK < 400 * 512
 
 
@@ -456,9 +478,8 @@ def test_inequivalence_guard(ctx8, p82):
 def test_pure_quadratic_member_autocorrelation(ctx6, p62):
     # gcd(2^k + 1, 2^n - 1) = 1 here, so the last member is an m-sequence.
     fam = build_family(ctx6, p62)
-    f3 = fam.members[-1]
-    assert f3.label == "F3"
-    bits = f3.bits.tolist()
+    assert fam.label(fam.size - 1) == "F3"
+    bits = bits_of(fam)[-1].tolist()
     assert all(ref.correlation_naive(bits, bits, tau) == -1
                for tau in range(1, 63))
 
@@ -470,3 +491,38 @@ def test_family_dump(ctx4, p41):
     assert lines[0].startswith("F1(0,0),")
     label, hexbits = lines[-1].split(",")
     assert label == "F2(4)" and len(hexbits) == 4
+
+
+@pytest.mark.parametrize("n,k,mod", [(4, 1, 0x13), (6, 2, 0x43)])
+def test_family_dump_matches_per_member_formatting(tmp_path, n, k, mod):
+    # --dump-family writes the lines each member's label and hex bits made
+    # when every member was an array of its own.
+    want = [f"{label},{pack_bits_hex(bits)}"
+            for label, bits in ref.family_naive(k, mod, n)]
+    assert family_dump_lines(build_family(build_field(n, mod),
+                                          derive_params(n, k))) == want
+    assert main(["correlation", "--n", str(n), "--k", str(k),
+                 "--dump-family", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "family.txt").read_bytes() == \
+        ("\n".join(want) + "\n").encode()
+
+
+ORBIT_POINTS = [(n, k) for n in (4, 6, 8) for k in range(1, n) if k != n // 2]
+
+
+@pytest.mark.parametrize("n,k", ORBIT_POINTS)
+def test_decimation_orbits_match_the_per_row_oracle(n, k):
+    fam = build_family(build_field(n), derive_params(n, k))
+    orbit, sizes = orbits_of(fam)
+    want = ref.decimation_orbits_per_row(fam.rows, fam.params.q - 1)
+    assert (orbit.tolist(), sizes) == want
+
+
+def test_members_are_unpacked_as_read(ctx6, p62):
+    fam = build_family(ctx6, p62)
+    members = fam.members
+    assert len(members) == fam.size == 520
+    assert members[-1].label == "F3" and members[0].label == "F1(0,0)"
+    assert (members[-1].bits == bits_of(fam)[-1]).all()
+    with pytest.raises(IndexError):
+        members[fam.size]
