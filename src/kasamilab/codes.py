@@ -96,8 +96,8 @@ CYCLICITY_EXHAUSTIVE_MAX_N = 6
 def _word_rows(ctx, params, alphas, betas, gammas):
     """The trace rows of expsum at x = pi^lam, lam in [0, 2^n - 1): uint8 rows
     of Tr_m(a pi^(lam e1)), Tr_n(b pi^(lam e2)) and Tr_n(g pi^lam), one row
-    per coefficient; a codeword XORs one of each."""
-    return tuple(rows[:, ctx.exp_table]
+    per coefficient, in C order; a codeword XORs one of each."""
+    return tuple(np.take(rows, ctx.exp_table, axis=1)
                  for rows in _trace_rows(ctx, params, alphas, betas, gammas))
 
 

@@ -39,14 +39,19 @@ _TIMES_PI = "x -> pi x"
 def _trace_rows(ctx, params, alphas, betas, gammas):
     """uint8 rows over x in GF(2^n), in mask order, of Tr_m(a x^e1),
     Tr_n(b x^e2) and Tr_n(g x), one row per coefficient; every a must lie in
-    GF(2^m)."""
+    GF(2^m). Each row is written straight into its table, so the working
+    memory beside the tables is O(q): an alpha row through one product of
+    logs and one relative-trace gather, the others by `trace_bit_matrix`."""
     alphas = np.asarray(alphas, dtype=np.int64)
     outside = alphas[power_table(ctx, 1 << params.m)[alphas] != alphas]
     if len(outside):
         raise ValueError(f"alpha {int(outside[0]):#x} is not in the "
                          f"GF(2^{params.m}) subfield")
-    norm = _mul(ctx, alphas[:, None], power_table(ctx, params.e_norm))
-    arows = rel_trace_table(ctx, 1, params.m)[norm].astype(np.uint8)
+    norm = power_table(ctx, params.e_norm)
+    trace_m = rel_trace_table(ctx, 1, params.m)
+    arows = np.empty((len(alphas), ctx.q), dtype=np.uint8)
+    for row, alpha in zip(arows, alphas.tolist()):
+        np.take(trace_m, _mul(ctx, alpha, norm), out=row)
     brows = trace_bit_matrix(ctx, power_table(ctx, params.e_quad), betas)
     grows = trace_bit_matrix(ctx, np.arange(ctx.q), gammas)
     return arows, brows, grows
@@ -132,30 +137,41 @@ def _gamma_axis(ctx):
         ctx._cache["gamma_axis"] = True
 
 
-def _popcounts(arows, brows):
-    """wt(a ^ b) for each bit row a of arows (a row of the result) and b of
-    brows (a column), the rows packed into u2 (n = 4) or u8 words."""
-    words = f"u{min(8, brows.shape[-1] // 8)}"
-    b = np.packbits(brows, axis=-1).view(words)
-    out = np.empty((len(arows), len(b)), dtype=np.intp)
-    for row, a in zip(out, np.packbits(arows, axis=-1).view(words)):
+def _popcounts(apacked, bpacked):
+    """wt(a ^ b) for each row a of apacked (a row of the result) and b of
+    bpacked (a column): rows of bits packed eight to a byte by
+    `np.packbits`, read as u2 (n = 4) or u8 words."""
+    words = f"u{min(8, bpacked.shape[-1])}"
+    b = bpacked.view(words)
+    out = np.empty((len(apacked), len(b)), dtype=np.intp)
+    for row, a in zip(out, apacked.view(words)):
         np.bitwise_count(a ^ b).sum(axis=1, out=row)
     return out
 
 
-def _t_table(ctx, params, arows, betas):
-    """T(alpha, beta) = q - 2 wt(row) for each alpha row of trace bits (one
-    row of the result each) and each beta (one column each), the row being
-    the alpha row XOR the bits Tr_n(b x^e2)."""
-    brows = trace_bit_matrix(ctx, power_table(ctx, params.e_quad), betas)
-    return ctx.q - 2 * _popcounts(arows, brows)
+def _t_table(ctx, params, apacked, betas):
+    """T(alpha, beta) = q - 2 wt(row) for each packed alpha row of trace bits
+    (one row of the result each) and each beta (one column each), the row
+    being the alpha row XOR the bits Tr_n(b x^e2). The beta rows are built
+    in `_blocks` and each block is packed as it is built, so only one block
+    of them is ever unpacked."""
+    q, base = ctx.q, power_table(ctx, params.e_quad)
+    bpacked = np.empty((len(betas), q // 8), dtype=np.uint8)
+    done = 0
+    for block in _blocks(betas, q):
+        bpacked[done:done + len(block)] = np.packbits(
+            trace_bit_matrix(ctx, base, block), axis=-1)
+        done += len(block)
+    return q - 2 * _popcounts(apacked, bpacked)
 
 
 def _popcount_sweep(ctx, params, linear=False):
     """The popcount sweep: bincount of wt(row) = (q - T) / 2 over all 2^(3m)
     pairs, `_t_table` taking every alpha row against max(64, 2^21 // q)
-    betas at a time, on one thread. With `linear`, over all 2^(5m) triples,
-    the row adding Tr_n(gamma x), so that wt = (q - S) / 2.
+    betas at a time, on one thread: a span of beta rows is at most 256 kB
+    packed up to n = 14, and is never held unpacked. The alpha rows are
+    packed once, and only the packed rows are kept. With `linear`, over all
+    2^(5m) triples, the row adding Tr_n(gamma x), so that wt = (q - S) / 2.
 
     For c != 0, x -> c x keeps each weight and reads the row of (alpha,
     beta, gamma) as that of (alpha c^e1, beta c^e2, gamma c): proved of
@@ -164,7 +180,7 @@ def _popcount_sweep(ctx, params, linear=False):
     of the alpha rows XOR Tr_n(x).
     """
     q, alphas = ctx.q, subfield_elements(ctx, params.m)
-    arows, _, _ = _trace_rows(ctx, params, alphas, [], [])
+    apacked = np.packbits(_trace_rows(ctx, params, alphas, [], [])[0], axis=-1)
     chunk = max(64, (1 << 21) // q)
     spans = [range(i, min(i + chunk, q)) for i in range(0, q, chunk)]
 
@@ -173,11 +189,11 @@ def _popcount_sweep(ctx, params, linear=False):
                                >> 1, minlength=q + 1) for betas in spans)
 
     if not linear:
-        return counts(arows)
+        return counts(apacked)
     _gamma_axis(ctx)
     _orbit_closure(ctx, params)
-    _, _, grows = _trace_rows(ctx, params, [], [], [1])
-    return counts(arows) + (q - 1) * counts(arows ^ grows)
+    gpacked = np.packbits(_trace_rows(ctx, params, [], [], [1])[2], axis=-1)
+    return counts(apacked) + (q - 1) * counts(apacked ^ gpacked)
 
 
 def t_spectrum(ctx, params):
@@ -194,8 +210,9 @@ def _row_closure(build, coeffs, images, perm, name):
     """Prove from the values that reading at perm (x -> pi x, as x ->
     perm[x] in mask order) carries a table onto itself: the row build(c) of
     coeffs[i] read at perm is that of images[i], and perm and coeffs ->
-    images permute, the rows built in `_blocks`. Reading every row
-    at perm then permutes the XORs of one row from each such table."""
+    images permute, the rows built in `_blocks` and compared in place of
+    the rows read at perm. Reading every row at perm then permutes the XORs
+    of one row from each such table."""
     q = len(perm)
     coeffs, images = np.asarray(coeffs), np.asarray(images)
     if ((np.sort(perm) != np.arange(q)).any()
@@ -203,7 +220,8 @@ def _row_closure(build, coeffs, images, perm, name):
         raise VerificationError(
             f"{_TIMES_PI} does not permute the {name} rows")
     for block, image in zip(_blocks(coeffs, q), _blocks(images, q)):
-        if (build(block)[:, perm] != build(image)).any():
+        rows = np.take(build(block), perm, axis=1)
+        if np.not_equal(rows, build(image), out=rows).any():
             raise VerificationError(
                 f"the {name} rows are not closed under {_TIMES_PI}")
 
@@ -449,11 +467,11 @@ def artin_schreier_sweep(ctx, params):
     _orbit_closure(ctx, params, curves=True)
     _orbit_closure(ctx, params)
     aprimes = np.append(0, ctx.exp_table[:(1 << params.m) + 1])
-    arows, _, _ = _trace_rows(
-        ctx, params, rel_trace_table(ctx, params.m, params.n)[aprimes], [], [])
+    traces = rel_trace_table(ctx, params.m, params.n)[aprimes]
+    apacked = np.packbits(_trace_rows(ctx, params, traces, [], [])[0], axis=-1)
     off = []
     for betas in _blocks(np.arange(ctx.q), ctx.q):
-        want = ctx.q + ((1 << params.d) - 1) * _t_table(ctx, params, arows,
+        want = ctx.q + ((1 << params.d) - 1) * _t_table(ctx, params, apacked,
                                                           betas)
         got = np.stack([artin_schreier_points(ctx, params, a, betas)
                         for a in aprimes.tolist()])

@@ -137,10 +137,8 @@ def build_family(ctx, params):
     rows, and no unpacked word matrix of the family is ever held.
     """
     sub = subfield_elements(ctx, params.m)
-    # Packed in C order (the rows come in Fortran order), so that the XOR
-    # and the concatenation stream.
     arows, brows, grows = (
-        np.ascontiguousarray(np.packbits(rows, axis=1, bitorder="little"))
+        np.packbits(rows, axis=1, bitorder="little")
         for rows in _word_rows(ctx, params, sub, range(ctx.q), [1]))
     blocks = [(arows[:, None] ^ (brows ^ grows)).reshape(-1, arows.shape[1])]
     norm_betas = []

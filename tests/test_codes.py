@@ -275,19 +275,21 @@ def test_weights_are_popcounts_of_every_word(nk):
 
 
 def test_c2_sweep_memory_bounded_by_its_span():
-    # Two popcount sweeps, gamma = 0 and gamma = 1, over spans of 1024 beta
-    # rows of 1024 uint8 bits, 1 MB, and the closure proofs over the q x q
-    # beta and gamma tables, 1 MB each, in blocks of 512 rows. Walsh
-    # transforms of every (alpha, beta) pair over the gamma axis take more.
+    # Two popcount sweeps, gamma = 0 and gamma = 1, each over one span of
+    # 1024 beta rows, 128 kB packed, and the closure proofs over the beta
+    # and gamma tables in blocks of 512 rows, 1.5 MB with a block's image
+    # and comparison. Walsh transforms of every (alpha, beta) pair over the
+    # gamma axis take more.
     ctx, p = build_field(10), derive_params(10, 1)
-    assert traced_peak(weight_distribution, ctx, p, "c2") < 8 * (1 << 20)
+    assert traced_peak(weight_distribution, ctx, p, "c2") < 3 * (1 << 20)
 
 
 def test_c1_sweep_memory_bounded_by_its_chunk():
-    # The popcount sweep T reads: 512 beta rows of 4096 uint8 bits, 2 MB, at
-    # a time. A (2^m, q) table of weights, or the q x q beta rows, takes more.
+    # The popcount sweep T reads: 512 beta rows of 4096 bits, 256 kB packed,
+    # at a time, built and packed 128 rows at a time. A (2^m, q) table of
+    # weights, an unpacked span or the q x q beta rows takes 2 MB or more.
     ctx, p = build_field(12), derive_params(12, 1)
-    assert traced_peak(weight_distribution, ctx, p, "c1") < 8 * (1 << 20)
+    assert traced_peak(weight_distribution, ctx, p, "c1") < 2 * (1 << 20)
 
 
 @pytest.mark.parametrize("nk", [(10, 1), (10, 2), (12, 1), (12, 2)])
@@ -298,13 +300,13 @@ def test_c2_weights_match_the_formula_exhaustively(nk):
 
 
 def test_c2_memory_at_n12_bounded_by_the_gamma_table():
-    # The beta table the closure proof reads, 16 MB of uint8 bits; the
-    # gamma-axis proof before it builds the gamma rows a block at a time,
-    # where the q x q gamma table with the temporaries of its linearity
-    # check took 32 MB. Walsh transforms of every pair over the gamma axis
-    # took 48.6 MB.
+    # The closure proof reads the beta table in blocks of 128 rows of 4096
+    # uint8 bits: a block read at pi x, the block of its images and their
+    # comparison, 1.5 MB; the gamma-axis proof reads the gamma table in the
+    # same blocks. The sweeps' spans are 256 kB packed. The q x q beta or
+    # gamma table alone takes 16 MB.
     ctx, p = build_field(12), derive_params(12, 1)
-    assert traced_peak(weight_distribution, ctx, p, "c2") < 40 * (1 << 20)
+    assert traced_peak(weight_distribution, ctx, p, "c2") < 3 * (1 << 20)
 
 
 def replace_row(monkeypatch, table, coeff, by):

@@ -144,19 +144,35 @@ def traced_peak(fn, *args, **kwargs):
 
 
 def test_t_sweep_memory_bounded_by_its_chunk():
-    # A chunk holds 512 beta rows of 4096 uint8 bits, 2 MB; packed, XORed and
-    # popcounted per alpha row they take 256 kB at a time. Neither an int64
-    # product of element logs nor a float copy of the rows may come on top.
+    # A span holds 512 beta rows of 4096 bits, 256 kB packed. They are built
+    # and packed 128 rows at a time (512 kB unpacked), XORed with the 64
+    # alpha rows (32 kB packed) and popcounted per alpha row, and the span's
+    # T table is 64 x 512 int64, 256 kB. An unpacked span, or an int64
+    # product of element logs over every alpha row, takes 2 MB alone.
     ctx, p = build_field(12), derive_params(12, 1)
-    assert traced_peak(t_spectrum, ctx, p) < 8 * (1 << 20)
+    assert traced_peak(t_spectrum, ctx, p) < 2 * (1 << 20)
+
+
+def test_alpha_rows_take_no_more_than_their_table():
+    # The 128 alpha rows at (14,1) are 2 MB of uint8 bits. Each is written
+    # straight into the table from one product of logs and one gather of
+    # q entries; the products of every alpha row at once take 16 MB. The
+    # field's cached tables (power maps, logs, traces) are built first.
+    ctx, p = build_field(14), derive_params(14, 1)
+    alphas = subfield_elements(ctx, p.m)
+    expsum._trace_rows(ctx, p, alphas[:2], [], [])
+    assert traced_peak(expsum._trace_rows, ctx, p, alphas, [], []) \
+        < 3 * (1 << 20)
 
 
 def test_s_sweep_memory_bounded_by_its_span():
-    # The q x q beta rows take 1 MB, and the closure proof compares them in
-    # spans of 2^19 entries. The beta rows are built without an int64
-    # product of element logs.
+    # Each of the two sweeps takes all 1024 beta rows as one span, 128 kB
+    # packed, built and packed 512 rows (512 kB unpacked) at a time. The
+    # closure proofs compare the beta and gamma rows in blocks of 512: a
+    # block read at pi x, the block of its images and their comparison,
+    # 1.5 MB. The q x q beta rows, unpacked, take 1 MB alone.
     ctx, p = build_field(10), derive_params(10, 1)
-    assert traced_peak(s_spectrum, ctx, p) < 20 * (1 << 19)
+    assert traced_peak(s_spectrum, ctx, p) < 6 * (1 << 19)
 
 
 def test_gamma_sweep_memory_bounded_by_its_span():
@@ -406,14 +422,16 @@ def test_popcounts_count_the_xor_of_every_row_pair(n):
     rng = np.random.default_rng(n)
     a = rng.integers(0, 2, (5, 1 << n), dtype=np.uint8)
     b = rng.integers(0, 2, (7, 1 << n), dtype=np.uint8)
-    assert (expsum._popcounts(a, b) == (a[:, None] ^ b[None]).sum(-1)).all()
+    popcounts = expsum._popcounts(np.packbits(a, axis=-1),
+                                  np.packbits(b, axis=-1))
+    assert (popcounts == (a[:, None] ^ b[None]).sum(-1)).all()
 
 
 def t_table(ctx, params, alphas, betas):
     """T(alpha, beta) through the sweep's popcount kernel, one row per
     alpha."""
     arows, _, _ = expsum._trace_rows(ctx, params, alphas, [], [])
-    return expsum._t_table(ctx, params, arows, betas)
+    return expsum._t_table(ctx, params, np.packbits(arows, axis=-1), betas)
 
 
 def test_t_sum_matches_oracle(ctx6, p62):
