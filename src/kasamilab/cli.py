@@ -203,6 +203,10 @@ class _Run:
         return self._shared("t_distribution", t_spectrum)
 
     @cached_property
+    def s_distribution(self):
+        return self._shared("s_distribution", s_spectrum)
+
+    @cached_property
     def kernel_dims(self):
         return self._shared("kernel_dims", kernel_dims)
 
@@ -416,7 +420,7 @@ _CHECKS = (
                 lambda run: run.t_distribution,
                 lambda params: t_spectrum_formula(params)),
     _comparison("s-spectrum", "s_spectrum", "s_spectrum", "S spectrum",
-                lambda run: s_spectrum(run.ctx, run.params),
+                lambda run: run.s_distribution,
                 lambda params: s_spectrum_formula(params)),
     Check("gamma-sweep", "gamma_sweep", _check_gamma),
     Check("artin-schreier", "artin_schreier", _check_artin_schreier,
@@ -426,7 +430,8 @@ _CHECKS = (
     *(_comparison(f"code-weights-{code}", "code_weights", f"{code}_weights",
                   f"{code} weight distribution",
                   lambda run, code=code: weight_distribution(
-                      run.ctx, run.params, code),
+                      run.t_distribution if code == "c1"
+                      else run.s_distribution, run.params, code),
                   lambda params, code=code: weight_distribution_formula(
                       params, code))
       for code in CODES),

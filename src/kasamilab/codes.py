@@ -5,12 +5,11 @@ expressions the exponential sums integrate, so every weight is tied to a sum
 value by w = 2^(n-1) - value/2. The narrow code (dimension 3m over GF(2)) is
 cut out by the parity-check product h2*h3; the wide code (dimension 5m) by
 h1*h2*h3, where the h_i are minimal polynomials of pi^-1, pi^-(2^k+1) and
-pi^-(2^m+1). Weights are counted from the bits by the popcount sweep: c1 is
-the sweep T reads, relabelled; c2 is the gamma = 0 sweep plus q - 1 times
-the gamma = 1 sweep, once x -> pi x is proved to carry every row of each
-table onto a row: the histogram that S reads as q - 2 wt. Cyclicity is
-checked on the same three row tables, rotated, rather than on the words they
-XOR to.
+pi^-(2^m+1). A word is 0 at x = 0, so the weight distributions are T (c1)
+and S (c2) relabelled, measured or closed form: the popcount sweep runs once
+per histogram, in expsum, and the direct Hamming counts of the words are the
+tests' oracles. Cyclicity is checked on the same three row tables, rotated,
+rather than on the words they XOR to.
 """
 
 from __future__ import annotations
@@ -19,17 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import (ValueDistribution, VerificationError, _pack_bits,
-                           pack_bits_hex)
-from .expsum import (_popcount_sweep, _trace_rows, s_spectrum_formula,
-                     t_spectrum_formula)
+from .distribution import VerificationError, _pack_bits, pack_bits_hex
+from .expsum import _trace_rows, s_spectrum_formula, t_spectrum_formula
 from .field import _gf2_polymul, _gf2_polymod, subfield_elements
 
 __all__ = [
     "MinimalPolynomial", "minimal_poly", "h_polynomials", "parity_check_mask",
     "code_dimension", "codeword_c1", "codeword_c2", "weight_distribution",
-    "weight_distribution_formula", "spectrum_pushforward", "check_cyclicity",
-    "codeword_dump_lines", "CYCLICITY_EXHAUSTIVE_MAX_N",
+    "weight_distribution_formula", "check_cyclicity", "codeword_dump_lines",
+    "CYCLICITY_EXHAUSTIVE_MAX_N",
 ]
 
 CODES = ("c1", "c2")
@@ -123,35 +120,27 @@ def codeword_c2(ctx, params, alpha, beta, gamma):
     return base ^ grows[0]
 
 
-def weight_distribution(ctx, params, code):
-    """Direct Hamming-weight histogram over every codeword: every word is 0
-    at x = 0, so it weighs the popcount of its row over x in mask order, as
-    the popcount sweep counts it; c2 adds the gamma axis, once x -> pi x is
-    proved to carry every row onto a row."""
+def weight_distribution(sums, params, code):
+    """The weight distribution of a code, relabelled from the distribution
+    of its sum (T for c1, S for c2, measured or closed form): every word is
+    0 at x = 0 and XORs the trace rows the sum integrates, so its weight is
+    w = 2^(n-1) - value/2. Each value must be even and the sums must cover
+    every word."""
     words = 1 << code_dimension(params, code)
-    counts = _popcount_sweep(ctx, params, linear=code == "c2")
-    dist = ValueDistribution.from_counts(enumerate(counts.tolist()))
-    if dist.total != words:
+    if sums.total != words:
         raise VerificationError(
-            f"{code} sweep covered {dist.total} words, expected {words}")
-    return dist
-
-
-def spectrum_pushforward(dist, n):
-    """Map an exponential-sum distribution to weights via w = 2^(n-1) - v/2."""
-    half = 1 << (n - 1)
-    for v, _ in dist.entries:
+            f"{code} weights cover {sums.total} words, expected {words}")
+    half = 1 << (params.n - 1)
+    for v, _ in sums.entries:
         if v % 2:
             raise VerificationError(f"sum value {v} is odd; cannot be a weight")
-    return dist.map_values(lambda v: half - v // 2)
+    return sums.map_values(lambda v: half - v // 2)
 
 
 def weight_distribution_formula(params, code):
-    """Closed-form weight table: pushforward of the matching sum distribution."""
-    if code not in CODES:
-        raise ValueError(f"code must be one of {CODES}, got {code!r}")
+    """Closed-form weight table: the closed-form T or S table relabelled."""
     sums = t_spectrum_formula if code == "c1" else s_spectrum_formula
-    return spectrum_pushforward(sums(params), params.n)
+    return weight_distribution(sums(params), params, code)
 
 
 def check_cyclicity(ctx, params, code):

@@ -166,12 +166,13 @@ def _t_table(ctx, params, apacked, betas):
 
 
 def _popcount_sweep(ctx, params, linear=False):
-    """The popcount sweep: bincount of wt(row) = (q - T) / 2 over all 2^(3m)
-    pairs, `_t_table` taking every alpha row against max(64, 2^21 // q)
-    betas at a time, on one thread: a span of beta rows is at most 256 kB
-    packed up to n = 14, and is never held unpacked. The alpha rows are
-    packed once, and only the packed rows are kept. With `linear`, over all
-    2^(5m) triples, the row adding Tr_n(gamma x), so that wt = (q - S) / 2.
+    """The popcount sweep: the distribution of T = q - 2 wt(row) over all
+    2^(3m) pairs, from a bincount of wt, `_t_table` taking every alpha row
+    against max(64, 2^21 // q) betas at a time, on one thread: a span of
+    beta rows is at most 256 kB packed up to n = 14, and is never held
+    unpacked. The alpha rows are packed once, and only the packed rows are
+    kept. With `linear`, that of S = q - 2 wt over all 2^(3m) q triples, the
+    row adding Tr_n(gamma x). Either total is checked.
 
     For c != 0, x -> c x keeps each weight and reads the row of (alpha,
     beta, gamma) as that of (alpha c^e1, beta c^e2, gamma c): proved of
@@ -188,22 +189,27 @@ def _popcount_sweep(ctx, params, linear=False):
         return sum(np.bincount((q - _t_table(ctx, params, rows, betas)).ravel()
                                >> 1, minlength=q + 1) for betas in spans)
 
-    if not linear:
-        return counts(apacked)
-    _gamma_axis(ctx)
-    _orbit_closure(ctx, params)
-    gpacked = np.packbits(_trace_rows(ctx, params, [], [], [1])[2], axis=-1)
-    return counts(apacked) + (q - 1) * counts(apacked ^ gpacked)
+    name, covered, total = "T", "pairs", 1 << (3 * params.m)
+    if linear:
+        _gamma_axis(ctx)
+        _orbit_closure(ctx, params)
+        gpacked = np.packbits(_trace_rows(ctx, params, [], [], [1])[2],
+                              axis=-1)
+        weights = counts(apacked) + (q - 1) * counts(apacked ^ gpacked)
+        name, covered, total = "S", "triples", total * q
+    else:
+        weights = counts(apacked)
+    dist = ValueDistribution.from_counts(
+        (q - 2 * w, c) for w, c in enumerate(weights.tolist()))
+    if dist.total != total:
+        raise VerificationError(f"{name} sweep covered {dist.total} {covered}")
+    return dist
 
 
 def t_spectrum(ctx, params):
-    """Measured distribution of T = q - 2 wt over all (alpha, beta) pairs,
-    read off the popcount sweep."""
-    counts = enumerate(_popcount_sweep(ctx, params).tolist())
-    dist = ValueDistribution.from_counts((ctx.q - 2 * w, c) for w, c in counts)
-    if dist.total != 1 << (3 * params.m):
-        raise VerificationError(f"T sweep covered {dist.total} pairs")
-    return dist
+    """Measured distribution of T over all (alpha, beta) pairs: the popcount
+    sweep."""
+    return _popcount_sweep(ctx, params)
 
 
 def _row_closure(build, coeffs, images, perm, name):
@@ -255,13 +261,9 @@ def _blocks(values, q):
 
 
 def s_spectrum(ctx, params):
-    """Measured distribution of S = q - 2 wt over all (alpha, beta, gamma)
-    triples, read off the popcount sweep over the gamma axis."""
-    counts = enumerate(_popcount_sweep(ctx, params, linear=True).tolist())
-    dist = ValueDistribution.from_counts((ctx.q - 2 * w, c) for w, c in counts)
-    if dist.total != (1 << (3 * params.m)) * ctx.q:
-        raise VerificationError(f"S sweep covered {dist.total} triples")
-    return dist
+    """Measured distribution of S over all (alpha, beta, gamma) triples: the
+    popcount sweep over the gamma axis."""
+    return _popcount_sweep(ctx, params, linear=True)
 
 
 def gamma_sweep(ctx, params, dims):

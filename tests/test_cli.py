@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from kasamilab import cli, linearized
+from kasamilab import cli, expsum, linearized
 from kasamilab.cli import _CHECKS, DEFAULT_BUDGETS, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -247,47 +247,72 @@ def test_verify_report_is_golden(tmp_path, n, k, code):
         (GOLDEN / f"n{n}k{k}.json").read_bytes()
 
 
-def test_verify_sweeps_each_kernel_once(tmp_path, monkeypatch):
-    # rank-profile and gamma-sweep read one kernel table: the validator runs
-    # once per row, alpha = 0 and alpha = 1, through whichever module it is
-    # called from.
-    sweep, calls = linearized._kernel_dims, []
+def record_calls(monkeypatch, sweep, key):
+    """key(*args, **kwargs) of every call of sweep, through whichever
+    kasamilab module it is called from."""
+    calls = []
 
-    def counted(*args):
-        calls.append(args[2])
-        return sweep(*args)
+    def counted(*args, **kwargs):
+        calls.append(key(*args, **kwargs))
+        return sweep(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("kasamilab"):
             for attr, value in list(vars(module).items()):
                 if value is sweep:
                     monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_verify_sweeps_each_kernel_once(tmp_path, monkeypatch):
+    # rank-profile and gamma-sweep read one kernel table: the validator runs
+    # once per row, alpha = 0 and alpha = 1.
+    calls = record_calls(monkeypatch, linearized._kernel_dims,
+                         lambda *args: args[2])
     code, report, _ = run(tmp_path, "verify", "--n", "6", "--k", "1")
     assert code == 3
     assert statuses(report)["gamma-sweep"] == "match"
     assert calls == [0, 1]
 
 
+@pytest.mark.parametrize("args,want", [
+    (("verify",), [False, True]),
+    (("code-weights", "--code", "c1"), [False]),
+    (("code-weights", "--code", "both"), [False, True]),
+], ids=["verify", "c1", "both"])
+def test_each_popcount_histogram_is_swept_once(tmp_path, monkeypatch, args,
+                                               want):
+    # The popcount sweep makes two histograms, T and S (linear); the code
+    # weights are read off them, so no command sweeps either one twice.
+    calls = record_calls(monkeypatch, expsum._popcount_sweep,
+                         lambda ctx, params, linear=False: linear)
+    code, report, _ = run(tmp_path, *args, "--n", "6", "--k", "1")
+    assert code == 3 and "mismatch" not in statuses(report).values()
+    assert calls == want
+
+
 def test_shared_sweeps_are_timed_on_their_own_lines(tmp_path, monkeypatch,
                                                     capsys):
-    # A T sweep made 0.3 s slower is charged to its own [time] line, not to
-    # moments, the first check that reads it, nor to t-spectrum.
-    sweep = cli.t_spectrum
+    # A T or S sweep made 0.3 s slower is charged to its own [time] line,
+    # not to the checks that read it: moments, the first to read T, and
+    # t-spectrum; s-spectrum, the first to read S, and code-weights-c2.
+    for name in ("t_spectrum", "s_spectrum"):
+        def slow(ctx, params, sweep=getattr(cli, name)):
+            time.sleep(0.3)
+            return sweep(ctx, params)
 
-    def slow(ctx, params):
-        time.sleep(0.3)
-        return sweep(ctx, params)
-
-    monkeypatch.setattr(cli, "t_spectrum", slow)
+        monkeypatch.setattr(cli, name, slow)
     code, _, _ = run(tmp_path, "verify", "--n", "4", "--k", "1")
     err = capsys.readouterr().err
     checks = dict(re.findall(r"\[time\] (\S+): ([\d.]+)s", err))
     shared = dict(re.findall(r"\[time\] shared sweep (\S+): ([\d.]+)s", err))
-    assert code == 0 and set(shared) == {"t_distribution", "kernel_dims",
-                                         "family"}
+    assert code == 0 and set(shared) == {"t_distribution", "s_distribution",
+                                         "kernel_dims", "family"}
     assert float(shared["t_distribution"]) >= 0.3
-    assert float(checks["moments"]) < 0.3
-    assert float(checks["t-spectrum"]) < 0.3
+    assert float(shared["s_distribution"]) >= 0.3
+    for check in ("moments", "t-spectrum", "s-spectrum", "code-weights-c1",
+                  "code-weights-c2"):
+        assert float(checks[check]) < 0.3, check
 
 
 @pytest.mark.parametrize("n,k", [(4, 1), (4, 3), (6, 1), (6, 2), (6, 4),

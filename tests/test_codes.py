@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 import reference as ref
-from kasamilab import (VerificationError, build_field, check_cyclicity,
-                       check_parity, code_dimension, codes, codeword_c1,
-                       codeword_c2, derive_params, expsum, h_polynomials,
-                       minimal_poly, parity_check_mask, s_spectrum,
-                       subfield_elements, t_spectrum, weight_distribution,
-                       weight_distribution_formula)
+from kasamilab import (ValueDistribution, VerificationError, build_field,
+                       check_cyclicity, check_parity, code_dimension, codes,
+                       codeword_c1, codeword_c2, derive_params, expsum,
+                       h_polynomials, minimal_poly, parity_check_mask,
+                       s_spectrum, subfield_elements, t_spectrum,
+                       weight_distribution, weight_distribution_formula)
 from kasamilab.cli import main
-from kasamilab.codes import codeword_dump_lines, spectrum_pushforward
+from kasamilab.codes import codeword_dump_lines
 from kasamilab.field import _gf2_polymod, is_irreducible
 from test_expsum import traced_peak
 
@@ -91,6 +91,12 @@ def test_code_dimensions(p41, p61):
     assert code_dimension(p61, "c1") == 9 and code_dimension(p61, "c2") == 15
 
 
+def measured_weights(ctx, params, code):
+    """The code's weight distribution, relabelled from its measured sum."""
+    sums = t_spectrum if code == "c1" else s_spectrum
+    return weight_distribution(sums(ctx, params), params, code)
+
+
 def test_codeword_matches_oracle(ctx4, p41):
     sub = subfield_elements(ctx4, 2)
     for alpha, beta in [(0, 0), (sub[1], 7), (sub[3], 15)]:
@@ -108,17 +114,28 @@ def test_codeword_matches_oracle(ctx4, p41):
 def test_weights_three_ways(nk, code):
     n, k = nk
     ctx, p = build_field(n), derive_params(n, k)
-    brute = weight_distribution(ctx, p, code)
-    spec = t_spectrum(ctx, p) if code == "c1" else s_spectrum(ctx, p)
-    assert brute.as_dict() == spectrum_pushforward(spec, n).as_dict()
+    brute = measured_weights(ctx, p, code)
+    assert brute.as_dict() == matmul_weights(ctx, p, code)
     assert brute.as_dict() == weight_distribution_formula(p, code).as_dict()
     assert brute.total == 1 << code_dimension(p, code)
+
+
+def test_relabel_needs_even_sums_over_every_word(p41):
+    # 2^6 words of c1 at n = 4: the relabel takes 16 to weight 0 and -8 to
+    # 12, and refuses an odd sum or a total that misses a word.
+    t = ValueDistribution.from_counts({16: 1, -8: 63})
+    assert weight_distribution(t, p41, "c1").as_dict() == {0: 1, 12: 63}
+    with pytest.raises(VerificationError, match="odd"):
+        weight_distribution(ValueDistribution.from_counts({16: 1, -7: 63}),
+                            p41, "c1")
+    with pytest.raises(VerificationError, match="cover 64 words, expected"):
+        weight_distribution(t, p41, "c2")
 
 
 @pytest.mark.parametrize("key,expected", sorted(WEIGHTS.items()))
 def test_weights_frozen(key, expected):
     n, k, code = key
-    dist = weight_distribution(build_field(n), derive_params(n, k), code)
+    dist = measured_weights(build_field(n), derive_params(n, k), code)
     assert dist.as_dict() == expected
 
 
@@ -259,7 +276,7 @@ def matmul_weights(ctx, params, code):
 def test_weights_match_the_matmul_oracle(nk):
     ctx, p = build_field(nk[0]), derive_params(*nk)
     for code in ("c1", "c2"):
-        assert weight_distribution(ctx, p, code).as_dict() == \
+        assert measured_weights(ctx, p, code).as_dict() == \
             matmul_weights(ctx, p, code)
 
 
@@ -271,7 +288,7 @@ def test_weights_are_popcounts_of_every_word(nk):
         words = codes._words(codes._word_rows(ctx, p, sub, range(ctx.q),
                                               gammas))
         popcounts = Counter(words.sum(axis=1).tolist())
-        assert weight_distribution(ctx, p, code).as_dict() == popcounts
+        assert measured_weights(ctx, p, code).as_dict() == popcounts
 
 
 def test_c2_sweep_memory_bounded_by_its_span():
@@ -281,7 +298,7 @@ def test_c2_sweep_memory_bounded_by_its_span():
     # and comparison. Walsh transforms of every (alpha, beta) pair over the
     # gamma axis take more.
     ctx, p = build_field(10), derive_params(10, 1)
-    assert traced_peak(weight_distribution, ctx, p, "c2") < 3 * (1 << 20)
+    assert traced_peak(measured_weights, ctx, p, "c2") < 3 * (1 << 20)
 
 
 def test_c1_sweep_memory_bounded_by_its_chunk():
@@ -289,13 +306,13 @@ def test_c1_sweep_memory_bounded_by_its_chunk():
     # at a time, built and packed 128 rows at a time. A (2^m, q) table of
     # weights, an unpacked span or the q x q beta rows takes 2 MB or more.
     ctx, p = build_field(12), derive_params(12, 1)
-    assert traced_peak(weight_distribution, ctx, p, "c1") < 2 * (1 << 20)
+    assert traced_peak(measured_weights, ctx, p, "c1") < 2 * (1 << 20)
 
 
 @pytest.mark.parametrize("nk", [(10, 1), (10, 2), (12, 1), (12, 2)])
 def test_c2_weights_match_the_formula_exhaustively(nk):
     ctx, p = build_field(nk[0]), derive_params(*nk)
-    assert weight_distribution(ctx, p, "c2").as_dict() == \
+    assert measured_weights(ctx, p, "c2").as_dict() == \
         weight_distribution_formula(p, "c2").as_dict()
 
 
@@ -306,7 +323,7 @@ def test_c2_memory_at_n12_bounded_by_the_gamma_table():
     # same blocks. The sweeps' spans are 256 kB packed. The q x q beta or
     # gamma table alone takes 16 MB.
     ctx, p = build_field(12), derive_params(12, 1)
-    assert traced_peak(weight_distribution, ctx, p, "c2") < 3 * (1 << 20)
+    assert traced_peak(measured_weights, ctx, p, "c2") < 3 * (1 << 20)
 
 
 def replace_row(monkeypatch, table, coeff, by):
@@ -351,17 +368,17 @@ def test_c2_count_needs_every_row_closed_under_pi(monkeypatch, table):
     # rows of the gamma table exchanged leave each row linear and each
     # functional once, so only the closure of the gamma axis tells.
     ctx, p = build_field(6), derive_params(6, 1)
-    c1 = weight_distribution(ctx, p, "c1").as_dict()
+    c1 = measured_weights(ctx, p, "c1").as_dict()
     sub = subfield_elements(ctx, p.m)
     coeff, by = (sub[0], sub[2]) if table == "alpha" else (5, 6)
     replace_row(monkeypatch, table, coeff, by)
     if table == "gamma":
         replace_row(monkeypatch, table, by, coeff)
     else:
-        assert weight_distribution(ctx, p, "c1").as_dict() != c1
+        assert measured_weights(ctx, p, "c1").as_dict() != c1
     with pytest.raises(VerificationError,
                        match=f"{table} rows are not closed under x -> pi x"):
-        weight_distribution(ctx, p, "c2")
+        measured_weights(ctx, p, "c2")
 
 
 @pytest.mark.parametrize("kernel", ["_walsh", "_popcounts"])
@@ -414,10 +431,10 @@ def test_a_broken_gamma_axis_fails_every_walsh_sweep(tmp_path, monkeypatch,
     break_gamma_row(monkeypatch, flip)
     ctx, p = build_field(4), derive_params(4, 1)
     with pytest.raises(VerificationError, match="Tr_n"):
-        weight_distribution(ctx, p, "c2")
+        measured_weights(ctx, p, "c2")
     with pytest.raises(VerificationError, match="Tr_n"):
         s_spectrum(ctx, p)
-    assert weight_distribution(ctx, p, "c1").total == 1 << 6
+    assert measured_weights(ctx, p, "c1").total == 1 << 6
     assert main(["verify", "--n", "4", "--k", "1",
                  "--out", str(tmp_path)]) == 2
     report = json.loads((tmp_path / "report.json").read_text())
@@ -439,8 +456,8 @@ def test_gamma_axis_is_proved_once_per_field(monkeypatch):
 
     monkeypatch.setattr(expsum, "trace_bit_matrix", counted)
     ctx, p = build_field(6), derive_params(6, 1)
-    weight_distribution(ctx, p, "c2")
-    weight_distribution(ctx, p, "c2")
+    measured_weights(ctx, p, "c2")
+    measured_weights(ctx, p, "c2")
     s_spectrum(ctx, p)
     assert built == [ctx]
 

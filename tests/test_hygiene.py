@@ -18,10 +18,10 @@ checks raises an error of its own. Only the correlation sweep,
 other sweep counts bits or runs the Walsh transform. Only the gamma-sweep
 calls `_walsh`; only the T table, whose spans the popcount sweep bincounts,
 calls `_popcounts`; only that sweep and Artin-Schreier call the T table, and
-only T, S and the code weights call that sweep; only the popcount sweep and
-the gamma-sweep prove the gamma axis; only the popcount sweep, the
-gamma-sweep, Artin-Schreier, the orbit-closure proof and the codewords build
-trace rows, and only Artin-Schreier counts points. Only the correlation
+only T and S call that sweep (the code weights relabel them); only the
+popcount sweep and the gamma-sweep prove the gamma axis; only the popcount
+sweep, the gamma-sweep, Artin-Schreier, the orbit-closure proof and the
+codewords build trace rows, and only Artin-Schreier counts points. Only the correlation
 sweep, `sequences.correlation_distribution`, sums its work over threads
 (`_summed`, `_thread_count`), and only `distribution._summed` opens a thread
 pool, so no per-pair check is threaded. Every entry of the check registry is
@@ -243,15 +243,14 @@ def test_only_the_correlation_sweep_names_a_float_dtype(path):
 
 
 # kernel -> the (module, top-level function)s allowed to call it: the
-# popcount sweep (T, S and the code weights) and the T table it reads span
-# by span, which Artin-Schreier also reads; the Walsh kernel, which only the
+# popcount sweep (T and S, which the code weights relabel) and the T table it
+# reads span by span, which Artin-Schreier also reads; the Walsh kernel, which only the
 # gamma-sweep reads; the gamma-axis proof; the trace rows, which the orbit
 # closure proves; the point counts; and the thread pool, which only the
 # correlation sweep sums its work over.
 KERNEL_CALLERS = {
     "_popcount_sweep": {("expsum.py", "t_spectrum"),
-                        ("expsum.py", "s_spectrum"),
-                        ("codes.py", "weight_distribution")},
+                        ("expsum.py", "s_spectrum")},
     "_walsh": {("expsum.py", "gamma_sweep")},
     "_gamma_axis": {("expsum.py", "gamma_sweep"),
                     ("expsum.py", "_popcount_sweep")},
