@@ -8,8 +8,8 @@ h1*h2*h3, where the h_i are minimal polynomials of pi^-1, pi^-(2^k+1) and
 pi^-(2^m+1). A word is 0 at x = 0, so the weight distributions are T (c1)
 and S (c2) relabelled, measured or closed form: the popcount sweep runs once
 per histogram, in expsum, and the direct Hamming counts of the words are the
-tests' oracles. Cyclicity is checked on the same three row tables, rotated,
-rather than on the words they XOR to.
+tests' oracles. Cyclicity is the sweeps' x -> pi x orbit proof on the same
+three row tables, rather than a check of the words they XOR to.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import VerificationError, _pack_bits, pack_bits_hex
-from .expsum import _trace_rows, s_spectrum_formula, t_spectrum_formula
+from .expsum import (_gamma_axis, _orbit_closure, _trace_rows,
+                     s_spectrum_formula, t_spectrum_formula)
 from .field import _gf2_polymul, _gf2_polymod, subfield_elements
 
 __all__ = [
@@ -146,33 +147,28 @@ def weight_distribution_formula(params, code):
 def check_cyclicity(ctx, params, code):
     """Shift-closure: rotating any codeword lands on another codeword.
 
-    Rotation by one maps the word of (alpha, beta, gamma) to the word of
-    (alpha pi^e1, beta pi^e2, gamma pi); c1 is the case gamma = 0. A word is
-    the XOR of one alpha, one beta and one gamma row, and rotation commutes
-    with XOR, so it suffices that each row rotated by one is the row of its
-    image. Each coefficient list holds 0, whose rows are 0, so that is also
-    necessary: closed words give closed rows. Every coefficient is checked
-    for n <= CYCLICITY_EXHAUSTIVE_MAX_N, else a fixed sample of them.
+    Rotation by one reads the word of (alpha, beta, gamma) at pi x, which
+    must be the word of (alpha pi^e1, beta pi^e2, gamma pi); c1 is the case
+    gamma = 0. A word XORs one row of three tables, each holding the zero
+    row, so this holds iff each row read at pi x is the row of its image:
+    the sweeps' orbit proof, `_orbit_closure` on the alpha and beta rows
+    (all for n <= CYCLICITY_EXHAUSTIVE_MAX_N, else a fixed sample) and,
+    for c2, `_gamma_axis` on every gamma row.
     """
     if code not in CODES:
         raise ValueError(f"code must be one of {CODES}, got {code!r}")
-    q = ctx.q
-    sub = subfield_elements(ctx, params.m)
-    if ctx.n <= CYCLICITY_EXHAUSTIVE_MAX_N:
-        alphas, betas = sub, range(q)
-        gammas = range(q) if code == "c2" else [0]
-    else:
+    alphas = betas = None
+    if ctx.n > CYCLICITY_EXHAUSTIVE_MAX_N:
+        sub, q = subfield_elements(ctx, params.m), ctx.q
         alphas = sub[:3] + sub[-1:]
         betas = list(range(0, q, max(1, q // 7))) + [q - 1]
-        gammas = [0, 1, q - 1] if code == "c2" else [0]
-    pe1 = ctx.pow(ctx.pi, params.e_norm)
-    pe2 = ctx.pow(ctx.pi, params.e_quad)
-    rows = _word_rows(ctx, params, alphas, betas, gammas)
-    images = _word_rows(ctx, params, [ctx.mul(a, pe1) for a in alphas],
-                        [ctx.mul(b, pe2) for b in betas],
-                        [ctx.mul(g, ctx.pi) for g in gammas])
-    return all(np.array_equal(np.roll(table, -1, axis=1), image)
-               for table, image in zip(rows, images))
+    try:
+        _orbit_closure(ctx, params, alphas=alphas, betas=betas)
+        if code == "c2":
+            _gamma_axis(ctx)
+    except VerificationError:
+        return False
+    return True
 
 
 def codeword_dump_lines(ctx, params, code):

@@ -213,16 +213,12 @@ def t_spectrum(ctx, params):
 
 
 def _row_closure(build, coeffs, images, perm, name):
-    """Prove from the values that reading at perm (x -> pi x, as x ->
-    perm[x] in mask order) carries a table onto itself: the row build(c) of
-    coeffs[i] read at perm is that of images[i], and perm and coeffs ->
-    images permute, the rows built in `_blocks` and compared in place of
-    the rows read at perm. Reading every row at perm then permutes the XORs
-    of one row from each such table."""
+    """Prove from the values that reading at the permutation perm (x -> pi
+    x, as x -> perm[x] in mask order) carries the row build(c) of coeffs[i]
+    onto that of images[i], the rows built in `_blocks` and compared in
+    place of the rows read at perm."""
     q = len(perm)
-    coeffs, images = np.asarray(coeffs), np.asarray(images)
-    if ((np.sort(perm) != np.arange(q)).any()
-            or (np.sort(images) != np.sort(coeffs)).any()):
+    if (np.sort(perm) != np.arange(q)).any():
         raise VerificationError(
             f"{_TIMES_PI} does not permute the {name} rows")
     for block, image in zip(_blocks(coeffs, q), _blocks(images, q)):
@@ -232,12 +228,14 @@ def _row_closure(build, coeffs, images, perm, name):
                 f"the {name} rows are not closed under {_TIMES_PI}")
 
 
-def _orbit_closure(ctx, params, curves=False):
+def _orbit_closure(ctx, params, curves=False, alphas=None, betas=None):
     """Prove by `_row_closure` that x -> pi x reads the row of each alpha as
-    that of alpha pi^e1, and of each beta as that of beta pi^e2: on the
-    trace rows (T, S, the gamma-sweep), or with `curves` on the values
-    a' x^e1, a' in GF(2^n), and beta x^e2 (kernel sizes, point counts). As
-    pi^e1 generates GF(2^m)*, alpha = 1 then stands for every alpha != 0."""
+    that of alpha pi^e1, and of each beta as that of beta pi^e2, for the
+    listed `alphas` and `betas` (by default all), once c -> c pi^e permutes
+    each full table: on the trace rows (T, S, the gamma-sweep, cyclicity),
+    or with `curves` on the values a' x^e1, a' in GF(2^n), and beta x^e2
+    (kernel sizes, point counts). As pi^e1 generates GF(2^m)*, alpha = 1
+    then stands for every alpha != 0."""
     q, m, k = ctx.q, params.m, params.k
     if curves:
         tables = (("a' x^e1", range(q), lambda c: _monomial_rows(ctx, c, m)),
@@ -248,9 +246,14 @@ def _orbit_closure(ctx, params, curves=False):
                   ("beta", range(q),
                    lambda c: _trace_rows(ctx, params, [], c, [])[1]))
     times_pi = _mul(ctx, np.arange(q), ctx.pi)
-    for (name, coeffs, rows), e in zip(tables, (params.e_norm, params.e_quad)):
-        _row_closure(rows, coeffs, _mul(ctx, coeffs, ctx.pow(ctx.pi, e)),
-                     times_pi, name)
+    for (name, full, rows), listed, e in zip(tables, (alphas, betas),
+                                             (params.e_norm, params.e_quad)):
+        pe = ctx.pow(ctx.pi, e)
+        if (np.sort(_mul(ctx, full, pe)) != np.sort(full)).any():
+            raise VerificationError(
+                f"{_TIMES_PI} does not permute the {name} rows")
+        coeffs = full if listed is None else listed
+        _row_closure(rows, coeffs, _mul(ctx, coeffs, pe), times_pi, name)
 
 
 def _blocks(values, q):

@@ -16,7 +16,7 @@ from kasamilab import (ValueDistribution, VerificationError, build_field,
 from kasamilab.cli import main
 from kasamilab.codes import codeword_dump_lines
 from kasamilab.field import _gf2_polymod, is_irreducible
-from test_expsum import traced_peak
+from test_expsum import flip_row_bit, traced_peak
 
 # (n, k) -> coefficient masks of (h1, h2, h3), frozen from the naive coset product.
 H_POLYS = {
@@ -176,15 +176,7 @@ def test_cyclicity_exhaustive(ctx4, p41, code):
 
 @pytest.mark.parametrize("code", ["c1", "c2"])
 def test_cyclicity_detects_a_flipped_bit(ctx4, p41, code, monkeypatch):
-    build = codes._word_rows
-
-    def flipped(*args):
-        arows, brows, grows = build(*args)
-        brows = brows.copy()
-        brows[-1, 3] ^= 1
-        return arows, brows, grows
-
-    monkeypatch.setattr(codes, "_word_rows", flipped)
+    flip_row_bit(monkeypatch, 1, ctx4.q - 1)
     assert not check_cyclicity(ctx4, p41, code)
 
 
@@ -192,33 +184,46 @@ def test_cyclicity_detects_a_flipped_bit(ctx4, p41, code, monkeypatch):
 def test_cyclicity_checks_every_alpha(ctx4, p41, code, monkeypatch):
     # The rows are compared one coefficient at a time; a bit flipped in the
     # last alpha row leaves every other row closed.
-    build = codes._word_rows
-
-    def flipped(*args):
-        arows, brows, grows = build(*args)
-        arows = arows.copy()
-        arows[-1, 3] ^= 1
-        return arows, brows, grows
-
-    monkeypatch.setattr(codes, "_word_rows", flipped)
+    flip_row_bit(monkeypatch, 0, subfield_elements(ctx4, p41.m)[-1])
     assert not check_cyclicity(ctx4, p41, code)
 
 
+def test_cyclicity_checks_every_gamma_row(monkeypatch):
+    # A repeated gamma row breaks c2 alone, the only code that XORs gamma
+    # rows; on a fresh field, as the gamma axis is proved once per field.
+    break_gamma_row(monkeypatch)
+    ctx, p = build_field(4), derive_params(4, 1)
+    assert check_cyclicity(ctx, p, "c1")
+    assert not check_cyclicity(ctx, p, "c2")
+
+
 def test_cyclicity_memory_bounded_by_one_alpha(ctx6, p61):
-    # Only the row tables are built: 8 + 64 + 64 rows of 63 uint8 bits, their
-    # images and one rotated table at a time. All 2^15 words at once, with
+    # Only blocks of row tables are built: 8 + 64 rows of 64 uint8 bits and
+    # their images, and the 64 gamma rows. All 2^15 words at once, with
     # their images and rotation, take 5.9 MB.
     assert traced_peak(check_cyclicity, ctx6, p61, "c2") < 2 * (1 << 20)
 
 
 def test_cyclicity_reads_only_the_row_tables(ctx6, p61, monkeypatch):
-    # No word is built: the three row tables, their images and the arrays
-    # they are gathered from trace 32 KiB; one alpha's c2 words trace 778 KiB.
-    def no_words(rows):
+    # No word is built, nor any row table in word order: the rows and their
+    # images trace under 32 KiB; one alpha's c2 words trace 778 KiB.
+    def no_words(*args):
         raise AssertionError("check_cyclicity built codewords")
 
     monkeypatch.setattr(codes, "_words", no_words)
+    monkeypatch.setattr(codes, "_word_rows", no_words)
     assert traced_peak(check_cyclicity, ctx6, p61, "c2") < 128 * (1 << 10)
+
+
+def test_exhaustive_cyclicity_memory_at_n12_bounded_by_its_blocks(
+        monkeypatch):
+    # Blocks of 128 rows of 4096 uint8 bits, 512 kB, and their images.
+    # Whole row tables in word order, with their images, trace 65 MiB for c1
+    # and 97 MiB for c2.
+    monkeypatch.setattr(codes, "CYCLICITY_EXHAUSTIVE_MAX_N", 12)
+    ctx, p = build_field(12), derive_params(12, 1)
+    for code in ("c1", "c2"):
+        assert traced_peak(check_cyclicity, ctx, p, code) < 4 * (1 << 20)
 
 
 @pytest.mark.slow

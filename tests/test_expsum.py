@@ -18,7 +18,7 @@ from kasamilab import (ValueDistribution, VerificationError,
                        s_spectrum_formula, subfield_elements, t_spectrum,
                        t_spectrum_formula)
 from kasamilab.cli import main
-from kasamilab.field import (_cycles, bit_count, power_table,
+from kasamilab.field import (FieldContext, _cycles, bit_count, power_table,
                              rel_trace_table)
 
 # Frozen from the schoolbook double/triple loops in reference.py.
@@ -309,8 +309,8 @@ def test_per_pair_checks_need_the_trace_rows_closed_under_pi(
 
 def test_row_closure_needs_both_maps_to_permute():
     # Row i of the identity read at the swap of 0 and 1 is the row of the
-    # swap of i; a map that sends two rows, or two entries, to one is no
-    # licence, whatever the rows read.
+    # swap of i; a perm that sends two entries to one is no licence, whatever
+    # the rows read. The coefficient map is checked by `_orbit_closure`.
     rows, ids, swap = np.eye(4, dtype=np.uint8), np.arange(4), [1, 0, 2, 3]
     def build(coeffs):
         return rows[coeffs]
@@ -320,11 +320,23 @@ def test_row_closure_needs_both_maps_to_permute():
     with pytest.raises(VerificationError,
                        match="unit rows are not closed under x -> pi x"):
         expsum._row_closure(build, ids, ids, np.array(swap), "unit")
-    for images, perm in (([0, 0, 2, 3], ids), (ids, [0, 0, 2, 3])):
+    with pytest.raises(VerificationError,
+                       match="x -> pi x does not permute the unit rows"):
+        expsum._row_closure(build, ids, ids, np.array([0, 0, 2, 3]), "unit")
+
+
+@pytest.mark.parametrize("curves", [False, True], ids=["trace", "value"])
+def test_orbit_closure_needs_the_coefficient_map_to_permute(
+        ctx6, p61, monkeypatch, curves):
+    # pi^e patched to 0 sends every coefficient to 0. Only the zero rows are
+    # compared when the lists hold 0 alone, and they agree, so the map is
+    # refused on the full coefficient table, whatever the lists.
+    monkeypatch.setattr(FieldContext, "pow", lambda self, a, e: 0)
+    for listed in (None, [0]):
         with pytest.raises(VerificationError,
-                           match="x -> pi x does not permute the unit rows"):
-            expsum._row_closure(build, ids, np.array(images), np.array(perm),
-                                "unit")
+                           match="x -> pi x does not permute the .* rows"):
+            expsum._orbit_closure(ctx6, p61, curves, alphas=listed,
+                                  betas=listed)
 
 
 def test_verify_records_a_broken_times_pi_closure(tmp_path, monkeypatch):

@@ -19,13 +19,15 @@ other sweep counts bits or runs the Walsh transform. Only the gamma-sweep
 calls `_walsh`; only the T table, whose spans the popcount sweep bincounts,
 calls `_popcounts`; only that sweep and Artin-Schreier call the T table, and
 only T and S call that sweep (the code weights relabel them); only the
-popcount sweep and the gamma-sweep prove the gamma axis; only the popcount
-sweep, the gamma-sweep, Artin-Schreier, the orbit-closure proof and the
-codewords build trace rows, and only Artin-Schreier counts points. Only the correlation
-sweep, `sequences.correlation_distribution`, sums its work over threads
-(`_summed`, `_thread_count`), and only `distribution._summed` opens a thread
-pool, so no per-pair check is threaded. Every entry of the check registry is
-a `cli.Check`, so `verify` runs one kind of check.
+popcount sweep, the gamma-sweep and cyclicity prove the gamma axis; only the
+orbit-closure proof compares rows read at x -> pi x (`_row_closure`); only
+the popcount sweep, the gamma-sweep, Artin-Schreier, the orbit-closure proof
+and the codewords build trace rows, and only Artin-Schreier counts points.
+Only the correlation sweep, `sequences.correlation_distribution`, sums its
+work over threads (`_summed`, `_thread_count`), and only
+`distribution._summed` opens a thread pool, so no per-pair check is
+threaded. Every entry of the check registry is a `cli.Check`, so `verify`
+runs one kind of check.
 """
 
 import ast
@@ -245,15 +247,18 @@ def test_only_the_correlation_sweep_names_a_float_dtype(path):
 # kernel -> the (module, top-level function)s allowed to call it: the
 # popcount sweep (T and S, which the code weights relabel) and the T table it
 # reads span by span, which Artin-Schreier also reads; the Walsh kernel, which only the
-# gamma-sweep reads; the gamma-axis proof; the trace rows, which the orbit
-# closure proves; the point counts; and the thread pool, which only the
-# correlation sweep sums its work over.
+# gamma-sweep reads; the gamma-axis proof, which cyclicity also reads; the
+# x -> pi x row comparison, which only the orbit closure makes; the trace
+# rows, which the orbit closure proves; the point counts; and the thread
+# pool, which only the correlation sweep sums its work over.
 KERNEL_CALLERS = {
     "_popcount_sweep": {("expsum.py", "t_spectrum"),
                         ("expsum.py", "s_spectrum")},
     "_walsh": {("expsum.py", "gamma_sweep")},
     "_gamma_axis": {("expsum.py", "gamma_sweep"),
-                    ("expsum.py", "_popcount_sweep")},
+                    ("expsum.py", "_popcount_sweep"),
+                    ("codes.py", "check_cyclicity")},
+    "_row_closure": {("expsum.py", "_orbit_closure")},
     "_popcounts": {("expsum.py", "_t_table")},
     "_t_table": {("expsum.py", "_popcount_sweep"),
                  ("expsum.py", "artin_schreier_sweep")},
