@@ -24,7 +24,7 @@ from .codes import (MinimalPolynomial, check_cyclicity, check_parity,
                     codeword_dump_lines, h_polynomials, minimal_poly,
                     parity_check_mask, weight_distribution,
                     weight_distribution_formula)
-from .sequences import (SequenceFamily, build_family, check_inequivalence,
+from .sequences import (SequenceFamily, build_family,
                         correlation_distribution,
                         correlation_distribution_formula,
                         correlation_table_printed, family_dump_lines,
@@ -46,7 +46,7 @@ __all__ = [
     "codeword_c1", "codeword_c2", "codeword_dump_lines", "h_polynomials",
     "minimal_poly", "parity_check_mask", "weight_distribution",
     "weight_distribution_formula",
-    "SequenceFamily", "build_family", "check_inequivalence",
+    "SequenceFamily", "build_family",
     "correlation_distribution",
     "correlation_distribution_formula", "correlation_table_printed",
     "family_dump_lines", "family_size",

@@ -152,8 +152,9 @@ def check_cyclicity(ctx, params, code):
     gamma = 0. A word XORs one row of three tables, each holding the zero
     row, so this holds iff each row read at pi x is the row of its image:
     the sweeps' orbit proof, `_orbit_closure` on the alpha and beta rows
-    (all for n <= CYCLICITY_EXHAUSTIVE_MAX_N, else a fixed sample) and,
-    for c2, `_gamma_axis` on every gamma row.
+    (all for n <= CYCLICITY_EXHAUSTIVE_MAX_N, the proof the sweeps made
+    once per field, else a fixed sample, proved on each call) and, for c2,
+    `_gamma_axis` on every gamma row.
     """
     if code not in CODES:
         raise ValueError(f"code must be one of {CODES}, got {code!r}")

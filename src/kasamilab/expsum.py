@@ -21,8 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from .distribution import ValueDistribution, VerificationError, _exact, _p2
-from .field import (_gf2_linear, _mul, power_table, rel_trace_table,
-                    subfield_elements, trace_bit_matrix)
+from .field import (_cached, _gf2_linear, _mul, power_table,
+                    rel_trace_table, subfield_elements, trace_bit_matrix)
 
 __all__ = [
     "MomentReport", "t_spectrum", "t_spectrum_formula", "s_spectrum",
@@ -52,8 +52,8 @@ def _trace_rows(ctx, params, alphas, betas, gammas):
     arows = np.empty((len(alphas), ctx.q), dtype=np.uint8)
     for row, alpha in zip(arows, alphas.tolist()):
         np.take(trace_m, _mul(ctx, alpha, norm), out=row)
-    brows = trace_bit_matrix(ctx, power_table(ctx, params.e_quad), betas)
-    grows = trace_bit_matrix(ctx, np.arange(ctx.q), gammas)
+    brows = trace_bit_matrix(ctx, params.e_quad, betas)
+    grows = trace_bit_matrix(ctx, 1, gammas)
     return arows, brows, grows
 
 
@@ -107,13 +107,13 @@ def _walsh(bits):
 
 
 def _gamma_axis(ctx):
-    """Prove once per field, from the bits, that each row Tr_n(g x) is
-    linear, that the rows' bits at x = 2^j, read as n bits u, give each u
-    once, and that row g read at pi x is row g pi: x -> pi x is a linear
-    permutation, so that holds once the two agree on the basis. The rows
-    are built in `_blocks` and only their bits at x = 2^j and x = pi 2^j
-    are kept."""
-    if "gamma_axis" not in ctx._cache:
+    """Prove from the bits that each row Tr_n(g x) is linear, that the rows'
+    bits at x = 2^j, read as n bits u, give each u once, and that row g read
+    at pi x is row g pi: x -> pi x is a linear permutation, so that holds
+    once the two agree on the basis. The rows are built in `_blocks` and
+    only their bits at x = 2^j and x = pi 2^j are kept; once per field, by
+    `_cached`."""
+    def prove():
         q, gammas = ctx.q, np.arange(ctx.q)
         times_pi = _mul(ctx, gammas, ctx.pi)
         if (not _gf2_linear(times_pi)
@@ -123,7 +123,7 @@ def _gamma_axis(ctx):
         basis = 1 << np.arange(ctx.n)
         index, shifted = np.empty((2, q), dtype=np.int64)
         for block in _blocks(gammas, q):
-            rows = trace_bit_matrix(ctx, gammas, block)
+            rows = trace_bit_matrix(ctx, 1, block)
             if not _gf2_linear(rows).all():
                 raise VerificationError("a row Tr_n(g x) is not GF(2)-linear")
             for out, xs in ((index, basis), (shifted, times_pi[basis])):
@@ -134,7 +134,8 @@ def _gamma_axis(ctx):
         if (shifted != index[times_pi]).any():
             raise VerificationError(
                 f"the gamma rows are not closed under {_TIMES_PI}")
-        ctx._cache["gamma_axis"] = True
+
+    _cached(ctx, "gamma_axis", prove)
 
 
 def _popcounts(apacked, bpacked):
@@ -155,12 +156,12 @@ def _t_table(ctx, params, apacked, betas):
     being the alpha row XOR the bits Tr_n(b x^e2). The beta rows are built
     in `_blocks` and each block is packed as it is built, so only one block
     of them is ever unpacked."""
-    q, base = ctx.q, power_table(ctx, params.e_quad)
+    q = ctx.q
     bpacked = np.empty((len(betas), q // 8), dtype=np.uint8)
     done = 0
     for block in _blocks(betas, q):
         bpacked[done:done + len(block)] = np.packbits(
-            trace_bit_matrix(ctx, base, block), axis=-1)
+            trace_bit_matrix(ctx, params.e_quad, block), axis=-1)
         done += len(block)
     return q - 2 * _popcounts(apacked, bpacked)
 
@@ -235,7 +236,9 @@ def _orbit_closure(ctx, params, curves=False, alphas=None, betas=None):
     each full table: on the trace rows (T, S, the gamma-sweep, cyclicity),
     or with `curves` on the values a' x^e1, a' in GF(2^n), and beta x^e2
     (kernel sizes, point counts). As pi^e1 generates GF(2^m)*, alpha = 1
-    then stands for every alpha != 0."""
+    then stands for every alpha != 0. On the full tables the proof is made
+    once per field, kind of row and (m, k), by `_cached`; on listed
+    coefficients (cyclicity's sample), on every call."""
     q, m, k = ctx.q, params.m, params.k
     if curves:
         tables = (("a' x^e1", range(q), lambda c: _monomial_rows(ctx, c, m)),
@@ -245,15 +248,22 @@ def _orbit_closure(ctx, params, curves=False, alphas=None, betas=None):
                    lambda c: _trace_rows(ctx, params, c, [], [])[0]),
                   ("beta", range(q),
                    lambda c: _trace_rows(ctx, params, [], c, [])[1]))
-    times_pi = _mul(ctx, np.arange(q), ctx.pi)
-    for (name, full, rows), listed, e in zip(tables, (alphas, betas),
-                                             (params.e_norm, params.e_quad)):
-        pe = ctx.pow(ctx.pi, e)
-        if (np.sort(_mul(ctx, full, pe)) != np.sort(full)).any():
-            raise VerificationError(
-                f"{_TIMES_PI} does not permute the {name} rows")
-        coeffs = full if listed is None else listed
-        _row_closure(rows, coeffs, _mul(ctx, coeffs, pe), times_pi, name)
+
+    def prove():
+        times_pi = _mul(ctx, np.arange(q), ctx.pi)
+        for (name, full, rows), listed, e in zip(
+                tables, (alphas, betas), (params.e_norm, params.e_quad)):
+            pe = ctx.pow(ctx.pi, e)
+            if (np.sort(_mul(ctx, full, pe)) != np.sort(full)).any():
+                raise VerificationError(
+                    f"{_TIMES_PI} does not permute the {name} rows")
+            coeffs = full if listed is None else listed
+            _row_closure(rows, coeffs, _mul(ctx, coeffs, pe), times_pi, name)
+
+    if alphas is None and betas is None:
+        _cached(ctx, ("orbit_closure", curves, m, k), prove)
+    else:
+        prove()
 
 
 def _blocks(values, q):

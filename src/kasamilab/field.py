@@ -3,10 +3,11 @@
 Elements are ints whose bit j is the coefficient of x^j in the polynomial
 basis. A FieldContext holds the exp/log/trace tables for one modulus; the
 heavier derived tables (power maps, relative traces, the zero-safe log/exp
-pair behind the elementwise product `_mul`, and the window of rotations of the
-m-sequence Tr(pi^t) that every trace row is gathered from, as uint8 bits) are
-built on demand and cached on the context. The trace rows themselves are not
-cached.
+pair behind the elementwise product `_mul`, the window of rotations of the
+m-sequence Tr(pi^t) that every trace row is gathered from, as uint8 bits, and
+the logs of x^e it is read at) are built on demand and cached on the context
+by `_cached`, as are the proofs the sweeps lean on. The trace rows themselves
+are not cached.
 """
 
 from __future__ import annotations
@@ -256,6 +257,14 @@ def subfield_elements(ctx, m):
                   for j in range((1 << m) - 1)]
 
 
+def _cached(ctx, key, build):
+    """build(), made once per context and kept under key; a build that
+    raises keeps nothing, so each later reader makes it again."""
+    if key not in ctx._cache:
+        ctx._cache[key] = build()
+    return ctx._cache[key]
+
+
 def _mul(ctx, a, b):
     """Elementwise a*b of integer arrays or scalars, numpy-broadcast; 0 is safe.
 
@@ -335,27 +344,24 @@ def rel_trace_table(ctx, i, j):
 def _rotations(ctx):
     """Every rotation of the m-sequence seq[t] = Tr(pi^t) as uint8 bits, row
     i rotated left by i: a read-only window on seq doubled, cached."""
-    if "rotations" not in ctx._cache:
-        seq = ctx.trace_table[ctx.exp_table]
-        ctx._cache["rotations"] = sliding_window_view(
-            np.concatenate([seq, seq]), ctx.order)
-    return ctx._cache["rotations"]
+    return _cached(ctx, "rotations", lambda: sliding_window_view(
+        np.tile(ctx.trace_table[ctx.exp_table], 2), ctx.order))
 
 
-def trace_bit_matrix(ctx, base, coeffs):
-    """uint8 rows of Tr(c * base[j]), one per coefficient c.
+def trace_bit_matrix(ctx, e, coeffs):
+    """uint8 rows of Tr(c x^e) over x in mask order, one per coefficient c.
 
-    For nonzero c and b, Tr(c b) = seq[(log c + log b) mod L], so row c is one
-    gather, at the logs of base, from the rotation of seq by log c. The log of
-    0 reads as -1, a valid index; an entry with c = 0 or b = 0 is then set to
+    For nonzero c and x, Tr(c x^e) = seq[(log c + e log x) mod L], so row c
+    is one gather, at e log x mod L, from the rotation of seq by log c. Those
+    logs are made once per exponent and cached. The log of 0 reads as -1, a
+    valid index; column x = 0 and the rows of c = 0 are then set to
     Tr(0) = 0.
     """
-    window = _rotations(ctx)
-    base = np.asarray(base, dtype=np.int64)
+    window, e = _rotations(ctx), e % ctx.order
+    logs = _cached(ctx, ("log_pow", e), lambda: ctx.log_table * e % ctx.order)
     coeffs = np.asarray(coeffs, dtype=np.int64)
-    logs = ctx.log_table[base]
-    out = np.empty((len(coeffs), len(base)), dtype=np.uint8)
+    out = np.empty((len(coeffs), ctx.q), dtype=np.uint8)
     for row, shift in zip(out, ctx.log_table[coeffs].tolist()):
         np.take(window[shift], logs, out=row)
-    out[:, base == 0] = out[coeffs == 0] = 0
+    out[:, 0] = out[coeffs == 0] = 0
     return out

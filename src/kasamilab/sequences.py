@@ -7,23 +7,19 @@ cross-correlation reduces to S(alpha', beta', gamma') - 1 for parameters swept
 bijectively by the relative shift, so the full correlation histogram is
 predicted exactly by compositions of the closed-form sum distributions. The
 literally tabulated histogram rows are also evaluated and compared, and any
-discrepancy is reported as a flag, never silently repaired.
+discrepancy is reported as a flag, never silently repaired. The measured
+histogram also decides the family's rotation-distinctness: two members
+agree at every position at some shift exactly when one is a rotation of
+the other, so the value L = 2^n - 1 occurs |F| times, each member against
+itself at shift 0, iff every member has full period and no two are
+rotations of each other.
 
 The family is one uint8 matrix, a row per member holding its bits packed
 eight to a byte, XORed from packed trace rows; every reader takes its rows
-from there. Decimation by 2 permutes the family up to rotation, which
-every sweep re-checks. The sweep then takes one representative per
-decimation orbit, weighted by the orbit's size, against its own orbit and,
-weighted twice for the swapped pairs, every later orbit; every pair at
-every shift is still counted. The largest orbits come first. The members
-are unpacked to signs one tile of 4 (L + 2) members at a time (or the
-largest orbit, if more), which the threads share; each thread adds its
-products into its histogram a chunk of fixed size at a time, so no buffer
-holds floats for the whole family and each thread's are bounded by L, not
-by the family size. Each column of that circulant product packs two
-shifts: the agreement counts a, a' in [0, L] of shifts tau and tau + 1
-read as the one index a + (L + 1) a'. The product is float32 only while
-every partial sum is exact in it (n <= 10), else float64.
+from there. `correlation_distribution` sweeps one representative per
+decimation orbit against the members, tile by tile, two shifts to a column
+of a circulant product, so every pair at every shift is counted and no
+buffer holds floats for the whole family.
 """
 
 from __future__ import annotations
@@ -41,17 +37,14 @@ from .distribution import (ValueDistribution, VerificationError, _exact,
                            _p2, _summed, _thread_count)
 from .expsum import (_b_sum, _den2, _eps2, _xi2, s_spectrum_formula,
                      t_spectrum_formula)
-from .field import _cycles, _factorize, subfield_elements
+from .field import _cycles, subfield_elements
 
 __all__ = [
     "SequenceFamily", "family_size", "build_family",
     "correlation_distribution",
     "correlation_distribution_formula", "correlation_table_printed",
-    "check_inequivalence", "family_dump_lines", "INEQUIVALENCE_MAX_N",
+    "family_dump_lines",
 ]
-
-# check_inequivalence compares every rotation of every member as a big int.
-INEQUIVALENCE_MAX_N = 6
 
 
 def _unpacked(rows, L):
@@ -547,27 +540,6 @@ def _reconcile_printed(params, composed):
             notes.append(f"derived kappa={kappa} (count {cnt}) has no "
                          f"tabulated row")
     return tuple(notes)
-
-
-def check_inequivalence(family):
-    """True iff every member has full period and no two are cyclic shifts."""
-    params = family.params
-    if params.n > INEQUIVALENCE_MAX_N:
-        raise ValueError(f"exhaustive inequivalence check is limited to "
-                         f"n <= {INEQUIVALENCE_MAX_N}")
-    L = params.q - 1
-    mask = (1 << L) - 1
-    packed = [int.from_bytes(row, "little") for row in family.rows]
-
-    def rot(v, r):
-        return ((v >> r) | (v << (L - r))) & mask
-
-    for v in packed:
-        for prime in _factorize(L):
-            if rot(v, L // prime) == v:
-                return False
-    canon = {min(rot(v, r) for r in range(L)) for v in packed}
-    return len(canon) == len(packed)
 
 
 def family_dump_lines(family):

@@ -6,6 +6,9 @@ traces, direct summation. No exp/log tables, no numpy, no imports from the
 package under test. Slow but obvious; the test suite trusts this file over
 everything else. The rest keep, in numpy, sweeps the package once ran, as
 oracles at sizes the naive sweeps cannot reach.
+`check_inequivalence` rotates every family member as a Python int, as the
+package once did to find repeated rotations, which it now reads off the
+count of the correlation value 2^n - 1.
 `correlation_rep_major` keeps the decimation-orbit correlation kernel in
 its representative-major form; it imports nothing from the package, and
 takes the orbits as given. `decimation_orbits_per_row` finds those orbits
@@ -33,6 +36,7 @@ __all__ = [
     "gamma_sweep_naive", "kernel_count_naive", "kernel_profile_naive",
     "psi_roots_naive", "bluher_naive", "as_points_naive", "min_poly_naive",
     "codeword_bits_c1", "codeword_bits_c2", "family_naive", "correlation_naive",
+    "check_inequivalence",
     "correlation_rep_major", "decimation_orbits_per_row", "kernel_dims",
     "gamma_sweep", "artin_schreier_sweep",
 ]
@@ -332,6 +336,19 @@ def correlation_naive(a_bits, b_bits, tau):
     """Periodic cross-correlation of two equal-length bit tuples at shift tau."""
     L = len(a_bits)
     return sum(1 - 2 * (a_bits[lam] ^ b_bits[(lam + tau) % L]) for lam in range(L))
+
+
+def check_inequivalence(family):
+    """True iff every member of the family has full period and no two are
+    cyclic shifts of each other: every rotation of every packed member row,
+    as a Python int."""
+    L = family.params.q - 1
+    mask = (1 << L) - 1
+    words = [int.from_bytes(row.tobytes(), "little") for row in family.rows]
+    turns = [{((v >> r) | (v << (L - r))) & mask for r in range(L)}
+             for v in words]
+    return (all(len(t) == L for t in turns)
+            and len({min(t) for t in turns}) == len(words))
 
 
 def correlation_rep_major(bits, orbit, sizes, rows, dtype=np.float64):

@@ -14,7 +14,7 @@ import numpy as np
 import reference as ref
 from kasamilab import (artin_schreier_points, bluher_counts,
                        bluher_counts_formula, build_family, build_field,
-                       check_inequivalence, codeword_c2,
+                       codeword_c2,
                        correlation_distribution,
                        correlation_distribution_formula,
                        correlation_table_printed, derive_params,
@@ -182,7 +182,7 @@ def test_09_sequence_family():
     ok = (fam.size == 67
           and np.unpackbits(fam.rows, axis=1, count=15,
                             bitorder="little").shape == (67, 15)
-          and check_inequivalence(fam)
+          and ref.check_inequivalence(fam)
           and hist.total == 67335
           and hist.count(15) == 67
           and hist.as_dict() == printed

@@ -307,12 +307,33 @@ def test_shared_sweeps_are_timed_on_their_own_lines(tmp_path, monkeypatch,
     checks = dict(re.findall(r"\[time\] (\S+): ([\d.]+)s", err))
     shared = dict(re.findall(r"\[time\] shared sweep (\S+): ([\d.]+)s", err))
     assert code == 0 and set(shared) == {"t_distribution", "s_distribution",
-                                         "kernel_dims", "family"}
+                                         "kernel_dims", "family",
+                                         "correlation"}
     assert float(shared["t_distribution"]) >= 0.3
     assert float(shared["s_distribution"]) >= 0.3
     for check in ("moments", "t-spectrum", "s-spectrum", "code-weights-c1",
                   "code-weights-c2"):
         assert float(checks[check]) < 0.3, check
+
+
+def test_correlation_timer_leaves_out_the_family_build(tmp_path, monkeypatch,
+                                                       capsys):
+    # The correlation subcommand reads the family only through the shared
+    # correlation sweep, which builds it before that sweep's timer starts:
+    # a build made 0.3 s slower shows on the family line alone.
+    def slow(ctx, params, build=cli.build_family):
+        time.sleep(0.3)
+        return build(ctx, params)
+
+    monkeypatch.setattr(cli, "build_family", slow)
+    code, _, _ = run(tmp_path, "correlation", "--n", "4", "--k", "1")
+    err = capsys.readouterr().err
+    checks = dict(re.findall(r"\[time\] (\S+): (-?[\d.]+)s", err))
+    shared = dict(re.findall(r"\[time\] shared sweep (\S+): ([\d.]+)s", err))
+    assert code == 0 and set(shared) == {"family", "correlation"}
+    assert float(shared["family"]) >= 0.3
+    assert float(shared["correlation"]) < 0.3
+    assert 0 <= float(checks["correlation"]) < 0.3
 
 
 @pytest.mark.parametrize("n,k", [(4, 1), (4, 3), (6, 1), (6, 2), (6, 4),

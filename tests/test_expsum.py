@@ -284,27 +284,31 @@ def flip_row_bit(monkeypatch, axis, coeff, x=3):
     monkeypatch.setattr(expsum, "_trace_rows", flipped)
 
 
+# The orbit proofs are made once per field, so every test that patches a row
+# builder reads a field of its own, on which nothing has been proved yet.
+
 @pytest.mark.parametrize("axis,name", [(0, "alpha"), (1, "beta")])
-def test_flipped_bit_breaks_the_times_pi_closure(ctx6, p61, monkeypatch,
-                                                 axis, name):
-    coeff = subfield_elements(ctx6, 3)[2] if axis == 0 else 5
+def test_flipped_bit_breaks_the_times_pi_closure(monkeypatch, axis, name):
+    ctx, p = build_field(6), derive_params(6, 1)
+    coeff = subfield_elements(ctx, 3)[2] if axis == 0 else 5
     flip_row_bit(monkeypatch, axis, coeff)
     with pytest.raises(VerificationError,
                        match=f"{name} rows are not closed under x -> pi x"):
-        s_spectrum(ctx6, p61)
+        s_spectrum(ctx, p)
 
 
 @pytest.mark.parametrize("sweep", ["gamma_sweep", "artin_schreier_sweep"])
 @pytest.mark.parametrize("axis,name", [(0, "alpha"), (1, "beta")])
 def test_per_pair_checks_need_the_trace_rows_closed_under_pi(
-        ctx6, p61, monkeypatch, sweep, axis, name):
+        monkeypatch, sweep, axis, name):
     # alpha = 1 stands for every alpha != 0 only on that licence.
-    args = (kernel_dims(ctx6, p61),) if sweep == "gamma_sweep" else ()
-    coeff = subfield_elements(ctx6, 3)[2] if axis == 0 else 5
+    ctx, p = build_field(6), derive_params(6, 1)
+    args = (kernel_dims(ctx, p),) if sweep == "gamma_sweep" else ()
+    coeff = subfield_elements(ctx, 3)[2] if axis == 0 else 5
     flip_row_bit(monkeypatch, axis, coeff)
     with pytest.raises(VerificationError,
                        match=f"{name} rows are not closed under x -> pi x"):
-        getattr(expsum, sweep)(ctx6, p61, *args)
+        getattr(expsum, sweep)(ctx, p, *args)
 
 
 def test_row_closure_needs_both_maps_to_permute():
@@ -327,16 +331,76 @@ def test_row_closure_needs_both_maps_to_permute():
 
 @pytest.mark.parametrize("curves", [False, True], ids=["trace", "value"])
 def test_orbit_closure_needs_the_coefficient_map_to_permute(
-        ctx6, p61, monkeypatch, curves):
+        monkeypatch, curves):
     # pi^e patched to 0 sends every coefficient to 0. Only the zero rows are
     # compared when the lists hold 0 alone, and they agree, so the map is
     # refused on the full coefficient table, whatever the lists.
+    ctx, p = build_field(6), derive_params(6, 1)
     monkeypatch.setattr(FieldContext, "pow", lambda self, a, e: 0)
     for listed in (None, [0]):
         with pytest.raises(VerificationError,
                            match="x -> pi x does not permute the .* rows"):
-            expsum._orbit_closure(ctx6, p61, curves, alphas=listed,
+            expsum._orbit_closure(ctx, p, curves, alphas=listed,
                                   betas=listed)
+
+
+def record_row_closures(monkeypatch):
+    """The table name of every `_row_closure` call: two per orbit proof,
+    "alpha" and "beta" on the trace rows, "a' x^e1" and "beta x^e2" on the
+    value rows."""
+    names, compare = [], expsum._row_closure
+
+    def recorded(build, coeffs, images, perm, name):
+        names.append(name)
+        return compare(build, coeffs, images, perm, name)
+
+    monkeypatch.setattr(expsum, "_row_closure", recorded)
+    return names
+
+
+def test_verify_proves_each_orbit_law_once(tmp_path, monkeypatch):
+    # s-spectrum, gamma-sweep, artin-schreier and cyclicity (c1, c2) read the
+    # trace-row proof; kernel_dims and artin-schreier the value-row proof.
+    names = record_row_closures(monkeypatch)
+    assert main(["verify", "--n", "6", "--k", "1",
+                 "--out", str(tmp_path)]) == 3
+    assert Counter(names) == {"alpha": 1, "beta": 1, "a' x^e1": 1,
+                              "beta x^e2": 1}
+
+
+@pytest.mark.parametrize("curves", [False, True], ids=["trace", "value"])
+def test_orbit_proof_is_kept_per_k(monkeypatch, curves):
+    # One field serves k = 1 and k = 2: the (6,1) proof does not stand for
+    # the (6,2) one, and each is made once.
+    ctx = build_field(6)
+    names = record_row_closures(monkeypatch)
+    for k in (1, 1, 2, 2, 1):
+        expsum._orbit_closure(ctx, derive_params(6, k), curves)
+    assert len(names) == 4 and names[:2] == names[2:]
+
+
+def test_a_proof_that_raised_is_made_again(monkeypatch):
+    ctx, p = build_field(6), derive_params(6, 1)
+    flip_row_bit(monkeypatch, 1, 5)
+    for _ in range(2):
+        with pytest.raises(VerificationError,
+                           match="beta rows are not closed under x -> pi x"):
+            expsum._orbit_closure(ctx, p)
+    monkeypatch.undo()
+    names = record_row_closures(monkeypatch)
+    expsum._orbit_closure(ctx, p)
+    expsum._orbit_closure(ctx, p)
+    assert names == ["alpha", "beta"]
+
+
+def test_listed_coefficients_are_proved_every_time(monkeypatch):
+    # Cyclicity's sample above n = 6 lists its coefficients; it is proved on
+    # every call, after the full proof as before it.
+    ctx, p = build_field(6), derive_params(6, 1)
+    names = record_row_closures(monkeypatch)
+    for alphas in (None, [0, 1], [0, 1]):
+        expsum._orbit_closure(ctx, p, alphas=alphas, betas=alphas)
+    assert names == ["alpha", "beta"] * 3
 
 
 def test_verify_records_a_broken_times_pi_closure(tmp_path, monkeypatch):
@@ -367,24 +431,24 @@ def flip_value_bit(monkeypatch, h, coeff, x=3):
                                           (1, 5, "beta x^e2")],
                          ids=["a-prime", "beta"])
 def test_kernel_dims_needs_the_value_rows_closed_under_pi(
-        ctx6, p61, monkeypatch, h, coeff, name):
+        monkeypatch, h, coeff, name):
     # The kernel sizes read the phi rows off the unpatched value rows: only
     # the orbit proof sees the flipped entry.
     flip_value_bit(monkeypatch, h, coeff)
     with pytest.raises(VerificationError,
                        match=re.escape(f"{name} rows are not closed")):
-        kernel_dims(ctx6, p61)
+        kernel_dims(build_field(6), derive_params(6, 1))
 
 
 @pytest.mark.parametrize("h,coeff,name", [(3, 7, "a' x^e1"),
                                           (1, 5, "beta x^e2")],
                          ids=["a-prime", "beta"])
 def test_artin_schreier_needs_the_value_rows_closed_under_pi(
-        ctx6, p61, monkeypatch, h, coeff, name):
+        monkeypatch, h, coeff, name):
     flip_value_bit(monkeypatch, h, coeff)
     with pytest.raises(VerificationError,
                        match=re.escape(f"{name} rows are not closed")):
-        expsum.artin_schreier_sweep(ctx6, p61)
+        expsum.artin_schreier_sweep(build_field(6), derive_params(6, 1))
 
 
 def test_verify_records_a_broken_value_row(tmp_path, monkeypatch):

@@ -19,8 +19,11 @@ other sweep counts bits or runs the Walsh transform. Only the gamma-sweep
 calls `_walsh`; only the T table, whose spans the popcount sweep bincounts,
 calls `_popcounts`; only that sweep and Artin-Schreier call the T table, and
 only T and S call that sweep (the code weights relabel them); only the
-popcount sweep, the gamma-sweep and cyclicity prove the gamma axis; only the
-orbit-closure proof compares rows read at x -> pi x (`_row_closure`); only
+popcount sweep, the gamma-sweep and cyclicity prove the gamma axis; only
+the popcount sweep, the gamma-sweep, Artin-Schreier, the kernel sizes and
+cyclicity lean on the orbit-closure proof (each of the two proofs is made
+once per field and read by all of its callers); only the orbit-closure
+proof compares rows read at x -> pi x (`_row_closure`); only
 the popcount sweep, the gamma-sweep, Artin-Schreier, the orbit-closure proof
 and the codewords build trace rows, and only Artin-Schreier counts points.
 Only the correlation sweep, `sequences.correlation_distribution`, sums its
@@ -248,7 +251,9 @@ def test_only_the_correlation_sweep_names_a_float_dtype(path):
 # popcount sweep (T and S, which the code weights relabel) and the T table it
 # reads span by span, which Artin-Schreier also reads; the Walsh kernel, which only the
 # gamma-sweep reads; the gamma-axis proof, which cyclicity also reads; the
-# x -> pi x row comparison, which only the orbit closure makes; the trace
+# orbit-closure proof, which the sweeps that read one row per orbit and
+# cyclicity read; the x -> pi x row comparison, which only the orbit
+# closure makes; the trace
 # rows, which the orbit closure proves; the point counts; and the thread
 # pool, which only the correlation sweep sums its work over.
 KERNEL_CALLERS = {
@@ -258,6 +263,11 @@ KERNEL_CALLERS = {
     "_gamma_axis": {("expsum.py", "gamma_sweep"),
                     ("expsum.py", "_popcount_sweep"),
                     ("codes.py", "check_cyclicity")},
+    "_orbit_closure": {("expsum.py", "_popcount_sweep"),
+                       ("expsum.py", "gamma_sweep"),
+                       ("expsum.py", "artin_schreier_sweep"),
+                       ("linearized.py", "kernel_dims"),
+                       ("codes.py", "check_cyclicity")},
     "_row_closure": {("expsum.py", "_orbit_closure")},
     "_popcounts": {("expsum.py", "_t_table")},
     "_t_table": {("expsum.py", "_popcount_sweep"),

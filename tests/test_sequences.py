@@ -12,8 +12,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 import reference as ref
 from kasamilab import (SequenceFamily, VerificationError, build_family,
-                       build_field, check_inequivalence,
-                       correlation_distribution,
+                       build_field, correlation_distribution,
                        correlation_distribution_formula,
                        correlation_table_printed, derive_params,
                        family_dump_lines, family_size, pack_bits_hex)
@@ -465,14 +464,65 @@ def test_deficit_misprint_notes_frozen(p82):
 
 
 def test_inequivalence(ctx4, ctx6, p41, p61, p62):
-    assert check_inequivalence(build_family(ctx4, p41))
-    assert check_inequivalence(build_family(ctx6, p61))
-    assert check_inequivalence(build_family(ctx6, p62))
+    assert ref.check_inequivalence(build_family(ctx4, p41))
+    assert ref.check_inequivalence(build_family(ctx6, p61))
+    assert ref.check_inequivalence(build_family(ctx6, p62))
 
 
-def test_inequivalence_guard(ctx8, p82):
-    with pytest.raises(ValueError):
-        check_inequivalence(build_family(ctx8, p82))
+def coset_family(*rows):
+    """A (4,1) family of the given 15-bit rows. The indicator of the
+    cyclotomic coset {1, 2, 4, 8} is its own decimation, so with its odd
+    rotations, its complement or a constant row the decimation map
+    permutes the rows and the sweep runs."""
+    return SequenceFamily(params=derive_params(4, 1), rows=np.packbits(
+        np.array(rows, dtype=np.uint8), axis=1, bitorder="little"))
+
+
+COSET = np.isin(np.arange(15), [1, 2, 4, 8]).astype(np.uint8)
+
+
+@pytest.mark.parametrize("family", [
+    (4, 1), (6, 1), (6, 2),
+    coset_family(COSET, 1 - COSET),       # distinct, full period
+    coset_family(COSET, np.roll(COSET, 1)),  # a rotation of a member
+    coset_family(COSET, np.zeros(15)),    # a member of period 1
+], ids=["4-1", "6-1", "6-2", "complement", "rotated", "constant"])
+def test_count_verdict_agrees_with_the_rotation_oracle(family):
+    # Correlation L = 2^n - 1 means agreement at every position: it occurs
+    # once per member (against itself at shift 0) iff the members are
+    # full-period and pairwise rotation-distinct.
+    if isinstance(family, tuple):
+        family = build_family(build_field(family[0]), derive_params(*family))
+    L = family.params.q - 1
+    verdict = correlation_distribution(family).count(L) == family.size
+    assert verdict == ref.check_inequivalence(family)
+
+
+def rotated_member(family, into=7, source=3, shift=1):
+    """The family with member `into` replaced by member `source` rotated."""
+    L = family.params.q - 1
+    bits = bits_of(family)
+    bits[into] = np.roll(bits[source], -shift)
+    return replace(family, rows=np.packbits(bits, axis=1, bitorder="little"))
+
+
+@pytest.mark.parametrize("kind", ["family", "coset"])
+def test_verify_refuses_a_family_with_a_rotated_member(tmp_path, monkeypatch,
+                                                       ctx4, p41, kind):
+    # In the family itself the replaced member was the decimation image of
+    # another, which the sweep refuses; in the coset family the sweep runs
+    # and the count of correlation L refuses it.
+    fam = (rotated_member(build_family(ctx4, p41)) if kind == "family"
+           else coset_family(COSET, np.roll(COSET, 1)))
+    monkeypatch.setattr("kasamilab.cli.build_family", lambda ctx, p: fam)
+    assert main(["verify", "--n", "4", "--k", "1",
+                 "--out", str(tmp_path)]) == 2
+    report = json.loads((tmp_path / "report.json").read_text())
+    record = next(r for r in report["records"] if r["name"] == "family")
+    assert record["status"] == "mismatch"
+    assert (record["detail"] == "members are not full-period "
+            "rotation-distinct" if kind == "coset"
+            else "is no member up to rotation" in record["detail"])
 
 
 def test_pure_quadratic_member_autocorrelation(ctx6, p62):
