@@ -152,8 +152,8 @@ def check_cyclicity(ctx, params, code):
     gamma = 0. A word XORs one row of three tables, each holding the zero
     row, so this holds iff each row read at pi x is the row of its image:
     the sweeps' orbit proof, `_orbit_closure` on the alpha and beta rows
-    (all for n <= CYCLICITY_EXHAUSTIVE_MAX_N, the proof the sweeps made
-    once per field, else a fixed sample, proved on each call) and, for c2,
+    (all for n <= CYCLICITY_EXHAUSTIVE_MAX_N, else a fixed sample, each
+    proved once per field, so c1 and c2 share it) and, for c2,
     `_gamma_axis` on every gamma row.
     """
     if code not in CODES:

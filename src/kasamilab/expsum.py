@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -234,11 +235,12 @@ def _orbit_closure(ctx, params, curves=False, alphas=None, betas=None):
     that of alpha pi^e1, and of each beta as that of beta pi^e2, for the
     listed `alphas` and `betas` (by default all), once c -> c pi^e permutes
     each full table: on the trace rows (T, S, the gamma-sweep, cyclicity),
-    or with `curves` on the values a' x^e1, a' in GF(2^n), and beta x^e2
-    (kernel sizes, point counts). As pi^e1 generates GF(2^m)*, alpha = 1
-    then stands for every alpha != 0. On the full tables the proof is made
-    once per field, kind of row and (m, k), by `_cached`; on listed
-    coefficients (cyclicity's sample), on every call."""
+    or with `curves` on the values a' x^e1 and beta x^e2 (kernel sizes, which
+    list a' in GF(2^m); point counts). As pi^e1 generates GF(2^m)*, alpha = 1
+    then stands for every alpha != 0. `_cached` keeps each table's proof per
+    field under (its name, h of its e = 2^h + 1, the listed coefficients
+    or None), so the alpha and a' proofs serve every k, and each list is
+    proved once."""
     q, m, k = ctx.q, params.m, params.k
     if curves:
         tables = (("a' x^e1", range(q), lambda c: _monomial_rows(ctx, c, m)),
@@ -249,21 +251,18 @@ def _orbit_closure(ctx, params, curves=False, alphas=None, betas=None):
                   ("beta", range(q),
                    lambda c: _trace_rows(ctx, params, [], c, [])[1]))
 
-    def prove():
-        times_pi = _mul(ctx, np.arange(q), ctx.pi)
-        for (name, full, rows), listed, e in zip(
-                tables, (alphas, betas), (params.e_norm, params.e_quad)):
-            pe = ctx.pow(ctx.pi, e)
-            if (np.sort(_mul(ctx, full, pe)) != np.sort(full)).any():
-                raise VerificationError(
-                    f"{_TIMES_PI} does not permute the {name} rows")
-            coeffs = full if listed is None else listed
-            _row_closure(rows, coeffs, _mul(ctx, coeffs, pe), times_pi, name)
+    def prove(name, full, rows, h, listed):
+        pe = ctx.pow(ctx.pi, (1 << h) + 1)
+        if (np.sort(_mul(ctx, full, pe)) != np.sort(full)).any():
+            raise VerificationError(
+                f"{_TIMES_PI} does not permute the {name} rows")
+        coeffs = full if listed is None else listed
+        _row_closure(rows, coeffs, _mul(ctx, coeffs, pe),
+                     _mul(ctx, np.arange(q), ctx.pi), name)
 
-    if alphas is None and betas is None:
-        _cached(ctx, ("orbit_closure", curves, m, k), prove)
-    else:
-        prove()
+    for (name, full, rows), h, listed in zip(tables, (m, k), (alphas, betas)):
+        _cached(ctx, (name, h, None if listed is None else tuple(listed)),
+                partial(prove, name, full, rows, h, listed))
 
 
 def _blocks(values, q):

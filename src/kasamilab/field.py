@@ -5,9 +5,9 @@ basis. A FieldContext holds the exp/log/trace tables for one modulus; the
 heavier derived tables (power maps, relative traces, the zero-safe log/exp
 pair behind the elementwise product `_mul`, the window of rotations of the
 m-sequence Tr(pi^t) that every trace row is gathered from, as uint8 bits, and
-the logs of x^e it is read at) are built on demand and cached on the context
-by `_cached`, as are the proofs the sweeps lean on. The trace rows themselves
-are not cached.
+the logs of x^e it is read at), and the proofs the sweeps lean on, are made
+on demand and kept read-only on the context by `_cached`, the one reader and
+writer of its cache. The trace rows themselves are not cached.
 """
 
 from __future__ import annotations
@@ -258,10 +258,15 @@ def subfield_elements(ctx, m):
 
 
 def _cached(ctx, key, build):
-    """build(), made once per context and kept under key; a build that
-    raises keeps nothing, so each later reader makes it again."""
+    """build(), made once per context and kept under key, each array of it
+    made read-only; a build that raises keeps nothing, so each later reader
+    makes it again."""
     if key not in ctx._cache:
-        ctx._cache[key] = build()
+        kept = build()
+        for array in kept if isinstance(kept, tuple) else (kept,):
+            if isinstance(array, np.ndarray):
+                array.setflags(write=False)
+        ctx._cache[key] = kept
     return ctx._cache[key]
 
 
@@ -272,29 +277,21 @@ def _mul(ctx, a, b):
     and the cached exp table is the cycle twice followed by zeros, so the
     product is one gather with no modulus and no mask.
     """
-    if "mul" not in ctx._cache:
-        order = ctx.order
+    def tables():
         log = ctx.log_table.copy()
-        log[0] = 2 * order
-        exp = np.concatenate([ctx.exp_table, ctx.exp_table,
-                              np.zeros(2 * order + 1, dtype=np.int64)])
-        log.setflags(write=False)
-        exp.setflags(write=False)
-        ctx._cache["mul"] = log, exp
-    log, exp = ctx._cache["mul"]
+        log[0] = 2 * ctx.order
+        return log, np.concatenate([ctx.exp_table, ctx.exp_table,
+                                    np.zeros(2 * ctx.order + 1, np.int64)])
+
+    log, exp = _cached(ctx, "mul", tables)
     return exp[log[a] + log[b]]
 
 
 def power_table(ctx, e):
     """Vector of x^e over all field elements x; out[0] = 0 (e >= 1 intended)."""
-    key = ("pow", e % ctx.order)
-    if key not in ctx._cache:
-        out = np.zeros(ctx.q, dtype=np.int64)
-        idx = (np.arange(ctx.order, dtype=np.int64) * (e % ctx.order)) % ctx.order
-        out[ctx.exp_table] = ctx.exp_table[idx]
-        out.setflags(write=False)
-        ctx._cache[key] = out
-    return ctx._cache[key]
+    e %= ctx.order
+    return _cached(ctx, ("pow", e), lambda: np.append(
+        0, ctx.exp_table[ctx.log_table[1:] * e % ctx.order]))
 
 
 def _cycles(perm, n):
@@ -328,17 +325,17 @@ def rel_trace_table(ctx, i, j):
     """Vector of sum_{t < j//i} x^(2^(i t)); equals Tr over GF(2^j) entries."""
     if j % i or ctx.n % j:
         raise ValueError(f"need i | j | n, got i={i}, j={j}, n={ctx.n}")
-    key = ("rtr", i, j)
-    if key not in ctx._cache:
+
+    def table():
         frob = power_table(ctx, 1 << i)
         acc = np.zeros(ctx.q, dtype=np.int64)
         y = np.arange(ctx.q, dtype=np.int64)
         for _ in range(j // i):
             acc ^= y
             y = frob[y]
-        acc.setflags(write=False)
-        ctx._cache[key] = acc
-    return ctx._cache[key]
+        return acc
+
+    return _cached(ctx, ("rtr", i, j), table)
 
 
 def _rotations(ctx):

@@ -25,7 +25,7 @@ import numpy as np
 from .distribution import VerificationError, _exact, _histogram, _p2
 from .expsum import (_blocks, _eps1, _monomial_rows, _orbit_closure,
                      t_spectrum_formula)
-from .field import _gf2_linear, _mul, power_table
+from .field import _gf2_linear, _mul, power_table, subfield_elements
 
 __all__ = [
     "RankProfile", "BluherCounts", "kernel_dims", "rank_profile",
@@ -110,8 +110,9 @@ def _kernel_dims(ctx, params, alpha, betas):
 def kernel_dims(ctx, params):
     """Kernel dimensions over GF(q0) of phi_{alpha,beta} for alpha = 0 and
     1, one row each, the betas in `_blocks`: `_orbit_closure` on the value
-    rows lets alpha = 1 stand for every alpha != 0."""
-    _orbit_closure(ctx, params, curves=True)
+    rows, a' over GF(2^m), lets alpha = 1 stand for every alpha != 0."""
+    _orbit_closure(ctx, params, curves=True,
+                   alphas=subfield_elements(ctx, params.m))
     blocks = _blocks(range(ctx.q), ctx.q)
     return np.stack([np.concatenate([_kernel_dims(ctx, params, alpha, betas)
                                      for betas in blocks])

@@ -345,38 +345,53 @@ def test_orbit_closure_needs_the_coefficient_map_to_permute(
 
 
 def record_row_closures(monkeypatch):
-    """The table name of every `_row_closure` call: two per orbit proof,
-    "alpha" and "beta" on the trace rows, "a' x^e1" and "beta x^e2" on the
-    value rows."""
-    names, compare = [], expsum._row_closure
+    """(table name, number of coefficients) of every `_row_closure` call: one
+    per table proof, "alpha" and "beta" on the trace rows, "a' x^e1" and
+    "beta x^e2" on the value rows."""
+    calls, compare = [], expsum._row_closure
 
     def recorded(build, coeffs, images, perm, name):
-        names.append(name)
+        calls.append((name, len(coeffs)))
         return compare(build, coeffs, images, perm, name)
 
     monkeypatch.setattr(expsum, "_row_closure", recorded)
-    return names
+    return calls
 
 
 def test_verify_proves_each_orbit_law_once(tmp_path, monkeypatch):
     # s-spectrum, gamma-sweep, artin-schreier and cyclicity (c1, c2) read the
-    # trace-row proof; kernel_dims and artin-schreier the value-row proof.
-    names = record_row_closures(monkeypatch)
+    # trace-row proofs; kernel_dims reads the a' rows over GF(8) and the beta
+    # rows, artin-schreier the a' rows over GF(64) and the same beta rows.
+    calls = record_row_closures(monkeypatch)
     assert main(["verify", "--n", "6", "--k", "1",
                  "--out", str(tmp_path)]) == 3
-    assert Counter(names) == {"alpha": 1, "beta": 1, "a' x^e1": 1,
-                              "beta x^e2": 1}
+    assert Counter(calls) == {("alpha", 8): 1, ("beta", 64): 1,
+                              ("a' x^e1", 8): 1, ("a' x^e1", 64): 1,
+                              ("beta x^e2", 64): 1}
 
 
-@pytest.mark.parametrize("curves", [False, True], ids=["trace", "value"])
-def test_orbit_proof_is_kept_per_k(monkeypatch, curves):
-    # One field serves k = 1 and k = 2: the (6,1) proof does not stand for
+def test_verify_proves_the_cyclicity_sample_once(tmp_path, monkeypatch):
+    # Above n = 6 both codes' cyclicity lists the same sample of 4 alphas
+    # and 9 betas; c1 proves it and c2 reads that proof.
+    calls = record_row_closures(monkeypatch)
+    assert main(["verify", "--n", "8", "--k", "2",
+                 "--out", str(tmp_path)]) == 3
+    assert Counter(calls)[("alpha", 4)] == Counter(calls)[("beta", 9)] == 1
+
+
+@pytest.mark.parametrize("curves,alpha,beta",
+                         [(False, "alpha", "beta"),
+                          (True, "a' x^e1", "beta x^e2")],
+                         ids=["trace", "value"])
+def test_orbit_proof_is_kept_per_k(monkeypatch, curves, alpha, beta):
+    # One field serves k = 1 and k = 2: the alpha (a') rows do not depend on
+    # k and are proved once, while the (6,1) beta proof does not stand for
     # the (6,2) one, and each is made once.
     ctx = build_field(6)
-    names = record_row_closures(monkeypatch)
+    calls = record_row_closures(monkeypatch)
     for k in (1, 1, 2, 2, 1):
         expsum._orbit_closure(ctx, derive_params(6, k), curves)
-    assert len(names) == 4 and names[:2] == names[2:]
+    assert [name for name, _ in calls] == [alpha, beta, beta]
 
 
 def test_a_proof_that_raised_is_made_again(monkeypatch):
@@ -387,20 +402,21 @@ def test_a_proof_that_raised_is_made_again(monkeypatch):
                            match="beta rows are not closed under x -> pi x"):
             expsum._orbit_closure(ctx, p)
     monkeypatch.undo()
-    names = record_row_closures(monkeypatch)
+    calls = record_row_closures(monkeypatch)
     expsum._orbit_closure(ctx, p)
     expsum._orbit_closure(ctx, p)
-    assert names == ["alpha", "beta"]
+    assert calls == [("beta", 64)]
 
 
-def test_listed_coefficients_are_proved_every_time(monkeypatch):
-    # Cyclicity's sample above n = 6 lists its coefficients; it is proved on
-    # every call, after the full proof as before it.
+def test_listed_coefficients_are_proved_once_per_list(monkeypatch):
+    # Cyclicity's sample above n = 6 lists its coefficients; each list is
+    # proved once, beside the full proof, and a new list is proved anew.
     ctx, p = build_field(6), derive_params(6, 1)
-    names = record_row_closures(monkeypatch)
-    for alphas in (None, [0, 1], [0, 1]):
-        expsum._orbit_closure(ctx, p, alphas=alphas, betas=alphas)
-    assert names == ["alpha", "beta"] * 3
+    calls = record_row_closures(monkeypatch)
+    for listed in (None, [0, 1], [0, 1], None, [0, 24]):
+        expsum._orbit_closure(ctx, p, alphas=listed, betas=listed)
+    assert calls == [("alpha", 8), ("beta", 64), ("alpha", 2), ("beta", 2),
+                     ("alpha", 2), ("beta", 2)]
 
 
 def test_verify_records_a_broken_times_pi_closure(tmp_path, monkeypatch):
@@ -427,13 +443,14 @@ def flip_value_bit(monkeypatch, h, coeff, x=3):
     monkeypatch.setattr(expsum, "_monomial_rows", flipped)
 
 
-@pytest.mark.parametrize("h,coeff,name", [(3, 7, "a' x^e1"),
+@pytest.mark.parametrize("h,coeff,name", [(3, 24, "a' x^e1"),
                                           (1, 5, "beta x^e2")],
                          ids=["a-prime", "beta"])
 def test_kernel_dims_needs_the_value_rows_closed_under_pi(
         monkeypatch, h, coeff, name):
     # The kernel sizes read the phi rows off the unpatched value rows: only
-    # the orbit proof sees the flipped entry.
+    # the orbit proof sees the flipped entry. They read a' in GF(8) only,
+    # so the flipped a' row, 24, is one of GF(8) inside GF(64).
     flip_value_bit(monkeypatch, h, coeff)
     with pytest.raises(VerificationError,
                        match=re.escape(f"{name} rows are not closed")):

@@ -21,7 +21,7 @@ calls `_popcounts`; only that sweep and Artin-Schreier call the T table, and
 only T and S call that sweep (the code weights relabel them); only the
 popcount sweep, the gamma-sweep and cyclicity prove the gamma axis; only
 the popcount sweep, the gamma-sweep, Artin-Schreier, the kernel sizes and
-cyclicity lean on the orbit-closure proof (each of the two proofs is made
+cyclicity lean on the orbit-closure proof (each table's proof is made
 once per field and read by all of its callers); only the orbit-closure
 proof compares rows read at x -> pi x (`_row_closure`); only
 the popcount sweep, the gamma-sweep, Artin-Schreier, the orbit-closure proof
@@ -29,8 +29,9 @@ and the codewords build trace rows, and only Artin-Schreier counts points.
 Only the correlation sweep, `sequences.correlation_distribution`, sums its
 work over threads (`_summed`, `_thread_count`), and only
 `distribution._summed` opens a thread pool, so no per-pair check is
-threaded. Every entry of the check registry is a `cli.Check`, so `verify`
-runs one kind of check.
+threaded. Only `field._cached` touches a field context's `_cache`, so every
+table and proof kept there is made once and kept read-only. Every entry of
+the check registry is a `cli.Check`, so `verify` runs one kind of check.
 """
 
 import ast
@@ -164,6 +165,38 @@ def test_table_guard_flags_only_the_field_tables():
 def test_only_field_reads_the_log_and_trace_tables(path):
     assert table_reads(path.read_text()) == []
 
+
+
+def cache_touches(source):
+    """(line, top-level function or None) of every attribute `_cache` and
+    every string "_cache" (as `getattr` would name it)."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        found += [(node.lineno, owner) for node in ast.walk(top)
+                  if getattr(node, "attr", getattr(node, "value", None))
+                  == "_cache"]
+    return sorted(found)
+
+
+def test_cache_guard_flags_every_touch():
+    # The field declaration names `_cache` but touches no context's cache.
+    source = ("class Ctx:\n"
+              "    _cache: dict = {}\n"
+              "def _cached(ctx, key, build):\n"
+              "    return ctx._cache.setdefault(key, build())\n"
+              "def power_table(ctx, e):\n"
+              "    if ('pow', e) not in ctx._cache:\n"
+              "        getattr(ctx, '_cache')[('pow', e)] = e\n"
+              "ctx._cache.clear()\n")
+    assert cache_touches(source) == [(4, "_cached"), (6, "power_table"),
+                                     (7, "power_table"), (8, None)]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_only_cached_touches_a_field_cache(path):
+    assert [(line, owner) for line, owner in cache_touches(path.read_text())
+            if (path.name, owner) != ("field.py", "_cached")] == []
 
 def asserts(source):
     """Lines of every `assert` statement in a source."""
