@@ -215,7 +215,6 @@ def test_trace_bit_matrix_gathers_each_log_row_once(ctx4):
     assert ctx4._cache[("log_pow", 3)] is logs
 
 
-
 def test_every_cached_array_is_read_only():
     # The power and relative-trace tables, both `_mul` tables, a log row and
     # the rotation window of `trace_bit_matrix`: a write into any of them
@@ -227,10 +226,10 @@ def test_every_cached_array_is_read_only():
             "rotations"} <= set(ctx._cache)
     kept = [array for value in ctx._cache.values()
             for array in (value if isinstance(value, tuple) else [value])]
-    assert len(kept) == len(ctx._cache) + 1
     for array in kept:
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 1
+
 
 def product_path(ctx, base, coeffs):
     """Tr(c * b) entry by entry through the field product."""

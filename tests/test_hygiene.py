@@ -166,7 +166,6 @@ def test_only_field_reads_the_log_and_trace_tables(path):
     assert table_reads(path.read_text()) == []
 
 
-
 def cache_touches(source):
     """(line, top-level function or None) of every attribute `_cache` and
     every string "_cache" (as `getattr` would name it)."""
@@ -197,6 +196,7 @@ def test_cache_guard_flags_every_touch():
 def test_only_cached_touches_a_field_cache(path):
     assert [(line, owner) for line, owner in cache_touches(path.read_text())
             if (path.name, owner) != ("field.py", "_cached")] == []
+
 
 def asserts(source):
     """Lines of every `assert` statement in a source."""
