@@ -16,7 +16,7 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Callable
@@ -74,10 +74,6 @@ class CheckRecord:
     detail: str
     notes: tuple = ()
 
-    def to_json_dict(self):
-        return {"name": self.name, "status": self.status,
-                "detail": self.detail, "notes": list(self.notes)}
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -102,17 +98,8 @@ class VerificationReport:
         return 0
 
     def to_json_dict(self):
-        return {
-            "command": self.command,
-            "n": self.n,
-            "k": self.k,
-            "modulus": f"{self.modulus:#x}",
-            "case": self.case,
-            "d": self.d,
-            "d_prime": self.d_prime,
-            "records": [r.to_json_dict() for r in self.records],
-            "exit_code": self.exit_code,
-        }
+        return {**asdict(self), "modulus": f"{self.modulus:#x}",
+                "exit_code": self.exit_code}
 
 
 @dataclass(frozen=True)
@@ -121,10 +108,12 @@ class Check:
     _comparison builds those that compare a measured distribution with its
     prediction.
 
-    run(run) returns the record's (status, detail) or (status, detail,
-    notes). budget_key names its cap in DEFAULT_BUDGETS, or is None for a
-    check that always runs. not_applicable(params), when given, says why the
-    check does not apply to these parameters, or returns None.
+    run(run) returns the record's detail, or (detail, notes) when notes flag
+    errata, and raises VerificationError, with the mismatch as its message,
+    when the check fails; _Run._record alone turns that into a status.
+    budget_key names its cap in DEFAULT_BUDGETS, or is None for a check that
+    always runs. not_applicable(params), when given, says why the check does
+    not apply to these parameters, or returns None.
     """
 
     name: str
@@ -148,17 +137,17 @@ def _resolve_outdir(arg):
 
 
 def _compare(brute, formula):
-    """(status, detail, notes) for brute against formula; notes mark errata."""
+    """(detail, notes) when brute equals formula value for value, the notes
+    marking errata; otherwise raises VerificationError naming the first six
+    values that differ, with the same notes."""
     delta = brute.diff(formula)
-    notes = tuple(formula.notes)
     if delta:
         shown = "; ".join(f"value {v}: measured {a}, tabulated {b}"
                           for v, a, b in delta[:6])
         if len(delta) > 6:
             shown += f"; +{len(delta) - 6} more"
-        return MISMATCH, shown, notes
-    status = FLAGGED if notes else MATCH
-    return status, f"{len(brute.entries)} values, total {brute.total}", notes
+        raise VerificationError(shown, formula.notes)
+    return f"{len(brute.entries)} values, total {brute.total}", formula.notes
 
 
 def _print_dist(title, dist):
@@ -259,6 +248,7 @@ class _Run:
         return report.exit_code
 
     def _record(self, check):
+        """The check's record; the one place that sets a status."""
         why = check.not_applicable and check.not_applicable(self.params)
         cap = _over_budget(self.args, check)
         if not why and cap is not None:
@@ -268,9 +258,13 @@ class _Run:
             return CheckRecord(check.name, SKIPPED, why)
         start, shared = time.perf_counter(), self._shared_s
         try:
-            record = CheckRecord(check.name, *check.run(self))
+            result = check.run(self)
+            detail, notes = ((result, ()) if isinstance(result, str)
+                             else result)
+            record = CheckRecord(check.name, FLAGGED if notes else MATCH,
+                                 detail, notes)
         except VerificationError as exc:
-            record = CheckRecord(check.name, MISMATCH, str(exc))
+            record = CheckRecord(check.name, MISMATCH, str(exc), exc.notes)
         except Exception as exc:  # one broken check must not lose the report
             traceback.print_exc()
             record = CheckRecord(check.name, ERROR,
@@ -318,8 +312,8 @@ def _comparison(name, budget_key, stem, title, measure, predict,
 
 def _check_parameters(run):
     params = run.params
-    return MATCH, (f"case={params.case}, d={params.d}, d'={params.d_prime}, "
-                   f"s={params.s}, modulus={run.ctx.modulus:#x}")
+    return (f"case={params.case}, d={params.d}, d'={params.d_prime}, "
+            f"s={params.s}, modulus={run.ctx.modulus:#x}")
 
 
 def _check_bluher(run):
@@ -329,8 +323,8 @@ def _check_bluher(run):
     bad = [f"h={h}: counted {got}, predicted {want}"
            for h, got, want in pairs if got != want]
     if bad:
-        return MISMATCH, "; ".join(bad)
-    return MATCH, f"root-count quadruples match for h=1..{n - 1}"
+        raise VerificationError("; ".join(bad))
+    return f"root-count quadruples match for h=1..{n - 1}"
 
 
 def _check_rank(run):
@@ -339,32 +333,24 @@ def _check_rank(run):
     trip = (got.n0, got.n2, got.n4)
     pred = (want.n0, want.n2, want.n4)
     if trip != pred:
-        return MISMATCH, f"counted {trip}, predicted {pred}"
-    return MATCH, f"(n0, n2, n4) = {trip}"
+        raise VerificationError(f"counted {trip}, predicted {pred}")
+    return f"(n0, n2, n4) = {trip}"
 
 
 def _check_moments(run):
     rep = moments(run.t_distribution, run.params)
-    return MATCH, f"m1={rep.m1}, m2={rep.m2}, m3={rep.m3}"
+    return f"m1={rep.m1}, m2={rep.m2}, m3={rep.m3}"
 
 
 def _check_gamma(run):
-    off = gamma_sweep(run.ctx, run.params, run.kernel_dims)
-    if off:
-        alpha, beta, rank = off[0]
-        return MISMATCH, (f"pair ({alpha:#x}, {beta:#x}) deviates "
-                          f"from the rank-{rank} law")
-    return MATCH, f"all {8 ** run.params.m - 1} pairs follow the rank law"
+    gamma_sweep(run.ctx, run.params, run.kernel_dims)
+    return f"all {8 ** run.params.m - 1} pairs follow the rank law"
 
 
 def _check_artin_schreier(run):
-    off = artin_schreier_sweep(run.ctx, run.params)
-    if off:
-        aprime, beta, got, want = off[0]
-        return MISMATCH, (f"({aprime:#x}, {beta:#x}): {got} points, "
-                          f"identity gives {want}")
-    return MATCH, (f"point counts match the sum identity on all "
-                   f"{run.ctx.q ** 2 - 1} curves")
+    artin_schreier_sweep(run.ctx, run.params)
+    return (f"point counts match the sum identity on all "
+            f"{run.ctx.q ** 2 - 1} curves")
 
 
 def _check_minimal_polynomials(run):
@@ -393,18 +379,19 @@ def _check_minimal_polynomials(run):
             for code, word in zip(CODES, words)
             if not check_parity(ctx, params, code, word)]
     if bad:
-        return MISMATCH, "; ".join(bad)
-    return MATCH, (f"h1={h1.coeffs:#x}, h2={h2.coeffs:#x}, h3={h3.coeffs:#x}; "
-                   f"degrees ({params.n}, {params.n}, {params.m})")
+        raise VerificationError("; ".join(bad))
+    return (f"h1={h1.coeffs:#x}, h2={h2.coeffs:#x}, h3={h3.coeffs:#x}; "
+            f"degrees ({params.n}, {params.n}, {params.m})")
 
 
 def _check_cyclicity(run):
     for code in CODES:
         if not check_cyclicity(run.ctx, run.params, code):
-            return MISMATCH, f"{code} is not closed under cyclic shift"
+            raise VerificationError(
+                f"{code} is not closed under cyclic shift")
     how = ("exhaustive" if run.params.n <= CYCLICITY_EXHAUSTIVE_MAX_N
            else "sampled")
-    return MATCH, f"shift closure holds for c1 and c2 ({how})"
+    return f"shift closure holds for c1 and c2 ({how})"
 
 
 def _check_family(run):
@@ -413,12 +400,12 @@ def _check_family(run):
     shift 0) iff all have full period and none is a rotation of another."""
     size = run.family.size
     if run.params.n > INEQUIVALENCE_MAX_N:
-        return MATCH, (f"size={size} (rotation-distinctness check needs "
-                       f"n <= {INEQUIVALENCE_MAX_N})")
+        return (f"size={size} (rotation-distinctness check needs "
+                f"n <= {INEQUIVALENCE_MAX_N})")
     if run.correlation.count(run.params.q - 1) != size:
-        return MISMATCH, "members are not full-period rotation-distinct"
-    return MATCH, (f"size={size}; members full-period and pairwise "
-                   f"rotation-distinct")
+        raise VerificationError(
+            "members are not full-period rotation-distinct")
+    return f"size={size}; members full-period and pairwise rotation-distinct"
 
 
 # In verify order. The lambdas look module functions up when they run, so a

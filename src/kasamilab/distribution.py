@@ -26,7 +26,12 @@ def pack_bits_hex(bits):
 
 
 class VerificationError(Exception):
-    """A measured quantity disagrees with its closed-form prediction."""
+    """A measured quantity disagrees with its closed-form prediction; notes
+    are the prediction's erratum flags, kept on the mismatch record."""
+
+    def __init__(self, message, notes=()):
+        super().__init__(message)
+        self.notes = notes
 
 
 def _exact(frac):

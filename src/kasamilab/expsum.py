@@ -279,10 +279,10 @@ def s_spectrum(ctx, params):
 
 
 def gamma_sweep(ctx, params, dims):
-    """(alpha, beta, rank) of the first pair in each of the `_blocks` of
-    betas, alpha in {0, 1}, whose S over gamma misses the counts of 0 and
-    +-peak (they sum to q) that `gamma_sweep_formula` gives its rank,
-    s - dims[alpha, beta] of the two `kernel_dims` rows; (0, 0) has no form.
+    """None when S over gamma, for each pair with alpha in {0, 1}, has the
+    counts of 0 and +-peak (they sum to q) `gamma_sweep_formula` gives its
+    rank, s - dims[alpha, beta] of the two `kernel_dims` rows ((0, 0) has no
+    form); else raises VerificationError naming the first pair off its law.
     `_orbit_closure` and `_gamma_axis` let alpha = 1 stand for alpha != 0."""
     table = np.zeros((params.s + 1, 4), dtype=np.int64)
     for rank in range(0, params.s + 1, 2):
@@ -291,7 +291,6 @@ def gamma_sweep(ctx, params, dims):
         table[rank] = peak, want.count(0), want.count(peak), want.count(-peak)
     _gamma_axis(ctx)
     _orbit_closure(ctx, params)
-    off = []
     for alpha in (0, 1):
         for betas in _blocks(np.arange(ctx.q), ctx.q):
             arow, brows, _ = _trace_rows(ctx, params, [alpha], betas, [])
@@ -300,11 +299,12 @@ def gamma_sweep(ctx, params, dims):
             peak = table[ranks, :1].astype(walsh.dtype)
             got = np.stack([(walsh == v).sum(axis=1)
                             for v in (0, peak, -peak)], axis=1)
-            bad = ((got != table[ranks, 1:]).any(axis=1)
-                   & ((betas != 0) | (alpha != 0)))
-            off += [(alpha, int(betas[j]), int(ranks[j]))
-                    for j in np.flatnonzero(bad)[:1]]
-    return off
+            bad = np.flatnonzero((got != table[ranks, 1:]).any(axis=1)
+                                 & ((betas != 0) | (alpha != 0)))
+            if bad.size:
+                raise VerificationError(
+                    f"pair ({alpha:#x}, {int(betas[bad[0]]):#x}) deviates "
+                    f"from the rank-{int(ranks[bad[0]])} law")
 
 
 def gamma_sweep_formula(params, rank):
@@ -473,23 +473,25 @@ def artin_schreier_points(ctx, params, alpha_prime, beta):
 
 
 def artin_schreier_sweep(ctx, params):
-    """(a', beta, points, identity) of the first curve in each of the
-    `_blocks` of betas whose count misses q + (2^d - 1) T(Tr^n_m(a'), beta),
-    a' over 0 and the 2^m + 1 cosets pi^j of the powers of pi^e1; (0, 0) is
-    left out. `_orbit_closure`, on the values and on the trace rows, lets
-    each a' stand for its coset (Tr^n_m is GF(2^m)-linear)."""
+    """None when every curve (a', beta) has q + (2^d - 1) T(Tr^n_m(a'), beta)
+    points, a' over 0 and the 2^m + 1 cosets pi^j of the powers of pi^e1
+    ((0, 0) left out); else raises VerificationError naming the first curve
+    off. `_orbit_closure`, on the values and on the trace rows, lets each a'
+    stand for its coset (Tr^n_m is GF(2^m)-linear)."""
     _orbit_closure(ctx, params, curves=True)
     _orbit_closure(ctx, params)
     aprimes = np.append(0, ctx.exp_table[:(1 << params.m) + 1])
     traces = rel_trace_table(ctx, params.m, params.n)[aprimes]
     apacked = np.packbits(_trace_rows(ctx, params, traces, [], [])[0], axis=-1)
-    off = []
     for betas in _blocks(np.arange(ctx.q), ctx.q):
         want = ctx.q + ((1 << params.d) - 1) * _t_table(ctx, params, apacked,
                                                           betas)
         got = np.stack([artin_schreier_points(ctx, params, a, betas)
                         for a in aprimes.tolist()])
-        bad = (got != want) & ((aprimes[:, None] != 0) | (betas != 0))
-        off += [(int(aprimes[r]), int(betas[c]), int(got[r, c]),
-                 int(want[r, c])) for r, c in np.argwhere(bad)[:1]]
-    return off
+        bad = np.argwhere((got != want)
+                          & ((aprimes[:, None] != 0) | (betas != 0)))
+        if bad.size:
+            r, c = bad[0]
+            raise VerificationError(
+                f"({int(aprimes[r]):#x}, {int(betas[c]):#x}): "
+                f"{int(got[r, c])} points, identity gives {int(want[r, c])}")

@@ -126,26 +126,31 @@ def build_family(ctx, params):
 
     Members are code words: F1(alpha, beta) is the c2 word of (alpha, beta,
     1), F2(beta) the c1 word of (1, beta) and F3 the c1 word of (0, 1).
-    Packing commutes with XOR, so the words are XORed from the packed
-    rows, and no unpacked word matrix of the family is ever held.
+    Packing commutes with XOR, so the words are XORed from the packed rows
+    straight into one matrix; no unpacked word matrix, and no second copy
+    of the family, is ever held. Raises VerificationError unless the F1,
+    F2 and F3 blocks fill `family_size` rows.
     """
     sub = subfield_elements(ctx, params.m)
     arows, brows, grows = (
         np.packbits(rows, axis=1, bitorder="little")
         for rows in _word_rows(ctx, params, sub, range(ctx.q), [1]))
-    blocks = [(arows[:, None] ^ (brows ^ grows)).reshape(-1, arows.shape[1])]
     norm_betas = []
     if params.case in ("EvenM", "EvenK"):
         norm_betas = ctx.exp_table[:(1 << params.m) - 1].tolist()
-        blocks.append(arows[sub.index(1)] ^ brows[norm_betas])
-    if params.case == "EvenK":
-        blocks.append(brows[1:2])
-    fam = SequenceFamily(params=params, rows=np.concatenate(blocks),
-                         alphas=tuple(sub), norm_betas=tuple(norm_betas))
-    if fam.size != fam.expected_size:
+    f1, f2 = len(sub) * ctx.q, len(norm_betas)
+    size = f1 + f2 + (params.case == "EvenK")
+    if size != family_size(params):
         raise VerificationError(
-            f"family has {fam.size} members, expected {fam.expected_size}")
-    return fam
+            f"family has {size} members, expected {family_size(params)}")
+    rows = np.empty((size, arows.shape[1]), dtype=np.uint8)
+    np.bitwise_xor(arows[:, None], brows ^ grows,
+                   out=rows[:f1].reshape(len(sub), ctx.q, -1))
+    rows[f1:f1 + f2] = arows[sub.index(1)] ^ brows[norm_betas]
+    if params.case == "EvenK":
+        rows[-1] = brows[1]
+    return SequenceFamily(params=params, rows=rows, alphas=tuple(sub),
+                          norm_betas=tuple(norm_betas))
 
 
 def _decimation_orbits(packed, L):

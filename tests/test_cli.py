@@ -6,11 +6,15 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from kasamilab import cli, expsum, linearized
+from kasamilab import (ValueDistribution, artin_schreier_points,
+                       bluher_counts_formula, build_field, cli,
+                       derive_params, expsum, linearized,
+                       rank_profile_formula, t_spectrum_formula)
 from kasamilab.cli import _CHECKS, DEFAULT_BUDGETS, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -365,6 +369,80 @@ def test_verify_reports_a_check_that_raises(tmp_path, monkeypatch):
                            "code-weights-c2", "cyclicity", "family",
                            "correlation"]
     assert set(later.values()) == {"match", "skipped"}
+
+
+def _one_more(value, field):
+    """A copy of a frozen dataclass with one more in `field`."""
+    return replace(value, **{field: getattr(value, field) + 1})
+
+
+def _bluher_one_more(l, h):
+    counts = bluher_counts_formula(l, h)
+    return _one_more(counts, "n0") if h == 2 else counts
+
+
+def _t_one_moved(params):
+    # One count moved from -8 to 16; the erratum notes are kept.
+    table = t_spectrum_formula(params)
+    counts = table.as_dict()
+    counts[-8] -= 1
+    counts[16] += 1
+    return ValueDistribution.from_counts(counts, notes=table.notes)
+
+
+def _one_point_more(ctx, params, alpha_prime, betas):
+    counts = artin_schreier_points(ctx, params, alpha_prime, betas)
+    if alpha_prime == 0x3:
+        counts[0x5] += 1
+    return counts
+
+
+def _mismatch_cases():
+    """(check, patched name, replacement, detail, notes) at (6,1)."""
+    p = derive_params(6, 1)
+    bluher = bluher_counts_formula(6, 2).as_tuple()
+    rank = rank_profile_formula(p)
+    trip = (rank.n0, rank.n2, rank.n4)
+    points = artin_schreier_points(build_field(6), p, 0x3, 0x5)
+    cases = [
+        ("bluher-counts", "kasamilab.cli.bluher_counts_formula",
+         _bluher_one_more,
+         f"h=2: counted {bluher}, predicted {(bluher[0] + 1, *bluher[1:])}",
+         []),
+        ("rank-profile", "kasamilab.cli.rank_profile_formula",
+         lambda params: _one_more(rank_profile_formula(params), "n2"),
+         f"counted {trip}, predicted {(trip[0], trip[1] + 1, trip[2])}", []),
+        ("t-spectrum", "kasamilab.cli.t_spectrum_formula", _t_one_moved,
+         "value -8: measured 280, tabulated 279; "
+         "value 16: measured 210, tabulated 211",
+         list(t_spectrum_formula(p).notes)),
+        ("artin-schreier", "kasamilab.expsum.artin_schreier_points",
+         _one_point_more,
+         f"(0x3, 0x5): {points + 1} points, identity gives {points}", []),
+        ("minimal-polynomials", "kasamilab.cli.is_irreducible",
+         lambda coeffs, degree: False,
+         "h1 is reducible; h2 is reducible; h3 is reducible", []),
+        ("cyclicity", "kasamilab.cli.check_cyclicity",
+         lambda ctx, params, code: False,
+         "c1 is not closed under cyclic shift", []),
+    ]
+    return [pytest.param(*case, id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("name,target,patched,detail,notes",
+                         _mismatch_cases())
+def test_verify_keeps_each_mismatch_detail(tmp_path, monkeypatch, name,
+                                           target, patched, detail, notes):
+    # One side of one check moved: that record alone is a mismatch, with the
+    # offender named and any erratum notes of the prediction kept.
+    monkeypatch.setattr(target, patched)
+    code, report, _ = run(tmp_path, "verify", "--n", "6", "--k", "1")
+    record = next(r for r in report["records"] if r["name"] == name)
+    assert code == 2 and report["exit_code"] == 2
+    assert (record["status"], record["detail"], record["notes"]) == \
+        ("mismatch", detail, notes)
+    assert [r["name"] for r in report["records"]
+            if r["status"] == "mismatch"] == [name]
 
 
 @pytest.mark.slow

@@ -118,19 +118,27 @@ def test_walsh_dtype_holds_every_shifted_value(n):
 
 
 def test_int16_and_int32_walsh_agree(ctx6, p61, monkeypatch):
-    # Moving the rank of a pair in each of the two rows makes the
-    # gamma-sweep name them, on either dtype.
+    # Moving the rank of a pair in either of the two rows makes the
+    # gamma-sweep name it, with the same message on either dtype.
     rows = pair_rows(ctx6, p61)
     ctx8, p8 = build_field(8), derive_params(8, 2)
-    dims = kernel_dims(ctx8, p8)
-    dims[0, 3] += 2
-    dims[-1, -1] += 2
-    narrow = expsum._walsh(rows), expsum.gamma_sweep(ctx8, p8, dims)
+
+    def named(alpha, beta):
+        dims = kernel_dims(ctx8, p8)
+        dims[alpha, beta] += 2
+        with pytest.raises(VerificationError) as raised:
+            expsum.gamma_sweep(ctx8, p8, dims)
+        return str(raised.value)
+
+    pairs = [(0, 3), (1, ctx8.q - 1)]
+    narrow = expsum._walsh(rows), [named(*pair) for pair in pairs]
     monkeypatch.setattr(expsum, "_walsh_dtype", lambda n: np.int32)
-    wide = expsum._walsh(rows), expsum.gamma_sweep(ctx8, p8, dims)
+    wide = expsum._walsh(rows), [named(*pair) for pair in pairs]
     assert (narrow[0].dtype, wide[0].dtype) == (np.int16, np.int32)
     assert (narrow[0] == wide[0]).all()
-    assert len(narrow[1]) == 2 and narrow[1] == wide[1]
+    assert narrow[1] == wide[1]
+    for (alpha, beta), message in zip(pairs, narrow[1]):
+        assert message.startswith(f"pair ({alpha:#x}, {beta:#x}) ")
 
 
 def traced_peak(fn, *args, **kwargs):
@@ -186,21 +194,38 @@ def test_gamma_sweep_memory_bounded_by_its_span():
     assert traced_peak(expsum.gamma_sweep, ctx, p, dims) < 12 * (1 << 19)
 
 
-def test_gamma_sweep_reads_every_pair_of_every_block():
+@pytest.mark.parametrize("alpha,beta", [(0, 511), (0, 1023), (1, 511),
+                                        (1, 1023)])
+def test_gamma_sweep_reads_every_pair_of_every_block(alpha, beta):
     # At n = 10 a block holds 512 betas, so each of the rows alpha = 0 and
-    # alpha = 1 has two. Moving the rank of the last pair of every block
-    # names exactly those four pairs, row by row.
+    # alpha = 1 has two. Moving the rank of the last pair of any one block
+    # makes the sweep name that pair.
     ctx, p = build_field(10), derive_params(10, 1)
     dims = kernel_dims(ctx, p)
-    dims[:, 511::512] += 2
-    assert expsum.gamma_sweep(ctx, p, dims) == [
-        (alpha, beta, p.s - dims[alpha, beta])
-        for alpha in (0, 1) for beta in (511, 1023)]
+    dims[alpha, beta] += 2
+    message = (f"pair ({alpha:#x}, {beta:#x}) deviates from the "
+               f"rank-{p.s - dims[alpha, beta]} law")
+    with pytest.raises(VerificationError, match=f"^{re.escape(message)}$"):
+        expsum.gamma_sweep(ctx, p, dims)
 
 
 def orbit_representatives(ctx, params):
     """a' = 0 and pi^j for 0 <= j <= 2^m, one per orbit of a' -> a' pi^e1."""
     return [0] + [ctx.pow(ctx.pi, j) for j in range((1 << params.m) + 1)]
+
+
+def identity_points(ctx, params):
+    """A stand-in for artin_schreier_points: the counts read off the
+    identity, q + (2^d - 1) T(Tr^n_m(a'), beta), through the popcount
+    kernel."""
+    sub = subfield_elements(ctx, params.m)
+    t = t_table(ctx, params, sub, range(ctx.q))
+    traces = rel_trace_table(ctx, params.m, params.n)
+
+    def counts(ctx, params, alpha_prime, betas):
+        return ctx.q + ((1 << params.d) - 1) * t[
+            sub.index(traces[alpha_prime]), betas]
+    return counts
 
 
 def test_artin_schreier_sweep_counts_every_curve_once_per_block(
@@ -210,14 +235,15 @@ def test_artin_schreier_sweep_counts_every_curve_once_per_block(
     # a', against every beta, each once, and no other curve.
     ctx, p = build_field(10), derive_params(10, 1)
     calls, counted = [], np.zeros((ctx.q, ctx.q), dtype=np.int64)
+    identity = identity_points(ctx, p)
 
     def recording(ctx, params, alpha_prime, betas):
         calls.append(len(betas))
         np.add.at(counted[alpha_prime], betas, 1)
-        return np.zeros(len(betas), dtype=np.int64)
+        return identity(ctx, params, alpha_prime, betas)
 
     monkeypatch.setattr(expsum, "artin_schreier_points", recording)
-    expsum.artin_schreier_sweep(ctx, p)
+    assert expsum.artin_schreier_sweep(ctx, p) is None
     reps = orbit_representatives(ctx, p)
     assert len(set(reps)) == (1 << p.m) + 2
     assert max(calls) <= (1 << 19) // ctx.q
@@ -227,26 +253,24 @@ def test_artin_schreier_sweep_counts_every_curve_once_per_block(
 
 def test_artin_schreier_sweep_names_the_curve_in_the_last_block(
         monkeypatch):
-    # Counts read off the identity, through the popcount kernel, with one
-    # point more on the last curve of the last block, that of the last
-    # orbit representative: only it is named.
+    # Counts read off the identity, with one point more on the last curve
+    # of the last block, that of the last orbit representative: it is
+    # named.
     ctx, p = build_field(10), derive_params(10, 1)
-    sub = subfield_elements(ctx, p.m)
-    t = t_table(ctx, p, sub, range(ctx.q))
-    traces = rel_trace_table(ctx, p.m, p.n)
+    identity = identity_points(ctx, p)
     last = orbit_representatives(ctx, p)[-1]
 
-    def identity(ctx, params, alpha_prime, betas):
-        counts = ctx.q + ((1 << params.d) - 1) * t[
-            sub.index(traces[alpha_prime]), betas]
+    def one_more(ctx, params, alpha_prime, betas):
+        counts = identity(ctx, params, alpha_prime, betas)
         counts[betas == ctx.q - 1] += alpha_prime == last
         return counts
 
-    monkeypatch.setattr(expsum, "artin_schreier_points", identity)
-    want = ctx.q + ((1 << p.d) - 1) * int(
-        t[sub.index(traces[last]), -1])
-    assert expsum.artin_schreier_sweep(ctx, p) == [
-        (last, ctx.q - 1, want + 1, want)]
+    monkeypatch.setattr(expsum, "artin_schreier_points", one_more)
+    want = int(identity(ctx, p, last, np.array([ctx.q - 1]))[0])
+    message = (f"({last:#x}, {ctx.q - 1:#x}): {want + 1} points, identity "
+               f"gives {want}")
+    with pytest.raises(VerificationError, match=f"^{re.escape(message)}$"):
+        expsum.artin_schreier_sweep(ctx, p)
 
 
 @pytest.mark.parametrize("n,orbits", [(4, 6), (6, 14), (8, 36), (10, 108)])
@@ -488,25 +512,26 @@ VALID_NK = [(n, k) for n in (4, 6, 8) for k in range(1, n) if k != n // 2]
 def test_orbit_rule_matches_the_full_tables(n, k):
     # The two kernel rows give the rank profile of the full table, and the
     # gamma-sweep and Artin-Schreier, on orbit representatives, find no
-    # pair or curve off its law, as the sweeps over every pair do.
+    # pair or curve off its law (they return without raising), as the
+    # sweeps over every pair do.
     ctx, p = build_field(n), derive_params(n, k)
     dims, full = kernel_dims(ctx, p), ref.kernel_dims(ctx, p)
     profile = Counter(full.ravel()[1:].tolist())
     prof = rank_profile(dims, p)
     assert (prof.n0, prof.n2, prof.n4) == (profile[0], profile[2],
                                           profile[4])
-    assert expsum.gamma_sweep(ctx, p, dims) == \
-        ref.gamma_sweep(ctx, p, full) == []
+    assert expsum.gamma_sweep(ctx, p, dims) is None
+    assert ref.gamma_sweep(ctx, p, full) == []
     if p.d_prime == 2 * p.d:
-        assert expsum.artin_schreier_sweep(ctx, p) == \
-            ref.artin_schreier_sweep(ctx, p) == []
+        assert expsum.artin_schreier_sweep(ctx, p) is None
+        assert ref.artin_schreier_sweep(ctx, p) == []
 
 
 @pytest.mark.slow
 def test_artin_schreier_orbit_rule_matches_the_full_sweep_n10():
     ctx, p = build_field(10), derive_params(10, 1)
-    assert expsum.artin_schreier_sweep(ctx, p) == \
-        ref.artin_schreier_sweep(ctx, p) == []
+    assert expsum.artin_schreier_sweep(ctx, p) is None
+    assert ref.artin_schreier_sweep(ctx, p) == []
 
 
 @pytest.mark.parametrize("n", range(4, 13, 2))

@@ -31,7 +31,10 @@ work over threads (`_summed`, `_thread_count`), and only
 `distribution._summed` opens a thread pool, so no per-pair check is
 threaded. Only `field._cached` touches a field context's `_cache`, so every
 table and proof kept there is made once and kept read-only. Every entry of
-the check registry is a `cli.Check`, so `verify` runs one kind of check.
+the check registry is a `cli.Check`, so `verify` runs one kind of check, and
+only `_Run._record`, which sets each record's status, and
+`VerificationReport.exit_code`, which grades them, read a status name: a
+check returns its detail or raises.
 """
 
 import ast
@@ -361,6 +364,49 @@ def test_only_the_two_sweeps_call_the_kernels(path):
     assert [(line, name, owner) for line, name, owner
             in kernel_calls(path.read_text())
             if (path.name, owner) not in KERNEL_CALLERS[name]] == []
+
+
+STATUSES = ("MATCH", "MISMATCH", "FLAGGED", "SKIPPED", "ERROR")
+STATUS_READERS = {("cli.py", "_Run._record"),
+                  ("cli.py", "VerificationReport.exit_code")}
+
+
+def status_reads(source):
+    """(line, owner) of every read of a status name, as a name or an
+    attribute; the owner is the top-level function, Class.member for a
+    member of a top-level class, or None."""
+    found = []
+    for top in ast.parse(source).body:
+        for part in top.body if isinstance(top, ast.ClassDef) else [top]:
+            owner = getattr(part, "name", None)
+            if part is not top:
+                owner = f"{top.name}.{owner}"
+            found += [(node.lineno, owner) for node in ast.walk(part)
+                      if (isinstance(node, ast.Name)
+                          and isinstance(node.ctx, ast.Load)
+                          and node.id in STATUSES)
+                      or getattr(node, "attr", None) in STATUSES]
+    return sorted(found)
+
+
+def test_status_guard_flags_every_read():
+    # Binding a status name reads none.
+    source = ("MATCH, ERROR = 'match', 'error'\n"
+              "class Report:\n"
+              "    def exit_code(self):\n"
+              "        return ERROR\n"
+              "def _compare(a, b):\n"
+              "    return cli.MISMATCH if a != b else MATCH\n"
+              "SKIPPED\n")
+    assert status_reads(source) == [(4, "Report.exit_code"),
+                                    (6, "_compare"), (6, "_compare"),
+                                    (7, None)]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_only_the_record_and_the_exit_code_read_a_status(path):
+    assert [(line, owner) for line, owner in status_reads(path.read_text())
+            if (path.name, owner) not in STATUS_READERS] == []
 
 
 def test_every_registered_check_is_a_check():

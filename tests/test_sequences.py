@@ -120,6 +120,23 @@ def test_family_build(nk):
     assert not (fam.rows[:, -1] >> 7).any()
 
 
+def test_family_is_built_in_place():
+    # The blocks are written into one matrix the size of the family (4 MB
+    # here), the working rows taking about 10% more; joining the blocks
+    # afterwards copies the whole family once more.
+    ctx, p = build_field(10), derive_params(10, 1)
+    fam = build_family(ctx, p)
+    assert traced_peak(build_family, ctx, p) < 1.5 * fam.rows.nbytes
+
+
+def test_family_of_the_wrong_size_is_refused(ctx6, p61, monkeypatch):
+    monkeypatch.setattr("kasamilab.sequences.family_size",
+                        lambda params: 513)
+    with pytest.raises(VerificationError,
+                       match="^family has 512 members, expected 513$"):
+        build_family(ctx6, p61)
+
+
 @pytest.mark.parametrize("n,k,mod", [(4, 1, 0x13), (6, 1, 0x43),
                                       (6, 2, 0x43)])
 def test_family_matches_oracle(n, k, mod):
