@@ -15,10 +15,9 @@ from .field import (FieldContext, Params, build_field, derive_params,
 from .linearized import (BluherCounts, RankProfile, bluher_counts,
                          bluher_counts_formula, kernel_dims, rank_profile,
                          rank_profile_formula)
-from .expsum import (MomentReport, artin_schreier_points,
-                     gamma_sweep_formula, moment_targets, moments,
-                     s_spectrum, s_spectrum_formula, t_spectrum,
-                     t_spectrum_formula)
+from .expsum import (artin_schreier_points, gamma_sweep_formula,
+                     moment_targets, moments, s_spectrum, s_spectrum_formula,
+                     t_spectrum, t_spectrum_formula)
 from .codes import (MinimalPolynomial, check_cyclicity, check_parity,
                     code_dimension, codeword_c1, codeword_c2,
                     codeword_dump_lines, h_polynomials, minimal_poly,
@@ -39,9 +38,9 @@ __all__ = [
     "subfield_elements",
     "BluherCounts", "RankProfile", "bluher_counts", "bluher_counts_formula",
     "kernel_dims", "rank_profile", "rank_profile_formula",
-    "MomentReport", "artin_schreier_points", "gamma_sweep_formula",
-    "moment_targets", "moments", "s_spectrum", "s_spectrum_formula",
-    "t_spectrum", "t_spectrum_formula",
+    "artin_schreier_points", "gamma_sweep_formula", "moment_targets",
+    "moments", "s_spectrum", "s_spectrum_formula", "t_spectrum",
+    "t_spectrum_formula",
     "MinimalPolynomial", "check_cyclicity", "check_parity", "code_dimension",
     "codeword_c1", "codeword_c2", "codeword_dump_lines", "h_polynomials",
     "minimal_poly", "parity_check_mask", "weight_distribution",

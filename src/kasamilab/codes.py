@@ -9,7 +9,9 @@ pi^-(2^m+1). A word is 0 at x = 0, so the weight distributions are T (c1)
 and S (c2) relabelled, measured or closed form: the popcount sweep runs once
 per histogram, in expsum, and the direct Hamming counts of the words are the
 tests' oracles. Cyclicity is the sweeps' x -> pi x orbit proof on the same
-three row tables, rather than a check of the words they XOR to.
+three row tables, rather than a check of the words they XOR to. Cyclicity
+and the parity check return nothing and raise `VerificationError` on a
+disagreement.
 """
 
 from __future__ import annotations
@@ -145,7 +147,8 @@ def weight_distribution_formula(params, code):
 
 
 def check_cyclicity(ctx, params, code):
-    """Shift-closure: rotating any codeword lands on another codeword.
+    """Shift-closure: rotating any codeword lands on another codeword, or
+    `VerificationError` naming the table whose rows are not closed.
 
     Rotation by one reads the word of (alpha, beta, gamma) at pi x, which
     must be the word of (alpha pi^e1, beta pi^e2, gamma pi); c1 is the case
@@ -154,7 +157,7 @@ def check_cyclicity(ctx, params, code):
     the sweeps' orbit proof, `_orbit_closure` on the alpha and beta rows
     (all for n <= CYCLICITY_EXHAUSTIVE_MAX_N, else a fixed sample, each
     proved once per field, so c1 and c2 share it) and, for c2,
-    `_gamma_axis` on every gamma row.
+    `_gamma_axis` on every gamma row. Either proof raises its own text.
     """
     if code not in CODES:
         raise ValueError(f"code must be one of {CODES}, got {code!r}")
@@ -163,13 +166,9 @@ def check_cyclicity(ctx, params, code):
         sub, q = subfield_elements(ctx, params.m), ctx.q
         alphas = sub[:3] + sub[-1:]
         betas = list(range(0, q, max(1, q // 7))) + [q - 1]
-    try:
-        _orbit_closure(ctx, params, alphas=alphas, betas=betas)
-        if code == "c2":
-            _gamma_axis(ctx)
-    except VerificationError:
-        return False
-    return True
+    _orbit_closure(ctx, params, alphas=alphas, betas=betas)
+    if code == "c2":
+        _gamma_axis(ctx)
 
 
 def codeword_dump_lines(ctx, params, code):
@@ -181,8 +180,10 @@ def codeword_dump_lines(ctx, params, code):
 
 
 def check_parity(ctx, params, code, word):
-    """word(x) * h(x) == 0 mod x^(2^n - 1) + 1; the parity-check relation."""
+    """The parity-check relation word(x) * h(x) == 0 mod x^(2^n - 1) + 1, or
+    `VerificationError`."""
     h = parity_check_mask(ctx, params, code)
     prod = _gf2_polymul(int.from_bytes(_pack_bits(word), "little"), h)
-    ring = (1 << ctx.order) | 1
-    return _gf2_polymod(prod, ring) == 0
+    if _gf2_polymod(prod, (1 << ctx.order) | 1):
+        raise VerificationError(
+            f"a {code} word fails its parity-check product")

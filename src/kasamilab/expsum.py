@@ -15,7 +15,6 @@ compare the two, never papering over a mismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
@@ -26,7 +25,7 @@ from .field import (_cached, _gf2_linear, _mul, power_table,
                     rel_trace_table, subfield_elements, trace_bit_matrix)
 
 __all__ = [
-    "MomentReport", "t_spectrum", "t_spectrum_formula", "s_spectrum",
+    "t_spectrum", "t_spectrum_formula", "s_spectrum",
     "s_spectrum_formula", "gamma_sweep", "gamma_sweep_formula", "moments",
     "moment_targets", "artin_schreier_points", "artin_schreier_sweep",
 ]
@@ -412,25 +411,6 @@ def s_spectrum_formula(params):
     return _exact_table(params, "S", rows, 1 << (3 * m + n))
 
 
-@dataclass(frozen=True)
-class MomentReport:
-    """First three power moments of T over all pairs, measured and predicted."""
-
-    n: int
-    k: int
-    m1: int
-    m2: int
-    m3: int
-    expected1: int
-    expected2: int
-    expected3: int
-
-    @property
-    def matches(self):
-        return (self.m1, self.m2, self.m3) == (
-            self.expected1, self.expected2, self.expected3)
-
-
 def moment_targets(params):
     """Closed-form (m1, m2, m3)."""
     n, m, d = params.n, params.m, params.d
@@ -445,14 +425,14 @@ def moment_targets(params):
 
 
 def moments(dist, params):
-    """Moments of a measured T distribution; insist they match the closed forms."""
+    """The first three power moments (m1, m2, m3) of a measured T
+    distribution over all pairs, or `VerificationError` unless they equal
+    the closed forms of `moment_targets`."""
     got = tuple(sum(v ** p * c for v, c in dist.entries) for p in (1, 2, 3))
     want = moment_targets(params)
-    report = MomentReport(n=params.n, k=params.k, m1=got[0], m2=got[1], m3=got[2],
-                          expected1=want[0], expected2=want[1], expected3=want[2])
-    if not report.matches:
+    if got != want:
         raise VerificationError(f"moment mismatch: measured {got}, expected {want}")
-    return report
+    return got
 
 
 def artin_schreier_points(ctx, params, alpha_prime, beta):

@@ -72,10 +72,6 @@ class SequenceFamily:
     def size(self):
         return len(self.rows)
 
-    @property
-    def expected_size(self):
-        return family_size(self.params)
-
     def label(self, i):
         """F1(alpha,beta), F2(beta) or F3: the label of member i."""
         q = self.params.q

@@ -11,10 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from kasamilab import (ValueDistribution, artin_schreier_points,
-                       bluher_counts_formula, build_field, cli,
-                       derive_params, expsum, linearized,
-                       rank_profile_formula, t_spectrum_formula)
+from kasamilab import (ValueDistribution, VerificationError,
+                       artin_schreier_points, bluher_counts_formula,
+                       build_field, check_parity, cli, derive_params, expsum,
+                       linearized, rank_profile_formula, t_spectrum_formula)
 from kasamilab.cli import _CHECKS, DEFAULT_BUDGETS, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -397,6 +397,18 @@ def _one_point_more(ctx, params, alpha_prime, betas):
     return counts
 
 
+def _c2_word_flipped(ctx, params, code, word):
+    # One bit flipped leaves the code: its minimum distance exceeds 1.
+    if code == "c2":
+        word = word.copy()
+        word[3] ^= 1
+    check_parity(ctx, params, code, word)
+
+
+def _beta_rows_open(ctx, params, code):
+    raise VerificationError("the beta rows are not closed under x -> pi x")
+
+
 def _mismatch_cases():
     """(check, patched name, replacement, detail, notes) at (6,1)."""
     p = derive_params(6, 1)
@@ -422,11 +434,14 @@ def _mismatch_cases():
         ("minimal-polynomials", "kasamilab.cli.is_irreducible",
          lambda coeffs, degree: False,
          "h1 is reducible; h2 is reducible; h3 is reducible", []),
-        ("cyclicity", "kasamilab.cli.check_cyclicity",
-         lambda ctx, params, code: False,
-         "c1 is not closed under cyclic shift", []),
+        ("cyclicity", "kasamilab.cli.check_cyclicity", _beta_rows_open,
+         "the beta rows are not closed under x -> pi x", []),
     ]
-    return [pytest.param(*case, id=case[0]) for case in cases]
+    parity = pytest.param(
+        "minimal-polynomials", "kasamilab.cli.check_parity", _c2_word_flipped,
+        "a c2 word fails its parity-check product", [],
+        id="minimal-polynomials-parity")
+    return [pytest.param(*case, id=case[0]) for case in cases] + [parity]
 
 
 @pytest.mark.parametrize("name,target,patched,detail,notes",

@@ -171,7 +171,7 @@ def test_cyclicity_exhaustive(ctx4, p41, code):
                     word = ref.codeword_bits_c2(alpha, beta, gamma, k, mod, n)
                     want = ref.codeword_bits_c2(*image, k, mod, n)
                 assert word[1:] + word[:1] == want
-    assert check_cyclicity(ctx4, p41, code)
+    check_cyclicity(ctx4, p41, code)  # raises unless each proof holds
 
 
 # The orbit proofs are made once per field, so a test that patches a row
@@ -181,7 +181,9 @@ def test_cyclicity_exhaustive(ctx4, p41, code):
 def test_cyclicity_detects_a_flipped_bit(code, monkeypatch):
     ctx, p = build_field(4), derive_params(4, 1)
     flip_row_bit(monkeypatch, 1, ctx.q - 1)
-    assert not check_cyclicity(ctx, p, code)
+    with pytest.raises(VerificationError,
+                       match="the beta rows are not closed under x -> pi x"):
+        check_cyclicity(ctx, p, code)
 
 
 @pytest.mark.parametrize("code", ["c1", "c2"])
@@ -190,7 +192,9 @@ def test_cyclicity_checks_every_alpha(code, monkeypatch):
     # last alpha row leaves every other row closed.
     ctx, p = build_field(4), derive_params(4, 1)
     flip_row_bit(monkeypatch, 0, subfield_elements(ctx, p.m)[-1])
-    assert not check_cyclicity(ctx, p, code)
+    with pytest.raises(VerificationError,
+                       match="the alpha rows are not closed under x -> pi x"):
+        check_cyclicity(ctx, p, code)
 
 
 def test_cyclicity_checks_every_gamma_row(monkeypatch):
@@ -198,8 +202,10 @@ def test_cyclicity_checks_every_gamma_row(monkeypatch):
     # rows; on a fresh field, as the gamma axis is proved once per field.
     break_gamma_row(monkeypatch)
     ctx, p = build_field(4), derive_params(4, 1)
-    assert check_cyclicity(ctx, p, "c1")
-    assert not check_cyclicity(ctx, p, "c2")
+    check_cyclicity(ctx, p, "c1")
+    with pytest.raises(VerificationError,
+                       match=r"the rows Tr_n\(g x\) repeat a functional"):
+        check_cyclicity(ctx, p, "c2")
 
 
 def test_cyclicity_memory_bounded_by_one_alpha():
@@ -235,23 +241,26 @@ def test_exhaustive_cyclicity_memory_at_n12_bounded_by_its_blocks(
 
 @pytest.mark.slow
 def test_cyclicity_sampled_n8(ctx8, p82):
-    assert check_cyclicity(ctx8, p82, "c1")
-    assert check_cyclicity(ctx8, p82, "c2")
+    check_cyclicity(ctx8, p82, "c1")
+    check_cyclicity(ctx8, p82, "c2")
 
 
 def test_parity_check_accepts_codewords(ctx6, p61):
     sub = subfield_elements(ctx6, 3)
     for alpha, beta in [(0, 1), (sub[4], 44), (sub[7], 63)]:
         word = codeword_c1(ctx6, p61, alpha, beta)
-        assert check_parity(ctx6, p61, "c1", word)
-        assert check_parity(ctx6, p61, "c2", word)  # c1 words lie inside c2
+        check_parity(ctx6, p61, "c1", word)
+        check_parity(ctx6, p61, "c2", word)  # c1 words lie inside c2
 
 
 def test_parity_check_rejects_corrupted_word(ctx4, p41):
     word = codeword_c1(ctx4, p41, 1, 7).copy()
     word[3] ^= 1  # minimum distance exceeds 1, so this leaves the code
-    assert not check_parity(ctx4, p41, "c1", word)
-    assert not check_parity(ctx4, p41, "c2", word)
+    for code in ("c1", "c2"):
+        with pytest.raises(VerificationError,
+                           match=f"^a {code} word fails its parity-check "
+                                 "product$"):
+            check_parity(ctx4, p41, code, word)
 
 
 def test_codeword_dump(ctx4, p41):

@@ -1,11 +1,12 @@
 """Source hygiene: every imported name is used, and so is every module-level
-name of the package.
+name of the package and every method or property of its classes.
 
 Guards that need no linter. Each module of the package and of the test
 suite is parsed with `ast`; a name bound by an import must be read somewhere
 in the file or be listed in the module's `__all__`. `from __future__` imports
 are exempt. A name bound at the top level of a package module (an assignment,
-function or class) must be read, as a name, an attribute or an imported name,
+function or class), and each method or property of a top-level class (not a
+dataclass field), must be read, as a name, an attribute or an imported name,
 by the program: a package module other than `__init__.py`, or a benchmark
 source. Tests, re-exports and `__all__` do not keep a name alive, so the
 public API is what the program reads. Dunder names are exempt. Only
@@ -92,8 +93,9 @@ def _names_read(source):
 
 def dead_names(modules, readers):
     """(module, line, name) of every name bound at the top level of a source
-    in `modules` (module -> source) that no source in `readers` reads;
-    dunder names are exempt."""
+    in `modules` (module -> source), and every method or property of a
+    top-level class (named Class.member; a dataclass field is not one), that
+    no source in `readers` reads; dunder names are exempt."""
     read = set().union(*map(_names_read, readers))
     dead = []
     for module, source in modules.items():
@@ -102,14 +104,18 @@ def dead_names(modules, readers):
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 bound.append((node.lineno, node.name))
+            if isinstance(node, ast.ClassDef):
+                bound += [(member.lineno, f"{node.name}.{member.name}")
+                          for member in node.body
+                          if isinstance(member, ast.FunctionDef)]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = (node.targets if isinstance(node, ast.Assign)
                            else [node.target])
                 bound += [(t.lineno, t.id) for target in targets
                           for t in ast.walk(target) if isinstance(t, ast.Name)]
         dead += [(module, line, name) for line, name in bound
-                 if name not in read
-                 and not (name.startswith("__") and name.endswith("__"))]
+                 if (short := name.rpartition(".")[2]) not in read
+                 and not (short.startswith("__") and short.endswith("__"))]
     return dead
 
 
@@ -128,7 +134,8 @@ def test_no_unused_imports(path):
 
 
 def test_dead_name_guard_flags_only_unread_names():
-    # `exported` is listed in `__all__` but read by no reader.
+    # `exported` is listed in `__all__` but read by no reader; the unread
+    # field `depth` and dunder `__len__` are exempt, `spare` is not.
     lib = ("__all__ = ['public', 'exported']\n"
            "__version__ = '1'\n"
            "CASES = ('a', 'b')\n"
@@ -136,10 +143,18 @@ def test_dead_name_guard_flags_only_unread_names():
            "def public(): return LIMIT\n"
            "def exported(): pass\n"
            "def _helper(): pass\n"
-           "class _Shape: pass\n")
-    user = "import lib\nfrom lib import _helper, public\nlib._Shape\n"
+           "class _Shape:\n"
+           "    depth: int = 0\n"
+           "    def __len__(self): return 0\n"
+           "    @property\n"
+           "    def area(self): return self.width\n"
+           "    def width(self): return 1\n"
+           "    @property\n"
+           "    def spare(self): return 0\n")
+    user = "import lib\nfrom lib import _helper, public\nlib._Shape().area\n"
     assert dead_names({"lib": lib}, [lib, user]) == [
-        ("lib", 3, "CASES"), ("lib", 4, "_SPARE"), ("lib", 6, "exported")]
+        ("lib", 3, "CASES"), ("lib", 4, "_SPARE"), ("lib", 6, "exported"),
+        ("lib", 15, "_Shape.spare")]
 
 
 def test_no_dead_module_level_names():

@@ -113,7 +113,7 @@ def test_family_size(nk, size):
 def test_family_build(nk):
     n, k = nk
     fam = build_family(build_field(n), derive_params(n, k))
-    assert fam.size == fam.expected_size == SIZES[nk]
+    assert fam.size == family_size(fam.params) == SIZES[nk]
     assert bits_of(fam).shape == (fam.size, (1 << n) - 1)
     # Packed eight to a byte, the one bit past the period left 0.
     assert fam.rows.shape == (fam.size, 1 << (n - 3))
