@@ -318,8 +318,8 @@ def _check_parameters(run):
 
 def _check_bluher(run):
     n = run.params.n
-    pairs = [(h, bluher_counts(run.ctx, h).as_tuple(),
-              bluher_counts_formula(n, h).as_tuple()) for h in range(1, n)]
+    pairs = [(h, bluher_counts(run.ctx, h), bluher_counts_formula(n, h))
+             for h in range(1, n)]
     bad = [f"h={h}: counted {got}, predicted {want}"
            for h, got, want in pairs if got != want]
     if bad:
@@ -330,11 +330,9 @@ def _check_bluher(run):
 def _check_rank(run):
     got = rank_profile(run.kernel_dims, run.params)
     want = rank_profile_formula(run.params)
-    trip = (got.n0, got.n2, got.n4)
-    pred = (want.n0, want.n2, want.n4)
-    if trip != pred:
-        raise VerificationError(f"counted {trip}, predicted {pred}")
-    return f"(n0, n2, n4) = {trip}"
+    if got != want:
+        raise VerificationError(f"counted {got}, predicted {want}")
+    return f"(n0, n2, n4) = {got}"
 
 
 def _check_moments(run):
@@ -359,12 +357,12 @@ def _check_minimal_polynomials(run):
     bad = []
     for label, poly, want_deg in (("h1", h1, params.n), ("h2", h2, params.n),
                                   ("h3", h3, params.m)):
-        if poly.degree != want_deg:
-            bad.append(f"{label} has degree {poly.degree}, "
-                       f"expected {want_deg}")
-        if not is_irreducible(poly.coeffs, poly.degree):
+        degree = poly.bit_length() - 1
+        if degree != want_deg:
+            bad.append(f"{label} has degree {degree}, expected {want_deg}")
+        if not is_irreducible(poly, degree):
             bad.append(f"{label} is reducible")
-        if _gf2_polymod((1 << ctx.order) | 1, poly.coeffs):
+        if _gf2_polymod((1 << ctx.order) | 1, poly):
             bad.append(f"{label} does not divide x^{ctx.order} + 1")
     for code in CODES:
         mask = parity_check_mask(ctx, params, code)
@@ -377,7 +375,7 @@ def _check_minimal_polynomials(run):
     alpha = subfield_elements(ctx, params.m)[1]
     check_parity(ctx, params, "c1", codeword_c1(ctx, params, alpha, 1))
     check_parity(ctx, params, "c2", codeword_c2(ctx, params, alpha, 1, 1))
-    return (f"h1={h1.coeffs:#x}, h2={h2.coeffs:#x}, h3={h3.coeffs:#x}; "
+    return (f"h1={h1:#x}, h2={h2:#x}, h3={h3:#x}; "
             f"degrees ({params.n}, {params.n}, {params.m})")
 
 

@@ -5,7 +5,7 @@ expressions the exponential sums integrate, so every weight is tied to a sum
 value by w = 2^(n-1) - value/2. The narrow code (dimension 3m over GF(2)) is
 cut out by the parity-check product h2*h3; the wide code (dimension 5m) by
 h1*h2*h3, where the h_i are minimal polynomials of pi^-1, pi^-(2^k+1) and
-pi^-(2^m+1). A word is 0 at x = 0, so the weight distributions are T (c1)
+pi^-(2^m+1), each a GF(2) mask with bit i at x^i. A word is 0 at x = 0, so the weight distributions are T (c1)
 and S (c2) relabelled, measured or closed form: the popcount sweep runs once
 per histogram, in expsum, and the direct Hamming counts of the words are the
 tests' oracles. Cyclicity is the sweeps' x -> pi x orbit proof on the same
@@ -16,8 +16,6 @@ disagreement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .distribution import VerificationError, _pack_bits, pack_bits_hex
@@ -26,8 +24,8 @@ from .expsum import (_gamma_axis, _orbit_closure, _trace_rows,
 from .field import _gf2_polymul, _gf2_polymod, subfield_elements
 
 __all__ = [
-    "MinimalPolynomial", "minimal_poly", "h_polynomials", "parity_check_mask",
-    "code_dimension", "codeword_c1", "codeword_c2", "weight_distribution",
+    "minimal_poly", "h_polynomials", "parity_check_mask", "code_dimension",
+    "codeword_c1", "codeword_c2", "weight_distribution",
     "weight_distribution_formula", "check_cyclicity", "codeword_dump_lines",
     "CYCLICITY_EXHAUSTIVE_MAX_N",
 ]
@@ -35,18 +33,10 @@ __all__ = [
 CODES = ("c1", "c2")
 
 
-@dataclass(frozen=True)
-class MinimalPolynomial:
-    """Minimal polynomial of pi^exponent over GF(2), coeff bit i at x^i."""
-
-    exponent: int
-    coset: tuple
-    coeffs: int
-    degree: int
-
-
 def minimal_poly(ctx, e):
-    """Minimal polynomial of pi^e, via the 2-cyclotomic coset of e."""
+    """Minimal polynomial of pi^e over GF(2), the product of x + pi^c over
+    the 2-cyclotomic coset of e, as a mask: bit i is the coefficient of x^i,
+    so its degree is `mask.bit_length() - 1`, the coset's size."""
     order = ctx.order
     coset = [e % order]
     while (c := 2 * coset[-1] % order) != coset[0]:
@@ -61,13 +51,12 @@ def minimal_poly(ctx, e):
         poly = new
     if any(co not in (0, 1) for co in poly):
         raise VerificationError("coset product has coefficients outside GF(2)")
-    mask = sum(co << i for i, co in enumerate(poly))
-    return MinimalPolynomial(exponent=coset[0], coset=tuple(coset),
-                             coeffs=mask, degree=len(coset))
+    return sum(co << i for i, co in enumerate(poly))
 
 
 def h_polynomials(ctx, params):
-    """(h1, h2, h3): minimal polynomials of pi^-1, pi^-(2^k+1), pi^-(2^m+1)."""
+    """(h1, h2, h3): the masks of the minimal polynomials of pi^-1,
+    pi^-(2^k+1) and pi^-(2^m+1)."""
     return tuple(minimal_poly(ctx, -e)
                  for e in (1, params.e_quad, params.e_norm))
 
@@ -75,9 +64,9 @@ def h_polynomials(ctx, params):
 def parity_check_mask(ctx, params, code):
     """Parity-check polynomial: h2*h3 for c1, h1*h2*h3 for c2."""
     h1, h2, h3 = h_polynomials(ctx, params)
-    mask = _gf2_polymul(h2.coeffs, h3.coeffs)
+    mask = _gf2_polymul(h2, h3)
     if code == "c2":
-        mask = _gf2_polymul(mask, h1.coeffs)
+        mask = _gf2_polymul(mask, h1)
     elif code != "c1":
         raise ValueError(f"code must be one of {CODES}, got {code!r}")
     return mask

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -66,6 +65,9 @@ def _summed(work, items, workers):
     threads = _thread_count(workers, len(items))
     if threads == 1:
         return reduce(add, map(work, items))
+    # Imported only here: it loads concurrent.futures and logging, which a
+    # run that opens no pool need not pay for at start-up.
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return reduce(add, pool.map(work, items))
 

@@ -13,11 +13,14 @@ schoolbook `reference.psi_roots_naive` with the full kernel table.
 The kernel law is checked in one place, `_kernel_dims`, from the phi rows'
 bits, on the rows alpha = 0 and 1 that the rank profile and the gamma-sweep
 read; x -> pi x lets alpha = 1 stand for every alpha != 0.
+
+Results are plain tuples, measured and closed form alike: a rank profile is
+(n0, n2, n4), the counts of ranks s, s - 2 and s - 4, and root counts are
+(n0, n1, n2, n_top), the b with 0, 1, 2 and 2^e + 1 roots.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
@@ -28,47 +31,9 @@ from .expsum import (_blocks, _eps1, _monomial_rows, _orbit_closure,
 from .field import _gf2_linear, _mul, power_table, subfield_elements
 
 __all__ = [
-    "RankProfile", "BluherCounts", "kernel_dims", "rank_profile",
-    "rank_profile_formula", "bluher_counts", "bluher_counts_formula",
+    "kernel_dims", "rank_profile", "rank_profile_formula", "bluher_counts",
+    "bluher_counts_formula",
 ]
-
-
-@dataclass(frozen=True)
-class RankProfile:
-    """Counts of quadratic-form ranks s, s-2, s-4 over all pairs != (0, 0)."""
-
-    n: int
-    k: int
-    n0: int
-    n2: int
-    n4: int
-
-    @property
-    def total(self):
-        return self.n0 + self.n2 + self.n4
-
-
-@dataclass(frozen=True)
-class BluherCounts:
-    """Distribution of root counts of z^(2^h+1) + b*z + b over b in GF(2^l)*.
-
-    n0/n1/n2/n_top count the b with 0, 1, 2, and 2^e+1 roots, e = gcd(h, l).
-    """
-
-    l: int
-    h: int
-    e: int
-    n0: int
-    n1: int
-    n2: int
-    n_top: int
-
-    def as_tuple(self):
-        return (self.n0, self.n1, self.n2, self.n_top)
-
-    @property
-    def total(self):
-        return self.n0 + self.n1 + self.n2 + self.n_top
 
 
 def _phi_rows(ctx, params, alpha, betas):
@@ -120,8 +85,9 @@ def kernel_dims(ctx, params):
 
 
 def rank_profile(dims, params):
-    """Rank counts over all (alpha, beta) != (0, 0): the alpha = 0 row of
-    `kernel_dims` plus 2^m - 1 times its alpha = 1 row."""
+    """Rank counts (n0, n2, n4) of ranks s, s - 2, s - 4 over all
+    (alpha, beta) != (0, 0): the alpha = 0 row of `kernel_dims` plus
+    2^m - 1 times its alpha = 1 row."""
     # (0, 0), the first pair, has no form.
     counts = _histogram(dims[0, 1:])
     counts.update({dim: c * ((1 << params.m) - 1)
@@ -129,12 +95,11 @@ def rank_profile(dims, params):
     unexpected = {key: c for key, c in counts.items() if key not in (0, 2, 4)}
     if unexpected:
         raise VerificationError(f"kernel dimensions outside 0/2/4 observed: {unexpected}")
-    return RankProfile(n=params.n, k=params.k, n0=counts[0], n2=counts[2],
-                       n4=counts[4])
+    return counts[0], counts[2], counts[4]
 
 
 def rank_profile_formula(params):
-    """Closed-form rank counts.
+    """Closed-form rank counts (n0, n2, n4), which must sum to 2^(3m) - 1.
 
     For d' = d these are the direct kernel-count expressions. For d' = 2d each
     rank class takes exactly one T value, so the counts are the T table's
@@ -151,15 +116,15 @@ def rank_profile_formula(params):
         t = t_spectrum_formula(params)
         n0, n2, n4 = (t.count(v) for v in
                       (-(1 << m), 1 << (m + d), -(1 << (m + 2 * d))))
-    prof = RankProfile(n=params.n, k=params.k, n0=n0, n2=n2, n4=n4)
-    if prof.total != (1 << (3 * m)) - 1:
-        raise VerificationError(
-            f"rank counts sum to {prof.total}, expected {(1 << (3 * m)) - 1}")
-    return prof
+    if n0 + n2 + n4 != (1 << (3 * m)) - 1:
+        raise VerificationError(f"rank counts sum to {n0 + n2 + n4}, "
+                                f"expected {(1 << (3 * m)) - 1}")
+    return n0, n2, n4
 
 
 def bluher_counts(ctx, h):
-    """Measured root-count distribution of z^(2^h+1) + b*z + b over b != 0.
+    """Measured root counts of z^(2^h+1) + b*z + b over b != 0: the numbers
+    (n0, n1, n2, n_top) of b with 0, 1, 2 and 2^e+1 roots, e = gcd(h, l).
 
     For b != 0 neither 0 nor 1 is a root, and any other z is a root for
     exactly one b, z^(2^h+1) / (z + 1). One bincount of that b over z thus
@@ -184,12 +149,12 @@ def bluher_counts(ctx, h):
         raise VerificationError(
             f"b={b}: {count} roots, outside {{0, 1, 2, 2^{e}+1}}")
     hist.update(counts)
-    return BluherCounts(l=l, h=h, e=e, n0=hist[0], n1=hist[1], n2=hist[2],
-                        n_top=hist[(1 << e) + 1])
+    return hist[0], hist[1], hist[2], hist[(1 << e) + 1]
 
 
 def bluher_counts_formula(l, h):
-    """Closed-form root-count distribution; split on the parity of l/e."""
+    """Closed-form root counts (n0, n1, n2, n_top), split on the parity of
+    l/e; they must sum to 2^l - 1."""
     if not 1 <= h <= l - 1:
         raise ValueError(f"h must satisfy 1 <= h <= {l - 1}, got {h}")
     e = gcd(h, l)
@@ -202,8 +167,8 @@ def bluher_counts_formula(l, h):
         n1 = _exact(_p2(l - e) - 1)
         n_top = _exact((_p2(l - e) - 1) / (_p2(2 * e) - 1))
     n2 = _exact((_p2(e) - 2) * (_p2(l) - 1) / (2 * (_p2(e) - 1)))
-    counts = BluherCounts(l=l, h=h, e=e, n0=n0, n1=n1, n2=n2, n_top=n_top)
-    if counts.total != (1 << l) - 1:
+    counts = (n0, n1, n2, n_top)
+    if sum(counts) != (1 << l) - 1:
         raise VerificationError(
-            f"Bluher counts sum to {counts.total}, expected {(1 << l) - 1}")
+            f"Bluher counts sum to {sum(counts)}, expected {(1 << l) - 1}")
     return counts

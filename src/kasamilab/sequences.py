@@ -201,15 +201,13 @@ def _product_dtype(L):
     return np.float32 if 2 * (L * L + 3 * L + 1) < 1 << 24 else np.float64
 
 
-def _tile_rows(L, largest):
+def _tile_rows(L):
     """Members per tile of the correlation product of period L: 4 (L + 2),
     so that each representative's product over a tile outweighs its
     circulant of L (L + 1)/2 entries, rebuilt for every tile, 4 (L + 2)
-    times; or the largest decimation orbit if more, so that an own orbit
-    spans at most two tiles. The tile bounds the shared signs, 4 (L + 2)
-    rows of L + 1 floats, and each thread's product, 4 (L + 2) rows of
-    (L + 1)/2."""
-    return max(largest, 4 * (L + 2))
+    times. The tile bounds the shared signs, 4 (L + 2) rows of L + 1
+    floats, and each thread's product, 4 (L + 2) rows of (L + 1)/2."""
+    return 4 * (L + 2)
 
 
 # Entries handled at a time: product entries cast to intp and added into
@@ -239,18 +237,17 @@ def correlation_distribution(family, workers=1):
     (`_product_dtype`), so the indices are exact at every n.
 
     The family's packed rows are taken in orbit order and swept tile by
-    tile, `_tile_rows` members each: 4 (L + 2), or the largest orbit if
-    more. A tile is unpacked to signs once and read, never written, by the
-    threads, which share out the representatives whose first row lies
-    before the tile's end; each sweeps the tile's rows from its first row
-    on, weighting the rows [first, first + w) of its own orbit by w,
-    wherever tile and chunk edges fall, and every later row by 2w. Per
-    thread there is one circulant, built transposed from contiguous
-    windows of the representative's signs, one tile's product, one chunk
-    of `_CHUNK` entries cast to intp at a time and one histogram of
-    M (M + 1) int64 bins, which `np.add.at` adds each chunk into in place:
-    bounded by L, not by the family size, and no histogram-sized temporary
-    per product.
+    tile, `_tile_rows` members each: 4 (L + 2). A tile is unpacked to signs
+    once and read, never written, by the threads, which share out the
+    representatives whose first row lies before the tile's end; each sweeps
+    the tile's rows from its first row on, weighting the rows
+    [first, first + w) of its own orbit by w, wherever tile and chunk edges
+    fall, and every later row by 2w. Per thread there is one circulant, built
+    transposed from contiguous windows of the representative's signs, one
+    tile's product, one chunk of `_CHUNK` entries cast to intp at a time and
+    one histogram of M (M + 1) int64 bins, which `np.add.at` adds each chunk
+    into in place: bounded by L, not by the family size, and no
+    histogram-sized temporary per product.
     """
     count, L = family.size, family.params.q - 1
     orbit, sizes = _decimation_orbits(family.rows, L)
@@ -258,7 +255,7 @@ def correlation_distribution(family, workers=1):
     starts = np.cumsum([0] + sizes)
     M, dtype = L + 1, _product_dtype(L)
     bins = M * (M + 1)
-    rows = min(count, _tile_rows(L, max(sizes)))
+    rows = min(count, _tile_rows(L))
     chunk = max(1, _CHUNK // (M // 2))
     # A representative's bits twice over, read through one index.
     wrap = np.arange(2 * L) % L

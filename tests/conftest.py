@@ -1,10 +1,11 @@
 """Shared fixtures: field contexts and parameter sets reused across the suite."""
 
+import concurrent.futures
 import os
 
 import pytest
 
-from kasamilab import build_field, derive_params, distribution
+from kasamilab import build_field, derive_params
 
 
 @pytest.fixture(scope="session")
@@ -47,7 +48,8 @@ def recording_pool(monkeypatch):
     """Four CPUs, and a thread pool that only records its size and tasks.
 
     Returns the list of (max_workers, task count) of every pool opened; the
-    tasks run in the calling thread, so no thread is started.
+    tasks run in the calling thread, so no thread is started. The pool is
+    patched where `distribution._summed` imports it from when it opens one.
     """
     opened = []
 
@@ -66,7 +68,7 @@ def recording_pool(monkeypatch):
             opened.append((self.max_workers, len(items)))
             return map(fn, items)
 
-    monkeypatch.setattr(distribution, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)),
                         raising=False)

@@ -6,7 +6,6 @@ import re
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -371,14 +370,14 @@ def test_verify_reports_a_check_that_raises(tmp_path, monkeypatch):
     assert set(later.values()) == {"match", "skipped"}
 
 
-def _one_more(value, field):
-    """A copy of a frozen dataclass with one more in `field`."""
-    return replace(value, **{field: getattr(value, field) + 1})
+def _one_more(counts, i):
+    """A copy of a tuple of counts with one more at index `i`."""
+    return counts[:i] + (counts[i] + 1,) + counts[i + 1:]
 
 
 def _bluher_one_more(l, h):
     counts = bluher_counts_formula(l, h)
-    return _one_more(counts, "n0") if h == 2 else counts
+    return _one_more(counts, 0) if h == 2 else counts
 
 
 def _t_one_moved(params):
@@ -412,9 +411,8 @@ def _beta_rows_open(ctx, params, code):
 def _mismatch_cases():
     """(check, patched name, replacement, detail, notes) at (6,1)."""
     p = derive_params(6, 1)
-    bluher = bluher_counts_formula(6, 2).as_tuple()
-    rank = rank_profile_formula(p)
-    trip = (rank.n0, rank.n2, rank.n4)
+    bluher = bluher_counts_formula(6, 2)
+    trip = rank_profile_formula(p)
     points = artin_schreier_points(build_field(6), p, 0x3, 0x5)
     cases = [
         ("bluher-counts", "kasamilab.cli.bluher_counts_formula",
@@ -422,7 +420,7 @@ def _mismatch_cases():
          f"h=2: counted {bluher}, predicted {(bluher[0] + 1, *bluher[1:])}",
          []),
         ("rank-profile", "kasamilab.cli.rank_profile_formula",
-         lambda params: _one_more(rank_profile_formula(params), "n2"),
+         lambda params: _one_more(rank_profile_formula(params), 1),
          f"counted {trip}, predicted {(trip[0], trip[1] + 1, trip[2])}", []),
         ("t-spectrum", "kasamilab.cli.t_spectrum_formula", _t_one_moved,
          "value -8: measured 280, tabulated 279; "
@@ -432,7 +430,7 @@ def _mismatch_cases():
          _one_point_more,
          f"(0x3, 0x5): {points + 1} points, identity gives {points}", []),
         ("minimal-polynomials", "kasamilab.cli.is_irreducible",
-         lambda coeffs, degree: False,
+         lambda mask, degree: False,
          "h1 is reducible; h2 is reducible; h3 is reducible", []),
         ("cyclicity", "kasamilab.cli.check_cyclicity", _beta_rows_open,
          "the beta rows are not closed under x -> pi x", []),

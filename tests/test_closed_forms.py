@@ -42,17 +42,14 @@ def test_rank_profile_groups_the_t_multiplicities():
         for v, c in t_spectrum_formula(p).entries:
             if v != p.q:
                 grouped[rank_of_value[abs(v)]] += c
-        prof = rank_profile_formula(p)
-        assert grouped == {"n0": prof.n0, "n2": prof.n2, "n4": prof.n4}, \
-            (p.n, p.k)
+        assert tuple(grouped.values()) == rank_profile_formula(p), (p.n, p.k)
 
 
 def test_s_table_sums_the_gamma_laws_over_the_rank_profile():
     for p in PARAMS:
-        prof = rank_profile_formula(p)
         counts = {p.q: 1, 0: p.q - 1}  # the (0, 0) row
-        for rank, pairs in ((p.s, prof.n0), (p.s - 2, prof.n2),
-                            (p.s - 4, prof.n4)):
+        for rank, pairs in zip((p.s, p.s - 2, p.s - 4),
+                               rank_profile_formula(p)):
             if pairs:
                 for v, c in gamma_sweep_formula(p, rank).entries:
                     counts[v] = counts.get(v, 0) + pairs * c
@@ -68,12 +65,11 @@ def closed_form_outputs():
     """Canonical JSON of every closed-form output, over all PARAMS."""
     out = []
     for p in PARAMS:
-        prof = rank_profile_formula(p)
         out.append({
             "nk": (p.n, p.k),
             "t": _dist(t_spectrum_formula(p)),
             "s": _dist(s_spectrum_formula(p)),
-            "rank": (prof.n0, prof.n2, prof.n4),
+            "rank": rank_profile_formula(p),
             "moments": moment_targets(p),
             "gamma": [_dist(gamma_sweep_formula(p, r))
                       for r in range(0, p.s + 1, 2)],
@@ -81,8 +77,7 @@ def closed_form_outputs():
                         for c in ("c1", "c2")],
             "correlation": _dist(correlation_distribution_formula(p)),
             "printed": [(v, str(c)) for v, c in correlation_table_printed(p)],
-            "bluher": [bluher_counts_formula(p.n, h).as_tuple()
-                       for h in range(1, p.n)],
+            "bluher": [bluher_counts_formula(p.n, h) for h in range(1, p.n)],
         })
     return json.dumps(out, sort_keys=True, separators=(",", ":"))
 

@@ -31,36 +31,35 @@ WEIGHTS = {
 }
 
 
+def poly_at(ctx, mask, x):
+    """The GF(2) polynomial `mask` (bit i at x^i) evaluated at x."""
+    return np.bitwise_xor.reduce(
+        [ctx.pow(x, i) for i in range(mask.bit_length()) if mask >> i & 1])
+
+
 def test_minimal_poly_example(ctx4):
     # pi^5 has order 3, so its minimal polynomial is x^2 + x + 1.
-    mp = minimal_poly(ctx4, 5)
-    assert mp.coeffs == 0x7 and mp.degree == 2 and mp.coset == (5, 10)
+    assert minimal_poly(ctx4, 5) == 0x7
 
 
 @pytest.mark.parametrize("n,mod", [(4, 0x13), (6, 0x43)])
 def test_minimal_poly_matches_oracle(n, mod):
     ctx = build_field(n)
     for e in range(1, (1 << n) - 1):
-        assert minimal_poly(ctx, e).coeffs == ref.min_poly_naive(e, mod, n)
+        assert minimal_poly(ctx, e) == ref.min_poly_naive(e, mod, n)
 
 
 def test_minimal_poly_is_irreducible_divisor(ctx6):
     L = 63
     for e in (1, 3, 9, 21, 31):
-        mp = minimal_poly(ctx6, e)
-        assert is_irreducible(mp.coeffs, mp.degree)
-        assert _gf2_polymod((1 << L) | 1, mp.coeffs) == 0
+        mask = minimal_poly(ctx6, e)
+        assert is_irreducible(mask, mask.bit_length() - 1)
+        assert _gf2_polymod((1 << L) | 1, mask) == 0
 
 
 def test_minimal_poly_has_root(ctx6):
     for e in (1, 5, 11):
-        mp = minimal_poly(ctx6, e)
-        root = ctx6.pow(ctx6.pi, e)
-        acc = 0
-        for i in range(mp.degree + 1):
-            if (mp.coeffs >> i) & 1:
-                acc ^= ctx6.pow(root, i)
-        assert acc == 0
+        assert poly_at(ctx6, minimal_poly(ctx6, e), ctx6.pow(ctx6.pi, e)) == 0
 
 
 @pytest.mark.parametrize("nk,masks", sorted(H_POLYS.items()))
@@ -68,12 +67,12 @@ def test_h_polynomials_frozen(nk, masks):
     n, k = nk
     ctx, p = build_field(n), derive_params(n, k)
     hs = h_polynomials(ctx, p)
-    assert tuple(h.coeffs for h in hs) == masks
-    assert tuple(h.degree for h in hs) == (n, n, n // 2)
-    # h1, h2, h3 are the minimal polynomials of pi^-1, pi^-e2, pi^-e1.
+    assert hs == masks
+    assert tuple(h.bit_length() - 1 for h in hs) == (n, n, n // 2)
+    # h1, h2, h3 vanish at pi^-1, pi^-e2, pi^-e1.
     L = (1 << n) - 1
-    assert tuple(h.exponent for h in hs) == \
-        (L - 1, L - p.e_quad, L - p.e_norm)
+    assert [poly_at(ctx, h, ctx.pow(ctx.pi, L - e)) for h, e in
+            zip(hs, (1, p.e_quad, p.e_norm))] == [0, 0, 0]
 
 
 @pytest.mark.parametrize("nk", [(4, 1), (6, 1), (6, 2)])

@@ -227,17 +227,20 @@ ORACLE_CASES = [(4, 1, 0x13), (6, 1, 0x43), (6, 2, 0x43), (6, 2, 0x61),
 
 
 @pytest.fixture
-def one_orbit_tiles(monkeypatch):
-    """Tiles of the largest orbit's size, so that most representatives sweep
-    their later rows in several tiles; records every size asked for."""
-    largest = []
+def fixed_tiles(monkeypatch):
+    """fixed_tiles(rows) makes every correlation tile `rows` members, and
+    returns the list of the periods the tile size is asked for with."""
+    periods = []
 
-    def tile_rows(L, size):
-        largest.append(size)
-        return size
+    def fix(rows):
+        def tile_rows(L):
+            periods.append(L)
+            return rows
 
-    monkeypatch.setattr("kasamilab.sequences._tile_rows", tile_rows)
-    return largest
+        monkeypatch.setattr("kasamilab.sequences._tile_rows", tile_rows)
+        return periods
+
+    return fix
 
 
 def constant_family(n):
@@ -258,34 +261,30 @@ def test_orbit_sweep_matches_all_pairs_oracle(n, k, mod):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("n,k,mod", ORACLE_CASES)
 def test_orbit_sweep_in_many_tiles_matches_all_pairs_oracle(
-        one_orbit_tiles, n, k, mod, workers):
+        fixed_tiles, n, k, mod, workers):
+    # Tiles of the largest orbit's size, n members, far below the family
+    # size, so that most representatives sweep their later rows in several
+    # tiles; the sweep reads the tile size once.
+    periods = fixed_tiles(n)
     fam = build_family(build_field(n, mod), derive_params(n, k))
     assert correlation_distribution(fam, workers=workers).as_dict() == \
         all_pairs_sweep(fam)
-    # The sweep read the tile size once, from the largest orbit (n
-    # members), far below the family size.
-    assert one_orbit_tiles == [n] and 10 * n < fam.size
+    assert periods == [(1 << n) - 1] and 10 * n < fam.size
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("n,k,mod", ORACLE_CASES)
 def test_orbit_sweep_across_tile_and_chunk_edges_matches_all_pairs_oracle(
-        monkeypatch, n, k, mod, workers):
+        fixed_tiles, monkeypatch, n, k, mod, workers):
     # Tiles one member short of the largest orbit, so that orbits straddle
     # tile edges, and chunks of two product rows, so that chunk edges fall
     # inside a representative's own orbit.
-    largest = []
-
-    def tile_rows(L, size):
-        largest.append(size)
-        return size - 1
-
-    monkeypatch.setattr("kasamilab.sequences._tile_rows", tile_rows)
+    periods = fixed_tiles(n - 1)
     monkeypatch.setattr("kasamilab.sequences._CHUNK", 2 << (n - 1))
     fam = build_family(build_field(n, mod), derive_params(n, k))
     assert correlation_distribution(fam, workers=workers).as_dict() == \
         all_pairs_sweep(fam)
-    assert largest == [n]
+    assert periods == [(1 << n) - 1]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -302,13 +301,14 @@ def test_constant_members_fill_both_end_bins(n, workers):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("n", [4, 6])
 def test_constant_members_fill_both_end_bins_in_tiles_of_one(
-        one_orbit_tiles, n, workers):
+        fixed_tiles, n, workers):
     # One member per tile: the first orbit's later member is its own tile.
+    periods = fixed_tiles(1)
     L = (1 << n) - 1
     assert correlation_distribution(constant_family(n),
                                     workers=workers).as_dict() == \
         {L: 2 * L, -L: 2 * L}
-    assert one_orbit_tiles == [1]
+    assert periods == [L]
 
 
 @pytest.mark.parametrize("n", range(4, 25, 2))
@@ -446,7 +446,7 @@ def test_tiled_sweep_matches_rep_major_kernel_on_n10_orbits(monkeypatch):
     fam = build_family(build_field(10), params)
     orbit, sizes = orbits_of(fam)
     sub = SequenceFamily(params, fam.rows[orbit < 150])
-    monkeypatch.setattr("kasamilab.sequences._tile_rows", lambda L, size: 400)
+    monkeypatch.setattr("kasamilab.sequences._tile_rows", lambda L: 400)
     # float32 holds that kernel's product exactly at n = 10, as it does the
     # sweep's (test_packed_product_exact_in_its_dtype).
     want = ref.correlation_rep_major(bits_of(sub), *orbits_of(sub), sub.size,
