@@ -210,9 +210,22 @@ def _tile_rows(L):
     return 4 * (L + 2)
 
 
-# Entries handled at a time: product entries cast to intp and added into
-# the histogram, or member bits unpacked to find their decimation images.
+# Member bits unpacked at a time to find their decimation images.
 _CHUNK = 1 << 16
+
+
+def _value_counts(block, known):
+    """Sorts the block in place; returns (value, count) for each value in it
+    and `known`, the sorted values met so far with its own. Known values are
+    counted by exact binary search; a block with others adds its run heads."""
+    flat = block.reshape(-1)
+    flat.sort()
+    count = flat.searchsorted(known, "right") - flat.searchsorted(known)
+    if count.sum() < flat.size:
+        both = np.sort(np.r_[known, flat[np.r_[True, flat[1:] != flat[:-1]]]])
+        known = both[np.r_[True, both[1:] != both[:-1]]]
+        count = flat.searchsorted(known, "right") - flat.searchsorted(known)
+    return [(v, c) for v, c in zip(known.tolist(), count.tolist()) if c], known
 
 
 def correlation_distribution(family, workers=1):
@@ -231,32 +244,25 @@ def correlation_distribution(family, workers=1):
     Each product column holds two shifts. Against the halved circulant, an
     entry is the agreement count (Corr + L)/2, an integer in [0, L]; with
     M = L + 1, the column of shifts tau and tau + 1 reads a_tau + M a_tau+1,
-    one exact histogram index. L is odd, so the last column pairs shift
-    L - 1 with a sentinel slot that reads M, outside [0, L], and folding
-    the (M + 1) x M histogram drops it. The product dtype comes from L
-    (`_product_dtype`), so the indices are exact at every n.
+    exact in the product dtype (`_product_dtype`), and divmod by M splits
+    it. L is odd, so the last column pairs shift L - 1 with a sentinel slot
+    that reads M, outside [0, L], whose count is dropped.
 
     The family's packed rows are taken in orbit order and swept tile by
-    tile, `_tile_rows` members each: 4 (L + 2). A tile is unpacked to signs
-    once and read, never written, by the threads, which share out the
-    representatives whose first row lies before the tile's end; each sweeps
-    the tile's rows from its first row on, weighting the rows
-    [first, first + w) of its own orbit by w, wherever tile and chunk edges
-    fall, and every later row by 2w. Per thread there is one circulant, built
-    transposed from contiguous windows of the representative's signs, one
-    tile's product, one chunk of `_CHUNK` entries cast to intp at a time and
-    one histogram of M (M + 1) int64 bins, which `np.add.at` adds each chunk
-    into in place: bounded by L, not by the family size, and no
-    histogram-sized temporary per product.
+    tile, `_tile_rows` members each. A tile is unpacked to signs once and
+    read only by the threads, which share out the representatives whose
+    first row lies before its end. Each sweeps the tile's rows from its
+    first row on and counts the product by value (`_value_counts`), its
+    own orbit's rows (weight w) apart from later rows (2w); the family's
+    correlations take few values. Per thread: one circulant, one tile's
+    product, the values met so far and M + 1 counts.
     """
     count, L = family.size, family.params.q - 1
     orbit, sizes = _decimation_orbits(family.rows, L)
     packed = family.rows[np.argsort(orbit, kind="stable")]
     starts = np.cumsum([0] + sizes)
     M, dtype = L + 1, _product_dtype(L)
-    bins = M * (M + 1)
     rows = min(count, _tile_rows(L))
-    chunk = max(1, _CHUNK // (M // 2))
     # A representative's bits twice over, read through one index.
     wrap = np.arange(2 * L) % L
     # One tile of members, each bit b as the sign 1 - 2b, over a column of
@@ -271,12 +277,12 @@ def correlation_distribution(family, workers=1):
         # (Corr(member i, rep, tau) + L) / 2. The last row is r[mu + L - 1]
         # / 2 over the sentinel's L / 2 + M^2.
         lo, hi, reps = item
-        hist = np.zeros(bins, dtype=np.int64)
+        tally = [0] * (M + 1)  # shifts by (Corr + L)/2; M, the sentinel
         circ = np.empty((M // 2, L + 1), dtype=dtype)
         circ[:, L] = L * (M + 1) / 2
         circ[-1, L] = L / 2 + M * M
         prod = np.empty((hi - lo, M // 2), dtype=dtype)
-        idx = np.empty((chunk, M // 2), dtype=np.intp)
+        known = np.empty(0, dtype=dtype)
         for a in reps:
             first, w = starts[a], sizes[a]
             twice = 1 - 2 * _unpacked(packed[first], L)[wrap].astype(dtype)
@@ -285,19 +291,13 @@ def correlation_distribution(family, workers=1):
             circ[-1, :L] = twice[L - 1:-1] / 2
             top = max(lo, first)
             np.matmul(signs[top - lo:hi - lo], circ.T, out=prod[:hi - top])
-            for start in range(top, hi, chunk):
-                end = min(start + chunk, hi)
-                cast = idx[:end - start]
-                np.copyto(cast, prod[start - top:end - top], casting="unsafe")
-                own = min(max(first + w - start, 0), end - start)
-                np.add.at(hist, cast[:own].ravel(), w)
-                np.add.at(hist, cast[own:].ravel(), 2 * w)
-        # hist[b, a] counts columns reading a_tau = a, a_tau+1 = b; each
-        # agreement count a lands at Corr + L = 2a.
-        hist = hist.reshape(M + 1, M)
-        acc = np.zeros(2 * L + 1, dtype=np.int64)
-        acc[::2] = hist.sum(0) + hist[:M].sum(1)
-        return acc
+            own = min(max(first + w - top, 0), hi - top)
+            for part, weight in ((prod[:own], w), (prod[own:hi - top], 2 * w)):
+                pairs, known = _value_counts(part, known)
+                for v, times in pairs:
+                    for slot in divmod(int(v), M):
+                        tally[slot] += weight * times
+        return np.array(tally)
 
     acc = 0
     for lo in range(0, count, rows):
@@ -312,7 +312,7 @@ def correlation_distribution(family, workers=1):
         threads = _thread_count(workers, reps)
         acc = acc + _summed(work, [(lo, hi, range(t, reps, threads))
                                    for t in range(threads)], workers)
-    counts = {int(v - L): int(c) for v, c in enumerate(acc) if c}
+    counts = {2 * a - L: c for a, c in enumerate(acc[:M].tolist())}
     dist = ValueDistribution.from_counts(counts)
     if dist.total != count * count * L:
         raise VerificationError(f"correlation sweep covered {dist.total} triples")

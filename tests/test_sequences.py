@@ -18,7 +18,8 @@ from kasamilab import (SequenceFamily, VerificationError, build_family,
                        family_dump_lines, family_size, pack_bits_hex)
 from kasamilab.cli import main
 from kasamilab.distribution import _thread_count
-from kasamilab.sequences import _CHUNK, _decimation_orbits, _product_dtype
+from kasamilab.sequences import (_decimation_orbits, _product_dtype,
+                                 _value_counts)
 from test_expsum import traced_peak
 
 # Frozen from the brute-force all-pairs-all-shifts sweep.
@@ -277,14 +278,72 @@ def test_orbit_sweep_in_many_tiles_matches_all_pairs_oracle(
 def test_orbit_sweep_across_tile_and_chunk_edges_matches_all_pairs_oracle(
         fixed_tiles, monkeypatch, n, k, mod, workers):
     # Tiles one member short of the largest orbit, so that orbits straddle
-    # tile edges, and chunks of two product rows, so that chunk edges fall
-    # inside a representative's own orbit.
+    # tile edges, and _decimation_orbits blocks of one member, so that its
+    # chunk edges fall between every two rows it decimates.
     periods = fixed_tiles(n - 1)
     monkeypatch.setattr("kasamilab.sequences._CHUNK", 2 << (n - 1))
     fam = build_family(build_field(n, mod), derive_params(n, k))
     assert correlation_distribution(fam, workers=workers).as_dict() == \
         all_pairs_sweep(fam)
     assert periods == [(1 << n) - 1]
+
+
+def own_orbit_parts(sizes, rows):
+    """Which parts of its own orbit a representative's tiles hold: 'empty',
+    'partial' or 'whole', over every tile of `rows` members that it sweeps,
+    for orbits of the given sizes in orbit order."""
+    parts, count = set(), sum(sizes)
+    for first, w in zip(np.cumsum([0] + sizes), sizes):
+        for lo in range(first - first % rows, count, rows):
+            held = min(first + w, lo + rows) - max(first, lo)
+            parts.add("empty" if held <= 0 else
+                      "whole" if held == w else "partial")
+    return parts
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("rows", [3, 5])
+def test_own_orbit_part_empty_partial_or_whole_in_a_tile(
+        fixed_tiles, ctx4, p41, rows, workers):
+    # A representative weights the rows of its own orbit by w and later
+    # rows by 2w. Orbits of 4, 2 and 1 members in tiles of 3 or 5: a tile
+    # holds none of the representative's orbit, part of it or all of it.
+    fam = build_family(ctx4, p41)
+    _, sizes = orbits_of(fam)
+    assert own_orbit_parts(sizes, rows) == {"empty", "partial", "whole"}
+    assert own_orbit_parts(sizes, fam.size) == {"whole"}
+    fixed_tiles(rows)
+    assert correlation_distribution(fam, workers=workers).as_dict() == \
+        all_pairs_sweep(fam)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_value_counts_match_bincount_up_to_the_n10_sentinel(dtype):
+    # Product entries at n = 10: a + M b for agreement counts a, b in [0, L]
+    # and a + M^2 in the sentinel column, up to L + M^2 = M (M + 1) - 1 =
+    # 1,049,599. Neighbours 1 apart must stay apart. Each block is counted
+    # knowing none of its values, all of them, every other one, and all of
+    # them among values it lacks; the known values come back with its own.
+    L = 1023
+    M = L + 1
+    rng = np.random.default_rng(0)
+    agree = rng.integers(0, L + 1, (2, 300, M // 2))
+    entries = agree[0] + M * agree[1]
+    entries[:, -1] = agree[0, :, -1] + M * M
+    entries[:3, 0] = [0, 1, 2]
+    entries[:2, -1] = [M * (M + 1) - 1, M * (M + 1) - 2]
+    top = M * (M + 1) - 1 - rng.integers(0, 2, (40, M // 2))
+    for block in (entries, top, entries[:0]):
+        want = np.bincount(block.ravel())
+        values = np.flatnonzero(want)
+        for known in ([], values, values[::2],
+                      [-1, *values, M * (M + 1)]):
+            floats = block.astype(dtype)
+            pairs, seen = _value_counts(floats, np.array(known, dtype))
+            assert pairs == list(zip(values.tolist(), want[values].tolist()))
+            assert seen.tolist() == sorted({*known, *values.tolist()})
+            assert (np.diff(floats.ravel()) >= 0).all()  # sorted in place
+    assert entries.max() == M * (M + 1) - 1 == 1_049_599
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -381,10 +440,10 @@ def test_correlation_memory_linear_in_family(ctx6, p61):
 def test_correlation_memory_bounded_by_its_tile(ctx8, p82):
     # Per member, the packed bits with their orbit bookkeeping: under
     # L/8 + 129 bytes. One tile of rows members as float32 signs, and per
-    # thread one tile's float32 product and its intp copy, 12 bytes for
-    # each of M/2 columns. Then a few int64 histograms of M (M + 1) bins.
-    # 5.14 MiB here; a sweep whose buffers hold all |F| members instead of
-    # one tile peaks at 7.34 MiB.
+    # thread one tile's float32 product and, where it meets new values, two
+    # bytes an entry marking the heads of its runs: 6 bytes for each of M/2
+    # columns. 2.38 MiB here, against a traced 2.1 MiB; a sweep whose
+    # buffers hold all |F| members instead of one tile peaks at 7.3 MiB.
     fam = build_family(ctx8, p82)
     count, L = fam.size, fam.params.q - 1
     M = L + 1
@@ -398,27 +457,26 @@ def test_correlation_memory_bounded_by_its_tile(ctx8, p82):
         tracemalloc.stop()
     assert rows < count
     assert peak < (count * (L // 8 + 129) + 4 * rows * (L + 1)
-                   + 12 * rows * M // 2 + 32 * M * (M + 1))
+                   + 6 * rows * M // 2)
 
 
 def test_correlation_memory_has_no_family_sized_float_term(ctx8, p82):
     # Shared: the packed bits with their orbit bookkeeping, under L/8 + 129
     # bytes a member, and one tile of rows members as float32 signs. On
-    # the one thread: the float32 circulant and one tile's float32 product,
-    # one chunk of _CHUNK intp entries and one int64 histogram of M (M + 1)
-    # bins. No |F| L float term: 3.26 MiB here, where float32 signs of
-    # every member alone take 4.0 MiB, and a tile of 8 (L + 2) members
-    # peaks at 4.36 MiB. The sweep itself stays under 3 MiB.
+    # the one thread: the float32 circulant, one tile's float32 product
+    # and two bytes a product entry marking the heads of its runs. No
+    # |F| L float term: 2.51 MiB here, against a traced 2.1 MiB, where
+    # float32 signs of every member alone take 4.0 MiB, and a tile of
+    # 8 (L + 2) members peaks at 3.8 MiB.
     fam = build_family(ctx8, p82)
     count, L = fam.size, fam.params.q - 1
     M = L + 1
     _, sizes = orbits_of(fam)
     rows = min(count, max(max(sizes), 4 * (L + 2)))
     bound = (count * (L // 8 + 129) + 4 * rows * (L + 1)
-             + 4 * (L + 1 + rows) * M // 2 + 8 * _CHUNK + 8 * M * (M + 1))
-    assert rows < count and bound < 7 * 2 ** 19
-    assert traced_peak(correlation_distribution, fam, workers=1) < \
-        min(bound, 3 * 2 ** 20)
+             + 4 * (L + 1 + rows) * M // 2 + 2 * rows * M // 2)
+    assert rows < count and bound < 3 * 2 ** 20
+    assert traced_peak(correlation_distribution, fam, workers=1) < bound
 
 
 def test_family_holds_its_packed_rows(ctx8, p82):
@@ -438,10 +496,11 @@ def test_family_holds_its_packed_rows(ctx8, p82):
 
 @pytest.mark.slow
 def test_tiled_sweep_matches_rep_major_kernel_on_n10_orbits(monkeypatch):
-    # The n = 10 path: a float32 product, a histogram of 1,051,650 bins and
-    # many chunks per tile, here in tiles of 400 members. A union of
-    # decimation orbits is closed under decimation, so the 150 largest
-    # orbits of (10,1) form a family of their own.
+    # The n = 10 path: a float32 product whose entries reach L + M^2 =
+    # 1,049,599, each sorted block up to 400 members of 512 columns, here
+    # in tiles of 400 members. A union of decimation orbits is closed under
+    # decimation, so the 150 largest orbits of (10,1) form a family of their
+    # own.
     params = derive_params(10, 1)
     fam = build_family(build_field(10), params)
     orbit, sizes = orbits_of(fam)
@@ -453,7 +512,7 @@ def test_tiled_sweep_matches_rep_major_kernel_on_n10_orbits(monkeypatch):
                                      np.float32)
     assert correlation_distribution(sub, workers=2).as_dict() == want
     assert sub.size == sum(sizes[:150]) == 1500
-    assert _product_dtype(1023) == np.float32 and _CHUNK < 400 * 512
+    assert _product_dtype(1023) == np.float32
 
 
 def test_printed_table_clean_cases(p41, p62):
