@@ -5,10 +5,12 @@ drawn from the subfield copy of GF(2^m); S(a, b, g) adds a linear term
 Tr_n(g x). The popcount sweep counts wt(row) of the trace bits: T = q - 2 wt
 and the c1 code weights are wt; over the gamma axis, S = q - 2 wt and the c2
 weights are wt, each counted as wt at g = 0 plus q - 1 copies of wt at g = 1.
-That leans on `_row_closure`: x -> pi x scales every coefficient, so g = 1
-stands for every g != 0, and alpha = 1 for every alpha != 0 in the per-pair
-checks. The gamma-sweep transforms those rows' signs (int16 while q fits,
-else int32) over an axis `_gamma_axis` proves to be the gamma axis.
+That leans on the orbit lemma, `field._orbit_lemma`: x -> c x carries the
+row of (a, b, g) onto that of (a c^e1, b c^e2, g c), so g = 1 stands for
+every g != 0, and alpha = 1 and one beta per stabilizer orbit for every
+pair, once `_read_rows` has checked each row a sweep reads against its
+definition. The gamma-sweep transforms those rows' signs (int16 while q
+fits, else int32) over an axis `_gamma_axis` proves to be the gamma axis.
 Closed-form tables, split on the parity case, predict each sweep; callers
 compare the two, never papering over a mismatch.
 """
@@ -16,13 +18,14 @@ compare the two, never papering over a mismatch.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from math import gcd
 
 import numpy as np
 
 from .distribution import ValueDistribution, VerificationError, _exact, _p2
-from .field import (_cached, _gf2_linear, _mul, power_table,
-                    rel_trace_table, subfield_elements, trace_bit_matrix)
+from .field import (_TIMES_PI, _cached, _gf2_linear, _mul, _orbit_lemma,
+                    power_table, rel_trace_table, subfield_elements,
+                    trace_bit_matrix)
 
 __all__ = [
     "t_spectrum", "t_spectrum_formula", "s_spectrum",
@@ -33,7 +36,6 @@ __all__ = [
 _LAST_ROW_NOTE = ("tabulated distribution lists the single all-zero row with "
                   "value 2^m; its weight-0 row forces value 2^n, which is "
                   "emitted here (misprint flagged, not silently adopted)")
-_TIMES_PI = "x -> pi x"
 
 
 def _trace_rows(ctx, params, alphas, betas, gammas):
@@ -62,6 +64,51 @@ def _monomial_rows(ctx, coeffs, h):
     c (x x^(2^h)), sharing no power table with the trace rows."""
     powers = _mul(ctx, np.arange(ctx.q), power_table(ctx, 1 << h))
     return _mul(ctx, np.asarray(coeffs)[..., None], powers)
+
+
+def _check_rows(ctx, name, rows, coeffs, e, outer=None):
+    """Raise unless row i of rows is outer[c x^e] over x in mask order (c
+    x^e itself without outer), c = coeffs[i]: the definition the orbit
+    lemma's law is read on, formed by products and power tables, not as
+    the row was built. Checked in spans of at most 2^15 // q rows."""
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    powers, span = power_table(ctx, e), max(1, (1 << 15) // ctx.q)
+    for i in range(0, len(coeffs), span):
+        want = _mul(ctx, coeffs[i:i + span, None], powers)
+        if outer is not None:
+            want = outer[want]
+        bad = np.flatnonzero((rows[i:i + span] != want).any(axis=1))
+        if bad.size:
+            raise VerificationError(
+                f"the {name} row of {int(coeffs[i + bad[0]]):#x} is off its "
+                f"definition, so the {name} rows are not closed under "
+                f"{_TIMES_PI}")
+
+
+def _read_rows(ctx, params, alphas, betas, gammas):
+    """`_trace_rows`, each row checked by `_check_rows` against its
+    definition Tr_m(a x^e1), Tr_n(b x^e2) or Tr_n(g x), the traces being
+    the sums of Frobenius powers of `rel_trace_table`: every trace row a
+    sweep reads comes through here."""
+    rows = _trace_rows(ctx, params, alphas, betas, gammas)
+    trace_m = rel_trace_table(ctx, 1, params.m)
+    trace_n = rel_trace_table(ctx, 1, params.n)
+    for args in zip(("alpha", "beta", "gamma"), rows, (alphas, betas, gammas),
+                    (params.e_norm, params.e_quad, 1),
+                    (trace_m, trace_n, trace_n)):
+        _check_rows(ctx, *args)
+    return rows
+
+
+def _check_value_rows(ctx, params, aprimes, betas):
+    """Check the value rows a' x^e1 and beta x^e2 of `_monomial_rows` that
+    the kernel sizes and the point counts read against their definitions
+    c P_e[x], by `_check_rows`."""
+    for name, coeffs, h in (("a' x^e1", aprimes, params.m),
+                            ("beta x^e2", betas, params.k)):
+        coeffs = np.asarray(coeffs, dtype=np.int64)
+        _check_rows(ctx, name, _monomial_rows(ctx, coeffs, h), coeffs,
+                    (1 << h) + 1)
 
 
 def _butterflies(mat, h):
@@ -107,33 +154,21 @@ def _walsh(bits):
 
 
 def _gamma_axis(ctx):
-    """Prove from the bits that each row Tr_n(g x) is linear, that the rows'
-    bits at x = 2^j, read as n bits u, give each u once, and that row g read
-    at pi x is row g pi: x -> pi x is a linear permutation, so that holds
-    once the two agree on the basis. The rows are built in `_blocks` and
-    only their bits at x = 2^j and x = pi 2^j are kept; once per field, by
-    `_cached`."""
+    """Prove that the Walsh transform index u is the gamma axis: Tr_n is
+    GF(2)-linear and, by the orbit lemma, so is x -> g x, so each row
+    Tr_n(g x) is the functional x -> u(g).x, u(g) the bits Tr_n(g 2^j) at
+    x = 2^j; and those n bits of each g give each u once (n x q). Once per
+    field, by `_cached`."""
     def prove():
-        q, gammas = ctx.q, np.arange(ctx.q)
-        times_pi = _mul(ctx, gammas, ctx.pi)
-        if (not _gf2_linear(times_pi)
-                or (np.sort(times_pi) != gammas).any()):
-            raise VerificationError(
-                f"{_TIMES_PI} does not permute the field linearly")
-        basis = 1 << np.arange(ctx.n)
-        index, shifted = np.empty((2, q), dtype=np.int64)
-        for block in _blocks(gammas, q):
-            rows = trace_bit_matrix(ctx, 1, block)
-            if not _gf2_linear(rows).all():
-                raise VerificationError("a row Tr_n(g x) is not GF(2)-linear")
-            for out, xs in ((index, basis), (shifted, times_pi[basis])):
-                out[block] = sum(rows[:, x].astype(np.int64) << j
-                                 for j, x in enumerate(xs))
-        if (np.bincount(index, minlength=q) != 1).any():
+        _orbit_lemma(ctx)
+        trace = rel_trace_table(ctx, 1, ctx.n)
+        if not _gf2_linear(trace):
+            raise VerificationError("Tr_n is not GF(2)-linear")
+        gammas = np.arange(ctx.q)
+        index = sum(trace[_mul(ctx, gammas, 1 << j)] << j
+                    for j in range(ctx.n))
+        if (np.bincount(index, minlength=ctx.q) != 1).any():
             raise VerificationError("the rows Tr_n(g x) repeat a functional")
-        if (shifted != index[times_pi]).any():
-            raise VerificationError(
-                f"the gamma rows are not closed under {_TIMES_PI}")
 
     _cached(ctx, "gamma_axis", prove)
 
@@ -153,53 +188,61 @@ def _popcounts(apacked, bpacked):
 def _t_table(ctx, params, apacked, betas):
     """T(alpha, beta) = q - 2 wt(row) for each packed alpha row of trace bits
     (one row of the result each) and each beta (one column each), the row
-    being the alpha row XOR the bits Tr_n(b x^e2). The beta rows are built
-    in `_blocks` and each block is packed as it is built, so only one block
-    of them is ever unpacked."""
+    being the alpha row XOR the bits Tr_n(b x^e2). The beta rows are read
+    by `_read_rows` in `_blocks` and each block is packed as it is read, so
+    only one block of them is ever unpacked."""
     q = ctx.q
     bpacked = np.empty((len(betas), q // 8), dtype=np.uint8)
     done = 0
     for block in _blocks(betas, q):
         bpacked[done:done + len(block)] = np.packbits(
-            trace_bit_matrix(ctx, params.e_quad, block), axis=-1)
+            _read_rows(ctx, params, [], block, [])[1], axis=-1)
         done += len(block)
     return q - 2 * _popcounts(apacked, bpacked)
 
 
 def _popcount_sweep(ctx, params, linear=False):
     """The popcount sweep: the distribution of T = q - 2 wt(row) over all
-    2^(3m) pairs, from a bincount of wt, `_t_table` taking every alpha row
-    against max(64, 2^21 // q) betas at a time, on one thread: a span of
-    beta rows is at most 256 kB packed up to n = 14, and is never held
-    unpacked. The alpha rows are packed once, and only the packed rows are
-    kept. With `linear`, that of S = q - 2 wt over all 2^(3m) q triples, the
-    row adding Tr_n(gamma x). Either total is checked.
+    2^(3m) pairs, from the weights of orbit representatives; with
+    `linear`, that of S = q - 2 wt over all 2^(3m) q triples, the row
+    adding Tr_n(gamma x). Either total is checked.
 
     For c != 0, x -> c x keeps each weight and reads the row of (alpha,
-    beta, gamma) as that of (alpha c^e1, beta c^e2, gamma c): proved of
-    c = pi by `_orbit_closure` and `_gamma_axis`, so of every c = pi^t. With
-    c = 1/gamma, the count is the gamma = 0 sweep plus q - 1 times the sweep
-    of the alpha rows XOR Tr_n(x).
+    beta, gamma) as that of (alpha c^e1, beta c^e2, gamma c), by the orbit
+    lemma on the rows `_read_rows` checks. As c^e1 runs over GF(2^m)*, T
+    over alpha != 0 is 2^m - 1 times T over alpha = 1, and the betas that
+    alpha = 0 and alpha = 1 read fall into orbits under c^e2, c over all of
+    GF(q)* and over the stabilizer c^e1 = 1: the cosets of pi^g, g =
+    gcd(e2, L) and gcd((2^m - 1) e2, L), L = q - 1. `_t_table` reads beta
+    = 0 and one beta pi^j, j < g, per orbit, weighted by its size L / g.
+
+    S at gamma = 0 is T; with c = 1/gamma, S over gamma != 0 is q - 1 times
+    the sweep of every alpha row XOR Tr_n(x) against every beta, max(64,
+    2^21 // q) betas at a time, on one thread: a span of beta rows is at
+    most 256 kB packed up to n = 14, and is never held unpacked.
     """
-    q, alphas = ctx.q, subfield_elements(ctx, params.m)
-    apacked = np.packbits(_trace_rows(ctx, params, alphas, [], [])[0], axis=-1)
-    chunk = max(64, (1 << 21) // q)
-    spans = [range(i, min(i + chunk, q)) for i in range(0, q, chunk)]
-
-    def counts(rows):
-        return sum(np.bincount((q - _t_table(ctx, params, rows, betas)).ravel()
-                               >> 1, minlength=q + 1) for betas in spans)
-
-    name, covered, total = "T", "pairs", 1 << (3 * params.m)
-    if linear:
-        _gamma_axis(ctx)
-        _orbit_closure(ctx, params)
-        gpacked = np.packbits(_trace_rows(ctx, params, [], [], [1])[2],
+    q, m, order = ctx.q, params.m, ctx.order
+    _orbit_lemma(ctx, params.e_norm, params.e_quad)
+    weights = np.zeros(q + 1, dtype=np.int64)
+    for alpha, g, times in ((0, gcd(params.e_quad, order), 1),
+                            (1, gcd(((1 << m) - 1) * params.e_quad, order),
+                             (1 << m) - 1)):
+        apacked = np.packbits(_read_rows(ctx, params, [alpha], [], [])[0],
                               axis=-1)
-        weights = counts(apacked) + (q - 1) * counts(apacked ^ gpacked)
+        t = _t_table(ctx, params, apacked, np.append(0, ctx.exp_table[:g]))
+        np.add.at(weights, (q - t[0]) >> 1,
+                  times * np.append(1, np.full(g, order // g)))
+    name, covered, total = "T", "pairs", 1 << (3 * m)
+    if linear:
+        arows, _, grow = _read_rows(ctx, params, subfield_elements(ctx, m),
+                                    [], [1])
+        apacked = np.packbits(arows ^ grow, axis=-1)
+        chunk = max(64, (1 << 21) // q)
+        for i in range(0, q, chunk):
+            t = _t_table(ctx, params, apacked, range(i, min(i + chunk, q)))
+            weights += (q - 1) * np.bincount((q - t).ravel() >> 1,
+                                             minlength=q + 1)
         name, covered, total = "S", "triples", total * q
-    else:
-        weights = counts(apacked)
     dist = ValueDistribution.from_counts(
         (q - 2 * w, c) for w, c in enumerate(weights.tolist()))
     if dist.total != total:
@@ -211,57 +254,6 @@ def t_spectrum(ctx, params):
     """Measured distribution of T over all (alpha, beta) pairs: the popcount
     sweep."""
     return _popcount_sweep(ctx, params)
-
-
-def _row_closure(build, coeffs, images, perm, name):
-    """Prove from the values that reading at the permutation perm (x -> pi
-    x, as x -> perm[x] in mask order) carries the row build(c) of coeffs[i]
-    onto that of images[i], the rows built in `_blocks` and compared in
-    place of the rows read at perm."""
-    q = len(perm)
-    if (np.sort(perm) != np.arange(q)).any():
-        raise VerificationError(
-            f"{_TIMES_PI} does not permute the {name} rows")
-    for block, image in zip(_blocks(coeffs, q), _blocks(images, q)):
-        rows = np.take(build(block), perm, axis=1)
-        if np.not_equal(rows, build(image), out=rows).any():
-            raise VerificationError(
-                f"the {name} rows are not closed under {_TIMES_PI}")
-
-
-def _orbit_closure(ctx, params, curves=False, alphas=None, betas=None):
-    """Prove by `_row_closure` that x -> pi x reads the row of each alpha as
-    that of alpha pi^e1, and of each beta as that of beta pi^e2, for the
-    listed `alphas` and `betas` (by default all), once c -> c pi^e permutes
-    each full table: on the trace rows (T, S, the gamma-sweep, cyclicity),
-    or with `curves` on the values a' x^e1 and beta x^e2 (kernel sizes, which
-    list a' in GF(2^m); point counts). As pi^e1 generates GF(2^m)*, alpha = 1
-    then stands for every alpha != 0. `_cached` keeps each table's proof per
-    field under (its name, h of its e = 2^h + 1, the listed coefficients
-    or None), so the alpha and a' proofs serve every k, and each list is
-    proved once."""
-    q, m, k = ctx.q, params.m, params.k
-    if curves:
-        tables = (("a' x^e1", range(q), lambda c: _monomial_rows(ctx, c, m)),
-                  ("beta x^e2", range(q), lambda c: _monomial_rows(ctx, c, k)))
-    else:
-        tables = (("alpha", subfield_elements(ctx, m),
-                   lambda c: _trace_rows(ctx, params, c, [], [])[0]),
-                  ("beta", range(q),
-                   lambda c: _trace_rows(ctx, params, [], c, [])[1]))
-
-    def prove(name, full, rows, h, listed):
-        pe = ctx.pow(ctx.pi, (1 << h) + 1)
-        if (np.sort(_mul(ctx, full, pe)) != np.sort(full)).any():
-            raise VerificationError(
-                f"{_TIMES_PI} does not permute the {name} rows")
-        coeffs = full if listed is None else listed
-        _row_closure(rows, coeffs, _mul(ctx, coeffs, pe),
-                     _mul(ctx, np.arange(q), ctx.pi), name)
-
-    for (name, full, rows), h, listed in zip(tables, (m, k), (alphas, betas)):
-        _cached(ctx, (name, h, None if listed is None else tuple(listed)),
-                partial(prove, name, full, rows, h, listed))
 
 
 def _blocks(values, q):
@@ -282,17 +274,18 @@ def gamma_sweep(ctx, params, dims):
     counts of 0 and +-peak (they sum to q) `gamma_sweep_formula` gives its
     rank, s - dims[alpha, beta] of the two `kernel_dims` rows ((0, 0) has no
     form); else raises VerificationError naming the first pair off its law.
-    `_orbit_closure` and `_gamma_axis` let alpha = 1 stand for alpha != 0."""
+    The orbit lemma, on the rows `_read_rows` checks, lets alpha = 1 stand
+    for alpha != 0, and `_gamma_axis` makes the transform index gamma."""
     table = np.zeros((params.s + 1, 4), dtype=np.int64)
     for rank in range(0, params.s + 1, 2):
         want = gamma_sweep_formula(params, rank)
         peak = max(want.values)
         table[rank] = peak, want.count(0), want.count(peak), want.count(-peak)
+    _orbit_lemma(ctx, params.e_norm, params.e_quad)
     _gamma_axis(ctx)
-    _orbit_closure(ctx, params)
     for alpha in (0, 1):
         for betas in _blocks(np.arange(ctx.q), ctx.q):
-            arow, brows, _ = _trace_rows(ctx, params, [alpha], betas, [])
+            arow, brows, _ = _read_rows(ctx, params, [alpha], betas, [])
             walsh = _walsh(arow ^ brows)
             ranks = params.s - dims[alpha, betas]
             peak = table[ranks, :1].astype(walsh.dtype)
@@ -456,14 +449,16 @@ def artin_schreier_sweep(ctx, params):
     """None when every curve (a', beta) has q + (2^d - 1) T(Tr^n_m(a'), beta)
     points, a' over 0 and the 2^m + 1 cosets pi^j of the powers of pi^e1
     ((0, 0) left out); else raises VerificationError naming the first curve
-    off. `_orbit_closure`, on the values and on the trace rows, lets each a'
-    stand for its coset (Tr^n_m is GF(2^m)-linear)."""
-    _orbit_closure(ctx, params, curves=True)
-    _orbit_closure(ctx, params)
+    off. The orbit lemma, on the value rows `_check_value_rows` checks and
+    the trace rows `_read_rows` checks, lets each a' stand for its coset
+    (Tr^n_m is GF(2^m)-linear)."""
+    _orbit_lemma(ctx, params.e_norm, params.e_quad)
     aprimes = np.append(0, ctx.exp_table[:(1 << params.m) + 1])
+    _check_value_rows(ctx, params, aprimes, [])
     traces = rel_trace_table(ctx, params.m, params.n)[aprimes]
-    apacked = np.packbits(_trace_rows(ctx, params, traces, [], [])[0], axis=-1)
+    apacked = np.packbits(_read_rows(ctx, params, traces, [], [])[0], axis=-1)
     for betas in _blocks(np.arange(ctx.q), ctx.q):
+        _check_value_rows(ctx, params, [], betas)
         want = ctx.q + ((1 << params.d) - 1) * _t_table(ctx, params, apacked,
                                                           betas)
         got = np.stack([artin_schreier_points(ctx, params, a, betas)

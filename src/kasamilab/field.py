@@ -7,12 +7,15 @@ pair behind the elementwise product `_mul`, the window of rotations of the
 m-sequence Tr(pi^t) that every trace row is gathered from, as uint8 bits, and
 the logs of x^e it is read at), and the proofs the sweeps lean on, are made
 on demand and kept read-only on the context by `_cached`, the one reader and
-writer of its cache. The trace rows themselves are not cached.
+writer of its cache. The trace rows themselves are not cached. The orbit
+lemma, `_orbit_lemma`, proves in O(q) per field and per exponent that
+x -> c x carries each row f(a x^e) onto the row of a c^e, for every c != 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from math import gcd
 
 import numpy as np
@@ -292,6 +295,53 @@ def power_table(ctx, e):
     e %= ctx.order
     return _cached(ctx, ("pow", e), lambda: np.append(
         0, ctx.exp_table[ctx.log_table[1:] * e % ctx.order]))
+
+
+_TIMES_PI = "x -> pi x"
+
+
+def _orbit_lemma(ctx, *exponents):
+    """The x -> pi x orbit lemma, or `VerificationError` naming x -> pi x:
+    the log and exp tables are inverse bijections between Z/L and GF(q)*;
+    x -> pi x, the product by pi, is GF(2)-linear and steps the exp table
+    from exp[0] = 1; and the power table P_e of each listed exponent obeys
+    P_e[pi x] = pi^e P_e[x]. Each part is O(q) and made once per field by
+    `_cached`, the power-table laws once per e mod L, so they serve every k.
+
+    A product of the log tables adds logs mod L, so x -> c x is then x ->
+    pi x taken log c times, a linear permutation, for every c != 0, and
+    P_e[c x] = c^e P_e[x]. Read at c x, a row f(a P_e[x]) over x, whatever
+    f, is the row of a c^e: a sweep that checks each row it reads against
+    that definition may let one coefficient stand for its orbit.
+    """
+    def times_pi():
+        log, exp, q = ctx.log_table, ctx.exp_table, ctx.q
+        if not (np.array_equal(np.sort(exp), np.arange(1, q))
+                and np.array_equal(log[exp], np.arange(ctx.order))):
+            raise VerificationError(
+                f"{_TIMES_PI} has no log: the log and exp tables are not "
+                f"inverse bijections")
+        step = _mul(ctx, np.arange(q), ctx.pi)
+        if not _gf2_linear(step):
+            raise VerificationError(
+                f"{_TIMES_PI} does not permute the field linearly")
+        if exp[0] != 1 or not np.array_equal(step[exp], np.roll(exp, -1)):
+            raise VerificationError(
+                f"{_TIMES_PI} does not step the exp table from 1")
+        return step
+
+    step = _cached(ctx, "orbit lemma", times_pi)
+    for e in exponents:
+        e %= ctx.order
+        _cached(ctx, ("orbit lemma", e), partial(_power_law, ctx, step, e))
+
+
+def _power_law(ctx, step, e):
+    """P_e[pi x] = pi^e P_e[x] over every x, the step being x -> pi x."""
+    table = power_table(ctx, e)
+    if not np.array_equal(table[step], _mul(ctx, ctx.exp_table[e], table)):
+        raise VerificationError(
+            f"the x^{e} table breaks {_TIMES_PI}: P[pi x] is not pi^{e} P[x]")
 
 
 def _cycles(perm, n):

@@ -12,7 +12,8 @@ schoolbook `reference.psi_roots_naive` with the full kernel table.
 
 The kernel law is checked in one place, `_kernel_dims`, from the phi rows'
 bits, on the rows alpha = 0 and 1 that the rank profile and the gamma-sweep
-read; x -> pi x lets alpha = 1 stand for every alpha != 0.
+read; x -> pi x (the orbit lemma, `field._orbit_lemma`) lets alpha = 1
+stand for every alpha != 0.
 
 Results are plain tuples, measured and closed form alike: a rank profile is
 (n0, n2, n4), the counts of ranks s, s - 2 and s - 4, and root counts are
@@ -26,9 +27,9 @@ from math import gcd
 import numpy as np
 
 from .distribution import VerificationError, _exact, _histogram, _p2
-from .expsum import (_blocks, _eps1, _monomial_rows, _orbit_closure,
+from .expsum import (_blocks, _check_value_rows, _eps1, _monomial_rows,
                      t_spectrum_formula)
-from .field import _gf2_linear, _mul, power_table, subfield_elements
+from .field import _gf2_linear, _mul, _orbit_lemma, power_table
 
 __all__ = [
     "kernel_dims", "rank_profile", "rank_profile_formula", "bluher_counts",
@@ -74,11 +75,14 @@ def _kernel_dims(ctx, params, alpha, betas):
 
 def kernel_dims(ctx, params):
     """Kernel dimensions over GF(q0) of phi_{alpha,beta} for alpha = 0 and
-    1, one row each, the betas in `_blocks`: `_orbit_closure` on the value
-    rows, a' over GF(2^m), lets alpha = 1 stand for every alpha != 0."""
-    _orbit_closure(ctx, params, curves=True,
-                   alphas=subfield_elements(ctx, params.m))
+    1, one row each, the betas in `_blocks`: the orbit lemma, on the value
+    rows a' x^e1 (a' = 0, 1) and beta x^e2 that `_check_value_rows` checks
+    against their definitions, lets alpha = 1 stand for every alpha != 0."""
+    _orbit_lemma(ctx, params.e_norm, params.e_quad)
     blocks = _blocks(range(ctx.q), ctx.q)
+    _check_value_rows(ctx, params, [0, 1], [])
+    for betas in blocks:
+        _check_value_rows(ctx, params, [], betas)
     return np.stack([np.concatenate([_kernel_dims(ctx, params, alpha, betas)
                                      for betas in blocks])
                      for alpha in (0, 1)])

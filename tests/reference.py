@@ -17,7 +17,11 @@ from it either. `kernel_dims`, `gamma_sweep` and
 `artin_schreier_sweep` run over every pair, or every curve, without the
 x -> pi x orbit rule the package applies: they read the package's field
 tables, per-pair kernel validator, trace rows and Walsh transform, each
-checked against the naive functions above by the tests.
+checked against the naive functions above by the tests. `popcount_sweep`
+is the T and S sweep over every alpha row and every beta, without the
+stabilizer orbits. `orbit_closure` (through `row_closure`) and
+`gamma_axis` are the O(q^2) full-table proofs of the x -> pi x law that the
+package's O(q) orbit lemma replaced.
 """
 
 from collections import Counter
@@ -26,9 +30,9 @@ from math import gcd
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from kasamilab import expsum, linearized
-from kasamilab.field import (_mul, power_table, rel_trace_table,
-                             subfield_elements)
+from kasamilab import VerificationError, expsum, linearized
+from kasamilab.field import (_gf2_linear, _mul, power_table, rel_trace_table,
+                             subfield_elements, trace_bit_matrix)
 
 __all__ = [
     "gf2_mul", "gf2_pow", "trace_rel", "smallest_primitive", "subfield",
@@ -38,7 +42,8 @@ __all__ = [
     "codeword_bits_c1", "codeword_bits_c2", "family_naive", "correlation_naive",
     "check_inequivalence",
     "correlation_rep_major", "decimation_orbits_per_row", "kernel_dims",
-    "gamma_sweep", "artin_schreier_sweep",
+    "gamma_sweep", "artin_schreier_sweep", "popcount_sweep", "row_closure",
+    "orbit_closure", "gamma_axis",
 ]
 
 
@@ -478,3 +483,91 @@ def artin_schreier_sweep(ctx, params):
             off += [(a, b, int(got[b]), int(want[b]))
                     for b in np.flatnonzero(got != want).tolist() if a or b]
     return off
+
+
+def popcount_sweep(ctx, params, linear=False):
+    """{value: count} of T over every (alpha, beta), from the popcounts of
+    every alpha row against every beta row; with `linear`, of S, adding
+    q - 1 times the sweep of every alpha row XOR Tr_n(x). The beta rows
+    are packed a block at a time."""
+    q = ctx.q
+    arows, _, grow = expsum._trace_rows(
+        ctx, params, subfield_elements(ctx, params.m), [], [1])
+    bpacked = np.concatenate([
+        np.packbits(expsum._trace_rows(ctx, params, [], block, [])[1], axis=-1)
+        for block in expsum._blocks(range(q), q)])
+
+    def counts(rows):
+        return np.bincount(expsum._popcounts(np.packbits(rows, axis=-1),
+                                             bpacked).ravel(), minlength=q + 1)
+
+    weights = counts(arows)
+    if linear:
+        weights += (q - 1) * counts(arows ^ grow)
+    return {q - 2 * w: c for w, c in enumerate(weights.tolist()) if c}
+
+
+def row_closure(build, coeffs, images, perm, name):
+    """Raise unless reading at the permutation perm (x -> pi x, as x ->
+    perm[x] in mask order) carries the row build(c) of coeffs[i] onto that
+    of images[i], the rows built in blocks and compared in place of the
+    rows read at perm."""
+    q = len(perm)
+    if (np.sort(perm) != np.arange(q)).any():
+        raise VerificationError(f"x -> pi x does not permute the {name} rows")
+    for block, image in zip(expsum._blocks(coeffs, q),
+                            expsum._blocks(images, q)):
+        rows = np.take(build(block), perm, axis=1)
+        if np.not_equal(rows, build(image), out=rows).any():
+            raise VerificationError(
+                f"the {name} rows are not closed under x -> pi x")
+
+
+def orbit_closure(ctx, params, curves=False):
+    """Prove by `row_closure` that x -> pi x reads the row of each alpha as
+    that of alpha pi^e1, and of each beta as that of beta pi^e2, once c ->
+    c pi^e permutes each full table: on the trace rows, or with `curves`
+    on the values a' x^e1 (a' over GF(q)) and beta x^e2."""
+    q, m, k = ctx.q, params.m, params.k
+    if curves:
+        tables = (("a' x^e1", range(q),
+                   lambda c: expsum._monomial_rows(ctx, c, m)),
+                  ("beta x^e2", range(q),
+                   lambda c: expsum._monomial_rows(ctx, c, k)))
+    else:
+        tables = (("alpha", subfield_elements(ctx, m),
+                   lambda c: expsum._trace_rows(ctx, params, c, [], [])[0]),
+                  ("beta", range(q),
+                   lambda c: expsum._trace_rows(ctx, params, [], c, [])[1]))
+    for (name, full, rows), h in zip(tables, (m, k)):
+        pe = ctx.pow(ctx.pi, (1 << h) + 1)
+        if (np.sort(_mul(ctx, full, pe)) != np.sort(full)).any():
+            raise VerificationError(
+                f"x -> pi x does not permute the {name} rows")
+        row_closure(rows, full, _mul(ctx, full, pe),
+                    _mul(ctx, np.arange(q), ctx.pi), name)
+
+
+def gamma_axis(ctx):
+    """Prove from the bits of the q x q table of rows Tr_n(g x), in blocks,
+    that each row is linear, that their bits at x = 2^j, read as n bits u,
+    give each u once, and that row g read at pi x is row g pi."""
+    q, gammas = ctx.q, np.arange(ctx.q)
+    times_pi = _mul(ctx, gammas, ctx.pi)
+    if not _gf2_linear(times_pi) or (np.sort(times_pi) != gammas).any():
+        raise VerificationError(
+            "x -> pi x does not permute the field linearly")
+    basis = 1 << np.arange(ctx.n)
+    index, shifted = np.empty((2, q), dtype=np.int64)
+    for block in expsum._blocks(gammas, q):
+        rows = trace_bit_matrix(ctx, 1, block)
+        if not _gf2_linear(rows).all():
+            raise VerificationError("a row Tr_n(g x) is not GF(2)-linear")
+        for out, xs in ((index, basis), (shifted, times_pi[basis])):
+            out[block] = sum(rows[:, x].astype(np.int64) << j
+                             for j, x in enumerate(xs))
+    if (np.bincount(index, minlength=q) != 1).any():
+        raise VerificationError("the rows Tr_n(g x) repeat a functional")
+    if (shifted != index[times_pi]).any():
+        raise VerificationError(
+            "the gamma rows are not closed under x -> pi x")

@@ -1,5 +1,6 @@
 """Cyclic code machinery: minimal polynomials, codewords, weight counts."""
 
+import dataclasses
 import json
 from collections import Counter
 
@@ -10,8 +11,9 @@ import reference as ref
 from kasamilab import (ValueDistribution, VerificationError, build_field,
                        check_cyclicity, check_parity, code_dimension, codes,
                        codeword_c1, codeword_c2, derive_params, expsum,
-                       h_polynomials, minimal_poly, parity_check_mask,
-                       s_spectrum, subfield_elements, t_spectrum,
+                       h_polynomials, kernel_dims, minimal_poly,
+                       parity_check_mask, s_spectrum, subfield_elements,
+                       t_spectrum,
                        weight_distribution, weight_distribution_formula)
 from kasamilab.cli import main
 from kasamilab.codes import codeword_dump_lines
@@ -173,8 +175,8 @@ def test_cyclicity_exhaustive(ctx4, p41, code):
     check_cyclicity(ctx4, p41, code)  # raises unless each proof holds
 
 
-# The orbit proofs are made once per field, so a test that patches a row
-# builder, or measures the proof, reads a field of its own.
+# The orbit lemma is made once per field, so a test that patches a row
+# builder, or measures cyclicity, reads a field of its own.
 
 @pytest.mark.parametrize("code", ["c1", "c2"])
 def test_cyclicity_detects_a_flipped_bit(code, monkeypatch):
@@ -197,27 +199,27 @@ def test_cyclicity_checks_every_alpha(code, monkeypatch):
 
 
 def test_cyclicity_checks_every_gamma_row(monkeypatch):
-    # A repeated gamma row breaks c2 alone, the only code that XORs gamma
-    # rows; on a fresh field, as the gamma axis is proved once per field.
-    break_gamma_row(monkeypatch)
+    # A repeated gamma row, the row of 2 made that of 1, breaks c2 alone,
+    # the only code that XORs gamma rows.
+    replace_row(monkeypatch, "gamma", 2, 1)
     ctx, p = build_field(4), derive_params(4, 1)
     check_cyclicity(ctx, p, "c1")
     with pytest.raises(VerificationError,
-                       match=r"the rows Tr_n\(g x\) repeat a functional"):
+                       match="the gamma rows are not closed under x -> pi x"):
         check_cyclicity(ctx, p, "c2")
 
 
 def test_cyclicity_memory_bounded_by_one_alpha():
-    # Only blocks of row tables are built: 8 + 64 rows of 64 uint8 bits and
-    # their images, and the 64 gamma rows. All 2^15 words at once, with
-    # their images and rotation, take 5.9 MB.
+    # Only row tables are built, in blocks: 8 + 64 + 64 rows of 64 uint8
+    # bits, each block checked against its definitions. All 2^15 words at
+    # once, with their images and rotation, take 5.9 MB.
     ctx, p = build_field(6), derive_params(6, 1)
     assert traced_peak(check_cyclicity, ctx, p, "c2") < 2 * (1 << 20)
 
 
 def test_cyclicity_reads_only_the_row_tables(monkeypatch):
     # No word is built, nor any row table in word order: the rows and their
-    # images trace under 32 KiB; one alpha's c2 words trace 778 KiB.
+    # int64 definitions trace 115 KiB; one alpha's c2 words trace 778 KiB.
     def no_words(*args):
         raise AssertionError("check_cyclicity built codewords")
 
@@ -229,9 +231,10 @@ def test_cyclicity_reads_only_the_row_tables(monkeypatch):
 
 def test_exhaustive_cyclicity_memory_at_n12_bounded_by_its_blocks(
         monkeypatch):
-    # Blocks of 128 rows of 4096 uint8 bits, 512 kB, and their images.
-    # Whole row tables in word order, with their images, trace 65 MiB for c1
-    # and 97 MiB for c2.
+    # Blocks of 128 rows of 4096 uint8 bits, 512 kB, each checked against
+    # its definitions 8 rows (256 kB of int64) at a time: 1.7 MiB (c1) and
+    # 1.3 MiB (c2) traced. Whole row tables in word order, with their
+    # images, trace 65 MiB for c1 and 97 MiB for c2.
     monkeypatch.setattr(codes, "CYCLICITY_EXHAUSTIVE_MAX_N", 12)
     ctx, p = build_field(12), derive_params(12, 1)
     for code in ("c1", "c2"):
@@ -312,19 +315,19 @@ def test_weights_are_popcounts_of_every_word(nk):
 
 
 def test_c2_sweep_memory_bounded_by_its_span():
-    # Two popcount sweeps, gamma = 0 and gamma = 1, each over one span of
-    # 1024 beta rows, 128 kB packed, and the closure proofs over the beta
-    # and gamma tables in blocks of 512 rows, 1.5 MB with a block's image
-    # and comparison. Walsh transforms of every (alpha, beta) pair over the
-    # gamma axis take more.
+    # The gamma = 0 sweep over orbit representatives and the gamma = 1
+    # sweep over one span of 1024 beta rows, 128 kB packed, each block of
+    # rows checked against its definitions 32 rows (256 kB of int64) at a
+    # time. Walsh transforms of every (alpha, beta) pair over the gamma axis
+    # take more.
     ctx, p = build_field(10), derive_params(10, 1)
     assert traced_peak(measured_weights, ctx, p, "c2") < 3 * (1 << 20)
 
 
 def test_c1_sweep_memory_bounded_by_its_chunk():
-    # The popcount sweep T reads: 512 beta rows of 4096 bits, 256 kB packed,
-    # at a time, built and packed 128 rows at a time. A (2^m, q) table of
-    # weights, an unpacked span or the q x q beta rows takes 2 MB or more.
+    # T reads 68 beta rows of 4096 bits, the orbit representatives, checked
+    # 8 rows at a time. A (2^m, q) table of weights, an unpacked span of 512
+    # beta rows or the q x q beta rows takes 2 MB or more.
     ctx, p = build_field(12), derive_params(12, 1)
     assert traced_peak(measured_weights, ctx, p, "c1") < 2 * (1 << 20)
 
@@ -337,28 +340,26 @@ def test_c2_weights_match_the_formula_exhaustively(nk):
 
 
 def test_c2_memory_at_n12_bounded_by_the_gamma_table():
-    # The closure proof reads the beta table in blocks of 128 rows of 4096
-    # uint8 bits: a block read at pi x, the block of its images and their
-    # comparison, 1.5 MB; the gamma-axis proof reads the gamma table in the
-    # same blocks. The sweeps' spans are 256 kB packed. The q x q beta or
-    # gamma table alone takes 16 MB.
+    # The gamma = 1 sweep reads the beta rows in spans of 512, 256 kB
+    # packed, built in blocks of 128 rows of 4096 uint8 bits (512 kB) and
+    # checked 8 rows (256 kB of int64) at a time: 2.5 MiB traced. The q x q
+    # beta or gamma table alone takes 16 MB.
     ctx, p = build_field(12), derive_params(12, 1)
     assert traced_peak(measured_weights, ctx, p, "c2") < 3 * (1 << 20)
 
 
 def replace_row(monkeypatch, table, coeff, by):
-    """Patch one row table of (6,1) wherever the package builds it: the row
-    of coeff becomes the row of by. The alpha rows come from the trace rows;
-    the beta rows Tr_n(b x^3) (e2 = 3 at k = 1) and the gamma table, the
-    rows Tr_n(g x) over every g, from the trace bit matrix."""
+    """Patch one row table wherever the package builds it: the row of coeff
+    becomes the row of by. The alpha rows come from the trace rows; the
+    beta rows Tr_n(b x^3) (e2 = 3 at k = 1) and the gamma rows Tr_n(g x)
+    from the trace bit matrix."""
     if table == "alpha":
         build = expsum._trace_rows
 
         def broken(ctx, params, alphas, *coeffs):
             rows = build(ctx, params, alphas, *coeffs)
             alphas = np.asarray(alphas, dtype=np.int64)
-            if (alphas == by).any():
-                rows[0][alphas == coeff] = rows[0][alphas == by][0]
+            rows[0][alphas == coeff] = build(ctx, params, [by], [], [])[0][0]
             return rows
 
         monkeypatch.setattr(expsum, "_trace_rows", broken)
@@ -367,11 +368,7 @@ def replace_row(monkeypatch, table, coeff, by):
 
     def broken(ctx, e, coeffs):
         rows = build(ctx, e, coeffs)
-        if table == "beta":
-            ours = e == 3
-        else:
-            ours = e == 1 and len(coeffs) == ctx.q
-        if ours:
+        if e == (3 if table == "beta" else 1):
             rows[np.asarray(coeffs) == coeff] = build(ctx, e, [by])[0]
         return rows
 
@@ -380,23 +377,25 @@ def replace_row(monkeypatch, table, coeff, by):
 
 @pytest.mark.parametrize("table", ["alpha", "beta", "gamma"])
 def test_c2_count_needs_every_row_closed_under_pi(monkeypatch, table):
-    # The gamma != 0 words are counted at gamma = 1 only, on the licence that
-    # x -> pi x carries every row onto a row. The zero alpha row, or one
-    # beta row, replaced by another row moves the c1 count, which reads the
-    # same rows and needs no licence; the c2 count must refuse them. Two
-    # rows of the gamma table exchanged leave each row linear and each
-    # functional once, so only the closure of the gamma axis tells.
+    # The gamma != 0 words are counted at gamma = 1 only, and the words at
+    # gamma = 0 (c1 among them) at alpha = 0, 1 and one beta per orbit, on
+    # the licence that x -> pi x carries every row onto a row. A row they
+    # read, replaced by another row, is refused: the zero alpha row and
+    # beta = 5 (pi^12, the representative of its orbit for alpha = 1) by both
+    # counts, the gamma = 1 row by the c2 count alone, as c1 reads no gamma.
     ctx, p = build_field(6), derive_params(6, 1)
-    c1 = measured_weights(ctx, p, "c1").as_dict()
     sub = subfield_elements(ctx, p.m)
-    coeff, by = (sub[0], sub[2]) if table == "alpha" else (5, 6)
+    coeff, by = {"alpha": (sub[0], sub[2]), "beta": (5, 6),
+                 "gamma": (1, 6)}[table]
     replace_row(monkeypatch, table, coeff, by)
+    closure = f"{table} rows are not closed under x -> pi x"
     if table == "gamma":
-        replace_row(monkeypatch, table, by, coeff)
+        assert measured_weights(ctx, p, "c1").as_dict() == \
+            weight_distribution_formula(p, "c1").as_dict()
     else:
-        assert measured_weights(ctx, p, "c1").as_dict() != c1
-    with pytest.raises(VerificationError,
-                       match=f"{table} rows are not closed under x -> pi x"):
+        with pytest.raises(VerificationError, match=closure):
+            measured_weights(ctx, p, "c1")
+    with pytest.raises(VerificationError, match=closure):
         measured_weights(ctx, p, "c2")
 
 
@@ -426,79 +425,80 @@ def test_a_broken_kernel_fails_the_checks_that_read_it(tmp_path, monkeypatch,
                        "code-weights-c2"})
 
 
-def break_gamma_row(monkeypatch, flip=False):
-    """Patch the rows Tr_n(g x) over every gamma, which only the gamma-axis
-    proof builds: row 2 repeats row 1, or with flip, row 2 gets one bit
-    flipped, so it is no linear functional at all."""
-    build = expsum.trace_bit_matrix
+def break_trace(monkeypatch, flip=False):
+    """Patch Tr_n, the table rel_trace_table(ctx, 1, n) that the gamma axis
+    and the trace-row checks read: all zero, a linear map under which every
+    row Tr_n(g x) is the zero functional, or with flip, one bit flipped, so
+    that it is no linear map at all."""
+    build = expsum.rel_trace_table
 
-    def broken(ctx, e, coeffs):
-        rows = build(ctx, e, coeffs)
-        if e == 1 and len(rows) == ctx.q:
-            if flip:
-                rows[2, 3] ^= 1
-            else:
-                rows[2] = rows[1]
-        return rows
+    def broken(ctx, i, j):
+        table = build(ctx, i, j)
+        if (i, j) != (1, ctx.n):
+            return table
+        table = np.zeros_like(table) if not flip else table.copy()
+        table[3] ^= flip
+        return table
 
-    monkeypatch.setattr(expsum, "trace_bit_matrix", broken)
+    monkeypatch.setattr(expsum, "rel_trace_table", broken)
 
 
 @pytest.mark.parametrize("flip", [False, True], ids=["repeated", "nonlinear"])
 def test_a_broken_gamma_axis_fails_every_walsh_sweep(tmp_path, monkeypatch,
                                                      flip):
-    break_gamma_row(monkeypatch, flip)
+    # The gamma-sweep names Tr_n from its gamma axis. T and S, and so both
+    # code weights, check their beta rows against the same Tr_n and refuse
+    # them too.
+    break_trace(monkeypatch, flip)
     ctx, p = build_field(4), derive_params(4, 1)
     with pytest.raises(VerificationError, match="Tr_n"):
-        measured_weights(ctx, p, "c2")
-    with pytest.raises(VerificationError, match="Tr_n"):
-        s_spectrum(ctx, p)
-    assert measured_weights(ctx, p, "c1").total == 1 << 6
+        expsum.gamma_sweep(ctx, p, kernel_dims(ctx, p))
+    for code in ("c1", "c2"):
+        with pytest.raises(VerificationError,
+                           match="beta rows are not closed under x -> pi x"):
+            measured_weights(ctx, p, code)
     assert main(["verify", "--n", "4", "--k", "1",
                  "--out", str(tmp_path)]) == 2
     report = json.loads((tmp_path / "report.json").read_text())
-    status = {r["name"]: r["status"] for r in report["records"]}
-    assert status["gamma-sweep"] == "mismatch"
-    assert status["s-spectrum"] == "mismatch"
-    assert status["code-weights-c2"] == "mismatch"
-    assert status["code-weights-c1"] == "match"
+    records = {r["name"]: r for r in report["records"]}
+    assert "Tr_n" in records["gamma-sweep"]["detail"]
+    for name in ("gamma-sweep", "t-spectrum", "s-spectrum",
+                 "code-weights-c1", "code-weights-c2"):
+        assert records[name]["status"] == "mismatch"
 
 
 def test_gamma_axis_is_proved_once_per_field(monkeypatch):
-    built = []
-    build = expsum.trace_bit_matrix
+    # Only the gamma axis asks whether Tr_n is linear, once per field,
+    # however often the gamma-sweep runs.
+    built, linear = [], expsum._gf2_linear
 
-    def counted(ctx, e, coeffs):
-        if e == 1 and len(coeffs) == ctx.q:
-            built.append(ctx)
-        return build(ctx, e, coeffs)
+    def counted(table):
+        built.append(len(table))
+        return linear(table)
 
-    monkeypatch.setattr(expsum, "trace_bit_matrix", counted)
+    monkeypatch.setattr(expsum, "_gf2_linear", counted)
     ctx, p = build_field(6), derive_params(6, 1)
-    measured_weights(ctx, p, "c2")
-    measured_weights(ctx, p, "c2")
-    s_spectrum(ctx, p)
-    assert built == [ctx]
+    dims = kernel_dims(ctx, p)
+    for _ in range(2):
+        expsum.gamma_sweep(ctx, p, dims)
+    assert built == [ctx.q]
 
 
 def test_gamma_axis_memory_bounded_by_its_span():
-    # Blocks of 128 gamma rows of 4096 uint8 bits, 512 kB, and the bits of
-    # every row at x = 2^j and x = pi 2^j read as two int64 vectors. The
-    # q x q gamma table alone takes 16 MB.
+    # n int64 vectors of q entries, the bits of every Tr_n(g x) at x = 2^j,
+    # one at a time. The q x q gamma table alone takes 16 MB.
     assert traced_peak(expsum._gamma_axis, build_field(12)) < 8 * (1 << 20)
 
 
-def test_gamma_axis_needs_pi_to_permute_the_field_linearly(monkeypatch):
-    # x -> pi x with two images exchanged is still a permutation, but no
-    # longer linear, so the bits of row g at pi 2^j no longer fix row g
-    # read at pi x.
-    mul = expsum._mul
-
-    def swapped(ctx, x, y):
-        out = mul(ctx, x, y)
-        out[[1, 2]] = out[[2, 1]]
-        return out
-
-    monkeypatch.setattr(expsum, "_mul", swapped)
+def test_gamma_axis_needs_pi_to_permute_the_field_linearly():
+    # Two entries of the exp table exchanged, and the log table with them:
+    # the tables are still inverse bijections and x -> pi x still steps the
+    # exp table, but it is no longer linear, so the bits of a row Tr_n(g x)
+    # at x = 2^j no longer fix the row.
+    ctx = build_field(4)
+    exp, log = ctx.exp_table.copy(), ctx.log_table.copy()
+    exp[[3, 7]] = exp[[7, 3]]
+    log[exp] = np.arange(ctx.order)
     with pytest.raises(VerificationError, match="permute the field linearly"):
-        expsum._gamma_axis(build_field(4))
+        expsum._gamma_axis(dataclasses.replace(
+            ctx, exp_table=exp, log_table=log, _cache={}))

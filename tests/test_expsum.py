@@ -1,9 +1,12 @@
 """Exponential sums: brute-force spectra against closed-form tables."""
 
+import dataclasses
 import json
 import re
 import tracemalloc
 from collections import Counter
+from functools import partial
+from math import gcd
 
 import numpy as np
 import pytest
@@ -12,11 +15,11 @@ from hypothesis import strategies as st
 
 import reference as ref
 from kasamilab import (ValueDistribution, VerificationError,
-                       artin_schreier_points, build_field, derive_params,
-                       expsum, gamma_sweep_formula, kernel_dims,
-                       moment_targets, moments, rank_profile, s_spectrum,
-                       s_spectrum_formula, subfield_elements, t_spectrum,
-                       t_spectrum_formula)
+                       artin_schreier_points, build_field, check_cyclicity,
+                       derive_params, expsum, field, gamma_sweep_formula,
+                       kernel_dims, moment_targets, moments, rank_profile,
+                       s_spectrum, s_spectrum_formula, subfield_elements,
+                       t_spectrum, t_spectrum_formula)
 from kasamilab.cli import main
 from kasamilab.field import (FieldContext, _cycles, bit_count, power_table,
                              rel_trace_table)
@@ -152,11 +155,12 @@ def traced_peak(fn, *args, **kwargs):
 
 
 def test_t_sweep_memory_bounded_by_its_chunk():
-    # A span holds 512 beta rows of 4096 bits, 256 kB packed. They are built
-    # and packed 128 rows at a time (512 kB unpacked), XORed with the 64
-    # alpha rows (32 kB packed) and popcounted per alpha row, and the span's
-    # T table is 64 x 512 int64, 256 kB. An unpacked span, or an int64
-    # product of element logs over every alpha row, takes 2 MB alone.
+    # T reads the alpha rows 0 and 1 and 68 orbit representatives of beta,
+    # 4096 bits each (272 kB unpacked), checked against their definitions 8
+    # rows (256 kB of int64) at a time: 1.5 MB traced, the field's tables
+    # built on first use included. An unpacked span of 512 beta rows with
+    # its checks, or an int64 product of element logs over every alpha row,
+    # takes 2 MB alone.
     ctx, p = build_field(12), derive_params(12, 1)
     assert traced_peak(t_spectrum, ctx, p) < 2 * (1 << 20)
 
@@ -174,11 +178,11 @@ def test_alpha_rows_take_no_more_than_their_table():
 
 
 def test_s_sweep_memory_bounded_by_its_span():
-    # Each of the two sweeps takes all 1024 beta rows as one span, 128 kB
-    # packed, built and packed 512 rows (512 kB unpacked) at a time. The
-    # closure proofs compare the beta and gamma rows in blocks of 512: a
-    # block read at pi x, the block of its images and their comparison,
-    # 1.5 MB. The q x q beta rows, unpacked, take 1 MB alone.
+    # The gamma = 1 sweep takes all 1024 beta rows as one span, 128 kB
+    # packed, built and packed 512 rows (512 kB unpacked) at a time, each
+    # block checked against its definitions 32 rows (256 kB of int64) at a
+    # time; the gamma = 0 sweep reads 98 orbit representatives. 1.5 MB
+    # traced. The q x q beta rows, unpacked, take 1 MB alone.
     ctx, p = build_field(10), derive_params(10, 1)
     assert traced_peak(s_spectrum, ctx, p) < 6 * (1 << 19)
 
@@ -186,8 +190,8 @@ def test_s_sweep_memory_bounded_by_its_span():
 def test_gamma_sweep_memory_bounded_by_its_span():
     # A span transforms 512 beta rows of 1024 entries, 2^19: their uint8 bits
     # gathered and XORed (2 x 0.5 MB), the int16 transform and its butterfly
-    # buffer (2 MB) and one bool comparison (0.5 MB); the closure proof
-    # builds the beta rows a span at a time. A q x q block per alpha needs
+    # buffer (2 MB) and one bool comparison (0.5 MB); the rows are checked
+    # against their definitions 32 at a time. A q x q block per alpha needs
     # 8 MB.
     ctx, p = build_field(10), derive_params(10, 1)
     dims = kernel_dims(ctx, p)
@@ -308,8 +312,8 @@ def flip_row_bit(monkeypatch, axis, coeff, x=3):
     monkeypatch.setattr(expsum, "_trace_rows", flipped)
 
 
-# The orbit proofs are made once per field, so every test that patches a row
-# builder reads a field of its own, on which nothing has been proved yet.
+# The orbit lemma is made once per field, and a row check on every read, so
+# a test that patches a row builder may read a field of its own all the same.
 
 @pytest.mark.parametrize("axis,name", [(0, "alpha"), (1, "beta")])
 def test_flipped_bit_breaks_the_times_pi_closure(monkeypatch, axis, name):
@@ -325,11 +329,12 @@ def test_flipped_bit_breaks_the_times_pi_closure(monkeypatch, axis, name):
 @pytest.mark.parametrize("axis,name", [(0, "alpha"), (1, "beta")])
 def test_per_pair_checks_need_the_trace_rows_closed_under_pi(
         monkeypatch, sweep, axis, name):
-    # alpha = 1 stands for every alpha != 0 only on that licence.
+    # alpha = 1 stands for every alpha != 0 only on that licence. A bit
+    # flipped in a row both sweeps read is refused: the zero alpha row (the
+    # gamma-sweep reads alpha = 0, Artin-Schreier Tr^6_3(1) = 0) or beta = 5.
     ctx, p = build_field(6), derive_params(6, 1)
     args = (kernel_dims(ctx, p),) if sweep == "gamma_sweep" else ()
-    coeff = subfield_elements(ctx, 3)[2] if axis == 0 else 5
-    flip_row_bit(monkeypatch, axis, coeff)
+    flip_row_bit(monkeypatch, axis, 0 if axis == 0 else 5)
     with pytest.raises(VerificationError,
                        match=f"{name} rows are not closed under x -> pi x"):
         getattr(expsum, sweep)(ctx, p, *args)
@@ -338,109 +343,106 @@ def test_per_pair_checks_need_the_trace_rows_closed_under_pi(
 def test_row_closure_needs_both_maps_to_permute():
     # Row i of the identity read at the swap of 0 and 1 is the row of the
     # swap of i; a perm that sends two entries to one is no licence, whatever
-    # the rows read. The coefficient map is checked by `_orbit_closure`.
+    # the rows read. The coefficient map is checked by `orbit_closure`.
     rows, ids, swap = np.eye(4, dtype=np.uint8), np.arange(4), [1, 0, 2, 3]
     def build(coeffs):
         return rows[coeffs]
 
-    expsum._row_closure(build, ids, ids, ids, "unit")
-    expsum._row_closure(build, ids, np.array(swap), np.array(swap), "unit")
+    ref.row_closure(build, ids, ids, ids, "unit")
+    ref.row_closure(build, ids, np.array(swap), np.array(swap), "unit")
     with pytest.raises(VerificationError,
                        match="unit rows are not closed under x -> pi x"):
-        expsum._row_closure(build, ids, ids, np.array(swap), "unit")
+        ref.row_closure(build, ids, ids, np.array(swap), "unit")
     with pytest.raises(VerificationError,
                        match="x -> pi x does not permute the unit rows"):
-        expsum._row_closure(build, ids, ids, np.array([0, 0, 2, 3]), "unit")
+        ref.row_closure(build, ids, ids, np.array([0, 0, 2, 3]), "unit")
 
 
 @pytest.mark.parametrize("curves", [False, True], ids=["trace", "value"])
 def test_orbit_closure_needs_the_coefficient_map_to_permute(
         monkeypatch, curves):
-    # pi^e patched to 0 sends every coefficient to 0. Only the zero rows are
-    # compared when the lists hold 0 alone, and they agree, so the map is
-    # refused on the full coefficient table, whatever the lists.
+    # pi^e patched to 0 sends every coefficient to 0, and the zero rows
+    # agree, so only the check of the coefficient map refuses it.
     ctx, p = build_field(6), derive_params(6, 1)
     monkeypatch.setattr(FieldContext, "pow", lambda self, a, e: 0)
-    for listed in (None, [0]):
-        with pytest.raises(VerificationError,
-                           match="x -> pi x does not permute the .* rows"):
-            expsum._orbit_closure(ctx, p, curves, alphas=listed,
-                                  betas=listed)
-
-
-def record_row_closures(monkeypatch):
-    """(table name, number of coefficients) of every `_row_closure` call: one
-    per table proof, "alpha" and "beta" on the trace rows, "a' x^e1" and
-    "beta x^e2" on the value rows."""
-    calls, compare = [], expsum._row_closure
-
-    def recorded(build, coeffs, images, perm, name):
-        calls.append((name, len(coeffs)))
-        return compare(build, coeffs, images, perm, name)
-
-    monkeypatch.setattr(expsum, "_row_closure", recorded)
-    return calls
+    with pytest.raises(VerificationError,
+                       match="x -> pi x does not permute the .* rows"):
+        ref.orbit_closure(ctx, p, curves)
 
 
 def test_verify_proves_each_orbit_law_once(tmp_path, monkeypatch):
-    # s-spectrum, gamma-sweep, artin-schreier and cyclicity (c1, c2) read the
-    # trace-row proofs; kernel_dims reads the a' rows over GF(8) and the beta
-    # rows, artin-schreier the a' rows over GF(64) and the same beta rows.
-    calls = record_row_closures(monkeypatch)
+    # T, S, the gamma-sweep and its gamma axis, Artin-Schreier, cyclicity
+    # (c1, c2) and the kernel sizes each call the orbit lemma. Its field
+    # part is made once, and its power-table law once per exponent, e1 = 9
+    # and e2 = 3; no other proof of the orbit law is made.
+    built, cached = [], field._cached
+
+    def recorded(ctx, key, build):
+        if key not in ctx._cache:
+            built.append((id(ctx), key))
+        return cached(ctx, key, build)
+
+    monkeypatch.setattr(field, "_cached", recorded)
     assert main(["verify", "--n", "6", "--k", "1",
                  "--out", str(tmp_path)]) == 3
-    assert Counter(calls) == {("alpha", 8): 1, ("beta", 64): 1,
-                              ("a' x^e1", 8): 1, ("a' x^e1", 64): 1,
-                              ("beta x^e2", 64): 1}
-
-
-def test_verify_proves_the_cyclicity_sample_once(tmp_path, monkeypatch):
-    # Above n = 6 both codes' cyclicity lists the same sample of 4 alphas
-    # and 9 betas; c1 proves it and c2 reads that proof.
-    calls = record_row_closures(monkeypatch)
-    assert main(["verify", "--n", "8", "--k", "2",
-                 "--out", str(tmp_path)]) == 3
-    assert Counter(calls)[("alpha", 4)] == Counter(calls)[("beta", 9)] == 1
-
-
-@pytest.mark.parametrize("curves,alpha,beta",
-                         [(False, "alpha", "beta"),
-                          (True, "a' x^e1", "beta x^e2")],
-                         ids=["trace", "value"])
-def test_orbit_proof_is_kept_per_k(monkeypatch, curves, alpha, beta):
-    # One field serves k = 1 and k = 2: the alpha (a') rows do not depend on
-    # k and are proved once, while the (6,1) beta proof does not stand for
-    # the (6,2) one, and each is made once.
-    ctx = build_field(6)
-    calls = record_row_closures(monkeypatch)
-    for k in (1, 1, 2, 2, 1):
-        expsum._orbit_closure(ctx, derive_params(6, k), curves)
-    assert [name for name, _ in calls] == [alpha, beta, beta]
+    lemma = [(ctx, key) for ctx, key in built if "orbit lemma" in key]
+    assert len({ctx for ctx, _ in lemma}) == 1
+    assert Counter(key for _, key in lemma) == {
+        "orbit lemma": 1, ("orbit lemma", 9): 1, ("orbit lemma", 3): 1}
 
 
 def test_a_proof_that_raised_is_made_again(monkeypatch):
-    ctx, p = build_field(6), derive_params(6, 1)
-    flip_row_bit(monkeypatch, 1, 5)
+    # A lemma that raised keeps nothing, so each reader makes it again and
+    # reports the failure; once it holds, it is made no more.
+    ctx, calls, linear = build_field(6), [], field._gf2_linear
+
+    def failing_twice(table):
+        calls.append(len(table))
+        return linear(table) and len(calls) > 2
+
+    monkeypatch.setattr(field, "_gf2_linear", failing_twice)
     for _ in range(2):
         with pytest.raises(VerificationError,
-                           match="beta rows are not closed under x -> pi x"):
-            expsum._orbit_closure(ctx, p)
-    monkeypatch.undo()
-    calls = record_row_closures(monkeypatch)
-    expsum._orbit_closure(ctx, p)
-    expsum._orbit_closure(ctx, p)
-    assert calls == [("beta", 64)]
+                           match="x -> pi x does not permute the field"):
+            field._orbit_lemma(ctx)
+    field._orbit_lemma(ctx)
+    field._orbit_lemma(ctx, 9, 3)
+    assert calls == [ctx.q] * 3
 
 
-def test_listed_coefficients_are_proved_once_per_list(monkeypatch):
-    # Cyclicity's sample above n = 6 lists its coefficients; each list is
-    # proved once, beside the full proof, and a new list is proved anew.
-    ctx, p = build_field(6), derive_params(6, 1)
-    calls = record_row_closures(monkeypatch)
-    for listed in (None, [0, 1], [0, 1], None, [0, 24]):
-        expsum._orbit_closure(ctx, p, alphas=listed, betas=listed)
-    assert calls == [("alpha", 8), ("beta", 64), ("alpha", 2), ("beta", 2),
-                     ("alpha", 2), ("beta", 2)]
+def broken_field(how):
+    """GF(64) with two log_table entries exchanged, or with two entries of
+    its x^3 table (e2 at k = 1) exchanged before any reader builds it."""
+    ctx = build_field(6)
+    if how == "log":
+        log = ctx.log_table.copy()
+        log[[3, 5]] = log[[5, 3]]
+        return dataclasses.replace(ctx, log_table=log, _cache={})
+    cubes = power_table(build_field(6), 3).copy()
+    cubes[[3, 5]] = cubes[[5, 3]]
+    field._cached(ctx, ("pow", 3), lambda: cubes)
+    return ctx
+
+
+@pytest.mark.parametrize("how,message", [
+    ("log", "x -> pi x has no log: the log and exp tables are not inverse"),
+    ("power", "the x^3 table breaks x -> pi x: P[pi x] is not pi^3 P[x]")],
+    ids=["log", "power"])
+def test_a_broken_field_fails_every_orbit_reader(how, message):
+    # Each of the six readers proves the orbit lemma before it reads a row,
+    # so each refuses the field with the lemma's own text, naming x -> pi x.
+    # The gamma-sweep is given the kernel table of a sound field.
+    p = derive_params(6, 1)
+    dims = kernel_dims(build_field(6), p)
+    ctx = broken_field(how)
+    readers = [partial(t_spectrum, ctx, p), partial(s_spectrum, ctx, p),
+               partial(expsum.gamma_sweep, ctx, p, dims),
+               partial(check_cyclicity, ctx, p, "c1"),
+               partial(kernel_dims, ctx, p),
+               partial(expsum.artin_schreier_sweep, ctx, p)]
+    for reader in readers:
+        with pytest.raises(VerificationError, match=re.escape(message)):
+            reader()
 
 
 def test_verify_records_a_broken_times_pi_closure(tmp_path, monkeypatch):
@@ -454,8 +456,8 @@ def test_verify_records_a_broken_times_pi_closure(tmp_path, monkeypatch):
 
 
 def flip_value_bit(monkeypatch, h, coeff, x=3):
-    """Patch the value rows c x^(2^h+1) where the orbit proof builds them
-    as a table: flip bit 0 of coeff's row at x."""
+    """Patch the value rows c x^(2^h+1) where the row check builds them as
+    a table: flip bit 0 of coeff's row at x."""
     build = expsum._monomial_rows
 
     def flipped(ctx, coeffs, hh):
@@ -467,25 +469,25 @@ def flip_value_bit(monkeypatch, h, coeff, x=3):
     monkeypatch.setattr(expsum, "_monomial_rows", flipped)
 
 
-@pytest.mark.parametrize("h,coeff,name", [(3, 24, "a' x^e1"),
+@pytest.mark.parametrize("h,coeff,name", [(3, 1, "a' x^e1"),
                                           (1, 5, "beta x^e2")],
                          ids=["a-prime", "beta"])
 def test_kernel_dims_needs_the_value_rows_closed_under_pi(
         monkeypatch, h, coeff, name):
     # The kernel sizes read the phi rows off the unpatched value rows: only
-    # the orbit proof sees the flipped entry. They read a' in GF(8) only,
-    # so the flipped a' row, 24, is one of GF(8) inside GF(64).
+    # the row check sees the flipped entry. They read a' = 0 and 1 only.
     flip_value_bit(monkeypatch, h, coeff)
     with pytest.raises(VerificationError,
                        match=re.escape(f"{name} rows are not closed")):
         kernel_dims(build_field(6), derive_params(6, 1))
 
 
-@pytest.mark.parametrize("h,coeff,name", [(3, 7, "a' x^e1"),
+@pytest.mark.parametrize("h,coeff,name", [(3, 6, "a' x^e1"),
                                           (1, 5, "beta x^e2")],
                          ids=["a-prime", "beta"])
 def test_artin_schreier_needs_the_value_rows_closed_under_pi(
         monkeypatch, h, coeff, name):
+    # The point counts read a' = 0 and pi^j, j <= 8: a' = 6 is pi^7.
     flip_value_bit(monkeypatch, h, coeff)
     with pytest.raises(VerificationError,
                        match=re.escape(f"{name} rows are not closed")):
@@ -503,6 +505,47 @@ def test_verify_records_a_broken_value_row(tmp_path, monkeypatch):
     assert list(failed) == ["rank-profile", "gamma-sweep", "artin-schreier"]
     assert all("beta x^e2 rows are not closed under x -> pi x" in detail
                for detail in failed.values())
+
+
+# Every n <= 12 point `verify` runs in this suite, and (6,2) under a second
+# modulus.
+ORACLE_POINTS = [(4, 1, None), (4, 3, None), (6, 1, None), (6, 2, None),
+                 (6, 4, None), (6, 5, None), (8, 2, None), (10, 1, None),
+                 (10, 2, None), (12, 1, None), (6, 2, 0x61)]
+
+
+@pytest.mark.parametrize("n,k,mod", ORACLE_POINTS)
+def test_orbit_sweeps_match_the_full_table_oracles(n, k, mod):
+    # The O(q) lemma holds where the O(q^2) full-table proofs of the trace
+    # rows, the value rows and the gamma axis hold, and T and S over the
+    # stabilizer orbits equal the sweeps over every alpha row and beta.
+    ctx, p = build_field(n, mod), derive_params(n, k)
+    field._orbit_lemma(ctx, p.e_norm, p.e_quad)
+    ref.orbit_closure(ctx, p)
+    ref.orbit_closure(ctx, p, curves=True)
+    ref.gamma_axis(ctx)
+    assert t_spectrum(ctx, p).as_dict() == ref.popcount_sweep(ctx, p)
+    assert s_spectrum(ctx, p).as_dict() == \
+        ref.popcount_sweep(ctx, p, linear=True)
+
+
+@pytest.mark.parametrize("n,k,rows", [(10, 2, 34), (12, 1, 68)])
+def test_t_reads_one_beta_row_per_orbit(monkeypatch, n, k, rows):
+    # alpha = 0 reads beta = 0 and one beta per coset of the e2-th powers,
+    # alpha = 1 beta = 0 and one per orbit of the stabilizer c^e1 = 1 acting
+    # by c^e2: 2 + gcd(e2, L) + gcd((2^m - 1) e2, L) beta rows in all.
+    ctx, p = build_field(n), derive_params(n, k)
+    counted, build = [], expsum._trace_rows
+
+    def counting(ctx, params, alphas, betas, gammas):
+        counted.append(len(betas))
+        return build(ctx, params, alphas, betas, gammas)
+
+    monkeypatch.setattr(expsum, "_trace_rows", counting)
+    t_spectrum(ctx, p)
+    order = ctx.order
+    assert sum(counted) == rows == 2 + gcd(p.e_quad, order) + gcd(
+        ((1 << p.m) - 1) * p.e_quad, order)
 
 
 VALID_NK = [(n, k) for n in (4, 6, 8) for k in range(1, n) if k != n // 2]

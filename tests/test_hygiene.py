@@ -20,13 +20,15 @@ other sweep counts bits or runs the Walsh transform. Only the gamma-sweep
 calls `_walsh`; only the T table, whose spans the popcount sweep bincounts,
 calls `_popcounts`; only that sweep and Artin-Schreier call the T table, and
 only T and S call that sweep (the code weights relabel them); only the
-popcount sweep, the gamma-sweep and cyclicity prove the gamma axis; only
-the popcount sweep, the gamma-sweep, Artin-Schreier, the kernel sizes and
-cyclicity lean on the orbit-closure proof (each table's proof is made
-once per field and read by all of its callers); only the orbit-closure
-proof compares rows read at x -> pi x (`_row_closure`); only
-the popcount sweep, the gamma-sweep, Artin-Schreier, the orbit-closure proof
-and the codewords build trace rows, and only Artin-Schreier counts points.
+gamma-sweep proves the gamma axis; only the popcount sweep, the
+gamma-sweep and its gamma axis, Artin-Schreier, the kernel sizes and
+cyclicity lean on the orbit lemma (made once per field, and per exponent,
+and read by all of its callers), and no full-table orbit proof
+(`_row_closure`, `_orbit_closure`) is defined in the package; only the
+checked reader `_read_rows` and the codewords build trace rows, and only
+the popcount sweep, the T table, the gamma-sweep, Artin-Schreier and
+cyclicity read them; only those readers' row checks compare a row with
+its definition; and only Artin-Schreier counts points.
 Only the correlation sweep, `sequences.correlation_distribution`, sums its
 work over threads (`_summed`, `_thread_count`), and only
 `distribution._summed` opens a thread pool, so no per-pair check is
@@ -300,33 +302,37 @@ def test_only_the_correlation_sweep_names_a_float_dtype(path):
 
 # kernel -> the (module, top-level function)s allowed to call it: the
 # popcount sweep (T and S, which the code weights relabel) and the T table it
-# reads span by span, which Artin-Schreier also reads; the Walsh kernel, which only the
-# gamma-sweep reads; the gamma-axis proof, which cyclicity also reads; the
-# orbit-closure proof, which the sweeps that read one row per orbit and
-# cyclicity read; the x -> pi x row comparison, which only the orbit
-# closure makes; the trace
-# rows, which the orbit closure proves; the point counts; and the thread
-# pool, which only the correlation sweep sums its work over.
+# reads span by span, which Artin-Schreier also reads; the Walsh kernel and
+# the gamma-axis proof, which only the gamma-sweep reads; the orbit lemma,
+# which every reader of one row per orbit, the gamma axis and cyclicity
+# read; the checked trace-row reader, its row check, and the value-row
+# check of the kernel sizes and the point counts; the trace rows, which
+# only that reader and the codewords build; the point counts; and the
+# thread pool, which only the correlation sweep sums its work over.
 KERNEL_CALLERS = {
     "_popcount_sweep": {("expsum.py", "t_spectrum"),
                         ("expsum.py", "s_spectrum")},
     "_walsh": {("expsum.py", "gamma_sweep")},
-    "_gamma_axis": {("expsum.py", "gamma_sweep"),
-                    ("expsum.py", "_popcount_sweep"),
-                    ("codes.py", "check_cyclicity")},
-    "_orbit_closure": {("expsum.py", "_popcount_sweep"),
-                       ("expsum.py", "gamma_sweep"),
-                       ("expsum.py", "artin_schreier_sweep"),
-                       ("linearized.py", "kernel_dims"),
-                       ("codes.py", "check_cyclicity")},
-    "_row_closure": {("expsum.py", "_orbit_closure")},
+    "_gamma_axis": {("expsum.py", "gamma_sweep")},
+    "_orbit_lemma": {("expsum.py", "_popcount_sweep"),
+                     ("expsum.py", "gamma_sweep"),
+                     ("expsum.py", "_gamma_axis"),
+                     ("expsum.py", "artin_schreier_sweep"),
+                     ("linearized.py", "kernel_dims"),
+                     ("codes.py", "check_cyclicity")},
+    "_read_rows": {("expsum.py", "_popcount_sweep"),
+                   ("expsum.py", "_t_table"),
+                   ("expsum.py", "gamma_sweep"),
+                   ("expsum.py", "artin_schreier_sweep"),
+                   ("codes.py", "check_cyclicity")},
+    "_check_rows": {("expsum.py", "_read_rows"),
+                    ("expsum.py", "_check_value_rows")},
+    "_check_value_rows": {("expsum.py", "artin_schreier_sweep"),
+                          ("linearized.py", "kernel_dims")},
     "_popcounts": {("expsum.py", "_t_table")},
     "_t_table": {("expsum.py", "_popcount_sweep"),
                  ("expsum.py", "artin_schreier_sweep")},
-    "_trace_rows": {("expsum.py", "_popcount_sweep"),
-                    ("expsum.py", "gamma_sweep"),
-                    ("expsum.py", "artin_schreier_sweep"),
-                    ("expsum.py", "_orbit_closure"),
+    "_trace_rows": {("expsum.py", "_read_rows"),
                     ("codes.py", "_word_rows")},
     "artin_schreier_points": {("expsum.py", "artin_schreier_sweep")},
     "_summed": {("sequences.py", "correlation_distribution")},
@@ -379,6 +385,38 @@ def test_only_the_two_sweeps_call_the_kernels(path):
     assert [(line, name, owner) for line, name, owner
             in kernel_calls(path.read_text())
             if (path.name, owner) not in KERNEL_CALLERS[name]] == []
+
+
+# The O(q^2) full-table proofs of the x -> pi x law, which the orbit lemma
+# replaced; they live on as oracles in tests/reference.py.
+FULL_TABLE_PROOFS = {"_row_closure", "_orbit_closure", "row_closure",
+                     "orbit_closure"}
+
+
+def full_table_proofs(source):
+    """(line, name) of every function or class defined, at any depth, under
+    a name of FULL_TABLE_PROOFS."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return sorted((node.lineno, node.name)
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, kinds)
+                  and node.name in FULL_TABLE_PROOFS)
+
+
+def test_full_table_guard_flags_every_definition():
+    source = ("def _row_closure(build, coeffs, images, perm, name):\n"
+              "    pass\n"
+              "def sweep(ctx):\n"
+              "    def _orbit_closure():\n"
+              "        pass\n"
+              "    return _row_closure, orbit_closure(ctx)\n")
+    assert full_table_proofs(source) == [(1, "_row_closure"),
+                                         (4, "_orbit_closure")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_full_table_orbit_proof_in_the_package(path):
+    assert full_table_proofs(path.read_text()) == []
 
 
 STATUSES = ("MATCH", "MISMATCH", "FLAGGED", "SKIPPED", "ERROR")
