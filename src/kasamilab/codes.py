@@ -8,10 +8,10 @@ h1*h2*h3, where the h_i are minimal polynomials of pi^-1, pi^-(2^k+1) and
 pi^-(2^m+1), each a GF(2) mask with bit i at x^i. A word is 0 at x = 0, so the weight distributions are T (c1)
 and S (c2) relabelled, measured or closed form: the popcount sweep runs once
 per histogram, in expsum, and the direct Hamming counts of the words are the
-tests' oracles. Cyclicity is the sweeps' x -> pi x orbit lemma on the same
-three row tables, each row checked against its definition, rather than a
-check of the words they XOR to. Cyclicity and the parity check return
-nothing and raise `VerificationError` on a disagreement.
+tests' oracles. Cyclicity is the sweeps' x -> pi x orbit lemma on the
+tables that `expsum._rows` builds each of the three row tables from, rather
+than a check of the words they XOR to. Cyclicity and the parity check
+return nothing and raise `VerificationError` on a disagreement.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .distribution import VerificationError, _pack_bits, pack_bits_hex
-from .expsum import (_blocks, _read_rows, _trace_rows, s_spectrum_formula,
-                     t_spectrum_formula)
+from .expsum import _trace_rows, s_spectrum_formula, t_spectrum_formula
 from .field import (_gf2_polymul, _gf2_polymod, _orbit_lemma,
                     subfield_elements)
 
@@ -28,7 +27,6 @@ __all__ = [
     "minimal_poly", "h_polynomials", "parity_check_mask", "code_dimension",
     "codeword_c1", "codeword_c2", "weight_distribution",
     "weight_distribution_formula", "check_cyclicity", "codeword_dump_lines",
-    "CYCLICITY_EXHAUSTIVE_MAX_N",
 ]
 
 CODES = ("c1", "c2")
@@ -77,10 +75,6 @@ def code_dimension(params, code):
     if code not in CODES:
         raise ValueError(f"code must be one of {CODES}, got {code!r}")
     return (3 if code == "c1" else 5) * params.m
-
-
-# Above this n, check_cyclicity checks a fixed sample of parameter tuples.
-CYCLICITY_EXHAUSTIVE_MAX_N = 6
 
 
 def _word_rows(ctx, params, alphas, betas, gammas):
@@ -138,32 +132,20 @@ def weight_distribution_formula(params, code):
 
 def check_cyclicity(ctx, params, code):
     """Shift-closure: rotating any codeword lands on another codeword, or
-    `VerificationError` naming the table whose rows are not closed.
+    `VerificationError` in the orbit lemma's own text.
 
     Rotation by one reads the word of (alpha, beta, gamma) at pi x, which
     must be the word of (alpha pi^e1, beta pi^e2, gamma pi); c1 is the case
     gamma = 0. A word XORs one row of three tables, each holding the zero
     row, so this holds iff each row read at pi x is the row of its image.
-    The sweeps' orbit lemma, `field._orbit_lemma`, proves that of every row
-    as defined, so it holds once `_read_rows` has checked each row against
-    its definition: the alpha and beta rows (all for n <=
-    CYCLICITY_EXHAUSTIVE_MAX_N, else a fixed sample) and, for c2, every
-    gamma row, in `_blocks`. The lemma and the check raise their own text.
+    Each row is built from its definition Tr(c P_e[x]) by `expsum._rows`,
+    so the sweeps' orbit lemma, `field._orbit_lemma`, on the tables P_e1,
+    P_e2 and, for c2, P_1, proves it for every row at every n.
     """
     if code not in CODES:
         raise ValueError(f"code must be one of {CODES}, got {code!r}")
-    q, sub = ctx.q, subfield_elements(ctx, params.m)
-    alphas, betas = sub, range(q)
-    if ctx.n > CYCLICITY_EXHAUSTIVE_MAX_N:
-        alphas = sub[:3] + sub[-1:]
-        betas = list(range(0, q, max(1, q // 7))) + [q - 1]
-    _orbit_lemma(ctx, params.e_norm, params.e_quad)
-    _read_rows(ctx, params, alphas, [], [])
-    for block in _blocks(betas, q):
-        _read_rows(ctx, params, [], block, [])
-    if code == "c2":
-        for block in _blocks(range(q), q):
-            _read_rows(ctx, params, [], [], block)
+    _orbit_lemma(ctx, params.e_norm, params.e_quad,
+                 *((1,) if code == "c2" else ()))
 
 
 def codeword_dump_lines(ctx, params, code):

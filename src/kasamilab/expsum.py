@@ -8,9 +8,10 @@ weights are wt, each counted as wt at g = 0 plus q - 1 copies of wt at g = 1.
 That leans on the orbit lemma, `field._orbit_lemma`: x -> c x carries the
 row of (a, b, g) onto that of (a c^e1, b c^e2, g c), so g = 1 stands for
 every g != 0, and alpha = 1 and one beta per stabilizer orbit for every
-pair, once `_read_rows` has checked each row a sweep reads against its
-definition. The gamma-sweep transforms those rows' signs (int16 while q
-fits, else int32) over an axis `_gamma_axis` proves to be the gamma axis.
+pair, since `_rows` builds each row a sweep reads from its definition on
+the lemma's tables. The gamma-sweep transforms those rows' signs (int16
+while q fits, else int32) over an axis `_gamma_axis` proves to be the
+gamma axis.
 Closed-form tables, split on the parity case, predict each sweep; callers
 compare the two, never papering over a mismatch.
 """
@@ -23,9 +24,8 @@ from math import gcd
 import numpy as np
 
 from .distribution import ValueDistribution, VerificationError, _exact, _p2
-from .field import (_TIMES_PI, _cached, _gf2_linear, _mul, _orbit_lemma,
-                    power_table, rel_trace_table, subfield_elements,
-                    trace_bit_matrix)
+from .field import (_cached, _gf2_linear, _mul, _orbit_lemma, power_table,
+                    rel_trace_table, subfield_elements)
 
 __all__ = [
     "t_spectrum", "t_spectrum_formula", "s_spectrum",
@@ -38,77 +38,52 @@ _LAST_ROW_NOTE = ("tabulated distribution lists the single all-zero row with "
                   "emitted here (misprint flagged, not silently adopted)")
 
 
+def _rows(ctx, coeffs, e, outer=None):
+    """Row outer[c P_e[x]] over x in mask order for each coefficient c (one
+    row for a scalar c), P_e the x^e table: uint8 trace bits, outer being a
+    trace table, or without outer the int64 values c x^e. This is the
+    definition the orbit lemma's law is read on, and every row the package
+    reads is built here, span by span, at most 2^15 // q rows of int64
+    products at a time. A trace row holding a value other than 0 or 1
+    raises `VerificationError` (Tr_m is a bit only on GF(2^m))."""
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    flat, powers = coeffs.reshape(-1), power_table(ctx, e)
+    out = np.empty((len(flat), ctx.q), np.int64 if outer is None else np.uint8)
+    if outer is not None:
+        # Every entry off the bits reads as 2 or 255.
+        outer = np.clip(outer, -1, 2).astype(np.uint8)
+    span = max(1, (1 << 15) // ctx.q)
+    for i in range(0, len(flat), span):
+        rows = out[i:i + span]
+        values = _mul(ctx, flat[i:i + span, None], powers)
+        if outer is None:
+            rows[...] = values
+        elif (np.take(outer, values, out=rows) > 1).any():
+            raise VerificationError(
+                f"a trace row of x^{e} holds a value other than 0 or 1")
+    return out.reshape(coeffs.shape + (ctx.q,))
+
+
 def _trace_rows(ctx, params, alphas, betas, gammas):
     """uint8 rows over x in GF(2^n), in mask order, of Tr_m(a x^e1),
-    Tr_n(b x^e2) and Tr_n(g x), one row per coefficient; every a must lie in
-    GF(2^m). Each row is written straight into its table, so the working
-    memory beside the tables is O(q): an alpha row through one product of
-    logs and one relative-trace gather, the others by `trace_bit_matrix`."""
+    Tr_n(b x^e2) and Tr_n(g x), one row per coefficient, each built by
+    `_rows`; every a must lie in GF(2^m)."""
     alphas = np.asarray(alphas, dtype=np.int64)
     outside = alphas[power_table(ctx, 1 << params.m)[alphas] != alphas]
     if len(outside):
         raise ValueError(f"alpha {int(outside[0]):#x} is not in the "
                          f"GF(2^{params.m}) subfield")
-    norm = power_table(ctx, params.e_norm)
     trace_m = rel_trace_table(ctx, 1, params.m)
-    arows = np.empty((len(alphas), ctx.q), dtype=np.uint8)
-    for row, alpha in zip(arows, alphas.tolist()):
-        np.take(trace_m, _mul(ctx, alpha, norm), out=row)
-    brows = trace_bit_matrix(ctx, params.e_quad, betas)
-    grows = trace_bit_matrix(ctx, 1, gammas)
-    return arows, brows, grows
+    trace_n = rel_trace_table(ctx, 1, params.n)
+    return (_rows(ctx, alphas, params.e_norm, trace_m),
+            _rows(ctx, betas, params.e_quad, trace_n),
+            _rows(ctx, gammas, 1, trace_n))
 
 
 def _monomial_rows(ctx, coeffs, h):
-    """Rows of c x^(2^h+1) over x in mask order, one per coefficient c, as
-    c (x x^(2^h)), sharing no power table with the trace rows."""
-    powers = _mul(ctx, np.arange(ctx.q), power_table(ctx, 1 << h))
-    return _mul(ctx, np.asarray(coeffs)[..., None], powers)
-
-
-def _check_rows(ctx, name, rows, coeffs, e, outer=None):
-    """Raise unless row i of rows is outer[c x^e] over x in mask order (c
-    x^e itself without outer), c = coeffs[i]: the definition the orbit
-    lemma's law is read on, formed by products and power tables, not as
-    the row was built. Checked in spans of at most 2^15 // q rows."""
-    coeffs = np.asarray(coeffs, dtype=np.int64)
-    powers, span = power_table(ctx, e), max(1, (1 << 15) // ctx.q)
-    for i in range(0, len(coeffs), span):
-        want = _mul(ctx, coeffs[i:i + span, None], powers)
-        if outer is not None:
-            want = outer[want]
-        bad = np.flatnonzero((rows[i:i + span] != want).any(axis=1))
-        if bad.size:
-            raise VerificationError(
-                f"the {name} row of {int(coeffs[i + bad[0]]):#x} is off its "
-                f"definition, so the {name} rows are not closed under "
-                f"{_TIMES_PI}")
-
-
-def _read_rows(ctx, params, alphas, betas, gammas):
-    """`_trace_rows`, each row checked by `_check_rows` against its
-    definition Tr_m(a x^e1), Tr_n(b x^e2) or Tr_n(g x), the traces being
-    the sums of Frobenius powers of `rel_trace_table`: every trace row a
-    sweep reads comes through here."""
-    rows = _trace_rows(ctx, params, alphas, betas, gammas)
-    trace_m = rel_trace_table(ctx, 1, params.m)
-    trace_n = rel_trace_table(ctx, 1, params.n)
-    for args in zip(("alpha", "beta", "gamma"), rows, (alphas, betas, gammas),
-                    (params.e_norm, params.e_quad, 1),
-                    (trace_m, trace_n, trace_n)):
-        _check_rows(ctx, *args)
-    return rows
-
-
-def _check_value_rows(ctx, params, aprimes, betas):
-    """Check the value rows a' x^e1 and beta x^e2 of `_monomial_rows` that
-    the kernel sizes and the point counts read against their definitions
-    c P_e[x], by `_check_rows`."""
-    for name, coeffs, h in (("a' x^e1", aprimes, params.m),
-                            ("beta x^e2", betas, params.k)):
-        coeffs = np.asarray(coeffs, dtype=np.int64)
-        _check_rows(ctx, name, _monomial_rows(ctx, coeffs, h), coeffs,
-                    (1 << h) + 1)
+    """int64 value rows c x^(2^h+1) over x in mask order, one per
+    coefficient c, by `_rows`."""
+    return _rows(ctx, coeffs, (1 << h) + 1)
 
 
 def _butterflies(mat, h):
@@ -188,15 +163,15 @@ def _popcounts(apacked, bpacked):
 def _t_table(ctx, params, apacked, betas):
     """T(alpha, beta) = q - 2 wt(row) for each packed alpha row of trace bits
     (one row of the result each) and each beta (one column each), the row
-    being the alpha row XOR the bits Tr_n(b x^e2). The beta rows are read
-    by `_read_rows` in `_blocks` and each block is packed as it is read, so
-    only one block of them is ever unpacked."""
+    being the alpha row XOR the bits Tr_n(b x^e2). The beta rows are built
+    in `_blocks` and each block is packed as it is built, so only one block
+    of them is ever unpacked."""
     q = ctx.q
     bpacked = np.empty((len(betas), q // 8), dtype=np.uint8)
     done = 0
     for block in _blocks(betas, q):
         bpacked[done:done + len(block)] = np.packbits(
-            _read_rows(ctx, params, [], block, [])[1], axis=-1)
+            _trace_rows(ctx, params, [], block, [])[1], axis=-1)
         done += len(block)
     return q - 2 * _popcounts(apacked, bpacked)
 
@@ -209,7 +184,7 @@ def _popcount_sweep(ctx, params, linear=False):
 
     For c != 0, x -> c x keeps each weight and reads the row of (alpha,
     beta, gamma) as that of (alpha c^e1, beta c^e2, gamma c), by the orbit
-    lemma on the rows `_read_rows` checks. As c^e1 runs over GF(2^m)*, T
+    lemma on the rows `_rows` builds. As c^e1 runs over GF(2^m)*, T
     over alpha != 0 is 2^m - 1 times T over alpha = 1, and the betas that
     alpha = 0 and alpha = 1 read fall into orbits under c^e2, c over all of
     GF(q)* and over the stabilizer c^e1 = 1: the cosets of pi^g, g =
@@ -217,9 +192,10 @@ def _popcount_sweep(ctx, params, linear=False):
     = 0 and one beta pi^j, j < g, per orbit, weighted by its size L / g.
 
     S at gamma = 0 is T; with c = 1/gamma, S over gamma != 0 is q - 1 times
-    the sweep of every alpha row XOR Tr_n(x) against every beta, max(64,
-    2^21 // q) betas at a time, on one thread: a span of beta rows is at
-    most 256 kB packed up to n = 14, and is never held unpacked.
+    the sweep of every alpha row XOR Tr_n(x), built on the x^1 table whose
+    law the lemma proves too, against every beta, max(64, 2^21 // q) betas
+    at a time, on one thread: a span of beta rows is at most 256 kB packed
+    up to n = 14, and is never held unpacked.
     """
     q, m, order = ctx.q, params.m, ctx.order
     _orbit_lemma(ctx, params.e_norm, params.e_quad)
@@ -227,15 +203,16 @@ def _popcount_sweep(ctx, params, linear=False):
     for alpha, g, times in ((0, gcd(params.e_quad, order), 1),
                             (1, gcd(((1 << m) - 1) * params.e_quad, order),
                              (1 << m) - 1)):
-        apacked = np.packbits(_read_rows(ctx, params, [alpha], [], [])[0],
+        apacked = np.packbits(_trace_rows(ctx, params, [alpha], [], [])[0],
                               axis=-1)
         t = _t_table(ctx, params, apacked, np.append(0, ctx.exp_table[:g]))
         np.add.at(weights, (q - t[0]) >> 1,
                   times * np.append(1, np.full(g, order // g)))
     name, covered, total = "T", "pairs", 1 << (3 * m)
     if linear:
-        arows, _, grow = _read_rows(ctx, params, subfield_elements(ctx, m),
-                                    [], [1])
+        _orbit_lemma(ctx, 1)
+        arows, _, grow = _trace_rows(ctx, params, subfield_elements(ctx, m),
+                                     [], [1])
         apacked = np.packbits(arows ^ grow, axis=-1)
         chunk = max(64, (1 << 21) // q)
         for i in range(0, q, chunk):
@@ -273,9 +250,11 @@ def gamma_sweep(ctx, params, dims):
     """None when S over gamma, for each pair with alpha in {0, 1}, has the
     counts of 0 and +-peak (they sum to q) `gamma_sweep_formula` gives its
     rank, s - dims[alpha, beta] of the two `kernel_dims` rows ((0, 0) has no
-    form); else raises VerificationError naming the first pair off its law.
-    The orbit lemma, on the rows `_read_rows` checks, lets alpha = 1 stand
-    for alpha != 0, and `_gamma_axis` makes the transform index gamma."""
+    form); else raises VerificationError naming the first pair off its law,
+    the betas taken in `_blocks`, each block's rows built once for both
+    alphas and read for alpha = 0 before alpha = 1. The orbit lemma, on the
+    rows `_rows` builds, lets alpha = 1 stand for alpha != 0, and
+    `_gamma_axis` makes the transform index gamma."""
     table = np.zeros((params.s + 1, 4), dtype=np.int64)
     for rank in range(0, params.s + 1, 2):
         want = gamma_sweep_formula(params, rank)
@@ -283,9 +262,11 @@ def gamma_sweep(ctx, params, dims):
         table[rank] = peak, want.count(0), want.count(peak), want.count(-peak)
     _orbit_lemma(ctx, params.e_norm, params.e_quad)
     _gamma_axis(ctx)
-    for alpha in (0, 1):
-        for betas in _blocks(np.arange(ctx.q), ctx.q):
-            arow, brows, _ = _read_rows(ctx, params, [alpha], betas, [])
+    alphas = (0, 1)
+    arows = _trace_rows(ctx, params, alphas, [], [])[0]
+    for betas in _blocks(np.arange(ctx.q), ctx.q):
+        brows = _trace_rows(ctx, params, [], betas, [])[1]
+        for alpha, arow in zip(alphas, arows):
             walsh = _walsh(arow ^ brows)
             ranks = params.s - dims[alpha, betas]
             peak = table[ranks, :1].astype(walsh.dtype)
@@ -449,16 +430,14 @@ def artin_schreier_sweep(ctx, params):
     """None when every curve (a', beta) has q + (2^d - 1) T(Tr^n_m(a'), beta)
     points, a' over 0 and the 2^m + 1 cosets pi^j of the powers of pi^e1
     ((0, 0) left out); else raises VerificationError naming the first curve
-    off. The orbit lemma, on the value rows `_check_value_rows` checks and
-    the trace rows `_read_rows` checks, lets each a' stand for its coset
-    (Tr^n_m is GF(2^m)-linear)."""
+    off. The orbit lemma, on the value and trace rows `_rows` builds, lets
+    each a' stand for its coset (Tr^n_m is GF(2^m)-linear)."""
     _orbit_lemma(ctx, params.e_norm, params.e_quad)
     aprimes = np.append(0, ctx.exp_table[:(1 << params.m) + 1])
-    _check_value_rows(ctx, params, aprimes, [])
     traces = rel_trace_table(ctx, params.m, params.n)[aprimes]
-    apacked = np.packbits(_read_rows(ctx, params, traces, [], [])[0], axis=-1)
+    apacked = np.packbits(_trace_rows(ctx, params, traces, [], [])[0],
+                          axis=-1)
     for betas in _blocks(np.arange(ctx.q), ctx.q):
-        _check_value_rows(ctx, params, [], betas)
         want = ctx.q + ((1 << params.d) - 1) * _t_table(ctx, params, apacked,
                                                           betas)
         got = np.stack([artin_schreier_points(ctx, params, a, betas)

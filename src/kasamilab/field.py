@@ -1,15 +1,14 @@
 """GF(2^n) arithmetic on int bit masks, with table-driven numpy kernels.
 
 Elements are ints whose bit j is the coefficient of x^j in the polynomial
-basis. A FieldContext holds the exp/log/trace tables for one modulus; the
-heavier derived tables (power maps, relative traces, the zero-safe log/exp
-pair behind the elementwise product `_mul`, the window of rotations of the
-m-sequence Tr(pi^t) that every trace row is gathered from, as uint8 bits, and
-the logs of x^e it is read at), and the proofs the sweeps lean on, are made
+basis. A FieldContext holds the exp/log tables for one modulus; the derived
+tables (power maps, relative traces, and the zero-safe log/exp pair behind
+the elementwise product `_mul`) and the proofs the sweeps lean on are made
 on demand and kept read-only on the context by `_cached`, the one reader and
-writer of its cache. The trace rows themselves are not cached. The orbit
-lemma, `_orbit_lemma`, proves in O(q) per field and per exponent that
-x -> c x carries each row f(a x^e) onto the row of a c^e, for every c != 0.
+writer of its cache. Every row a sweep reads, f(a P_e[x]) over x, is built
+from those tables by `expsum._rows`, and is not cached. The orbit lemma,
+`_orbit_lemma`, proves in O(q) per field and per exponent that x -> c x
+carries each such row onto the row of a c^e, for every c != 0.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from functools import partial
 from math import gcd
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .distribution import VerificationError
 
@@ -27,15 +25,10 @@ __all__ = [
     "FieldElement", "FieldContext", "Params", "build_field", "derive_params",
     "subfield_elements",
     "find_primitive_polynomial", "is_irreducible", "is_primitive",
-    "power_table", "rel_trace_table", "trace_bit_matrix", "bit_count",
+    "power_table", "rel_trace_table",
 ]
 
 FieldElement = int
-
-
-def bit_count(a):
-    """Per-element popcount of an integer ndarray."""
-    return np.bitwise_count(a.astype(np.uint64)).astype(np.int64)
 
 
 def _factorize(x):
@@ -178,14 +171,13 @@ def derive_params(n, k):
 
 @dataclass(frozen=True, eq=False)
 class FieldContext:
-    """Tables for one GF(2^n) instance."""
+    """Exp and log tables for one GF(2^n) instance, and its cache."""
 
     n: int
     modulus: int
     pi: FieldElement
     exp_table: np.ndarray
     log_table: np.ndarray
-    trace_table: np.ndarray
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -234,21 +226,8 @@ def build_field(n, modulus=None):
             x ^= modulus
     if x != 1:
         raise VerificationError("exp table walk did not return to 1")
-
-    tr_mask = 0
-    for j in range(n):
-        acc = 0
-        y = 1 << j
-        for _ in range(n):
-            acc ^= y
-            y = _gf2_mulmod(y, y, modulus)
-        if acc not in (0, 1):
-            raise VerificationError(f"trace of x^{j} is {acc:#x}, not a bit")
-        tr_mask |= acc << j
-    trace = (bit_count(np.arange(q, dtype=np.int64) & tr_mask) & 1).astype(np.uint8)
-
     return FieldContext(n=n, modulus=modulus, pi=2, exp_table=exp,
-                        log_table=log, trace_table=trace)
+                        log_table=log)
 
 
 def subfield_elements(ctx, m):
@@ -311,8 +290,8 @@ def _orbit_lemma(ctx, *exponents):
     A product of the log tables adds logs mod L, so x -> c x is then x ->
     pi x taken log c times, a linear permutation, for every c != 0, and
     P_e[c x] = c^e P_e[x]. Read at c x, a row f(a P_e[x]) over x, whatever
-    f, is the row of a c^e: a sweep that checks each row it reads against
-    that definition may let one coefficient stand for its orbit.
+    f, is the row of a c^e: a sweep that builds each row it reads from that
+    definition may let one coefficient stand for its orbit.
     """
     def times_pi():
         log, exp, q = ctx.log_table, ctx.exp_table, ctx.q
@@ -386,29 +365,3 @@ def rel_trace_table(ctx, i, j):
         return acc
 
     return _cached(ctx, ("rtr", i, j), table)
-
-
-def _rotations(ctx):
-    """Every rotation of the m-sequence seq[t] = Tr(pi^t) as uint8 bits, row
-    i rotated left by i: a read-only window on seq doubled, cached."""
-    return _cached(ctx, "rotations", lambda: sliding_window_view(
-        np.tile(ctx.trace_table[ctx.exp_table], 2), ctx.order))
-
-
-def trace_bit_matrix(ctx, e, coeffs):
-    """uint8 rows of Tr(c x^e) over x in mask order, one per coefficient c.
-
-    For nonzero c and x, Tr(c x^e) = seq[(log c + e log x) mod L], so row c
-    is one gather, at e log x mod L, from the rotation of seq by log c. Those
-    logs are made once per exponent and cached. The log of 0 reads as -1, a
-    valid index; column x = 0 and the rows of c = 0 are then set to
-    Tr(0) = 0.
-    """
-    window, e = _rotations(ctx), e % ctx.order
-    logs = _cached(ctx, ("log_pow", e), lambda: ctx.log_table * e % ctx.order)
-    coeffs = np.asarray(coeffs, dtype=np.int64)
-    out = np.empty((len(coeffs), ctx.q), dtype=np.uint8)
-    for row, shift in zip(out, ctx.log_table[coeffs].tolist()):
-        np.take(window[shift], logs, out=row)
-    out[:, 0] = out[coeffs == 0] = 0
-    return out

@@ -12,8 +12,9 @@ schoolbook `reference.psi_roots_naive` with the full kernel table.
 
 The kernel law is checked in one place, `_kernel_dims`, from the phi rows'
 bits, on the rows alpha = 0 and 1 that the rank profile and the gamma-sweep
-read; x -> pi x (the orbit lemma, `field._orbit_lemma`) lets alpha = 1
-stand for every alpha != 0.
+read; x -> pi x (the orbit lemma, `field._orbit_lemma`, on the value rows
+`expsum._rows` builds from their definitions) lets alpha = 1 stand for
+every alpha != 0.
 
 Results are plain tuples, measured and closed form alike: a rank profile is
 (n0, n2, n4), the counts of ranks s, s - 2 and s - 4, and root counts are
@@ -27,8 +28,7 @@ from math import gcd
 import numpy as np
 
 from .distribution import VerificationError, _exact, _histogram, _p2
-from .expsum import (_blocks, _check_value_rows, _eps1, _monomial_rows,
-                     t_spectrum_formula)
+from .expsum import _blocks, _eps1, _monomial_rows, t_spectrum_formula
 from .field import _gf2_linear, _mul, _orbit_lemma, power_table
 
 __all__ = [
@@ -37,17 +37,23 @@ __all__ = [
 ]
 
 
-def _phi_rows(ctx, params, alpha, betas):
-    """phi_{alpha,beta}(x) over all x, one row per beta: x phi(x) = alpha x^e1
-    + beta x^e2 + (beta x^e2)^(2^(n-k)), read off the value rows."""
-    x_phi = _monomial_rows(ctx, betas, params.k)
-    x_phi ^= power_table(ctx, 1 << (params.n - params.k))[x_phi]
-    x_phi ^= _monomial_rows(ctx, alpha, params.m)
-    return _mul(ctx, power_table(ctx, ctx.order - 1), x_phi)
+def _phi_rows(ctx, params, alphas, betas):
+    """phi_{alpha,beta}(x) over all x, one table per alpha (in order) with
+    one row per beta: x phi(x) = alpha x^e1 + beta x^e2 +
+    (beta x^e2)^(2^(n-k)), read off the value rows. The beta part is built
+    and divided by x once for every alpha; each alpha's value row, divided
+    by x, is XORed in as its table is read."""
+    inverse = power_table(ctx, ctx.order - 1)
+    part = _monomial_rows(ctx, betas, params.k)
+    part ^= power_table(ctx, 1 << (params.n - params.k))[part]
+    part = _mul(ctx, inverse, part)
+    for arow in _monomial_rows(ctx, alphas, params.m):
+        yield part ^ _mul(ctx, inverse, arow)
 
 
-def _kernel_dims(ctx, params, alpha, betas):
-    """Kernel dimension over GF(q0) of phi_{alpha,beta}, one per beta.
+def _kernel_dims(ctx, params, alphas, betas):
+    """Kernel dimensions over GF(q0) of phi_{alpha,beta}, one row per alpha
+    and one column per beta.
 
     Checked from the bits of the phi rows: each kernel size is a power of
     q0, and each phi is GF(2)-linear and commutes with a generator g of
@@ -59,33 +65,32 @@ def _kernel_dims(ctx, params, alpha, betas):
     g = ctx.pow(ctx.pi, ctx.order // (params.q0 - 1))
     basis = 1 << np.arange(ctx.n, dtype=np.int64)
     betas = np.asarray(betas, dtype=np.int64)
-    phi = _phi_rows(ctx, params, alpha, betas)
-    sizes = np.count_nonzero(phi == 0, axis=1)
-    dims = dim_of[sizes]
-    if (dims < 0).any():
-        raise VerificationError(f"kernel size {sizes[dims < 0][0]} is "
-                                f"not a power of q0={params.q0}")
-    linear = _gf2_linear(phi) & (
-        phi[:, _mul(ctx, g, basis)] == _mul(ctx, g, phi[:, basis])).all(1)
-    if not linear.all():
-        raise VerificationError(f"phi_({alpha:#x}, {betas[~linear][0]:#x}) "
-                                f"is not GF({params.q0})-linear")
-    return dims
+    out = []
+    for alpha, phi in zip(alphas, _phi_rows(ctx, params, alphas, betas)):
+        sizes = np.count_nonzero(phi == 0, axis=1)
+        dims = dim_of[sizes]
+        if (dims < 0).any():
+            raise VerificationError(f"kernel size {sizes[dims < 0][0]} is "
+                                    f"not a power of q0={params.q0}")
+        linear = _gf2_linear(phi) & (
+            phi[:, _mul(ctx, g, basis)] == _mul(ctx, g, phi[:, basis])).all(1)
+        if not linear.all():
+            raise VerificationError(
+                f"phi_({alpha:#x}, {betas[~linear][0]:#x}) is not "
+                f"GF({params.q0})-linear")
+        out.append(dims)
+    return np.stack(out)
 
 
 def kernel_dims(ctx, params):
     """Kernel dimensions over GF(q0) of phi_{alpha,beta} for alpha = 0 and
-    1, one row each, the betas in `_blocks`: the orbit lemma, on the value
-    rows a' x^e1 (a' = 0, 1) and beta x^e2 that `_check_value_rows` checks
-    against their definitions, lets alpha = 1 stand for every alpha != 0."""
+    1, one row each, the betas in `_blocks`, each block's beta part built
+    once for both: the orbit lemma, on the value rows a' x^e1 (a' = 0, 1)
+    and beta x^e2 that `expsum._rows` builds from their definitions, lets
+    alpha = 1 stand for every alpha != 0."""
     _orbit_lemma(ctx, params.e_norm, params.e_quad)
-    blocks = _blocks(range(ctx.q), ctx.q)
-    _check_value_rows(ctx, params, [0, 1], [])
-    for betas in blocks:
-        _check_value_rows(ctx, params, [], betas)
-    return np.stack([np.concatenate([_kernel_dims(ctx, params, alpha, betas)
-                                     for betas in blocks])
-                     for alpha in (0, 1)])
+    return np.concatenate([_kernel_dims(ctx, params, (0, 1), betas)
+                           for betas in _blocks(range(ctx.q), ctx.q)], axis=1)
 
 
 def rank_profile(dims, params):

@@ -21,7 +21,10 @@ checked against the naive functions above by the tests. `popcount_sweep`
 is the T and S sweep over every alpha row and every beta, without the
 stabilizer orbits. `orbit_closure` (through `row_closure`) and
 `gamma_axis` are the O(q^2) full-table proofs of the x -> pi x law that the
-package's O(q) orbit lemma replaced.
+package's O(q) orbit lemma replaced. `trace_bit_matrix` gathers trace rows
+from the rotations of the m-sequence Tr(pi^t), as the package once built
+them, the sequence taken by the schoolbook `trace_rel`: an oracle for the
+rows the package builds from their definitions.
 """
 
 from collections import Counter
@@ -32,7 +35,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from kasamilab import VerificationError, expsum, linearized
 from kasamilab.field import (_gf2_linear, _mul, power_table, rel_trace_table,
-                             subfield_elements, trace_bit_matrix)
+                             subfield_elements)
 
 __all__ = [
     "gf2_mul", "gf2_pow", "trace_rel", "smallest_primitive", "subfield",
@@ -43,7 +46,7 @@ __all__ = [
     "check_inequivalence",
     "correlation_rep_major", "decimation_orbits_per_row", "kernel_dims",
     "gamma_sweep", "artin_schreier_sweep", "popcount_sweep", "row_closure",
-    "orbit_closure", "gamma_axis",
+    "orbit_closure", "gamma_axis", "trace_bit_matrix",
 ]
 
 
@@ -440,8 +443,8 @@ def kernel_dims(ctx, params):
     """Kernel dimension over GF(q0) of every phi_{alpha,beta}: the full
     table, one row per alpha in `subfield_elements` order, one column per
     beta."""
-    return np.stack([linearized._kernel_dims(ctx, params, alpha, range(ctx.q))
-                     for alpha in subfield_elements(ctx, params.m)])
+    return linearized._kernel_dims(
+        ctx, params, subfield_elements(ctx, params.m), range(ctx.q))
 
 
 def gamma_sweep(ctx, params, dims):
@@ -571,3 +574,26 @@ def gamma_axis(ctx):
     if (shifted != index[times_pi]).any():
         raise VerificationError(
             "the gamma rows are not closed under x -> pi x")
+
+
+def trace_bit_matrix(ctx, e, coeffs):
+    """uint8 rows of Tr(c x^e) over x in mask order, one per coefficient c,
+    gathered from the m-sequence seq[t] = Tr(pi^t), Tr by `trace_rel` on
+    the basis and read as the parity of x & mask.
+
+    For nonzero c and x, Tr(c x^e) = seq[(log c + e log x) mod L], so row c
+    is one gather, at e log x mod L, from the rotation of seq by log c. The
+    log of 0 reads as -1, a valid index; column x = 0 and the rows of c = 0
+    are then set to Tr(0) = 0.
+    """
+    n, order = ctx.n, ctx.order
+    mask = sum(trace_rel(1 << j, 1, n, ctx.modulus, n) << j for j in range(n))
+    seq = (np.bitwise_count(ctx.exp_table & mask) & 1).astype(np.uint8)
+    window = sliding_window_view(np.tile(seq, 2), order)
+    logs = ctx.log_table * (e % order) % order
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    out = np.empty((len(coeffs), ctx.q), dtype=np.uint8)
+    for row, shift in zip(out, ctx.log_table[coeffs].tolist()):
+        np.take(window[shift], logs, out=row)
+    out[:, 0] = out[coeffs == 0] = 0
+    return out

@@ -269,13 +269,13 @@ def record_calls(monkeypatch, sweep, key):
 
 def test_verify_sweeps_each_kernel_once(tmp_path, monkeypatch):
     # rank-profile and gamma-sweep read one kernel table: the validator runs
-    # once per row, alpha = 0 and alpha = 1.
+    # once per block of betas (one at n = 6), on alpha = 0 and alpha = 1.
     calls = record_calls(monkeypatch, linearized._kernel_dims,
                          lambda *args: args[2])
     code, report, _ = run(tmp_path, "verify", "--n", "6", "--k", "1")
     assert code == 3
     assert statuses(report)["gamma-sweep"] == "match"
-    assert calls == [0, 1]
+    assert calls == [(0, 1)]
 
 
 @pytest.mark.parametrize("args,want", [
@@ -404,8 +404,9 @@ def _c2_word_flipped(ctx, params, code, word):
     check_parity(ctx, params, code, word)
 
 
-def _beta_rows_open(ctx, params, code):
-    raise VerificationError("the beta rows are not closed under x -> pi x")
+def _power_law_broken(ctx, params, code):
+    raise VerificationError(
+        "the x^3 table breaks x -> pi x: P[pi x] is not pi^3 P[x]")
 
 
 def _mismatch_cases():
@@ -432,8 +433,8 @@ def _mismatch_cases():
         ("minimal-polynomials", "kasamilab.cli.is_irreducible",
          lambda mask, degree: False,
          "h1 is reducible; h2 is reducible; h3 is reducible", []),
-        ("cyclicity", "kasamilab.cli.check_cyclicity", _beta_rows_open,
-         "the beta rows are not closed under x -> pi x", []),
+        ("cyclicity", "kasamilab.cli.check_cyclicity", _power_law_broken,
+         "the x^3 table breaks x -> pi x: P[pi x] is not pi^3 P[x]", []),
     ]
     parity = pytest.param(
         "minimal-polynomials", "kasamilab.cli.check_parity", _c2_word_flipped,

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -10,14 +11,14 @@ import pytest
 import reference as ref
 from kasamilab import (ValueDistribution, VerificationError, build_field,
                        check_cyclicity, check_parity, code_dimension, codes,
-                       codeword_c1, codeword_c2, derive_params, expsum,
+                       codeword_c1, codeword_c2, derive_params, expsum, field,
                        h_polynomials, kernel_dims, minimal_poly,
                        parity_check_mask, s_spectrum, subfield_elements,
                        t_spectrum,
                        weight_distribution, weight_distribution_formula)
 from kasamilab.cli import main
 from kasamilab.codes import codeword_dump_lines
-from kasamilab.field import _gf2_polymod, is_irreducible
+from kasamilab.field import _gf2_polymod, is_irreducible, power_table
 from test_expsum import flip_row_bit, traced_peak
 
 # (n, k) -> coefficient masks of (h1, h2, h3), frozen from the naive coset product.
@@ -175,51 +176,62 @@ def test_cyclicity_exhaustive(ctx4, p41, code):
     check_cyclicity(ctx4, p41, code)  # raises unless each proof holds
 
 
-# The orbit lemma is made once per field, so a test that patches a row
-# builder, or measures cyclicity, reads a field of its own.
+# The orbit lemma is made once per field, so a test that patches a table,
+# or measures cyclicity, reads a field of its own.
+
+def flipped_power_table(e):
+    """GF(16) with one bit of its x^e table flipped, at x = 15, before any
+    reader builds it."""
+    ctx = build_field(4)
+    table = power_table(build_field(4), e).copy()
+    table[15] ^= 1
+    field._cached(ctx, ("pow", e), lambda: table)
+    return ctx
+
+
+def power_law_broken(e):
+    """The orbit lemma's text for a broken x^e table, as a pattern."""
+    return re.escape(f"the x^{e} table breaks x -> pi x: P[pi x] is not "
+                     f"pi^{e} P[x]")
+
 
 @pytest.mark.parametrize("code", ["c1", "c2"])
-def test_cyclicity_detects_a_flipped_bit(code, monkeypatch):
-    ctx, p = build_field(4), derive_params(4, 1)
-    flip_row_bit(monkeypatch, 1, ctx.q - 1)
-    with pytest.raises(VerificationError,
-                       match="the beta rows are not closed under x -> pi x"):
+def test_cyclicity_detects_a_flipped_bit(code):
+    # Every beta row is built on the x^e2 table (e2 = 3 at k = 1); one bit
+    # flipped in it breaks the orbit lemma's law for both codes.
+    ctx, p = flipped_power_table(3), derive_params(4, 1)
+    with pytest.raises(VerificationError, match=power_law_broken(3)):
         check_cyclicity(ctx, p, code)
 
 
 @pytest.mark.parametrize("code", ["c1", "c2"])
-def test_cyclicity_checks_every_alpha(code, monkeypatch):
-    # The rows are compared one coefficient at a time; a bit flipped in the
-    # last alpha row leaves every other row closed.
-    ctx, p = build_field(4), derive_params(4, 1)
-    flip_row_bit(monkeypatch, 0, subfield_elements(ctx, p.m)[-1])
-    with pytest.raises(VerificationError,
-                       match="the alpha rows are not closed under x -> pi x"):
+def test_cyclicity_checks_every_alpha(code):
+    # Every alpha row is built on the x^e1 table (e1 = 5 at n = 4); one bit
+    # flipped in it breaks the orbit lemma's law for both codes.
+    ctx, p = flipped_power_table(5), derive_params(4, 1)
+    with pytest.raises(VerificationError, match=power_law_broken(5)):
         check_cyclicity(ctx, p, code)
 
 
-def test_cyclicity_checks_every_gamma_row(monkeypatch):
-    # A repeated gamma row, the row of 2 made that of 1, breaks c2 alone,
-    # the only code that XORs gamma rows.
-    replace_row(monkeypatch, "gamma", 2, 1)
-    ctx, p = build_field(4), derive_params(4, 1)
+def test_cyclicity_checks_every_gamma_row():
+    # The gamma rows Tr_n(g x) are built on the x^1 table; one bit flipped
+    # in it breaks c2 alone, the only code that XORs gamma rows.
+    ctx, p = flipped_power_table(1), derive_params(4, 1)
     check_cyclicity(ctx, p, "c1")
-    with pytest.raises(VerificationError,
-                       match="the gamma rows are not closed under x -> pi x"):
+    with pytest.raises(VerificationError, match=power_law_broken(1)):
         check_cyclicity(ctx, p, "c2")
 
 
 def test_cyclicity_memory_bounded_by_one_alpha():
-    # Only row tables are built, in blocks: 8 + 64 + 64 rows of 64 uint8
-    # bits, each block checked against its definitions. All 2^15 words at
-    # once, with their images and rotation, take 5.9 MB.
+    # Cyclicity builds no row, only the orbit lemma's tables of q entries.
+    # All 2^15 words at once, with their images and rotation, take 5.9 MB.
     ctx, p = build_field(6), derive_params(6, 1)
     assert traced_peak(check_cyclicity, ctx, p, "c2") < 2 * (1 << 20)
 
 
 def test_cyclicity_reads_only_the_row_tables(monkeypatch):
-    # No word is built, nor any row table in word order: the rows and their
-    # int64 definitions trace 115 KiB; one alpha's c2 words trace 778 KiB.
+    # No word is built, nor any row: the lemma's tables of q entries trace
+    # 12 KiB; one alpha's c2 words trace 778 KiB.
     def no_words(*args):
         raise AssertionError("check_cyclicity built codewords")
 
@@ -229,13 +241,11 @@ def test_cyclicity_reads_only_the_row_tables(monkeypatch):
     assert traced_peak(check_cyclicity, ctx, p, "c2") < 128 * (1 << 10)
 
 
-def test_exhaustive_cyclicity_memory_at_n12_bounded_by_its_blocks(
-        monkeypatch):
-    # Blocks of 128 rows of 4096 uint8 bits, 512 kB, each checked against
-    # its definitions 8 rows (256 kB of int64) at a time: 1.7 MiB (c1) and
-    # 1.3 MiB (c2) traced. Whole row tables in word order, with their
-    # images, trace 65 MiB for c1 and 97 MiB for c2.
-    monkeypatch.setattr(codes, "CYCLICITY_EXHAUSTIVE_MAX_N", 12)
+def test_exhaustive_cyclicity_memory_at_n12_bounded_by_its_blocks():
+    # Cyclicity is exhaustive at every n: the orbit lemma's tables of 4096
+    # entries trace 0.35 MiB for c1, and 0.13 MiB for c2 once c1 has built
+    # the shared ones. Whole row tables in word order, with their images,
+    # trace 65 MiB for c1 and 97 MiB for c2.
     ctx, p = build_field(12), derive_params(12, 1)
     for code in ("c1", "c2"):
         assert traced_peak(check_cyclicity, ctx, p, code) < 4 * (1 << 20)
@@ -317,15 +327,15 @@ def test_weights_are_popcounts_of_every_word(nk):
 def test_c2_sweep_memory_bounded_by_its_span():
     # The gamma = 0 sweep over orbit representatives and the gamma = 1
     # sweep over one span of 1024 beta rows, 128 kB packed, each block of
-    # rows checked against its definitions 32 rows (256 kB of int64) at a
-    # time. Walsh transforms of every (alpha, beta) pair over the gamma axis
-    # take more.
+    # rows built from its definitions 32 rows (256 kB of int64 products) at
+    # a time. Walsh transforms of every (alpha, beta) pair over the gamma
+    # axis take more.
     ctx, p = build_field(10), derive_params(10, 1)
     assert traced_peak(measured_weights, ctx, p, "c2") < 3 * (1 << 20)
 
 
 def test_c1_sweep_memory_bounded_by_its_chunk():
-    # T reads 68 beta rows of 4096 bits, the orbit representatives, checked
+    # T reads 68 beta rows of 4096 bits, the orbit representatives, built
     # 8 rows at a time. A (2^m, q) table of weights, an unpacked span of 512
     # beta rows or the q x q beta rows takes 2 MB or more.
     ctx, p = build_field(12), derive_params(12, 1)
@@ -341,38 +351,11 @@ def test_c2_weights_match_the_formula_exhaustively(nk):
 
 def test_c2_memory_at_n12_bounded_by_the_gamma_table():
     # The gamma = 1 sweep reads the beta rows in spans of 512, 256 kB
-    # packed, built in blocks of 128 rows of 4096 uint8 bits (512 kB) and
-    # checked 8 rows (256 kB of int64) at a time: 2.5 MiB traced. The q x q
+    # packed, built in blocks of 128 rows of 4096 uint8 bits (512 kB), each
+    # 8 rows (256 kB of int64 products) at a time: 2.5 MiB traced. The q x q
     # beta or gamma table alone takes 16 MB.
     ctx, p = build_field(12), derive_params(12, 1)
     assert traced_peak(measured_weights, ctx, p, "c2") < 3 * (1 << 20)
-
-
-def replace_row(monkeypatch, table, coeff, by):
-    """Patch one row table wherever the package builds it: the row of coeff
-    becomes the row of by. The alpha rows come from the trace rows; the
-    beta rows Tr_n(b x^3) (e2 = 3 at k = 1) and the gamma rows Tr_n(g x)
-    from the trace bit matrix."""
-    if table == "alpha":
-        build = expsum._trace_rows
-
-        def broken(ctx, params, alphas, *coeffs):
-            rows = build(ctx, params, alphas, *coeffs)
-            alphas = np.asarray(alphas, dtype=np.int64)
-            rows[0][alphas == coeff] = build(ctx, params, [by], [], [])[0][0]
-            return rows
-
-        monkeypatch.setattr(expsum, "_trace_rows", broken)
-        return
-    build = expsum.trace_bit_matrix
-
-    def broken(ctx, e, coeffs):
-        rows = build(ctx, e, coeffs)
-        if e == (3 if table == "beta" else 1):
-            rows[np.asarray(coeffs) == coeff] = build(ctx, e, [by])[0]
-        return rows
-
-    monkeypatch.setattr(expsum, "trace_bit_matrix", broken)
 
 
 @pytest.mark.parametrize("table", ["alpha", "beta", "gamma"])
@@ -380,23 +363,17 @@ def test_c2_count_needs_every_row_closed_under_pi(monkeypatch, table):
     # The gamma != 0 words are counted at gamma = 1 only, and the words at
     # gamma = 0 (c1 among them) at alpha = 0, 1 and one beta per orbit, on
     # the licence that x -> pi x carries every row onto a row. A row they
-    # read, replaced by another row, is refused: the zero alpha row and
-    # beta = 5 (pi^12, the representative of its orbit for alpha = 1) by both
-    # counts, the gamma = 1 row by the c2 count alone, as c1 reads no gamma.
+    # read with one bit flipped is off its definition, and moves the count
+    # off its closed form: the zero alpha row and beta = 5 (pi^12, the
+    # representative of its orbit for alpha = 1) both counts, the gamma = 1
+    # row the c2 count alone, as c1 reads no gamma.
     ctx, p = build_field(6), derive_params(6, 1)
-    sub = subfield_elements(ctx, p.m)
-    coeff, by = {"alpha": (sub[0], sub[2]), "beta": (5, 6),
-                 "gamma": (1, 6)}[table]
-    replace_row(monkeypatch, table, coeff, by)
-    closure = f"{table} rows are not closed under x -> pi x"
-    if table == "gamma":
-        assert measured_weights(ctx, p, "c1").as_dict() == \
-            weight_distribution_formula(p, "c1").as_dict()
-    else:
-        with pytest.raises(VerificationError, match=closure):
-            measured_weights(ctx, p, "c1")
-    with pytest.raises(VerificationError, match=closure):
-        measured_weights(ctx, p, "c2")
+    flip_row_bit(monkeypatch, *{"alpha": (p.e_norm, 0), "beta": (p.e_quad, 5),
+                                "gamma": (1, 1)}[table])
+    for code in ("c1", "c2"):
+        got = measured_weights(ctx, p, code).as_dict()
+        want = weight_distribution_formula(p, code).as_dict()
+        assert (got == want) == ((code, table) == ("c1", "gamma"))
 
 
 @pytest.mark.parametrize("kernel", ["_walsh", "_popcounts"])
@@ -427,7 +404,7 @@ def test_a_broken_kernel_fails_the_checks_that_read_it(tmp_path, monkeypatch,
 
 def break_trace(monkeypatch, flip=False):
     """Patch Tr_n, the table rel_trace_table(ctx, 1, n) that the gamma axis
-    and the trace-row checks read: all zero, a linear map under which every
+    and the beta and gamma rows read: all zero, a linear map under which every
     row Tr_n(g x) is the zero functional, or with flip, one bit flipped, so
     that it is no linear map at all."""
     build = expsum.rel_trace_table
@@ -447,16 +424,15 @@ def break_trace(monkeypatch, flip=False):
 def test_a_broken_gamma_axis_fails_every_walsh_sweep(tmp_path, monkeypatch,
                                                      flip):
     # The gamma-sweep names Tr_n from its gamma axis. T and S, and so both
-    # code weights, check their beta rows against the same Tr_n and refuse
-    # them too.
+    # code weights, build their beta rows on the same Tr_n and move off
+    # their closed forms.
     break_trace(monkeypatch, flip)
     ctx, p = build_field(4), derive_params(4, 1)
     with pytest.raises(VerificationError, match="Tr_n"):
         expsum.gamma_sweep(ctx, p, kernel_dims(ctx, p))
     for code in ("c1", "c2"):
-        with pytest.raises(VerificationError,
-                           match="beta rows are not closed under x -> pi x"):
-            measured_weights(ctx, p, code)
+        assert measured_weights(ctx, p, code).as_dict() != \
+            weight_distribution_formula(p, code).as_dict()
     assert main(["verify", "--n", "4", "--k", "1",
                  "--out", str(tmp_path)]) == 2
     report = json.loads((tmp_path / "report.json").read_text())

@@ -16,12 +16,13 @@ from hypothesis import strategies as st
 import reference as ref
 from kasamilab import (ValueDistribution, VerificationError,
                        artin_schreier_points, build_field, check_cyclicity,
-                       derive_params, expsum, field, gamma_sweep_formula,
+                       codes, derive_params, expsum, field,
+                       gamma_sweep_formula,
                        kernel_dims, moment_targets, moments, rank_profile,
                        s_spectrum, s_spectrum_formula, subfield_elements,
                        t_spectrum, t_spectrum_formula)
 from kasamilab.cli import main
-from kasamilab.field import (FieldContext, _cycles, bit_count, power_table,
+from kasamilab.field import (FieldContext, _cycles, power_table,
                              rel_trace_table)
 
 # Frozen from the schoolbook double/triple loops in reference.py.
@@ -70,6 +71,11 @@ def test_s_spectrum_small_matches_oracle():
     naive = ref.s_spectrum_naive(1, 0x13, 4)
     dist = s_spectrum(build_field(4), derive_params(4, 1))
     assert dist.as_dict() == dict(naive)
+
+
+def bit_count(a):
+    """Per-element popcount of an integer ndarray."""
+    return np.bitwise_count(a.astype(np.uint64)).astype(np.int64)
 
 
 def hadamard(q):
@@ -156,20 +162,21 @@ def traced_peak(fn, *args, **kwargs):
 
 def test_t_sweep_memory_bounded_by_its_chunk():
     # T reads the alpha rows 0 and 1 and 68 orbit representatives of beta,
-    # 4096 bits each (272 kB unpacked), checked against their definitions 8
-    # rows (256 kB of int64) at a time: 1.5 MB traced, the field's tables
-    # built on first use included. An unpacked span of 512 beta rows with
-    # its checks, or an int64 product of element logs over every alpha row,
-    # takes 2 MB alone.
+    # 4096 bits each (272 kB unpacked), built from their definitions 8 rows
+    # (256 kB of int64 products) at a time: 1.5 MB traced, the field's
+    # tables built on first use included. An unpacked span of 512 beta
+    # rows, or an int64 product of element logs over every alpha row, takes
+    # 2 MB alone.
     ctx, p = build_field(12), derive_params(12, 1)
     assert traced_peak(t_spectrum, ctx, p) < 2 * (1 << 20)
 
 
 def test_alpha_rows_take_no_more_than_their_table():
-    # The 128 alpha rows at (14,1) are 2 MB of uint8 bits. Each is written
-    # straight into the table from one product of logs and one gather of
-    # q entries; the products of every alpha row at once take 16 MB. The
-    # field's cached tables (power maps, logs, traces) are built first.
+    # The 128 alpha rows at (14,1) are 2 MB of uint8 bits, written straight
+    # into the table two rows (2^15 int64 products and their trace gather)
+    # at a time: 2.75 MB traced. The products of every alpha row at once
+    # take 16 MB. The field's cached tables (power maps, logs, traces) are
+    # built first.
     ctx, p = build_field(14), derive_params(14, 1)
     alphas = subfield_elements(ctx, p.m)
     expsum._trace_rows(ctx, p, alphas[:2], [], [])
@@ -180,7 +187,7 @@ def test_alpha_rows_take_no_more_than_their_table():
 def test_s_sweep_memory_bounded_by_its_span():
     # The gamma = 1 sweep takes all 1024 beta rows as one span, 128 kB
     # packed, built and packed 512 rows (512 kB unpacked) at a time, each
-    # block checked against its definitions 32 rows (256 kB of int64) at a
+    # block from its definitions 32 rows (256 kB of int64 products) at a
     # time; the gamma = 0 sweep reads 98 orbit representatives. 1.5 MB
     # traced. The q x q beta rows, unpacked, take 1 MB alone.
     ctx, p = build_field(10), derive_params(10, 1)
@@ -188,11 +195,11 @@ def test_s_sweep_memory_bounded_by_its_span():
 
 
 def test_gamma_sweep_memory_bounded_by_its_span():
-    # A span transforms 512 beta rows of 1024 entries, 2^19: their uint8 bits
-    # gathered and XORed (2 x 0.5 MB), the int16 transform and its butterfly
-    # buffer (2 MB) and one bool comparison (0.5 MB); the rows are checked
-    # against their definitions 32 at a time. A q x q block per alpha needs
-    # 8 MB.
+    # A span transforms 512 beta rows of 1024 entries, 2^19: their uint8 bits,
+    # built once for both alphas 32 rows at a time, and one XOR with an
+    # alpha row (2 x 0.5 MB), the int16 transform and its butterfly buffer
+    # (2 MB) and one bool comparison (0.5 MB): 4.1 MB traced. A q x q block
+    # per alpha needs 8 MB.
     ctx, p = build_field(10), derive_params(10, 1)
     dims = kernel_dims(ctx, p)
     assert traced_peak(expsum.gamma_sweep, ctx, p, dims) < 12 * (1 << 19)
@@ -299,44 +306,61 @@ def test_s_spectrum_reads_no_walsh_transform(ctx6, p61, monkeypatch):
     assert s_spectrum(ctx6, p61).as_dict() == S_SPECTRA[(6, 1)]
 
 
-def flip_row_bit(monkeypatch, axis, coeff, x=3):
-    """Patch the trace rows: flip bit x of coeff's alpha (axis 0) or beta
-    (axis 1) row."""
-    build = expsum._trace_rows
+# The value-row entry a test flips is XORed with 32 in GF(64): a change of
+# 1, or of any 2^j with j < 5, has Tr_6 = 0, so the curves' point counts
+# would not see it, and one in GF(2) cancels in beta x^e2 + its Frobenius
+# image, the beta part of phi.
+VALUE_FLIP = 32
 
-    def flipped(ctx, params, *coeffs):
-        rows = build(ctx, params, *coeffs)
-        rows[axis][np.asarray(coeffs[axis], dtype=np.int64) == coeff, x] ^= 1
+
+def flip_row_bit(monkeypatch, e, coeff, values=False, x=3):
+    """Patch `expsum._rows`, the one row builder: wherever the trace row of
+    coeff at x^e is built, flip bit 0 of its entry x; with values, XOR
+    entry x of its value row c x^e with VALUE_FLIP."""
+    build = expsum._rows
+
+    def flipped(ctx, coeffs, ee, outer=None):
+        rows = build(ctx, coeffs, ee, outer)
+        if ee == e and (outer is None) == values:
+            hit = np.asarray(coeffs).reshape(-1) == coeff
+            rows.reshape(-1, ctx.q)[hit, x] ^= VALUE_FLIP if values else 1
         return rows
 
-    monkeypatch.setattr(expsum, "_trace_rows", flipped)
+    monkeypatch.setattr(expsum, "_rows", flipped)
 
 
-# The orbit lemma is made once per field, and a row check on every read, so
-# a test that patches a row builder may read a field of its own all the same.
+# The orbit lemma is made once per field and no row is kept, so a test that
+# patches the row builder may read a field of its own all the same.
 
 @pytest.mark.parametrize("axis,name", [(0, "alpha"), (1, "beta")])
 def test_flipped_bit_breaks_the_times_pi_closure(monkeypatch, axis, name):
+    # A row with one bit flipped is off its definition, so x -> pi x no
+    # longer carries it onto a row. S reads that alpha row (in its gamma = 1
+    # sweep) or beta row, and moves off its closed form while it still
+    # covers every triple.
     ctx, p = build_field(6), derive_params(6, 1)
-    coeff = subfield_elements(ctx, 3)[2] if axis == 0 else 5
-    flip_row_bit(monkeypatch, axis, coeff)
-    with pytest.raises(VerificationError,
-                       match=f"{name} rows are not closed under x -> pi x"):
-        s_spectrum(ctx, p)
+    flip_row_bit(monkeypatch, *((p.e_norm, subfield_elements(ctx, 3)[2])
+                                if name == "alpha" else (p.e_quad, 5)))
+    dist = s_spectrum(ctx, p)
+    assert dist.total == 1 << (3 * p.m + p.n)
+    assert dist.as_dict() != s_spectrum_formula(p).as_dict()
 
 
 @pytest.mark.parametrize("sweep", ["gamma_sweep", "artin_schreier_sweep"])
 @pytest.mark.parametrize("axis,name", [(0, "alpha"), (1, "beta")])
 def test_per_pair_checks_need_the_trace_rows_closed_under_pi(
         monkeypatch, sweep, axis, name):
-    # alpha = 1 stands for every alpha != 0 only on that licence. A bit
-    # flipped in a row both sweeps read is refused: the zero alpha row (the
-    # gamma-sweep reads alpha = 0, Artin-Schreier Tr^6_3(1) = 0) or beta = 5.
+    # alpha = 1 stands for every alpha != 0 only while each row is its
+    # definition. A bit flipped in a row both sweeps read, the zero alpha
+    # row (the gamma-sweep reads alpha = 0, Artin-Schreier Tr^6_3(0) = 0) or
+    # beta = 5, moves a pair off its rank law, or a curve off the identity.
     ctx, p = build_field(6), derive_params(6, 1)
     args = (kernel_dims(ctx, p),) if sweep == "gamma_sweep" else ()
-    flip_row_bit(monkeypatch, axis, 0 if axis == 0 else 5)
-    with pytest.raises(VerificationError,
-                       match=f"{name} rows are not closed under x -> pi x"):
+    flip_row_bit(monkeypatch, *((p.e_norm, 0) if name == "alpha"
+                                else (p.e_quad, 5)))
+    law = ("deviates from the rank-" if sweep == "gamma_sweep"
+           else "points, identity gives")
+    with pytest.raises(VerificationError, match=law):
         getattr(expsum, sweep)(ctx, p, *args)
 
 
@@ -373,8 +397,9 @@ def test_orbit_closure_needs_the_coefficient_map_to_permute(
 def test_verify_proves_each_orbit_law_once(tmp_path, monkeypatch):
     # T, S, the gamma-sweep and its gamma axis, Artin-Schreier, cyclicity
     # (c1, c2) and the kernel sizes each call the orbit lemma. Its field
-    # part is made once, and its power-table law once per exponent, e1 = 9
-    # and e2 = 3; no other proof of the orbit law is made.
+    # part is made once, and its power-table law once per exponent, e1 = 9,
+    # e2 = 3 and, for the gamma rows of S and c2, 1; no other proof of the
+    # orbit law is made.
     built, cached = [], field._cached
 
     def recorded(ctx, key, build):
@@ -388,7 +413,8 @@ def test_verify_proves_each_orbit_law_once(tmp_path, monkeypatch):
     lemma = [(ctx, key) for ctx, key in built if "orbit lemma" in key]
     assert len({ctx for ctx, _ in lemma}) == 1
     assert Counter(key for _, key in lemma) == {
-        "orbit lemma": 1, ("orbit lemma", 9): 1, ("orbit lemma", 3): 1}
+        "orbit lemma": 1, ("orbit lemma", 9): 1, ("orbit lemma", 3): 1,
+        ("orbit lemma", 1): 1}
 
 
 def test_a_proof_that_raised_is_made_again(monkeypatch):
@@ -445,28 +471,49 @@ def test_a_broken_field_fails_every_orbit_reader(how, message):
             reader()
 
 
+@pytest.mark.parametrize("j", ["m", "n"])
+def test_a_trace_entry_off_the_bits_is_refused(monkeypatch, j):
+    # Tr_m, which the alpha rows read, or Tr_n, which the beta and gamma
+    # rows read, with its entry at 1 made 2: T and S (alpha = 1 and beta =
+    # 1 read it at x = 1) and the codewords each refuse the row, as no trace
+    # row may hold anything but a bit.
+    ctx, p = build_field(6), derive_params(6, 1)
+    build, broken_j = expsum.rel_trace_table, getattr(p, j)
+
+    def two_at_one(ctx, i, jj):
+        table = build(ctx, i, jj)
+        if (i, jj) == (1, broken_j):
+            table = table.copy()
+            table[1] = 2
+        return table
+
+    monkeypatch.setattr(expsum, "rel_trace_table", two_at_one)
+    readers = [partial(t_spectrum, ctx, p), partial(s_spectrum, ctx, p),
+               partial(codes._word_rows, ctx, p, subfield_elements(ctx, p.m),
+                       range(ctx.q), range(ctx.q))]
+    for reader in readers:
+        with pytest.raises(VerificationError,
+                           match=r"^a trace row of x\^\d+ holds a value other "
+                                 r"than 0 or 1$"):
+            reader()
+
+
 def test_verify_records_a_broken_times_pi_closure(tmp_path, monkeypatch):
-    flip_row_bit(monkeypatch, 1, 5)
+    # One bit flipped in the beta row of pi^62, which T reads for no orbit
+    # and the parity check's words do not read: the checks that read every
+    # beta row, S (and the c2 weights relabelled from it), the gamma-sweep,
+    # Artin-Schreier and the family's members (and their correlation),
+    # each record a mismatch, and no other check does. Cyclicity, the orbit
+    # lemma on the tables every row is built from, reads no row.
+    ctx, p = build_field(6), derive_params(6, 1)
+    flip_row_bit(monkeypatch, p.e_quad, int(ctx.exp_table[62]))
     assert main(["verify", "--n", "6", "--k", "1",
                  "--out", str(tmp_path)]) == 2
     report = json.loads((tmp_path / "report.json").read_text())
-    record = next(r for r in report["records"] if r["name"] == "s-spectrum")
-    assert record["status"] == "mismatch"
-    assert "not closed under x -> pi x" in record["detail"]
-
-
-def flip_value_bit(monkeypatch, h, coeff, x=3):
-    """Patch the value rows c x^(2^h+1) where the row check builds them as
-    a table: flip bit 0 of coeff's row at x."""
-    build = expsum._monomial_rows
-
-    def flipped(ctx, coeffs, hh):
-        rows = build(ctx, coeffs, hh)
-        if hh == h and np.ndim(coeffs) == 1:
-            rows[np.asarray(coeffs) == coeff, x] ^= 1
-        return rows
-
-    monkeypatch.setattr(expsum, "_monomial_rows", flipped)
+    failed = [r["name"] for r in report["records"]
+              if r["status"] == "mismatch"]
+    assert failed == ["s-spectrum", "gamma-sweep", "artin-schreier",
+                      "code-weights-c2", "family", "correlation"]
 
 
 @pytest.mark.parametrize("h,coeff,name", [(3, 1, "a' x^e1"),
@@ -474,11 +521,13 @@ def flip_value_bit(monkeypatch, h, coeff, x=3):
                          ids=["a-prime", "beta"])
 def test_kernel_dims_needs_the_value_rows_closed_under_pi(
         monkeypatch, h, coeff, name):
-    # The kernel sizes read the phi rows off the unpatched value rows: only
-    # the row check sees the flipped entry. They read a' = 0 and 1 only.
-    flip_value_bit(monkeypatch, h, coeff)
-    with pytest.raises(VerificationError,
-                       match=re.escape(f"{name} rows are not closed")):
+    # The kernel sizes read a' = 0 and 1 and every beta; a flipped entry of
+    # a value row they read breaks the kernel law of a phi row: its zeros
+    # are no power of q0 in number, or it is no GF(2)-linear map.
+    flip_row_bit(monkeypatch, (1 << h) + 1, coeff, values=True)
+    with pytest.raises(VerificationError, match=(
+            {"a' x^e1": r"kernel size 15 is not a power of q0=2",
+             "beta x^e2": r"phi_\(0x0, 0x5\) is not GF\(2\)-linear"}[name])):
         kernel_dims(build_field(6), derive_params(6, 1))
 
 
@@ -487,24 +536,26 @@ def test_kernel_dims_needs_the_value_rows_closed_under_pi(
                          ids=["a-prime", "beta"])
 def test_artin_schreier_needs_the_value_rows_closed_under_pi(
         monkeypatch, h, coeff, name):
-    # The point counts read a' = 0 and pi^j, j <= 8: a' = 6 is pi^7.
-    flip_value_bit(monkeypatch, h, coeff)
-    with pytest.raises(VerificationError,
-                       match=re.escape(f"{name} rows are not closed")):
+    # The point counts read a' = 0 and pi^j, j <= 8 (a' = 6 is pi^7), and
+    # every beta; a flipped entry moves a curve off the identity.
+    flip_row_bit(monkeypatch, (1 << h) + 1, coeff, values=True)
+    with pytest.raises(VerificationError, match="points, identity gives"):
         expsum.artin_schreier_sweep(build_field(6), derive_params(6, 1))
 
 
 def test_verify_records_a_broken_value_row(tmp_path, monkeypatch):
-    # Only the kernel sizes and the point counts read the value rows.
-    flip_value_bit(monkeypatch, 1, 5)
+    # Only the kernel sizes (which the gamma-sweep reads) and the point
+    # counts read the value rows; each names the first pair or curve off.
+    flip_row_bit(monkeypatch, 3, 5, values=True)
     assert main(["verify", "--n", "6", "--k", "1",
                  "--out", str(tmp_path)]) == 2
     report = json.loads((tmp_path / "report.json").read_text())
     failed = {r["name"]: r["detail"] for r in report["records"]
               if r["status"] == "mismatch"}
-    assert list(failed) == ["rank-profile", "gamma-sweep", "artin-schreier"]
-    assert all("beta x^e2 rows are not closed under x -> pi x" in detail
-               for detail in failed.values())
+    kernel = "phi_(0x0, 0x5) is not GF(2)-linear"
+    assert failed == {"rank-profile": kernel, "gamma-sweep": kernel,
+                      "artin-schreier": "(0x0, 0x5): 82 points, identity "
+                                        "gives 80"}
 
 
 # Every n <= 12 point `verify` runs in this suite, and (6,2) under a second
@@ -519,11 +570,16 @@ def test_orbit_sweeps_match_the_full_table_oracles(n, k, mod):
     # The O(q) lemma holds where the O(q^2) full-table proofs of the trace
     # rows, the value rows and the gamma axis hold, and T and S over the
     # stabilizer orbits equal the sweeps over every alpha row and beta.
+    # The beta and gamma rows equal those the m-sequence oracle gathers.
     ctx, p = build_field(n, mod), derive_params(n, k)
     field._orbit_lemma(ctx, p.e_norm, p.e_quad)
     ref.orbit_closure(ctx, p)
     ref.orbit_closure(ctx, p, curves=True)
     ref.gamma_axis(ctx)
+    for block in expsum._blocks(np.arange(ctx.q), ctx.q):
+        _, brows, grows = expsum._trace_rows(ctx, p, [], block, block)
+        assert (brows == ref.trace_bit_matrix(ctx, p.e_quad, block)).all()
+        assert (grows == ref.trace_bit_matrix(ctx, 1, block)).all()
     assert t_spectrum(ctx, p).as_dict() == ref.popcount_sweep(ctx, p)
     assert s_spectrum(ctx, p).as_dict() == \
         ref.popcount_sweep(ctx, p, linear=True)
@@ -546,6 +602,33 @@ def test_t_reads_one_beta_row_per_orbit(monkeypatch, n, k, rows):
     order = ctx.order
     assert sum(counted) == rows == 2 + gcd(p.e_quad, order) + gcd(
         ((1 << p.m) - 1) * p.e_quad, order)
+
+
+@pytest.mark.parametrize("sweep,n,k", [("gamma_sweep", 8, 2),
+                                       ("kernel_dims", 8, 2),
+                                       ("artin_schreier_sweep", 6, 1)])
+def test_each_reader_builds_each_beta_row_once(monkeypatch, sweep, n, k):
+    # The gamma-sweep and the kernel sizes build each block of beta rows
+    # once for alpha = 0 and 1 both: q trace or value rows. Artin-Schreier
+    # builds the value rows of every beta once per a' representative, 2^m +
+    # 2 of them, as its point counts' input.
+    ctx, p = build_field(n), derive_params(n, k)
+    args = (kernel_dims(ctx, p),) if sweep == "gamma_sweep" else ()
+    counted, build = Counter(), expsum._rows
+
+    def counting(ctx, coeffs, e, outer=None):
+        if e == p.e_quad:
+            counted["value" if outer is None else "trace"] += np.size(coeffs)
+        return build(ctx, coeffs, e, outer)
+
+    monkeypatch.setattr(expsum, "_rows", counting)
+    reader = kernel_dims if sweep == "kernel_dims" else getattr(expsum, sweep)
+    reader(ctx, p, *args)
+    if sweep == "artin_schreier_sweep":
+        assert counted["value"] == ((1 << p.m) + 2) * ctx.q == 640
+    else:
+        kind = "trace" if sweep == "gamma_sweep" else "value"
+        assert counted == {kind: ctx.q}
 
 
 VALID_NK = [(n, k) for n in (4, 6, 8) for k in range(1, n) if k != n // 2]
@@ -611,6 +694,36 @@ def test_s_sum_matches_oracle(ctx6, p61):
             for grow, gamma in zip(grows, gammas):
                 assert ctx6.q - 2 * np.count_nonzero(arow ^ brow ^ grow) == \
                     ref.s_value(alpha, beta, gamma, 1, 0x43, 6)
+
+
+@pytest.mark.parametrize("n,k,mod", [(4, 1, 0x13), (6, 1, 0x43),
+                                      (6, 2, 0x43), (6, 2, 0x61)])
+def test_rows_are_their_schoolbook_definitions(n, k, mod):
+    # Every alpha, beta and gamma trace row and every value row a' x^e1 and
+    # beta x^e2 the one builder makes, entry by entry, against schoolbook
+    # products, powers and traces.
+    ctx, p = build_field(n, mod), derive_params(n, k)
+    elems, sub = range(ctx.q), ref.subfield(p.m, mod, n)
+    trn = [ref.trace_rel(y, 1, n, mod, n) for y in elems]
+    trm = {y: ref.trace_rel(y, 1, p.m, mod, n) for y in sub}
+    norm, quad = ([ref.gf2_pow(x, e, mod, n) for x in elems]
+                  for e in (p.e_norm, p.e_quad))
+
+    def times(c, ys):
+        return [ref.gf2_mul(c, y, mod, n) for y in ys]
+
+    arows, brows, grows = expsum._trace_rows(ctx, p, sub, elems, elems)
+    avals = expsum._monomial_rows(ctx, elems, p.m)
+    bvals = expsum._monomial_rows(ctx, elems, k)
+    assert (arows.dtype, brows.dtype, avals.dtype) == (np.uint8, np.uint8,
+                                                       np.int64)
+    for a, row in zip(sub, arows.tolist()):
+        assert row == [trm[y] for y in times(a, norm)]
+    for c in elems:
+        assert avals[c].tolist() == times(c, norm)
+        assert bvals[c].tolist() == times(c, quad)
+        assert brows[c].tolist() == [trn[y] for y in times(c, quad)]
+        assert grows[c].tolist() == [trn[y] for y in times(c, elems)]
 
 
 def test_t_sum_rejects_nonsubfield_alpha(ctx6, p61):

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as ref
-from kasamilab import (VerificationError, build_field, derive_params,
+from kasamilab import (VerificationError, build_field, derive_params, expsum,
                        find_primitive_polynomial, is_irreducible, is_primitive,
                        subfield_elements)
-from kasamilab.field import (_cycles, _gf2_linear, _mul, power_table,
-                             rel_trace_table, trace_bit_matrix)
+from kasamilab.field import (_cycles, _gf2_linear, _mul, _orbit_lemma,
+                             power_table, rel_trace_table)
 
 # Lexicographically smallest primitive moduli, frozen from the naive oracle.
 MODULI = {4: 0x13, 6: 0x43, 8: 0x11D, 10: 0x409, 12: 0x1053}
@@ -59,7 +59,8 @@ def test_mul_matches_oracle(ctx6):
 
 def test_trace_table_matches_oracle(ctx6):
     for x in range(64):
-        assert ctx6.trace_table[x] == ref.trace_rel(x, 1, 6, 0x43, 6)
+        assert rel_trace_table(ctx6, 1, 6)[x] == \
+            ref.trace_rel(x, 1, 6, 0x43, 6)
 
 
 @given(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255))
@@ -89,13 +90,13 @@ def test_inverse_of_zero_rejected(ctx4):
 @settings(max_examples=100)
 def test_trace_additive_and_frobenius_stable(a, b):
     ctx = build_field(8)
-    tr = ctx.trace_table
+    tr = rel_trace_table(ctx, 1, 8)
     assert tr[a ^ b] == tr[a] ^ tr[b]
     assert tr[ctx.mul(a, a)] == tr[a]
 
 
 def test_trace_balanced(ctx8):
-    assert int(ctx8.trace_table.sum()) == 128
+    assert int(rel_trace_table(ctx8, 1, 8).sum()) == 128
 
 
 def test_relative_trace_lands_in_subfield(ctx8):
@@ -108,7 +109,8 @@ def test_trace_tower(ctx8):
     # Tr_1^n = tr_1^m composed with Tr_m^n.
     for x in range(256):
         y = rel_trace_table(ctx8, 4, 8)[x]
-        assert ctx8.trace_table[x] == rel_trace_table(ctx8, 1, 4)[y]
+        assert ref.trace_rel(x, 1, 8, 0x11D, 8) == \
+            rel_trace_table(ctx8, 1, 4)[y]
 
 
 def test_subfield_is_closed(ctx6):
@@ -193,37 +195,18 @@ def test_scale_table(ctx4):
 def test_rel_trace_table(ctx8):
     tab = rel_trace_table(ctx8, 1, 8)
     for x in range(256):
-        assert tab[x] == ctx8.trace_table[x]
-
-
-def test_trace_bit_matrix(ctx4):
-    coeffs = [3, 9]
-    for e in (1, 3):
-        mat = trace_bit_matrix(ctx4, e, coeffs)
-        assert mat.shape == (2, 16)
-        for r, c in enumerate(coeffs):
-            for x in range(16):
-                value = ctx4.mul(c, ctx4.pow(x, e))
-                assert mat[r, x] == ctx4.trace_table[value]
-
-
-def test_trace_bit_matrix_gathers_each_log_row_once(ctx4):
-    # The logs of x^e are made once per exponent (mod q - 1) and kept.
-    trace_bit_matrix(ctx4, 3, [1])
-    logs = ctx4._cache[("log_pow", 3)]
-    trace_bit_matrix(ctx4, 18, [2, 5])
-    assert ctx4._cache[("log_pow", 3)] is logs
+        assert tab[x] == ref.trace_rel(x, 1, 8, 0x11D, 8)
 
 
 def test_every_cached_array_is_read_only():
-    # The power and relative-trace tables, both `_mul` tables, a log row and
-    # the rotation window of `trace_bit_matrix`: a write into any of them
-    # would change every later product, trace row and proof of the field.
+    # The power and relative-trace tables, both `_mul` tables and the step
+    # x -> pi x the orbit lemma keeps: a write into any of them would change
+    # every later product, row and proof of the field.
     ctx = build_field(6)
     power_table(ctx, 3), rel_trace_table(ctx, 1, 3), _mul(ctx, 2, 3)
-    trace_bit_matrix(ctx, 9, [1])
-    assert {("pow", 3), ("rtr", 1, 3), "mul", ("log_pow", 9),
-            "rotations"} <= set(ctx._cache)
+    _orbit_lemma(ctx)
+    assert {("pow", 3), ("rtr", 1, 3), "mul", "orbit lemma"} <= \
+        set(ctx._cache)
     kept = [array for value in ctx._cache.values()
             for array in (value if isinstance(value, tuple) else [value])]
     for array in kept:
@@ -231,19 +214,21 @@ def test_every_cached_array_is_read_only():
             array[(0,) * array.ndim] = 1
 
 
-def product_path(ctx, base, coeffs):
-    """Tr(c * b) entry by entry through the field product."""
-    return ctx.trace_table[_mul(ctx, np.asarray(coeffs)[:, None], base)]
+def product_path(ctx, e, coeffs):
+    """The package's rows Tr(c x^e), built by `expsum._rows` through the
+    field product and the x^e table."""
+    return expsum._rows(ctx, coeffs, e, rel_trace_table(ctx, 1, ctx.n))
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_rotation_rows_equal_the_product_path(n):
-    # Every c against every b, c = 0 and b = 0 included.
+    # The m-sequence oracle's rows, every c against every x, c = 0 and x = 0
+    # included.
     ctx = build_field(n)
     elems = np.arange(ctx.q)
-    bits = trace_bit_matrix(ctx, 1, elems)
+    bits = product_path(ctx, 1, elems)
     assert bits.dtype == np.uint8
-    assert (bits == product_path(ctx, elems, elems)).all()
+    assert (bits == ref.trace_bit_matrix(ctx, 1, elems)).all()
 
 
 @pytest.mark.parametrize("n", [10, 12])
@@ -253,15 +238,15 @@ def test_rotation_rows_equal_the_product_path_sampled(n):
     coeffs = np.concatenate([[0], rng.choice(np.arange(1, ctx.q), 63,
                                              replace=False)])
     for e in (1, 3):
-        assert (trace_bit_matrix(ctx, e, coeffs)
-                == product_path(ctx, power_table(ctx, e), coeffs)).all()
+        assert (ref.trace_bit_matrix(ctx, e, coeffs)
+                == product_path(ctx, e, coeffs)).all()
 
 
 @pytest.mark.parametrize("n,mod", [(4, 0x13), (6, 0x43), (6, 0x61)])
 def test_rotation_rows_match_oracle(n, mod):
     ctx = build_field(n, mod)
     q = 1 << n
-    bits = trace_bit_matrix(ctx, 1, np.arange(q))
+    bits = ref.trace_bit_matrix(ctx, 1, np.arange(q))
     want = [[ref.trace_rel(ref.gf2_mul(c, b, mod, n), 1, n, mod, n)
              for b in range(q)] for c in range(q)]
     assert bits.tolist() == want

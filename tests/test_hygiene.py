@@ -10,8 +10,8 @@ dataclass field), must be read, as a name, an attribute or an imported name,
 by the program: a package module other than `__init__.py`, or a benchmark
 source. Tests, re-exports and `__all__` do not keep a name alive, so the
 public API is what the program reads. Dunder names are exempt. Only
-`field.py` reads a field context's `log_table` and `trace_table`, so the
-element products and the trace rows are built in one place. The package
+`field.py` reads a field context's `log_table`, so the element products are
+formed in one place. The package
 holds no `assert` statement, since `python -O` strips them: each fact it
 checks raises an error of its own. Only the correlation sweep,
 `sequences.correlation_distribution`, holds a matrix product (`@`,
@@ -24,11 +24,12 @@ gamma-sweep proves the gamma axis; only the popcount sweep, the
 gamma-sweep and its gamma axis, Artin-Schreier, the kernel sizes and
 cyclicity lean on the orbit lemma (made once per field, and per exponent,
 and read by all of its callers), and no full-table orbit proof
-(`_row_closure`, `_orbit_closure`) is defined in the package; only the
-checked reader `_read_rows` and the codewords build trace rows, and only
-the popcount sweep, the T table, the gamma-sweep, Artin-Schreier and
-cyclicity read them; only those readers' row checks compare a row with
-its definition; and only Artin-Schreier counts points.
+(`_row_closure`, `_orbit_closure`) is defined in the package; every row
+comes from the one builder `_rows`, which only the trace rows and the
+value rows `_monomial_rows` call; only the popcount sweep, the T table,
+the gamma-sweep, Artin-Schreier and the codewords build trace rows, and
+only the point counts and the phi rows build value rows; and only
+Artin-Schreier counts points.
 Only the correlation sweep, `sequences.correlation_distribution`, sums its
 work over threads (`_summed`, `_thread_count`), and only
 `distribution._summed` opens a thread pool, so no per-pair check is
@@ -164,11 +165,11 @@ def test_no_dead_module_level_names():
     assert dead_names(modules, [path.read_text() for path in READERS]) == []
 
 
-FIELD_TABLES = ("log_table", "trace_table")
+FIELD_TABLES = ("log_table",)
 
 
 def table_reads(source):
-    """(line, name) of every read of a context's log or trace table."""
+    """(line, name) of every read of a context's log table."""
     return sorted((node.lineno, node.attr)
                   for node in ast.walk(ast.parse(source))
                   if isinstance(node, ast.Attribute)
@@ -177,7 +178,7 @@ def table_reads(source):
 
 def test_table_guard_flags_only_the_field_tables():
     source = "row = ctx.trace_table[x]\nctx.exp_table\nlog = c.log_table\n"
-    assert table_reads(source) == [(1, "trace_table"), (3, "log_table")]
+    assert table_reads(source) == [(3, "log_table")]
 
 
 @pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "field.py"],
@@ -305,10 +306,11 @@ def test_only_the_correlation_sweep_names_a_float_dtype(path):
 # reads span by span, which Artin-Schreier also reads; the Walsh kernel and
 # the gamma-axis proof, which only the gamma-sweep reads; the orbit lemma,
 # which every reader of one row per orbit, the gamma axis and cyclicity
-# read; the checked trace-row reader, its row check, and the value-row
-# check of the kernel sizes and the point counts; the trace rows, which
-# only that reader and the codewords build; the point counts; and the
-# thread pool, which only the correlation sweep sums its work over.
+# read; the one row builder, which only the trace rows and the value rows
+# call; the trace rows, which only the popcount sweep, the T table, the
+# gamma-sweep, Artin-Schreier and the codewords build; the value rows, which
+# only the point counts and the phi rows build; the point counts;
+# and the thread pool, which only the correlation sweep sums its work over.
 KERNEL_CALLERS = {
     "_popcount_sweep": {("expsum.py", "t_spectrum"),
                         ("expsum.py", "s_spectrum")},
@@ -320,19 +322,17 @@ KERNEL_CALLERS = {
                      ("expsum.py", "artin_schreier_sweep"),
                      ("linearized.py", "kernel_dims"),
                      ("codes.py", "check_cyclicity")},
-    "_read_rows": {("expsum.py", "_popcount_sweep"),
-                   ("expsum.py", "_t_table"),
-                   ("expsum.py", "gamma_sweep"),
-                   ("expsum.py", "artin_schreier_sweep"),
-                   ("codes.py", "check_cyclicity")},
-    "_check_rows": {("expsum.py", "_read_rows"),
-                    ("expsum.py", "_check_value_rows")},
-    "_check_value_rows": {("expsum.py", "artin_schreier_sweep"),
-                          ("linearized.py", "kernel_dims")},
+    "_rows": {("expsum.py", "_trace_rows"),
+              ("expsum.py", "_monomial_rows")},
+    "_monomial_rows": {("expsum.py", "artin_schreier_points"),
+                       ("linearized.py", "_phi_rows")},
     "_popcounts": {("expsum.py", "_t_table")},
     "_t_table": {("expsum.py", "_popcount_sweep"),
                  ("expsum.py", "artin_schreier_sweep")},
-    "_trace_rows": {("expsum.py", "_read_rows"),
+    "_trace_rows": {("expsum.py", "_popcount_sweep"),
+                    ("expsum.py", "_t_table"),
+                    ("expsum.py", "gamma_sweep"),
+                    ("expsum.py", "artin_schreier_sweep"),
                     ("codes.py", "_word_rows")},
     "artin_schreier_points": {("expsum.py", "artin_schreier_sweep")},
     "_summed": {("sequences.py", "correlation_distribution")},

@@ -49,6 +49,11 @@ def test_rank_profile_frozen_n8():
     assert rank_profile_formula(derive_params(8, 2)) == (3024, 1071, 0)
 
 
+def phi_rows(ctx, params, alpha, betas):
+    """The phi rows of one alpha, one row per beta."""
+    return next(linearized._phi_rows(ctx, params, [alpha], betas))
+
+
 def test_kernel_size_matches_oracle(ctx4, p41):
     # The two rows alpha = 0 and alpha = 1.
     dims = kernel_dims(ctx4, p41)
@@ -74,7 +79,7 @@ def test_rank_of_consistent_with_kernel(ctx6, p61):
     for alpha, beta in [(0, 1), (1, 0), (sub[2], 5), (sub[3], 40), (1, 63)]:
         dim = int(dims[sub.index(alpha), beta])
         assert dim in (0, 2, 4)
-        phi = linearized._phi_rows(ctx6, p61, alpha, [beta])[0]
+        phi = phi_rows(ctx6, p61, alpha, [beta])[0]
         assert np.count_nonzero(phi == 0) == p61.q0 ** dim
 
 
@@ -82,14 +87,14 @@ def test_rank_of_consistent_with_kernel(ctx6, p61):
 @settings(max_examples=60)
 def test_phi_is_additive(beta, x, y):
     ctx, p = build_field(4), derive_params(4, 1)
-    phi = linearized._phi_rows(ctx, p, 1, [beta])[0]
+    phi = phi_rows(ctx, p, 1, [beta])[0]
     assert phi[x] ^ phi[y] == phi[x ^ y]
 
 
 def test_kernel_is_q0_subspace(ctx4, p41):
     sub = subfield_elements(ctx4, 2)
     for alpha in sub:
-        phi = linearized._phi_rows(ctx4, p41, alpha, range(16))
+        phi = phi_rows(ctx4, p41, alpha, range(16))
         for beta in range(16):
             if alpha == 0 and beta == 0:
                 continue
@@ -205,20 +210,20 @@ def test_bluher_formula_n8():
 
 def test_kernel_size_off_a_q0_power_is_rejected(ctx4, p41, monkeypatch):
     # (1, 2) has a 4-element kernel at (4, 1); one extra zero makes 5.
-    assert p41.q0 ** linearized._kernel_dims(ctx4, p41, 1, [2])[0] == 4
+    assert p41.q0 ** linearized._kernel_dims(ctx4, p41, [1], [2])[0, 0] == 4
     build = linearized._phi_rows
 
     def one_more_zero(*args):
-        rows = build(*args)
-        for row in rows:
-            nonzero = np.flatnonzero(row)
-            if len(nonzero):
-                row[nonzero[0]] = 0
-        return rows
+        for rows in build(*args):
+            for row in rows:
+                nonzero = np.flatnonzero(row)
+                if len(nonzero):
+                    row[nonzero[0]] = 0
+            yield rows
 
     monkeypatch.setattr(linearized, "_phi_rows", one_more_zero)
     with pytest.raises(VerificationError, match="not a power of q0"):
-        linearized._kernel_dims(ctx4, p41, 1, [2])
+        linearized._kernel_dims(ctx4, p41, [1], [2])
     with pytest.raises(VerificationError, match="not a power of q0"):
         kernel_dims(ctx4, p41)
 
@@ -227,12 +232,12 @@ def patch_phi_row(monkeypatch, alpha, beta, edit):
     """Patch the phi rows: apply edit(row) in place to (alpha, beta)'s row."""
     build = linearized._phi_rows
 
-    def edited(ctx, params, a, betas):
-        rows = build(ctx, params, a, betas)
-        if a == alpha:
-            for i in np.flatnonzero(np.asarray(betas) == beta):
-                edit(rows[i])
-        return rows
+    def edited(ctx, params, alphas, betas):
+        for a, rows in zip(alphas, build(ctx, params, alphas, betas)):
+            if a == alpha:
+                for i in np.flatnonzero(np.asarray(betas) == beta):
+                    edit(rows[i])
+            yield rows
 
     monkeypatch.setattr(linearized, "_phi_rows", edited)
 
@@ -255,7 +260,7 @@ def swap_a_kernel_element(row):
 
 
 def four_element_kernel(ctx6, p61):
-    dims = linearized._kernel_dims(ctx6, p61, 1, range(ctx6.q))
+    dims = linearized._kernel_dims(ctx6, p61, [1], range(ctx6.q))[0]
     return 1, int(np.flatnonzero(p61.q0 ** dims == 4)[0])
 
 
@@ -263,7 +268,7 @@ def test_rank_profile_rejects_a_kernel_not_closed(ctx6, p61, monkeypatch):
     alpha, beta = four_element_kernel(ctx6, p61)
     patch_phi_row(monkeypatch, alpha, beta, swap_a_kernel_element)
     zeros = set(np.flatnonzero(
-        linearized._phi_rows(ctx6, p61, alpha, [beta])[0] == 0).tolist())
+        phi_rows(ctx6, p61, alpha, [beta])[0] == 0).tolist())
     assert len(zeros) == 4
     assert any(u ^ v not in zeros for u in zeros for v in zeros)
     with pytest.raises(VerificationError,
@@ -271,7 +276,7 @@ def test_rank_profile_rejects_a_kernel_not_closed(ctx6, p61, monkeypatch):
                              r"GF\(2\)-linear"):
         kernel_dims(ctx6, p61)
     with pytest.raises(VerificationError, match="not GF"):
-        linearized._kernel_dims(ctx6, p61, alpha, [beta])
+        linearized._kernel_dims(ctx6, p61, [alpha], [beta])
 
 
 def test_rank_profile_rejects_a_kernel_not_gf_q0_stable(ctx8, p82,
