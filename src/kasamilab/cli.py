@@ -333,7 +333,7 @@ def _check_bluher(run):
 
 
 def _check_rank(run):
-    got = rank_profile(run.kernel_dims, run.params)
+    got = rank_profile(run.kernel_dims)
     want = rank_profile_formula(run.params)
     if got != want:
         raise VerificationError(f"counted {got}, predicted {want}")
@@ -346,7 +346,7 @@ def _check_moments(run):
 
 
 def _check_gamma(run):
-    gamma_sweep(run.ctx, run.params, run.kernel_dims)
+    gamma_sweep(run.ctx, run.params, run.kernel_dims[0])
     return f"all {8 ** run.params.m - 1} pairs follow the rank law"
 
 

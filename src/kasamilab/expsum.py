@@ -7,11 +7,11 @@ and the c1 code weights are wt; over the gamma axis, S = q - 2 wt and the c2
 weights are wt, each counted as wt at g = 0 plus q - 1 copies of wt at g = 1.
 That leans on the orbit lemma, `field._orbit_lemma`: x -> c x carries the
 row of (a, b, g) onto that of (a c^e1, b c^e2, g c), so g = 1 stands for
-every g != 0, and alpha = 1 and one beta per stabilizer orbit for every
-pair, since `_rows` builds each row a sweep reads from its definition on
-the lemma's tables. The gamma-sweep transforms those rows' signs (int16
-while q fits, else int32) over an axis `_gamma_axis` proves to be the
-gamma axis.
+every g != 0, and one pair of `_pair_orbits`, the orbit rule, for each
+orbit of pairs, since `_rows` builds each row a sweep reads from its
+definition on the lemma's tables. The gamma-sweep transforms those rows'
+signs (int16 while q fits, else int32) over an axis `_gamma_axis` proves
+to be the gamma axis.
 Closed-form tables, split on the parity case, predict each sweep; callers
 compare the two, never papering over a mismatch.
 """
@@ -24,8 +24,8 @@ from math import gcd
 import numpy as np
 
 from .distribution import ValueDistribution, VerificationError, _exact, _p2
-from .field import (_cached, _gf2_linear, _mul, _orbit_lemma, power_table,
-                    rel_trace_table, subfield_elements)
+from .field import (_cached, _gf2_linear, _mul, _orbit_lemma, _times,
+                    power_table, rel_trace_table, subfield_elements)
 
 __all__ = [
     "t_spectrum", "t_spectrum_formula", "s_spectrum",
@@ -47,7 +47,7 @@ def _rows(ctx, coeffs, e, outer=None):
     products at a time. A trace row holding a value other than 0 or 1
     raises `VerificationError` (Tr_m is a bit only on GF(2^m))."""
     coeffs = np.asarray(coeffs, dtype=np.int64)
-    flat, powers = coeffs.reshape(-1), power_table(ctx, e)
+    flat, times = coeffs.reshape(-1), _times(ctx, power_table(ctx, e))
     out = np.empty((len(flat), ctx.q), np.int64 if outer is None else np.uint8)
     if outer is not None:
         # Every entry off the bits reads as 2 or 255.
@@ -55,7 +55,7 @@ def _rows(ctx, coeffs, e, outer=None):
     span = max(1, (1 << 15) // ctx.q)
     for i in range(0, len(flat), span):
         rows = out[i:i + span]
-        values = _mul(ctx, flat[i:i + span, None], powers)
+        values = times(flat[i:i + span, None])
         if outer is None:
             rows[...] = values
         elif (np.take(outer, values, out=rows) > 1).any():
@@ -176,20 +176,32 @@ def _t_table(ctx, params, apacked, betas):
     return q - 2 * _popcounts(apacked, bpacked)
 
 
+def _pair_orbits(ctx, params):
+    """The orbit rule, ((0, betas, weights), (1, betas, weights)): one beta
+    per orbit of the 2^(3m) pairs (alpha, beta) under x -> c x, and the
+    number of pairs in each. By the orbit lemma, made here, x -> c x reads
+    each row `_rows` builds for (alpha, beta), a' for alpha, as that of
+    (alpha c^e1, beta c^e2). As c^e1 runs over GF(2^m)*, alpha = 1 stands
+    for every alpha != 0 (and a' = pi^j for its coset of e1-th powers), and
+    beta falls into orbits under c^e2, c over GF(q)* or the stabilizer
+    c^e1 = 1: the cosets of pi^g, g = gcd(e2, L) or gcd((2^m - 1) e2, L),
+    L = q - 1. Each alpha reads beta = 0 and pi^j, j < g, of weight L / g,
+    times 2^m - 1 for alpha = 1."""
+    _orbit_lemma(ctx, params.e_norm, params.e_quad)
+    order, units = ctx.order, (1 << params.m) - 1
+    return tuple((alpha, np.append(0, ctx.exp_table[:g]),
+                  times * np.append(1, np.full(g, order // g)))
+                 for alpha, g, times in (
+                     (0, gcd(params.e_quad, order), 1),
+                     (1, gcd(units * params.e_quad, order), units)))
+
+
 def _popcount_sweep(ctx, params, linear=False):
     """The popcount sweep: the distribution of T = q - 2 wt(row) over all
-    2^(3m) pairs, from the weights of orbit representatives; with
-    `linear`, that of S = q - 2 wt over all 2^(3m) q triples, the row
-    adding Tr_n(gamma x). Either total is checked.
-
-    For c != 0, x -> c x keeps each weight and reads the row of (alpha,
-    beta, gamma) as that of (alpha c^e1, beta c^e2, gamma c), by the orbit
-    lemma on the rows `_rows` builds. As c^e1 runs over GF(2^m)*, T
-    over alpha != 0 is 2^m - 1 times T over alpha = 1, and the betas that
-    alpha = 0 and alpha = 1 read fall into orbits under c^e2, c over all of
-    GF(q)* and over the stabilizer c^e1 = 1: the cosets of pi^g, g =
-    gcd(e2, L) and gcd((2^m - 1) e2, L), L = q - 1. `_t_table` reads beta
-    = 0 and one beta pi^j, j < g, per orbit, weighted by its size L / g.
+    2^(3m) pairs, from the weights of the representatives of
+    `_pair_orbits`, each counted once per pair of its orbit; with `linear`,
+    that of S = q - 2 wt over all 2^(3m) q triples, the row adding
+    Tr_n(gamma x). Either total is checked.
 
     S at gamma = 0 is T; with c = 1/gamma, S over gamma != 0 is q - 1 times
     the sweep of every alpha row XOR Tr_n(x), built on the x^1 table whose
@@ -197,22 +209,17 @@ def _popcount_sweep(ctx, params, linear=False):
     at a time, on one thread: a span of beta rows is at most 256 kB packed
     up to n = 14, and is never held unpacked.
     """
-    q, m, order = ctx.q, params.m, ctx.order
-    _orbit_lemma(ctx, params.e_norm, params.e_quad)
-    weights = np.zeros(q + 1, dtype=np.int64)
-    for alpha, g, times in ((0, gcd(params.e_quad, order), 1),
-                            (1, gcd(((1 << m) - 1) * params.e_quad, order),
-                             (1 << m) - 1)):
+    q, weights = ctx.q, np.zeros(ctx.q + 1, dtype=np.int64)
+    for alpha, betas, sizes in _pair_orbits(ctx, params):
         apacked = np.packbits(_trace_rows(ctx, params, [alpha], [], [])[0],
                               axis=-1)
-        t = _t_table(ctx, params, apacked, np.append(0, ctx.exp_table[:g]))
-        np.add.at(weights, (q - t[0]) >> 1,
-                  times * np.append(1, np.full(g, order // g)))
-    name, covered, total = "T", "pairs", 1 << (3 * m)
+        t = _t_table(ctx, params, apacked, betas)
+        np.add.at(weights, (q - t[0]) >> 1, sizes)
+    name, covered, total = "T", "pairs", 1 << (3 * params.m)
     if linear:
         _orbit_lemma(ctx, 1)
-        arows, _, grow = _trace_rows(ctx, params, subfield_elements(ctx, m),
-                                     [], [1])
+        arows, _, grow = _trace_rows(ctx, params,
+                                     subfield_elements(ctx, params.m), [], [1])
         apacked = np.packbits(arows ^ grow, axis=-1)
         chunk = max(64, (1 << 21) // q)
         for i in range(0, q, chunk):
@@ -247,37 +254,33 @@ def s_spectrum(ctx, params):
 
 
 def gamma_sweep(ctx, params, dims):
-    """None when S over gamma, for each pair with alpha in {0, 1}, has the
+    """None when S over gamma, for each pair of `_pair_orbits`, has the
     counts of 0 and +-peak (they sum to q) `gamma_sweep_formula` gives its
-    rank, s - dims[alpha, beta] of the two `kernel_dims` rows ((0, 0) has no
-    form); else raises VerificationError naming the first pair off its law,
-    the betas taken in `_blocks`, each block's rows built once for both
-    alphas and read for alpha = 0 before alpha = 1. The orbit lemma, on the
-    rows `_rows` builds, lets alpha = 1 stand for alpha != 0, and
-    `_gamma_axis` makes the transform index gamma."""
+    rank, s minus its entry of dims, in the order of `kernel_dims` ((0, 0)
+    has no form); else raises VerificationError naming the first pair off
+    its law, the betas taken in `_blocks`. `_gamma_axis` makes the
+    transform index gamma."""
     table = np.zeros((params.s + 1, 4), dtype=np.int64)
     for rank in range(0, params.s + 1, 2):
         want = gamma_sweep_formula(params, rank)
         peak = max(want.values)
         table[rank] = peak, want.count(0), want.count(peak), want.count(-peak)
-    _orbit_lemma(ctx, params.e_norm, params.e_quad)
     _gamma_axis(ctx)
-    alphas = (0, 1)
-    arows = _trace_rows(ctx, params, alphas, [], [])[0]
-    for betas in _blocks(np.arange(ctx.q), ctx.q):
-        brows = _trace_rows(ctx, params, [], betas, [])[1]
-        for alpha, arow in zip(alphas, arows):
-            walsh = _walsh(arow ^ brows)
-            ranks = params.s - dims[alpha, betas]
-            peak = table[ranks, :1].astype(walsh.dtype)
+    ranks = params.s - np.asarray(dims)
+    for alpha, betas, _ in _pair_orbits(ctx, params):
+        arow = _trace_rows(ctx, params, [alpha], [], [])[0]
+        for block in _blocks(betas, ctx.q):
+            walsh = _walsh(arow ^ _trace_rows(ctx, params, [], block, [])[1])
+            rank, ranks = ranks[:len(block)], ranks[len(block):]
+            peak = table[rank, :1].astype(walsh.dtype)
             got = np.stack([(walsh == v).sum(axis=1)
                             for v in (0, peak, -peak)], axis=1)
-            bad = np.flatnonzero((got != table[ranks, 1:]).any(axis=1)
-                                 & ((betas != 0) | (alpha != 0)))
+            bad = np.flatnonzero((got != table[rank, 1:]).any(axis=1)
+                                 & ((block != 0) | (alpha != 0)))
             if bad.size:
                 raise VerificationError(
-                    f"pair ({alpha:#x}, {int(betas[bad[0]]):#x}) deviates "
-                    f"from the rank-{int(ranks[bad[0]])} law")
+                    f"pair ({alpha:#x}, {int(block[bad[0]]):#x}) deviates "
+                    f"from the rank-{int(rank[bad[0]])} law")
 
 
 def gamma_sweep_formula(params, rank):
@@ -428,24 +431,25 @@ def artin_schreier_points(ctx, params, alpha_prime, beta):
 
 def artin_schreier_sweep(ctx, params):
     """None when every curve (a', beta) has q + (2^d - 1) T(Tr^n_m(a'), beta)
-    points, a' over 0 and the 2^m + 1 cosets pi^j of the powers of pi^e1
-    ((0, 0) left out); else raises VerificationError naming the first curve
-    off. The orbit lemma, on the value and trace rows `_rows` builds, lets
-    each a' stand for its coset (Tr^n_m is GF(2^m)-linear)."""
-    _orbit_lemma(ctx, params.e_norm, params.e_quad)
-    aprimes = np.append(0, ctx.exp_table[:(1 << params.m) + 1])
-    traces = rel_trace_table(ctx, params.m, params.n)[aprimes]
-    apacked = np.packbits(_trace_rows(ctx, params, traces, [], [])[0],
-                          axis=-1)
-    for betas in _blocks(np.arange(ctx.q), ctx.q):
-        want = ctx.q + ((1 << params.d) - 1) * _t_table(ctx, params, apacked,
-                                                          betas)
-        got = np.stack([artin_schreier_points(ctx, params, a, betas)
-                        for a in aprimes.tolist()])
-        bad = np.argwhere((got != want)
-                          & ((aprimes[:, None] != 0) | (betas != 0)))
-        if bad.size:
-            r, c = bad[0]
-            raise VerificationError(
-                f"({int(aprimes[r]):#x}, {int(betas[c]):#x}): "
-                f"{int(got[r, c])} points, identity gives {int(want[r, c])}")
+    points, by the orbit rule of `_pair_orbits`: a' = 0 against the betas
+    of alpha = 0, and each coset representative pi^j, j <= 2^m, of the
+    e1-th powers against those of alpha = 1 ((0, 0) left out); else raises
+    VerificationError naming the first curve off, the betas taken in
+    `_blocks`."""
+    cosets = (np.zeros(1, np.int64), ctx.exp_table[:(1 << params.m) + 1])
+    for aprimes, (_, betas, _) in zip(cosets, _pair_orbits(ctx, params)):
+        traces = rel_trace_table(ctx, params.m, params.n)[aprimes]
+        apacked = np.packbits(_trace_rows(ctx, params, traces, [], [])[0],
+                              axis=-1)
+        for block in _blocks(betas, ctx.q):
+            want = ctx.q + ((1 << params.d) - 1) * _t_table(
+                ctx, params, apacked, block)
+            got = np.stack([artin_schreier_points(ctx, params, a, block)
+                            for a in aprimes.tolist()])
+            bad = np.argwhere((got != want)
+                              & ((aprimes[:, None] != 0) | (block != 0)))
+            if bad.size:
+                r, c = bad[0]
+                raise VerificationError(
+                    f"({aprimes[r]:#x}, {block[c]:#x}): {got[r, c]} points, "
+                    f"identity gives {want[r, c]}")

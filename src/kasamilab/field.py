@@ -3,7 +3,7 @@
 Elements are ints whose bit j is the coefficient of x^j in the polynomial
 basis. A FieldContext holds the exp/log tables for one modulus; the derived
 tables (power maps, relative traces, and the zero-safe log/exp pair behind
-the elementwise product `_mul`) and the proofs the sweeps lean on are made
+the elementwise product `_times`) and the proofs the sweeps lean on are made
 on demand and kept read-only on the context by `_cached`, the one reader and
 writer of its cache. Every row a sweep reads, f(a P_e[x]) over x, is built
 from those tables by `expsum._rows`, and is not cached. The orbit lemma,
@@ -252,13 +252,10 @@ def _cached(ctx, key, build):
     return ctx._cache[key]
 
 
-def _mul(ctx, a, b):
-    """Elementwise a*b of integer arrays or scalars, numpy-broadcast; 0 is safe.
-
-    The cached log table sends 0 to 2*order, past any sum of two true logs,
-    and the cached exp table is the cycle twice followed by zeros, so the
-    product is one gather with no modulus and no mask.
-    """
+def _times(ctx, b):
+    """a -> a*b, elementwise and numpy-broadcast, b's logs gathered once. 0
+    is safe: its cached log, 2*order, passes any sum of two true logs into
+    the zeros after the exp cycle, kept twice, so a product is one gather."""
     def tables():
         log = ctx.log_table.copy()
         log[0] = 2 * ctx.order
@@ -266,7 +263,13 @@ def _mul(ctx, a, b):
                                     np.zeros(2 * ctx.order + 1, np.int64)])
 
     log, exp = _cached(ctx, "mul", tables)
-    return exp[log[a] + log[b]]
+    log_b = log[b]
+    return lambda a: exp[log[a] + log_b]
+
+
+def _mul(ctx, a, b):
+    """Elementwise a*b of integer arrays or scalars by `_times`."""
+    return _times(ctx, b)(a)
 
 
 def power_table(ctx, e):

@@ -11,10 +11,9 @@ psi: the tests check the root-count/kernel link at (4,1), pairing the
 schoolbook `reference.psi_roots_naive` with the full kernel table.
 
 The kernel law is checked in one place, `_kernel_dims`, from the phi rows'
-bits, on the rows alpha = 0 and 1 that the rank profile and the gamma-sweep
-read; x -> pi x (the orbit lemma, `field._orbit_lemma`, on the value rows
-`expsum._rows` builds from their definitions) lets alpha = 1 stand for
-every alpha != 0.
+bits, at the pairs of the orbit rule `expsum._pair_orbits` that the rank
+profile and the gamma-sweep read, each standing for its orbit by the orbit
+lemma on the value rows `expsum._rows` builds from their definitions.
 
 Results are plain tuples, measured and closed form alike: a rank profile is
 (n0, n2, n4), the counts of ranks s, s - 2 and s - 4, and root counts are
@@ -28,8 +27,9 @@ from math import gcd
 import numpy as np
 
 from .distribution import VerificationError, _exact, _histogram, _p2
-from .expsum import _blocks, _eps1, _monomial_rows, t_spectrum_formula
-from .field import _gf2_linear, _mul, _orbit_lemma, power_table
+from .expsum import (_blocks, _eps1, _monomial_rows, _pair_orbits,
+                     t_spectrum_formula)
+from .field import _gf2_linear, _mul, power_table
 
 __all__ = [
     "kernel_dims", "rank_profile", "rank_profile_formula", "bluher_counts",
@@ -37,23 +37,17 @@ __all__ = [
 ]
 
 
-def _phi_rows(ctx, params, alphas, betas):
-    """phi_{alpha,beta}(x) over all x, one table per alpha (in order) with
-    one row per beta: x phi(x) = alpha x^e1 + beta x^e2 +
-    (beta x^e2)^(2^(n-k)), read off the value rows. The beta part is built
-    and divided by x once for every alpha; each alpha's value row, divided
-    by x, is XORed in as its table is read."""
-    inverse = power_table(ctx, ctx.order - 1)
-    part = _monomial_rows(ctx, betas, params.k)
-    part ^= power_table(ctx, 1 << (params.n - params.k))[part]
-    part = _mul(ctx, inverse, part)
-    for arow in _monomial_rows(ctx, alphas, params.m):
-        yield part ^ _mul(ctx, inverse, arow)
+def _phi_rows(ctx, params, alpha, betas):
+    """phi_{alpha,beta}(x) over all x, one row per beta: x phi(x) = alpha x^e1
+    + beta x^e2 + (beta x^e2)^(2^(n-k)), off the value rows, divided by x."""
+    rows = _monomial_rows(ctx, betas, params.k)
+    rows ^= power_table(ctx, 1 << (params.n - params.k))[rows]
+    rows ^= _monomial_rows(ctx, alpha, params.m)
+    return _mul(ctx, power_table(ctx, ctx.order - 1), rows)
 
 
-def _kernel_dims(ctx, params, alphas, betas):
-    """Kernel dimensions over GF(q0) of phi_{alpha,beta}, one row per alpha
-    and one column per beta.
+def _kernel_dims(ctx, params, alpha, betas):
+    """Kernel dimensions over GF(q0) of phi_{alpha,beta}, one per beta.
 
     Checked from the bits of the phi rows: each kernel size is a power of
     q0, and each phi is GF(2)-linear and commutes with a generator g of
@@ -65,42 +59,41 @@ def _kernel_dims(ctx, params, alphas, betas):
     g = ctx.pow(ctx.pi, ctx.order // (params.q0 - 1))
     basis = 1 << np.arange(ctx.n, dtype=np.int64)
     betas = np.asarray(betas, dtype=np.int64)
-    out = []
-    for alpha, phi in zip(alphas, _phi_rows(ctx, params, alphas, betas)):
-        sizes = np.count_nonzero(phi == 0, axis=1)
-        dims = dim_of[sizes]
-        if (dims < 0).any():
-            raise VerificationError(f"kernel size {sizes[dims < 0][0]} is "
-                                    f"not a power of q0={params.q0}")
-        linear = _gf2_linear(phi) & (
-            phi[:, _mul(ctx, g, basis)] == _mul(ctx, g, phi[:, basis])).all(1)
-        if not linear.all():
-            raise VerificationError(
-                f"phi_({alpha:#x}, {betas[~linear][0]:#x}) is not "
-                f"GF({params.q0})-linear")
-        out.append(dims)
-    return np.stack(out)
+    phi = _phi_rows(ctx, params, alpha, betas)
+    sizes = np.count_nonzero(phi == 0, axis=1)
+    dims = dim_of[sizes]
+    if (dims < 0).any():
+        raise VerificationError(f"kernel size {sizes[dims < 0][0]} is "
+                                f"not a power of q0={params.q0}")
+    linear = _gf2_linear(phi) & (
+        phi[:, _mul(ctx, g, basis)] == _mul(ctx, g, phi[:, basis])).all(1)
+    if not linear.all():
+        raise VerificationError(
+            f"phi_({alpha:#x}, {betas[~linear][0]:#x}) is not "
+            f"GF({params.q0})-linear")
+    return dims
 
 
 def kernel_dims(ctx, params):
-    """Kernel dimensions over GF(q0) of phi_{alpha,beta} for alpha = 0 and
-    1, one row each, the betas in `_blocks`, each block's beta part built
-    once for both: the orbit lemma, on the value rows a' x^e1 (a' = 0, 1)
-    and beta x^e2 that `expsum._rows` builds from their definitions, lets
-    alpha = 1 stand for every alpha != 0."""
-    _orbit_lemma(ctx, params.e_norm, params.e_quad)
-    return np.concatenate([_kernel_dims(ctx, params, (0, 1), betas)
-                           for betas in _blocks(range(ctx.q), ctx.q)], axis=1)
+    """(dims, weights): the kernel dimension over GF(q0) of phi_{alpha,beta}
+    at each pair of `expsum._pair_orbits` (phi is read off its value rows),
+    alpha = 0's first, the betas in `_blocks`, and the number of pairs its
+    orbit holds, int64 arrays with (0, 0) first."""
+    orbits = _pair_orbits(ctx, params)
+    return (np.concatenate([_kernel_dims(ctx, params, alpha, block)
+                            for alpha, betas, _ in orbits
+                            for block in _blocks(betas, ctx.q)]),
+            np.concatenate([weights for _, _, weights in orbits]))
 
 
-def rank_profile(dims, params):
+def rank_profile(kernel):
     """Rank counts (n0, n2, n4) of ranks s, s - 2, s - 4 over all
-    (alpha, beta) != (0, 0): the alpha = 0 row of `kernel_dims` plus
-    2^m - 1 times its alpha = 1 row."""
+    (alpha, beta) != (0, 0): each dimension of `kernel_dims`' (dims,
+    weights), counted once per pair of its orbit."""
     # (0, 0), the first pair, has no form.
-    counts = _histogram(dims[0, 1:])
-    counts.update({dim: c * ((1 << params.m) - 1)
-                   for dim, c in _histogram(dims[1]).items()})
+    counts = dict.fromkeys((0, 2, 4), 0)
+    for dim, weight in zip(*(part[1:].tolist() for part in kernel)):
+        counts[dim] = counts.get(dim, 0) + weight
     unexpected = {key: c for key, c in counts.items() if key not in (0, 2, 4)}
     if unexpected:
         raise VerificationError(f"kernel dimensions outside 0/2/4 observed: {unexpected}")

@@ -15,9 +15,12 @@ takes the orbits as given. `decimation_orbits_per_row` finds those orbits
 one packed row at a time, as the package once did, and imports nothing
 from it either. `kernel_dims`, `gamma_sweep` and
 `artin_schreier_sweep` run over every pair, or every curve, without the
-x -> pi x orbit rule the package applies: they read the package's field
-tables, per-pair kernel validator, trace rows and Walsh transform, each
-checked against the naive functions above by the tests. `popcount_sweep`
+x -> pi x orbit rule the package applies (the first two against every
+beta of the alphas they are given, by default the whole subfield; alpha =
+0 and 1 is the sweep the package ran before the rule's beta orbits):
+they read the package's field tables, per-pair kernel validator, trace
+rows and Walsh transform, each checked against the naive functions above
+by the tests. `popcount_sweep`
 is the T and S sweep over every alpha row and every beta, without the
 stabilizer orbits. `orbit_closure` (through `row_closure`) and
 `gamma_axis` are the O(q^2) full-table proofs of the x -> pi x law that the
@@ -439,27 +442,43 @@ def decimation_orbits_per_row(packed, L):
     return [ids[low] for low in least], [sizes[low] for low in order]
 
 
-def kernel_dims(ctx, params):
-    """Kernel dimension over GF(q0) of every phi_{alpha,beta}: the full
-    table, one row per alpha in `subfield_elements` order, one column per
-    beta."""
-    return linearized._kernel_dims(
-        ctx, params, subfield_elements(ctx, params.m), range(ctx.q))
+def kernel_dims(ctx, params, alphas=None):
+    """Kernel dimension over GF(q0) of phi_{alpha,beta} for every beta: one
+    row per alpha, by default every alpha of `subfield_elements` in its
+    order (the full table), one column per beta, the betas in blocks."""
+    if alphas is None:
+        alphas = subfield_elements(ctx, params.m)
+    return np.array([np.concatenate([
+        linearized._kernel_dims(ctx, params, alpha, block)
+        for block in expsum._blocks(np.arange(ctx.q), ctx.q)])
+        for alpha in alphas])
 
 
-def gamma_sweep(ctx, params, dims):
+def gamma_sweep(ctx, params, dims, alphas=None):
     """(alpha, beta, rank) of the first pair of each alpha whose S over
     gamma, its Walsh transform, is not the gamma-sweep law of its rank
-    s - dims[i, beta] in the full `kernel_dims` table; (0, 0) is left out."""
-    alphas = subfield_elements(ctx, params.m)
-    arows, brows, _ = expsum._trace_rows(ctx, params, alphas, range(ctx.q), [])
+    s - dims[i, beta], dims the `kernel_dims` table of the same alphas
+    (by default every alpha of `subfield_elements`), against every beta
+    in blocks; (0, 0) is left out."""
+    if alphas is None:
+        alphas = subfield_elements(ctx, params.m)
+    laws = {rank: expsum.gamma_sweep_formula(params, rank).as_dict()
+            for rank in range(0, params.s + 1, 2)}
+    arows = expsum._trace_rows(ctx, params, alphas, [], [])[0]
     off = []
     for i, alpha in enumerate(alphas):
-        for beta, row in enumerate(expsum._walsh(arows[i] ^ brows)):
-            rank = params.s - int(dims[i, beta])
-            if (alpha or beta) and Counter(row.tolist()) != \
-                    expsum.gamma_sweep_formula(params, rank).as_dict():
-                off.append((alpha, beta, rank))
+        for block in expsum._blocks(np.arange(ctx.q), ctx.q):
+            walsh = expsum._walsh(
+                arows[i] ^ expsum._trace_rows(ctx, params, [], block, [])[1])
+            ranks = params.s - dims[i, block]
+            lawful = np.isin(ranks, list(laws))
+            for rank, law in laws.items():
+                rows = ranks == rank
+                for value, count in law.items():
+                    lawful[rows] &= (walsh[rows] == value).sum(axis=1) == count
+            bad = np.flatnonzero(~lawful & ((block != 0) | (alpha != 0)))
+            if bad.size:
+                off.append((alpha, int(block[bad[0]]), int(ranks[bad[0]])))
                 break
     return off
 

@@ -85,8 +85,8 @@ def test_03_moment_identities():
 
 def test_04_rank_profile():
     p41, p62 = derive_params(4, 1), derive_params(6, 2)
-    prof41 = rank_profile(kernel_dims(build_field(4), p41), p41)
-    prof62 = rank_profile(kernel_dims(build_field(6), p62), p62)
+    prof41 = rank_profile(kernel_dims(build_field(4), p41))
+    prof62 = rank_profile(kernel_dims(build_field(6), p62))
     form41 = rank_profile_formula(p41)
     form62 = rank_profile_formula(p62)
     ok = (prof41[:2] == (28, 35) and prof62[1] == 315

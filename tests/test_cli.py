@@ -269,13 +269,14 @@ def record_calls(monkeypatch, sweep, key):
 
 def test_verify_sweeps_each_kernel_once(tmp_path, monkeypatch):
     # rank-profile and gamma-sweep read one kernel table: the validator runs
-    # once per block of betas (one at n = 6), on alpha = 0 and alpha = 1.
+    # once per block of beta representatives (one per alpha at n = 6), on
+    # alpha = 0 and then alpha = 1.
     calls = record_calls(monkeypatch, linearized._kernel_dims,
                          lambda *args: args[2])
     code, report, _ = run(tmp_path, "verify", "--n", "6", "--k", "1")
     assert code == 3
     assert statuses(report)["gamma-sweep"] == "match"
-    assert calls == [(0, 1)]
+    assert calls == [0, 1]
 
 
 @pytest.mark.parametrize("args,want", [
@@ -350,7 +351,7 @@ def test_verify_battery(tmp_path, n, k):
 
 
 def test_verify_reports_a_check_that_raises(tmp_path, monkeypatch):
-    def broken(dims, params):
+    def broken(kernel):
         raise RuntimeError("rank sweep broke")
 
     monkeypatch.setattr("kasamilab.cli.rank_profile", broken)
@@ -390,9 +391,10 @@ def _t_one_moved(params):
 
 
 def _one_point_more(ctx, params, alpha_prime, betas):
+    # a' = 3 is pi^6, and beta = 5 a representative of alpha = 1.
     counts = artin_schreier_points(ctx, params, alpha_prime, betas)
     if alpha_prime == 0x3:
-        counts[0x5] += 1
+        counts[betas == 0x5] += 1
     return counts
 
 

@@ -429,7 +429,7 @@ def test_a_broken_gamma_axis_fails_every_walsh_sweep(tmp_path, monkeypatch,
     break_trace(monkeypatch, flip)
     ctx, p = build_field(4), derive_params(4, 1)
     with pytest.raises(VerificationError, match="Tr_n"):
-        expsum.gamma_sweep(ctx, p, kernel_dims(ctx, p))
+        expsum.gamma_sweep(ctx, p, kernel_dims(ctx, p)[0])
     for code in ("c1", "c2"):
         assert measured_weights(ctx, p, code).as_dict() != \
             weight_distribution_formula(p, code).as_dict()
@@ -454,7 +454,7 @@ def test_gamma_axis_is_proved_once_per_field(monkeypatch):
 
     monkeypatch.setattr(expsum, "_gf2_linear", counted)
     ctx, p = build_field(6), derive_params(6, 1)
-    dims = kernel_dims(ctx, p)
+    dims = kernel_dims(ctx, p)[0]
     for _ in range(2):
         expsum.gamma_sweep(ctx, p, dims)
     assert built == [ctx.q]

@@ -126,27 +126,36 @@ def test_walsh_dtype_holds_every_shifted_value(n):
     assert dtype == (np.int16 if n <= 14 else np.int32)
 
 
+def representatives(ctx, params):
+    """The (alpha, beta) pairs of `_pair_orbits`, in the order of the
+    kernel dimensions."""
+    return [(alpha, beta) for alpha, betas, _ in
+            expsum._pair_orbits(ctx, params) for beta in betas.tolist()]
+
+
 def test_int16_and_int32_walsh_agree(ctx6, p61, monkeypatch):
-    # Moving the rank of a pair in either of the two rows makes the
+    # Moving the rank of a representative pair of either alpha makes the
     # gamma-sweep name it, with the same message on either dtype.
     rows = pair_rows(ctx6, p61)
     ctx8, p8 = build_field(8), derive_params(8, 2)
 
-    def named(alpha, beta):
-        dims = kernel_dims(ctx8, p8)
-        dims[alpha, beta] += 2
+    def named(i):
+        dims = kernel_dims(ctx8, p8)[0]
+        dims[i] += 2
         with pytest.raises(VerificationError) as raised:
             expsum.gamma_sweep(ctx8, p8, dims)
         return str(raised.value)
 
-    pairs = [(0, 3), (1, ctx8.q - 1)]
-    narrow = expsum._walsh(rows), [named(*pair) for pair in pairs]
+    # (0, pi^2), and alpha = 1 with its last beta.
+    pairs = [3, len(representatives(ctx8, p8)) - 1]
+    narrow = expsum._walsh(rows), [named(i) for i in pairs]
     monkeypatch.setattr(expsum, "_walsh_dtype", lambda n: np.int32)
-    wide = expsum._walsh(rows), [named(*pair) for pair in pairs]
+    wide = expsum._walsh(rows), [named(i) for i in pairs]
     assert (narrow[0].dtype, wide[0].dtype) == (np.int16, np.int32)
     assert (narrow[0] == wide[0]).all()
     assert narrow[1] == wide[1]
-    for (alpha, beta), message in zip(pairs, narrow[1]):
+    for i, message in zip(pairs, narrow[1]):
+        alpha, beta = representatives(ctx8, p8)[i]
         assert message.startswith(f"pair ({alpha:#x}, {beta:#x}) ")
 
 
@@ -195,34 +204,40 @@ def test_s_sweep_memory_bounded_by_its_span():
 
 
 def test_gamma_sweep_memory_bounded_by_its_span():
-    # A span transforms 512 beta rows of 1024 entries, 2^19: their uint8 bits,
-    # built once for both alphas 32 rows at a time, and one XOR with an
-    # alpha row (2 x 0.5 MB), the int16 transform and its butterfly buffer
-    # (2 MB) and one bool comparison (0.5 MB): 4.1 MB traced. A q x q block
-    # per alpha needs 8 MB.
+    # The sweep transforms 4 + 94 representative rows of 1024 entries, in
+    # one block per alpha: the uint8 bits of the 94, their XOR with the
+    # alpha row, the int16 transform and its butterfly buffer and one bool
+    # comparison: 0.9 MB traced, the field's tables included. A block of
+    # 512 beta rows takes 4.1 MB, and a q x q block per alpha 8 MB.
     ctx, p = build_field(10), derive_params(10, 1)
-    dims = kernel_dims(ctx, p)
-    assert traced_peak(expsum.gamma_sweep, ctx, p, dims) < 12 * (1 << 19)
+    dims = kernel_dims(ctx, p)[0]
+    assert traced_peak(expsum.gamma_sweep, ctx, p, dims) < 4 * (1 << 19)
 
 
-@pytest.mark.parametrize("alpha,beta", [(0, 511), (0, 1023), (1, 511),
-                                        (1, 1023)])
-def test_gamma_sweep_reads_every_pair_of_every_block(alpha, beta):
-    # At n = 10 a block holds 512 betas, so each of the rows alpha = 0 and
-    # alpha = 1 has two. Moving the rank of the last pair of any one block
-    # makes the sweep name that pair.
-    ctx, p = build_field(10), derive_params(10, 1)
-    dims = kernel_dims(ctx, p)
-    dims[alpha, beta] += 2
-    message = (f"pair ({alpha:#x}, {beta:#x}) deviates from the "
-               f"rank-{p.s - dims[alpha, beta]} law")
+@pytest.mark.parametrize("alpha,last", [(0, 5), (1, 127), (1, 255),
+                                        (1, 315)])
+def test_gamma_sweep_reads_every_pair_of_every_block(alpha, last):
+    # At (12,2) a block holds 128 betas: alpha = 0 reads its 6
+    # representatives in one, alpha = 1 its 316 in three. Moving the rank
+    # of the last pair of any one block makes the sweep name that pair.
+    ctx, p = build_field(12), derive_params(12, 2)
+    reps = representatives(ctx, p)
+    i = reps.index((alpha, int(expsum._pair_orbits(ctx, p)[alpha][1][last])))
+    dims = kernel_dims(ctx, p)[0]
+    dims[i] += 2
+    message = (f"pair ({alpha:#x}, {reps[i][1]:#x}) deviates from the "
+               f"rank-{p.s - dims[i]} law")
     with pytest.raises(VerificationError, match=f"^{re.escape(message)}$"):
         expsum.gamma_sweep(ctx, p, dims)
 
 
 def orbit_representatives(ctx, params):
-    """a' = 0 and pi^j for 0 <= j <= 2^m, one per orbit of a' -> a' pi^e1."""
-    return [0] + [ctx.pow(ctx.pi, j) for j in range((1 << params.m) + 1)]
+    """a' = 0 and pi^j for 0 <= j <= 2^m, one per orbit of a' -> a' pi^e1,
+    each with the betas it is read against: those of alpha = 0 for a' = 0,
+    else those of alpha = 1, by `_pair_orbits`."""
+    (_, zero, _), (_, betas, _) = expsum._pair_orbits(ctx, params)
+    return [(0, zero)] + [(ctx.pow(ctx.pi, j), betas)
+                          for j in range((1 << params.m) + 1)]
 
 
 def identity_points(ctx, params):
@@ -243,7 +258,8 @@ def test_artin_schreier_sweep_counts_every_curve_once_per_block(
         monkeypatch):
     # Each call counts the curves of one a' over at most one block of betas;
     # together the calls count the curves of every orbit representative
-    # a', against every beta, each once, and no other curve.
+    # a', against each beta representative of its alpha, each once, and no
+    # other curve.
     ctx, p = build_field(10), derive_params(10, 1)
     calls, counted = [], np.zeros((ctx.q, ctx.q), dtype=np.int64)
     identity = identity_points(ctx, p)
@@ -256,29 +272,30 @@ def test_artin_schreier_sweep_counts_every_curve_once_per_block(
     monkeypatch.setattr(expsum, "artin_schreier_points", recording)
     assert expsum.artin_schreier_sweep(ctx, p) is None
     reps = orbit_representatives(ctx, p)
-    assert len(set(reps)) == (1 << p.m) + 2
+    assert len({a for a, _ in reps}) == (1 << p.m) + 2
     assert max(calls) <= (1 << 19) // ctx.q
-    assert (counted[reps] == 1).all()
-    assert counted.sum() == len(reps) * ctx.q
+    assert all((counted[a, betas] == 1).all() for a, betas in reps)
+    assert counted.sum() == sum(len(betas) for _, betas in reps)
 
 
 def test_artin_schreier_sweep_names_the_curve_in_the_last_block(
         monkeypatch):
     # Counts read off the identity, with one point more on the last curve
-    # of the last block, that of the last orbit representative: it is
-    # named.
+    # of the last block, that of the last orbit representative and its last
+    # beta: it is named.
     ctx, p = build_field(10), derive_params(10, 1)
     identity = identity_points(ctx, p)
-    last = orbit_representatives(ctx, p)[-1]
+    last, betas = orbit_representatives(ctx, p)[-1]
+    beta = int(betas[-1])
 
     def one_more(ctx, params, alpha_prime, betas):
         counts = identity(ctx, params, alpha_prime, betas)
-        counts[betas == ctx.q - 1] += alpha_prime == last
+        counts[betas == beta] += alpha_prime == last
         return counts
 
     monkeypatch.setattr(expsum, "artin_schreier_points", one_more)
-    want = int(identity(ctx, p, last, np.array([ctx.q - 1]))[0])
-    message = (f"({last:#x}, {ctx.q - 1:#x}): {want + 1} points, identity "
+    want = int(identity(ctx, p, last, np.array([beta]))[0])
+    message = (f"({last:#x}, {beta:#x}): {want + 1} points, identity "
                f"gives {want}")
     with pytest.raises(VerificationError, match=f"^{re.escape(message)}$"):
         expsum.artin_schreier_sweep(ctx, p)
@@ -353,9 +370,10 @@ def test_per_pair_checks_need_the_trace_rows_closed_under_pi(
     # alpha = 1 stands for every alpha != 0 only while each row is its
     # definition. A bit flipped in a row both sweeps read, the zero alpha
     # row (the gamma-sweep reads alpha = 0, Artin-Schreier Tr^6_3(0) = 0) or
-    # beta = 5, moves a pair off its rank law, or a curve off the identity.
+    # beta = 5 (a representative of alpha = 1), moves a pair off its rank
+    # law, or a curve off the identity.
     ctx, p = build_field(6), derive_params(6, 1)
-    args = (kernel_dims(ctx, p),) if sweep == "gamma_sweep" else ()
+    args = (kernel_dims(ctx, p)[0],) if sweep == "gamma_sweep" else ()
     flip_row_bit(monkeypatch, *((p.e_norm, 0) if name == "alpha"
                                 else (p.e_quad, 5)))
     law = ("deviates from the rank-" if sweep == "gamma_sweep"
@@ -459,7 +477,7 @@ def test_a_broken_field_fails_every_orbit_reader(how, message):
     # so each refuses the field with the lemma's own text, naming x -> pi x.
     # The gamma-sweep is given the kernel table of a sound field.
     p = derive_params(6, 1)
-    dims = kernel_dims(build_field(6), p)
+    dims = kernel_dims(build_field(6), p)[0]
     ctx = broken_field(how)
     readers = [partial(t_spectrum, ctx, p), partial(s_spectrum, ctx, p),
                partial(expsum.gamma_sweep, ctx, p, dims),
@@ -498,22 +516,39 @@ def test_a_trace_entry_off_the_bits_is_refused(monkeypatch, j):
             reader()
 
 
-def test_verify_records_a_broken_times_pi_closure(tmp_path, monkeypatch):
-    # One bit flipped in the beta row of pi^62, which T reads for no orbit
-    # and the parity check's words do not read: the checks that read every
-    # beta row, S (and the c2 weights relabelled from it), the gamma-sweep,
-    # Artin-Schreier and the family's members (and their correlation),
-    # each record a mismatch, and no other check does. Cyclicity, the orbit
-    # lemma on the tables every row is built from, reads no row.
-    ctx, p = build_field(6), derive_params(6, 1)
-    flip_row_bit(monkeypatch, p.e_quad, int(ctx.exp_table[62]))
+def verify_mismatches(tmp_path):
+    """The names of the records `verify --n 6 --k 1` finds off, once it has
+    exited 2."""
     assert main(["verify", "--n", "6", "--k", "1",
                  "--out", str(tmp_path)]) == 2
     report = json.loads((tmp_path / "report.json").read_text())
-    failed = [r["name"] for r in report["records"]
-              if r["status"] == "mismatch"]
-    assert failed == ["s-spectrum", "gamma-sweep", "artin-schreier",
-                      "code-weights-c2", "family", "correlation"]
+    return [r["name"] for r in report["records"] if r["status"] == "mismatch"]
+
+
+def test_verify_records_a_broken_times_pi_closure(tmp_path, monkeypatch):
+    # One bit flipped in the beta row of pi^62, which no orbit rule reads
+    # and the parity check's words do not read: the checks that read every
+    # beta row, S (and the c2 weights relabelled from it) and the family's
+    # members (and their correlation), each record a mismatch, and no other
+    # check does. The per-pair checks read one beta per orbit, so they need
+    # the orbit lemma on the tables every row is built from, as cyclicity
+    # does, and no row.
+    ctx, p = build_field(6), derive_params(6, 1)
+    flip_row_bit(monkeypatch, p.e_quad, int(ctx.exp_table[62]))
+    assert verify_mismatches(tmp_path) == [
+        "s-spectrum", "code-weights-c2", "family", "correlation"]
+
+
+def test_verify_records_a_broken_representative_row(tmp_path, monkeypatch):
+    # One bit flipped in the beta row of 5, a representative of alpha = 1:
+    # T and every reader of it, the per-pair checks and both code weights
+    # record a mismatch; the kernel sizes read value rows, and the parity
+    # check's words do not read that row.
+    flip_row_bit(monkeypatch, derive_params(6, 1).e_quad, 5)
+    assert verify_mismatches(tmp_path) == [
+        "moments", "t-spectrum", "s-spectrum", "gamma-sweep",
+        "artin-schreier", "code-weights-c1", "code-weights-c2", "family",
+        "correlation"]
 
 
 @pytest.mark.parametrize("h,coeff,name", [(3, 1, "a' x^e1"),
@@ -521,13 +556,14 @@ def test_verify_records_a_broken_times_pi_closure(tmp_path, monkeypatch):
                          ids=["a-prime", "beta"])
 def test_kernel_dims_needs_the_value_rows_closed_under_pi(
         monkeypatch, h, coeff, name):
-    # The kernel sizes read a' = 0 and 1 and every beta; a flipped entry of
-    # a value row they read breaks the kernel law of a phi row: its zeros
-    # are no power of q0 in number, or it is no GF(2)-linear map.
+    # The kernel sizes read a' = 0 and 1 and the beta representatives of
+    # each, 5 among those of alpha = 1; a flipped entry of a value row they
+    # read breaks the kernel law of a phi row: its zeros are no power of q0
+    # in number, or it is no GF(2)-linear map.
     flip_row_bit(monkeypatch, (1 << h) + 1, coeff, values=True)
     with pytest.raises(VerificationError, match=(
             {"a' x^e1": r"kernel size 15 is not a power of q0=2",
-             "beta x^e2": r"phi_\(0x0, 0x5\) is not GF\(2\)-linear"}[name])):
+             "beta x^e2": r"phi_\(0x1, 0x5\) is not GF\(2\)-linear"}[name])):
         kernel_dims(build_field(6), derive_params(6, 1))
 
 
@@ -537,7 +573,8 @@ def test_kernel_dims_needs_the_value_rows_closed_under_pi(
 def test_artin_schreier_needs_the_value_rows_closed_under_pi(
         monkeypatch, h, coeff, name):
     # The point counts read a' = 0 and pi^j, j <= 8 (a' = 6 is pi^7), and
-    # every beta; a flipped entry moves a curve off the identity.
+    # the beta representatives of alpha = 0 and 1 (5 among the latter); a
+    # flipped entry moves a curve off the identity.
     flip_row_bit(monkeypatch, (1 << h) + 1, coeff, values=True)
     with pytest.raises(VerificationError, match="points, identity gives"):
         expsum.artin_schreier_sweep(build_field(6), derive_params(6, 1))
@@ -545,16 +582,17 @@ def test_artin_schreier_needs_the_value_rows_closed_under_pi(
 
 def test_verify_records_a_broken_value_row(tmp_path, monkeypatch):
     # Only the kernel sizes (which the gamma-sweep reads) and the point
-    # counts read the value rows; each names the first pair or curve off.
+    # counts read the value rows; each names the first pair or curve off,
+    # beta = 5 being a representative of alpha = 1.
     flip_row_bit(monkeypatch, 3, 5, values=True)
     assert main(["verify", "--n", "6", "--k", "1",
                  "--out", str(tmp_path)]) == 2
     report = json.loads((tmp_path / "report.json").read_text())
     failed = {r["name"]: r["detail"] for r in report["records"]
               if r["status"] == "mismatch"}
-    kernel = "phi_(0x0, 0x5) is not GF(2)-linear"
+    kernel = "phi_(0x1, 0x5) is not GF(2)-linear"
     assert failed == {"rank-profile": kernel, "gamma-sweep": kernel,
-                      "artin-schreier": "(0x0, 0x5): 82 points, identity "
+                      "artin-schreier": "(0x1, 0x5): 82 points, identity "
                                         "gives 80"}
 
 
@@ -608,12 +646,14 @@ def test_t_reads_one_beta_row_per_orbit(monkeypatch, n, k, rows):
                                        ("kernel_dims", 8, 2),
                                        ("artin_schreier_sweep", 6, 1)])
 def test_each_reader_builds_each_beta_row_once(monkeypatch, sweep, n, k):
-    # The gamma-sweep and the kernel sizes build each block of beta rows
-    # once for alpha = 0 and 1 both: q trace or value rows. Artin-Schreier
-    # builds the value rows of every beta once per a' representative, 2^m +
-    # 2 of them, as its point counts' input.
+    # The gamma-sweep and the kernel sizes build the trace or value row of
+    # each beta representative of `_pair_orbits` once, T's 2 + gcd(e2, L) +
+    # gcd((2^m - 1) e2, L) rows. Artin-Schreier builds the trace row of
+    # each (for T) once, and its value row once per a' representative that
+    # reads it (a' = 0 for alpha = 0, the 2^m + 1 others for alpha = 1), as
+    # its point counts' input.
     ctx, p = build_field(n), derive_params(n, k)
-    args = (kernel_dims(ctx, p),) if sweep == "gamma_sweep" else ()
+    args = (kernel_dims(ctx, p)[0],) if sweep == "gamma_sweep" else ()
     counted, build = Counter(), expsum._rows
 
     def counting(ctx, coeffs, e, outer=None):
@@ -624,29 +664,44 @@ def test_each_reader_builds_each_beta_row_once(monkeypatch, sweep, n, k):
     monkeypatch.setattr(expsum, "_rows", counting)
     reader = kernel_dims if sweep == "kernel_dims" else getattr(expsum, sweep)
     reader(ctx, p, *args)
+    zero, one = (len(betas) for _, betas, _ in expsum._pair_orbits(ctx, p))
     if sweep == "artin_schreier_sweep":
-        assert counted["value"] == ((1 << p.m) + 2) * ctx.q == 640
+        assert counted == {"trace": zero + one,
+                           "value": zero + ((1 << p.m) + 1) * one}
     else:
         kind = "trace" if sweep == "gamma_sweep" else "value"
-        assert counted == {kind: ctx.q}
+        assert counted == {kind: zero + one} == {kind: 2 + gcd(
+            p.e_quad, ctx.order) + gcd(((1 << p.m) - 1) * p.e_quad, ctx.order)}
+        assert zero + one == 22
 
 
 VALID_NK = [(n, k) for n in (4, 6, 8) for k in range(1, n) if k != n // 2]
 
 
-@pytest.mark.parametrize("n,k", VALID_NK)
+@pytest.mark.parametrize("n,k", VALID_NK + [(10, 1), (10, 2), (12, 1)])
 def test_orbit_rule_matches_the_full_tables(n, k):
-    # The two kernel rows give the rank profile of the full table, and the
-    # gamma-sweep and Artin-Schreier, on orbit representatives, find no
-    # pair or curve off its law (they return without raising), as the
-    # sweeps over every pair do.
+    # Each representative's kernel dimension is its entry of the table of
+    # every beta, the weighted dimensions give that table's rank profile,
+    # and the gamma-sweep and Artin-Schreier, on orbit representatives, find
+    # no pair or curve off its law (they return without raising), as the
+    # sweeps over every beta do. Up to n = 8 the table holds every alpha;
+    # from n = 10 alpha = 0 and 1, alpha = 1 standing for the 2^m - 1
+    # alphas != 0, the sweep made before the orbit rule.
     ctx, p = build_field(n), derive_params(n, k)
-    dims, full = kernel_dims(ctx, p), ref.kernel_dims(ctx, p)
-    profile = Counter(full.ravel()[1:].tolist())
-    assert rank_profile(dims, p) == (profile[0], profile[2], profile[4])
-    assert expsum.gamma_sweep(ctx, p, dims) is None
-    assert ref.gamma_sweep(ctx, p, full) == []
-    if p.d_prime == 2 * p.d:
+    alphas = subfield_elements(ctx, p.m) if n <= 8 else [0, 1]
+    kernel, full = kernel_dims(ctx, p), ref.kernel_dims(ctx, p, alphas)
+    assert kernel[0].tolist() == [full[alphas.index(alpha), beta]
+                                  for alpha, beta in representatives(ctx, p)]
+    if n <= 8:
+        profile = Counter(full.ravel()[1:].tolist())
+    else:
+        profile = Counter(full[0, 1:].tolist())
+        profile.update({dim: c * ((1 << p.m) - 1)
+                        for dim, c in Counter(full[1].tolist()).items()})
+    assert rank_profile(kernel) == (profile[0], profile[2], profile[4])
+    assert expsum.gamma_sweep(ctx, p, kernel[0]) is None
+    assert ref.gamma_sweep(ctx, p, full, alphas) == []
+    if p.d_prime == 2 * p.d and n <= 8:
         assert expsum.artin_schreier_sweep(ctx, p) is None
         assert ref.artin_schreier_sweep(ctx, p) == []
 
@@ -905,10 +960,11 @@ def verify_record(tmp_path, name, n=6, k=1):
 
 def test_verify_names_the_curve_off_the_identity(tmp_path, monkeypatch,
                                                  ctx6, p61):
+    # a' = 3 is pi^6, and beta = 5 a representative of alpha = 1.
     def one_point_more(ctx, params, alpha_prime, betas):
         counts = artin_schreier_points(ctx, params, alpha_prime, betas)
         if alpha_prime == 0x3:
-            counts[0x5] += 1
+            counts[betas == 0x5] += 1
         return counts
 
     monkeypatch.setattr("kasamilab.expsum.artin_schreier_points",
@@ -923,8 +979,9 @@ def test_verify_names_the_curve_off_the_identity(tmp_path, monkeypatch,
 
 def test_verify_names_the_first_pair_off_the_rank_law(tmp_path, monkeypatch,
                                                       ctx6, p61):
-    # A rank-4 law with one zero turned into a +peak: the first pair of rank
-    # 4, alpha in subfield order and then beta, is the one named.
+    # A rank-4 law with one zero turned into a +peak: the first
+    # representative pair of rank 4, in the order of `_pair_orbits`, is the
+    # one named.
     def moved(params, rank):
         counts = gamma_sweep_formula(params, rank).as_dict()
         if rank == 4:
@@ -934,10 +991,9 @@ def test_verify_names_the_first_pair_off_the_rank_law(tmp_path, monkeypatch,
 
     monkeypatch.setattr("kasamilab.expsum.gamma_sweep_formula", moved)
     code, record = verify_record(tmp_path, "gamma-sweep")
-    ranks = p61.s - kernel_dims(ctx6, p61)
-    first = np.flatnonzero(ranks.ravel() == 4)[0]  # (0, 0) has rank 0
-    alpha = subfield_elements(ctx6, 3)[first // ctx6.q]
-    beta = first % ctx6.q
+    ranks = p61.s - kernel_dims(ctx6, p61)[0]
+    first = np.flatnonzero(ranks == 4)[0]  # (0, 0) has rank 0
+    alpha, beta = representatives(ctx6, p61)[first]
     assert code == 2 and record["status"] == "mismatch"
     assert record["detail"] == (f"pair ({alpha:#x}, {beta:#x}) deviates from "
                                 f"the rank-4 law")

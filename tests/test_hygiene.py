@@ -20,8 +20,10 @@ other sweep counts bits or runs the Walsh transform. Only the gamma-sweep
 calls `_walsh`; only the T table, whose spans the popcount sweep bincounts,
 calls `_popcounts`; only that sweep and Artin-Schreier call the T table, and
 only T and S call that sweep (the code weights relabel them); only the
-gamma-sweep proves the gamma axis; only the popcount sweep, the
-gamma-sweep and its gamma axis, Artin-Schreier, the kernel sizes and
+gamma-sweep proves the gamma axis; only the popcount sweep, the kernel
+sizes, the gamma-sweep and Artin-Schreier read the orbit rule
+`expsum._pair_orbits`, the one function that takes a gcd of e_quad; only
+that rule, the popcount sweep (for S's gamma rows), the gamma axis and
 cyclicity lean on the orbit lemma (made once per field, and per exponent,
 and read by all of its callers), and no full-table orbit proof
 (`_row_closure`, `_orbit_closure`) is defined in the package; every row
@@ -304,23 +306,27 @@ def test_only_the_correlation_sweep_names_a_float_dtype(path):
 # kernel -> the (module, top-level function)s allowed to call it: the
 # popcount sweep (T and S, which the code weights relabel) and the T table it
 # reads span by span, which Artin-Schreier also reads; the Walsh kernel and
-# the gamma-axis proof, which only the gamma-sweep reads; the orbit lemma,
-# which every reader of one row per orbit, the gamma axis and cyclicity
-# read; the one row builder, which only the trace rows and the value rows
-# call; the trace rows, which only the popcount sweep, the T table, the
-# gamma-sweep, Artin-Schreier and the codewords build; the value rows, which
-# only the point counts and the phi rows build; the point counts;
-# and the thread pool, which only the correlation sweep sums its work over.
+# the gamma-axis proof, which only the gamma-sweep reads; the orbit rule,
+# which the four per-pair sweeps (T, the kernel sizes, the gamma-sweep and
+# Artin-Schreier) read; the orbit lemma, which the orbit rule, S's gamma
+# rows, the gamma axis and cyclicity read; the one row builder, which only
+# the trace rows and the value rows call; the trace rows, which only the
+# popcount sweep, the T table, the gamma-sweep, Artin-Schreier and the
+# codewords build; the value rows, which only the point counts and the phi
+# rows build; the point counts; and the thread pool, which only the
+# correlation sweep sums its work over.
 KERNEL_CALLERS = {
     "_popcount_sweep": {("expsum.py", "t_spectrum"),
                         ("expsum.py", "s_spectrum")},
     "_walsh": {("expsum.py", "gamma_sweep")},
     "_gamma_axis": {("expsum.py", "gamma_sweep")},
-    "_orbit_lemma": {("expsum.py", "_popcount_sweep"),
+    "_pair_orbits": {("expsum.py", "_popcount_sweep"),
                      ("expsum.py", "gamma_sweep"),
-                     ("expsum.py", "_gamma_axis"),
                      ("expsum.py", "artin_schreier_sweep"),
-                     ("linearized.py", "kernel_dims"),
+                     ("linearized.py", "kernel_dims")},
+    "_orbit_lemma": {("expsum.py", "_pair_orbits"),
+                     ("expsum.py", "_popcount_sweep"),
+                     ("expsum.py", "_gamma_axis"),
                      ("codes.py", "check_cyclicity")},
     "_rows": {("expsum.py", "_trace_rows"),
               ("expsum.py", "_monomial_rows")},
@@ -385,6 +391,38 @@ def test_only_the_two_sweeps_call_the_kernels(path):
     assert [(line, name, owner) for line, name, owner
             in kernel_calls(path.read_text())
             if (path.name, owner) not in KERNEL_CALLERS[name]] == []
+
+
+def e_quad_gcds(source):
+    """(line, top-level function or None) of every call of `gcd`, by name or
+    attribute, with `e_quad` in its arguments."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            fn = getattr(node, "func", None)
+            if getattr(fn, "attr", getattr(fn, "id", None)) == "gcd" and any(
+                    getattr(part, "attr", getattr(part, "id", None))
+                    == "e_quad" for arg in node.args
+                    for part in ast.walk(arg)):
+                found.append((node.lineno, owner))
+    return sorted(found)
+
+
+def test_e_quad_gcd_guard_flags_every_call():
+    source = ("def orbits(params, order):\n"
+              "    return gcd(params.e_quad, order), math.gcd(3 * e_quad, 7)\n"
+              "def roots(h, l):\n"
+              "    return gcd(h, l)\n"
+              "g = gcd(order, (1 << m) * params.e_quad)\n")
+    assert e_quad_gcds(source) == [(2, "orbits"), (2, "orbits"), (5, None)]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_only_the_orbit_rule_takes_a_gcd_of_e_quad(path):
+    # The beta orbits of T's pairs are counted in one place.
+    assert [(line, owner) for line, owner in e_quad_gcds(path.read_text())
+            if (path.name, owner) != ("expsum.py", "_pair_orbits")] == []
 
 
 # The O(q^2) full-table proofs of the x -> pi x law, which the orbit lemma

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 import reference as ref
 from kasamilab import (VerificationError, bluher_counts, bluher_counts_formula,
-                       build_field, derive_params, kernel_dims, linearized,
-                       rank_profile, rank_profile_formula, subfield_elements)
+                       build_field, derive_params, expsum, kernel_dims,
+                       linearized, rank_profile, rank_profile_formula,
+                       subfield_elements)
 from kasamilab.cli import main
 from kasamilab.field import _mul, power_table
 from test_expsum import traced_peak
@@ -29,7 +30,7 @@ PROFILES = {
 def test_rank_profile_frozen(nk, expected):
     n, k = nk
     ctx, p = build_field(n), derive_params(n, k)
-    prof = rank_profile(kernel_dims(ctx, p), p)
+    prof = rank_profile(kernel_dims(ctx, p))
     assert prof == expected
     assert sum(prof) == (1 << p.m) * (1 << n) - 1
 
@@ -38,38 +39,38 @@ def test_rank_profile_frozen(nk, expected):
 def test_rank_profile_matches_formula(nk):
     n, k = nk
     p = derive_params(n, k)
-    assert rank_profile(kernel_dims(build_field(n), p), p) == \
+    assert rank_profile(kernel_dims(build_field(n), p)) == \
         rank_profile_formula(p)
 
 
 @pytest.mark.slow
 def test_rank_profile_frozen_n8():
     p = derive_params(8, 2)
-    assert rank_profile(kernel_dims(build_field(8), p), p) == (3024, 1071, 0)
+    assert rank_profile(kernel_dims(build_field(8), p)) == (3024, 1071, 0)
     assert rank_profile_formula(derive_params(8, 2)) == (3024, 1071, 0)
 
 
 def phi_rows(ctx, params, alpha, betas):
     """The phi rows of one alpha, one row per beta."""
-    return next(linearized._phi_rows(ctx, params, [alpha], betas))
+    return linearized._phi_rows(ctx, params, alpha, betas)
 
 
 def test_kernel_size_matches_oracle(ctx4, p41):
-    # The two rows alpha = 0 and alpha = 1.
-    dims = kernel_dims(ctx4, p41)
-    assert dims.shape == (2, 16)
-    for alpha, row in zip((0, 1), dims.tolist()):
-        for beta in range(16):
-            if alpha == 0 and beta == 0:
-                continue
-            assert p41.q0 ** row[beta] == \
-                ref.kernel_count_naive(alpha, beta, 1, 0x13, 4)
+    # One dimension per orbit representative, with its orbit's size.
+    dims, weights = kernel_dims(ctx4, p41)
+    pairs = [(alpha, beta) for alpha, betas, _ in
+             expsum._pair_orbits(ctx4, p41) for beta in betas.tolist()]
+    assert len(dims) == len(weights) == len(pairs)
+    assert weights.sum() == 1 << (3 * p41.m)
+    for (alpha, beta), dim in zip(pairs[1:], dims[1:].tolist()):
+        assert p41.q0 ** dim == \
+            ref.kernel_count_naive(alpha, beta, 1, 0x13, 4)
 
 
 def test_kernel_profile_matches_oracle(ctx6, p61):
     naive = ref.kernel_profile_naive(1, 0x43, 6)
     # q0-dimension 0/2/4 <-> kernel size q0^0/q0^2/q0^4.
-    assert rank_profile(kernel_dims(ctx6, p61), p61) == \
+    assert rank_profile(kernel_dims(ctx6, p61)) == \
         (naive[1], naive[4], naive[16])
 
 
@@ -210,20 +211,20 @@ def test_bluher_formula_n8():
 
 def test_kernel_size_off_a_q0_power_is_rejected(ctx4, p41, monkeypatch):
     # (1, 2) has a 4-element kernel at (4, 1); one extra zero makes 5.
-    assert p41.q0 ** linearized._kernel_dims(ctx4, p41, [1], [2])[0, 0] == 4
+    assert p41.q0 ** linearized._kernel_dims(ctx4, p41, 1, [2])[0] == 4
     build = linearized._phi_rows
 
     def one_more_zero(*args):
-        for rows in build(*args):
-            for row in rows:
-                nonzero = np.flatnonzero(row)
-                if len(nonzero):
-                    row[nonzero[0]] = 0
-            yield rows
+        rows = build(*args)
+        for row in rows:
+            nonzero = np.flatnonzero(row)
+            if len(nonzero):
+                row[nonzero[0]] = 0
+        return rows
 
     monkeypatch.setattr(linearized, "_phi_rows", one_more_zero)
     with pytest.raises(VerificationError, match="not a power of q0"):
-        linearized._kernel_dims(ctx4, p41, [1], [2])
+        linearized._kernel_dims(ctx4, p41, 1, [2])
     with pytest.raises(VerificationError, match="not a power of q0"):
         kernel_dims(ctx4, p41)
 
@@ -232,23 +233,24 @@ def patch_phi_row(monkeypatch, alpha, beta, edit):
     """Patch the phi rows: apply edit(row) in place to (alpha, beta)'s row."""
     build = linearized._phi_rows
 
-    def edited(ctx, params, alphas, betas):
-        for a, rows in zip(alphas, build(ctx, params, alphas, betas)):
-            if a == alpha:
-                for i in np.flatnonzero(np.asarray(betas) == beta):
-                    edit(rows[i])
-            yield rows
+    def edited(ctx, params, a, betas):
+        rows = build(ctx, params, a, betas)
+        if a == alpha:
+            for i in np.flatnonzero(np.asarray(betas) == beta):
+                edit(rows[i])
+        return rows
 
     monkeypatch.setattr(linearized, "_phi_rows", edited)
 
 
 def test_kernel_table_memory_bounded_by_its_span():
-    # A block holds 512 beta rows of 1024 int64 phi values, 4 MB; the
-    # products and the XOR that build it and the linearity check's gathers
-    # stay within four such blocks. Blocks of every beta, as a 2^22-entry
-    # rule gives at n = 10, peak at 24 MB.
+    # alpha = 1 reads 94 beta representatives at n = 10, 0.75 MB of int64
+    # phi values in one block; with the products that build them and the
+    # linearity check's gathers, 3.0 MB traced, the field's tables
+    # included, under one block of 512 beta rows, 4 MB. Blocks of every
+    # beta, as a 2^22-entry rule gives at n = 10, peak at 24 MB.
     ctx, p = build_field(10), derive_params(10, 1)
-    assert traced_peak(kernel_dims, ctx, p) < 4 * (1 << 19) * 8
+    assert traced_peak(kernel_dims, ctx, p) < (1 << 19) * 8
 
 
 def swap_a_kernel_element(row):
@@ -260,8 +262,11 @@ def swap_a_kernel_element(row):
 
 
 def four_element_kernel(ctx6, p61):
-    dims = linearized._kernel_dims(ctx6, p61, [1], range(ctx6.q))[0]
-    return 1, int(np.flatnonzero(p61.q0 ** dims == 4)[0])
+    """The first beta representative of alpha = 1 whose phi has a
+    4-element kernel."""
+    (_, zero, _), (_, betas, _) = expsum._pair_orbits(ctx6, p61)
+    dims = kernel_dims(ctx6, p61)[0][len(zero):]
+    return 1, int(betas[np.flatnonzero(p61.q0 ** dims == 4)[0]])
 
 
 def test_rank_profile_rejects_a_kernel_not_closed(ctx6, p61, monkeypatch):
@@ -276,7 +281,7 @@ def test_rank_profile_rejects_a_kernel_not_closed(ctx6, p61, monkeypatch):
                              r"GF\(2\)-linear"):
         kernel_dims(ctx6, p61)
     with pytest.raises(VerificationError, match="not GF"):
-        linearized._kernel_dims(ctx6, p61, [alpha], [beta])
+        linearized._kernel_dims(ctx6, p61, alpha, [beta])
 
 
 def test_rank_profile_rejects_a_kernel_not_gf_q0_stable(ctx8, p82,

@@ -20,7 +20,8 @@ def test_library_example_runs(capsys):
     exec(compile(library_example(), str(README), "exec"), ns)
     assert ns["brute"].as_dict() == {-32: 21, -8: 280, 16: 210, 64: 1}
     assert (ns["m1"], ns["m2"], ns["m3"]) == (512, 97280, 290816)
-    assert ns["dims"].shape == (2, 64)
+    dims, weights = ns["kernel"]
+    assert len(dims) == len(weights) == 26 and weights.sum() == 512
     assert ns["roots"] == (26, 15, 21, 1)
     assert (ns["h1"], ns["h2"], ns["h3"]) == (0x61, 0x75, 0xB)
     assert capsys.readouterr().out.splitlines()[0] == "(512, 8) F1(0,0)"
