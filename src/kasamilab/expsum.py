@@ -2,22 +2,24 @@
 
 T(a, b) sums (-1)^(Tr_m(a x^(2^m+1)) + Tr_n(b x^(2^k+1))) over GF(2^n) with a
 drawn from the subfield copy of GF(2^m); S(a, b, g) adds a linear term
-Tr_n(g x). The popcount sweep counts wt(row) of the trace bits: T = q - 2 wt
-and the c1 code weights are wt; over the gamma axis, S = q - 2 wt and the c2
-weights are wt, each counted as wt at g = 0 plus q - 1 copies of wt at g = 1.
-That leans on the orbit lemma, `field._orbit_lemma`: x -> c x carries the
-row of (a, b, g) onto that of (a c^e1, b c^e2, g c), so g = 1 stands for
-every g != 0, and one pair of `_pair_orbits`, the orbit rule, for each
-orbit of pairs, since `_rows` builds each row a sweep reads from its
-definition on the lemma's tables. The gamma-sweep transforms those rows'
-signs (int16 while q fits, else int32) over an axis `_gamma_axis` proves
-to be the gamma axis.
+Tr_n(g x). Every sweep leans on the orbit lemma, `field._orbit_lemma`:
+x -> c x carries the row of (a, b, g) onto that of (a c^e1, b c^e2, g c),
+so one pair of `_pair_orbits`, the orbit rule, stands for each orbit of
+pairs, since `_rows` builds each row a sweep reads from its definition on
+the lemma's tables. The popcount sweep counts wt(row) of each
+representative's trace bits: T = q - 2 wt, and the c1 code weights are wt.
+The Walsh sweep transforms the signs of each representative's row (int16
+while q fits, else int32) over an axis `_gamma_axis` proves to be the gamma
+axis, which gives the pair's S over every g, shared by its orbit: S (and so
+the c2 weights) is their weighted count, and the gamma-sweep checks each
+pair's against its rank law.
 Closed-form tables, split on the parity case, predict each sweep; callers
 compare the two, never papering over a mismatch.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -25,7 +27,7 @@ import numpy as np
 
 from .distribution import ValueDistribution, VerificationError, _exact, _p2
 from .field import (_cached, _gf2_linear, _mul, _orbit_lemma, _times,
-                    power_table, rel_trace_table, subfield_elements)
+                    power_table, rel_trace_table)
 
 __all__ = [
     "t_spectrum", "t_spectrum_formula", "s_spectrum",
@@ -196,91 +198,79 @@ def _pair_orbits(ctx, params):
                      (1, gcd(units * params.e_quad, order), units)))
 
 
-def _popcount_sweep(ctx, params, linear=False):
-    """The popcount sweep: the distribution of T = q - 2 wt(row) over all
-    2^(3m) pairs, from the weights of the representatives of
-    `_pair_orbits`, each counted once per pair of its orbit; with `linear`,
-    that of S = q - 2 wt over all 2^(3m) q triples, the row adding
-    Tr_n(gamma x). Either total is checked.
-
-    S at gamma = 0 is T; with c = 1/gamma, S over gamma != 0 is q - 1 times
-    the sweep of every alpha row XOR Tr_n(x), built on the x^1 table whose
-    law the lemma proves too, against every beta, max(64, 2^21 // q) betas
-    at a time, on one thread: a span of beta rows is at most 256 kB packed
-    up to n = 14, and is never held unpacked.
-    """
-    q, weights = ctx.q, np.zeros(ctx.q + 1, dtype=np.int64)
-    for alpha, betas, sizes in _pair_orbits(ctx, params):
-        apacked = np.packbits(_trace_rows(ctx, params, [alpha], [], [])[0],
-                              axis=-1)
-        t = _t_table(ctx, params, apacked, betas)
-        np.add.at(weights, (q - t[0]) >> 1, sizes)
-    name, covered, total = "T", "pairs", 1 << (3 * params.m)
-    if linear:
-        _orbit_lemma(ctx, 1)
-        arows, _, grow = _trace_rows(ctx, params,
-                                     subfield_elements(ctx, params.m), [], [1])
-        apacked = np.packbits(arows ^ grow, axis=-1)
-        chunk = max(64, (1 << 21) // q)
-        for i in range(0, q, chunk):
-            t = _t_table(ctx, params, apacked, range(i, min(i + chunk, q)))
-            weights += (q - 1) * np.bincount((q - t).ravel() >> 1,
-                                             minlength=q + 1)
-        name, covered, total = "S", "triples", total * q
-    dist = ValueDistribution.from_counts(
-        (q - 2 * w, c) for w, c in enumerate(weights.tolist()))
+def _swept(name, counts, total, covered):
+    """The distribution of counts ({value: count}), or VerificationError
+    unless it covers `total` pairs or triples."""
+    dist = ValueDistribution.from_counts(counts)
     if dist.total != total:
         raise VerificationError(f"{name} sweep covered {dist.total} {covered}")
     return dist
 
 
 def t_spectrum(ctx, params):
-    """Measured distribution of T over all (alpha, beta) pairs: the popcount
-    sweep."""
-    return _popcount_sweep(ctx, params)
+    """Measured distribution of T over all (alpha, beta) pairs, the popcount
+    sweep: T = q - 2 wt(row), from the weights of the representatives of
+    `_pair_orbits`, each counted once per pair of its orbit."""
+    q, weights = ctx.q, np.zeros(ctx.q + 1, dtype=np.int64)
+    for alpha, betas, sizes in _pair_orbits(ctx, params):
+        apacked = np.packbits(_trace_rows(ctx, params, [alpha], [], [])[0],
+                              axis=-1)
+        t = _t_table(ctx, params, apacked, betas)
+        np.add.at(weights, (q - t[0]) >> 1, sizes)
+    return _swept("T", {q - 2 * w: c for w, c in enumerate(weights.tolist())},
+                  1 << (3 * params.m), "pairs")
 
 
-def _blocks(values, q):
-    """values in consecutive blocks of at most 2^19 // q (at least one), so
-    that a block of rows of q entries holds at most 2^19 entries."""
-    span = max(1, (1 << 19) // q)
+def _blocks(values, q, entries=1 << 19):
+    """values in consecutive blocks of at most entries // q (at least one),
+    so that a block of rows of q entries holds at most `entries`."""
+    span = max(1, entries // q)
     return [values[i:i + span] for i in range(0, len(values), span)]
+
+
+def _s_counts(ctx, params):
+    """The Walsh sweep: (alpha, beta, weight, counts) for each pair of
+    `_pair_orbits`, in its order, weight the pairs of its orbit and counts
+    {value: number of g} of S(alpha, beta, g) over the gamma axis, which
+    `_gamma_axis` proves the transform index to be. A block of the betas
+    holds 2^18 entries, as its transform and butterfly buffer are two int16
+    (or int32) copies of it, and is dropped once each row is counted."""
+    _gamma_axis(ctx)
+    for alpha, betas, weights in _pair_orbits(ctx, params):
+        arow = _trace_rows(ctx, params, [alpha], [], [])[0]
+        for block, sizes in zip(_blocks(betas, ctx.q, 1 << 18),
+                                _blocks(weights, ctx.q, 1 << 18)):
+            counts = [np.unique(row, return_counts=True) for row in _walsh(
+                arow ^ _trace_rows(ctx, params, [], block, [])[1])]
+            for beta, size, (values, times) in zip(block.tolist(),
+                                                   sizes.tolist(), counts):
+                yield alpha, beta, size, dict(zip(values.tolist(),
+                                                  times.tolist()))
 
 
 def s_spectrum(ctx, params):
     """Measured distribution of S over all (alpha, beta, gamma) triples: the
-    popcount sweep over the gamma axis."""
-    return _popcount_sweep(ctx, params, linear=True)
+    counts of the Walsh sweep, each pair's times the pairs of its orbit."""
+    total = Counter()
+    for _, _, size, counts in _s_counts(ctx, params):
+        total.update({value: size * count for value, count in counts.items()})
+    return _swept("S", total, 1 << (3 * params.m + params.n), "triples")
 
 
 def gamma_sweep(ctx, params, dims):
     """None when S over gamma, for each pair of `_pair_orbits`, has the
-    counts of 0 and +-peak (they sum to q) `gamma_sweep_formula` gives its
-    rank, s minus its entry of dims, in the order of `kernel_dims` ((0, 0)
-    has no form); else raises VerificationError naming the first pair off
-    its law, the betas taken in `_blocks`. `_gamma_axis` makes the
-    transform index gamma."""
-    table = np.zeros((params.s + 1, 4), dtype=np.int64)
-    for rank in range(0, params.s + 1, 2):
-        want = gamma_sweep_formula(params, rank)
-        peak = max(want.values)
-        table[rank] = peak, want.count(0), want.count(peak), want.count(-peak)
-    _gamma_axis(ctx)
-    ranks = params.s - np.asarray(dims)
-    for alpha, betas, _ in _pair_orbits(ctx, params):
-        arow = _trace_rows(ctx, params, [alpha], [], [])[0]
-        for block in _blocks(betas, ctx.q):
-            walsh = _walsh(arow ^ _trace_rows(ctx, params, [], block, [])[1])
-            rank, ranks = ranks[:len(block)], ranks[len(block):]
-            peak = table[rank, :1].astype(walsh.dtype)
-            got = np.stack([(walsh == v).sum(axis=1)
-                            for v in (0, peak, -peak)], axis=1)
-            bad = np.flatnonzero((got != table[rank, 1:]).any(axis=1)
-                                 & ((block != 0) | (alpha != 0)))
-            if bad.size:
-                raise VerificationError(
-                    f"pair ({alpha:#x}, {int(block[bad[0]]):#x}) deviates "
-                    f"from the rank-{int(rank[bad[0]])} law")
+    counts `gamma_sweep_formula` gives its rank, s minus its entry of dims,
+    in the order of `kernel_dims` ((0, 0) has no form); else raises
+    VerificationError naming the first pair off its law. The counts are
+    those of the Walsh sweep, `_s_counts`."""
+    laws = {rank: gamma_sweep_formula(params, rank).as_dict()
+            for rank in range(0, params.s + 1, 2)}
+    ranks = (params.s - np.asarray(dims)).tolist()
+    for (alpha, beta, _, counts), rank in zip(_s_counts(ctx, params), ranks,
+                                              strict=True):
+        if counts != laws.get(rank) and (alpha or beta):
+            raise VerificationError(f"pair ({alpha:#x}, {beta:#x}) deviates "
+                                    f"from the rank-{rank} law")
 
 
 def gamma_sweep_formula(params, rank):
@@ -413,19 +403,28 @@ def moments(dist, params):
 
 
 def artin_schreier_points(ctx, params, alpha_prime, beta):
-    """Exact count of (x, y) with a' x^(2^m+1) + b x^(2^k+1) = y^(2^d) + y.
+    """Exact count of (x, y) with a' x^(2^m+1) + b x^(2^k+1) = y^(2^d) + y,
+    one row per a' of alpha_prime and one column per b of beta (an int for
+    two scalars).
 
-    Pure point counting: the y side is histogrammed, the x side reads the
-    value rows of a' x^e1 and b x^e2. Defined for the d' = 2d parameter
-    case. An array of b gives an array of counts, one per b.
+    Pure point counting: the y side is histogrammed once per call, the x
+    side reads the value rows of a' x^e1 and b x^e2, the b rows built once
+    for every a' as one (b x q) slab, which each a' is XORed onto and off.
+    Defined for the d' = 2d parameter case.
     """
     if params.d_prime != 2 * params.d:
         raise ValueError("point-count identity applies to the d' = 2d case only")
     y = np.arange(ctx.q)
     hist = np.bincount(power_table(ctx, 1 << params.d) ^ y, minlength=ctx.q)
-    f = (_monomial_rows(ctx, alpha_prime, params.m)
-         ^ _monomial_rows(ctx, beta, params.k))
-    points = hist[f].sum(axis=-1)
+    aprimes, betas = np.asarray(alpha_prime), np.asarray(beta)
+    slab = _monomial_rows(ctx, betas.reshape(-1), params.k)
+    points = np.empty((aprimes.size, len(slab)), dtype=np.int64)
+    for row, a in zip(points, aprimes.reshape(-1).tolist()):
+        avals = _monomial_rows(ctx, a, params.m)
+        slab ^= avals  # the x side of a', XORed back off once counted
+        hist[slab].sum(axis=-1, out=row)
+        slab ^= avals
+    points = points.reshape(aprimes.shape + betas.shape)
     return int(points) if points.ndim == 0 else points
 
 
@@ -435,7 +434,7 @@ def artin_schreier_sweep(ctx, params):
     of alpha = 0, and each coset representative pi^j, j <= 2^m, of the
     e1-th powers against those of alpha = 1 ((0, 0) left out); else raises
     VerificationError naming the first curve off, the betas taken in
-    `_blocks`."""
+    `_blocks`, each block's points counted in one call."""
     cosets = (np.zeros(1, np.int64), ctx.exp_table[:(1 << params.m) + 1])
     for aprimes, (_, betas, _) in zip(cosets, _pair_orbits(ctx, params)):
         traces = rel_trace_table(ctx, params.m, params.n)[aprimes]
@@ -444,8 +443,7 @@ def artin_schreier_sweep(ctx, params):
         for block in _blocks(betas, ctx.q):
             want = ctx.q + ((1 << params.d) - 1) * _t_table(
                 ctx, params, apacked, block)
-            got = np.stack([artin_schreier_points(ctx, params, a, block)
-                            for a in aprimes.tolist()])
+            got = artin_schreier_points(ctx, params, aprimes, block)
             bad = np.argwhere((got != want)
                               & ((aprimes[:, None] != 0) | (block != 0)))
             if bad.size:

@@ -22,7 +22,8 @@ they read the package's field tables, per-pair kernel validator, trace
 rows and Walsh transform, each checked against the naive functions above
 by the tests. `popcount_sweep`
 is the T and S sweep over every alpha row and every beta, without the
-stabilizer orbits. `orbit_closure` (through `row_closure`) and
+stabilizer orbits, S counted at gamma = 0 and q - 1 times at gamma = 1 as
+the package once did before its Walsh sweep. `orbit_closure` (through `row_closure`) and
 `gamma_axis` are the O(q^2) full-table proofs of the x -> pi x law that the
 package's O(q) orbit lemma replaced. `trace_bit_matrix` gathers trace rows
 from the rotations of the m-sequence Tr(pi^t), as the package once built

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
+import importlib.util
 import json
 import os
 import re
@@ -17,7 +18,8 @@ from kasamilab import (ValueDistribution, VerificationError,
 from kasamilab.cli import _CHECKS, DEFAULT_BUDGETS, main
 
 ROOT = Path(__file__).resolve().parents[1]
-GOLDEN = ROOT / "bench" / "expected"
+GOLDEN = ROOT / "tests" / "golden"
+BENCH_EXPECTED = ROOT / "bench" / "expected"
 
 
 def run(tmp_path, *args):
@@ -250,6 +252,21 @@ def test_verify_report_is_golden(tmp_path, n, k, code):
         (GOLDEN / f"n{n}k{k}.json").read_bytes()
 
 
+def test_goldens_pass_the_bench_rule():
+    # The tests own their goldens; the benchmark's expected reports must
+    # still pass against them by the benchmark's own rule, file for file.
+    spec = importlib.util.spec_from_file_location(
+        "bench_reports", ROOT / "bench" / "reports.py")
+    reports = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reports)
+    names = sorted(path.name for path in GOLDEN.glob("*.json"))
+    assert len(names) == 6
+    assert names == sorted(path.name for path in BENCH_EXPECTED.glob("*.json"))
+    for name in names:
+        assert reports.compare_reports((BENCH_EXPECTED / name).read_bytes(),
+                                       (GOLDEN / name).read_bytes()) == []
+
+
 def record_calls(monkeypatch, sweep, key):
     """key(*args, **kwargs) of every call of sweep, through whichever
     kasamilab module it is called from."""
@@ -279,20 +296,23 @@ def test_verify_sweeps_each_kernel_once(tmp_path, monkeypatch):
     assert calls == [0, 1]
 
 
-@pytest.mark.parametrize("args,want", [
-    (("verify",), [False, True]),
-    (("code-weights", "--code", "c1"), [False]),
-    (("code-weights", "--code", "both"), [False, True]),
+@pytest.mark.parametrize("args,popcount,walsh", [
+    (("verify",), 1, 2),
+    (("code-weights", "--code", "c1"), 1, 0),
+    (("code-weights", "--code", "both"), 1, 1),
 ], ids=["verify", "c1", "both"])
 def test_each_popcount_histogram_is_swept_once(tmp_path, monkeypatch, args,
-                                               want):
-    # The popcount sweep makes two histograms, T and S (linear); the code
-    # weights are read off them, so no command sweeps either one twice.
-    calls = record_calls(monkeypatch, expsum._popcount_sweep,
-                         lambda ctx, params, linear=False: linear)
+                                               popcount, walsh):
+    # T's popcount sweep runs once, as the checks that read T (the c1
+    # weights among them) share it; the Walsh sweep runs once for each of
+    # its readers, S (which the c2 weights relabel) and the gamma-sweep.
+    t_calls = record_calls(monkeypatch, expsum.t_spectrum,
+                           lambda ctx, params: params)
+    walsh_calls = record_calls(monkeypatch, expsum._s_counts,
+                               lambda ctx, params: params)
     code, report, _ = run(tmp_path, *args, "--n", "6", "--k", "1")
     assert code == 3 and "mismatch" not in statuses(report).values()
-    assert calls == want
+    assert (len(t_calls), len(walsh_calls)) == (popcount, walsh)
 
 
 def test_shared_sweeps_are_timed_on_their_own_lines(tmp_path, monkeypatch,
@@ -393,8 +413,7 @@ def _t_one_moved(params):
 def _one_point_more(ctx, params, alpha_prime, betas):
     # a' = 3 is pi^6, and beta = 5 a representative of alpha = 1.
     counts = artin_schreier_points(ctx, params, alpha_prime, betas)
-    if alpha_prime == 0x3:
-        counts[betas == 0x5] += 1
+    counts[(alpha_prime[:, None] == 0x3) & (betas == 0x5)] += 1
     return counts
 
 

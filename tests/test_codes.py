@@ -4,6 +4,7 @@ import dataclasses
 import json
 import re
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -325,13 +326,12 @@ def test_weights_are_popcounts_of_every_word(nk):
 
 
 def test_c2_sweep_memory_bounded_by_its_span():
-    # The gamma = 0 sweep over orbit representatives and the gamma = 1
-    # sweep over one span of 1024 beta rows, 128 kB packed, each block of
-    # rows built from its definitions 32 rows (256 kB of int64 products) at
-    # a time. Walsh transforms of every (alpha, beta) pair over the gamma
-    # axis take more.
+    # The Walsh sweep transforms the 4 + 94 orbit representatives, one
+    # block per alpha, each block of rows built from its definitions 32 rows
+    # (256 kB of int64 products) at a time: 1.0 MB traced. Walsh transforms
+    # of every (alpha, beta) pair over the gamma axis take more.
     ctx, p = build_field(10), derive_params(10, 1)
-    assert traced_peak(measured_weights, ctx, p, "c2") < 3 * (1 << 20)
+    assert traced_peak(measured_weights, ctx, p, "c2") < 3 * (1 << 19)
 
 
 def test_c1_sweep_memory_bounded_by_its_chunk():
@@ -350,30 +350,30 @@ def test_c2_weights_match_the_formula_exhaustively(nk):
 
 
 def test_c2_memory_at_n12_bounded_by_the_gamma_table():
-    # The gamma = 1 sweep reads the beta rows in spans of 512, 256 kB
-    # packed, built in blocks of 128 rows of 4096 uint8 bits (512 kB), each
-    # 8 rows (256 kB of int64 products) at a time: 2.5 MiB traced. The q x q
-    # beta or gamma table alone takes 16 MB.
+    # The Walsh sweep transforms the 4 + 64 orbit representatives, one
+    # block per alpha, of up to 64 rows of 4096 entries: the uint8 bits and
+    # their XOR with the alpha row (256 kB each), the int16 transform and its
+    # butterfly buffer (512 kB each): 1.7 MiB traced, the field's tables
+    # included. The q x q beta or gamma table alone takes 16 MB.
     ctx, p = build_field(12), derive_params(12, 1)
-    assert traced_peak(measured_weights, ctx, p, "c2") < 3 * (1 << 20)
+    assert traced_peak(measured_weights, ctx, p, "c2") < 2 * (1 << 20)
 
 
-@pytest.mark.parametrize("table", ["alpha", "beta", "gamma"])
+@pytest.mark.parametrize("table", ["alpha", "beta"])
 def test_c2_count_needs_every_row_closed_under_pi(monkeypatch, table):
-    # The gamma != 0 words are counted at gamma = 1 only, and the words at
-    # gamma = 0 (c1 among them) at alpha = 0, 1 and one beta per orbit, on
-    # the licence that x -> pi x carries every row onto a row. A row they
-    # read with one bit flipped is off its definition, and moves the count
-    # off its closed form: the zero alpha row and beta = 5 (pi^12, the
-    # representative of its orbit for alpha = 1) both counts, the gamma = 1
-    # row the c2 count alone, as c1 reads no gamma.
+    # Both codes' words are counted at alpha = 0, 1 and one beta per orbit,
+    # the c2 words over every gamma by the Walsh transform, on the licence
+    # that x -> pi x carries every row onto a row. A row they read with one
+    # bit flipped is off its definition, and moves both counts off their
+    # closed forms: the zero alpha row, or beta = 5 (pi^12, the
+    # representative of its orbit for alpha = 1). No count reads a gamma
+    # row.
     ctx, p = build_field(6), derive_params(6, 1)
-    flip_row_bit(monkeypatch, *{"alpha": (p.e_norm, 0), "beta": (p.e_quad, 5),
-                                "gamma": (1, 1)}[table])
+    flip_row_bit(monkeypatch, *{"alpha": (p.e_norm, 0),
+                                "beta": (p.e_quad, 5)}[table])
     for code in ("c1", "c2"):
-        got = measured_weights(ctx, p, code).as_dict()
-        want = weight_distribution_formula(p, code).as_dict()
-        assert (got == want) == ((code, table) == ("c1", "gamma"))
+        assert measured_weights(ctx, p, code).as_dict() != \
+            weight_distribution_formula(p, code).as_dict()
 
 
 @pytest.mark.parametrize("kernel", ["_walsh", "_popcounts"])
@@ -382,7 +382,9 @@ def test_a_broken_kernel_fails_the_checks_that_read_it(tmp_path, monkeypatch,
     # One entry of every block is moved by 2, which keeps each histogram's
     # total and the parity of every value: the first entry of the last row,
     # for the popcount kernel that of the last orbit representative, whose
-    # T artin-schreier reads.
+    # T artin-schreier reads. The Walsh kernel is read by S (and so the c2
+    # weights) and the gamma-sweep, the popcount kernel by T and every
+    # reader of it.
     build = getattr(expsum, kernel)
 
     def broken(*args):
@@ -396,10 +398,10 @@ def test_a_broken_kernel_fails_the_checks_that_read_it(tmp_path, monkeypatch,
     report = json.loads((tmp_path / "report.json").read_text())
     failed = {r["name"] for r in report["records"]
               if r["status"] == "mismatch"}
-    assert failed == ({"gamma-sweep"} if kernel == "_walsh" else
-                      {"moments", "t-spectrum", "s-spectrum",
-                       "artin-schreier", "code-weights-c1",
-                       "code-weights-c2"})
+    assert failed == ({"s-spectrum", "gamma-sweep", "code-weights-c2"}
+                      if kernel == "_walsh" else
+                      {"moments", "t-spectrum", "artin-schreier",
+                       "code-weights-c1"})
 
 
 def break_trace(monkeypatch, flip=False):
@@ -423,21 +425,23 @@ def break_trace(monkeypatch, flip=False):
 @pytest.mark.parametrize("flip", [False, True], ids=["repeated", "nonlinear"])
 def test_a_broken_gamma_axis_fails_every_walsh_sweep(tmp_path, monkeypatch,
                                                      flip):
-    # The gamma-sweep names Tr_n from its gamma axis. T and S, and so both
-    # code weights, build their beta rows on the same Tr_n and move off
-    # their closed forms.
+    # The gamma-sweep and S (and so the c2 weights) name Tr_n from their
+    # gamma axis. T, and so the c1 weights, builds its beta rows on the same
+    # Tr_n and moves off its closed form.
     break_trace(monkeypatch, flip)
     ctx, p = build_field(4), derive_params(4, 1)
-    with pytest.raises(VerificationError, match="Tr_n"):
-        expsum.gamma_sweep(ctx, p, kernel_dims(ctx, p)[0])
-    for code in ("c1", "c2"):
-        assert measured_weights(ctx, p, code).as_dict() != \
-            weight_distribution_formula(p, code).as_dict()
+    for sweep in (partial(expsum.gamma_sweep, ctx, p, kernel_dims(ctx, p)[0]),
+                  partial(measured_weights, ctx, p, "c2")):
+        with pytest.raises(VerificationError, match="Tr_n"):
+            sweep()
+    assert measured_weights(ctx, p, "c1").as_dict() != \
+        weight_distribution_formula(p, "c1").as_dict()
     assert main(["verify", "--n", "4", "--k", "1",
                  "--out", str(tmp_path)]) == 2
     report = json.loads((tmp_path / "report.json").read_text())
     records = {r["name"]: r for r in report["records"]}
-    assert "Tr_n" in records["gamma-sweep"]["detail"]
+    for name in ("gamma-sweep", "s-spectrum", "code-weights-c2"):
+        assert "Tr_n" in records[name]["detail"]
     for name in ("gamma-sweep", "t-spectrum", "s-spectrum",
                  "code-weights-c1", "code-weights-c2"):
         assert records[name]["status"] == "mismatch"
@@ -445,7 +449,7 @@ def test_a_broken_gamma_axis_fails_every_walsh_sweep(tmp_path, monkeypatch,
 
 def test_gamma_axis_is_proved_once_per_field(monkeypatch):
     # Only the gamma axis asks whether Tr_n is linear, once per field,
-    # however often the gamma-sweep runs.
+    # however often the gamma-sweep and S run.
     built, linear = [], expsum._gf2_linear
 
     def counted(table):
@@ -457,6 +461,7 @@ def test_gamma_axis_is_proved_once_per_field(monkeypatch):
     dims = kernel_dims(ctx, p)[0]
     for _ in range(2):
         expsum.gamma_sweep(ctx, p, dims)
+        s_spectrum(ctx, p)
     assert built == [ctx.q]
 
 

@@ -194,31 +194,35 @@ def test_alpha_rows_take_no_more_than_their_table():
 
 
 def test_s_sweep_memory_bounded_by_its_span():
-    # The gamma = 1 sweep takes all 1024 beta rows as one span, 128 kB
-    # packed, built and packed 512 rows (512 kB unpacked) at a time, each
-    # block from its definitions 32 rows (256 kB of int64 products) at a
-    # time; the gamma = 0 sweep reads 98 orbit representatives. 1.5 MB
-    # traced. The q x q beta rows, unpacked, take 1 MB alone.
-    ctx, p = build_field(10), derive_params(10, 1)
-    assert traced_peak(s_spectrum, ctx, p) < 6 * (1 << 19)
+    # The Walsh sweep transforms blocks of at most 2^18 entries: at (10,1)
+    # the 4 + 94 representatives, one block per alpha; at (12,2) the 6 + 316,
+    # 64 rows of 4096 entries to a block. A block's uint8 bits, their XOR
+    # with the alpha row, and its int16 transform and butterfly buffer are
+    # held at once; each row of the transform is then counted on its own,
+    # and the transform dropped before the next block is built. 1.0 and 1.7 MB
+    # traced, the field's tables included. At (10,1) the q x q beta rows,
+    # unpacked, take 1 MB alone; at (12,2) blocks of 2^19 entries take 3 MB.
+    for n, k, bound in ((10, 1, 3 * (1 << 19)), (12, 2, 4 * (1 << 19))):
+        ctx, p = build_field(n), derive_params(n, k)
+        assert traced_peak(s_spectrum, ctx, p) < bound
 
 
 def test_gamma_sweep_memory_bounded_by_its_span():
     # The sweep transforms 4 + 94 representative rows of 1024 entries, in
     # one block per alpha: the uint8 bits of the 94, their XOR with the
-    # alpha row, the int16 transform and its butterfly buffer and one bool
-    # comparison: 0.9 MB traced, the field's tables included. A block of
-    # 512 beta rows takes 4.1 MB, and a q x q block per alpha 8 MB.
+    # alpha row, and the int16 transform and its butterfly buffer, each row
+    # of which is then counted on its own: 0.9 MB traced, the field's
+    # tables included. A q x q block per alpha takes 8 MB.
     ctx, p = build_field(10), derive_params(10, 1)
     dims = kernel_dims(ctx, p)[0]
     assert traced_peak(expsum.gamma_sweep, ctx, p, dims) < 4 * (1 << 19)
 
 
-@pytest.mark.parametrize("alpha,last", [(0, 5), (1, 127), (1, 255),
-                                        (1, 315)])
+@pytest.mark.parametrize("alpha,last", [(0, 5), (1, 63), (1, 127),
+                                        (1, 255), (1, 315)])
 def test_gamma_sweep_reads_every_pair_of_every_block(alpha, last):
-    # At (12,2) a block holds 128 betas: alpha = 0 reads its 6
-    # representatives in one, alpha = 1 its 316 in three. Moving the rank
+    # At (12,2) a block of the Walsh sweep holds 64 betas: alpha = 0 reads
+    # its 6 representatives in one, alpha = 1 its 316 in five. Moving the rank
     # of the last pair of any one block makes the sweep name that pair.
     ctx, p = build_field(12), derive_params(12, 2)
     reps = representatives(ctx, p)
@@ -241,39 +245,40 @@ def orbit_representatives(ctx, params):
 
 
 def identity_points(ctx, params):
-    """A stand-in for artin_schreier_points: the counts read off the
-    identity, q + (2^d - 1) T(Tr^n_m(a'), beta), through the popcount
+    """A stand-in for artin_schreier_points: the (a', beta) table read off
+    the identity, q + (2^d - 1) T(Tr^n_m(a'), beta), through the popcount
     kernel."""
     sub = subfield_elements(ctx, params.m)
     t = t_table(ctx, params, sub, range(ctx.q))
     traces = rel_trace_table(ctx, params.m, params.n)
 
     def counts(ctx, params, alpha_prime, betas):
-        return ctx.q + ((1 << params.d) - 1) * t[
-            sub.index(traces[alpha_prime]), betas]
+        rows = [sub.index(a) for a in traces[alpha_prime].tolist()]
+        return ctx.q + ((1 << params.d) - 1) * t[np.ix_(rows, betas)]
     return counts
 
 
 def test_artin_schreier_sweep_counts_every_curve_once_per_block(
         monkeypatch):
-    # Each call counts the curves of one a' over at most one block of betas;
-    # together the calls count the curves of every orbit representative
-    # a', against each beta representative of its alpha, each once, and no
-    # other curve.
+    # Each call counts the curves of every a' representative of one alpha
+    # over one block of betas; together the calls count the curves of every
+    # orbit representative a', against each beta representative of its
+    # alpha, each once, and no other curve.
     ctx, p = build_field(10), derive_params(10, 1)
     calls, counted = [], np.zeros((ctx.q, ctx.q), dtype=np.int64)
     identity = identity_points(ctx, p)
 
     def recording(ctx, params, alpha_prime, betas):
-        calls.append(len(betas))
-        np.add.at(counted[alpha_prime], betas, 1)
+        calls.append((len(alpha_prime), len(betas)))
+        np.add.at(counted, np.ix_(alpha_prime, betas), 1)
         return identity(ctx, params, alpha_prime, betas)
 
     monkeypatch.setattr(expsum, "artin_schreier_points", recording)
     assert expsum.artin_schreier_sweep(ctx, p) is None
     reps = orbit_representatives(ctx, p)
     assert len({a for a, _ in reps}) == (1 << p.m) + 2
-    assert max(calls) <= (1 << 19) // ctx.q
+    assert {a for a, _ in calls} == {1, (1 << p.m) + 1}
+    assert max(b for _, b in calls) <= (1 << 19) // ctx.q
     assert all((counted[a, betas] == 1).all() for a, betas in reps)
     assert counted.sum() == sum(len(betas) for _, betas in reps)
 
@@ -290,11 +295,11 @@ def test_artin_schreier_sweep_names_the_curve_in_the_last_block(
 
     def one_more(ctx, params, alpha_prime, betas):
         counts = identity(ctx, params, alpha_prime, betas)
-        counts[betas == beta] += alpha_prime == last
+        counts[np.ix_(alpha_prime == last, betas == beta)] += 1
         return counts
 
     monkeypatch.setattr(expsum, "artin_schreier_points", one_more)
-    want = int(identity(ctx, p, last, np.array([beta]))[0])
+    want = int(identity(ctx, p, np.array([last]), np.array([beta]))[0, 0])
     message = (f"({last:#x}, {beta:#x}): {want + 1} points, identity "
                f"gives {want}")
     with pytest.raises(VerificationError, match=f"^{re.escape(message)}$"):
@@ -313,14 +318,6 @@ def test_frobenius_orbits(n, orbits):
             orbit = {ctx.pow(x, 1 << i) for i in range(n)}
             seen[min(orbit)] = len(orbit)
         assert dict(zip(reps.tolist(), sizes.tolist())) == seen
-
-
-def test_s_spectrum_reads_no_walsh_transform(ctx6, p61, monkeypatch):
-    def refused(bits):
-        raise AssertionError("S transformed a row")
-
-    monkeypatch.setattr(expsum, "_walsh", refused)
-    assert s_spectrum(ctx6, p61).as_dict() == S_SPECTRA[(6, 1)]
 
 
 # The value-row entry a test flips is XORed with 32 in GF(64): a change of
@@ -352,12 +349,12 @@ def flip_row_bit(monkeypatch, e, coeff, values=False, x=3):
 @pytest.mark.parametrize("axis,name", [(0, "alpha"), (1, "beta")])
 def test_flipped_bit_breaks_the_times_pi_closure(monkeypatch, axis, name):
     # A row with one bit flipped is off its definition, so x -> pi x no
-    # longer carries it onto a row. S reads that alpha row (in its gamma = 1
-    # sweep) or beta row, and moves off its closed form while it still
-    # covers every triple.
+    # longer carries it onto a row. S reads that alpha row, alpha = 1, or
+    # beta row, beta = 5, both orbit representatives, and moves off its
+    # closed form while it still covers every triple.
     ctx, p = build_field(6), derive_params(6, 1)
-    flip_row_bit(monkeypatch, *((p.e_norm, subfield_elements(ctx, 3)[2])
-                                if name == "alpha" else (p.e_quad, 5)))
+    flip_row_bit(monkeypatch, *((p.e_norm, 1) if name == "alpha"
+                                else (p.e_quad, 5)))
     dist = s_spectrum(ctx, p)
     assert dist.total == 1 << (3 * p.m + p.n)
     assert dist.as_dict() != s_spectrum_formula(p).as_dict()
@@ -416,8 +413,8 @@ def test_verify_proves_each_orbit_law_once(tmp_path, monkeypatch):
     # T, S, the gamma-sweep and its gamma axis, Artin-Schreier, cyclicity
     # (c1, c2) and the kernel sizes each call the orbit lemma. Its field
     # part is made once, and its power-table law once per exponent, e1 = 9,
-    # e2 = 3 and, for the gamma rows of S and c2, 1; no other proof of the
-    # orbit law is made.
+    # e2 = 3 and, for the gamma rows of c2's cyclicity, 1; no other proof of
+    # the orbit law is made.
     built, cached = [], field._cached
 
     def recorded(ctx, key, build):
@@ -494,7 +491,8 @@ def test_a_trace_entry_off_the_bits_is_refused(monkeypatch, j):
     # Tr_m, which the alpha rows read, or Tr_n, which the beta and gamma
     # rows read, with its entry at 1 made 2: T and S (alpha = 1 and beta =
     # 1 read it at x = 1) and the codewords each refuse the row, as no trace
-    # row may hold anything but a bit.
+    # row may hold anything but a bit. S proves its gamma axis on Tr_n
+    # before it reads a row, and refuses that Tr_n as no linear map.
     ctx, p = build_field(6), derive_params(6, 1)
     build, broken_j = expsum.rel_trace_table, getattr(p, j)
 
@@ -509,10 +507,11 @@ def test_a_trace_entry_off_the_bits_is_refused(monkeypatch, j):
     readers = [partial(t_spectrum, ctx, p), partial(s_spectrum, ctx, p),
                partial(codes._word_rows, ctx, p, subfield_elements(ctx, p.m),
                        range(ctx.q), range(ctx.q))]
+    off_the_bits = r"^a trace row of x\^\d+ holds a value other than 0 or 1$"
     for reader in readers:
-        with pytest.raises(VerificationError,
-                           match=r"^a trace row of x\^\d+ holds a value other "
-                                 r"than 0 or 1$"):
+        with pytest.raises(VerificationError, match=(
+                r"^Tr_n is not GF\(2\)-linear$"
+                if (reader.func, j) == (s_spectrum, "n") else off_the_bits)):
             reader()
 
 
@@ -527,16 +526,14 @@ def verify_mismatches(tmp_path):
 
 def test_verify_records_a_broken_times_pi_closure(tmp_path, monkeypatch):
     # One bit flipped in the beta row of pi^62, which no orbit rule reads
-    # and the parity check's words do not read: the checks that read every
-    # beta row, S (and the c2 weights relabelled from it) and the family's
-    # members (and their correlation), each record a mismatch, and no other
-    # check does. The per-pair checks read one beta per orbit, so they need
-    # the orbit lemma on the tables every row is built from, as cyclicity
-    # does, and no row.
+    # and the parity check's words do not read: the family's members, which
+    # read every beta row, and their correlation record a mismatch, and no
+    # other check does. The per-pair checks, T and S among them, read one
+    # beta per orbit, so they need the orbit lemma on the tables every row
+    # is built from, as cyclicity does, and no row.
     ctx, p = build_field(6), derive_params(6, 1)
     flip_row_bit(monkeypatch, p.e_quad, int(ctx.exp_table[62]))
-    assert verify_mismatches(tmp_path) == [
-        "s-spectrum", "code-weights-c2", "family", "correlation"]
+    assert verify_mismatches(tmp_path) == ["family", "correlation"]
 
 
 def test_verify_records_a_broken_representative_row(tmp_path, monkeypatch):
@@ -627,18 +624,21 @@ def test_orbit_sweeps_match_the_full_table_oracles(n, k, mod):
 def test_t_reads_one_beta_row_per_orbit(monkeypatch, n, k, rows):
     # alpha = 0 reads beta = 0 and one beta per coset of the e2-th powers,
     # alpha = 1 beta = 0 and one per orbit of the stabilizer c^e1 = 1 acting
-    # by c^e2: 2 + gcd(e2, L) + gcd((2^m - 1) e2, L) beta rows in all.
+    # by c^e2: 2 + gcd(e2, L) + gcd((2^m - 1) e2, L) beta rows in all, for
+    # T's popcount sweep and S's Walsh sweep alike.
     ctx, p = build_field(n), derive_params(n, k)
-    counted, build = [], expsum._trace_rows
+    counted, build = Counter(), expsum._trace_rows
 
     def counting(ctx, params, alphas, betas, gammas):
-        counted.append(len(betas))
+        counted[sweep] += len(betas)
         return build(ctx, params, alphas, betas, gammas)
 
     monkeypatch.setattr(expsum, "_trace_rows", counting)
-    t_spectrum(ctx, p)
+    for sweep in (t_spectrum, s_spectrum):
+        sweep(ctx, p)
     order = ctx.order
-    assert sum(counted) == rows == 2 + gcd(p.e_quad, order) + gcd(
+    assert counted == {t_spectrum: rows, s_spectrum: rows}
+    assert rows == 2 + gcd(p.e_quad, order) + gcd(
         ((1 << p.m) - 1) * p.e_quad, order)
 
 
@@ -649,9 +649,9 @@ def test_each_reader_builds_each_beta_row_once(monkeypatch, sweep, n, k):
     # The gamma-sweep and the kernel sizes build the trace or value row of
     # each beta representative of `_pair_orbits` once, T's 2 + gcd(e2, L) +
     # gcd((2^m - 1) e2, L) rows. Artin-Schreier builds the trace row of
-    # each (for T) once, and its value row once per a' representative that
-    # reads it (a' = 0 for alpha = 0, the 2^m + 1 others for alpha = 1), as
-    # its point counts' input.
+    # each (for T) once, and its value row once, which its point counts
+    # read for every a' representative (a' = 0 for alpha = 0, the 2^m + 1
+    # others for alpha = 1).
     ctx, p = build_field(n), derive_params(n, k)
     args = (kernel_dims(ctx, p)[0],) if sweep == "gamma_sweep" else ()
     counted, build = Counter(), expsum._rows
@@ -666,8 +666,7 @@ def test_each_reader_builds_each_beta_row_once(monkeypatch, sweep, n, k):
     reader(ctx, p, *args)
     zero, one = (len(betas) for _, betas, _ in expsum._pair_orbits(ctx, p))
     if sweep == "artin_schreier_sweep":
-        assert counted == {"trace": zero + one,
-                           "value": zero + ((1 << p.m) + 1) * one}
+        assert counted == {"trace": zero + one, "value": zero + one}
     else:
         kind = "trace" if sweep == "gamma_sweep" else "value"
         assert counted == {kind: zero + one} == {kind: 2 + gcd(
@@ -942,11 +941,14 @@ def test_scaling_invariance_large_field():
 
 
 def test_point_counts_over_a_beta_array(ctx6, p61):
+    # Two scalars give an int, an array of betas one count per beta, and
+    # an array of a' too the (a', beta) table, one row per a'.
     assert type(artin_schreier_points(ctx6, p61, 1, 2)) is int
     betas = np.arange(ctx6.q)
+    table = artin_schreier_points(ctx6, p61, betas, betas)
     for alpha_prime in range(ctx6.q):
         counts = artin_schreier_points(ctx6, p61, alpha_prime, betas)
-        assert counts.tolist() == [
+        assert counts.tolist() == table[alpha_prime].tolist() == [
             artin_schreier_points(ctx6, p61, alpha_prime, beta)
             for beta in range(ctx6.q)]
 
@@ -963,8 +965,7 @@ def test_verify_names_the_curve_off_the_identity(tmp_path, monkeypatch,
     # a' = 3 is pi^6, and beta = 5 a representative of alpha = 1.
     def one_point_more(ctx, params, alpha_prime, betas):
         counts = artin_schreier_points(ctx, params, alpha_prime, betas)
-        if alpha_prime == 0x3:
-            counts[betas == 0x5] += 1
+        counts[np.ix_(alpha_prime == 0x3, betas == 0x5)] += 1
         return counts
 
     monkeypatch.setattr("kasamilab.expsum.artin_schreier_points",

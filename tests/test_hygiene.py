@@ -16,22 +16,22 @@ holds no `assert` statement, since `python -O` strips them: each fact it
 checks raises an error of its own. Only the correlation sweep,
 `sequences.correlation_distribution`, holds a matrix product (`@`,
 `np.matmul` or `np.dot`), and only `sequences.py` names a float dtype; every
-other sweep counts bits or runs the Walsh transform. Only the gamma-sweep
-calls `_walsh`; only the T table, whose spans the popcount sweep bincounts,
-calls `_popcounts`; only that sweep and Artin-Schreier call the T table, and
-only T and S call that sweep (the code weights relabel them); only the
-gamma-sweep proves the gamma axis; only the popcount sweep, the kernel
-sizes, the gamma-sweep and Artin-Schreier read the orbit rule
-`expsum._pair_orbits`, the one function that takes a gcd of e_quad; only
-that rule, the popcount sweep (for S's gamma rows), the gamma axis and
-cyclicity lean on the orbit lemma (made once per field, and per exponent,
-and read by all of its callers), and no full-table orbit proof
-(`_row_closure`, `_orbit_closure`) is defined in the package; every row
-comes from the one builder `_rows`, which only the trace rows and the
-value rows `_monomial_rows` call; only the popcount sweep, the T table,
-the gamma-sweep, Artin-Schreier and the codewords build trace rows, and
-only the point counts and the phi rows build value rows; and only
-Artin-Schreier counts points.
+other sweep counts bits or runs the Walsh transform. Only S and the
+gamma-sweep read the Walsh sweep `expsum._s_counts`, and only that sweep
+calls `_walsh` and proves the gamma axis; only the T table, whose spans
+T's popcount sweep bincounts, calls `_popcounts`, and only T and
+Artin-Schreier call the T table (the code weights relabel T and S); only
+T, the Walsh sweep, the kernel sizes and
+Artin-Schreier read the orbit rule `expsum._pair_orbits`, the one function
+that takes a gcd of e_quad; only that rule, the gamma axis and cyclicity
+lean on the orbit lemma (made once per field, and per exponent, and read
+by all of its callers), and no full-table orbit proof (`_row_closure`,
+`_orbit_closure`) is defined in the package; every row comes from the one
+builder `_rows`, which only the trace rows and the value rows
+`_monomial_rows` call; only T, the T table, the Walsh sweep,
+Artin-Schreier and the codewords build trace rows, and only the point
+counts and the phi rows build value rows; and only Artin-Schreier counts
+points.
 Only the correlation sweep, `sequences.correlation_distribution`, sums its
 work over threads (`_summed`, `_thread_count`), and only
 `distribution._summed` opens a thread pool, so no per-pair check is
@@ -303,29 +303,28 @@ def test_only_the_correlation_sweep_names_a_float_dtype(path):
     assert float_dtypes(path.read_text()) == []
 
 
-# kernel -> the (module, top-level function)s allowed to call it: the
-# popcount sweep (T and S, which the code weights relabel) and the T table it
-# reads span by span, which Artin-Schreier also reads; the Walsh kernel and
-# the gamma-axis proof, which only the gamma-sweep reads; the orbit rule,
-# which the four per-pair sweeps (T, the kernel sizes, the gamma-sweep and
-# Artin-Schreier) read; the orbit lemma, which the orbit rule, S's gamma
-# rows, the gamma axis and cyclicity read; the one row builder, which only
-# the trace rows and the value rows call; the trace rows, which only the
-# popcount sweep, the T table, the gamma-sweep, Artin-Schreier and the
-# codewords build; the value rows, which only the point counts and the phi
-# rows build; the point counts; and the thread pool, which only the
-# correlation sweep sums its work over.
+# kernel -> the (module, top-level function)s allowed to call it: the Walsh
+# sweep, which only S (and so the c2 weights) and the gamma-sweep read, and
+# the Walsh kernel and the gamma-axis proof, which only that sweep reads;
+# the T table, which T's popcount sweep reads span by span and
+# Artin-Schreier also reads, and the popcounts only it reads; the orbit
+# rule, which the four per-pair sweeps (T, the Walsh sweep, the kernel sizes
+# and Artin-Schreier) read; the orbit lemma, which the orbit rule, the gamma
+# axis and cyclicity read; the one row builder, which only the trace rows
+# and the value rows call; the trace rows, which only T, the T table, the
+# Walsh sweep, Artin-Schreier and the codewords build; the value rows,
+# which only the point counts and the phi rows build; the point counts; and
+# the thread pool, which only the correlation sweep sums its work over.
 KERNEL_CALLERS = {
-    "_popcount_sweep": {("expsum.py", "t_spectrum"),
-                        ("expsum.py", "s_spectrum")},
-    "_walsh": {("expsum.py", "gamma_sweep")},
-    "_gamma_axis": {("expsum.py", "gamma_sweep")},
-    "_pair_orbits": {("expsum.py", "_popcount_sweep"),
-                     ("expsum.py", "gamma_sweep"),
+    "_s_counts": {("expsum.py", "s_spectrum"),
+                  ("expsum.py", "gamma_sweep")},
+    "_walsh": {("expsum.py", "_s_counts")},
+    "_gamma_axis": {("expsum.py", "_s_counts")},
+    "_pair_orbits": {("expsum.py", "t_spectrum"),
+                     ("expsum.py", "_s_counts"),
                      ("expsum.py", "artin_schreier_sweep"),
                      ("linearized.py", "kernel_dims")},
     "_orbit_lemma": {("expsum.py", "_pair_orbits"),
-                     ("expsum.py", "_popcount_sweep"),
                      ("expsum.py", "_gamma_axis"),
                      ("codes.py", "check_cyclicity")},
     "_rows": {("expsum.py", "_trace_rows"),
@@ -333,11 +332,11 @@ KERNEL_CALLERS = {
     "_monomial_rows": {("expsum.py", "artin_schreier_points"),
                        ("linearized.py", "_phi_rows")},
     "_popcounts": {("expsum.py", "_t_table")},
-    "_t_table": {("expsum.py", "_popcount_sweep"),
+    "_t_table": {("expsum.py", "t_spectrum"),
                  ("expsum.py", "artin_schreier_sweep")},
-    "_trace_rows": {("expsum.py", "_popcount_sweep"),
+    "_trace_rows": {("expsum.py", "t_spectrum"),
                     ("expsum.py", "_t_table"),
-                    ("expsum.py", "gamma_sweep"),
+                    ("expsum.py", "_s_counts"),
                     ("expsum.py", "artin_schreier_sweep"),
                     ("codes.py", "_word_rows")},
     "artin_schreier_points": {("expsum.py", "artin_schreier_sweep")},
