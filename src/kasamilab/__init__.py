@@ -8,6 +8,12 @@ exactly. Known misprints in the tabulated forms are flagged in result
 notes rather than silently corrected.
 """
 
+import os
+
+# Read once by OpenBLAS as numpy loads: an idle worker spins 2^22 cycles, not
+# 2^28 (0.1 s), before it sleeps, so no product-free run burns a second core.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "22")
+
 from .distribution import ValueDistribution, VerificationError, pack_bits_hex
 from .field import (FieldContext, Params, build_field, derive_params,
                     find_primitive_polynomial, is_irreducible, is_primitive,
@@ -21,8 +27,7 @@ from .codes import (check_cyclicity, check_parity, code_dimension,
                     codeword_c1, codeword_c2, codeword_dump_lines,
                     h_polynomials, minimal_poly, parity_check_mask,
                     weight_distribution, weight_distribution_formula)
-from .sequences import (SequenceFamily, build_family,
-                        correlation_distribution,
+from .sequences import (SequenceFamily, build_family, correlation_distribution,
                         correlation_distribution_formula,
                         correlation_table_printed, family_dump_lines,
                         family_size)
@@ -42,8 +47,7 @@ __all__ = [
     "check_cyclicity", "check_parity", "code_dimension", "codeword_c1",
     "codeword_c2", "codeword_dump_lines", "h_polynomials", "minimal_poly",
     "parity_check_mask", "weight_distribution", "weight_distribution_formula",
-    "SequenceFamily", "build_family",
-    "correlation_distribution",
+    "SequenceFamily", "build_family", "correlation_distribution",
     "correlation_distribution_formula", "correlation_table_printed",
     "family_dump_lines", "family_size",
 ]

@@ -232,20 +232,22 @@ def _s_counts(ctx, params):
     """The Walsh sweep: (alpha, beta, weight, counts) for each pair of
     `_pair_orbits`, in its order, weight the pairs of its orbit and counts
     {value: number of g} of S(alpha, beta, g) over the gamma axis, which
-    `_gamma_axis` proves the transform index to be. A block of the betas
-    holds 2^18 entries, as its transform and butterfly buffer are two int16
-    (or int32) copies of it, and is dropped once each row is counted."""
+    `_gamma_axis` proves the transform index to be, off a bincount of the row
+    plus q. A block of betas holds 2^18 entries (its transform and butterfly
+    buffer are two int16 or int32 copies) and goes before the next is built."""
     _gamma_axis(ctx)
+    q = ctx.q
     for alpha, betas, weights in _pair_orbits(ctx, params):
         arow = _trace_rows(ctx, params, [alpha], [], [])[0]
-        for block, sizes in zip(_blocks(betas, ctx.q, 1 << 18),
-                                _blocks(weights, ctx.q, 1 << 18)):
-            counts = [np.unique(row, return_counts=True) for row in _walsh(
-                arow ^ _trace_rows(ctx, params, [], block, [])[1])]
-            for beta, size, (values, times) in zip(block.tolist(),
-                                                   sizes.tolist(), counts):
-                yield alpha, beta, size, dict(zip(values.tolist(),
-                                                  times.tolist()))
+        for block, sizes in zip(_blocks(betas, q, 1 << 18),
+                                _blocks(weights, q, 1 << 18)):
+            walsh = _walsh(arow ^ _trace_rows(ctx, params, [], block, [])[1])
+            for beta, size, row in zip(block.tolist(), sizes.tolist(), walsh):
+                bins = np.bincount(row.astype(np.intp) + q, minlength=2*q + 1)
+                seen = np.flatnonzero(bins)
+                yield alpha, beta, size, dict(zip((seen - q).tolist(),
+                                                  bins[seen].tolist()))
+            del walsh, row
 
 
 def s_spectrum(ctx, params):

@@ -33,6 +33,18 @@ def statuses(report):
     return {r["name"]: r["status"] for r in report["records"]}
 
 
+def child_env(**variables):
+    """The environment of a child Python that imports kasamilab from the
+    checkout's src/, with no install, with variables set (None unsets)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    for name, value in variables.items():
+        env.pop(name, None)
+        if value is not None:
+            env[name] = value
+    return env
+
+
 def test_spectrum_match(tmp_path):
     code, report, out = run(tmp_path, "spectrum", "--n", "4", "--k", "1")
     assert code == 0 and report["exit_code"] == 0
@@ -67,8 +79,7 @@ def test_spectrum_erratum_exit(tmp_path):
 
 def test_python_dash_m_runs_verify(tmp_path):
     # From a checkout, with only src/ on the path and no install.
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    env = child_env()
     out = tmp_path / "out"
     done = subprocess.run(
         [sys.executable, "-m", "kasamilab", "verify", "--n", "4", "--k", "1",
@@ -78,6 +89,38 @@ def test_python_dash_m_runs_verify(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["exit_code"] == 0
     assert statuses(report)["correlation"] == "match"
+
+
+@pytest.mark.parametrize("preset,value", [(None, "22"), ("28", "28")],
+                         ids=["unset", "user-set"])
+def test_import_bounds_the_blas_idle_spin(preset, value):
+    # OpenBLAS reads its thread timeout once, as numpy loads; kasamilab sets
+    # it to 2^22 cycles before its modules load numpy, unless the user has.
+    done = subprocess.run(
+        [sys.executable, "-c", "import os, kasamilab; "
+         "print(os.environ['OPENBLAS_THREAD_TIMEOUT'])"],
+        env=child_env(OPENBLAS_THREAD_TIMEOUT=preset), capture_output=True,
+        text=True)
+    assert (done.returncode, done.stdout) == (0, f"{value}\n"), done.stderr
+
+
+@pytest.mark.parametrize("n,k,workers,threads,code", [
+    (8, 2, 1, "1", 3), (8, 2, 1, "2", 3), (6, 2, 2, None, 0)],
+    ids=["8-2-blas1", "8-2-blas2", "6-2-workers2"])
+def test_verify_report_does_not_depend_on_blas_threads(tmp_path, n, k,
+                                                      workers, threads, code):
+    # The correlation product is exact in its dtype (`_product_dtype`), so
+    # however OpenBLAS splits it over its threads, and however many sweep
+    # threads share it out, the report is the frozen one, byte for byte.
+    out = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, "-m", "kasamilab", "verify", "--n", str(n), "--k",
+         str(k), "--workers", str(workers), "--out", str(out)],
+        env=child_env(OPENBLAS_NUM_THREADS=threads), capture_output=True,
+        text=True)
+    assert done.returncode == code, done.stderr
+    assert (out / "report.json").read_bytes() == \
+        (GOLDEN / f"n{n}k{k}.json").read_bytes()
 
 
 def test_usage_errors():
@@ -99,8 +142,7 @@ def test_out_naming_a_file_is_a_usage_error(tmp_path, below):
     taken = tmp_path / "taken"
     taken.write_text("kept\n")
     out = taken / below
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    env = child_env()
     done = subprocess.run(
         [sys.executable, "-m", "kasamilab", "spectrum", "--n", "4", "--k", "1",
          "--out", str(out)], env=env, capture_output=True, text=True)

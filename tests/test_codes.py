@@ -353,7 +353,7 @@ def test_c2_memory_at_n12_bounded_by_the_gamma_table():
     # The Walsh sweep transforms the 4 + 64 orbit representatives, one
     # block per alpha, of up to 64 rows of 4096 entries: the uint8 bits and
     # their XOR with the alpha row (256 kB each), the int16 transform and its
-    # butterfly buffer (512 kB each): 1.7 MiB traced, the field's tables
+    # butterfly buffer (512 kB each): 1.8 MiB traced, the field's tables
     # included. The q x q beta or gamma table alone takes 16 MB.
     ctx, p = build_field(12), derive_params(12, 1)
     assert traced_peak(measured_weights, ctx, p, "c2") < 2 * (1 << 20)

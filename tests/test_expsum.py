@@ -126,6 +126,15 @@ def test_walsh_dtype_holds_every_shifted_value(n):
     assert dtype == (np.int16 if n <= 14 else np.int32)
 
 
+def test_walsh_counts_hold_the_peak_at_n14():
+    # (0, 0) transforms the zero row: q at gamma = 0, the largest value an
+    # int16 transform holds, and 0 elsewhere. Its values are shifted by q
+    # after the cast to intp, so the peak, 2q once shifted, does not wrap.
+    ctx, p = build_field(14), derive_params(14, 1)
+    assert next(expsum._s_counts(ctx, p)) == (0, 0, 1,
+                                              {0: ctx.q - 1, ctx.q: 1})
+
+
 def representatives(ctx, params):
     """The (alpha, beta) pairs of `_pair_orbits`, in the order of the
     kernel dimensions."""
@@ -199,9 +208,10 @@ def test_s_sweep_memory_bounded_by_its_span():
     # 64 rows of 4096 entries to a block. A block's uint8 bits, their XOR
     # with the alpha row, and its int16 transform and butterfly buffer are
     # held at once; each row of the transform is then counted on its own,
-    # and the transform dropped before the next block is built. 1.0 and 1.7 MB
-    # traced, the field's tables included. At (10,1) the q x q beta rows,
-    # unpacked, take 1 MB alone; at (12,2) blocks of 2^19 entries take 3 MB.
+    # by a bincount of 2q + 1 bins, and the transform dropped before the
+    # next block is built. 1.0 and 1.8 MB traced, the field's tables
+    # included. At (10,1) the q x q beta rows, unpacked, take 1 MB alone;
+    # at (12,2) blocks of 2^19 entries take 3 MB.
     for n, k, bound in ((10, 1, 3 * (1 << 19)), (12, 2, 4 * (1 << 19))):
         ctx, p = build_field(n), derive_params(n, k)
         assert traced_peak(s_spectrum, ctx, p) < bound

@@ -40,7 +40,10 @@ table and proof kept there is made once and kept read-only. Every entry of
 the check registry is a `cli.Check`, so `verify` runs one kind of check, and
 only `_Run._record`, which sets each record's status, and
 `VerificationReport.exit_code`, which grades them, read a status name: a
-check returns its detail or raises.
+check returns its detail or raises. The one write to the process
+environment in the package is the bound on OpenBLAS's idle spin,
+`os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "22")` in `__init__.py`,
+made before any import but that of os, so before numpy loads.
 """
 
 import ast
@@ -497,6 +500,83 @@ def test_status_guard_flags_every_read():
 def test_only_the_record_and_the_exit_code_read_a_status(path):
     assert [(line, owner) for line, owner in status_reads(path.read_text())
             if (path.name, owner) not in STATUS_READERS] == []
+
+
+# Methods of a mapping that change it, and the os functions that change the
+# environment without it.
+ENVIRON_WRITERS = {"setdefault", "update", "pop", "popitem", "clear",
+                   "__setitem__", "__delitem__", "__ior__"}
+ENV_FUNCTIONS = {"putenv", "unsetenv"}
+
+
+def _is_environ(node):
+    return getattr(node, "attr", getattr(node, "id", None)) == "environ"
+
+
+def _writes_environ(node):
+    """Whether node stores to or deletes `environ` (a name or an attribute)
+    or an item of it, which an augmented assignment does too, or calls one
+    of its mutating methods, `putenv` or `unsetenv`."""
+    if isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del)):
+        return _is_environ(node.value if isinstance(node, ast.Subscript)
+                           else node)
+    fn = getattr(node, "func", None)
+    if getattr(fn, "attr", None) in ENVIRON_WRITERS:
+        return _is_environ(fn.value)
+    return getattr(fn, "attr", getattr(fn, "id", None)) in ENV_FUNCTIONS
+
+
+def environ_writes(source):
+    """(line, top-level function or None) of every write to the process
+    environment. Reading it, as `os.environ.get` or `dict(os.environ)`,
+    writes nothing."""
+    return sorted((node.lineno, getattr(top, "name", None))
+                  for top in ast.parse(source).body
+                  for node in ast.walk(top) if _writes_environ(node))
+
+
+def test_environ_guard_flags_every_write():
+    source = ("import os\n"
+              "from os import environ, putenv\n"
+              "os.environ.setdefault('A', '1')\n"
+              "def f(x):\n"
+              "    os.environ['B'] = '2'\n"
+              "    del os.environ['B']\n"
+              "    environ.update(C='3'); environ.pop('C')\n"
+              "    os.putenv('D', '4'), os.unsetenv('D'), putenv('E', '5')\n"
+              "    os.environ |= {'F': '6'}\n"
+              "    return os.environ.get('A'), os.environ['A'], x.pop()\n"
+              "os.environ = dict(os.environ, G='7')\n")
+    assert environ_writes(source) == [(3, None), (5, "f"), (6, "f"),
+                                      (7, "f"), (7, "f"), (8, "f"),
+                                      (8, "f"), (8, "f"), (9, "f"),
+                                      (11, None)]
+
+
+INIT = ROOT / "src" / "kasamilab" / "__init__.py"
+BLAS_SPIN = "os.environ.setdefault('OPENBLAS_THREAD_TIMEOUT', '22')"
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_only_the_blas_spin_bound_writes_the_environment(path):
+    tree = ast.parse(path.read_text())
+    bound = [node.lineno for node in tree.body
+             if path == INIT and ast.unparse(node) == BLAS_SPIN]
+    assert environ_writes(path.read_text()) == [(line, None)
+                                                 for line in bound]
+
+
+def test_the_blas_spin_is_bounded_before_numpy_loads():
+    # OpenBLAS reads its thread timeout once, as numpy loads it, and the
+    # first import of a package module loads numpy: the bound precedes
+    # every import but that of os.
+    tree = ast.parse(INIT.read_text())
+    [bound] = [node.lineno for node in tree.body
+               if ast.unparse(node) == BLAS_SPIN]
+    imports = [node.lineno for node in tree.body
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               and ast.unparse(node) != "import os"]
+    assert bound < min(imports)
 
 
 def test_every_registered_check_is_a_check():
