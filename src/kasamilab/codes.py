@@ -6,9 +6,9 @@ value by w = 2^(n-1) - value/2. The narrow code (dimension 3m over GF(2)) is
 cut out by the parity-check product h2*h3; the wide code (dimension 5m) by
 h1*h2*h3, where the h_i are minimal polynomials of pi^-1, pi^-(2^k+1) and
 pi^-(2^m+1), each a GF(2) mask with bit i at x^i. A word is 0 at x = 0, so the weight distributions are T (c1)
-and S (c2) relabelled, measured or closed form: T's popcount sweep and S's
-Walsh sweep, in expsum, each run once, and the direct Hamming counts of the
-words are the tests' oracles. Cyclicity is the sweeps' x -> pi x orbit lemma on the
+and S (c2) relabelled, measured or closed form: T's sweep over the T
+table and S's Walsh sweep, in expsum, each run once, and the direct
+Hamming counts of the words are the tests' oracles. Cyclicity is the sweeps' x -> pi x orbit lemma on the
 tables that `expsum._rows` builds each of the three row tables from, rather
 than a check of the words they XOR to. Cyclicity and the parity check
 return nothing and raise `VerificationError` on a disagreement.

@@ -6,13 +6,15 @@ Tr_n(g x). Every sweep leans on the orbit lemma, `field._orbit_lemma`:
 x -> c x carries the row of (a, b, g) onto that of (a c^e1, b c^e2, g c),
 so one pair of `_pair_orbits`, the orbit rule, stands for each orbit of
 pairs, since `_rows` builds each row a sweep reads from its definition on
-the lemma's tables. The popcount sweep counts wt(row) of each
-representative's trace bits: T = q - 2 wt, and the c1 code weights are wt.
-The Walsh sweep transforms the signs of each representative's row (int16
-while q fits, else int32) over an axis `_gamma_axis` proves to be the gamma
-axis, which gives the pair's S over every g, shared by its orbit: S (and so
-the c2 weights) is their weighted count, and the gamma-sweep checks each
-pair's against its rank law.
+the lemma's tables. The rule hands every sweep its pairs in blocks of at
+most 2^18 entries of rows, the one bound. Every sweep reads unpacked uint8
+trace bits. The T table sums the bits of each alpha row XOR each beta row:
+T = q - 2 wt, the c1 code weights are wt, and Artin-Schreier reads T at
+each a' trace. The Walsh sweep transforms the signs of each
+representative's row (int16 while q fits, else int32) over an axis
+`_gamma_axis` proves to be the gamma axis, which gives the pair's S over
+every g, shared by its orbit: S (and so the c2 weights) is their weighted
+count, and the gamma-sweep checks each pair's against its rank law.
 Closed-form tables, split on the parity case, predict each sweep; callers
 compare the two, never papering over a mismatch.
 """
@@ -49,7 +51,7 @@ def _rows(ctx, coeffs, e, outer=None):
     products at a time. A trace row holding a value other than 0 or 1
     raises `VerificationError` (Tr_m is a bit only on GF(2^m))."""
     coeffs = np.asarray(coeffs, dtype=np.int64)
-    flat, times = coeffs.reshape(-1), _times(ctx, power_table(ctx, e))
+    flat, times = coeffs.reshape(-1), _times(ctx, e)
     out = np.empty((len(flat), ctx.q), np.int64 if outer is None else np.uint8)
     if outer is not None:
         # Every entry off the bits reads as 2 or 255.
@@ -150,49 +152,45 @@ def _gamma_axis(ctx):
     _cached(ctx, "gamma_axis", prove)
 
 
-def _popcounts(apacked, bpacked):
-    """wt(a ^ b) for each row a of apacked (a row of the result) and b of
-    bpacked (a column): rows of bits packed eight to a byte by
-    `np.packbits`, read as u2 (n = 4) or u8 words."""
-    words = f"u{min(8, bpacked.shape[-1])}"
-    b = bpacked.view(words)
-    out = np.empty((len(apacked), len(b)), dtype=np.intp)
-    for row, a in zip(out, apacked.view(words)):
-        np.bitwise_count(a ^ b).sum(axis=1, out=row)
-    return out
+def _t_table(ctx, params, arows, betas):
+    """T(alpha, beta) = q - 2 wt(row) for each alpha row of trace bits (one
+    row of the result each) and each beta (one column each), the row being
+    the alpha row XOR the bits Tr_n(b x^e2): the beta rows are built once,
+    and each alpha row's XOR with them summed as uint8 bits into int32."""
+    brows = _trace_rows(ctx, params, [], betas, [])[1]
+    out = np.empty((len(arows), len(brows)), dtype=np.int32)
+    for row, arow in zip(out, arows):
+        (arow ^ brows).sum(axis=1, dtype=np.int32, out=row)
+    return ctx.q - 2 * out
 
 
-def _t_table(ctx, params, apacked, betas):
-    """T(alpha, beta) = q - 2 wt(row) for each packed alpha row of trace bits
-    (one row of the result each) and each beta (one column each), the row
-    being the alpha row XOR the bits Tr_n(b x^e2). The beta rows are built
-    in `_blocks` and each block is packed as it is built, so only one block
-    of them is ever unpacked."""
-    q = ctx.q
-    bpacked = np.empty((len(betas), q // 8), dtype=np.uint8)
-    done = 0
-    for block in _blocks(betas, q):
-        bpacked[done:done + len(block)] = np.packbits(
-            _trace_rows(ctx, params, [], block, [])[1], axis=-1)
-        done += len(block)
-    return q - 2 * _popcounts(apacked, bpacked)
+def _blocks(q, *columns):
+    """The columns in consecutive blocks, each a tuple of their slices of
+    at most 2^18 // q entries (at least one), so that a block of rows of q
+    entries holds at most 2^18: the one bound of every per-pair sweep,
+    which `_pair_orbits` alone applies."""
+    span = max(1, (1 << 18) // q)
+    return [tuple(column[i:i + span] for column in columns)
+            for i in range(0, len(columns[0]), span)]
 
 
 def _pair_orbits(ctx, params):
-    """The orbit rule, ((0, betas, weights), (1, betas, weights)): one beta
-    per orbit of the 2^(3m) pairs (alpha, beta) under x -> c x, and the
-    number of pairs in each. By the orbit lemma, made here, x -> c x reads
-    each row `_rows` builds for (alpha, beta), a' for alpha, as that of
-    (alpha c^e1, beta c^e2). As c^e1 runs over GF(2^m)*, alpha = 1 stands
-    for every alpha != 0 (and a' = pi^j for its coset of e1-th powers), and
-    beta falls into orbits under c^e2, c over GF(q)* or the stabilizer
-    c^e1 = 1: the cosets of pi^g, g = gcd(e2, L) or gcd((2^m - 1) e2, L),
-    L = q - 1. Each alpha reads beta = 0 and pi^j, j < g, of weight L / g,
-    times 2^m - 1 for alpha = 1."""
+    """The orbit rule, ((0, blocks), (1, blocks)), blocks a list of (betas,
+    weights): one beta per orbit of the 2^(3m) pairs (alpha, beta) under
+    x -> c x, and the number of pairs in each, cut by `_blocks`, so the
+    rule alone sets the pairs every per-pair sweep reads, their order and
+    their blocks. By the orbit lemma, made here, x -> c x reads each row
+    `_rows` builds for (alpha, beta), a' for alpha, as that of (alpha c^e1,
+    beta c^e2). As c^e1 runs over GF(2^m)*, alpha = 1 stands for every
+    alpha != 0 (and a' = pi^j for its coset of e1-th powers), and beta
+    falls into orbits under c^e2, c over GF(q)* or the stabilizer c^e1 = 1:
+    the cosets of pi^g, g = gcd(e2, L) or gcd((2^m - 1) e2, L), L = q - 1.
+    Each alpha reads beta = 0 and pi^j, j < g, of weight L / g, times
+    2^m - 1 for alpha = 1."""
     _orbit_lemma(ctx, params.e_norm, params.e_quad)
     order, units = ctx.order, (1 << params.m) - 1
-    return tuple((alpha, np.append(0, ctx.exp_table[:g]),
-                  times * np.append(1, np.full(g, order // g)))
+    return tuple((alpha, _blocks(ctx.q, np.append(0, ctx.exp_table[:g]),
+                                 times * np.append(1, np.full(g, order // g))))
                  for alpha, g, times in (
                      (0, gcd(params.e_quad, order), 1),
                      (1, gcd(units * params.e_quad, order), units)))
@@ -208,24 +206,17 @@ def _swept(name, counts, total, covered):
 
 
 def t_spectrum(ctx, params):
-    """Measured distribution of T over all (alpha, beta) pairs, the popcount
-    sweep: T = q - 2 wt(row), from the weights of the representatives of
-    `_pair_orbits`, each counted once per pair of its orbit."""
-    q, weights = ctx.q, np.zeros(ctx.q + 1, dtype=np.int64)
-    for alpha, betas, sizes in _pair_orbits(ctx, params):
-        apacked = np.packbits(_trace_rows(ctx, params, [alpha], [], [])[0],
-                              axis=-1)
-        t = _t_table(ctx, params, apacked, betas)
-        np.add.at(weights, (q - t[0]) >> 1, sizes)
-    return _swept("T", {q - 2 * w: c for w, c in enumerate(weights.tolist())},
-                  1 << (3 * params.m), "pairs")
-
-
-def _blocks(values, q, entries=1 << 19):
-    """values in consecutive blocks of at most entries // q (at least one),
-    so that a block of rows of q entries holds at most `entries`."""
-    span = max(1, entries // q)
-    return [values[i:i + span] for i in range(0, len(values), span)]
+    """Measured distribution of T over all (alpha, beta) pairs: the T table
+    of each alpha row against the blocks of betas of `_pair_orbits`, each T
+    counted once per pair of its orbit."""
+    total = Counter()
+    for alpha, blocks in _pair_orbits(ctx, params):
+        arow = _trace_rows(ctx, params, [alpha], [], [])[0]
+        for betas, weights in blocks:
+            t = _t_table(ctx, params, arow, betas)[0]
+            for value, weight in zip(t.tolist(), weights.tolist()):
+                total[value] += weight
+    return _swept("T", total, 1 << (3 * params.m), "pairs")
 
 
 def _s_counts(ctx, params):
@@ -233,18 +224,17 @@ def _s_counts(ctx, params):
     `_pair_orbits`, in its order, weight the pairs of its orbit and counts
     {value: number of g} of S(alpha, beta, g) over the gamma axis, which
     `_gamma_axis` proves the transform index to be, off a bincount of the row
-    plus q. A block of betas holds 2^18 entries (its transform and butterfly
-    buffer are two int16 or int32 copies) and goes before the next is built."""
+    plus q. Each block of betas (its transform and butterfly buffer are two
+    int16 or int32 copies) goes before the next is built."""
     _gamma_axis(ctx)
     q = ctx.q
-    for alpha, betas, weights in _pair_orbits(ctx, params):
+    for alpha, blocks in _pair_orbits(ctx, params):
         arow = _trace_rows(ctx, params, [alpha], [], [])[0]
-        for block, sizes in zip(_blocks(betas, q, 1 << 18),
-                                _blocks(weights, q, 1 << 18)):
-            walsh = _walsh(arow ^ _trace_rows(ctx, params, [], block, [])[1])
-            for beta, size, row in zip(block.tolist(), sizes.tolist(), walsh):
+        for betas, sizes in blocks:
+            walsh = _walsh(arow ^ _trace_rows(ctx, params, [], betas, [])[1])
+            for beta, size, row in zip(betas.tolist(), sizes.tolist(), walsh):
                 bins = np.bincount(row.astype(np.intp) + q, minlength=2*q + 1)
-                seen = np.flatnonzero(bins)
+                seen = np.flatnonzero(bins != 0)
                 yield alpha, beta, size, dict(zip((seen - q).tolist(),
                                                   bins[seen].tolist()))
             del walsh, row
@@ -435,21 +425,20 @@ def artin_schreier_sweep(ctx, params):
     points, by the orbit rule of `_pair_orbits`: a' = 0 against the betas
     of alpha = 0, and each coset representative pi^j, j <= 2^m, of the
     e1-th powers against those of alpha = 1 ((0, 0) left out); else raises
-    VerificationError naming the first curve off, the betas taken in
-    `_blocks`, each block's points counted in one call."""
+    VerificationError naming the first curve off, each block of betas of
+    the rule counted in one call."""
     cosets = (np.zeros(1, np.int64), ctx.exp_table[:(1 << params.m) + 1])
-    for aprimes, (_, betas, _) in zip(cosets, _pair_orbits(ctx, params)):
+    for aprimes, (_, blocks) in zip(cosets, _pair_orbits(ctx, params)):
         traces = rel_trace_table(ctx, params.m, params.n)[aprimes]
-        apacked = np.packbits(_trace_rows(ctx, params, traces, [], [])[0],
-                              axis=-1)
-        for block in _blocks(betas, ctx.q):
+        arows = _trace_rows(ctx, params, traces, [], [])[0]
+        for betas, _ in blocks:
             want = ctx.q + ((1 << params.d) - 1) * _t_table(
-                ctx, params, apacked, block)
-            got = artin_schreier_points(ctx, params, aprimes, block)
+                ctx, params, arows, betas)
+            got = artin_schreier_points(ctx, params, aprimes, betas)
             bad = np.argwhere((got != want)
-                              & ((aprimes[:, None] != 0) | (block != 0)))
+                              & ((aprimes[:, None] != 0) | (betas != 0)))
             if bad.size:
                 r, c = bad[0]
                 raise VerificationError(
-                    f"({aprimes[r]:#x}, {block[c]:#x}): {got[r, c]} points, "
+                    f"({aprimes[r]:#x}, {betas[c]:#x}): {got[r, c]} points, "
                     f"identity gives {want[r, c]}")

@@ -2,10 +2,11 @@
 
 Elements are ints whose bit j is the coefficient of x^j in the polynomial
 basis. A FieldContext holds the exp/log tables for one modulus; the derived
-tables (power maps, relative traces, and the zero-safe log/exp pair behind
-the elementwise product `_times`) and the proofs the sweeps lean on are made
-on demand and kept read-only on the context by `_cached`, the one reader and
-writer of its cache. Every row a sweep reads, f(a P_e[x]) over x, is built
+tables (power maps, relative traces, the zero-safe log/exp pair behind the
+elementwise products `_mul` and `_times`, and the logs of each x^e table
+that `_times` reads) and the proofs the sweeps lean on are made on demand
+and kept read-only on the context by `_cached`, the one reader and writer
+of its cache. Every row a sweep reads, f(a P_e[x]) over x, is built
 from those tables by `expsum._rows`, and is not cached. The orbit lemma,
 `_orbit_lemma`, proves in O(q) per field and per exponent that x -> c x
 carries each such row onto the row of a c^e, for every c != 0.
@@ -252,24 +253,32 @@ def _cached(ctx, key, build):
     return ctx._cache[key]
 
 
-def _times(ctx, b):
-    """a -> a*b, elementwise and numpy-broadcast, b's logs gathered once. 0
-    is safe: its cached log, 2*order, passes any sum of two true logs into
-    the zeros after the exp cycle, kept twice, so a product is one gather."""
+def _log_exp(ctx):
+    """The zero-safe (log, exp) pair of the elementwise product: 0's cached
+    log, 2*order, passes any sum of two true logs into the zeros after the
+    exp cycle, kept twice, so a product is one gather."""
     def tables():
         log = ctx.log_table.copy()
         log[0] = 2 * ctx.order
         return log, np.concatenate([ctx.exp_table, ctx.exp_table,
                                     np.zeros(2 * ctx.order + 1, np.int64)])
 
-    log, exp = _cached(ctx, "mul", tables)
-    log_b = log[b]
-    return lambda a: exp[log[a] + log_b]
+    return _cached(ctx, "mul", tables)
+
+
+def _times(ctx, e):
+    """a -> a x^e over every x in mask order, elementwise and
+    numpy-broadcast, the logs of the x^e table gathered once per e mod L."""
+    log, exp = _log_exp(ctx)
+    log_pe = _cached(ctx, ("log pow", e % ctx.order),
+                     lambda: log[power_table(ctx, e)])
+    return lambda a: exp[log[a] + log_pe]
 
 
 def _mul(ctx, a, b):
-    """Elementwise a*b of integer arrays or scalars by `_times`."""
-    return _times(ctx, b)(a)
+    """Elementwise a*b of integer arrays or scalars, by `_log_exp`."""
+    log, exp = _log_exp(ctx)
+    return exp[log[a] + log[b]]
 
 
 def power_table(ctx, e):

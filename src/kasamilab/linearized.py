@@ -13,7 +13,8 @@ schoolbook `reference.psi_roots_naive` with the full kernel table.
 The kernel law is checked in one place, `_kernel_dims`, from the phi rows'
 bits, at the pairs of the orbit rule `expsum._pair_orbits` that the rank
 profile and the gamma-sweep read, each standing for its orbit by the orbit
-lemma on the value rows `expsum._rows` builds from their definitions.
+lemma on the value rows `expsum._rows` builds from their definitions, a
+block of the rule's betas at a time, in the order the gamma-sweep reads.
 
 Results are plain tuples, measured and closed form alike: a rank profile is
 (n0, n2, n4), the counts of ranks s, s - 2 and s - 4, and root counts are
@@ -27,8 +28,7 @@ from math import gcd
 import numpy as np
 
 from .distribution import VerificationError, _exact, _histogram, _p2
-from .expsum import (_blocks, _eps1, _monomial_rows, _pair_orbits,
-                     t_spectrum_formula)
+from .expsum import _eps1, _monomial_rows, _pair_orbits, t_spectrum_formula
 from .field import _gf2_linear, _mul, power_table
 
 __all__ = [
@@ -77,13 +77,14 @@ def _kernel_dims(ctx, params, alpha, betas):
 def kernel_dims(ctx, params):
     """(dims, weights): the kernel dimension over GF(q0) of phi_{alpha,beta}
     at each pair of `expsum._pair_orbits` (phi is read off its value rows),
-    alpha = 0's first, the betas in `_blocks`, and the number of pairs its
-    orbit holds, int64 arrays with (0, 0) first."""
+    block by block in the rule's order, alpha = 0's first, and the number
+    of pairs its orbit holds, int64 arrays with (0, 0) first."""
     orbits = _pair_orbits(ctx, params)
-    return (np.concatenate([_kernel_dims(ctx, params, alpha, block)
-                            for alpha, betas, _ in orbits
-                            for block in _blocks(betas, ctx.q)]),
-            np.concatenate([weights for _, _, weights in orbits]))
+    return (np.concatenate([_kernel_dims(ctx, params, alpha, betas)
+                            for alpha, blocks in orbits
+                            for betas, _ in blocks]),
+            np.concatenate([weights for _, blocks in orbits
+                            for _, weights in blocks]))
 
 
 def rank_profile(kernel):

@@ -20,15 +20,17 @@ beta of the alphas they are given, by default the whole subfield; alpha =
 0 and 1 is the sweep the package ran before the rule's beta orbits):
 they read the package's field tables, per-pair kernel validator, trace
 rows and Walsh transform, each checked against the naive functions above
-by the tests. `popcount_sweep`
-is the T and S sweep over every alpha row and every beta, without the
-stabilizer orbits, S counted at gamma = 0 and q - 1 times at gamma = 1 as
-the package once did before its Walsh sweep. `orbit_closure` (through `row_closure`) and
-`gamma_axis` are the O(q^2) full-table proofs of the x -> pi x law that the
-package's O(q) orbit lemma replaced. `trace_bit_matrix` gathers trace rows
-from the rotations of the m-sequence Tr(pi^t), as the package once built
-them, the sequence taken by the schoolbook `trace_rel`: an oracle for the
-rows the package builds from their definitions.
+by the tests. `popcount_sweep` is the T and S sweep over every alpha row
+and every beta, without the stabilizer orbits, S counted at gamma = 0 and
+q - 1 times at gamma = 1 as the package once did before its Walsh sweep;
+it counts the bits of each row on its own, with none of the package's
+kernels.
+`orbit_closure` (through `row_closure`) and `gamma_axis` are the O(q^2)
+full-table proofs of the x -> pi x law that the package's O(q) orbit lemma
+replaced. `trace_bit_matrix` gathers trace rows from the rotations of the
+m-sequence Tr(pi^t), as the package once built them, the sequence taken by
+the schoolbook `trace_rel`: an oracle for the rows the package builds from
+their definitions.
 """
 
 from collections import Counter
@@ -451,7 +453,7 @@ def kernel_dims(ctx, params, alphas=None):
         alphas = subfield_elements(ctx, params.m)
     return np.array([np.concatenate([
         linearized._kernel_dims(ctx, params, alpha, block)
-        for block in expsum._blocks(np.arange(ctx.q), ctx.q)])
+        for (block,) in expsum._blocks(ctx.q, np.arange(ctx.q))])
         for alpha in alphas])
 
 
@@ -468,7 +470,7 @@ def gamma_sweep(ctx, params, dims, alphas=None):
     arows = expsum._trace_rows(ctx, params, alphas, [], [])[0]
     off = []
     for i, alpha in enumerate(alphas):
-        for block in expsum._blocks(np.arange(ctx.q), ctx.q):
+        for (block,) in expsum._blocks(ctx.q, np.arange(ctx.q)):
             walsh = expsum._walsh(
                 arows[i] ^ expsum._trace_rows(ctx, params, [], block, [])[1])
             ranks = params.s - dims[i, block]
@@ -509,24 +511,21 @@ def artin_schreier_sweep(ctx, params):
 
 
 def popcount_sweep(ctx, params, linear=False):
-    """{value: count} of T over every (alpha, beta), from the popcounts of
-    every alpha row against every beta row; with `linear`, of S, adding
-    q - 1 times the sweep of every alpha row XOR Tr_n(x). The beta rows
-    are packed a block at a time."""
+    """{value: count} of T over every (alpha, beta), from the number of
+    nonzero bits of every alpha row XOR every beta row; with `linear`, of
+    S, adding q - 1 times the sweep of every alpha row XOR Tr_n(x). The beta
+    rows are built a block at a time."""
     q = ctx.q
     arows, _, grow = expsum._trace_rows(
         ctx, params, subfield_elements(ctx, params.m), [], [1])
-    bpacked = np.concatenate([
-        np.packbits(expsum._trace_rows(ctx, params, [], block, [])[1], axis=-1)
-        for block in expsum._blocks(range(q), q)])
-
-    def counts(rows):
-        return np.bincount(expsum._popcounts(np.packbits(rows, axis=-1),
-                                             bpacked).ravel(), minlength=q + 1)
-
-    weights = counts(arows)
-    if linear:
-        weights += (q - 1) * counts(arows ^ grow)
+    sweeps = [(arows, 1)] + ([(arows ^ grow, q - 1)] if linear else [])
+    weights = np.zeros(q + 1, dtype=np.int64)
+    for (block,) in expsum._blocks(q, np.arange(q)):
+        brows = expsum._trace_rows(ctx, params, [], block, [])[1]
+        for rows, times in sweeps:
+            for row in rows:
+                weights += times * np.bincount(
+                    np.count_nonzero(row ^ brows, axis=1), minlength=q + 1)
     return {q - 2 * w: c for w, c in enumerate(weights.tolist()) if c}
 
 
@@ -538,8 +537,7 @@ def row_closure(build, coeffs, images, perm, name):
     q = len(perm)
     if (np.sort(perm) != np.arange(q)).any():
         raise VerificationError(f"x -> pi x does not permute the {name} rows")
-    for block, image in zip(expsum._blocks(coeffs, q),
-                            expsum._blocks(images, q)):
+    for block, image in expsum._blocks(q, coeffs, images):
         rows = np.take(build(block), perm, axis=1)
         if np.not_equal(rows, build(image), out=rows).any():
             raise VerificationError(
@@ -582,7 +580,7 @@ def gamma_axis(ctx):
             "x -> pi x does not permute the field linearly")
     basis = 1 << np.arange(ctx.n)
     index, shifted = np.empty((2, q), dtype=np.int64)
-    for block in expsum._blocks(gammas, q):
+    for (block,) in expsum._blocks(q, gammas):
         rows = trace_bit_matrix(ctx, 1, block)
         if not _gf2_linear(rows).all():
             raise VerificationError("a row Tr_n(g x) is not GF(2)-linear")

@@ -345,9 +345,10 @@ def test_verify_sweeps_each_kernel_once(tmp_path, monkeypatch):
 ], ids=["verify", "c1", "both"])
 def test_each_popcount_histogram_is_swept_once(tmp_path, monkeypatch, args,
                                                popcount, walsh):
-    # T's popcount sweep runs once, as the checks that read T (the c1
-    # weights among them) share it; the Walsh sweep runs once for each of
-    # its readers, S (which the c2 weights relabel) and the gamma-sweep.
+    # T's sweep over the T table runs once, as the checks that read T
+    # (the c1 weights among them) share it; the Walsh sweep runs once for
+    # each of its readers, S (which the c2 weights relabel) and the
+    # gamma-sweep.
     t_calls = record_calls(monkeypatch, expsum.t_spectrum,
                            lambda ctx, params: params)
     walsh_calls = record_calls(monkeypatch, expsum._s_counts,

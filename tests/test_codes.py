@@ -376,15 +376,15 @@ def test_c2_count_needs_every_row_closed_under_pi(monkeypatch, table):
             weight_distribution_formula(p, code).as_dict()
 
 
-@pytest.mark.parametrize("kernel", ["_walsh", "_popcounts"])
+@pytest.mark.parametrize("kernel", ["_walsh", "_t_table"])
 def test_a_broken_kernel_fails_the_checks_that_read_it(tmp_path, monkeypatch,
                                                        kernel):
     # One entry of every block is moved by 2, which keeps each histogram's
     # total and the parity of every value: the first entry of the last row,
-    # for the popcount kernel that of the last orbit representative, whose
-    # T artin-schreier reads. The Walsh kernel is read by S (and so the c2
-    # weights) and the gamma-sweep, the popcount kernel by T and every
-    # reader of it.
+    # for the T kernel the first beta of the block against the last alpha
+    # row, in artin-schreier the last orbit representative a'. The Walsh
+    # kernel is read by S (and so the c2 weights) and the gamma-sweep, the
+    # T kernel by T, every reader of it, and artin-schreier.
     build = getattr(expsum, kernel)
 
     def broken(*args):

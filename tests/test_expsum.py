@@ -135,11 +135,18 @@ def test_walsh_counts_hold_the_peak_at_n14():
                                               {0: ctx.q - 1, ctx.q: 1})
 
 
+def orbit_betas(ctx, params):
+    """(alpha, betas, weights) for each alpha of `_pair_orbits`, the betas
+    and weights of its blocks joined."""
+    return [(alpha, *(np.concatenate(part) for part in zip(*blocks)))
+            for alpha, blocks in expsum._pair_orbits(ctx, params)]
+
+
 def representatives(ctx, params):
     """The (alpha, beta) pairs of `_pair_orbits`, in the order of the
     kernel dimensions."""
-    return [(alpha, beta) for alpha, betas, _ in
-            expsum._pair_orbits(ctx, params) for beta in betas.tolist()]
+    return [(alpha, beta) for alpha, betas, _ in orbit_betas(ctx, params)
+            for beta in betas.tolist()]
 
 
 def test_int16_and_int32_walsh_agree(ctx6, p61, monkeypatch):
@@ -180,11 +187,12 @@ def traced_peak(fn, *args, **kwargs):
 
 def test_t_sweep_memory_bounded_by_its_chunk():
     # T reads the alpha rows 0 and 1 and 68 orbit representatives of beta,
-    # 4096 bits each (272 kB unpacked), built from their definitions 8 rows
-    # (256 kB of int64 products) at a time: 1.5 MB traced, the field's
-    # tables built on first use included. An unpacked span of 512 beta
-    # rows, or an int64 product of element logs over every alpha row, takes
-    # 2 MB alone.
+    # 4096 bits each, in the orbit rule's blocks of at most 64 rows (256 kB,
+    # and as much for their XOR with the alpha row), built from their
+    # definitions 8 rows (256 kB of int64 products) at a time: 1.5 MB
+    # traced, the field's tables built on first use included. A span of 512
+    # beta rows, or an int64 product of element logs over every alpha row,
+    # takes 2 MB alone.
     ctx, p = build_field(12), derive_params(12, 1)
     assert traced_peak(t_spectrum, ctx, p) < 2 * (1 << 20)
 
@@ -203,13 +211,14 @@ def test_alpha_rows_take_no_more_than_their_table():
 
 
 def test_s_sweep_memory_bounded_by_its_span():
-    # The Walsh sweep transforms blocks of at most 2^18 entries: at (10,1)
-    # the 4 + 94 representatives, one block per alpha; at (12,2) the 6 + 316,
-    # 64 rows of 4096 entries to a block. A block's uint8 bits, their XOR
-    # with the alpha row, and its int16 transform and butterfly buffer are
-    # held at once; each row of the transform is then counted on its own,
-    # by a bincount of 2q + 1 bins, and the transform dropped before the
-    # next block is built. 1.0 and 1.8 MB traced, the field's tables
+    # The Walsh sweep transforms the orbit rule's blocks of at most 2^18
+    # entries: at (10,1) the 4 + 94 representatives, one block per alpha;
+    # at (12,2) the 6 + 316, 64 rows of 4096 entries to a block. A block's
+    # uint8 bits, their XOR with the alpha row, and its int16 transform and
+    # butterfly buffer are held at once; each row of the transform is then
+    # counted on its own, by a bincount of 2q + 1 bins, and the transform
+    # dropped before the next block is built. 1.0 and 1.9 MB traced, the
+    # field's tables (the logs of the x^e1 and x^e2 tables among them)
     # included. At (10,1) the q x q beta rows, unpacked, take 1 MB alone;
     # at (12,2) blocks of 2^19 entries take 3 MB.
     for n, k, bound in ((10, 1, 3 * (1 << 19)), (12, 2, 4 * (1 << 19))):
@@ -231,12 +240,17 @@ def test_gamma_sweep_memory_bounded_by_its_span():
 @pytest.mark.parametrize("alpha,last", [(0, 5), (1, 63), (1, 127),
                                         (1, 255), (1, 315)])
 def test_gamma_sweep_reads_every_pair_of_every_block(alpha, last):
-    # At (12,2) a block of the Walsh sweep holds 64 betas: alpha = 0 reads
-    # its 6 representatives in one, alpha = 1 its 316 in five. Moving the rank
-    # of the last pair of any one block makes the sweep name that pair.
+    # At (12,2) a block of the orbit rule holds 2^18 // q = 64 betas: alpha
+    # = 0 reads its 6 representatives in one, alpha = 1 its 316 in five, and
+    # the index last ends a block. Moving the rank of the last pair of any
+    # one block makes the sweep name that pair.
     ctx, p = build_field(12), derive_params(12, 2)
+    blocks = [betas for betas, _ in expsum._pair_orbits(ctx, p)[alpha][1]]
+    assert [len(betas) for betas in blocks] == (
+        [6] if alpha == 0 else [64] * 4 + [60])
+    ends = np.cumsum([len(betas) for betas in blocks]) - 1
     reps = representatives(ctx, p)
-    i = reps.index((alpha, int(expsum._pair_orbits(ctx, p)[alpha][1][last])))
+    i = reps.index((alpha, int(blocks[ends.tolist().index(last)][-1])))
     dims = kernel_dims(ctx, p)[0]
     dims[i] += 2
     message = (f"pair ({alpha:#x}, {reps[i][1]:#x}) deviates from the "
@@ -249,14 +263,14 @@ def orbit_representatives(ctx, params):
     """a' = 0 and pi^j for 0 <= j <= 2^m, one per orbit of a' -> a' pi^e1,
     each with the betas it is read against: those of alpha = 0 for a' = 0,
     else those of alpha = 1, by `_pair_orbits`."""
-    (_, zero, _), (_, betas, _) = expsum._pair_orbits(ctx, params)
+    (_, zero, _), (_, betas, _) = orbit_betas(ctx, params)
     return [(0, zero)] + [(ctx.pow(ctx.pi, j), betas)
                           for j in range((1 << params.m) + 1)]
 
 
 def identity_points(ctx, params):
     """A stand-in for artin_schreier_points: the (a', beta) table read off
-    the identity, q + (2^d - 1) T(Tr^n_m(a'), beta), through the popcount
+    the identity, q + (2^d - 1) T(Tr^n_m(a'), beta), through the T
     kernel."""
     sub = subfield_elements(ctx, params.m)
     t = t_table(ctx, params, sub, range(ctx.q))
@@ -271,15 +285,16 @@ def identity_points(ctx, params):
 def test_artin_schreier_sweep_counts_every_curve_once_per_block(
         monkeypatch):
     # Each call counts the curves of every a' representative of one alpha
-    # over one block of betas; together the calls count the curves of every
-    # orbit representative a', against each beta representative of its
-    # alpha, each once, and no other curve.
+    # over one block of betas of the orbit rule, at most 2^18 // q = 256 of
+    # them; together the calls count the curves of every orbit
+    # representative a', against each beta representative of its alpha,
+    # each once, and no other curve.
     ctx, p = build_field(10), derive_params(10, 1)
     calls, counted = [], np.zeros((ctx.q, ctx.q), dtype=np.int64)
     identity = identity_points(ctx, p)
 
     def recording(ctx, params, alpha_prime, betas):
-        calls.append((len(alpha_prime), len(betas)))
+        calls.append((len(alpha_prime), betas.tolist()))
         np.add.at(counted, np.ix_(alpha_prime, betas), 1)
         return identity(ctx, params, alpha_prime, betas)
 
@@ -287,8 +302,11 @@ def test_artin_schreier_sweep_counts_every_curve_once_per_block(
     assert expsum.artin_schreier_sweep(ctx, p) is None
     reps = orbit_representatives(ctx, p)
     assert len({a for a, _ in reps}) == (1 << p.m) + 2
+    assert [b for _, b in calls] == [
+        betas.tolist() for _, blocks in expsum._pair_orbits(ctx, p)
+        for betas, _ in blocks]
     assert {a for a, _ in calls} == {1, (1 << p.m) + 1}
-    assert max(b for _, b in calls) <= (1 << 19) // ctx.q
+    assert max(len(b) for _, b in calls) <= (1 << 18) // ctx.q
     assert all((counted[a, betas] == 1).all() for a, betas in reps)
     assert counted.sum() == sum(len(betas) for _, betas in reps)
 
@@ -296,12 +314,12 @@ def test_artin_schreier_sweep_counts_every_curve_once_per_block(
 def test_artin_schreier_sweep_names_the_curve_in_the_last_block(
         monkeypatch):
     # Counts read off the identity, with one point more on the last curve
-    # of the last block, that of the last orbit representative and its last
-    # beta: it is named.
+    # of the last block of the orbit rule, that of the last orbit
+    # representative and its last beta: it is named.
     ctx, p = build_field(10), derive_params(10, 1)
     identity = identity_points(ctx, p)
-    last, betas = orbit_representatives(ctx, p)[-1]
-    beta = int(betas[-1])
+    last = orbit_representatives(ctx, p)[-1][0]
+    beta = int(expsum._pair_orbits(ctx, p)[-1][1][-1][0][-1])
 
     def one_more(ctx, params, alpha_prime, betas):
         counts = identity(ctx, params, alpha_prime, betas)
@@ -621,7 +639,7 @@ def test_orbit_sweeps_match_the_full_table_oracles(n, k, mod):
     ref.orbit_closure(ctx, p)
     ref.orbit_closure(ctx, p, curves=True)
     ref.gamma_axis(ctx)
-    for block in expsum._blocks(np.arange(ctx.q), ctx.q):
+    for (block,) in expsum._blocks(ctx.q, np.arange(ctx.q)):
         _, brows, grows = expsum._trace_rows(ctx, p, [], block, block)
         assert (brows == ref.trace_bit_matrix(ctx, p.e_quad, block)).all()
         assert (grows == ref.trace_bit_matrix(ctx, 1, block)).all()
@@ -635,20 +653,25 @@ def test_t_reads_one_beta_row_per_orbit(monkeypatch, n, k, rows):
     # alpha = 0 reads beta = 0 and one beta per coset of the e2-th powers,
     # alpha = 1 beta = 0 and one per orbit of the stabilizer c^e1 = 1 acting
     # by c^e2: 2 + gcd(e2, L) + gcd((2^m - 1) e2, L) beta rows in all, for
-    # T's popcount sweep and S's Walsh sweep alike.
+    # T's table and S's Walsh sweep alike, each built once, a block of the
+    # orbit rule at a time.
     ctx, p = build_field(n), derive_params(n, k)
-    counted, build = Counter(), expsum._trace_rows
+    built, build = {t_spectrum: [], s_spectrum: []}, expsum._trace_rows
 
     def counting(ctx, params, alphas, betas, gammas):
-        counted[sweep] += len(betas)
+        if len(betas):
+            built[sweep].append(np.asarray(betas).tolist())
         return build(ctx, params, alphas, betas, gammas)
 
     monkeypatch.setattr(expsum, "_trace_rows", counting)
-    for sweep in (t_spectrum, s_spectrum):
+    for sweep in built:
         sweep(ctx, p)
+    blocks = [betas.tolist() for _, cut in expsum._pair_orbits(ctx, p)
+              for betas, _ in cut]
+    assert built == {t_spectrum: blocks, s_spectrum: blocks}
+    assert max(map(len, blocks)) <= (1 << 18) // ctx.q
     order = ctx.order
-    assert counted == {t_spectrum: rows, s_spectrum: rows}
-    assert rows == 2 + gcd(p.e_quad, order) + gcd(
+    assert sum(map(len, blocks)) == rows == 2 + gcd(p.e_quad, order) + gcd(
         ((1 << p.m) - 1) * p.e_quad, order)
 
 
@@ -674,7 +697,7 @@ def test_each_reader_builds_each_beta_row_once(monkeypatch, sweep, n, k):
     monkeypatch.setattr(expsum, "_rows", counting)
     reader = kernel_dims if sweep == "kernel_dims" else getattr(expsum, sweep)
     reader(ctx, p, *args)
-    zero, one = (len(betas) for _, betas, _ in expsum._pair_orbits(ctx, p))
+    zero, one = (len(betas) for _, betas, _ in orbit_betas(ctx, p))
     if sweep == "artin_schreier_sweep":
         assert counted == {"trace": zero + one, "value": zero + one}
     else:
@@ -724,20 +747,23 @@ def test_artin_schreier_orbit_rule_matches_the_full_sweep_n10():
 
 @pytest.mark.parametrize("n", range(4, 13, 2))
 def test_popcounts_count_the_xor_of_every_row_pair(n):
-    # u2 words at n = 4, u8 words from n = 6.
+    # The T kernel reads q - 2 wt(a ^ b) for every row a against the beta
+    # row b of each beta, and leaves the rows it is given as they were.
     rng = np.random.default_rng(n)
-    a = rng.integers(0, 2, (5, 1 << n), dtype=np.uint8)
-    b = rng.integers(0, 2, (7, 1 << n), dtype=np.uint8)
-    popcounts = expsum._popcounts(np.packbits(a, axis=-1),
-                                  np.packbits(b, axis=-1))
-    assert (popcounts == (a[:, None] ^ b[None]).sum(-1)).all()
+    ctx, p = build_field(n), derive_params(n, 1)
+    a = rng.integers(0, 2, (5, ctx.q), dtype=np.uint8)
+    betas = rng.integers(0, ctx.q, 7)
+    b = expsum._trace_rows(ctx, p, [], betas, [])[1]
+    kept = a.copy()
+    t = expsum._t_table(ctx, p, a, betas)
+    assert (t == ctx.q - 2 * np.count_nonzero(a[:, None] ^ b[None], -1)).all()
+    assert (a == kept).all()
 
 
 def t_table(ctx, params, alphas, betas):
-    """T(alpha, beta) through the sweep's popcount kernel, one row per
-    alpha."""
+    """T(alpha, beta) through the sweeps' T kernel, one row per alpha."""
     arows, _, _ = expsum._trace_rows(ctx, params, alphas, [], [])
-    return expsum._t_table(ctx, params, np.packbits(arows, axis=-1), betas)
+    return expsum._t_table(ctx, params, arows, betas)
 
 
 def test_t_sum_matches_oracle(ctx6, p62):

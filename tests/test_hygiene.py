@@ -16,14 +16,17 @@ holds no `assert` statement, since `python -O` strips them: each fact it
 checks raises an error of its own. Only the correlation sweep,
 `sequences.correlation_distribution`, holds a matrix product (`@`,
 `np.matmul` or `np.dot`), and only `sequences.py` names a float dtype; every
-other sweep counts bits or runs the Walsh transform. Only S and the
-gamma-sweep read the Walsh sweep `expsum._s_counts`, and only that sweep
-calls `_walsh` and proves the gamma axis; only the T table, whose spans
-T's popcount sweep bincounts, calls `_popcounts`, and only T and
-Artin-Schreier call the T table (the code weights relabel T and S); only
-T, the Walsh sweep, the kernel sizes and
-Artin-Schreier read the orbit rule `expsum._pair_orbits`, the one function
-that takes a gcd of e_quad; only that rule, the gamma axis and cyclicity
+other sweep counts bits or runs the Walsh transform. Only
+`sequences.py` and `distribution.py` pack bits (`np.packbits`) or count
+packed ones (`np.bitwise_count`): every per-pair sweep reads unpacked
+uint8 trace rows. Only S and the gamma-sweep read the Walsh sweep
+`expsum._s_counts`, and only that sweep calls `_walsh` and proves the
+gamma axis; only T and Artin-Schreier call the T table `expsum._t_table`,
+the one count of the bits of a trace row (the code weights relabel T and
+S); only T, the Walsh sweep, the kernel sizes and Artin-Schreier read the
+orbit rule `expsum._pair_orbits`, the one function that takes a gcd of
+e_quad and the one that cuts the pairs into blocks (`_blocks`), at one
+bound for every sweep; only that rule, the gamma axis and cyclicity
 lean on the orbit lemma (made once per field, and per exponent, and read
 by all of its callers), and no full-table orbit proof (`_row_closure`,
 `_orbit_closure`) is defined in the package; every row comes from the one
@@ -306,18 +309,47 @@ def test_only_the_correlation_sweep_names_a_float_dtype(path):
     assert float_dtypes(path.read_text()) == []
 
 
-# kernel -> the (module, top-level function)s allowed to call it: the Walsh
-# sweep, which only S (and so the c2 weights) and the gamma-sweep read, and
-# the Walsh kernel and the gamma-axis proof, which only that sweep reads;
-# the T table, which T's popcount sweep reads span by span and
-# Artin-Schreier also reads, and the popcounts only it reads; the orbit
-# rule, which the four per-pair sweeps (T, the Walsh sweep, the kernel sizes
-# and Artin-Schreier) read; the orbit lemma, which the orbit rule, the gamma
-# axis and cyclicity read; the one row builder, which only the trace rows
-# and the value rows call; the trace rows, which only T, the T table, the
-# Walsh sweep, Artin-Schreier and the codewords build; the value rows,
-# which only the point counts and the phi rows build; the point counts; and
-# the thread pool, which only the correlation sweep sums its work over.
+BIT_PACKERS = ("packbits", "bitwise_count")
+
+
+def bit_packers(source):
+    """(line, name) of every packbits or bitwise_count name or attribute."""
+    return sorted((node.lineno, name) for node in ast.walk(ast.parse(source))
+                  if (name := getattr(node, "id", getattr(node, "attr", None)))
+                  in BIT_PACKERS)
+
+
+def test_packer_guard_flags_every_packer():
+    source = ("import numpy as np\n"
+              "w = np.bitwise_count(np.packbits(bits, axis=-1))\n"
+              "pack = packbits\n"
+              "x = np.unpackbits(rows), 'packbits', np.bitwise_xor(a, b)\n")
+    assert bit_packers(source) == [(2, "bitwise_count"), (2, "packbits"),
+                                   (3, "packbits")]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name not in
+                                  ("sequences.py", "distribution.py")],
+                         ids=lambda p: p.name)
+def test_only_the_family_and_the_reports_pack_bits(path):
+    # The correlation sweep packs sequence rows and the reports pack
+    # codewords; every per-pair sweep counts unpacked trace rows.
+    assert bit_packers(path.read_text()) == []
+
+
+# kernel -> the (module, top-level function)s allowed to call it: the
+# Walsh sweep, which only S (and so the c2 weights) and the gamma-sweep
+# read, and the Walsh kernel and the gamma-axis proof, which only that
+# sweep reads; the T table, which only T and Artin-Schreier read, a block
+# of the orbit rule at a time; the orbit rule, which the four per-pair
+# sweeps (T, the Walsh sweep, the kernel sizes and Artin-Schreier) read,
+# and the blocks, which only the orbit rule cuts; the orbit lemma, which
+# the orbit rule, the gamma axis and cyclicity read; the one row builder,
+# which only the trace rows and the value rows call; the trace rows,
+# which only T, the T table, the Walsh sweep, Artin-Schreier and the
+# codewords build; the value rows, which only the point counts and the
+# phi rows build; the point counts; and the thread pool, which only the
+# correlation sweep sums its work over.
 KERNEL_CALLERS = {
     "_s_counts": {("expsum.py", "s_spectrum"),
                   ("expsum.py", "gamma_sweep")},
@@ -327,6 +359,7 @@ KERNEL_CALLERS = {
                      ("expsum.py", "_s_counts"),
                      ("expsum.py", "artin_schreier_sweep"),
                      ("linearized.py", "kernel_dims")},
+    "_blocks": {("expsum.py", "_pair_orbits")},
     "_orbit_lemma": {("expsum.py", "_pair_orbits"),
                      ("expsum.py", "_gamma_axis"),
                      ("codes.py", "check_cyclicity")},
@@ -334,7 +367,6 @@ KERNEL_CALLERS = {
               ("expsum.py", "_monomial_rows")},
     "_monomial_rows": {("expsum.py", "artin_schreier_points"),
                        ("linearized.py", "_phi_rows")},
-    "_popcounts": {("expsum.py", "_t_table")},
     "_t_table": {("expsum.py", "t_spectrum"),
                  ("expsum.py", "artin_schreier_sweep")},
     "_trace_rows": {("expsum.py", "t_spectrum"),
@@ -370,7 +402,7 @@ def test_kernel_guard_flags_every_kernel_call():
               "    return _walsh(rows), expsum._gamma_axis(ctx)\n"
               "def s_spectrum(rows):\n"
               "    f = _walsh\n"
-              "    return _popcounts(rows, rows), expsum._walsh(rows)\n"
+              "    return _blocks(q, rows), expsum._walsh(rows)\n"
               "_gamma_axis(ctx)\n"
               "def _check_artin_schreier(run):\n"
               "    rows = _trace_rows(ctx, params, alphas, [], [])\n"
@@ -380,7 +412,7 @@ def test_kernel_guard_flags_every_kernel_call():
               "    return _summed(work, items, _thread_count(2, 4))\n")
     assert kernel_calls(source) == [
         (2, "_gamma_axis", "_walsh_sweep"), (2, "_walsh", "_walsh_sweep"),
-        (5, "_popcounts", "s_spectrum"), (5, "_walsh", "s_spectrum"),
+        (5, "_blocks", "s_spectrum"), (5, "_walsh", "s_spectrum"),
         (6, "_gamma_axis", None),
         (8, "_trace_rows", "_check_artin_schreier"),
         (9, "_t_table", "_check_artin_schreier"),

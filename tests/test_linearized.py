@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 
 import reference as ref
 from kasamilab import (VerificationError, bluher_counts, bluher_counts_formula,
-                       build_field, derive_params, expsum, kernel_dims,
+                       build_field, derive_params, kernel_dims,
                        linearized, rank_profile, rank_profile_formula,
                        subfield_elements)
 from kasamilab.cli import main
 from kasamilab.field import _mul, power_table
-from test_expsum import traced_peak
+from test_expsum import orbit_betas, representatives, traced_peak
 
 # (n, k) -> (n0, n2, n4), frozen from the naive kernel enumeration.
 PROFILES = {
@@ -58,8 +58,7 @@ def phi_rows(ctx, params, alpha, betas):
 def test_kernel_size_matches_oracle(ctx4, p41):
     # One dimension per orbit representative, with its orbit's size.
     dims, weights = kernel_dims(ctx4, p41)
-    pairs = [(alpha, beta) for alpha, betas, _ in
-             expsum._pair_orbits(ctx4, p41) for beta in betas.tolist()]
+    pairs = representatives(ctx4, p41)
     assert len(dims) == len(weights) == len(pairs)
     assert weights.sum() == 1 << (3 * p41.m)
     for (alpha, beta), dim in zip(pairs[1:], dims[1:].tolist()):
@@ -245,10 +244,10 @@ def patch_phi_row(monkeypatch, alpha, beta, edit):
 
 def test_kernel_table_memory_bounded_by_its_span():
     # alpha = 1 reads 94 beta representatives at n = 10, 0.75 MB of int64
-    # phi values in one block; with the products that build them and the
-    # linearity check's gathers, 3.0 MB traced, the field's tables
-    # included, under one block of 512 beta rows, 4 MB. Blocks of every
-    # beta, as a 2^22-entry rule gives at n = 10, peak at 24 MB.
+    # phi values in one block of the orbit rule (at most 256 rows); with
+    # the products that build them and the linearity check's gathers,
+    # 2.4 MB traced, the field's tables included, under 4 MB. Blocks of
+    # every beta, as a 2^22-entry rule gives at n = 10, peak at 24 MB.
     ctx, p = build_field(10), derive_params(10, 1)
     assert traced_peak(kernel_dims, ctx, p) < (1 << 19) * 8
 
@@ -264,7 +263,7 @@ def swap_a_kernel_element(row):
 def four_element_kernel(ctx6, p61):
     """The first beta representative of alpha = 1 whose phi has a
     4-element kernel."""
-    (_, zero, _), (_, betas, _) = expsum._pair_orbits(ctx6, p61)
+    (_, zero, _), (_, betas, _) = orbit_betas(ctx6, p61)
     dims = kernel_dims(ctx6, p61)[0][len(zero):]
     return 1, int(betas[np.flatnonzero(p61.q0 ** dims == 4)[0]])
 
