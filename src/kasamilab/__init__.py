@@ -10,9 +10,10 @@ notes rather than silently corrected.
 
 import os
 
-# Read once by OpenBLAS as numpy loads: an idle worker spins 2^22 cycles, not
-# 2^28 (0.1 s), before it sleeps, so no product-free run burns a second core.
-os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "22")
+# Read once by OpenBLAS as numpy loads: an idle worker spins 2^18 cycles
+# (about 0.1 ms), not 2^28 (0.1 s), before it sleeps, so it sleeps between
+# products rather than burn a second core.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "18")
 
 from .distribution import ValueDistribution, VerificationError, pack_bits_hex
 from .field import (FieldContext, Params, build_field, derive_params,

@@ -53,8 +53,8 @@ def _rows(ctx, coeffs, e, outer=None):
     coeffs = np.asarray(coeffs, dtype=np.int64)
     flat, times = coeffs.reshape(-1), _times(ctx, e)
     out = np.empty((len(flat), ctx.q), np.int64 if outer is None else np.uint8)
-    if outer is not None:
-        # Every entry off the bits reads as 2 or 255.
+    if outer is not None and len(flat):
+        # Every entry off the bits reads as 2 or 255; no rows, no table.
         outer = np.clip(outer, -1, 2).astype(np.uint8)
     span = max(1, (1 << 15) // ctx.q)
     for i in range(0, len(flat), span):

@@ -17,9 +17,9 @@ rotations of each other.
 The family is one uint8 matrix, a row per member holding its bits packed
 eight to a byte, XORed from packed trace rows; every reader takes its rows
 from there. `correlation_distribution` sweeps one representative per
-decimation orbit against the members, tile by tile, two shifts to a column
-of a circulant product, so every pair at every shift is counted and no
-buffer holds floats for the whole family.
+decimation orbit against the members, tile by tile, up to three shifts to
+a column of a circulant product, so every pair at every shift is counted
+and no buffer holds floats for the whole family.
 """
 
 from __future__ import annotations
@@ -188,25 +188,21 @@ def _decimation_orbits(packed, L):
     return renumber[orbit], sizes[by_size].tolist()
 
 
-def _product_dtype(L):
-    """float32 while the packed product of period L is exact in it, else float64.
-
-    Every term of the packed product is a multiple of 1/2, so every partial
-    sum is k/2 with |k| at most twice the largest absolute column sum of the
-    packed circulant against signs of +-1: L (L + 2) for a column of two
-    shifts, L + (L + 1)^2 for the sentinel column. float32 holds each such
-    k/2 exactly while 2 (L^2 + 3L + 1) < 2^24 (n <= 10), float64 while it
-    is below 2^53 (n <= 26).
-    """
-    return np.float32 if 2 * (L * L + 3 * L + 1) < 1 << 24 else np.float64
+def _product_layout(L):
+    """(dtype, D) for the correlation product of period L: float32 up to
+    n = 12, else float64, and D <= 3 shifts a column. Every partial sum is
+    k/2 with |k| <= M^D - 1, M = L + 1 (L half signs against entries of at
+    most (M^D - 1)/L), exact while M^D - 1 < 2^(nmant + 1)."""
+    n = L.bit_length()
+    dtype = np.float32 if n <= 12 else np.float64
+    return dtype, min(3, (np.finfo(dtype).nmant + 1) // n)
 
 
 def _tile_rows(L):
     """Members per tile of the correlation product of period L: 4 (L + 2),
     so that each representative's product over a tile outweighs its
-    circulant of L (L + 1)/2 entries, rebuilt for every tile, 4 (L + 2)
-    times. The tile bounds the shared signs, 4 (L + 2) rows of L + 1
-    floats, and each thread's product, 4 (L + 2) rows of (L + 1)/2."""
+    circulant, rebuilt for every tile. The tile bounds the shared signs,
+    4 (L + 2) rows of L floats, and each thread's product, of L/D columns."""
     return 4 * (L + 2)
 
 
@@ -215,17 +211,18 @@ _CHUNK = 1 << 16
 
 
 def _value_counts(block, known):
-    """Sorts the block in place; returns (value, count) for each value in it
-    and `known`, the sorted values met so far with its own. Known values are
-    counted by exact binary search; a block with others adds its run heads."""
+    """Sorts the block in place; returns `known`, the sorted values met so
+    far, with the block's own, and the block's count of each: by exact
+    binary search, after adding the run heads of a block with new values."""
     flat = block.reshape(-1)
     flat.sort()
     count = flat.searchsorted(known, "right") - flat.searchsorted(known)
     if count.sum() < flat.size:
-        both = np.sort(np.r_[known, flat[np.r_[True, flat[1:] != flat[:-1]]]])
-        known = both[np.r_[True, both[1:] != both[:-1]]]
+        heads = flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
+        both = np.sort(np.concatenate((known, heads)))
+        known = both[np.concatenate(([True], both[1:] != both[:-1]))]
         count = flat.searchsorted(known, "right") - flat.searchsorted(known)
-    return [(v, c) for v, c in zip(known.tolist(), count.tolist()) if c], known
+    return known, count
 
 
 def correlation_distribution(family, workers=1):
@@ -241,12 +238,13 @@ def correlation_distribution(family, workers=1):
     orbit with weight 2w, all shifts in one circulant product per orbit.
     The largest orbits come first, which leaves the fewest later rows.
 
-    Each product column holds two shifts. Against the halved circulant, an
-    entry is the agreement count (Corr + L)/2, an integer in [0, L]; with
-    M = L + 1, the column of shifts tau and tau + 1 reads a_tau + M a_tau+1,
-    exact in the product dtype (`_product_dtype`), and divmod by M splits
-    it. L is odd, so the last column pairs shift L - 1 with a sentinel slot
-    that reads M, outside [0, L], whose count is dropped.
+    Each product column holds D shifts (`_product_layout`): with r the
+    representative's signs and M = L + 1, column c of the circulant is
+    sum_j M^j r[i + D c + j], read against the members' half signs. An
+    offset of L/2 per digit, added after the product, makes digit j the
+    agreement count (Corr + L)/2 in [0, L] at shift D c + j. Pad digits,
+    past shift L - 1 where D does not divide L, have no entries and no
+    offset: each reads 0 once per ordered pair, taken back off bin 0.
 
     The family's packed rows are taken in orbit order and swept tile by
     tile, `_tile_rows` members each. A tile is unpacked to signs once and
@@ -255,65 +253,67 @@ def correlation_distribution(family, workers=1):
     first row on and counts the product by value (`_value_counts`), its
     own orbit's rows (weight w) apart from later rows (2w); the family's
     correlations take few values. Per thread: one circulant, one tile's
-    product, the values met so far and M + 1 counts.
+    product and the keys met so far, each with an int64 count.
     """
     count, L = family.size, family.params.q - 1
     orbit, sizes = _decimation_orbits(family.rows, L)
     packed = family.rows[np.argsort(orbit, kind="stable")]
     starts = np.cumsum([0] + sizes)
-    M, dtype = L + 1, _product_dtype(L)
+    (dtype, D), M = _product_layout(L), L + 1
+    columns = -(-L // D)
     rows = min(count, _tile_rows(L))
-    # A representative's bits twice over, read through one index.
-    wrap = np.arange(2 * L) % L
-    # One tile of members, each bit b as the sign 1 - 2b, over a column of
-    # ones (zeros before the map) that meets the packed last row.
-    signs = np.ones((rows, L + 1), dtype=dtype)
+    powers = (M ** np.arange(D)).astype(dtype)
+    # L/2 for each digit j of column c below shift L, at D c + j.
+    offset = (np.arange(columns * D).reshape(-1, D) < L) @ powers * (L / 2)
+    # M^j times the sign 1 - 2b of bit b, and the bits twice over.
+    weighted, wrap = powers[:, None] * dtype([1, -1]), np.arange(2 * L - 1) % L
+    # One tile of members, each bit b as the half sign (1 - 2b)/2.
+    signs = np.empty((rows, L), dtype=dtype)
 
     def work(item):
-        # With r the representative's signs taken mod L, circ[j, mu] =
-        # c[mu + 2 j] for c[i] = (r[i] + M r[i + 1]) / 2 over a last column
-        # of L (M + 1) / 2 that meets the ones: entry (i, j) of signs @
-        # circ.T reads a_tau + M a_tau+1 at tau = 2 j, with a_tau =
-        # (Corr(member i, rep, tau) + L) / 2. The last row is r[mu + L - 1]
-        # / 2 over the sentinel's L / 2 + M^2.
         lo, hi, reps = item
-        tally = [0] * (M + 1)  # shifts by (Corr + L)/2; M, the sentinel
-        circ = np.empty((M // 2, L + 1), dtype=dtype)
-        circ[:, L] = L * (M + 1) / 2
-        circ[-1, L] = L / 2 + M * M
-        prod = np.empty((hi - lo, M // 2), dtype=dtype)
-        known = np.empty(0, dtype=dtype)
+        circ = np.empty((columns, L), dtype=dtype)
+        prod = np.empty((hi - lo, columns), dtype=dtype)
+        known, totals = np.empty(0, dtype=dtype), np.zeros(0, dtype=np.int64)
+        # windows[j, tau] is M^j r[i + tau], r the rep's signs mod L.
+        line = np.empty((D, 2 * L - 1), dtype=dtype)
+        windows = sliding_window_view(line, L, axis=1)
         for a in reps:
             first, w = starts[a], sizes[a]
-            twice = 1 - 2 * _unpacked(packed[first], L)[wrap].astype(dtype)
-            c = (twice[:-1] + M * twice[1:]) / 2
-            circ[:, :L] = sliding_window_view(c, L)[::2]
-            circ[-1, :L] = twice[L - 1:-1] / 2
+            weighted.take(_unpacked(packed[first], L)[wrap], axis=1, out=line)
+            circ[...] = windows[0, ::D]
+            for j in range(1, D):
+                circ[:len(windows[j, j::D])] += windows[j, j::D]
             top = max(lo, first)
-            np.matmul(signs[top - lo:hi - lo], circ.T, out=prod[:hi - top])
+            out = np.matmul(signs[top - lo:hi - lo], circ.T,
+                            out=prod[:hi - top])
+            out += offset
             own = min(max(first + w - top, 0), hi - top)
-            for part, weight in ((prod[:own], w), (prod[own:hi - top], 2 * w)):
-                pairs, known = _value_counts(part, known)
-                for v, times in pairs:
-                    for slot in divmod(int(v), M):
-                        tally[slot] += weight * times
-        return np.array(tally)
+            for part, weight in ((out[:own], w), (out[own:], 2 * w)):
+                seen, times = _value_counts(part, known)
+                if len(seen) > len(known):
+                    grown = np.zeros(len(seen), dtype=np.int64)
+                    grown[seen.searchsorted(known)] = totals
+                    known, totals = seen, grown
+                totals += weight * times
+        tally = np.zeros(M, dtype=np.int64)
+        digits = known.astype(np.int64)[:, None] // M ** np.arange(D) % M
+        np.add.at(tally, digits, totals[:, None])
+        return tally
 
     acc = 0
     for lo in range(0, count, rows):
         hi = min(lo + rows, count)
-        tile = signs[:hi - lo, :L]
-        tile[...] = _unpacked(packed[lo:hi], L)
-        tile *= -2
-        tile += 1
+        np.subtract(0.5, _unpacked(packed[lo:hi], L), out=signs[:hi - lo],
+                    dtype=dtype)
         # The orbits whose first row lies before hi, dealt out in turn: the
         # earlier ones sweep more rows.
         reps = int(np.searchsorted(starts, hi))
         threads = _thread_count(workers, reps)
         acc = acc + _summed(work, [(lo, hi, range(t, reps, threads))
                                    for t in range(threads)], workers)
-    counts = {2 * a - L: c for a, c in enumerate(acc[:M].tolist())}
-    dist = ValueDistribution.from_counts(counts)
+    acc[0] -= (columns * D - L) * count * count
+    dist = ValueDistribution.from_counts(zip(range(-L, M, 2), acc))
     if dist.total != count * count * L:
         raise VerificationError(f"correlation sweep covered {dist.total} triples")
     return dist

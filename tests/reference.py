@@ -10,8 +10,10 @@ oracles at sizes the naive sweeps cannot reach.
 package once did to find repeated rotations, which it now reads off the
 count of the correlation value 2^n - 1.
 `correlation_rep_major` keeps the decimation-orbit correlation kernel in
-its representative-major form; it imports nothing from the package, and
-takes the orbits as given. `decimation_orbits_per_row` finds those orbits
+its representative-major form, on the layout the package once used (two
+shifts to a column over a ones column, the last pairing shift L - 1 with
+a sentinel slot); it imports nothing from the package, and takes the
+orbits as given. `decimation_orbits_per_row` finds those orbits
 one packed row at a time, as the package once did, and imports nothing
 from it either. `kernel_dims`, `gamma_sweep` and
 `artin_schreier_sweep` run over every pair, or every curve, without the

@@ -91,11 +91,11 @@ def test_python_dash_m_runs_verify(tmp_path):
     assert statuses(report)["correlation"] == "match"
 
 
-@pytest.mark.parametrize("preset,value", [(None, "22"), ("28", "28")],
+@pytest.mark.parametrize("preset,value", [(None, "18"), ("28", "28")],
                          ids=["unset", "user-set"])
 def test_import_bounds_the_blas_idle_spin(preset, value):
     # OpenBLAS reads its thread timeout once, as numpy loads; kasamilab sets
-    # it to 2^22 cycles before its modules load numpy, unless the user has.
+    # it to 2^18 cycles before its modules load numpy, unless the user has.
     done = subprocess.run(
         [sys.executable, "-c", "import os, kasamilab; "
          "print(os.environ['OPENBLAS_THREAD_TIMEOUT'])"],
@@ -109,7 +109,7 @@ def test_import_bounds_the_blas_idle_spin(preset, value):
     ids=["8-2-blas1", "8-2-blas2", "6-2-workers2"])
 def test_verify_report_does_not_depend_on_blas_threads(tmp_path, n, k,
                                                       workers, threads, code):
-    # The correlation product is exact in its dtype (`_product_dtype`), so
+    # The correlation product is exact in its dtype (`_product_layout`), so
     # however OpenBLAS splits it over its threads, and however many sweep
     # threads share it out, the report is the frozen one, byte for byte.
     out = tmp_path / "out"

@@ -45,7 +45,7 @@ only `_Run._record`, which sets each record's status, and
 `VerificationReport.exit_code`, which grades them, read a status name: a
 check returns its detail or raises. The one write to the process
 environment in the package is the bound on OpenBLAS's idle spin,
-`os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "22")` in `__init__.py`,
+`os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "18")` in `__init__.py`,
 made before any import but that of os, so before numpy loads.
 """
 
@@ -586,7 +586,7 @@ def test_environ_guard_flags_every_write():
 
 
 INIT = ROOT / "src" / "kasamilab" / "__init__.py"
-BLAS_SPIN = "os.environ.setdefault('OPENBLAS_THREAD_TIMEOUT', '22')"
+BLAS_SPIN = "os.environ.setdefault('OPENBLAS_THREAD_TIMEOUT', '18')"
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)

@@ -18,7 +18,7 @@ from kasamilab import (SequenceFamily, VerificationError, build_family,
                        family_dump_lines, family_size, pack_bits_hex)
 from kasamilab.cli import main
 from kasamilab.distribution import _thread_count
-from kasamilab.sequences import (_decimation_orbits, _product_dtype,
+from kasamilab.sequences import (_decimation_orbits, _product_layout,
                                  _value_counts)
 from test_expsum import traced_peak
 
@@ -318,39 +318,42 @@ def test_own_orbit_part_empty_partial_or_whole_in_a_tile(
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_value_counts_match_bincount_up_to_the_n10_sentinel(dtype):
-    # Product entries at n = 10: a + M b for agreement counts a, b in [0, L]
-    # and a + M^2 in the sentinel column, up to L + M^2 = M (M + 1) - 1 =
-    # 1,049,599. Neighbours 1 apart must stay apart. Each block is counted
-    # knowing none of its values, all of them, every other one, and all of
-    # them among values it lacks; the known values come back with its own.
-    L = 1023
+def test_value_counts_match_bincount_up_to_the_float32_top(dtype):
+    # Product entries at n = 12, two shifts to a column: a + M b for
+    # agreement counts a, b in [0, L], and a alone in the last column, whose
+    # second digit is a pad. They reach M^2 - 1 = 2^24 - 1, the top of every
+    # float32 layout (three shifts at n = 8 reach it too). Neighbours 1
+    # apart must stay apart. Each block is counted knowing none of its
+    # values, all of them, every other one, and all of them among values it
+    # lacks; the known values come back with its own, counts aligned.
+    L = 4095
     M = L + 1
     rng = np.random.default_rng(0)
-    agree = rng.integers(0, L + 1, (2, 300, M // 2))
+    agree = rng.integers(0, L + 1, (2, 60, M // 2))
     entries = agree[0] + M * agree[1]
-    entries[:, -1] = agree[0, :, -1] + M * M
+    entries[:, -1] = agree[0, :, -1]
     entries[:3, 0] = [0, 1, 2]
-    entries[:2, -1] = [M * (M + 1) - 1, M * (M + 1) - 2]
-    top = M * (M + 1) - 1 - rng.integers(0, 2, (40, M // 2))
+    entries[:2, 1] = [M * M - 1, M * M - 2]
+    top = M * M - 1 - rng.integers(0, 2, (10, M // 2))
     for block in (entries, top, entries[:0]):
         want = np.bincount(block.ravel())
         values = np.flatnonzero(want)
-        for known in ([], values, values[::2],
-                      [-1, *values, M * (M + 1)]):
+        for known in ([], values, values[::2], [-1, *values, M * M]):
             floats = block.astype(dtype)
-            pairs, seen = _value_counts(floats, np.array(known, dtype))
-            assert pairs == list(zip(values.tolist(), want[values].tolist()))
+            seen, count = _value_counts(floats, np.array(known, dtype))
             assert seen.tolist() == sorted({*known, *values.tolist()})
+            assert dict(zip(seen.tolist(), count.tolist())) == {
+                **dict.fromkeys(known, 0), **dict(zip(values.tolist(),
+                                                      want[values].tolist()))}
             assert (np.diff(floats.ravel()) >= 0).all()  # sorted in place
-    assert entries.max() == M * (M + 1) - 1 == 1_049_599
+    assert entries.max() == M * M - 1 == 2 ** 24 - 1
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("n", [4, 6])
 def test_constant_members_fill_both_end_bins(n, workers):
     # Both members are fixed by decimation. Their agreement counts are 0
-    # and L only: the first bin, the top bin, and the odd-L sentinel column.
+    # and L only: the first bin and the top bin.
     L = (1 << n) - 1
     assert correlation_distribution(constant_family(n),
                                     workers=workers).as_dict() == \
@@ -372,26 +375,45 @@ def test_constant_members_fill_both_end_bins_in_tiles_of_one(
 
 @pytest.mark.parametrize("n", range(4, 25, 2))
 def test_packed_product_exact_in_its_dtype(n):
-    # Twice the largest absolute column sum of the packed circulant against
-    # signs of +-1 bounds every partial sum, in units of 1/2. A column of
-    # two shifts has L entries of (1 + M)/2 and a last-row entry of
-    # (1 + M) L/2; the sentinel column has L entries of 1/2 and L/2 + M^2.
+    # A column of D shifts has L entries of at most (M^D - 1)/L against
+    # half signs of +-1/2, so every partial sum is k/2 with |k| <= M^D - 1,
+    # and so is the column after its offset, in [0, M^D - 1].
     L = (1 << n) - 1
     M = L + 1
-    twice = max(2 * L * (1 + M), 2 * L + 2 * M * M)
-    dtype = _product_dtype(L)
-    assert twice < 2 ** (np.finfo(dtype).nmant + 1)
-    # float32 wherever it is exact, so n <= 10 keeps the faster product.
-    assert (dtype == np.float32) == (twice < 2 ** 24) == (n <= 10)
+    dtype, D = _product_layout(L)
+    assert M ** D - 1 < 2 ** (np.finfo(dtype).nmant + 1)
+    # float32 up to n = 12, at two shifts a column or more; three up to n = 8.
+    assert (dtype == np.float32) == (n <= 12)
+    assert D == (3 if n <= 8 or 14 <= n <= 16 else 2)
 
 
 def test_float64_product_gives_the_same_histogram(monkeypatch, ctx4, p41):
-    # The float64 branch runs only from n = 12 on; check it at n = 4.
-    monkeypatch.setattr("kasamilab.sequences._product_dtype",
-                        lambda L: np.float64)
+    # The float64 branch runs only from n = 14 on; check it at n = 4.
+    monkeypatch.setattr("kasamilab.sequences._product_layout",
+                        lambda L: (np.float64, 3))
     fam = build_family(ctx4, p41)
     assert correlation_distribution(fam, workers=2).as_dict() == \
         CORRELATIONS[(4, 1)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n,k,mod", ORACLE_CASES)
+def test_two_shift_columns_with_a_pad_digit_match_all_pairs_oracle(
+        monkeypatch, n, k, mod, dtype, workers):
+    # L is odd, so at two shifts a column the last column's second digit is
+    # a pad, which the sweep takes back off bin 0. Tier-1 meets the pad
+    # otherwise only at n = 10; here it runs at n = 4 and 6, in both dtypes.
+    monkeypatch.setattr("kasamilab.sequences._product_layout",
+                        lambda L: (dtype, 2))
+    fam = build_family(build_field(n, mod), derive_params(n, k))
+    assert correlation_distribution(fam, workers=workers).as_dict() == \
+        all_pairs_sweep(fam)
+    # Constant members read agreement 0, the pad's bin, at every shift.
+    L = (1 << n) - 1
+    assert correlation_distribution(constant_family(n),
+                                    workers=workers).as_dict() == \
+        {L: 2 * L, -L: 2 * L}
 
 
 @pytest.mark.parametrize("nk", [(4, 1), (6, 1), (6, 2)])
@@ -506,13 +528,15 @@ def test_tiled_sweep_matches_rep_major_kernel_on_n10_orbits(monkeypatch):
     orbit, sizes = orbits_of(fam)
     sub = SequenceFamily(params, fam.rows[orbit < 150])
     monkeypatch.setattr("kasamilab.sequences._tile_rows", lambda L: 400)
-    # float32 holds that kernel's product exactly at n = 10, as it does the
-    # sweep's (test_packed_product_exact_in_its_dtype).
+    # float32 holds that kernel's two-shift product, with its sentinel
+    # column, exactly at n = 10: every partial sum is k/2 with |k| <=
+    # 2 (L^2 + 3L + 1) < 2^24. The sweep packs two shifts at n = 10 too, with
+    # a pad digit in place of the sentinel.
     want = ref.correlation_rep_major(bits_of(sub), *orbits_of(sub), sub.size,
                                      np.float32)
     assert correlation_distribution(sub, workers=2).as_dict() == want
     assert sub.size == sum(sizes[:150]) == 1500
-    assert _product_dtype(1023) == np.float32
+    assert _product_layout(1023) == (np.float32, 2)
 
 
 def test_printed_table_clean_cases(p41, p62):
