@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
-from operator import add
 
 import numpy as np
 
@@ -43,33 +40,6 @@ def _exact(frac):
 def _p2(e):
     """2^e as a Fraction, tolerating negative exponents."""
     return Fraction(1 << e) if e >= 0 else Fraction(1, 1 << -e)
-
-
-def _histogram(values):
-    """Counter of the entries of an integer array."""
-    vals, cts = np.unique(values, return_counts=True)
-    return Counter(dict(zip(vals.tolist(), cts.tolist())))
-
-
-def _thread_count(workers, tasks):
-    """Threads for `tasks` independent tasks: never more than the CPUs this
-    process may run on (its affinity mask, where the platform has one)."""
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    return max(1, min(workers, cpus, tasks))
-
-
-def _summed(work, items, workers):
-    """Sum of work(item) over items, on at most _thread_count threads."""
-    items = list(items)
-    threads = _thread_count(workers, len(items))
-    if threads == 1:
-        return reduce(add, map(work, items))
-    # Imported only here: it loads concurrent.futures and logging, which a
-    # run that opens no pool need not pay for at start-up.
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return reduce(add, pool.map(work, items))
 
 
 @dataclass(frozen=True)

@@ -84,12 +84,6 @@ def _trace_rows(ctx, params, alphas, betas, gammas):
             _rows(ctx, gammas, 1, trace_n))
 
 
-def _monomial_rows(ctx, coeffs, h):
-    """int64 value rows c x^(2^h+1) over x in mask order, one per
-    coefficient c, by `_rows`."""
-    return _rows(ctx, coeffs, (1 << h) + 1)
-
-
 def _butterflies(mat, h):
     """Walsh-Hadamard butterflies of each row at strides h, 2h, ... < length."""
     rows, length = mat.shape
@@ -409,10 +403,10 @@ def artin_schreier_points(ctx, params, alpha_prime, beta):
     y = np.arange(ctx.q)
     hist = np.bincount(power_table(ctx, 1 << params.d) ^ y, minlength=ctx.q)
     aprimes, betas = np.asarray(alpha_prime), np.asarray(beta)
-    slab = _monomial_rows(ctx, betas.reshape(-1), params.k)
+    slab = _rows(ctx, betas.reshape(-1), params.e_quad)
     points = np.empty((aprimes.size, len(slab)), dtype=np.int64)
     for row, a in zip(points, aprimes.reshape(-1).tolist()):
-        avals = _monomial_rows(ctx, a, params.m)
+        avals = _rows(ctx, a, params.e_norm)
         slab ^= avals  # the x side of a', XORed back off once counted
         hist[slab].sum(axis=-1, out=row)
         slab ^= avals

@@ -27,8 +27,8 @@ from math import gcd
 
 import numpy as np
 
-from .distribution import VerificationError, _exact, _histogram, _p2
-from .expsum import _eps1, _monomial_rows, _pair_orbits, t_spectrum_formula
+from .distribution import VerificationError, _exact, _p2
+from .expsum import _eps1, _pair_orbits, _rows, t_spectrum_formula
 from .field import _gf2_linear, _mul, power_table
 
 __all__ = [
@@ -40,9 +40,9 @@ __all__ = [
 def _phi_rows(ctx, params, alpha, betas):
     """phi_{alpha,beta}(x) over all x, one row per beta: x phi(x) = alpha x^e1
     + beta x^e2 + (beta x^e2)^(2^(n-k)), off the value rows, divided by x."""
-    rows = _monomial_rows(ctx, betas, params.k)
+    rows = _rows(ctx, betas, params.e_quad)
     rows ^= power_table(ctx, 1 << (params.n - params.k))[rows]
-    rows ^= _monomial_rows(ctx, alpha, params.m)
+    rows ^= _rows(ctx, alpha, params.e_norm)
     return _mul(ctx, power_table(ctx, ctx.order - 1), rows)
 
 
@@ -145,7 +145,7 @@ def bluher_counts(ctx, h):
         raise VerificationError("a counted z is not a root of its b")
     roots = np.bincount(b, minlength=ctx.q)[1:]
     hist = {0: 0, 1: 0, 2: 0, (1 << e) + 1: 0}
-    counts = _histogram(roots)
+    counts = {v: c for v, c in enumerate(np.bincount(roots).tolist()) if c}
     if not counts.keys() <= hist.keys():
         b, count = next((b, c) for b, c in enumerate(roots.tolist(), 1)
                         if c not in hist)

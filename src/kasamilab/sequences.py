@@ -18,12 +18,14 @@ The family is one uint8 matrix, a row per member holding its bits packed
 eight to a byte, XORed from packed trace rows; every reader takes its rows
 from there. `correlation_distribution` sweeps one representative per
 decimation orbit against the members, tile by tile, up to three shifts to
-a column of a circulant product, so every pair at every shift is counted
-and no buffer holds floats for the whole family.
+a column of a float32 circulant product, exact at every n, so every pair
+at every shift is counted. Each thread unpacks its own tiles, and no
+buffer holds floats for the whole family.
 """
 
 from __future__ import annotations
 
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,8 +35,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .codes import _word_rows
-from .distribution import (ValueDistribution, VerificationError, _exact,
-                           _p2, _summed, _thread_count)
+from .distribution import ValueDistribution, VerificationError, _exact, _p2
 from .expsum import (_b_sum, _den2, _eps2, _xi2, s_spectrum_formula,
                      t_spectrum_formula)
 from .field import _cycles, subfield_elements
@@ -188,22 +189,29 @@ def _decimation_orbits(packed, L):
     return renumber[orbit], sizes[by_size].tolist()
 
 
-def _product_layout(L):
-    """(dtype, D) for the correlation product of period L: float32 up to
-    n = 12, else float64, and D <= 3 shifts a column. Every partial sum is
-    k/2 with |k| <= M^D - 1, M = L + 1 (L half signs against entries of at
-    most (M^D - 1)/L), exact while M^D - 1 < 2^(nmant + 1)."""
-    n = L.bit_length()
-    dtype = np.float32 if n <= 12 else np.float64
-    return dtype, min(3, (np.finfo(dtype).nmant + 1) // n)
+def _shifts_per_column(L):
+    """D, the shifts a column of the float32 correlation product of period
+    L holds: min(3, 24 // n). Every partial sum is k/2 with |k| <= M^D - 1,
+    M = L + 1 (L half signs against entries of at most (M^D - 1)/L), exact
+    while M^D - 1 < 2^24: three shifts up to n = 8, two at n = 10 and 12,
+    and one from n = 14 on, where M - 1 < 2^24 holds up to n = 24."""
+    return min(3, 24 // L.bit_length())
 
 
 def _tile_rows(L):
     """Members per tile of the correlation product of period L: 4 (L + 2),
     so that each representative's product over a tile outweighs its
-    circulant, rebuilt for every tile. The tile bounds the shared signs,
-    4 (L + 2) rows of L floats, and each thread's product, of L/D columns."""
+    circulant, rebuilt for every tile. Per thread, the tile bounds its
+    signs, 4 (L + 2) rows of L floats, and its product, of L/D columns."""
     return 4 * (L + 2)
+
+
+def _thread_count(workers, tasks):
+    """Threads for `tasks` independent tasks: never more than the CPUs this
+    process may run on (its affinity mask, where the platform has one)."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return max(1, min(workers, cpus, tasks))
 
 
 # Member bits unpacked at a time to find their decimation images.
@@ -238,7 +246,7 @@ def correlation_distribution(family, workers=1):
     orbit with weight 2w, all shifts in one circulant product per orbit.
     The largest orbits come first, which leaves the fewest later rows.
 
-    Each product column holds D shifts (`_product_layout`): with r the
+    Each product column holds D shifts (`_shifts_per_column`): with r the
     representative's signs and M = L + 1, column c of the circulant is
     sum_j M^j r[i + D c + j], read against the members' half signs. An
     offset of L/2 per digit, added after the product, makes digit j the
@@ -247,71 +255,80 @@ def correlation_distribution(family, workers=1):
     offset: each reads 0 once per ordered pair, taken back off bin 0.
 
     The family's packed rows are taken in orbit order and swept tile by
-    tile, `_tile_rows` members each. A tile is unpacked to signs once and
-    read only by the threads, which share out the representatives whose
-    first row lies before its end. Each sweeps the tile's rows from its
-    first row on and counts the product by value (`_value_counts`), its
+    tile, `_tile_rows` members each, on at most `workers` threads in one
+    pool. In every tile, thread t takes the representatives t, t + T, ...
+    (T threads) whose first row lies before the tile's end, unpacks the
+    tile to signs of its own and sweeps the tile's rows from each one's
+    first row on, counting the product by value (`_value_counts`), its
     own orbit's rows (weight w) apart from later rows (2w); the family's
-    correlations take few values. Per thread: one circulant, one tile's
-    product and the keys met so far, each with an int64 count.
+    correlations take few values. Per thread: one tile of signs, one
+    circulant, one tile's product and the keys met so far across its
+    tiles, each with an int64 count.
     """
     count, L = family.size, family.params.q - 1
     orbit, sizes = _decimation_orbits(family.rows, L)
     packed = family.rows[np.argsort(orbit, kind="stable")]
     starts = np.cumsum([0] + sizes)
-    (dtype, D), M = _product_layout(L), L + 1
+    D, M = _shifts_per_column(L), L + 1
     columns = -(-L // D)
     rows = min(count, _tile_rows(L))
-    powers = (M ** np.arange(D)).astype(dtype)
+    powers = (M ** np.arange(D)).astype(np.float32)
     # L/2 for each digit j of column c below shift L, at D c + j.
     offset = (np.arange(columns * D).reshape(-1, D) < L) @ powers * (L / 2)
     # M^j times the sign 1 - 2b of bit b, and the bits twice over.
-    weighted, wrap = powers[:, None] * dtype([1, -1]), np.arange(2 * L - 1) % L
-    # One tile of members, each bit b as the half sign (1 - 2b)/2.
-    signs = np.empty((rows, L), dtype=dtype)
+    weighted = powers[:, None] * np.float32([1, -1])
+    wrap = np.arange(2 * L - 1) % L
+    threads = _thread_count(workers, len(sizes))
 
-    def work(item):
-        lo, hi, reps = item
-        circ = np.empty((columns, L), dtype=dtype)
-        prod = np.empty((hi - lo, columns), dtype=dtype)
-        known, totals = np.empty(0, dtype=dtype), np.zeros(0, dtype=np.int64)
+    def work(t):
+        # One tile of members, each bit b as the half sign (1 - 2b)/2.
+        signs = np.empty((rows, L), dtype=np.float32)
+        circ = np.empty((columns, L), dtype=np.float32)
+        prod = np.empty((rows, columns), dtype=np.float32)
+        known, totals = np.empty(0, np.float32), np.zeros(0, np.int64)
         # windows[j, tau] is M^j r[i + tau], r the rep's signs mod L.
-        line = np.empty((D, 2 * L - 1), dtype=dtype)
+        line = np.empty((D, 2 * L - 1), dtype=np.float32)
         windows = sliding_window_view(line, L, axis=1)
-        for a in reps:
-            first, w = starts[a], sizes[a]
-            weighted.take(_unpacked(packed[first], L)[wrap], axis=1, out=line)
-            circ[...] = windows[0, ::D]
-            for j in range(1, D):
-                circ[:len(windows[j, j::D])] += windows[j, j::D]
-            top = max(lo, first)
-            out = np.matmul(signs[top - lo:hi - lo], circ.T,
-                            out=prod[:hi - top])
-            out += offset
-            own = min(max(first + w - top, 0), hi - top)
-            for part, weight in ((out[:own], w), (out[own:], 2 * w)):
-                seen, times = _value_counts(part, known)
-                if len(seen) > len(known):
-                    grown = np.zeros(len(seen), dtype=np.int64)
-                    grown[seen.searchsorted(known)] = totals
-                    known, totals = seen, grown
-                totals += weight * times
+        for lo in range(0, count, rows):
+            hi = min(lo + rows, count)
+            # The orbits whose first row lies before hi, dealt out in
+            # turn: the earlier ones sweep more rows.
+            reps = range(t, int(np.searchsorted(starts, hi)), threads)
+            if reps:
+                np.subtract(0.5, _unpacked(packed[lo:hi], L),
+                            out=signs[:hi - lo], dtype=np.float32)
+            for a in reps:
+                first, w = starts[a], sizes[a]
+                weighted.take(_unpacked(packed[first], L)[wrap], axis=1,
+                              out=line)
+                circ[...] = windows[0, ::D]
+                for j in range(1, D):
+                    circ[:len(windows[j, j::D])] += windows[j, j::D]
+                top = max(lo, first)
+                out = np.matmul(signs[top - lo:hi - lo], circ.T,
+                                out=prod[:hi - top])
+                out += offset
+                own = min(max(first + w - top, 0), hi - top)
+                for part, weight in ((out[:own], w), (out[own:], 2 * w)):
+                    seen, times = _value_counts(part, known)
+                    if len(seen) > len(known):
+                        grown = np.zeros(len(seen), dtype=np.int64)
+                        grown[seen.searchsorted(known)] = totals
+                        known, totals = seen, grown
+                    totals += weight * times
         tally = np.zeros(M, dtype=np.int64)
         digits = known.astype(np.int64)[:, None] // M ** np.arange(D) % M
         np.add.at(tally, digits, totals[:, None])
         return tally
 
-    acc = 0
-    for lo in range(0, count, rows):
-        hi = min(lo + rows, count)
-        np.subtract(0.5, _unpacked(packed[lo:hi], L), out=signs[:hi - lo],
-                    dtype=dtype)
-        # The orbits whose first row lies before hi, dealt out in turn: the
-        # earlier ones sweep more rows.
-        reps = int(np.searchsorted(starts, hi))
-        threads = _thread_count(workers, reps)
-        acc = acc + _summed(work, [(lo, hi, range(t, reps, threads))
-                                   for t in range(threads)], workers)
+    if threads == 1:
+        acc = work(0)
+    else:
+        # Imported only here: it loads concurrent.futures and logging,
+        # which a run that opens no pool need not pay for at start-up.
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            acc = sum(pool.map(work, range(threads)))
     acc[0] -= (columns * D - L) * count * count
     dist = ValueDistribution.from_counts(zip(range(-L, M, 2), acc))
     if dist.total != count * count * L:

@@ -49,7 +49,8 @@ def recording_pool(monkeypatch):
 
     Returns the list of (max_workers, task count) of every pool opened; the
     tasks run in the calling thread, so no thread is started. The pool is
-    patched where `distribution._summed` imports it from when it opens one.
+    patched where `sequences.correlation_distribution` imports it from
+    when it opens one.
     """
     opened = []
 

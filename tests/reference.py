@@ -554,9 +554,9 @@ def orbit_closure(ctx, params, curves=False):
     q, m, k = ctx.q, params.m, params.k
     if curves:
         tables = (("a' x^e1", range(q),
-                   lambda c: expsum._monomial_rows(ctx, c, m)),
+                   lambda c: expsum._rows(ctx, c, params.e_norm)),
                   ("beta x^e2", range(q),
-                   lambda c: expsum._monomial_rows(ctx, c, k)))
+                   lambda c: expsum._rows(ctx, c, params.e_quad)))
     else:
         tables = (("alpha", subfield_elements(ctx, m),
                    lambda c: expsum._trace_rows(ctx, params, c, [], [])[0]),

@@ -109,7 +109,7 @@ def test_import_bounds_the_blas_idle_spin(preset, value):
     ids=["8-2-blas1", "8-2-blas2", "6-2-workers2"])
 def test_verify_report_does_not_depend_on_blas_threads(tmp_path, n, k,
                                                       workers, threads, code):
-    # The correlation product is exact in its dtype (`_product_layout`), so
+    # The correlation product is exact in float32 (`_shifts_per_column`), so
     # however OpenBLAS splits it over its threads, and however many sweep
     # threads share it out, the report is the frozen one, byte for byte.
     out = tmp_path / "out"

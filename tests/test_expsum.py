@@ -18,7 +18,7 @@ from kasamilab import (ValueDistribution, VerificationError,
                        artin_schreier_points, build_field, check_cyclicity,
                        codes, derive_params, expsum, field,
                        gamma_sweep_formula,
-                       kernel_dims, moment_targets, moments, rank_profile,
+                       kernel_dims, linearized, moment_targets, moments, rank_profile,
                        s_spectrum, s_spectrum_formula, subfield_elements,
                        t_spectrum, t_spectrum_formula)
 from kasamilab.cli import main
@@ -355,6 +355,13 @@ def test_frobenius_orbits(n, orbits):
 VALUE_FLIP = 32
 
 
+def patch_row_builder(monkeypatch, builder):
+    """Put `builder` in place of `expsum._rows`, the one row builder, in
+    each module that calls it."""
+    for module in (expsum, linearized):
+        monkeypatch.setattr(module, "_rows", builder)
+
+
 def flip_row_bit(monkeypatch, e, coeff, values=False, x=3):
     """Patch `expsum._rows`, the one row builder: wherever the trace row of
     coeff at x^e is built, flip bit 0 of its entry x; with values, XOR
@@ -368,7 +375,7 @@ def flip_row_bit(monkeypatch, e, coeff, values=False, x=3):
             rows.reshape(-1, ctx.q)[hit, x] ^= VALUE_FLIP if values else 1
         return rows
 
-    monkeypatch.setattr(expsum, "_rows", flipped)
+    patch_row_builder(monkeypatch, flipped)
 
 
 # The orbit lemma is made once per field and no row is kept, so a test that
@@ -694,7 +701,7 @@ def test_each_reader_builds_each_beta_row_once(monkeypatch, sweep, n, k):
             counted["value" if outer is None else "trace"] += np.size(coeffs)
         return build(ctx, coeffs, e, outer)
 
-    monkeypatch.setattr(expsum, "_rows", counting)
+    patch_row_builder(monkeypatch, counting)
     reader = kernel_dims if sweep == "kernel_dims" else getattr(expsum, sweep)
     reader(ctx, p, *args)
     zero, one = (len(betas) for _, betas, _ in orbit_betas(ctx, p))
@@ -803,8 +810,8 @@ def test_rows_are_their_schoolbook_definitions(n, k, mod):
         return [ref.gf2_mul(c, y, mod, n) for y in ys]
 
     arows, brows, grows = expsum._trace_rows(ctx, p, sub, elems, elems)
-    avals = expsum._monomial_rows(ctx, elems, p.m)
-    bvals = expsum._monomial_rows(ctx, elems, k)
+    avals = expsum._rows(ctx, elems, p.e_norm)
+    bvals = expsum._rows(ctx, elems, p.e_quad)
     assert (arows.dtype, brows.dtype, avals.dtype) == (np.uint8, np.uint8,
                                                        np.int64)
     for a, row in zip(sub, arows.tolist()):

@@ -1,6 +1,7 @@
 """Sequence family construction and correlation distributions."""
 
 import json
+import os
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -17,9 +18,8 @@ from kasamilab import (SequenceFamily, VerificationError, build_family,
                        correlation_table_printed, derive_params,
                        family_dump_lines, family_size, pack_bits_hex)
 from kasamilab.cli import main
-from kasamilab.distribution import _thread_count
-from kasamilab.sequences import (_decimation_orbits, _product_layout,
-                                 _value_counts)
+from kasamilab.sequences import (_decimation_orbits, _shifts_per_column,
+                                 _thread_count, _value_counts)
 from test_expsum import traced_peak
 
 # Frozen from the brute-force all-pairs-all-shifts sweep.
@@ -222,6 +222,47 @@ def test_correlation_orbit_spans_capped(ctx4, p41, recording_pool):
     assert recording_pool == [(4, 4)]
 
 
+def test_threads_capped_by_cpus_and_tasks(ctx4, p41, recording_pool):
+    # Four CPUs: as many threads as the workers, the CPUs and the orbits
+    # allow, and no pool for one. The constant family has two orbits.
+    assert [_thread_count(w, t) for w, t in
+            ((10 ** 6, 10), (10 ** 6, 3), (2, 10), (1, 10))] == [4, 3, 2, 1]
+    fam = build_family(ctx4, p41)
+    for workers in (1, 3, 10 ** 6):
+        assert correlation_distribution(fam, workers=workers).as_dict() == \
+            CORRELATIONS[(4, 1)]
+    assert correlation_distribution(constant_family(4),
+                                    workers=10 ** 6).as_dict() == \
+        {15: 30, -15: 30}
+    assert recording_pool == [(3, 3), (4, 4), (2, 2)]
+
+
+def test_threads_capped_by_the_affinity_mask(ctx4, p41, recording_pool,
+                                             monkeypatch):
+    # Pinned to one of the four CPUs: one thread, and no pool.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert _thread_count(10 ** 6, 10) == 1
+    assert correlation_distribution(build_family(ctx4, p41),
+                                    workers=10 ** 6).as_dict() == \
+        CORRELATIONS[(4, 1)]
+    assert recording_pool == []
+
+
+def test_threads_capped_by_cpu_count_without_affinity(ctx4, p41,
+                                                      recording_pool,
+                                                      monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert _thread_count(10 ** 6, 10) == 3
+    assert correlation_distribution(build_family(ctx4, p41),
+                                    workers=10 ** 6).as_dict() == \
+        CORRELATIONS[(4, 1)]
+    assert recording_pool == [(3, 3)]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _thread_count(10 ** 6, 10) == 1
+
+
 # EvenM, BothOdd and EvenK, each under two moduli.
 ORACLE_CASES = [(4, 1, 0x13), (6, 1, 0x43), (6, 2, 0x43), (6, 2, 0x61),
                 (4, 1, 0x19), (6, 1, 0x61)]
@@ -273,6 +314,19 @@ def test_orbit_sweep_in_many_tiles_matches_all_pairs_oracle(
     assert periods == [(1 << n) - 1] and 10 * n < fam.size
 
 
+@pytest.mark.parametrize("n", [4, 6])
+def test_one_pool_per_sweep_across_many_tiles(fixed_tiles, recording_pool,
+                                              n):
+    # Tiles of n members: the sweep walks 17 or 86 of them, and each of its
+    # four threads walks every tile itself, in the one pool of the call.
+    periods = fixed_tiles(n)
+    fam = build_family(build_field(n), derive_params(n, 1))
+    assert correlation_distribution(fam, workers=10 ** 6).as_dict() == \
+        CORRELATIONS[(n, 1)]
+    assert recording_pool == [(4, 4)]
+    assert periods == [(1 << n) - 1] and -(-fam.size // n) in (17, 86)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("n,k,mod", ORACLE_CASES)
 def test_orbit_sweep_across_tile_and_chunk_edges_matches_all_pairs_oracle(
@@ -317,7 +371,7 @@ def test_own_orbit_part_empty_partial_or_whole_in_a_tile(
         all_pairs_sweep(fam)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dtype", [np.float32])
 def test_value_counts_match_bincount_up_to_the_float32_top(dtype):
     # Product entries at n = 12, two shifts to a column: a + M b for
     # agreement counts a, b in [0, L], and a alone in the last column, whose
@@ -377,40 +431,33 @@ def test_constant_members_fill_both_end_bins_in_tiles_of_one(
 def test_packed_product_exact_in_its_dtype(n):
     # A column of D shifts has L entries of at most (M^D - 1)/L against
     # half signs of +-1/2, so every partial sum is k/2 with |k| <= M^D - 1,
-    # and so is the column after its offset, in [0, M^D - 1].
+    # and so is the column after its offset, in [0, M^D - 1]: exact in
+    # float32 while M^D - 1 < 2^24, and one more shift would not be.
     L = (1 << n) - 1
     M = L + 1
-    dtype, D = _product_layout(L)
-    assert M ** D - 1 < 2 ** (np.finfo(dtype).nmant + 1)
-    # float32 up to n = 12, at two shifts a column or more; three up to n = 8.
-    assert (dtype == np.float32) == (n <= 12)
-    assert D == (3 if n <= 8 or 14 <= n <= 16 else 2)
-
-
-def test_float64_product_gives_the_same_histogram(monkeypatch, ctx4, p41):
-    # The float64 branch runs only from n = 14 on; check it at n = 4.
-    monkeypatch.setattr("kasamilab.sequences._product_layout",
-                        lambda L: (np.float64, 3))
-    fam = build_family(ctx4, p41)
-    assert correlation_distribution(fam, workers=2).as_dict() == \
-        CORRELATIONS[(4, 1)]
+    D = _shifts_per_column(L)
+    assert D == min(3, 24 // n)
+    assert M ** D - 1 < 2 ** 24 == 2 ** (np.finfo(np.float32).nmant + 1)
+    assert D == 3 or M ** (D + 1) - 1 >= 2 ** 24
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dtype", [np.float32])
 @pytest.mark.parametrize("n,k,mod", ORACLE_CASES)
 def test_two_shift_columns_with_a_pad_digit_match_all_pairs_oracle(
         monkeypatch, n, k, mod, dtype, workers):
     # L is odd, so at two shifts a column the last column's second digit is
     # a pad, which the sweep takes back off bin 0. Tier-1 meets the pad
-    # otherwise only at n = 10; here it runs at n = 4 and 6, in both dtypes.
-    monkeypatch.setattr("kasamilab.sequences._product_layout",
-                        lambda L: (dtype, 2))
+    # otherwise only at n = 10; here it runs at n = 4 and 6, two shifts a
+    # column being exact in the product's dtype there too.
+    L = (1 << n) - 1
+    assert (L + 1) ** 2 - 1 < 2 ** (np.finfo(dtype).nmant + 1)
+    monkeypatch.setattr("kasamilab.sequences._shifts_per_column",
+                        lambda period: 2)
     fam = build_family(build_field(n, mod), derive_params(n, k))
     assert correlation_distribution(fam, workers=workers).as_dict() == \
         all_pairs_sweep(fam)
     # Constant members read agreement 0, the pad's bin, at every shift.
-    L = (1 << n) - 1
     assert correlation_distribution(constant_family(n),
                                     workers=workers).as_dict() == \
         {L: 2 * L, -L: 2 * L}
@@ -536,7 +583,7 @@ def test_tiled_sweep_matches_rep_major_kernel_on_n10_orbits(monkeypatch):
                                      np.float32)
     assert correlation_distribution(sub, workers=2).as_dict() == want
     assert sub.size == sum(sizes[:150]) == 1500
-    assert _product_layout(1023) == (np.float32, 2)
+    assert _shifts_per_column(1023) == 2
 
 
 def test_printed_table_clean_cases(p41, p62):
